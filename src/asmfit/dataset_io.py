@@ -7,6 +7,7 @@ versioned little-endian bundle format documented in FORMAT.md.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    AsmFitError,
     BundleCorruptionError,
     BundleVersionError,
     DatasetError,
@@ -31,7 +33,7 @@ from .shape_model import Shape, ShapeModel
 from .svm import FeatureScaler, LinearSvmModel
 
 BUNDLE_MAGIC = b"ASMFITB1"
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,71 +314,99 @@ def _encode(obj, out: bytearray):
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _decode(buf: memoryview, pos: int):
-    tag = buf[pos]
-    pos += 1
+# Nesting depth of lists/dicts a bundle may use; the writer needs three.
+_MAX_DEPTH = 8
+
+
+def _advance(buf: memoryview, pos: int, n: int) -> int:
+    """Position after n more bytes, if the buffer holds them."""
+    if n > len(buf) - pos:
+        raise BundleCorruptionError(f"value at byte {pos} runs past the end of its section")
+    return pos + n
+
+
+def _decode(buf: memoryview, pos: int, depth: int = 0):
+    if depth > _MAX_DEPTH:
+        raise BundleCorruptionError(f"values nested deeper than {_MAX_DEPTH} at byte {pos}")
+    pos = _advance(buf, pos, 1)
+    tag = buf[pos - 1]
     if tag == _T_NONE:
         return None, pos
     if tag == _T_BOOL:
-        return bool(buf[pos]), pos + 1
-    if tag == _T_INT:
-        return struct.unpack_from("<q", buf, pos)[0], pos + 8
-    if tag == _T_FLOAT:
-        return struct.unpack_from("<d", buf, pos)[0], pos + 8
-    if tag == _T_STR:
+        end = _advance(buf, pos, 1)
+        if buf[pos] > 1:
+            raise BundleCorruptionError(f"bool at byte {pos} holds {buf[pos]}")
+        return bool(buf[pos]), end
+    if tag in (_T_INT, _T_FLOAT):
+        end = _advance(buf, pos, 8)
+        return struct.unpack_from("<q" if tag == _T_INT else "<d", buf, pos)[0], end
+    if tag in (_T_STR, _T_LIST, _T_DICT):
+        start = _advance(buf, pos, 4)
         n = struct.unpack_from("<I", buf, pos)[0]
-        pos += 4
-        return bytes(buf[pos:pos + n]).decode("utf-8"), pos + n
-    if tag in (_T_F64, _T_U8):
-        ndim = buf[pos]
-        pos += 1
-        shape = []
-        for _ in range(ndim):
-            shape.append(struct.unpack_from("<Q", buf, pos)[0])
-            pos += 8
-        count = int(np.prod(shape)) if shape else 1
-        dtype = np.dtype("<f8") if tag == _T_F64 else np.dtype(np.uint8)
-        nbytes = count * dtype.itemsize
-        arr = np.frombuffer(buf, dtype=dtype, count=count, offset=pos).reshape(shape)
-        return arr.copy(), pos + nbytes
-    if tag == _T_LIST:
-        n = struct.unpack_from("<I", buf, pos)[0]
-        pos += 4
+        # Every item takes at least one byte, a string byte exactly one.
+        _advance(buf, start, n)
+        pos = start
+        if tag == _T_STR:
+            try:
+                return str(buf[pos:pos + n], "utf-8"), pos + n
+            except UnicodeDecodeError:
+                raise BundleCorruptionError(f"string at byte {pos} is not UTF-8") from None
         items = []
-        for _ in range(n):
-            item, pos = _decode(buf, pos)
+        for _ in range(n * (2 if tag == _T_DICT else 1)):
+            item, pos = _decode(buf, pos, depth + 1)
             items.append(item)
-        return items, pos
-    if tag == _T_DICT:
-        n = struct.unpack_from("<I", buf, pos)[0]
-        pos += 4
-        out = {}
-        for _ in range(n):
-            key, pos = _decode(buf, pos)
-            out[key], pos = _decode(buf, pos)
-        return out, pos
-    raise BundleCorruptionError(f"unknown value tag {tag}")
+        if tag == _T_LIST:
+            return items, pos
+        keys = items[0::2]
+        if not all(isinstance(key, str) for key in keys):
+            raise BundleCorruptionError(f"dict ending at byte {pos} has a non-string key")
+        return dict(zip(keys, items[1::2])), pos
+    if tag in (_T_F64, _T_U8):
+        pos = _advance(buf, pos, 1)
+        ndim = buf[pos - 1]
+        pos = _advance(buf, pos, 8 * ndim)
+        shape = struct.unpack_from(f"<{ndim}Q", buf, pos - 8 * ndim)
+        dtype = np.dtype("<f8") if tag == _T_F64 else np.dtype(np.uint8)
+        count = math.prod(shape)
+        end = _advance(buf, pos, count * dtype.itemsize)
+        try:
+            arr = np.frombuffer(buf, dtype=dtype, count=count, offset=pos).reshape(shape)
+        except ValueError as exc:
+            raise BundleCorruptionError(f"array at byte {pos} has shape {shape}: {exc}") from None
+        return arr.copy(), end
+    raise BundleCorruptionError(f"unknown value tag {tag} at byte {pos - 1}")
 
 
 def _profile_model_payload(pm: ProfileModel) -> dict:
-    means = [np.stack([st.mean for st in level]) for level in pm.stats]
-    covs = [np.stack([st.covariance for st in level]) for level in pm.stats]
     return {
         "kind": pm.kind,
         "mode": pm.mode,
         "q": pm.q,
         "eps": pm.eps,
         "sizes": list(pm.sizes),
-        "means": means,
-        "covs": covs,
+        "means": [np.stack([st.mean for st in level]) for level in pm.stats],
+        "bases": [np.stack([st.basis for st in level]) for level in pm.stats],
+        "lams": [np.stack([st.lam for st in level]) for level in pm.stats],
+        "rhos": [np.array([st.rho for st in level]) for level in pm.stats],
     }
 
 
 def _profile_model_from_payload(payload: dict) -> ProfileModel:
+    fields = [payload[key] for key in ("means", "bases", "lams", "rhos")]
+    if any(len(arrays) != len(payload["sizes"]) for arrays in fields):
+        raise BundleCorruptionError("profile arrays and sizes disagree on the level count")
     stats = []
-    for means, covs in zip(payload["means"], payload["covs"]):
+    for means, bases, lams, rhos in zip(*fields):
+        k, d = means.shape
+        r = lams.shape[-1]
+        if bases.shape != (k, d, r) or lams.shape != (k, r) or rhos.shape != (k,):
+            raise BundleCorruptionError(
+                f"profile arrays {means.shape}, {bases.shape}, {lams.shape}, {rhos.shape} "
+                "do not stack to (k, d), (k, d, r), (k, r), (k,)"
+            )
         stats.append(tuple(
-            ProfileStats(means[j], covs[j], payload["eps"]) for j in range(means.shape[0])
+            ProfileStats(means[j], eps=payload["eps"], basis=bases[j], lam=lams[j], rho=rhos[j])
+            for j in range(k)
         ))
     return ProfileModel(
         kind=payload["kind"],
@@ -470,71 +500,87 @@ def save_bundle(bundle: ModelBundle, path) -> None:
     Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
+def _section_table(data: memoryview, count: int, start: int):
+    """(name, offset, length) entries and the first payload byte."""
+    pos = start
+    table = []
+    for _ in range(count):
+        pos = _advance(data, pos, 2)
+        name_len = struct.unpack_from("<H", data, pos - 2)[0]
+        pos = _advance(data, pos, name_len + 16)
+        try:
+            name = str(data[pos - 16 - name_len:pos - 16], "ascii")
+        except UnicodeDecodeError:
+            raise BundleCorruptionError("section name is not ASCII") from None
+        offset, length = struct.unpack_from("<QQ", data, pos - 16)
+        table.append((name, offset, length))
+    return table, pos
+
+
 def load_bundle(path) -> ModelBundle:
     """Read and validate a bundle; checks magic, checksum, then version."""
     path = Path(path)
     data = path.read_bytes()
     if len(data) < len(BUNDLE_MAGIC) + 12 or data[:len(BUNDLE_MAGIC)] != BUNDLE_MAGIC:
         raise BundleCorruptionError(f"{path.name}: not a model bundle (bad magic)")
+    view = memoryview(data)[:-4]
     stored_crc = struct.unpack("<I", data[-4:])[0]
-    if zlib.crc32(data[:-4]) != stored_crc:
+    if zlib.crc32(view) != stored_crc:
         raise BundleCorruptionError(f"{path.name}: checksum mismatch, file corrupted")
     version, section_count = struct.unpack_from("<II", data, len(BUNDLE_MAGIC))
     if version != BUNDLE_VERSION:
         raise BundleVersionError(
-            f"{path.name}: bundle version {version}, this build reads {BUNDLE_VERSION}"
+            f"{path.name}: bundle version {version}, this build reads {BUNDLE_VERSION}; "
+            "retrain the model"
         )
-    pos = len(BUNDLE_MAGIC) + 8
-    table = []
-    for _ in range(section_count):
-        name_len = struct.unpack_from("<H", data, pos)[0]
-        pos += 2
-        name = data[pos:pos + name_len].decode("ascii")
-        pos += name_len
-        offset, length = struct.unpack_from("<QQ", data, pos)
-        pos += 16
-        table.append((name, offset, length))
-    payload_start = pos
-    view = memoryview(data)
-    sections = {}
-    for name, offset, length in table:
-        blob = view[payload_start + offset: payload_start + offset + length]
-        value, end = _decode(blob, 0)
-        if end != length:
-            raise BundleCorruptionError(f"{path.name}: section {name} has trailing bytes")
-        sections[name] = value
+    # A bundle that passed its checksum can still be malformed (written by
+    # another tool, or damaged before the checksum was taken). Every failure
+    # to decode it or to rebuild the model from its fields is corruption.
     try:
-        scheme = LandmarkScheme.from_jsonable(sections["scheme"]["groups"])
-        sm_raw = sections["shape_model"]
-        shape_model = ShapeModel(
-            mean_shape=Shape.from_vector(sm_raw["mean"]),
-            modes=sm_raw["modes"],
-            eigenvalues=sm_raw["eigenvalues"],
-            variance_fraction=sm_raw["variance_fraction"],
-            clamp_alpha=sm_raw["clamp_alpha"],
-        )
-        classic = _profile_model_from_payload(sections["profiles"]["classic"])
-        asm = _profile_model_from_payload(sections["profiles"]["asm"])
-        svm_raw = sections["svms"]
-        svms = tuple(
-            tuple(LinearSvmModel(w[j], float(b[j])) for j in range(w.shape[0]))
-            for w, b in zip(svm_raw["weights"], svm_raw["biases"])
-        )
-        scalers = tuple(
-            tuple(FeatureScaler(m[j], s[j]) for j in range(m.shape[0]))
-            for m, s in zip(svm_raw["scaler_means"], svm_raw["scaler_stds"])
-        )
-        fit_defaults = _fit_config_from_payload(sections["fit_defaults"]["config"])
-        train_meta = sections["fit_defaults"]["train_meta"]
+        table, payload_start = _section_table(view, section_count, len(BUNDLE_MAGIC) + 8)
+        sections = {}
+        for name, offset, length in table:
+            blob = view[payload_start + offset:payload_start + offset + length]
+            if len(blob) != length:
+                raise BundleCorruptionError(f"section {name} runs past the end of the file")
+            value, end = _decode(blob, 0)
+            if end != length:
+                raise BundleCorruptionError(f"section {name} has trailing bytes")
+            sections[name] = value
+        return _bundle_from_sections(sections)
+    except BundleCorruptionError as exc:
+        raise BundleCorruptionError(f"{path.name}: {exc}") from None
     except KeyError as exc:
         raise BundleCorruptionError(f"{path.name}: missing bundle field {exc}") from None
+    except (AsmFitError, LookupError, TypeError, ValueError, AttributeError,
+            ArithmeticError) as exc:
+        raise BundleCorruptionError(f"{path.name}: malformed bundle field: {exc}") from None
+
+
+def _bundle_from_sections(sections: dict) -> ModelBundle:
+    scheme = LandmarkScheme.from_jsonable(sections["scheme"]["groups"])
+    sm_raw = sections["shape_model"]
+    shape_model = ShapeModel(
+        mean_shape=Shape.from_vector(sm_raw["mean"]),
+        modes=sm_raw["modes"],
+        eigenvalues=sm_raw["eigenvalues"],
+        variance_fraction=sm_raw["variance_fraction"],
+        clamp_alpha=sm_raw["clamp_alpha"],
+    )
+    svm_raw = sections["svms"]
     return ModelBundle(
         scheme=scheme,
         shape_model=shape_model,
-        classic_profiles=classic,
-        asm_profiles=asm,
-        svms=svms,
-        scalers=scalers,
-        fit_defaults=fit_defaults,
-        train_meta=train_meta,
+        classic_profiles=_profile_model_from_payload(sections["profiles"]["classic"]),
+        asm_profiles=_profile_model_from_payload(sections["profiles"]["asm"]),
+        svms=tuple(
+            tuple(LinearSvmModel(w[j], float(b[j])) for j in range(w.shape[0]))
+            for w, b in zip(svm_raw["weights"], svm_raw["biases"])
+        ),
+        scalers=tuple(
+            tuple(FeatureScaler(m[j], s[j]) for j in range(m.shape[0]))
+            for m, s in zip(svm_raw["scaler_means"], svm_raw["scaler_stds"])
+        ),
+        fit_defaults=_fit_config_from_payload(sections["fit_defaults"]["config"]),
+        train_meta=sections["fit_defaults"]["train_meta"],
     )

@@ -42,39 +42,77 @@ class Profile:
         return self.values.size
 
 
-@dataclass(frozen=True, eq=False)
+def _ridge(eps: float, trace: float, dim: int) -> float:
+    """Ridge rho = eps * trace / d added to the covariance; floored when eps > 0."""
+    rho = eps * trace / dim
+    return max(rho, 1e-12) if eps > 0 else rho
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class ProfileStats:
-    """Per-landmark training mean, covariance, and regularized inverse."""
+    """Per-landmark training statistics as an exact eigen-factor.
+
+    The covariance is C = U diag(lam) U^T with an orthonormal (d, r) basis
+    U; C has no mass outside span(U). Costs use C + rho * I through
+    weights = 1 / (lam + rho), so no inverse is ever formed. Build it from
+    a covariance (every eigenpair is kept, r = d) or directly from
+    (basis, lam, rho), as stats_from_matrix and the bundle loader do.
+    """
 
     mean: np.ndarray
-    covariance: np.ndarray
-    eps: float = 1e-3
-    inverse: np.ndarray = field(default=None, repr=False)
+    basis: np.ndarray = field(repr=False)
+    lam: np.ndarray = field(repr=False)
+    rho: float
+    eps: float
+    weights: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        mean = np.array(self.mean, dtype=float).ravel()
-        cov = np.array(self.covariance, dtype=float)
+    def __init__(self, mean, covariance=None, eps: float = 1e-3, *,
+                 basis=None, lam=None, rho=None):
+        mean = np.array(mean, dtype=float).ravel()
         d = mean.size
-        if cov.shape != (d, d):
-            raise DimensionMismatchError(f"covariance {cov.shape} does not match mean dim {d}")
-        cov = (cov + cov.T) / 2
-        inv = self.inverse
-        if inv is None:
-            ridge = self.eps * float(np.trace(cov)) / d
-            if self.eps > 0:
-                ridge = max(ridge, 1e-12)
-            inv = np.linalg.inv(cov + ridge * np.eye(d))
-        else:
-            inv = np.array(inv, dtype=float)
-            if inv.shape != (d, d):
-                raise DimensionMismatchError("inverse dimension mismatch")
-        for name, arr in (("mean", mean), ("covariance", cov), ("inverse", inv)):
+        if covariance is not None:
+            if basis is not None or lam is not None or rho is not None:
+                raise TypeError("give either a covariance or (basis, lam, rho), not both")
+            cov = np.array(covariance, dtype=float)
+            if cov.shape != (d, d):
+                raise DimensionMismatchError(
+                    f"covariance {cov.shape} does not match mean dim {d}"
+                )
+            cov = (cov + cov.T) / 2
+            lam, basis = np.linalg.eigh(cov)
+            lam = np.maximum(lam, 0.0)
+            rho = _ridge(eps, float(np.trace(cov)), d)
+        elif basis is None or lam is None or rho is None:
+            raise TypeError("ProfileStats needs a covariance or (basis, lam, rho)")
+        basis = np.array(basis, dtype=float, order="C")
+        lam = np.array(lam, dtype=float)
+        rho = float(rho)
+        if basis.ndim != 2 or basis.shape[0] != d or basis.shape[1] > d:
+            raise DimensionMismatchError(f"basis {basis.shape} does not fit mean dim {d}")
+        if lam.shape != basis.shape[1:]:
+            raise DimensionMismatchError(
+                f"{lam.size} eigenvalues for a rank-{basis.shape[1]} basis"
+            )
+        if not ((lam >= 0).all() and np.isfinite(lam).all()):
+            raise InsufficientDataError("eigenvalues must be finite and non-negative")
+        if not 0 <= rho < np.inf:
+            raise InsufficientDataError(f"ridge must be finite and non-negative, got {rho}")
+        if rho == 0 and (basis.shape[1] < d or not lam.all()):
+            raise InsufficientDataError("eps=0 needs a full-rank, non-singular covariance")
+        for name, arr in (("mean", mean), ("basis", basis), ("lam", lam),
+                          ("weights", 1.0 / (lam + rho))):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "eps", eps)
 
     @property
     def dim(self) -> int:
         return self.mean.size
+
+    @property
+    def rank(self) -> int:
+        return self.lam.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,6 +152,8 @@ class ProfileModel:
                     raise DimensionMismatchError(
                         f"stats dim {st.dim} does not match configured size {size}"
                     )
+            if len({st.rank for st in level_stats}) > 1:
+                raise DimensionMismatchError("every landmark of a level must share one rank")
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "stats", stats)
 
@@ -244,14 +284,24 @@ def extract_profile_2d(
 
 
 def stats_from_matrix(rows: np.ndarray, eps: float = 1e-3) -> ProfileStats:
-    """ProfileStats from an (m, d) sample matrix (m >= 2)."""
+    """ProfileStats from an (m, d) sample matrix (m >= 2), of rank min(m - 1, d).
+
+    The covariance of m centred rows has rank at most m - 1. With m <= d
+    the factor comes from a thin SVD of the centred rows, otherwise from
+    the eigendecomposition of the d x d covariance; neither forms an inverse.
+    """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] < 2:
         raise InsufficientDataError(f"need at least 2 profile samples, got {rows.shape}")
+    m, d = rows.shape
     mean = rows.mean(axis=0)
     dev = rows - mean
-    cov = dev.T @ dev / (rows.shape[0] - 1)
-    return ProfileStats(mean, cov, eps)
+    if m > d:
+        return ProfileStats(mean, dev.T @ dev / (m - 1), eps)
+    _, s, vt = np.linalg.svd(dev, full_matrices=False)
+    trace = float(np.vdot(dev, dev)) / (m - 1)
+    return ProfileStats(mean, eps=eps, basis=vt[:m - 1].T, lam=s[:m - 1] ** 2 / (m - 1),
+                        rho=_ridge(eps, trace, d))
 
 
 def train_profile_stats(samples, eps: float = 1e-3) -> ProfileStats:
@@ -265,20 +315,28 @@ def train_profile_stats(samples, eps: float = 1e-3) -> ProfileStats:
 
 
 def mahalanobis_cost(stats: ProfileStats, g: Profile) -> float:
-    """Quadratic form (g - mean)^T S^-1 (g - mean) with the regularized inverse."""
+    """Quadratic form (g - mean)^T (C + rho I)^-1 (g - mean) of one profile."""
     if g.dim != stats.dim:
         raise DimensionMismatchError(f"profile dim {g.dim} vs stats dim {stats.dim}")
-    delta = g.values - stats.mean
-    return float(delta @ stats.inverse @ delta)
+    return float(mahalanobis_batch(stats, g.values[None, :])[0])
 
 
 def mahalanobis_batch(stats: ProfileStats, rows: np.ndarray) -> np.ndarray:
-    """Mahalanobis cost of every row of an (m, d) candidate matrix."""
+    """Regularized Mahalanobis cost of every row of an (m, d) candidate matrix.
+
+    In-span part sum((U^T delta)^2 / (lam + rho)) plus the residual outside
+    span(U) over rho; the residual term is absent when U spans every dim.
+    """
     rows = np.asarray(rows, dtype=float)
     if rows.shape[-1] != stats.dim:
         raise DimensionMismatchError(f"profile dim {rows.shape[-1]} vs stats dim {stats.dim}")
     delta = rows - stats.mean
-    return np.einsum("md,md->m", delta @ stats.inverse, delta)
+    proj = delta @ stats.basis
+    sq = proj * proj
+    cost = sq @ stats.weights
+    if stats.rank < stats.dim:
+        cost += (np.einsum("md,md->m", delta, delta) - sq.sum(axis=1)) / stats.rho
+    return cost
 
 
 def edge_weighted_cost(stats: ProfileStats, g: Profile, on_edge: bool, c: float = 2.0) -> float:

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -23,3 +26,9 @@ def trained(faces96):
 
 def random_shape_points(rng, n, spread=20.0):
     return rng.normal(0.0, spread, (n, 2)) + rng.uniform(40, 60, 2)
+
+
+def reseal(body) -> bytes:
+    """Bundle bytes (without trailer) plus a freshly computed CRC32 trailer."""
+    body = bytes(body)
+    return body + struct.pack("<I", zlib.crc32(body))

@@ -1,8 +1,10 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
+from conftest import reseal
 from asmfit.cli import (
     GROUP_PALETTE,
     MARKER_COLOR,
@@ -12,7 +14,7 @@ from asmfit.cli import (
     render_overlay,
     truth_box,
 )
-from asmfit.dataset_io import load_points_file
+from asmfit.dataset_io import BUNDLE_MAGIC, load_points_file
 from asmfit.errors import BoxError
 from asmfit.imaging import GrayImage
 from asmfit.scheme import single_contour_scheme
@@ -141,6 +143,32 @@ def test_fit_missing_model_is_diagnosed(cli_env, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("asmfit fit: ")
+
+
+def _undecodable_key(body):
+    return body.replace(b"groups", b"gr\xffups", 1)
+
+
+def _previous_version(body):
+    struct.pack_into("<I", body, len(BUNDLE_MAGIC), 1)
+    return body
+
+
+@pytest.mark.parametrize("damage, expect", [
+    (_undecodable_key, "is not UTF-8"),
+    (_previous_version, "bundle version 1"),
+])
+def test_fit_rejects_unreadable_bundle_in_one_line(cli_env, tmp_path, capsys, damage, expect):
+    model = tmp_path / "damaged.asmb"
+    model.write_bytes(reseal(damage(bytearray(cli_env["bundle"].read_bytes()[:-4]))))
+    rc = main(["fit", "--model", str(model),
+               "--image", str(cli_env["images"] / "face_000.pgm"),
+               "--box", "10,10,50,50", "--out", str(tmp_path / "o.pts")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("asmfit fit: damaged.asmb: ")
+    assert expect in err
+    assert err.count("\n") == 1
 
 
 def test_fit_rejects_unknown_mode(cli_env, tmp_path):

@@ -1,9 +1,11 @@
 import struct
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from conftest import reseal
 from asmfit.dataset_io import (
     BUNDLE_MAGIC,
     AnnotatedSample,
@@ -19,6 +21,7 @@ from asmfit.dataset_io import (
     write_points_file,
 )
 from asmfit.errors import (
+    AsmFitError,
     BundleCorruptionError,
     BundleVersionError,
     DatasetError,
@@ -28,7 +31,10 @@ from asmfit.errors import (
 )
 from asmfit.imaging import GrayImage
 from asmfit.scheme import single_contour_scheme
+from asmfit.search import FitConfig
 from asmfit.shape_model import Shape
+from asmfit.svm import SvmTrainConfig
+from asmfit.training import train_bundle
 
 
 # -------------------------------------------------------------- points IO
@@ -214,8 +220,9 @@ def test_bundle_round_trip(saved_bundle):
         for got_row, want_row in zip(got_pm.stats, want_pm.stats):
             for got, want in zip(got_row, want_row):
                 assert np.array_equal(got.mean, want.mean)
-                assert np.array_equal(got.covariance, want.covariance)
-                assert np.array_equal(got.inverse, want.inverse)
+                assert np.array_equal(got.basis, want.basis)
+                assert np.array_equal(got.lam, want.lam)
+                assert got.rho == want.rho
     for got_row, want_row in zip(loaded.svms, bundle.svms):
         for got, want in zip(got_row, want_row):
             assert np.array_equal(got.weights, want.weights)
@@ -277,4 +284,68 @@ def test_bundle_rejects_future_version(saved_bundle, tmp_path):
     bad = tmp_path / "future.asmb"
     bad.write_bytes(bytes(data))
     with pytest.raises(BundleVersionError, match="99"):
+        load_bundle(bad)
+
+
+def test_bundle_rejects_previous_version(saved_bundle, tmp_path):
+    _, path = saved_bundle
+    data = bytearray(path.read_bytes()[:-4])
+    struct.pack_into("<I", data, len(BUNDLE_MAGIC), 1)
+    old = tmp_path / "v1.asmb"
+    old.write_bytes(reseal(data))
+    with pytest.raises(BundleVersionError, match="version 1.*retrain"):
+        load_bundle(old)
+
+
+@pytest.fixture(scope="module")
+def small_bundle_bytes(faces96, tmp_path_factory):
+    # The 12 mouth landmarks on two levels keep a load near two
+    # milliseconds, so the fuzz below stays fast.
+    samples = [AnnotatedSample(s.name, s.image, Shape(s.shape.points[-12:]))
+               for s in faces96[:6]]
+    bundle, _ = train_bundle(
+        samples, single_contour_scheme(12),
+        fit_config=FitConfig(levels=2, profile_lengths=(3, 5)),
+        svm_config=SvmTrainConfig(epochs=2), classic_length=5,
+    )
+    path = tmp_path_factory.mktemp("small") / "small.asmb"
+    save_bundle(bundle, path)
+    return path.read_bytes()
+
+
+def test_bundle_mutation_fuzz_raises_only_bundle_errors(small_bundle_bytes, tmp_path):
+    body = small_bundle_bytes[:-4]
+    rng = np.random.default_rng(2024)
+    mutant = tmp_path / "mutant.asmb"
+    outcomes = Counter()
+    for i in range(400):
+        data = bytearray(body)
+        # Two of three mutations hit the first 4 KB, the rest anywhere.
+        pos = int(rng.integers(len(data) if i % 3 == 0 else 4096))
+        data[pos] = (data[pos] + int(rng.integers(1, 256))) % 256
+        mutant.write_bytes(reseal(data))
+        try:
+            load_bundle(mutant)
+            outcomes["loaded"] += 1
+        except AsmFitError as exc:
+            outcomes[type(exc).__name__] += 1
+    assert set(outcomes) <= {"loaded", "BundleCorruptionError", "BundleVersionError"}
+    assert outcomes["BundleCorruptionError"] >= 20
+
+
+def test_bundle_section_table_bounds(small_bundle_bytes, tmp_path):
+    body = bytearray(small_bundle_bytes[:-4])
+    bad = tmp_path / "table.asmb"
+    # first section: u16 name length at byte 16, then the name, offset, length
+    name_len = struct.unpack_from("<H", body, 16)[0]
+    for field_pos, value in ((18 + name_len, 2**63), (26 + name_len, 2**40)):
+        data = bytearray(body)
+        struct.pack_into("<Q", data, field_pos, value)
+        bad.write_bytes(reseal(data))
+        with pytest.raises(BundleCorruptionError, match="past the end"):
+            load_bundle(bad)
+    data = bytearray(body)
+    struct.pack_into("<I", data, len(BUNDLE_MAGIC) + 4, 2**31)
+    bad.write_bytes(reseal(data))
+    with pytest.raises(BundleCorruptionError):
         load_bundle(bad)

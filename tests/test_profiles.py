@@ -28,6 +28,7 @@ from asmfit.profiles import (
 )
 from asmfit.scheme import single_contour_scheme
 from asmfit.shape_model import Shape
+from reference_profiles import dense_costs, sample_covariance
 
 
 def ramp_image(width=21, height=7, slope=3.0):
@@ -44,34 +45,69 @@ def test_profile_validation():
     assert Profile(np.zeros((3, 3)), "two_d").dim == 9
 
 
+def factor_inverse(st):
+    """(C + rho * I)^-1 rebuilt from a full-rank factor."""
+    return st.basis @ np.diag(st.weights) @ st.basis.T
+
+
 def test_profile_stats_symmetrizes_covariance():
     cov = np.array([[2.0, 0.4], [0.0, 1.0]])
     st = ProfileStats(np.zeros(2), cov)
-    assert np.array_equal(st.covariance, (cov + cov.T) / 2)
+    sym = ProfileStats(np.zeros(2), (cov + cov.T) / 2)
+    assert np.array_equal(st.basis, sym.basis)
+    assert np.array_equal(st.lam, sym.lam)
+    assert st.rho == sym.rho
 
 
 def test_profile_stats_ridge():
     st = ProfileStats(np.zeros(2), np.diag([2.0, 0.5]), eps=1e-3)
     ridge = 1e-3 * 2.5 / 2
-    assert np.allclose(st.inverse, np.linalg.inv(np.diag([2.0, 0.5]) + ridge * np.eye(2)))
+    assert st.rho == ridge
+    assert np.allclose(factor_inverse(st),
+                       np.linalg.inv(np.diag([2.0, 0.5]) + ridge * np.eye(2)))
 
 
 def test_profile_stats_zero_covariance_floor():
     st = ProfileStats(np.zeros(2), np.zeros((2, 2)), eps=1e-3)
-    assert np.isfinite(st.inverse).all()
+    assert st.rho == 1e-12
+    assert np.isfinite(st.weights).all()
     assert mahalanobis_cost(st, Profile(np.ones(2))) > 0
 
 
 def test_profile_stats_eps_zero_exact_inverse():
     st = ProfileStats(np.zeros(2), np.diag([2.0, 0.5]), eps=0.0)
-    assert np.array_equal(st.inverse, np.diag([0.5, 2.0]))
+    assert st.rho == 0.0
+    assert np.array_equal(factor_inverse(st), np.diag([0.5, 2.0]))
 
 
 def test_profile_stats_dimension_checks():
     with pytest.raises(DimensionMismatchError):
         ProfileStats(np.zeros(3), np.eye(2))
     with pytest.raises(DimensionMismatchError):
-        ProfileStats(np.zeros(2), np.eye(2), inverse=np.eye(3))
+        ProfileStats(np.zeros(2), basis=np.eye(3), lam=np.ones(3), rho=0.1)
+    with pytest.raises(DimensionMismatchError):
+        ProfileStats(np.zeros(2), basis=np.eye(2), lam=np.ones(3), rho=0.1)
+
+
+def test_profile_stats_factor_validation():
+    basis = np.eye(3)[:, :2]
+    for lam in ([1.0, -1e-3], [1.0, np.nan], [np.inf, 1.0]):
+        with pytest.raises(InsufficientDataError):
+            ProfileStats(np.zeros(3), basis=basis, lam=lam, rho=0.1)
+    for rho in (-0.1, np.inf, np.nan):
+        with pytest.raises(InsufficientDataError):
+            ProfileStats(np.zeros(3), basis=basis, lam=[1.0, 1.0], rho=rho)
+    # without a ridge the space outside the basis has no finite cost
+    with pytest.raises(InsufficientDataError):
+        ProfileStats(np.zeros(3), basis=basis, lam=[1.0, 1.0], rho=0.0)
+    with pytest.raises(InsufficientDataError):
+        ProfileStats(np.zeros(2), np.diag([1.0, 0.0]), eps=0.0)
+    with pytest.raises(InsufficientDataError):
+        stats_from_matrix(np.random.default_rng(0).normal(size=(3, 5)), eps=0.0)
+    with pytest.raises(TypeError):
+        ProfileStats(np.zeros(2), np.eye(2), basis=np.eye(2), lam=[1.0, 1.0], rho=0.1)
+    with pytest.raises(TypeError):
+        ProfileStats(np.zeros(2), basis=np.eye(2), lam=[1.0, 1.0])
 
 
 def test_profile_model_validation():
@@ -89,6 +125,9 @@ def test_profile_model_validation():
         ProfileModel("one_d", (3, 5), ((make_stats(3),),))
     with pytest.raises(DimensionMismatchError):
         ProfileModel("two_d", (3,), ((make_stats(3),),))  # needs dim 9
+    low_rank = stats_from_matrix(np.random.default_rng(0).normal(size=(2, 3)))
+    with pytest.raises(DimensionMismatchError):
+        ProfileModel("one_d", (3,), ((make_stats(3), low_rank),))  # ranks 3 and 1
 
 
 # ---------------------------------------------------------------- normals
@@ -260,7 +299,11 @@ def test_extract_profile_2d_matches_pipeline():
 def test_stats_from_matrix_hand_case():
     st = stats_from_matrix(np.array([[0.0, 0.0], [2.0, 2.0]]))
     assert np.array_equal(st.mean, [1.0, 1.0])
-    assert np.array_equal(st.covariance, [[2.0, 2.0], [2.0, 2.0]])
+    # two samples leave rank 1: covariance [[2, 2], [2, 2]] = 4 u u^T
+    assert st.rank == 1
+    assert st.lam == pytest.approx([4.0], rel=1e-15)
+    assert np.abs(st.basis[:, 0]) == pytest.approx([2**-0.5, 2**-0.5], rel=1e-15)
+    assert st.rho == 1e-3 * 4.0 / 2
 
 
 def test_stats_require_two_samples():
@@ -281,7 +324,30 @@ def test_train_profile_stats_matches_matrix_path():
     a = train_profile_stats([Profile(r) for r in rows])
     b = stats_from_matrix(rows)
     assert np.array_equal(a.mean, b.mean)
-    assert np.array_equal(a.covariance, b.covariance)
+    assert np.array_equal(a.basis, b.basis)
+    assert np.array_equal(a.lam, b.lam)
+    assert a.rho == b.rho
+
+
+@pytest.mark.parametrize("m, d, eps, spread", [
+    (8, 25, 1e-3, 0.05),    # m < d: rank m - 1, residual term outside the basis
+    (30, 225, 1e-3, 0.05),  # the coarsest 15x15 window with 30 training faces
+    (40, 9, 1e-3, 0.05),    # m > d: full rank
+    (40, 9, 0.0, 0.05),     # no ridge, full rank
+    (2, 2, 1e-3, 0.05),     # m = d
+    (5, 9, 1e-3, 0.0),      # zero covariance: only the floored ridge is left
+])
+def test_cost_matches_dense_inverse_oracle(m, d, eps, spread):
+    rng = np.random.default_rng(m * 1000 + d)
+    rows = rng.normal(0.3, spread, (m, d))
+    candidates = rng.normal(0.3, 0.08, (49, d))
+    st = stats_from_matrix(rows, eps)
+    assert st.rank == min(m - 1, d)
+    mean, cov = sample_covariance(rows)
+    want = dense_costs(mean, cov, eps, candidates)
+    assert np.allclose(mahalanobis_batch(st, candidates), want, rtol=1e-9, atol=0)
+    from_cov = ProfileStats(mean, cov, eps)
+    assert np.allclose(mahalanobis_batch(from_cov, candidates), want, rtol=1e-9, atol=0)
 
 
 # ------------------------------------------------------------------ costs
