@@ -95,6 +95,8 @@ def cmd_train(args) -> int:
     print(f"modes: {summary.retained_modes}")
     for lv, (pos, neg) in enumerate(zip(summary.level_positives, summary.level_negatives)):
         print(f"level {lv}: {pos} positive, {neg} negative windows")
+    for lv, (mean, low) in enumerate(zip(summary.level_accuracy_mean, summary.level_accuracy_min)):
+        print(f"level {lv}: SVM training accuracy mean {mean:.3f}, min {low:.3f}")
     if summary.skipped:
         print(f"skipped samples (landmark outside level image): {summary.skipped}")
     return 0

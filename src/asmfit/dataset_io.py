@@ -104,7 +104,10 @@ class ModelBundle:
 def load_points_file(path) -> Shape:
     """Parse the version/n_points landmark text format."""
     path = Path(path)
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_bytes().decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise PointsParseError(f"{path.name}: not UTF-8 text at byte {exc.start}") from None
     idx = 0
 
     def fail(msg, lineno):

@@ -83,31 +83,69 @@ class SvmTrainConfig:
 
 @dataclass(frozen=True, eq=False)
 class LandmarkTrainingSet:
-    """Feature rows and +/-1 labels for one landmark at one pyramid level."""
+    """Feature rows and +/-1 labels at one pyramid level.
+
+    One landmark has (m, d) features, (m,) labels and an int landmark id.
+    A stack of k landmarks with equal row counts has (k, m, d) features,
+    (k, m) labels and a tuple of k landmark ids. seeds, when given, holds
+    one SGD seed per landmark in place of SvmTrainConfig.seed.
+    """
 
     features: np.ndarray
     labels: np.ndarray
-    landmark: int
+    landmark: int | tuple
     level: int
     skipped: int = 0
+    seeds: tuple | None = None
 
     def __post_init__(self):
-        feats = np.array(self.features, dtype=float)
-        labels = np.array(self.labels, dtype=float).ravel()
-        if feats.ndim != 2 or feats.shape[0] != labels.size:
+        # Read-only float arrays are kept as given, so a stack is not copied twice.
+        feats = np.asarray(self.features, dtype=float)
+        if feats.flags.writeable:
+            feats = feats.copy()
+        labels = np.array(self.labels, dtype=float)
+        if feats.ndim == 2:
+            labels = labels.ravel()
+        if feats.ndim not in (2, 3) or labels.shape != feats.shape[:-1]:
             raise DimensionMismatchError(
-                f"features {feats.shape} do not pair with {labels.size} labels"
+                f"features {feats.shape} do not pair with labels {labels.shape}"
             )
         if labels.size and not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ShapeArityError("labels must be +1 or -1")
+        k = feats.shape[0] if feats.ndim == 3 else 1
+        if feats.ndim == 3 and len(self.landmark) != k:
+            raise DimensionMismatchError(f"{len(self.landmark)} landmark ids for a stack of {k}")
+        if self.seeds is not None and len(self.seeds) != k:
+            raise DimensionMismatchError(f"{len(self.seeds)} seeds for a stack of {k}")
         feats.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
 
+    @classmethod
+    def stack(cls, sets, seeds) -> "LandmarkTrainingSet":
+        """One stack of single-landmark sets sharing a level and a row count,
+        with one SGD seed per set."""
+        features = np.stack([s.features for s in sets])
+        features.setflags(write=False)
+        return cls(
+            features,
+            np.stack([s.labels for s in sets]),
+            tuple(s.landmark for s in sets),
+            sets[0].level,
+            sum(s.skipped for s in sets),
+            tuple(seeds),
+        )
+
     @property
     def count(self) -> int:
-        return self.labels.size
+        """Rows per landmark."""
+        return self.labels.shape[-1]
+
+    @property
+    def landmarks(self) -> tuple:
+        """Landmark ids, one per stacked landmark."""
+        return tuple(self.landmark) if self.features.ndim == 3 else (self.landmark,)
 
 
 def _ring_offsets(d_min: int, d_max: int) -> np.ndarray:
@@ -171,43 +209,66 @@ def build_landmark_training_set(
     return LandmarkTrainingSet(np.vstack(rows), np.array(labels), landmark, level, skipped)
 
 
-def train_linear_svm(train_set: LandmarkTrainingSet, config: SvmTrainConfig) -> LinearSvmModel:
+def train_linear_svm(train_set: LandmarkTrainingSet, config: SvmTrainConfig):
     """Seeded stochastic subgradient descent on the hinge objective.
 
     Works on bias-augmented features with regularization 1/(C*m), stepping
     eta_t = 1/(lambda*t); the returned model averages the epoch-final
     iterates of the last half of epochs for stability.
+
+    A stack of k landmarks runs as one loop: every landmark keeps its own
+    generator and permutation order, and each step gathers the k batches
+    at once. Returns one LinearSvmModel, or a tuple of k for a stack.
     """
-    y = train_set.labels
-    if y.size == 0 or np.all(y == y[0]):
-        raise ClassBalanceError(
-            f"landmark {train_set.landmark} level {train_set.level}: "
-            "training set must contain both classes"
-        )
-    x = np.hstack([train_set.features, np.ones((train_set.count, 1))])
-    m, d = x.shape
+    k, m, d = len(train_set.landmarks), train_set.count, train_set.features.shape[-1]
+    y = train_set.labels.reshape(k, m)
+    for landmark, row in zip(train_set.landmarks, y):
+        if row.size == 0 or np.all(row == row[0]):
+            raise ClassBalanceError(
+                f"landmark {landmark} level {train_set.level}: "
+                "training set must contain both classes"
+            )
+    x = np.concatenate(
+        [train_set.features.reshape(k, m, d), np.ones((k, m, 1))], axis=2
+    ).reshape(k * m, d + 1)
+    y = y.ravel()
+    seeds = train_set.seeds if train_set.seeds is not None else (config.seed,) * k
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    first_row = np.arange(k)[:, None] * m
     lam = 1.0 / (config.c_penalty * m)
-    rng = np.random.default_rng(config.seed)
-    w = np.zeros(d)
+    w = np.zeros((k, d + 1))
     t = 0
     batch = min(config.batch_size, m)
-    avg = np.zeros(d)
+    avg = np.zeros((k, d + 1))
     averaged = 0
     for epoch in range(config.epochs):
-        order = rng.permutation(m)
+        order = np.stack([rng.permutation(m) for rng in rngs]) + first_row
         for start in range(0, m, batch):
-            idx = order[start:start + batch]
+            idx = order[:, start:start + batch]
             t += 1
             eta = 1.0 / (lam * t)
-            margin = y[idx] * (x[idx] @ w)
-            viol = margin < 1.0
-            grad = lam * w - (y[idx][viol] @ x[idx][viol]) / idx.size
+            xb = x.take(idx, axis=0)
+            yb = y.take(idx)
+            margin = yb * np.matmul(xb, w[:, :, None])[:, :, 0]
+            coef = np.where(margin < 1.0, yb, 0.0)
+            grad = lam * w - np.matmul(coef[:, None, :], xb)[:, 0, :] / idx.shape[1]
             w = w - eta * grad
         if epoch >= config.epochs // 2:
             avg += w
             averaged += 1
     w = avg / averaged
-    return LinearSvmModel(w[:-1], float(w[-1]))
+    models = tuple(LinearSvmModel(row[:-1], float(row[-1])) for row in w)
+    return models if train_set.features.ndim == 3 else models[0]
+
+
+def training_accuracy(models, train_set: LandmarkTrainingSet) -> np.ndarray:
+    """Fraction of each landmark's training rows classified right, shape (k,)."""
+    weights = np.stack([model.weights for model in models])
+    bias = np.array([model.bias for model in models])
+    feats = train_set.features.reshape(len(models), train_set.count, -1)
+    decision = np.matmul(feats, weights[:, :, None])[:, :, 0] + bias[:, None]
+    labels = train_set.labels.reshape(decision.shape)
+    return np.mean(np.where(decision >= 0, 1.0, -1.0) == labels, axis=1)
 
 
 def predict(model: LinearSvmModel, values) -> tuple:

@@ -58,6 +58,38 @@ def test_train_output_and_determinism(cli_env, capsys):
     assert second.read_bytes() == cli_env["bundle"].read_bytes()
 
 
+def test_train_prints_svm_accuracy_per_level(cli_env, tmp_path, capsys):
+    rc = main(["train", "--images", str(cli_env["images"]),
+               "--points", str(cli_env["points"]),
+               "--config", str(cli_env["config"]), "--out", str(tmp_path / "m.asmb")])
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if "SVM training accuracy" in ln]
+    assert rc == 0
+    assert [ln.split(":")[0] for ln in lines] == ["level 0", "level 1", "level 2"]
+    for line in lines:
+        mean, low = (float(part.split()[-1]) for part in line.split(","))
+        assert 0.0 <= low <= mean <= 1.0
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_non_utf8_points_file_fails_in_one_line(cli_env, tmp_path, capsys, command):
+    images, points = tmp_path / "images", tmp_path / "points"
+    images.mkdir()
+    points.mkdir()
+    for name in ("face_000", "face_001"):
+        (images / f"{name}.pgm").write_bytes((cli_env["images"] / f"{name}.pgm").read_bytes())
+        (points / f"{name}.pts").write_bytes((cli_env["points"] / f"{name}.pts").read_bytes())
+    bad = points / "face_001.pts"
+    bad.write_bytes(bad.read_bytes().replace(b"{", b"{\xff\xfe", 1))
+    args = {"train": ["--out", str(tmp_path / "m.asmb")],
+            "eval": ["--model", str(cli_env["bundle"]), "--mode", "classic",
+                     "--report", str(tmp_path / "r.txt")]}[command]
+    rc = main([command, "--images", str(images), "--points", str(points)] + args)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"asmfit {command}: face_001.pts: not UTF-8 text")
+    assert err.count("\n") == 1
+
+
 def test_train_rejects_unknown_config_keys(cli_env, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"typo_key": 1}))

@@ -1,0 +1,98 @@
+"""Property-based checks of the file loaders.
+
+Written files read back exactly, and arbitrary bytes make a loader raise
+an AsmFitError or nothing at all. Examples are derandomized, so every run
+draws the same ones, and no example database is written.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from conftest import reseal
+from asmfit.dataset_io import (
+    BUNDLE_MAGIC,
+    BUNDLE_VERSION,
+    load_bundle,
+    load_image,
+    load_points_file,
+    save_pgm,
+    write_points_file,
+)
+from asmfit.errors import AsmFitError
+from asmfit.imaging import GrayImage
+from asmfit.shape_model import Shape
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties") / "file"
+
+
+def loads_or_raises_asmfit_error(loader, path, data):
+    path.write_bytes(data)
+    try:
+        loader(path)
+    except AsmFitError:
+        pass
+
+
+@PROPERTY
+@given(points=arrays(np.float64, st.tuples(st.integers(3, 40), st.just(2)),
+                     elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_points_file_round_trip_is_exact(scratch, points):
+    write_points_file(Shape(points), scratch)
+    assert load_points_file(scratch).points.tobytes() == points.tobytes()
+
+
+@PROPERTY
+@given(pixels=arrays(np.uint8, st.tuples(st.integers(1, 24), st.integers(1, 24))))
+def test_pgm_round_trip_is_exact(scratch, pixels):
+    save_pgm(GrayImage(pixels), scratch)
+    assert np.array_equal(load_image(scratch).pixels, pixels)
+
+
+POINTS_LINES = st.one_of(
+    st.sampled_from(["version: 1", "version:1", "n_points: 3", "n_points: 0", "n_points: x",
+                     "{", "}", "1 2", "-3.5 4e2", "nan 1", "inf 0", "1e999 2", "1 2 3", ""]),
+    st.text(max_size=12),
+)
+
+
+@PROPERTY
+@given(data=st.one_of(
+    st.binary(max_size=200),
+    st.lists(POINTS_LINES, max_size=10).map(lambda lines: "\n".join(lines).encode("utf-8")),
+    st.lists(st.one_of(st.sampled_from([b"version: 1\n", b"n_points: 3\n", b"{\n", b"1 2\n",
+                                        b"}\n"]), st.binary(max_size=4)), max_size=8).map(b"".join),
+))
+def test_points_loader_raises_only_asmfit_errors(scratch, data):
+    loads_or_raises_asmfit_error(load_points_file, scratch, data)
+
+
+@PROPERTY
+@given(data=st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.one_of(st.sampled_from([b"P5", b"P6", b" ", b"\n", b"#c\n", b"2", b"3", b"0", b"-1",
+                                        b"255", b"65535", b"1e3", b"99999999999"]),
+                       st.binary(max_size=4)), max_size=12).map(b"".join),
+))
+def test_image_loader_raises_only_asmfit_errors(scratch, data):
+    loads_or_raises_asmfit_error(load_image, scratch, data)
+
+
+@PROPERTY
+@given(data=st.one_of(
+    st.binary(max_size=200),
+    st.binary(max_size=200).map(lambda body: reseal(BUNDLE_MAGIC + body)),
+    st.tuples(st.integers(0, 6), st.binary(max_size=200)).map(
+        lambda t: reseal(BUNDLE_MAGIC + struct.pack("<II", BUNDLE_VERSION, t[0]) + t[1])),
+))
+def test_bundle_loader_raises_only_asmfit_errors(scratch, data):
+    loads_or_raises_asmfit_error(load_bundle, scratch, data)

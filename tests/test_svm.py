@@ -13,7 +13,9 @@ from asmfit.svm import (
     predict,
     svm_objective,
     train_linear_svm,
+    training_accuracy,
 )
+from reference_svm import train_linear_svm_reference
 
 
 def two_point_set():
@@ -215,3 +217,79 @@ def test_decision_values_match_predict():
 def test_objective_hand_case():
     model = LinearSvmModel(np.array([1.0, 0.0]), -1.0)
     assert svm_objective(model, two_point_set(), 100.0) == pytest.approx(1.0)
+
+
+# ------------------------------------------------- stacked trainer vs oracle
+
+def stacked_problem(k, m, d=5, seed=0):
+    """k noisy, not separable problems of m rows each, both classes present."""
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(0.0, 1.0, (k, m, d))
+    w = rng.normal(0.0, 1.0, (k, d))
+    labels = np.sign(np.einsum("kmd,kd->km", feats, w) + rng.normal(0.0, 0.7, (k, m)))
+    labels[:, :2] = (1.0, -1.0)
+    return feats, labels
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("m, batch", [(64, 32), (70, 32), (20, 32)],
+                         ids=["full-batches", "partial-last-batch", "batch-exceeds-rows"])
+def test_stacked_trainer_matches_per_landmark_oracle(k, m, batch):
+    feats, labels = stacked_problem(k, m, seed=k * 100 + m)
+    seeds = [11 * i + 3 for i in range(k)]
+    config = SvmTrainConfig(c_penalty=2.0, epochs=25, batch_size=batch, seed=99)
+    stack = LandmarkTrainingSet(feats, labels, tuple(range(10, 10 + k)), 1, seeds=seeds)
+    models = train_linear_svm(stack, config)
+    assert len(models) == k
+    for i, model in enumerate(models):
+        ref = train_linear_svm_reference(feats[i], labels[i], c_penalty=2.0, epochs=25,
+                                         batch_size=batch, seed=seeds[i])
+        np.testing.assert_allclose(model.weights, ref.weights, rtol=1e-12)
+        assert model.bias == pytest.approx(ref.bias, rel=1e-12)
+        assert np.array_equal(decision_values(model, feats[i]) >= 0,
+                              decision_values(ref, feats[i]) >= 0)
+
+
+def test_single_landmark_is_a_stack_of_one():
+    feats, labels = stacked_problem(1, 70, seed=4)
+    config = SvmTrainConfig(epochs=25, seed=5)
+    single = train_linear_svm(LandmarkTrainingSet(feats[0], labels[0], 3, 0), config)
+    (stacked,) = train_linear_svm(LandmarkTrainingSet(feats, labels, (3,), 0), config)
+    ref = train_linear_svm_reference(feats[0], labels[0], epochs=25, seed=5)
+    assert np.array_equal(single.weights, stacked.weights) and single.bias == stacked.bias
+    np.testing.assert_allclose(single.weights, ref.weights, rtol=1e-12)
+
+
+def test_stacked_one_class_landmark_is_named():
+    feats, labels = stacked_problem(3, 20)
+    labels[1] = 1.0
+    stack = LandmarkTrainingSet(feats, labels, (40, 42, 44), 2, seeds=(1, 2, 3))
+    with pytest.raises(ClassBalanceError, match="landmark 42 level 2"):
+        train_linear_svm(stack, SvmTrainConfig(epochs=2))
+
+
+def test_stack_validation_and_accessors():
+    feats, labels = stacked_problem(3, 10)
+    with pytest.raises(DimensionMismatchError):
+        LandmarkTrainingSet(feats, labels[:, :9], (0, 1, 2), 0)
+    with pytest.raises(DimensionMismatchError):
+        LandmarkTrainingSet(feats, labels, (0, 1), 0)
+    with pytest.raises(DimensionMismatchError):
+        LandmarkTrainingSet(feats, labels, (0, 1, 2), 0, seeds=(1, 2))
+    with pytest.raises(DimensionMismatchError):
+        LandmarkTrainingSet(feats[..., None], labels, (0, 1, 2), 0)
+    singles = [LandmarkTrainingSet(feats[i], labels[i], 5 + i, 1, skipped=i) for i in range(3)]
+    stack = LandmarkTrainingSet.stack(singles, seeds=(7, 8, 9))
+    assert stack.count == 10 and stack.landmarks == (5, 6, 7)
+    assert stack.seeds == (7, 8, 9) and stack.skipped == 3 and stack.level == 1
+    assert np.array_equal(stack.features, feats)
+    assert singles[0].landmarks == (5,)
+
+
+def test_training_accuracy_matches_decision_values():
+    feats, labels = stacked_problem(3, 40, seed=8)
+    stack = LandmarkTrainingSet(feats, labels, (0, 1, 2), 0, seeds=(1, 2, 3))
+    models = train_linear_svm(stack, SvmTrainConfig(epochs=10))
+    expected = [np.mean(np.where(decision_values(model, feats[i]) >= 0, 1.0, -1.0) == labels[i])
+                for i, model in enumerate(models)]
+    assert training_accuracy(models, stack).tolist() == expected

@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
 
-from asmfit.errors import InsufficientDataError
+from asmfit.dataset_io import AnnotatedSample
+from asmfit.errors import ClassBalanceError, InsufficientDataError
+from asmfit.imaging import build_pyramid, equalize_histogram, sobel_gradients
 from asmfit.scheme import DEFAULT_SCHEME
-from asmfit.svm import SvmTrainConfig
-from asmfit.training import train_bundle
+from asmfit.search import FitConfig
+from asmfit.shape_model import Shape
+from asmfit.svm import (
+    FeatureScaler,
+    SvmTrainConfig,
+    build_landmark_training_set,
+    decision_values,
+)
+from asmfit.training import _seed_for, train_bundle
+from reference_svm import train_linear_svm_reference
 
 
 def test_bundle_covers_every_level_and_landmark(trained):
@@ -65,3 +75,65 @@ def test_train_meta_records_settings(trained):
     assert meta["negatives_per_positive"] == 4
     assert meta["variance_fraction"] == 0.975
     assert meta["clamp_alpha"] == 3.0
+
+
+def level_training_set(samples, landmark, level, seed, levels=3):
+    """One landmark's raw training set, built from the surfaces train_bundle uses."""
+    dataset = []
+    for sample in samples:
+        raw = build_pyramid(sample.image, levels).levels[level]
+        dataset.append((sobel_gradients(equalize_histogram(raw)).magnitude,
+                        sample.shape.points / 2.0**level))
+    cfg = FitConfig()
+    return build_landmark_training_set(
+        dataset, landmark, level, seed=_seed_for(seed, level, landmark, 0),
+        size=cfg.profile_lengths[level], mode=cfg.profile_norm, q=cfg.q,
+    )
+
+
+def test_skipped_landmark_trains_in_its_own_stack(faces96):
+    # Landmark 5 on the right border of two 96-pixel images rounds to
+    # column 48 of the 48-pixel level-1 image and to 24 at level 2, so it
+    # is skipped there and has fewer rows than its chunk neighbours.
+    samples = []
+    for i, sample in enumerate(faces96[:4]):
+        pts = sample.shape.points.copy()
+        if i < 2:
+            pts[5, 0] = 95.0
+        samples.append(AnnotatedSample(sample.name, sample.image, Shape(pts)))
+    svm_config = SvmTrainConfig(epochs=5)
+    bundle, summary = train_bundle(samples, DEFAULT_SCHEME, svm_config=svm_config, seed=2)
+    assert summary.skipped == 4
+    for level, landmark, rows in [(1, 5, 10), (1, 4, 20), (2, 5, 10), (0, 5, 20)]:
+        ts = level_training_set(samples, landmark, level, seed=2)
+        assert ts.count == rows
+        scaler = FeatureScaler.fit(ts.features)
+        assert np.array_equal(bundle.scalers[level][landmark].mean, scaler.mean)
+        assert np.array_equal(bundle.scalers[level][landmark].std, scaler.std)
+        ref = train_linear_svm_reference(
+            scaler.transform(ts.features), ts.labels, epochs=5,
+            seed=_seed_for(2, level, landmark, 1),
+        )
+        model = bundle.svms[level][landmark]
+        np.testing.assert_allclose(model.weights, ref.weights, rtol=1e-12)
+        assert model.bias == pytest.approx(ref.bias, rel=1e-12)
+
+
+def test_one_class_landmark_names_landmark_and_level(faces96):
+    with pytest.raises(ClassBalanceError, match="landmark 0 level 0"):
+        train_bundle(faces96[:3], DEFAULT_SCHEME, svm_config=SvmTrainConfig(epochs=2),
+                     negatives_per_positive=0)
+
+
+def test_summary_accuracy_matches_per_landmark_oracle(trained):
+    bundle, summary, faces = trained
+    for level in range(bundle.fit_defaults.levels):
+        accuracy = []
+        for landmark in range(DEFAULT_SCHEME.total):
+            ts = level_training_set(faces[:6], landmark, level, seed=0)
+            scaled = bundle.scalers[level][landmark].transform(ts.features)
+            decision = decision_values(bundle.svms[level][landmark], scaled)
+            accuracy.append(np.mean(np.where(decision >= 0, 1.0, -1.0) == ts.labels))
+        assert summary.level_accuracy_mean[level] == pytest.approx(np.mean(accuracy), rel=1e-12)
+        assert summary.level_accuracy_min[level] == min(accuracy)
+    assert summary.level_accuracy_min[-1] > 0.5
