@@ -41,16 +41,32 @@ GROUP_PALETTE = (
 
 
 def load_train_settings(path):
-    """Training settings from a JSON file merged over defaults."""
-    raw = {}
-    if path is not None:
-        raw = json.loads(Path(path).read_text())
-        unknown = set(raw) - _CONFIG_KEYS
-        if unknown:
-            raise DatasetError(f"unknown config keys: {sorted(unknown)}")
-        svm_unknown = set(raw.get("svm", {})) - _SVM_KEYS
-        if svm_unknown:
-            raise DatasetError(f"unknown svm config keys: {sorted(svm_unknown)}")
+    """Training settings from a JSON file merged over defaults.
+
+    A file that is not a JSON object of known keys with usable values
+    raises DatasetError naming the file.
+    """
+    if path is None:
+        return _train_settings({})
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise DatasetError(f"{path}: not a JSON training config: {exc}") from exc
+    if not isinstance(raw, dict) or not isinstance(raw.get("svm", {}), dict):
+        raise DatasetError(f"{path}: the training config and its svm entry must be JSON objects")
+    unknown = set(raw) - _CONFIG_KEYS
+    if unknown:
+        raise DatasetError(f"{path}: unknown config keys: {sorted(unknown)}")
+    svm_unknown = set(raw.get("svm", {})) - _SVM_KEYS
+    if svm_unknown:
+        raise DatasetError(f"{path}: unknown svm config keys: {sorted(svm_unknown)}")
+    try:
+        return _train_settings(raw)
+    except (AsmFitError, TypeError, ValueError, OverflowError) as exc:
+        raise DatasetError(f"{path}: bad training config value: {exc}") from exc
+
+
+def _train_settings(raw):
     scheme = DEFAULT_SCHEME
     if "scheme" in raw:
         scheme = LandmarkScheme.from_jsonable(raw["scheme"])

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionMismatchError, InsufficientDataError, ShapeArityError
 from .imaging import GradientField, GrayImage, grid_window, sample_bilinear
@@ -197,8 +198,31 @@ def landmark_normal(shape: Shape, index: int, scheme: LandmarkScheme = None) -> 
 
 
 def landmark_normals(shape: Shape, scheme: LandmarkScheme = None) -> np.ndarray:
-    """(n, 2) array of unit normals for every landmark."""
-    return np.stack([landmark_normal(shape, i, scheme) for i in range(shape.n)])
+    """(n, 2) array of unit normals for every landmark, as landmark_normal gives.
+
+    Lengths and dot products use vecdot, which rounds like the dot that
+    np.linalg.norm and the single-landmark path use, so the two agree
+    bit for bit.
+    """
+    if scheme is None:
+        scheme = single_contour_scheme(shape.n)
+    if scheme.total != shape.n:
+        raise ShapeArityError(f"scheme covers {scheme.total} landmarks, shape has {shape.n}")
+    prev, nxt = scheme.chord_ends
+    pts = shape.points
+    outward = pts - shape.centroid()
+    chord = pts[nxt] - pts[prev]
+    normal = np.stack([-chord[:, 1], chord[:, 0]], axis=1)
+    length = np.sqrt(np.vecdot(normal, normal))
+    radial = length < 1e-12
+    normal[radial] = outward[radial]
+    length[radial] = np.sqrt(np.vecdot(outward[radial], outward[radial]))
+    usable = length >= 1e-12
+    np.divide(normal, length[:, None], out=normal, where=usable[:, None])
+    inward = np.vecdot(normal, outward) < 0
+    normal[inward] = -normal[inward]
+    normal[~usable] = (1.0, 0.0)
+    return normal
 
 
 def _normalize_derivatives(diffs: np.ndarray) -> np.ndarray:
@@ -238,40 +262,60 @@ def extract_profile_1d(
     return Profile(row[0], "one_d")
 
 
-def normalize_windows(flat: np.ndarray, mode: str, q: float = 10.0) -> np.ndarray:
+def normalize_windows(flat: np.ndarray, mode: str, q: float = 10.0,
+                      out: np.ndarray = None) -> np.ndarray:
     """Normalize flattened gradient windows (rows) by the configured rule.
 
     sigmoid: g / (|g| + q) elementwise. sum: g / sum(g), with flat windows
-    mapped to the uniform vector so costs stay finite.
+    mapped to the uniform vector so costs stay finite. The result goes to
+    `out` when given, which may be `flat` itself.
     """
     flat = np.asarray(flat, dtype=float)
     if mode == "sigmoid":
         if q <= 0:
             raise ShapeArityError(f"sigmoid normalization needs q > 0, got {q}")
-        return flat / (np.abs(flat) + q)
+        return np.divide(flat, np.abs(flat) + q, out=out)
     if mode == "sum":
         total = flat.sum(axis=-1, keepdims=True)
-        dim = flat.shape[-1]
-        safe = np.where(np.abs(total) < _FLAT_SUM, 1.0, total)
-        out = flat / safe
-        out[np.broadcast_to(np.abs(total) < _FLAT_SUM, out.shape)] = 1.0 / dim
+        is_flat = np.abs(total[..., 0]) < _FLAT_SUM
+        total[is_flat] = 1.0
+        out = np.divide(flat, total, out=out)
+        out[is_flat] = 1.0 / flat.shape[-1]
         return out
     raise ShapeArityError(f"unknown 2-D normalization {mode!r}")
 
 
 def windows_batch(values: np.ndarray, centers: np.ndarray, size: int) -> np.ndarray:
-    """(k, size*size) row-major windows around rounded centers, border-clamped."""
+    """(k, size*size) row-major windows around rounded centers, border-clamped.
+
+    Windows inside the array are copied out of a strided view of it; the
+    few that cross the border are gathered with clamped indices.
+    """
     if size < 3 or size % 2 == 0:
         raise ShapeArityError(f"window size must be odd and >= 3, got {size}")
     h, w = values.shape
     centers = np.asarray(centers, dtype=float)
     half = size // 2
-    offs = np.arange(-half, half + 1)
     cx = np.rint(centers[:, 0]).astype(int)
     cy = np.rint(centers[:, 1]).astype(int)
-    xs = np.clip(cx[:, None] + offs[None, :], 0, w - 1)
-    ys = np.clip(cy[:, None] + offs[None, :], 0, h - 1)
-    wins = values[ys[:, :, None], xs[:, None, :]]
+    if h >= size and w >= size:
+        # Top-left corners, moved inside where a window crosses the border;
+        # those windows are read again below.
+        x0 = np.minimum(np.maximum(cx - half, 0), w - size)
+        y0 = np.minimum(np.maximum(cy - half, 0), h - size)
+        edge = (x0 != cx - half) | (y0 != cy - half)
+        s0, s1 = values.strides
+        view = as_strided(values, (h - size + 1, w - size + 1, size, size), (s0, s1, s0, s1),
+                          writeable=False)
+        wins = view[y0, x0]
+    else:
+        edge = np.ones(len(centers), dtype=bool)
+        wins = np.empty((len(centers), size, size), dtype=values.dtype)
+    if edge.any():
+        offs = np.arange(-half, half + 1)
+        xs = np.clip(cx[edge, None] + offs[None, :], 0, w - 1)
+        ys = np.clip(cy[edge, None] + offs[None, :], 0, h - 1)
+        wins[edge] = values[ys[:, :, None], xs[:, None, :]]
     return wins.reshape(len(centers), size * size)
 
 

@@ -7,6 +7,9 @@ neighbors define each landmark's contour tangent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import ShapeArityError
 
@@ -68,6 +71,22 @@ class LandmarkScheme:
             return start + prev, start + nxt
         return (start + prev if prev >= 0 else None,
                 start + nxt if nxt < g.count else None)
+
+    @cached_property
+    def chord_ends(self):
+        """(prev, next) index arrays of every landmark's tangent chord.
+
+        Like neighbors(), but an open-contour endpoint's missing side is
+        the landmark itself, so its chord is its single adjacent segment.
+        """
+        index = np.arange(self._total)
+        prev, nxt = index - 1, index + 1
+        for g, start in zip(self.groups, self._starts):
+            last = start + g.count - 1
+            prev[start], nxt[last] = (last, start) if g.closed else (start, last)
+        prev.setflags(write=False)
+        nxt.setflags(write=False)
+        return prev, nxt
 
     def group_slices(self):
         """(name, slice) per group, in scheme order."""

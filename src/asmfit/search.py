@@ -155,7 +155,7 @@ def _candidate_features(ctx: LevelContext, shape: Shape, config: FitConfig,
     if config.profile_kind == "two_d":
         centers = np.stack([cx.ravel(), cy.ravel()], axis=1)
         rows = windows_batch(ctx.gradient.magnitude, centers, size)
-        rows = normalize_windows(rows, config.profile_norm, config.q)
+        rows = normalize_windows(rows, config.profile_norm, config.q, out=rows)
         return rows.reshape(k, m, size * size)
     normals = landmark_normals(shape, ctx.scheme)
     offs = np.arange(size + 1) - size / 2.0
@@ -173,50 +173,52 @@ def _candidate_features(ctx: LevelContext, shape: Shape, config: FitConfig,
 def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig, level: int):
     """One candidate-search pass; every landmark moves independently.
 
-    Candidates within the Chebyshev search radius are scored by the
-    profile cost (edge-weighted 2-D or plain 1-D Mahalanobis); when the
-    SVM gate is on, only candidates the landmark's classifier accepts
-    compete, falling back to all of them if none pass. Ties break toward
-    the smaller displacement, then row-major candidate order.
+    Candidates within the Chebyshev search radius compete; when the SVM
+    gate is on, only candidates the landmark's classifier accepts do,
+    falling back to all of them if none pass. Only the competing
+    candidates are scored by the profile cost (edge-weighted 2-D or plain
+    1-D Mahalanobis). Ties break toward the smaller displacement, then
+    row-major candidate order.
 
     Returns (new Shape, per-landmark winning costs).
     """
     size = config.profile_lengths[level]
     pts = shape.points
-    cx, cy, valid, cheb = _candidate_grid(pts, config.search_radius)
+    cx, cy, allowed, cheb = _candidate_grid(pts, config.search_radius)
     k, m = cx.shape
     feats = _candidate_features(ctx, shape, config, size, cx, cy)
 
     if len(ctx.stats) != k:
         raise DimensionMismatchError(f"{len(ctx.stats)} stat entries for {k} landmarks")
-    costs = np.empty((k, m))
-    for j in range(k):
-        costs[j] = mahalanobis_batch(ctx.stats[j], feats[j])
+    if config.svm_gate and ctx.svms is not None:
+        for j in range(k):
+            scaled = ctx.scalers[j].transform(feats[j])
+            gated = allowed[j] & (decision_values(ctx.svms[j], scaled) >= 0)
+            if gated.any():
+                allowed[j] = gated
 
+    # The competing candidates' rows, landmark after landmark; each
+    # landmark scores its own contiguous slice.
+    rows = feats[allowed]
+    bounds = np.concatenate(([0], np.cumsum(np.count_nonzero(allowed, axis=1)))).tolist()
+    costs = np.full((k, m), np.inf)
+    costs[allowed] = np.concatenate([
+        mahalanobis_batch(ctx.stats[j], rows[bounds[j]:bounds[j + 1]]) for j in range(k)
+    ])
     if config.edge_weighted:
         h, w = ctx.edge_map.shape
         ex = np.clip(cx.astype(int), 0, w - 1)
         ey = np.clip(cy.astype(int), 0, h - 1)
-        costs *= config.c - ctx.edge_map[ey, ex]
+        np.multiply(costs, config.c - ctx.edge_map[ey, ex], out=costs, where=allowed)
 
-    allowed = valid.copy()
-    if config.svm_gate and ctx.svms is not None:
-        for j in range(k):
-            scaled = ctx.scalers[j].transform(feats[j])
-            accepted = decision_values(ctx.svms[j], scaled) >= 0
-            gated = allowed[j] & accepted
-            if gated.any():
-                allowed[j] = gated
-
-    new_pts = np.empty((k, 2))
-    won = np.empty(k)
-    enum_idx = np.arange(m)
-    for j in range(k):
-        cost_j = np.where(allowed[j], costs[j], np.inf)
-        best = np.lexsort((enum_idx, cheb[j], cost_j))[0]
-        new_pts[j] = cx[j, best], cy[j, best]
-        won[j] = costs[j, best]
-    return Shape(new_pts), won
+    # Lowest cost, then smallest Chebyshev distance, then first in row-major
+    # order. Candidates that do not compete cost inf and lose to any finite cost.
+    best = costs == costs.min(axis=1, keepdims=True)
+    near = np.where(best, cheb, np.inf)
+    best &= near == near.min(axis=1, keepdims=True)
+    pick = best.argmax(axis=1)
+    lm = np.arange(k)
+    return Shape(np.stack([cx[lm, pick], cy[lm, pick]], axis=1)), costs[lm, pick]
 
 
 def _regularize(model: ShapeModel, shape: Shape) -> Shape:

@@ -1,4 +1,4 @@
-"""Dense covariance-plus-inverse profile cost used as an oracle in tests.
+"""Direct forms of the profile fast paths, used as oracles in tests.
 
 The library scores candidates from an eigen-factor of each landmark's
 training covariance and never forms an inverse. This module keeps the
@@ -6,6 +6,10 @@ direct form that the factor replaces: the symmetrized sample covariance C,
 the ridge rho = eps * trace(C) / d (floored at 1e-12 when eps > 0), the
 explicit inverse of C + rho * I, and the quadratic form evaluated row by
 row.
+
+The library copies gradient windows out of a strided view and normalizes
+them with one division. This module keeps the clamped three-index gather
+of every window and the masked sum normalization those replace.
 """
 
 import numpy as np
@@ -38,3 +42,28 @@ def dense_costs(mean, cov, eps, rows):
         delta = row - mean
         out.append(float(delta @ inverse @ delta))
     return np.array(out)
+
+
+def clamped_windows(values, centers, size):
+    """(k, size*size) windows read with one three-index gather of clamped rows and columns."""
+    h, w = values.shape
+    centers = np.asarray(centers, dtype=float)
+    half = size // 2
+    offs = np.arange(-half, half + 1)
+    cx = np.rint(centers[:, 0]).astype(int)
+    cy = np.rint(centers[:, 1]).astype(int)
+    xs = np.clip(cx[:, None] + offs[None, :], 0, w - 1)
+    ys = np.clip(cy[:, None] + offs[None, :], 0, h - 1)
+    wins = values[ys[:, :, None], xs[:, None, :]]
+    return wins.reshape(len(centers), size * size)
+
+
+def sum_normalized(flat):
+    """Rows divided by their sum; rows summing to under 1e-12 become uniform."""
+    flat = np.asarray(flat, dtype=float)
+    total = flat.sum(axis=-1, keepdims=True)
+    dim = flat.shape[-1]
+    safe = np.where(np.abs(total) < 1e-12, 1.0, total)
+    out = flat / safe
+    out[np.broadcast_to(np.abs(total) < 1e-12, out.shape)] = 1.0 / dim
+    return out

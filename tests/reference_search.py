@@ -1,0 +1,69 @@
+"""The candidate search as one score, gate and lexsort loop, used as an oracle.
+
+The library gates candidates first, scores only the ones that compete and
+picks every winner with one masked selection. This module keeps the form
+those replace: every candidate of every landmark is gathered with the
+clamped three-index gather, normalized and scored; the gate then masks the
+scores, and a lexsort per landmark picks the lowest cost, then the smallest
+Chebyshev distance, then the first candidate in row-major order.
+"""
+
+import numpy as np
+
+from asmfit.profiles import mahalanobis_batch, normalize_windows
+from asmfit.search import _candidate_features, _candidate_grid
+from asmfit.shape_model import Shape
+from asmfit.svm import decision_values
+from reference_profiles import clamped_windows, sum_normalized
+
+
+def candidate_features(ctx, shape, config, size, cx, cy):
+    """(k, m, d) feature rows of every candidate; 2-D windows use the oracle gather."""
+    if config.profile_kind != "two_d":
+        return _candidate_features(ctx, shape, config, size, cx, cy)
+    k, m = cx.shape
+    centers = np.stack([cx.ravel(), cy.ravel()], axis=1)
+    rows = clamped_windows(ctx.gradient.magnitude, centers, size)
+    if config.profile_norm == "sum":
+        rows = sum_normalized(rows)
+    else:
+        rows = normalize_windows(rows, config.profile_norm, config.q)
+    return rows.reshape(k, m, size * size)
+
+
+def search_landmarks(ctx, shape, config, level):
+    """(new Shape, per-landmark winning costs) of one search pass."""
+    size = config.profile_lengths[level]
+    pts = shape.points
+    cx, cy, valid, cheb = _candidate_grid(pts, config.search_radius)
+    k, m = cx.shape
+    feats = candidate_features(ctx, shape, config, size, cx, cy)
+
+    costs = np.empty((k, m))
+    for j in range(k):
+        costs[j] = mahalanobis_batch(ctx.stats[j], feats[j])
+
+    if config.edge_weighted:
+        h, w = ctx.edge_map.shape
+        ex = np.clip(cx.astype(int), 0, w - 1)
+        ey = np.clip(cy.astype(int), 0, h - 1)
+        costs *= config.c - ctx.edge_map[ey, ex]
+
+    allowed = valid.copy()
+    if config.svm_gate and ctx.svms is not None:
+        for j in range(k):
+            scaled = ctx.scalers[j].transform(feats[j])
+            accepted = decision_values(ctx.svms[j], scaled) >= 0
+            gated = allowed[j] & accepted
+            if gated.any():
+                allowed[j] = gated
+
+    new_pts = np.empty((k, 2))
+    won = np.empty(k)
+    enum_idx = np.arange(m)
+    for j in range(k):
+        cost_j = np.where(allowed[j], costs[j], np.inf)
+        best = np.lexsort((enum_idx, cheb[j], cost_j))[0]
+        new_pts[j] = cx[j, best], cy[j, best]
+        won[j] = costs[j, best]
+    return Shape(new_pts), won

@@ -109,6 +109,21 @@ def test_train_rejects_unknown_config_keys(cli_env, tmp_path, capsys):
     assert "unknown svm config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ['{"svm": ', '{"levels": "three"}', '{"levels": null}',
+                                  '[1, 2]', '{"svm": 5}', '{"levels": 1e400}'])
+def test_malformed_train_config_fails_in_one_line(cli_env, tmp_path, capsys, text):
+    bad = tmp_path / "malformed.json"
+    bad.write_text(text)
+    rc = main(["train", "--images", str(cli_env["images"]),
+               "--points", str(cli_env["points"]),
+               "--config", str(bad), "--out", str(tmp_path / "x.asmb")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"asmfit train: {bad}: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "x.asmb").exists()
+
+
 def test_train_settings_defaults():
     settings = load_train_settings(None)
     assert settings["fit_config"].levels == 3

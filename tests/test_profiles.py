@@ -26,9 +26,9 @@ from asmfit.profiles import (
     train_profile_stats,
     windows_batch,
 )
-from asmfit.scheme import single_contour_scheme
+from asmfit.scheme import DEFAULT_SCHEME, ContourGroup, LandmarkScheme, single_contour_scheme
 from asmfit.shape_model import Shape
-from reference_profiles import dense_costs, sample_covariance
+from reference_profiles import clamped_windows, dense_costs, sample_covariance, sum_normalized
 
 
 def ramp_image(width=21, height=7, slope=3.0):
@@ -165,6 +165,34 @@ def test_normal_scheme_arity_check():
         landmark_normal(sq, 0, single_contour_scheme(5))
 
 
+@pytest.mark.parametrize("scheme", [
+    DEFAULT_SCHEME,
+    single_contour_scheme(68, closed=False),
+    LandmarkScheme((ContourGroup("pair", 2, False), ContourGroup("loop", 3, True),
+                    ContourGroup("rest", 63, False))),
+])
+def test_normals_match_per_landmark_oracle(scheme):
+    """The batched normals equal landmark_normal bit for bit, degenerate cases included."""
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        pts = rng.normal(0.0, 30.0, (68, 2)) * 10.0 ** rng.uniform(-2, 2)
+        if trial % 4 == 1:  # coincident points make degenerate chords
+            pts[rng.integers(0, 68, 12)] = pts[rng.integers(0, 68, 12)]
+        if trial % 4 == 2:  # a chord whose ends meet, on a landmark off the centroid
+            pts[2] = pts[0]
+            pts[1] = pts[0] + (5.0, -3.0)
+        if trial % 4 == 3:  # every point at the centroid: the fixed fallback
+            pts[:] = pts[0]
+        shape = Shape(pts)
+        want = np.stack([landmark_normal(shape, i, scheme) for i in range(68)])
+        assert np.array_equal(landmark_normals(shape, scheme), want)
+
+
+def test_normals_batch_checks_scheme_arity():
+    with pytest.raises(ShapeArityError):
+        landmark_normals(Shape(np.arange(8.0).reshape(4, 2)), single_contour_scheme(5))
+
+
 def test_normals_are_unit_length():
     rng = np.random.default_rng(0)
     shape = Shape(rng.normal(0, 10, (9, 2)))
@@ -276,6 +304,56 @@ def test_windows_batch_border_clamp():
     rows = windows_batch(vals, np.array([[0.0, 0.0]]), 3)
     want = vals[np.ix_([0, 0, 1], [0, 0, 1])].ravel()
     assert np.array_equal(rows[0], want)
+
+
+def window_centers(h, w, rng):
+    """Centers inside, on and beyond every border, at the corners and far off the image."""
+    xs = [0.0, 0.4, 0.6, 1.0, 2.0, w / 2, w - 3.0, w - 1.6, w - 1.0, w - 0.5, w + 2.0, -1.0, -3.0]
+    ys = [0.0, 0.4, 0.6, 1.0, 2.0, h / 2, h - 3.0, h - 1.6, h - 1.0, h - 0.5, h + 2.0, -1.0, -3.0]
+    grid = np.array([(x, y) for x in xs for y in ys])
+    inside = rng.uniform((0.0, 0.0), (w - 1.0, h - 1.0), (40, 2))
+    far = np.array([[-1e4, 5.0], [5.0, -1e4], [1e4, 1e4], [w + 60.0, -60.0]])
+    return np.vstack([grid, inside, far])
+
+
+@pytest.mark.parametrize("size", [3, 7, 15])
+@pytest.mark.parametrize("hw", [(23, 41), (41, 23), (16, 16), (9, 30)])
+def test_windows_batch_matches_clamped_gather_oracle(size, hw):
+    rng = np.random.default_rng(size * 100 + hw[0])
+    vals = rng.uniform(0.0, 50.0, hw)
+    centers = window_centers(*hw, rng)
+    want = clamped_windows(vals, centers, size)
+    assert np.array_equal(windows_batch(vals, centers, size), want)
+    # one window at a time takes the same path as a batch
+    for c, row in zip(centers[::17], want[::17]):
+        assert np.array_equal(windows_batch(vals, c[None, :], size)[0], row)
+    assert windows_batch(vals, np.empty((0, 2)), size).shape == (0, size * size)
+
+
+def test_normalize_sum_matches_masked_oracle():
+    rng = np.random.default_rng(12)
+    rows = rng.uniform(0.0, 5.0, (30, 49))
+    rows[3] = 0.0
+    rows[7] = 1e-14
+    rows[11, :2] = (1e-3, -1e-3)
+    rows[11, 2:] = 0.0
+    rows[19] = -rows[19]  # a negative total is divided, not reset
+    assert np.array_equal(normalize_windows(rows, "sum"), sum_normalized(rows))
+    stacked = rows.reshape(5, 6, 49)
+    assert np.array_equal(normalize_windows(stacked, "sum"), sum_normalized(stacked))
+    assert np.array_equal(normalize_windows(rows[3], "sum"), sum_normalized(rows[3]))
+    assert np.array_equal(normalize_windows(rows[0], "sum"), sum_normalized(rows[0]))
+
+
+@pytest.mark.parametrize("mode", ["sum", "sigmoid"])
+def test_normalize_windows_in_place(mode):
+    rng = np.random.default_rng(13)
+    rows = rng.uniform(0.0, 5.0, (12, 9))
+    rows[4] = 0.0
+    want = normalize_windows(rows, mode, 2.0)
+    got = normalize_windows(rows, mode, 2.0, out=rows)
+    assert got is rows
+    assert np.array_equal(rows, want)
 
 
 def test_windows_batch_size_validation():

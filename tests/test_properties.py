@@ -1,8 +1,9 @@
-"""Property-based checks of the file loaders.
+"""Property-based checks of the file loaders and of fitting.
 
 Written files read back exactly, and arbitrary bytes make a loader raise
-an AsmFitError or nothing at all. Examples are derandomized, so every run
-draws the same ones, and no example database is written.
+an AsmFitError or nothing at all. A fit of any image from any box returns
+finite points or raises an AsmFitError. Examples are derandomized, so
+every run draws the same ones, and no example database is written.
 """
 
 import struct
@@ -24,7 +25,8 @@ from asmfit.dataset_io import (
     write_points_file,
 )
 from asmfit.errors import AsmFitError
-from asmfit.imaging import GrayImage
+from asmfit.imaging import GrayImage, build_pyramid
+from asmfit.search import config_for_mode, fit, init_shape_from_box
 from asmfit.shape_model import Shape
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -96,3 +98,33 @@ def test_image_loader_raises_only_asmfit_errors(scratch, data):
 ))
 def test_bundle_loader_raises_only_asmfit_errors(scratch, data):
     loads_or_raises_asmfit_error(load_bundle, scratch, data)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(mode=st.sampled_from(["asm_svm", "classic"]),
+       image=st.one_of(st.integers(0, 255).map(lambda v: ("constant", v)),
+                       st.integers(0, 2**32 - 1).map(lambda seed: ("noise", seed)),
+                       st.integers(0, 1).map(lambda i: ("face", i))),
+       height=st.integers(4, 120), width=st.integers(4, 120),
+       box=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5),
+                     st.floats(0.01, 2.5), st.floats(0.01, 2.5)))
+def test_fit_returns_finite_points_or_asmfit_error(trained, mode, image, height, width, box):
+    """Boxes reach past every border, so search windows fall off the image."""
+    bundle, _, faces = trained
+    kind, value = image
+    if kind == "constant":
+        pixels = np.full((height, width), float(value))
+    elif kind == "noise":
+        pixels = np.random.default_rng(value).uniform(0.0, 255.0, (height, width))
+    else:
+        pixels = faces[6 + value].image.pixels
+    h, w = pixels.shape
+    x, y, bw, bh = box
+    cfg = config_for_mode(bundle, mode)
+    try:
+        result = fit(build_pyramid(GrayImage(pixels), cfg.levels), bundle,
+                     init_shape_from_box(bundle.shape_model, (x * w, y * h, bw * w, bh * h)), cfg)
+    except AsmFitError:
+        return
+    assert np.isfinite(result.shape.points).all()
+    assert result.landmark_costs is None or np.isfinite(result.landmark_costs).all()

@@ -54,6 +54,22 @@ def test_neighbors_stay_inside_group():
     assert prev == 13 and nxt is None
 
 
+@pytest.mark.parametrize("scheme", [
+    DEFAULT_SCHEME,
+    single_contour_scheme(5),
+    single_contour_scheme(5, closed=False),
+    LandmarkScheme((ContourGroup("a", 2, False), ContourGroup("b", 2, True),
+                    ContourGroup("c", 3, False))),
+])
+def test_chord_ends_match_neighbors(scheme):
+    prev, nxt = scheme.chord_ends
+    for i in range(scheme.total):
+        before, after = scheme.neighbors(i)
+        assert prev[i] == (i if before is None else before)
+        assert nxt[i] == (i if after is None else after)
+    assert not prev.flags.writeable and not nxt.flags.writeable
+
+
 def test_group_slices_tile_the_index_range():
     slices = DEFAULT_SCHEME.group_slices()
     pos = 0

@@ -10,7 +10,13 @@ from asmfit.errors import (
     ShapeArityError,
 )
 from asmfit.imaging import GradientField, GrayImage, build_pyramid
-from asmfit.profiles import normalize_windows, profiles_1d_batch, stats_from_matrix, windows_batch
+from asmfit.profiles import (
+    mahalanobis_batch,
+    normalize_windows,
+    profiles_1d_batch,
+    stats_from_matrix,
+    windows_batch,
+)
 from asmfit.search import (
     FitConfig,
     LevelContext,
@@ -24,6 +30,7 @@ from asmfit.shape_model import Shape, build_shape_model, fit_params
 from asmfit.svm import FeatureScaler, LinearSvmModel, decision_values
 
 from conftest import random_shape_points
+import reference_search
 
 
 def two_d_config(**overrides):
@@ -263,6 +270,76 @@ def test_search_respects_radius_property():
         moved, _ = search_landmarks(ctx, Shape(pts), two_d_config(search_radius=r), 0)
         assert np.max(np.abs(moved.points - pts)) <= r + 1e-9
         assert np.array_equal(moved.points, np.rint(moved.points))
+
+
+def oracle_context(rng, kind, size, k, hw=(40, 52), tie_image=False):
+    """Context with per-landmark stats and gates of varied acceptance.
+
+    Gate biases run from reject-all (the gate falls back) to accept-all.
+    A tie image is constant in its left half, so many candidates there
+    share one window and one cost.
+    """
+    h, w = hw
+    mag = rng.uniform(0.5, 9.0, hw)
+    raw = rng.uniform(0.0, 255.0, hw)
+    if tie_image:
+        mag[:, : w // 2] = 3.0
+        raw[:, : w // 2] = 90.0
+    d = size * size if kind == "two_d" else size
+    stats = tuple(stats_from_matrix(rng.uniform(0.0, 0.05 if kind == "two_d" else 0.3,
+                                                (int(rng.integers(4, 40)), d)))
+                  for _ in range(k))
+    biases = np.linspace(-1.5, 1.5, k)
+    svms = tuple(LinearSvmModel(rng.normal(0.0, 1.0, d) / np.sqrt(d), b) for b in biases)
+    scalers = tuple(FeatureScaler(rng.uniform(0.0, 0.02, d), rng.uniform(0.5, 2.0, d))
+                    for _ in range(k))
+    edge_map = (rng.uniform(size=hw) < 0.3).astype(np.uint8)
+    return LevelContext(raw=GrayImage(raw), equalized=GrayImage(raw),
+                        gradient=GradientField(np.zeros(hw), np.zeros(hw), mag),
+                        edge_map=edge_map, stats=stats, svms=svms, scalers=scalers,
+                        scheme=None)
+
+
+@pytest.mark.parametrize("seed,kind,norm,gate,edges", [
+    (21, "two_d", "sum", True, True),
+    (22, "two_d", "sum", False, True),
+    (23, "two_d", "sum", True, False),
+    (24, "two_d", "sigmoid", True, True),
+    (25, "one_d", "sum", False, False),
+    (26, "one_d", "sum", True, True),
+])
+@pytest.mark.parametrize("tie_image", [False, True])
+def test_search_matches_score_gate_lexsort_oracle(seed, kind, norm, gate, edges, tie_image):
+    """Winners equal the oracle's; costs agree to rtol 1e-12, gate fallbacks and ties included."""
+    rng = np.random.default_rng(seed + 10 * tie_image)
+    k, size = 12, 7
+    cfg = FitConfig(levels=1, profile_lengths=(size,), search_radius=3, svm_gate=gate,
+                    profile_kind=kind, profile_norm=norm, edge_weighted=edges)
+    for trial in range(4):
+        ctx = oracle_context(rng, kind, size, k, tie_image=tie_image)
+        # inside, fractional and integer, and across every border
+        pts = rng.uniform((-4.0, -4.0), (56.0, 44.0), (k, 2))
+        pts[::3] = np.rint(pts[::3])
+        shape = Shape(pts)
+        got, got_costs = search_landmarks(ctx, shape, cfg, 0)
+        want, want_costs = reference_search.search_landmarks(ctx, shape, cfg, 0)
+        assert np.array_equal(got.points, want.points)
+        np.testing.assert_allclose(got_costs, want_costs, rtol=1e-12, atol=0)
+
+
+def test_oracle_contexts_plant_fallbacks_and_ties():
+    """The oracle test above meets both gate fallbacks and cost ties."""
+    rng = np.random.default_rng(1)
+    cfg = two_d_config(profile_lengths=(7,), search_radius=3, svm_gate=True)
+    ctx = oracle_context(rng, "two_d", 7, 12, tie_image=True)
+    pts = np.column_stack([np.full(12, 10.0), np.linspace(5.0, 35.0, 12)])
+    cx, cy, valid, _ = _candidate_grid(pts, 3)
+    feats = reference_search.candidate_features(ctx, Shape(pts), cfg, 7, cx, cy)
+    accepted = [np.count_nonzero(valid[j] & (decision_values(
+        ctx.svms[j], ctx.scalers[j].transform(feats[j])) >= 0)) for j in range(12)]
+    assert accepted[0] == 0 and accepted[-1] == np.count_nonzero(valid[-1])
+    costs = np.array([mahalanobis_batch(ctx.stats[j], feats[j]) for j in range(12)])
+    assert all(len(np.unique(row[valid[j]])) == 1 for j, row in enumerate(costs))
 
 
 def test_search_checks_stats_arity():
