@@ -60,7 +60,6 @@ from .shape_model import (
     synthesize,
 )
 from .svm import (
-    FeatureScaler,
     LandmarkTrainingSet,
     LinearSvmModel,
     SvmTrainConfig,

@@ -30,10 +30,10 @@ from .profiles import ProfileModel, ProfileStats
 from .scheme import LandmarkScheme
 from .search import FitConfig
 from .shape_model import Shape, ShapeModel
-from .svm import FeatureScaler, LinearSvmModel
+from .svm import LinearSvmModel
 
 BUNDLE_MAGIC = b"ASMFITB1"
-BUNDLE_VERSION = 2
+BUNDLE_VERSION = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +66,6 @@ class ModelBundle:
     classic_profiles: ProfileModel
     asm_profiles: ProfileModel
     svms: tuple
-    scalers: tuple
     fit_defaults: FitConfig
     train_meta: dict
 
@@ -84,19 +83,18 @@ class ModelBundle:
             raise DimensionMismatchError("profile models and fit defaults disagree on levels")
         if self.asm_profiles.sizes != self.fit_defaults.profile_lengths:
             raise DimensionMismatchError("asm profile sizes must match fit defaults")
-        if len(self.svms) != levels or len(self.scalers) != levels:
-            raise DimensionMismatchError("one SVM/scaler row per level required")
+        if len(self.svms) != levels:
+            raise DimensionMismatchError("one SVM row per level required")
         for level in range(levels):
-            if len(self.svms[level]) != n or len(self.scalers[level]) != n:
-                raise DimensionMismatchError("one SVM/scaler per landmark required")
+            if len(self.svms[level]) != n:
+                raise DimensionMismatchError("one SVM per landmark required")
             d = self.asm_profiles.sizes[level] ** 2
-            for model, scaler in zip(self.svms[level], self.scalers[level]):
-                if model.dim != d or scaler.mean.size != d:
+            for model in self.svms[level]:
+                if model.dim != d:
                     raise DimensionMismatchError(
                         f"level {level}: SVM dim {model.dim} vs profile dim {d}"
                     )
         object.__setattr__(self, "svms", tuple(tuple(row) for row in self.svms))
-        object.__setattr__(self, "scalers", tuple(tuple(row) for row in self.scalers))
 
 
 # ---------------------------------------------------------------- points IO
@@ -476,8 +474,6 @@ def save_bundle(bundle: ModelBundle, path) -> None:
         ("svms", {
             "weights": [np.stack([m.weights for m in row]) for row in bundle.svms],
             "biases": [np.array([m.bias for m in row]) for row in bundle.svms],
-            "scaler_means": [np.stack([s.mean for s in row]) for row in bundle.scalers],
-            "scaler_stds": [np.stack([s.std for s in row]) for row in bundle.scalers],
         }),
         ("fit_defaults", {
             "config": _fit_config_payload(bundle.fit_defaults),
@@ -579,10 +575,6 @@ def _bundle_from_sections(sections: dict) -> ModelBundle:
         svms=tuple(
             tuple(LinearSvmModel(w[j], float(b[j])) for j in range(w.shape[0]))
             for w, b in zip(svm_raw["weights"], svm_raw["biases"])
-        ),
-        scalers=tuple(
-            tuple(FeatureScaler(m[j], s[j]) for j in range(m.shape[0]))
-            for m, s in zip(svm_raw["scaler_means"], svm_raw["scaler_stds"])
         ),
         fit_defaults=_fit_config_from_payload(sections["fit_defaults"]["config"]),
         train_meta=sections["fit_defaults"]["train_meta"],

@@ -237,20 +237,22 @@ def _normalize_derivatives(diffs: np.ndarray) -> np.ndarray:
 def profiles_1d_batch(
     image: GrayImage, centers: np.ndarray, normals: np.ndarray, length: int
 ) -> np.ndarray:
-    """(k, length) normalized derivative profiles at unit spacing.
+    """(..., length) normalized derivative profiles at unit spacing.
 
     Samples length+1 points per row centered on each center, along the
-    matching normal, then differences and abs-sum-normalizes.
+    matching normal, then differences and abs-sum-normalizes. centers is
+    (..., 2) and normals (..., 2) broadcasts against it, so one normal can
+    serve a landmark's whole (k, m, 2) grid of candidate centers.
     """
     if length < 3 or length % 2 == 0:
         raise ShapeArityError(f"profile length must be odd and >= 3, got {length}")
     centers = np.asarray(centers, dtype=float)
     normals = np.asarray(normals, dtype=float)
     offsets = np.arange(length + 1) - length / 2.0
-    xs = centers[:, 0:1] + offsets[None, :] * normals[:, 0:1]
-    ys = centers[:, 1:2] + offsets[None, :] * normals[:, 1:2]
+    xs = centers[..., 0:1] + offsets * normals[..., 0:1]
+    ys = centers[..., 1:2] + offsets * normals[..., 1:2]
     samples = sample_bilinear(image, xs, ys)
-    return _normalize_derivatives(np.diff(samples, axis=1))
+    return _normalize_derivatives(np.diff(samples, axis=-1))
 
 
 def extract_profile_1d(

@@ -20,8 +20,15 @@ from .errors import (
     InitializationError,
     ShapeArityError,
 )
-from .imaging import GrayImage, ImagePyramid, canny_edges, equalize_histogram, sobel_gradients, sample_bilinear
-from .profiles import landmark_normals, mahalanobis_batch, normalize_windows, windows_batch
+from .imaging import GrayImage, ImagePyramid, canny_edges, equalize_histogram, sobel_gradients
+from .imaging import sample_bilinear  # noqa: F401 (perfbench/tracing.py:WRAPS wraps this name)
+from .profiles import (
+    landmark_normals,
+    mahalanobis_batch,
+    normalize_windows,
+    profiles_1d_batch,
+    windows_batch,
+)
 from .shape_model import Shape, ShapeModel, clamp_params, fit_params, synthesize
 from .svm import decision_values
 
@@ -85,7 +92,6 @@ class LevelContext:
     edge_map: np.ndarray
     stats: tuple
     svms: tuple
-    scalers: tuple
     scheme: object
 
 
@@ -152,22 +158,13 @@ def _candidate_features(ctx: LevelContext, shape: Shape, config: FitConfig,
                         size: int, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     """(k, m, d) normalized feature rows for every candidate of every landmark."""
     k, m = cx.shape
+    centers = np.stack([cx, cy], axis=-1)
     if config.profile_kind == "two_d":
-        centers = np.stack([cx.ravel(), cy.ravel()], axis=1)
-        rows = windows_batch(ctx.gradient.magnitude, centers, size)
+        rows = windows_batch(ctx.gradient.magnitude, centers.reshape(k * m, 2), size)
         rows = normalize_windows(rows, config.profile_norm, config.q, out=rows)
         return rows.reshape(k, m, size * size)
-    normals = landmark_normals(shape, ctx.scheme)
-    offs = np.arange(size + 1) - size / 2.0
-    sx = cx[:, :, None] + offs[None, None, :] * normals[:, 0, None, None]
-    sy = cy[:, :, None] + offs[None, None, :] * normals[:, 1, None, None]
-    samples = sample_bilinear(ctx.raw, sx, sy)
-    diffs = np.diff(samples, axis=2)
-    norm = np.sum(np.abs(diffs), axis=2, keepdims=True)
-    flat = norm < 1e-12
-    out = diffs / np.where(flat, 1.0, norm)
-    out[np.broadcast_to(flat, out.shape)] = 0.0
-    return out
+    normals = landmark_normals(shape, ctx.scheme)[:, None, :]
+    return profiles_1d_batch(ctx.raw, centers, normals, size)
 
 
 def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig, level: int):
@@ -192,8 +189,7 @@ def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig, level: 
         raise DimensionMismatchError(f"{len(ctx.stats)} stat entries for {k} landmarks")
     if config.svm_gate and ctx.svms is not None:
         for j in range(k):
-            scaled = ctx.scalers[j].transform(feats[j])
-            gated = allowed[j] & (decision_values(ctx.svms[j], scaled) >= 0)
+            gated = allowed[j] & (decision_values(ctx.svms[j], feats[j]) >= 0)
             if gated.any():
                 allowed[j] = gated
 
@@ -250,7 +246,6 @@ def build_level_context(bundle, level_image: GrayImage, level: int, config: FitC
         edge_map=edge_map,
         stats=pm.stats[level],
         svms=bundle.svms[level] if gate else None,
-        scalers=bundle.scalers[level] if gate else None,
         scheme=bundle.scheme,
     )
 

@@ -36,37 +36,6 @@ class LinearSvmModel:
         return self.weights.size
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureScaler:
-    """Per-dimension standardization fitted on training features."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def __post_init__(self):
-        mean = np.array(self.mean, dtype=float).ravel()
-        std = np.array(self.std, dtype=float).ravel()
-        if mean.shape != std.shape:
-            raise DimensionMismatchError("scaler mean/std length mismatch")
-        if np.any(std <= 0):
-            raise ShapeArityError("scaler std entries must be positive")
-        mean.setflags(write=False)
-        std.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", std)
-
-    @classmethod
-    def fit(cls, rows: np.ndarray) -> "FeatureScaler":
-        rows = np.asarray(rows, dtype=float)
-        std = rows.std(axis=0)
-        # Constant dimensions carry no signal; unit std leaves them at zero.
-        std = np.where(std < 1e-12, 1.0, std)
-        return cls(rows.mean(axis=0), std)
-
-    def transform(self, rows: np.ndarray) -> np.ndarray:
-        return (np.asarray(rows, dtype=float) - self.mean) / self.std
-
-
 @dataclass(frozen=True)
 class SvmTrainConfig:
     c_penalty: float = 1.0

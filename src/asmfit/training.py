@@ -2,7 +2,8 @@
 
 Consumes annotated samples, produces a ModelBundle holding both feature
 pipelines (1-D derivative profiles for the classic baseline, 2-D gradient
-windows plus per-landmark SVMs for the gated search).
+windows plus per-landmark SVMs for the gated search). SGD runs on
+standardized windows; each SVM is stored folded back onto raw windows.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .scheme import LandmarkScheme
 from .search import FitConfig
 from .shape_model import Shape, build_shape_model, gpa_align
 from .svm import (
-    FeatureScaler,
     LandmarkTrainingSet,
+    LinearSvmModel,
     SvmTrainConfig,
     build_landmark_training_set,
     train_linear_svm,
@@ -55,6 +56,22 @@ class TrainingSummary:
 
 def _seed_for(master: int, level: int, landmark: int, salt: int) -> int:
     return master * 1_000_003 + salt * 500_000 + level * 1_000 + landmark
+
+
+def _standardize(rows: np.ndarray):
+    """(standardized rows, mean, std) per dimension. Constant dimensions
+    carry no signal; unit std leaves them at zero."""
+    mean = rows.mean(axis=0)
+    std = rows.std(axis=0)
+    std = np.where(std < 1e-12, 1.0, std)
+    return (rows - mean) / std, mean, std
+
+
+def _fold(model: LinearSvmModel, mean: np.ndarray, std: np.ndarray) -> LinearSvmModel:
+    """The model trained on standardized rows, as a model on raw rows:
+    w' = w / std and b' = b - w'.mean."""
+    weights = model.weights / std
+    return LinearSvmModel(weights, model.bias - float(weights @ mean))
 
 
 def train_bundle(
@@ -107,7 +124,6 @@ def train_bundle(
     classic_stats = []
     asm_stats = []
     svms = []
-    scalers = []
     level_pos = []
     level_neg = []
     level_acc_mean = []
@@ -133,7 +149,7 @@ def train_bundle(
 
         dataset_lv = list(zip(level_mag[lv], level_pts[lv]))
         lv_svms = [None] * n
-        lv_scalers = []
+        moments = {}
         accuracy = []
         pos = neg = 0
         for first in range(0, n, _SVM_GROUP):
@@ -153,11 +169,11 @@ def train_bundle(
                 skipped_total += ts.skipped
                 pos += int(np.sum(ts.labels == 1))
                 neg += int(np.sum(ts.labels == -1))
-                scaler = FeatureScaler.fit(ts.features)
-                lv_scalers.append(scaler)
-                by_count.setdefault(ts.count, []).append(LandmarkTrainingSet(
-                    scaler.transform(ts.features), ts.labels, j, lv, ts.skipped
-                ))
+                rows, mean, std = _standardize(ts.features)
+                moments[j] = mean, std
+                by_count.setdefault(ts.count, []).append(
+                    LandmarkTrainingSet(rows, ts.labels, j, lv, ts.skipped)
+                )
             for sets in by_count.values():
                 stack = LandmarkTrainingSet.stack(
                     sets, seeds=[_seed_for(seed, lv, s.landmark, 1) for s in sets]
@@ -166,9 +182,8 @@ def train_bundle(
                 models = train_linear_svm(stack, svm_config)
                 accuracy.extend(training_accuracy(models, stack))
                 for j, model in zip(stack.landmarks, models):
-                    lv_svms[j] = model
+                    lv_svms[j] = _fold(model, *moments.pop(j))
         svms.append(tuple(lv_svms))
-        scalers.append(tuple(lv_scalers))
         level_pos.append(pos)
         level_neg.append(neg)
         level_acc_mean.append(float(np.mean(accuracy)))
@@ -186,7 +201,6 @@ def train_bundle(
             mode=fit_config.profile_norm, q=fit_config.q, eps=eps,
         ),
         svms=tuple(svms),
-        scalers=tuple(scalers),
         fit_defaults=fit_config,
         train_meta={
             "seed": seed,

@@ -3,24 +3,42 @@
 The library gates candidates first, scores only the ones that compete and
 picks every winner with one masked selection. This module keeps the form
 those replace: every candidate of every landmark is gathered with the
-clamped three-index gather, normalized and scored; the gate then masks the
-scores, and a lexsort per landmark picks the lowest cost, then the smallest
-Chebyshev distance, then the first candidate in row-major order.
+clamped three-index gather (2-D windows) or sampled along its landmark's
+normal in one inline (k, m, size + 1) grid (1-D profiles), normalized and
+scored; the gate then masks the scores, and a lexsort per landmark picks
+the lowest cost, then the smallest Chebyshev distance, then the first
+candidate in row-major order.
 """
 
 import numpy as np
 
-from asmfit.profiles import mahalanobis_batch, normalize_windows
-from asmfit.search import _candidate_features, _candidate_grid
+from asmfit.imaging import sample_bilinear
+from asmfit.profiles import landmark_normals, mahalanobis_batch, normalize_windows
+from asmfit.search import _candidate_grid
 from asmfit.shape_model import Shape
 from asmfit.svm import decision_values
 from reference_profiles import clamped_windows, sum_normalized
 
 
+def profiles_1d(ctx, shape, size, cx, cy):
+    """(k, m, size) derivative profiles of every candidate along its landmark's normal."""
+    normals = landmark_normals(shape, ctx.scheme)
+    offs = np.arange(size + 1) - size / 2.0
+    sx = cx[:, :, None] + offs[None, None, :] * normals[:, 0, None, None]
+    sy = cy[:, :, None] + offs[None, None, :] * normals[:, 1, None, None]
+    samples = sample_bilinear(ctx.raw, sx, sy)
+    diffs = np.diff(samples, axis=2)
+    norm = np.sum(np.abs(diffs), axis=2, keepdims=True)
+    flat = norm < 1e-12
+    out = diffs / np.where(flat, 1.0, norm)
+    out[np.broadcast_to(flat, out.shape)] = 0.0
+    return out
+
+
 def candidate_features(ctx, shape, config, size, cx, cy):
     """(k, m, d) feature rows of every candidate; 2-D windows use the oracle gather."""
     if config.profile_kind != "two_d":
-        return _candidate_features(ctx, shape, config, size, cx, cy)
+        return profiles_1d(ctx, shape, size, cx, cy)
     k, m = cx.shape
     centers = np.stack([cx.ravel(), cy.ravel()], axis=1)
     rows = clamped_windows(ctx.gradient.magnitude, centers, size)
@@ -52,8 +70,7 @@ def search_landmarks(ctx, shape, config, level):
     allowed = valid.copy()
     if config.svm_gate and ctx.svms is not None:
         for j in range(k):
-            scaled = ctx.scalers[j].transform(feats[j])
-            accepted = decision_values(ctx.svms[j], scaled) >= 0
+            accepted = decision_values(ctx.svms[j], feats[j]) >= 0
             gated = allowed[j] & accepted
             if gated.any():
                 allowed[j] = gated

@@ -1,11 +1,13 @@
 """Property-based checks of the file loaders and of fitting.
 
-Written files read back exactly, and arbitrary bytes make a loader raise
-an AsmFitError or nothing at all. A fit of any image from any box returns
-finite points or raises an AsmFitError. Examples are derandomized, so
-every run draws the same ones, and no example database is written.
+Written files read back exactly, a bundle's SVM parameters included, and
+arbitrary bytes make a loader raise an AsmFitError or nothing at all. A
+fit of any image from any box returns finite points or raises an
+AsmFitError. Examples are derandomized, so every run draws the same ones,
+and no example database is written.
 """
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -18,16 +20,21 @@ from conftest import reseal
 from asmfit.dataset_io import (
     BUNDLE_MAGIC,
     BUNDLE_VERSION,
+    AnnotatedSample,
     load_bundle,
     load_image,
     load_points_file,
+    save_bundle,
     save_pgm,
     write_points_file,
 )
 from asmfit.errors import AsmFitError
 from asmfit.imaging import GrayImage, build_pyramid
-from asmfit.search import config_for_mode, fit, init_shape_from_box
+from asmfit.scheme import single_contour_scheme
+from asmfit.search import FitConfig, config_for_mode, fit, init_shape_from_box
 from asmfit.shape_model import Shape
+from asmfit.svm import LinearSvmModel, SvmTrainConfig
+from asmfit.training import train_bundle
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -58,6 +65,41 @@ def test_points_file_round_trip_is_exact(scratch, points):
 def test_pgm_round_trip_is_exact(scratch, pixels):
     save_pgm(GrayImage(pixels), scratch)
     assert np.array_equal(load_image(scratch).pixels, pixels)
+
+
+@pytest.fixture(scope="module")
+def tiny_bundle(faces96):
+    """6 mouth landmarks on two levels of 3x3 and 5x5 windows."""
+    samples = [AnnotatedSample(s.name, s.image, Shape(s.shape.points[-6:]))
+               for s in faces96[:3]]
+    bundle, _ = train_bundle(
+        samples, single_contour_scheme(6),
+        fit_config=FitConfig(levels=2, profile_lengths=(3, 5)),
+        svm_config=SvmTrainConfig(epochs=1), classic_length=3,
+    )
+    return bundle
+
+
+# Finite doubles, with signed zeros and subnormals drawn often.
+SVM_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1.5e-310]),
+)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_bundle_svm_parameters_round_trip_bit_for_bit(scratch, tiny_bundle, data):
+    weights = [data.draw(arrays(np.float64, (6, size * size), elements=SVM_FLOATS))
+               for size in tiny_bundle.asm_profiles.sizes]
+    biases = [data.draw(arrays(np.float64, 6, elements=SVM_FLOATS)) for _ in weights]
+    svms = tuple(tuple(LinearSvmModel(w_j, float(b_j)) for w_j, b_j in zip(w, b))
+                 for w, b in zip(weights, biases))
+    save_bundle(dataclasses.replace(tiny_bundle, svms=svms), scratch)
+    loaded = load_bundle(scratch).svms
+    for w, b, row in zip(weights, biases, loaded):
+        assert np.stack([model.weights for model in row]).tobytes() == w.tobytes()
+        assert np.array([model.bias for model in row]).tobytes() == b.tobytes()
 
 
 POINTS_LINES = st.one_of(

@@ -20,6 +20,7 @@ from asmfit.profiles import (
 from asmfit.search import (
     FitConfig,
     LevelContext,
+    _candidate_features,
     _candidate_grid,
     config_for_mode,
     fit,
@@ -27,7 +28,7 @@ from asmfit.search import (
     search_landmarks,
 )
 from asmfit.shape_model import Shape, build_shape_model, fit_params
-from asmfit.svm import FeatureScaler, LinearSvmModel, decision_values
+from asmfit.svm import LinearSvmModel, decision_values
 
 from conftest import random_shape_points
 import reference_search
@@ -41,15 +42,14 @@ def two_d_config(**overrides):
     return FitConfig(**base)
 
 
-def make_context(magnitude, stats, raw=None, edge_map=None, svms=None,
-                 scalers=None, scheme=None):
+def make_context(magnitude, stats, raw=None, edge_map=None, svms=None, scheme=None):
     if raw is None:
         raw = GrayImage(np.zeros(magnitude.shape))
     if edge_map is None:
         edge_map = np.zeros(magnitude.shape, dtype=np.uint8)
     grad = GradientField(np.zeros(magnitude.shape), np.zeros(magnitude.shape), magnitude)
     return LevelContext(raw=raw, equalized=raw, gradient=grad, edge_map=edge_map,
-                        stats=stats, svms=svms, scalers=scalers, scheme=scheme)
+                        stats=stats, svms=svms, scheme=scheme)
 
 
 def window_feature(magnitude, center, size=5):
@@ -218,9 +218,7 @@ def test_search_gate_overrides_cost_ranking():
     bias = -(scores[t_idx] + others.max()) / 2.0
     assert scores[t_idx] + bias > 0 > others.max() + bias
     gate = LinearSvmModel(w, float(bias))
-    ident = FeatureScaler(np.zeros(25), np.ones(25))
-    ctx_gated = make_context(mag, (st, st, st), svms=(gate, gate, gate),
-                             scalers=(ident, ident, ident))
+    ctx_gated = make_context(mag, (st, st, st), svms=(gate, gate, gate))
     gated, _ = search_landmarks(ctx_gated, shape, two_d_config(svm_gate=True), 0)
     assert tuple(gated.points[0]) == target
 
@@ -231,8 +229,7 @@ def test_search_gate_falls_back_when_nothing_passes():
     decoy = (9.0, 11.0)
     st = stats_around(window_feature(mag, decoy), rng)
     reject_all = LinearSvmModel(np.zeros(25), -1.0)
-    ident = FeatureScaler(np.zeros(25), np.ones(25))
-    ctx = make_context(mag, (st, st, st), svms=(reject_all,) * 3, scalers=(ident,) * 3)
+    ctx = make_context(mag, (st, st, st), svms=(reject_all,) * 3)
     shape = Shape(np.array([[10.0, 12.0], [4.0, 4.0], [26.0, 26.0]]))
     moved, _ = search_landmarks(ctx, shape, two_d_config(svm_gate=True), 0)
     assert tuple(moved.points[0]) == decoy
@@ -253,8 +250,7 @@ def test_search_one_d_follows_contour_normal():
                     svm_gate=False, profile_kind="one_d", edge_weighted=False)
     ctx = LevelContext(raw=img, equalized=img, gradient=None,
                        edge_map=np.zeros((32, 32), dtype=np.uint8),
-                       stats=(st_edge, st_edge, st_edge), svms=None,
-                       scalers=None, scheme=None)
+                       stats=(st_edge, st_edge, st_edge), svms=None, scheme=None)
     moved, _ = search_landmarks(ctx, shape, cfg, 0)
     assert tuple(moved.points[1]) == (11.0, 16.0)
 
@@ -291,13 +287,10 @@ def oracle_context(rng, kind, size, k, hw=(40, 52), tie_image=False):
                   for _ in range(k))
     biases = np.linspace(-1.5, 1.5, k)
     svms = tuple(LinearSvmModel(rng.normal(0.0, 1.0, d) / np.sqrt(d), b) for b in biases)
-    scalers = tuple(FeatureScaler(rng.uniform(0.0, 0.02, d), rng.uniform(0.5, 2.0, d))
-                    for _ in range(k))
     edge_map = (rng.uniform(size=hw) < 0.3).astype(np.uint8)
     return LevelContext(raw=GrayImage(raw), equalized=GrayImage(raw),
                         gradient=GradientField(np.zeros(hw), np.zeros(hw), mag),
-                        edge_map=edge_map, stats=stats, svms=svms, scalers=scalers,
-                        scheme=None)
+                        edge_map=edge_map, stats=stats, svms=svms, scheme=None)
 
 
 @pytest.mark.parametrize("seed,kind,norm,gate,edges", [
@@ -335,11 +328,33 @@ def test_oracle_contexts_plant_fallbacks_and_ties():
     pts = np.column_stack([np.full(12, 10.0), np.linspace(5.0, 35.0, 12)])
     cx, cy, valid, _ = _candidate_grid(pts, 3)
     feats = reference_search.candidate_features(ctx, Shape(pts), cfg, 7, cx, cy)
-    accepted = [np.count_nonzero(valid[j] & (decision_values(
-        ctx.svms[j], ctx.scalers[j].transform(feats[j])) >= 0)) for j in range(12)]
+    accepted = [np.count_nonzero(valid[j] & (decision_values(ctx.svms[j], feats[j]) >= 0))
+                for j in range(12)]
     assert accepted[0] == 0 and accepted[-1] == np.count_nonzero(valid[-1])
     costs = np.array([mahalanobis_batch(ctx.stats[j], feats[j]) for j in range(12)])
     assert all(len(np.unique(row[valid[j]])) == 1 for j, row in enumerate(costs))
+
+
+@pytest.mark.parametrize("size", [3, 7, 15])
+def test_one_d_candidate_features_match_inline_oracle(size):
+    """The batched 1-D path equals the inline (k, m, size + 1) sampling exactly."""
+    rng = np.random.default_rng(40 + size)
+    cfg = FitConfig(levels=1, profile_lengths=(size,), search_radius=3,
+                    svm_gate=False, profile_kind="one_d", edge_weighted=False)
+    flat_rows = 0
+    for trial in range(4):
+        ctx = oracle_context(rng, "one_d", size, 12, tie_image=True)
+        # inside, fractional and integer, and across every border
+        pts = rng.uniform((-4.0, -4.0), (56.0, 44.0), (12, 2))
+        pts[::3] = np.rint(pts[::3])
+        shape = Shape(pts)
+        cx, cy, _, _ = _candidate_grid(pts, 3)
+        got = _candidate_features(ctx, shape, cfg, size, cx, cy)
+        want = reference_search.profiles_1d(ctx, shape, size, cx, cy)
+        assert got.shape == want.shape == (12, 49, size)
+        assert got.tobytes() == want.tobytes()
+        flat_rows += np.count_nonzero(~want.any(axis=2))
+    assert flat_rows > 0
 
 
 def test_search_checks_stats_arity():

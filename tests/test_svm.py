@@ -4,7 +4,6 @@ import pytest
 from asmfit.errors import ClassBalanceError, DimensionMismatchError, ShapeArityError
 from asmfit.profiles import Profile, normalize_windows, windows_batch
 from asmfit.svm import (
-    FeatureScaler,
     LandmarkTrainingSet,
     LinearSvmModel,
     SvmTrainConfig,
@@ -45,24 +44,6 @@ def test_model_validation():
     with pytest.raises(ShapeArityError):
         LinearSvmModel(np.ones(2), float("inf"))
     assert LinearSvmModel(np.ones(4), 0.5).dim == 4
-
-
-def test_scaler_fit_and_transform():
-    rows = np.array([[0.0, 5.0], [2.0, 5.0], [4.0, 5.0]])
-    sc = FeatureScaler.fit(rows)
-    assert np.allclose(sc.mean, [2.0, 5.0])
-    assert sc.std[1] == 1.0  # constant column pinned to unit spread
-    out = sc.transform(rows)
-    assert np.allclose(out[:, 1], 0.0)
-    assert np.allclose(out[:, 0].mean(), 0.0, atol=1e-12)
-    assert np.allclose(out[:, 0].std(), 1.0, atol=1e-12)
-
-
-def test_scaler_validation():
-    with pytest.raises(DimensionMismatchError):
-        FeatureScaler(np.zeros(2), np.ones(3))
-    with pytest.raises(ShapeArityError):
-        FeatureScaler(np.zeros(2), np.array([1.0, 0.0]))
 
 
 def test_train_config_validation():

@@ -3,18 +3,32 @@ import pytest
 
 from asmfit.dataset_io import AnnotatedSample
 from asmfit.errors import ClassBalanceError, InsufficientDataError
-from asmfit.imaging import build_pyramid, equalize_histogram, sobel_gradients
+from asmfit.imaging import GrayImage, build_pyramid, equalize_histogram, sobel_gradients
 from asmfit.scheme import DEFAULT_SCHEME
 from asmfit.search import FitConfig
 from asmfit.shape_model import Shape
 from asmfit.svm import (
-    FeatureScaler,
+    LinearSvmModel,
     SvmTrainConfig,
     build_landmark_training_set,
     decision_values,
 )
 from asmfit.training import _seed_for, train_bundle
 from reference_svm import train_linear_svm_reference
+
+
+def standardized(rows):
+    """(rows standardized per dimension, mean, std); constant dimensions get unit std."""
+    mean = rows.mean(axis=0)
+    std = rows.std(axis=0)
+    std = np.where(std < 1e-12, 1.0, std)
+    return (rows - mean) / std, mean, std
+
+
+def folded(model, mean, std):
+    """A model of standardized rows rewritten to score raw rows."""
+    weights = model.weights / std
+    return LinearSvmModel(weights, model.bias - float(weights @ mean))
 
 
 def test_bundle_covers_every_level_and_landmark(trained):
@@ -26,7 +40,6 @@ def test_bundle_covers_every_level_and_landmark(trained):
     assert bundle.asm_profiles.n_landmarks == n
     assert len(bundle.svms) == levels
     assert all(len(row) == n for row in bundle.svms)
-    assert all(len(row) == n for row in bundle.scalers)
     assert summary.retained_modes == bundle.shape_model.num_modes > 0
 
 
@@ -107,13 +120,10 @@ def test_skipped_landmark_trains_in_its_own_stack(faces96):
     for level, landmark, rows in [(1, 5, 10), (1, 4, 20), (2, 5, 10), (0, 5, 20)]:
         ts = level_training_set(samples, landmark, level, seed=2)
         assert ts.count == rows
-        scaler = FeatureScaler.fit(ts.features)
-        assert np.array_equal(bundle.scalers[level][landmark].mean, scaler.mean)
-        assert np.array_equal(bundle.scalers[level][landmark].std, scaler.std)
-        ref = train_linear_svm_reference(
-            scaler.transform(ts.features), ts.labels, epochs=5,
-            seed=_seed_for(2, level, landmark, 1),
-        )
+        rows, mean, std = standardized(ts.features)
+        ref = folded(train_linear_svm_reference(
+            rows, ts.labels, epochs=5, seed=_seed_for(2, level, landmark, 1),
+        ), mean, std)
         model = bundle.svms[level][landmark]
         np.testing.assert_allclose(model.weights, ref.weights, rtol=1e-12)
         assert model.bias == pytest.approx(ref.bias, rel=1e-12)
@@ -131,9 +141,45 @@ def test_summary_accuracy_matches_per_landmark_oracle(trained):
         accuracy = []
         for landmark in range(DEFAULT_SCHEME.total):
             ts = level_training_set(faces[:6], landmark, level, seed=0)
-            scaled = bundle.scalers[level][landmark].transform(ts.features)
-            decision = decision_values(bundle.svms[level][landmark], scaled)
+            decision = decision_values(bundle.svms[level][landmark], ts.features)
             accuracy.append(np.mean(np.where(decision >= 0, 1.0, -1.0) == ts.labels))
         assert summary.level_accuracy_mean[level] == pytest.approx(np.mean(accuracy), rel=1e-12)
         assert summary.level_accuracy_min[level] == min(accuracy)
     assert summary.level_accuracy_min[-1] > 0.5
+
+
+def test_constant_window_dimension_gets_unit_std(faces96):
+    # Rows 0-18 are flat, so the Sobel magnitude is zero on rows 0-17. The
+    # level-0 3x3 windows of landmark 0 at y = 10, and of its negatives at
+    # most 8 rows away, keep their top row there; only negatives 7 or 8 rows
+    # down reach the texture below. Sigmoid normalization keeps zero
+    # magnitudes at zero, where the sum rule maps flat windows to uniform.
+    samples = []
+    for sample in faces96[:6]:
+        pixels = sample.image.pixels.copy()
+        pixels[:19] = 100.0
+        pts = sample.shape.points.copy()
+        pts[0] = (48.0, 10.0)
+        samples.append(AnnotatedSample(sample.name, GrayImage(pixels), Shape(pts)))
+    fit_config = FitConfig(profile_norm="sigmoid")
+    bundle, _ = train_bundle(samples, DEFAULT_SCHEME, fit_config=fit_config,
+                             svm_config=SvmTrainConfig(epochs=5),
+                             negatives_per_positive=8, seed=4)
+    dataset = [(sobel_gradients(equalize_histogram(s.image)).magnitude, s.shape.points)
+               for s in samples]
+    ts = build_landmark_training_set(dataset, 0, 0, negatives_per_positive=8,
+                                     seed=_seed_for(4, 0, 0, 0), size=3, mode="sigmoid")
+    constant = ts.features.std(axis=0) == 0.0
+    assert constant[:3].all() and not constant.all()
+    rows, mean, std = standardized(ts.features)
+    assert np.all(std[constant] == 1.0)
+    ref = train_linear_svm_reference(rows, ts.labels, epochs=5, seed=_seed_for(4, 0, 0, 1))
+    want = folded(ref, mean, std)
+    model = bundle.svms[0][0]
+    assert np.all(model.weights[constant] == 0.0)
+    np.testing.assert_allclose(model.weights, want.weights, rtol=1e-12)
+    assert model.bias == pytest.approx(want.bias, rel=1e-12)
+    raw = decision_values(model, ts.features)
+    scaled = decision_values(ref, rows)
+    assert np.array_equal(raw >= 0, scaled >= 0)
+    np.testing.assert_allclose(raw, scaled, rtol=1e-9, atol=1e-12)
