@@ -22,11 +22,7 @@ from .profiles import (
     ProfileModel,
     ProfileStats,
     edge_weighted_cost,
-    extract_profile_1d,
-    extract_profile_2d,
-    landmark_normal,
     mahalanobis_cost,
-    train_profile_stats,
 )
 from .dataset_io import (
     AnnotatedSample,
@@ -64,7 +60,6 @@ from .svm import (
     LinearSvmModel,
     SvmTrainConfig,
     build_landmark_training_set,
-    predict,
     train_linear_svm,
 )
 from .synthetic import generate_face_dataset, write_dataset

@@ -27,7 +27,7 @@ from .training import train_bundle
 
 _CONFIG_KEYS = {
     "scheme", "levels", "profile_lengths", "classic_profile_length", "search_radius",
-    "max_iters_per_level", "convergence", "q", "c", "canny_low", "canny_high",
+    "max_iters_per_level", "convergence", "c", "canny_low", "canny_high",
     "variance_fraction", "clamp_alpha", "eps", "svm", "negatives_per_positive",
     "offset_range", "seed",
 }
@@ -77,7 +77,6 @@ def _train_settings(raw):
         search_radius=int(raw.get("search_radius", 3)),
         max_iters_per_level=int(raw.get("max_iters_per_level", 20)),
         convergence=float(raw.get("convergence", 0.9)),
-        q=float(raw.get("q", 10.0)),
         c=float(raw.get("c", 2.0)),
         canny_low=float(raw.get("canny_low", 50.0)),
         canny_high=float(raw.get("canny_high", 150.0)),

@@ -7,6 +7,7 @@ versioned little-endian bundle format documented in FORMAT.md.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
 import zlib
@@ -23,6 +24,7 @@ from .errors import (
     DimensionMismatchError,
     PgmDecodeError,
     PointsParseError,
+    ShapeArityError,
     SplitError,
 )
 from .imaging import GrayImage
@@ -33,7 +35,7 @@ from .shape_model import Shape, ShapeModel
 from .svm import LinearSvmModel
 
 BUNDLE_MAGIC = b"ASMFITB1"
-BUNDLE_VERSION = 3
+BUNDLE_VERSION = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,6 +85,8 @@ class ModelBundle:
             raise DimensionMismatchError("profile models and fit defaults disagree on levels")
         if self.asm_profiles.sizes != self.fit_defaults.profile_lengths:
             raise DimensionMismatchError("asm profile sizes must match fit defaults")
+        if self.fit_defaults.mode != "asm_svm":
+            raise ShapeArityError(f"fit defaults name mode {self.fit_defaults.mode!r}, not asm_svm")
         if len(self.svms) != levels:
             raise DimensionMismatchError("one SVM row per level required")
         for level in range(levels):
@@ -419,40 +423,15 @@ def _profile_model_from_payload(payload: dict) -> ProfileModel:
     )
 
 
-def _fit_config_payload(cfg: FitConfig) -> dict:
-    return {
-        "levels": cfg.levels,
-        "profile_lengths": list(cfg.profile_lengths),
-        "search_radius": cfg.search_radius,
-        "max_iters_per_level": cfg.max_iters_per_level,
-        "convergence": cfg.convergence,
-        "q": cfg.q,
-        "c": cfg.c,
-        "canny_low": cfg.canny_low,
-        "canny_high": cfg.canny_high,
-        "svm_gate": cfg.svm_gate,
-        "profile_kind": cfg.profile_kind,
-        "profile_norm": cfg.profile_norm,
-        "edge_weighted": cfg.edge_weighted,
-    }
-
-
 def _fit_config_from_payload(payload: dict) -> FitConfig:
-    return FitConfig(
-        levels=payload["levels"],
-        profile_lengths=tuple(payload["profile_lengths"]),
-        search_radius=payload["search_radius"],
-        max_iters_per_level=payload["max_iters_per_level"],
-        convergence=payload["convergence"],
-        q=payload["q"],
-        c=payload["c"],
-        canny_low=payload["canny_low"],
-        canny_high=payload["canny_high"],
-        svm_gate=payload["svm_gate"],
-        profile_kind=payload["profile_kind"],
-        profile_norm=payload["profile_norm"],
-        edge_weighted=payload["edge_weighted"],
-    )
+    """FitConfig from a payload holding exactly its fields."""
+    want = {f.name for f in dataclasses.fields(FitConfig)}
+    if payload.keys() != want:
+        raise BundleCorruptionError(
+            f"fit config keys: missing {sorted(want - payload.keys())}, "
+            f"unknown {sorted(payload.keys() - want)}"
+        )
+    return FitConfig(**payload)
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
@@ -476,7 +455,7 @@ def save_bundle(bundle: ModelBundle, path) -> None:
             "biases": [np.array([m.bias for m in row]) for row in bundle.svms],
         }),
         ("fit_defaults", {
-            "config": _fit_config_payload(bundle.fit_defaults),
+            "config": dataclasses.asdict(bundle.fit_defaults),
             "train_meta": bundle.train_meta,
         }),
     ]

@@ -7,7 +7,6 @@ landmarks are not contaminated by a zero halo.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,26 +204,3 @@ def sample_bilinear(image: GrayImage, x, y):
         return float(val)
     return val
 
-
-def grid_window(values: np.ndarray, center_xy, size: int) -> np.ndarray:
-    """size x size window of `values` around the rounded center, border-clamped.
-
-    Returns a (size, size) float array; `size` must be odd.
-    """
-    if size < 1 or size % 2 == 0:
-        raise ImageSizeError(f"window size must be odd and positive, got {size}")
-    h, w = values.shape
-    cx = int(np.rint(center_xy[0]))
-    cy = int(np.rint(center_xy[1]))
-    half = size // 2
-    xs = np.clip(np.arange(cx - half, cx + half + 1), 0, w - 1)
-    ys = np.clip(np.arange(cy - half, cy + half + 1), 0, h - 1)
-    return values[np.ix_(ys, xs)].astype(float)
-
-
-def luminance_gray(rgb: np.ndarray) -> GrayImage:
-    """Collapse an (h, w, 3) array to grayscale with 0.299/0.587/0.114 weights."""
-    arr = np.asarray(rgb, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ImageSizeError(f"expected (h, w, 3) color array, got {arr.shape}")
-    return GrayImage(arr @ np.array([0.299, 0.587, 0.114]))

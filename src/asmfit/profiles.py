@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionMismatchError, InsufficientDataError, ShapeArityError
-from .imaging import GradientField, GrayImage, grid_window, sample_bilinear
+from .imaging import GrayImage, sample_bilinear
 from .scheme import LandmarkScheme, single_contour_scheme
 from .shape_model import Shape
 
@@ -167,42 +167,15 @@ class ProfileModel:
         return len(self.stats[0])
 
 
-def landmark_normal(shape: Shape, index: int, scheme: LandmarkScheme = None) -> np.ndarray:
-    """Unit normal at a landmark, pointing away from the shape centroid.
+def landmark_normals(shape: Shape, scheme: LandmarkScheme = None) -> np.ndarray:
+    """(n, 2) array of unit normals, each pointing away from the shape centroid.
 
     The tangent is the chord joining the landmark's contour neighbors
     (endpoints of open contours use their single adjacent segment). A
-    degenerate chord falls back to the centroid-to-landmark direction.
-    """
-    if scheme is None:
-        scheme = single_contour_scheme(shape.n)
-    if scheme.total != shape.n:
-        raise ShapeArityError(f"scheme covers {scheme.total} landmarks, shape has {shape.n}")
-    prev, nxt = scheme.neighbors(index)
-    pts = shape.points
-    a = pts[prev] if prev is not None else pts[index]
-    b = pts[nxt] if nxt is not None else pts[index]
-    chord = b - a
-    normal = np.array([-chord[1], chord[0]])
-    length = np.linalg.norm(normal)
-    if length < 1e-12:
-        normal = pts[index] - shape.centroid()
-        length = np.linalg.norm(normal)
-        if length < 1e-12:
-            return np.array([1.0, 0.0])
-    normal = normal / length
-    outward = pts[index] - shape.centroid()
-    if normal @ outward < 0:
-        normal = -normal
-    return normal
-
-
-def landmark_normals(shape: Shape, scheme: LandmarkScheme = None) -> np.ndarray:
-    """(n, 2) array of unit normals for every landmark, as landmark_normal gives.
-
-    Lengths and dot products use vecdot, which rounds like the dot that
-    np.linalg.norm and the single-landmark path use, so the two agree
-    bit for bit.
+    degenerate chord falls back to the centroid-to-landmark direction, and
+    a landmark on the centroid gets (1, 0). Lengths and dot products use
+    vecdot, which rounds like np.linalg.norm and a scalar dot, so the
+    per-landmark form agrees bit for bit.
     """
     if scheme is None:
         scheme = single_contour_scheme(shape.n)
@@ -253,15 +226,6 @@ def profiles_1d_batch(
     ys = centers[..., 1:2] + offsets * normals[..., 1:2]
     samples = sample_bilinear(image, xs, ys)
     return _normalize_derivatives(np.diff(samples, axis=-1))
-
-
-def extract_profile_1d(
-    image: GrayImage, shape: Shape, index: int, length: int, scheme: LandmarkScheme = None
-) -> Profile:
-    """Normalized 1-D derivative profile along the landmark's normal."""
-    normal = landmark_normal(shape, index, scheme)
-    row = profiles_1d_batch(image, shape.points[index][None, :], normal[None, :], length)
-    return Profile(row[0], "one_d")
 
 
 def normalize_windows(flat: np.ndarray, mode: str, q: float = 10.0,
@@ -321,14 +285,6 @@ def windows_batch(values: np.ndarray, centers: np.ndarray, size: int) -> np.ndar
     return wins.reshape(len(centers), size * size)
 
 
-def extract_profile_2d(
-    gradient: GradientField, center, size: int, mode: str = "sum", q: float = 10.0
-) -> Profile:
-    """Normalized size x size gradient-magnitude window at a candidate point."""
-    win = grid_window(gradient.magnitude, center, size).ravel()
-    return Profile(normalize_windows(win[None, :], mode, q)[0], "two_d")
-
-
 def stats_from_matrix(rows: np.ndarray, eps: float = 1e-3) -> ProfileStats:
     """ProfileStats from an (m, d) sample matrix (m >= 2), of rank min(m - 1, d).
 
@@ -348,16 +304,6 @@ def stats_from_matrix(rows: np.ndarray, eps: float = 1e-3) -> ProfileStats:
     trace = float(np.vdot(dev, dev)) / (m - 1)
     return ProfileStats(mean, eps=eps, basis=vt[:m - 1].T, lam=s[:m - 1] ** 2 / (m - 1),
                         rho=_ridge(eps, trace, d))
-
-
-def train_profile_stats(samples, eps: float = 1e-3) -> ProfileStats:
-    """Mean/covariance statistics of equally sized profiles."""
-    if len(samples) < 2:
-        raise InsufficientDataError(f"need at least 2 profile samples, got {len(samples)}")
-    dims = {s.dim for s in samples}
-    if len(dims) != 1:
-        raise DimensionMismatchError(f"mixed profile dimensions: {sorted(dims)}")
-    return stats_from_matrix(np.stack([s.values for s in samples]), eps)
 
 
 def mahalanobis_cost(stats: ProfileStats, g: Profile) -> float:

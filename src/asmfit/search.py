@@ -2,14 +2,14 @@
 
 Fitting walks the pyramid coarse to fine. At each level every landmark
 scans the integer grid within a Chebyshev radius of its current position,
-scores candidates with the configured profile cost (optionally SVM-gated
-and edge-weighted), and the whole shape is then pulled back onto the
+scores candidates with the mode's profile cost (SVM-gated and
+edge-weighted in asm_svm), and the whole shape is then pulled back onto the
 constrained shape model. Levels hand off by doubling coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,7 +40,7 @@ class FitConfig:
     profile_lengths is indexed by pyramid level: entry 0 applies at full
     resolution, the last entry at the coarsest level. Defaults follow the
     coarse-to-fine shrinkage 15, 7, 3 with the 15-wide window at the
-    coarsest level.
+    coarsest level. mode, asm_svm or classic, names the pipeline.
     """
 
     levels: int = 3
@@ -52,10 +52,8 @@ class FitConfig:
     c: float = 2.0
     canny_low: float = 50.0
     canny_high: float = 150.0
-    svm_gate: bool = True
-    profile_kind: str = "two_d"
+    mode: str = "asm_svm"
     profile_norm: str = "sum"
-    edge_weighted: bool = True
 
     def __post_init__(self):
         if self.levels < 1:
@@ -76,18 +74,17 @@ class FitConfig:
             raise ShapeArityError(f"convergence fraction must be in (0, 1], got {self.convergence}")
         if not self.c > 1:
             raise ShapeArityError(f"edge weight constant must exceed 1, got {self.c}")
-        if self.profile_kind not in ("one_d", "two_d"):
-            raise ShapeArityError(f"unknown profile kind {self.profile_kind!r}")
+        if self.mode not in ("asm_svm", "classic"):
+            raise ShapeArityError(f"unknown mode {self.mode!r}, expected classic or asm_svm")
         if self.profile_norm not in ("sum", "sigmoid"):
             raise ShapeArityError(f"unknown profile normalization {self.profile_norm!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class LevelContext:
-    """Per-level cache: images, gradients, edges, statistics, classifiers."""
+    """Per-level cache; classic leaves gradient, edge_map and svms None."""
 
     raw: GrayImage
-    equalized: GrayImage
     gradient: object
     edge_map: np.ndarray
     stats: tuple
@@ -159,23 +156,23 @@ def _candidate_features(ctx: LevelContext, shape: Shape, config: FitConfig,
     """(k, m, d) normalized feature rows for every candidate of every landmark."""
     k, m = cx.shape
     centers = np.stack([cx, cy], axis=-1)
-    if config.profile_kind == "two_d":
-        rows = windows_batch(ctx.gradient.magnitude, centers.reshape(k * m, 2), size)
-        rows = normalize_windows(rows, config.profile_norm, config.q, out=rows)
-        return rows.reshape(k, m, size * size)
-    normals = landmark_normals(shape, ctx.scheme)[:, None, :]
-    return profiles_1d_batch(ctx.raw, centers, normals, size)
+    if ctx.gradient is None:
+        normals = landmark_normals(shape, ctx.scheme)[:, None, :]
+        return profiles_1d_batch(ctx.raw, centers, normals, size)
+    rows = windows_batch(ctx.gradient.magnitude, centers.reshape(k * m, 2), size)
+    rows = normalize_windows(rows, config.profile_norm, config.q, out=rows)
+    return rows.reshape(k, m, size * size)
 
 
 def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig, level: int):
     """One candidate-search pass; every landmark moves independently.
 
-    Candidates within the Chebyshev search radius compete; when the SVM
-    gate is on, only candidates the landmark's classifier accepts do,
-    falling back to all of them if none pass. Only the competing
-    candidates are scored by the profile cost (edge-weighted 2-D or plain
-    1-D Mahalanobis). Ties break toward the smaller displacement, then
-    row-major candidate order.
+    Candidates within the Chebyshev search radius compete; when the
+    context holds SVMs, only candidates the landmark's classifier accepts
+    do, falling back to all of them if none pass. Only the competing
+    candidates are scored by the Mahalanobis profile cost, weighted down on
+    edge pixels when the context holds an edge map. Ties break toward the
+    smaller displacement, then row-major candidate order.
 
     Returns (new Shape, per-landmark winning costs).
     """
@@ -187,7 +184,7 @@ def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig, level: 
 
     if len(ctx.stats) != k:
         raise DimensionMismatchError(f"{len(ctx.stats)} stat entries for {k} landmarks")
-    if config.svm_gate and ctx.svms is not None:
+    if ctx.svms is not None:
         for j in range(k):
             gated = allowed[j] & (decision_values(ctx.svms[j], feats[j]) >= 0)
             if gated.any():
@@ -201,7 +198,7 @@ def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig, level: 
     costs[allowed] = np.concatenate([
         mahalanobis_batch(ctx.stats[j], rows[bounds[j]:bounds[j + 1]]) for j in range(k)
     ])
-    if config.edge_weighted:
+    if ctx.edge_map is not None:
         h, w = ctx.edge_map.shape
         ex = np.clip(cx.astype(int), 0, w - 1)
         ey = np.clip(cy.astype(int), 0, h - 1)
@@ -224,30 +221,27 @@ def _regularize(model: ShapeModel, shape: Shape) -> Shape:
 
 
 def build_level_context(bundle, level_image: GrayImage, level: int, config: FitConfig) -> LevelContext:
-    """Compute and cache everything one level's search needs."""
-    equalized = equalize_histogram(level_image)
-    need_gradient = config.profile_kind == "two_d"
-    gradient = sobel_gradients(equalized) if need_gradient else None
-    if config.edge_weighted:
-        edge_map = canny_edges(equalized, config.canny_low, config.canny_high)
-    else:
-        edge_map = np.zeros(level_image.pixels.shape, dtype=np.uint8)
-    pm = bundle.asm_profiles if config.profile_kind == "two_d" else bundle.classic_profiles
+    """Everything one level's search needs: the one place a mode becomes a pipeline.
+
+    asm_svm adds Sobel gradients and Canny edges of the level image after
+    histogram equalization, and the level's SVMs; classic samples 1-D
+    profiles from raw.
+    """
+    asm = config.mode == "asm_svm"
+    pm = bundle.asm_profiles if asm else bundle.classic_profiles
     if pm.sizes[level] != config.profile_lengths[level]:
         raise DimensionMismatchError(
             f"level {level}: configured profile length {config.profile_lengths[level]} "
             f"does not match trained size {pm.sizes[level]}"
         )
-    gate = config.svm_gate and config.profile_kind == "two_d"
-    return LevelContext(
-        raw=level_image,
-        equalized=equalized,
-        gradient=gradient,
-        edge_map=edge_map,
-        stats=pm.stats[level],
-        svms=bundle.svms[level] if gate else None,
-        scheme=bundle.scheme,
-    )
+    ctx = LevelContext(raw=level_image, gradient=None, edge_map=None, stats=pm.stats[level],
+                       svms=None, scheme=bundle.scheme)
+    if not asm:
+        return ctx
+    image = equalize_histogram(level_image)
+    return replace(ctx, gradient=sobel_gradients(image),
+                   edge_map=canny_edges(image, config.canny_low, config.canny_high),
+                   svms=bundle.svms[level])
 
 
 def fit(pyramid: ImagePyramid, bundle, init: Shape, config: FitConfig = None) -> FitResult:
@@ -299,27 +293,12 @@ def fit(pyramid: ImagePyramid, bundle, init: Shape, config: FitConfig = None) ->
 def config_for_mode(bundle, mode: str) -> FitConfig:
     """Fit configuration for the two evaluation pipelines.
 
-    classic: 1-D profiles on the raw level image, no gate, no edge
-    weighting. asm_svm: 2-D gradient windows, SVM gate, edge-weighted
-    costs. Both reuse the training-time defaults stored in the bundle.
+    Both reuse the training-time defaults stored in the bundle, which name
+    asm_svm; classic swaps in its mode and its trained profile lengths.
     """
-    base = bundle.fit_defaults
     if mode == "asm_svm":
-        return base
+        return bundle.fit_defaults
     if mode == "classic":
-        return FitConfig(
-            levels=base.levels,
-            profile_lengths=bundle.classic_profiles.sizes,
-            search_radius=base.search_radius,
-            max_iters_per_level=base.max_iters_per_level,
-            convergence=base.convergence,
-            q=base.q,
-            c=base.c,
-            canny_low=base.canny_low,
-            canny_high=base.canny_high,
-            svm_gate=False,
-            profile_kind="one_d",
-            profile_norm=base.profile_norm,
-            edge_weighted=False,
-        )
+        return replace(bundle.fit_defaults, mode="classic",
+                       profile_lengths=bundle.classic_profiles.sizes)
     raise ShapeArityError(f"unknown mode {mode!r}, expected classic or asm_svm")

@@ -105,14 +105,6 @@ class SimilarityTransform:
         r_inv = np.array([[c, -s], [s, c]])
         return SimilarityTransform(inv_scale, -self.rotation, -inv_scale * r_inv @ self.translation)
 
-    def compose(self, other: "SimilarityTransform") -> "SimilarityTransform":
-        """Transform applying `other` first, then self."""
-        return SimilarityTransform(
-            self.scale * other.scale,
-            self.rotation + other.rotation,
-            self.apply(other.translation.reshape(1, 2)).reshape(2),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class ShapeModel:

@@ -240,15 +240,6 @@ def training_accuracy(models, train_set: LandmarkTrainingSet) -> np.ndarray:
     return np.mean(np.where(decision >= 0, 1.0, -1.0) == labels, axis=1)
 
 
-def predict(model: LinearSvmModel, values) -> tuple:
-    """(label, decision value); decision >= 0 classifies +1."""
-    g = np.asarray(getattr(values, "values", values), dtype=float).ravel()
-    if g.size != model.dim:
-        raise DimensionMismatchError(f"profile dim {g.size} vs SVM dim {model.dim}")
-    decision = float(g @ model.weights + model.bias)
-    return (1 if decision >= 0 else -1), decision
-
-
 def decision_values(model: LinearSvmModel, rows: np.ndarray) -> np.ndarray:
     """Decision values for an (m, d) feature matrix."""
     rows = np.asarray(rows, dtype=float)

@@ -106,7 +106,7 @@ def train_bundle(
     shape_model = build_shape_model(aligned, variance_fraction, clamp_alpha)
 
     # Per level: the raw image (classic 1-D sampling surface), the Sobel
-    # magnitude of the equalized image (2-D window surface), and the
+    # magnitude after histogram equalization (2-D window surface), and the
     # annotation scaled into level coordinates.
     level_raw = [[] for _ in range(levels)]
     level_mag = [[] for _ in range(levels)]

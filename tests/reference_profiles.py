@@ -10,9 +10,15 @@ row.
 The library copies gradient windows out of a strided view and normalizes
 them with one division. This module keeps the clamped three-index gather
 of every window and the masked sum normalization those replace.
+
+The library computes every landmark's normal in one vectorized pass; this
+module keeps the per-landmark form, landmark_normal.
 """
 
 import numpy as np
+
+from asmfit.errors import ShapeArityError
+from asmfit.scheme import single_contour_scheme
 
 
 def sample_covariance(rows):
@@ -67,3 +73,33 @@ def sum_normalized(flat):
     out = flat / safe
     out[np.broadcast_to(np.abs(total) < 1e-12, out.shape)] = 1.0 / dim
     return out
+
+
+def landmark_normal(shape, index, scheme=None):
+    """Unit normal at one landmark, pointing away from the shape centroid.
+
+    The tangent is the chord joining the landmark's contour neighbors
+    (endpoints of open contours use their single adjacent segment). A
+    degenerate chord falls back to the centroid-to-landmark direction.
+    """
+    if scheme is None:
+        scheme = single_contour_scheme(shape.n)
+    if scheme.total != shape.n:
+        raise ShapeArityError(f"scheme covers {scheme.total} landmarks, shape has {shape.n}")
+    prev, nxt = scheme.neighbors(index)
+    pts = shape.points
+    a = pts[prev] if prev is not None else pts[index]
+    b = pts[nxt] if nxt is not None else pts[index]
+    chord = b - a
+    normal = np.array([-chord[1], chord[0]])
+    length = np.linalg.norm(normal)
+    if length < 1e-12:
+        normal = pts[index] - shape.centroid()
+        length = np.linalg.norm(normal)
+        if length < 1e-12:
+            return np.array([1.0, 0.0])
+    normal = normal / length
+    outward = pts[index] - shape.centroid()
+    if normal @ outward < 0:
+        normal = -normal
+    return normal

@@ -36,8 +36,11 @@ def profiles_1d(ctx, shape, size, cx, cy):
 
 
 def candidate_features(ctx, shape, config, size, cx, cy):
-    """(k, m, d) feature rows of every candidate; 2-D windows use the oracle gather."""
-    if config.profile_kind != "two_d":
+    """(k, m, d) feature rows of every candidate; 2-D windows use the oracle gather.
+
+    A context without a gradient field searches 1-D profiles.
+    """
+    if ctx.gradient is None:
         return profiles_1d(ctx, shape, size, cx, cy)
     k, m = cx.shape
     centers = np.stack([cx.ravel(), cy.ravel()], axis=1)
@@ -61,14 +64,14 @@ def search_landmarks(ctx, shape, config, level):
     for j in range(k):
         costs[j] = mahalanobis_batch(ctx.stats[j], feats[j])
 
-    if config.edge_weighted:
+    if ctx.edge_map is not None:
         h, w = ctx.edge_map.shape
         ex = np.clip(cx.astype(int), 0, w - 1)
         ey = np.clip(cy.astype(int), 0, h - 1)
         costs *= config.c - ctx.edge_map[ey, ex]
 
     allowed = valid.copy()
-    if config.svm_gate and ctx.svms is not None:
+    if ctx.svms is not None:
         for j in range(k):
             accepted = decision_values(ctx.svms[j], feats[j]) >= 0
             gated = allowed[j] & accepted

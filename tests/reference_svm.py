@@ -1,16 +1,28 @@
-"""Per-landmark Pegasos loop used as an independent oracle in tests.
+"""Scalar SVM forms used as independent oracles in tests.
 
-This is the trainer as it was before landmarks were stacked: one Python
-loop of seeded mini-batch subgradient steps per landmark, selecting the
-margin violators of each batch by boolean compaction. The library's
-stacked trainer must reproduce it to rounding for every landmark of a
-stack.
+train_linear_svm_reference is the trainer as it was before landmarks were
+stacked: one Python loop of seeded mini-batch subgradient steps per
+landmark, selecting the margin violators of each batch by boolean
+compaction. The library's stacked trainer must reproduce it to rounding
+for every landmark of a stack.
+
+predict scores one profile at a time, the form the library's row-matrix
+decision_values replaces.
 """
 
 import numpy as np
 
-from asmfit.errors import ClassBalanceError
+from asmfit.errors import ClassBalanceError, DimensionMismatchError
 from asmfit.svm import LinearSvmModel
+
+
+def predict(model: LinearSvmModel, values) -> tuple:
+    """(label, decision value) of one profile; decision >= 0 classifies +1."""
+    g = np.asarray(getattr(values, "values", values), dtype=float).ravel()
+    if g.size != model.dim:
+        raise DimensionMismatchError(f"profile dim {g.size} vs SVM dim {model.dim}")
+    decision = float(g @ model.weights + model.bias)
+    return (1 if decision >= 0 else -1), decision
 
 
 def train_linear_svm_reference(features, labels, c_penalty=1.0, epochs=200,

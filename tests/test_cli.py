@@ -110,7 +110,7 @@ def test_train_rejects_unknown_config_keys(cli_env, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", ['{"svm": ', '{"levels": "three"}', '{"levels": null}',
-                                  '[1, 2]', '{"svm": 5}', '{"levels": 1e400}'])
+                                  '[1, 2]', '{"svm": 5}', '{"levels": 1e400}', '{"q": 5}'])
 def test_malformed_train_config_fails_in_one_line(cli_env, tmp_path, capsys, text):
     bad = tmp_path / "malformed.json"
     bad.write_text(text)

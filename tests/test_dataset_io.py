@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import zlib
 from collections import Counter
@@ -27,6 +28,7 @@ from asmfit.errors import (
     DatasetError,
     PgmDecodeError,
     PointsParseError,
+    ShapeArityError,
     SplitError,
 )
 from asmfit.imaging import GrayImage
@@ -283,7 +285,7 @@ def test_bundle_rejects_future_version(saved_bundle, tmp_path):
         load_bundle(bad)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_bundle_rejects_previous_version(saved_bundle, tmp_path, version):
     _, path = saved_bundle
     data = bytearray(path.read_bytes()[:-4])
@@ -292,6 +294,30 @@ def test_bundle_rejects_previous_version(saved_bundle, tmp_path, version):
     old.write_bytes(reseal(data))
     with pytest.raises(BundleVersionError, match=f"version {version}.*retrain"):
         load_bundle(old)
+
+
+@pytest.mark.parametrize("drop, extra", [("q", None), (None, "svm_gate"), ("c", "legacy")])
+def test_bundle_rejects_fit_config_key_set(saved_bundle, tmp_path, drop, extra):
+    """A stored fit config must hold exactly FitConfig's fields: a missing
+    key, an extra one (svm_gate is a version-3 field) or both is corruption."""
+    bundle, _ = saved_bundle
+    cfg = bundle.fit_defaults
+    fields = [(f.name, f.type, dataclasses.field(default=getattr(cfg, f.name)))
+              for f in dataclasses.fields(FitConfig) if f.name != drop]
+    if extra:
+        fields.append((extra, bool, dataclasses.field(default=True)))
+    odd = dataclasses.make_dataclass("OddFitConfig", fields, frozen=True)()
+    path = tmp_path / "odd.asmb"
+    save_bundle(dataclasses.replace(bundle, fit_defaults=odd), path)
+    with pytest.raises(BundleCorruptionError, match="fit config keys"):
+        load_bundle(path)
+
+
+def test_bundle_fit_defaults_must_name_asm_svm(trained):
+    bundle, _, _ = trained
+    classic = dataclasses.replace(bundle.fit_defaults, mode="classic")
+    with pytest.raises(ShapeArityError, match="asm_svm"):
+        dataclasses.replace(bundle, fit_defaults=classic)
 
 
 @pytest.fixture(scope="module")

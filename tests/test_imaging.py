@@ -8,8 +8,6 @@ from asmfit.imaging import (
     build_pyramid,
     canny_edges,
     equalize_histogram,
-    grid_window,
-    luminance_gray,
     sample_bilinear,
     sobel_gradients,
 )
@@ -227,24 +225,3 @@ def test_bilinear_array_arguments():
     ys = np.array([0.0, 1.0, 2.0])
     assert np.allclose(sample_bilinear(img, xs, ys), [0.0, 4.0, 8.0])
 
-
-def test_grid_window_interior_and_clamping():
-    vals = np.arange(25.0).reshape(5, 5)
-    assert np.array_equal(grid_window(vals, (2, 2), 3), vals[1:4, 1:4])
-    corner = grid_window(vals, (0, 0), 3)
-    assert np.array_equal(corner, vals[[0, 0, 1]][:, [0, 0, 1]])
-    with pytest.raises(ImageSizeError):
-        grid_window(vals, (2, 2), 4)
-
-
-def test_luminance_weights():
-    rgb = np.zeros((2, 2, 3))
-    rgb[0, 0] = (255, 0, 0)
-    rgb[0, 1] = (0, 255, 0)
-    rgb[1, 0] = (0, 0, 255)
-    rgb[1, 1] = (255, 255, 255)
-    gray = luminance_gray(rgb).pixels
-    assert gray[0, 0] == pytest.approx(0.299 * 255)
-    assert gray[0, 1] == pytest.approx(0.587 * 255)
-    assert gray[1, 0] == pytest.approx(0.114 * 255)
-    assert gray[1, 1] == pytest.approx(255.0)

@@ -8,27 +8,29 @@ from asmfit.errors import (
     InsufficientDataError,
     ShapeArityError,
 )
-from asmfit.imaging import GrayImage, sobel_gradients
+from asmfit.imaging import GrayImage
 from asmfit.profiles import (
     Profile,
     ProfileModel,
     ProfileStats,
     edge_weighted_cost,
-    extract_profile_1d,
-    extract_profile_2d,
-    landmark_normal,
     landmark_normals,
     mahalanobis_batch,
     mahalanobis_cost,
     normalize_windows,
     profiles_1d_batch,
     stats_from_matrix,
-    train_profile_stats,
     windows_batch,
 )
 from asmfit.scheme import DEFAULT_SCHEME, ContourGroup, LandmarkScheme, single_contour_scheme
 from asmfit.shape_model import Shape
-from reference_profiles import clamped_windows, dense_costs, sample_covariance, sum_normalized
+from reference_profiles import (
+    clamped_windows,
+    dense_costs,
+    landmark_normal,
+    sample_covariance,
+    sum_normalized,
+)
 
 
 def ramp_image(width=21, height=7, slope=3.0):
@@ -134,35 +136,34 @@ def test_profile_model_validation():
 
 def test_normal_square_corner_points_outward():
     sq = Shape(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
-    n0 = landmark_normal(sq, 0)
-    assert np.allclose(n0, [-1 / math.sqrt(2), -1 / math.sqrt(2)])
-    for i in range(4):
-        n = landmark_normal(sq, i)
-        outward = sq.points[i] - sq.centroid()
-        assert n @ outward > 0
+    normals = landmark_normals(sq)
+    assert np.allclose(normals[0], [-1 / math.sqrt(2), -1 / math.sqrt(2)])
+    outward = sq.points - sq.centroid()
+    assert (np.sum(normals * outward, axis=1) > 0).all()
 
 
 def test_normal_open_endpoint_uses_adjacent_segment():
     ell = Shape(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]))
-    scheme = single_contour_scheme(3, closed=False)
-    assert np.allclose(landmark_normal(ell, 2, scheme), [1.0, 0.0])
-    assert np.allclose(landmark_normal(ell, 0, scheme), [0.0, -1.0])
+    normals = landmark_normals(ell, single_contour_scheme(3, closed=False))
+    assert np.allclose(normals[2], [1.0, 0.0])
+    assert np.allclose(normals[0], [0.0, -1.0])
 
 
 def test_normal_degenerate_chord_falls_back_to_radial():
     pts = np.array([[2.0, 2.0], [0.0, 0.0], [2.0, 2.0]])
-    n = landmark_normal(Shape(pts), 1)
+    n = landmark_normals(Shape(pts))[1]
     assert np.allclose(n, [-1 / math.sqrt(2), -1 / math.sqrt(2)])
 
 
 def test_normal_fully_degenerate_default():
-    assert np.array_equal(landmark_normal(Shape(np.ones((3, 2))), 0), [1.0, 0.0])
+    assert np.array_equal(landmark_normals(Shape(np.ones((3, 2)))), [[1.0, 0.0]] * 3)
 
 
 def test_normal_scheme_arity_check():
+    # a scheme covering fewer landmarks than the shape holds
     sq = Shape(np.zeros((4, 2)) + np.arange(4)[:, None])
     with pytest.raises(ShapeArityError):
-        landmark_normal(sq, 0, single_contour_scheme(5))
+        landmark_normals(sq, single_contour_scheme(3))
 
 
 @pytest.mark.parametrize("scheme", [
@@ -238,16 +239,6 @@ def test_profiles_1d_length_validation():
         profiles_1d_batch(img, centers, normals, 4)
     with pytest.raises(ShapeArityError):
         profiles_1d_batch(img, centers, normals, 1)
-
-
-def test_extract_profile_1d_matches_batch():
-    # vertical chord ordered downward gives the +x normal
-    shape = Shape(np.array([[10.0, 4.0], [10.0, 3.0], [10.0, 2.0]]))
-    scheme = single_contour_scheme(3, closed=False)
-    prof = extract_profile_1d(ramp_image(), shape, 1, 5, scheme)
-    assert prof.kind == "one_d"
-    assert prof.dim == 5
-    assert np.allclose(prof.values, 0.2, atol=1e-12)
 
 
 # ------------------------------------------------------- 2-D normalization
@@ -361,17 +352,6 @@ def test_windows_batch_size_validation():
         windows_batch(np.zeros((5, 5)), np.zeros((1, 2)), 2)
 
 
-def test_extract_profile_2d_matches_pipeline():
-    rng = np.random.default_rng(2)
-    px = rng.uniform(0, 255, (12, 12))
-    grad = sobel_gradients(GrayImage(px))
-    prof = extract_profile_2d(grad, (5.0, 6.0), 3, mode="sum")
-    direct = normalize_windows(
-        windows_batch(grad.magnitude, np.array([[5.0, 6.0]]), 3), "sum")[0]
-    assert prof.kind == "two_d"
-    assert np.allclose(prof.values, direct, atol=1e-12)
-
-
 # ------------------------------------------------------------- statistics
 
 def test_stats_from_matrix_hand_case():
@@ -387,24 +367,6 @@ def test_stats_from_matrix_hand_case():
 def test_stats_require_two_samples():
     with pytest.raises(InsufficientDataError):
         stats_from_matrix(np.ones((1, 4)))
-    with pytest.raises(InsufficientDataError):
-        train_profile_stats([Profile(np.zeros(3))])
-
-
-def test_train_profile_stats_mixed_dims():
-    with pytest.raises(DimensionMismatchError):
-        train_profile_stats([Profile(np.zeros(3)), Profile(np.zeros(5))])
-
-
-def test_train_profile_stats_matches_matrix_path():
-    rng = np.random.default_rng(3)
-    rows = rng.normal(0, 1, (20, 6))
-    a = train_profile_stats([Profile(r) for r in rows])
-    b = stats_from_matrix(rows)
-    assert np.array_equal(a.mean, b.mean)
-    assert np.array_equal(a.basis, b.basis)
-    assert np.array_equal(a.lam, b.lam)
-    assert a.rho == b.rho
 
 
 @pytest.mark.parametrize("m, d, eps, spread", [

