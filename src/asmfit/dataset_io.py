@@ -35,7 +35,7 @@ from .shape_model import Shape, ShapeModel
 from .svm import LinearSvmModel
 
 BUNDLE_MAGIC = b"ASMFITB1"
-BUNDLE_VERSION = 4
+BUNDLE_VERSION = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,10 +384,6 @@ def _decode(buf: memoryview, pos: int, depth: int = 0):
 
 def _profile_model_payload(pm: ProfileModel) -> dict:
     return {
-        "kind": pm.kind,
-        "mode": pm.mode,
-        "q": pm.q,
-        "eps": pm.eps,
         "sizes": list(pm.sizes),
         "means": [np.stack([st.mean for st in level]) for level in pm.stats],
         "bases": [np.stack([st.basis for st in level]) for level in pm.stats],
@@ -396,7 +392,7 @@ def _profile_model_payload(pm: ProfileModel) -> dict:
     }
 
 
-def _profile_model_from_payload(payload: dict) -> ProfileModel:
+def _profile_model_from_payload(payload: dict, kind: str) -> ProfileModel:
     fields = [payload[key] for key in ("means", "bases", "lams", "rhos")]
     if any(len(arrays) != len(payload["sizes"]) for arrays in fields):
         raise BundleCorruptionError("profile arrays and sizes disagree on the level count")
@@ -410,17 +406,10 @@ def _profile_model_from_payload(payload: dict) -> ProfileModel:
                 "do not stack to (k, d), (k, d, r), (k, r), (k,)"
             )
         stats.append(tuple(
-            ProfileStats(means[j], eps=payload["eps"], basis=bases[j], lam=lams[j], rho=rhos[j])
+            ProfileStats(means[j], basis=bases[j], lam=lams[j], rho=rhos[j])
             for j in range(k)
         ))
-    return ProfileModel(
-        kind=payload["kind"],
-        sizes=tuple(payload["sizes"]),
-        stats=tuple(stats),
-        mode=payload["mode"],
-        q=payload["q"],
-        eps=payload["eps"],
-    )
+    return ProfileModel(kind=kind, sizes=tuple(payload["sizes"]), stats=tuple(stats))
 
 
 def _fit_config_from_payload(payload: dict) -> FitConfig:
@@ -549,8 +538,8 @@ def _bundle_from_sections(sections: dict) -> ModelBundle:
     return ModelBundle(
         scheme=scheme,
         shape_model=shape_model,
-        classic_profiles=_profile_model_from_payload(sections["profiles"]["classic"]),
-        asm_profiles=_profile_model_from_payload(sections["profiles"]["asm"]),
+        classic_profiles=_profile_model_from_payload(sections["profiles"]["classic"], "one_d"),
+        asm_profiles=_profile_model_from_payload(sections["profiles"]["asm"], "two_d"),
         svms=tuple(
             tuple(LinearSvmModel(w[j], float(b[j])) for j in range(w.shape[0]))
             for w, b in zip(svm_raw["weights"], svm_raw["biases"])

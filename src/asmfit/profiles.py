@@ -27,14 +27,11 @@ class Profile:
     """Normalized feature vector for one candidate position."""
 
     values: np.ndarray
-    kind: str = "one_d"
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float).ravel()
         if not np.all(np.isfinite(v)):
             raise ShapeArityError("profile contains non-finite values")
-        if self.kind not in ("one_d", "two_d"):
-            raise ShapeArityError(f"unknown profile kind {self.kind!r}")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -64,7 +61,6 @@ class ProfileStats:
     basis: np.ndarray = field(repr=False)
     lam: np.ndarray = field(repr=False)
     rho: float
-    eps: float
     weights: np.ndarray = field(repr=False)
 
     def __init__(self, mean, covariance=None, eps: float = 1e-3, *,
@@ -105,7 +101,6 @@ class ProfileStats:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "eps", eps)
 
     @property
     def dim(self) -> int:
@@ -121,21 +116,17 @@ class ProfileModel:
     """Profile geometry plus per (level, landmark) statistics.
 
     stats[level][landmark] -> ProfileStats; sizes[level] is the profile
-    length (1-D) or window side (2-D) used at that pyramid level.
+    length (1-D) or the side of the sum-normalized window (2-D) used at
+    that pyramid level.
     """
 
     kind: str
     sizes: tuple
     stats: tuple
-    mode: str = "sum"
-    q: float = 10.0
-    eps: float = 1e-3
 
     def __post_init__(self):
         if self.kind not in ("one_d", "two_d"):
             raise ShapeArityError(f"unknown profile kind {self.kind!r}")
-        if self.mode not in ("sum", "sigmoid"):
-            raise ShapeArityError(f"unknown 2-D normalization {self.mode!r}")
         sizes = tuple(int(s) for s in self.sizes)
         if len(sizes) != len(self.stats):
             raise DimensionMismatchError("one size per level required")
@@ -230,11 +221,11 @@ def profiles_1d_batch(
 
 def normalize_windows(flat: np.ndarray, mode: str, q: float = 10.0,
                       out: np.ndarray = None) -> np.ndarray:
-    """Normalize flattened gradient windows (rows) by the configured rule.
+    """Normalize flattened gradient windows (rows); training and fitting use sum.
 
-    sigmoid: g / (|g| + q) elementwise. sum: g / sum(g), with flat windows
-    mapped to the uniform vector so costs stay finite. The result goes to
-    `out` when given, which may be `flat` itself.
+    sum: g / sum(g), with flat windows mapped to the uniform vector so
+    costs stay finite. sigmoid: g / (|g| + q) elementwise. The result goes
+    to `out` when given, which may be `flat` itself.
     """
     flat = np.asarray(flat, dtype=float)
     if mode == "sigmoid":

@@ -46,37 +46,12 @@ class LandmarkScheme:
     def total(self) -> int:
         return self._total
 
-    def group_of(self, index: int):
-        """(group, start offset) owning the global landmark index."""
-        if not 0 <= index < self._total:
-            raise ShapeArityError(f"landmark index {index} outside scheme of {self._total}")
-        for g, start in zip(self.groups, self._starts):
-            if index < start + g.count:
-                return g, start
-        raise AssertionError("unreachable")
-
-    def neighbors(self, index: int):
-        """Global indices (prev, next) along the landmark's contour.
-
-        Open-contour endpoints get None on the missing side; closed
-        contours wrap around.
-        """
-        g, start = self.group_of(index)
-        local = index - start
-        prev = local - 1
-        nxt = local + 1
-        if g.closed:
-            prev %= g.count
-            nxt %= g.count
-            return start + prev, start + nxt
-        return (start + prev if prev >= 0 else None,
-                start + nxt if nxt < g.count else None)
-
     @cached_property
     def chord_ends(self):
         """(prev, next) index arrays of every landmark's tangent chord.
 
-        Like neighbors(), but an open-contour endpoint's missing side is
+        The ends are the landmark's neighbors along its contour. Closed
+        contours wrap around; an open-contour endpoint's missing side is
         the landmark itself, so its chord is its single adjacent segment.
         """
         index = np.arange(self._total)

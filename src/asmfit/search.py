@@ -9,6 +9,7 @@ constrained shape model. Levels hand off by doubling coordinates.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,14 +49,20 @@ class FitConfig:
     search_radius: int = 3
     max_iters_per_level: int = 20
     convergence: float = 0.9
-    q: float = 10.0
     c: float = 2.0
     canny_low: float = 50.0
     canny_high: float = 150.0
     mode: str = "asm_svm"
-    profile_norm: str = "sum"
 
     def __post_init__(self):
+        for name in ("levels", "search_radius", "max_iters_per_level"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ShapeArityError(f"{name} must be an integer, got {value!r}")
+        for name in ("convergence", "c", "canny_low", "canny_high"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ShapeArityError(f"{name} must be a real number, got {value!r}")
         if self.levels < 1:
             raise ShapeArityError(f"need at least 1 level, got {self.levels}")
         lengths = tuple(int(v) for v in self.profile_lengths)
@@ -76,8 +83,6 @@ class FitConfig:
             raise ShapeArityError(f"edge weight constant must exceed 1, got {self.c}")
         if self.mode not in ("asm_svm", "classic"):
             raise ShapeArityError(f"unknown mode {self.mode!r}, expected classic or asm_svm")
-        if self.profile_norm not in ("sum", "sigmoid"):
-            raise ShapeArityError(f"unknown profile normalization {self.profile_norm!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +165,7 @@ def _candidate_features(ctx: LevelContext, shape: Shape, config: FitConfig,
         normals = landmark_normals(shape, ctx.scheme)[:, None, :]
         return profiles_1d_batch(ctx.raw, centers, normals, size)
     rows = windows_batch(ctx.gradient.magnitude, centers.reshape(k * m, 2), size)
-    rows = normalize_windows(rows, config.profile_norm, config.q, out=rows)
+    rows = normalize_windows(rows, "sum", out=rows)
     return rows.reshape(k, m, size * size)
 
 

@@ -134,10 +134,8 @@ def build_landmark_training_set(
     offset_range=(RING_MIN_DEFAULT, RING_MAX_DEFAULT),
     seed: int = 0,
     size: int = 15,
-    mode: str = "sum",
-    q: float = 10.0,
 ) -> LandmarkTrainingSet:
-    """Positive/negative gradient windows for one landmark at one level.
+    """Positive/negative sum-normalized gradient windows for one landmark at one level.
 
     `dataset` is a sequence of (gradient magnitude array, level-scaled
     (n, 2) landmark positions) pairs. Each image contributes one positive
@@ -168,7 +166,7 @@ def build_landmark_training_set(
             continue
         pick = rng.choice(len(ring), size=negatives_per_positive, replace=False)
         centers = np.vstack([center[None, :], center[None, :] + ring[pick]])
-        wins = normalize_windows(windows_batch(magnitude, centers, size), mode, q)
+        wins = normalize_windows(windows_batch(magnitude, centers, size), "sum")
         rows.append(wins)
         labels.extend([1.0] + [-1.0] * negatives_per_positive)
     if not rows:

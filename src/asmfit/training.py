@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset_io import ModelBundle
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, ShapeArityError
 from .imaging import build_pyramid, equalize_histogram, sobel_gradients
 from .profiles import (
     ProfileModel,
@@ -93,10 +93,14 @@ def train_bundle(
     all randomness (negative-window placement, SVM batch order) is derived
     from it.
     """
-    if len(samples) < 2:
-        raise InsufficientDataError(f"need at least 2 training samples, got {len(samples)}")
     if fit_config is None:
         fit_config = FitConfig()
+    if fit_config.mode != "asm_svm":
+        raise ShapeArityError(
+            f"fit_config names mode {fit_config.mode!r}; bundles are trained for asm_svm"
+        )
+    if len(samples) < 2:
+        raise InsufficientDataError(f"need at least 2 training samples, got {len(samples)}")
     if svm_config is None:
         svm_config = SvmTrainConfig()
     levels = fit_config.levels
@@ -138,7 +142,7 @@ def train_bundle(
             one_d_rows.append(profiles_1d_batch(raw, pts, normals, classic_length))
         for mag, pts in zip(level_mag[lv], level_pts[lv]):
             wins = windows_batch(mag, pts, sizes[lv])
-            windows.append(normalize_windows(wins, fit_config.profile_norm, fit_config.q))
+            windows.append(normalize_windows(wins, "sum"))
         one_d_rows = np.stack(one_d_rows)  # (images, n, classic_length)
         windows = np.stack(windows)  # (images, n, size^2)
         classic_stats.append(tuple(stats_from_matrix(one_d_rows[:, j, :], eps) for j in range(n)))
@@ -163,8 +167,6 @@ def train_bundle(
                     offset_range=offset_range,
                     seed=_seed_for(seed, lv, j, 0),
                     size=sizes[lv],
-                    mode=fit_config.profile_norm,
-                    q=fit_config.q,
                 )
                 skipped_total += ts.skipped
                 pos += int(np.sum(ts.labels == 1))
@@ -192,14 +194,8 @@ def train_bundle(
     bundle = ModelBundle(
         scheme=scheme,
         shape_model=shape_model,
-        classic_profiles=ProfileModel(
-            kind="one_d", sizes=(classic_length,) * levels, stats=tuple(classic_stats),
-            mode=fit_config.profile_norm, q=fit_config.q, eps=eps,
-        ),
-        asm_profiles=ProfileModel(
-            kind="two_d", sizes=sizes, stats=tuple(asm_stats),
-            mode=fit_config.profile_norm, q=fit_config.q, eps=eps,
-        ),
+        classic_profiles=ProfileModel("one_d", (classic_length,) * levels, tuple(classic_stats)),
+        asm_profiles=ProfileModel("two_d", sizes, tuple(asm_stats)),
         svms=tuple(svms),
         fit_defaults=fit_config,
         train_meta={

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import zlib
 
@@ -32,3 +33,11 @@ def reseal(body) -> bytes:
     """Bundle bytes (without trailer) plus a freshly computed CRC32 trailer."""
     body = bytes(body)
     return body + struct.pack("<I", zlib.crc32(body))
+
+
+def with_fit_default(bundle, name, value):
+    """The bundle with one fit_defaults value planted unchecked, as another
+    writer could have stored it."""
+    config = dataclasses.replace(bundle.fit_defaults)
+    object.__setattr__(config, name, value)
+    return dataclasses.replace(bundle, fit_defaults=config)

@@ -11,8 +11,9 @@ The library copies gradient windows out of a strided view and normalizes
 them with one division. This module keeps the clamped three-index gather
 of every window and the masked sum normalization those replace.
 
-The library computes every landmark's normal in one vectorized pass; this
-module keeps the per-landmark form, landmark_normal.
+The library computes every landmark's normal in one vectorized pass from
+the scheme's chord_ends arrays; this module keeps the per-landmark form,
+landmark_normal, and the scheme lookups it uses, group_of and neighbors.
 """
 
 import numpy as np
@@ -75,6 +76,30 @@ def sum_normalized(flat):
     return out
 
 
+def group_of(scheme, index):
+    """(group, start offset) owning the global landmark index."""
+    for group, (_, span) in zip(scheme.groups, scheme.group_slices()):
+        if span.start <= index < span.stop:
+            return group, span.start
+    raise IndexError(f"landmark index {index} outside scheme of {scheme.total}")
+
+
+def neighbors(scheme, index):
+    """Global indices (prev, next) along the landmark's contour.
+
+    Open-contour endpoints get None on the missing side; closed contours
+    wrap around.
+    """
+    g, start = group_of(scheme, index)
+    local = index - start
+    prev = local - 1
+    nxt = local + 1
+    if g.closed:
+        return start + prev % g.count, start + nxt % g.count
+    return (start + prev if prev >= 0 else None,
+            start + nxt if nxt < g.count else None)
+
+
 def landmark_normal(shape, index, scheme=None):
     """Unit normal at one landmark, pointing away from the shape centroid.
 
@@ -86,7 +111,7 @@ def landmark_normal(shape, index, scheme=None):
         scheme = single_contour_scheme(shape.n)
     if scheme.total != shape.n:
         raise ShapeArityError(f"scheme covers {scheme.total} landmarks, shape has {shape.n}")
-    prev, nxt = scheme.neighbors(index)
+    prev, nxt = neighbors(scheme, index)
     pts = shape.points
     a = pts[prev] if prev is not None else pts[index]
     b = pts[nxt] if nxt is not None else pts[index]

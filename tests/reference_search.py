@@ -13,7 +13,7 @@ candidate in row-major order.
 import numpy as np
 
 from asmfit.imaging import sample_bilinear
-from asmfit.profiles import landmark_normals, mahalanobis_batch, normalize_windows
+from asmfit.profiles import landmark_normals, mahalanobis_batch
 from asmfit.search import _candidate_grid
 from asmfit.shape_model import Shape
 from asmfit.svm import decision_values
@@ -35,8 +35,9 @@ def profiles_1d(ctx, shape, size, cx, cy):
     return out
 
 
-def candidate_features(ctx, shape, config, size, cx, cy):
-    """(k, m, d) feature rows of every candidate; 2-D windows use the oracle gather.
+def candidate_features(ctx, shape, size, cx, cy):
+    """(k, m, d) feature rows of every candidate; 2-D windows use the oracle
+    gather and sum normalization.
 
     A context without a gradient field searches 1-D profiles.
     """
@@ -44,11 +45,7 @@ def candidate_features(ctx, shape, config, size, cx, cy):
         return profiles_1d(ctx, shape, size, cx, cy)
     k, m = cx.shape
     centers = np.stack([cx.ravel(), cy.ravel()], axis=1)
-    rows = clamped_windows(ctx.gradient.magnitude, centers, size)
-    if config.profile_norm == "sum":
-        rows = sum_normalized(rows)
-    else:
-        rows = normalize_windows(rows, config.profile_norm, config.q)
+    rows = sum_normalized(clamped_windows(ctx.gradient.magnitude, centers, size))
     return rows.reshape(k, m, size * size)
 
 
@@ -58,7 +55,7 @@ def search_landmarks(ctx, shape, config, level):
     pts = shape.points
     cx, cy, valid, cheb = _candidate_grid(pts, config.search_radius)
     k, m = cx.shape
-    feats = candidate_features(ctx, shape, config, size, cx, cy)
+    feats = candidate_features(ctx, shape, size, cx, cy)
 
     costs = np.empty((k, m))
     for j in range(k):

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import reseal
+from conftest import reseal, with_fit_default
 from asmfit.cli import (
     GROUP_PALETTE,
     MARKER_COLOR,
@@ -14,7 +14,7 @@ from asmfit.cli import (
     render_overlay,
     truth_box,
 )
-from asmfit.dataset_io import BUNDLE_MAGIC, load_points_file
+from asmfit.dataset_io import BUNDLE_MAGIC, load_bundle, load_points_file, save_bundle
 from asmfit.errors import BoxError
 from asmfit.imaging import GrayImage
 from asmfit.scheme import single_contour_scheme
@@ -216,6 +216,21 @@ def test_fit_rejects_unreadable_bundle_in_one_line(cli_env, tmp_path, capsys, da
     assert err.startswith("asmfit fit: damaged.asmb: ")
     assert expect in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, value", [("search_radius", 3.0), ("max_iters_per_level", 20.0),
+                                         ("canny_low", "x")])
+def test_fit_rejects_mistyped_fit_defaults_in_one_line(cli_env, tmp_path, capsys, name, value):
+    model = tmp_path / "mistyped.asmb"
+    save_bundle(with_fit_default(load_bundle(cli_env["bundle"]), name, value), model)
+    rc = main(["fit", "--model", str(model),
+               "--image", str(cli_env["images"] / "face_000.pgm"),
+               "--box", "10,10,50,50", "--out", str(tmp_path / "o.pts")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"asmfit fit: mistyped.asmb: malformed bundle field: {name} must be")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o.pts").exists()
 
 
 def test_fit_rejects_unknown_mode(cli_env, tmp_path):

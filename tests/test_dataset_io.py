@@ -1,14 +1,17 @@
 import dataclasses
+import re
 import struct
 import zlib
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import reseal
+from conftest import reseal, with_fit_default
 from asmfit.dataset_io import (
     BUNDLE_MAGIC,
+    BUNDLE_VERSION,
     AnnotatedSample,
     discover_pairs,
     load_annotated,
@@ -218,7 +221,6 @@ def test_bundle_round_trip(saved_bundle):
                             (loaded.asm_profiles, bundle.asm_profiles)):
         assert got_pm.kind == want_pm.kind
         assert got_pm.sizes == want_pm.sizes
-        assert got_pm.mode == want_pm.mode
         for got_row, want_row in zip(got_pm.stats, want_pm.stats):
             for got, want in zip(got_row, want_row):
                 assert np.array_equal(got.mean, want.mean)
@@ -285,7 +287,7 @@ def test_bundle_rejects_future_version(saved_bundle, tmp_path):
         load_bundle(bad)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_bundle_rejects_previous_version(saved_bundle, tmp_path, version):
     _, path = saved_bundle
     data = bytearray(path.read_bytes()[:-4])
@@ -296,10 +298,12 @@ def test_bundle_rejects_previous_version(saved_bundle, tmp_path, version):
         load_bundle(old)
 
 
-@pytest.mark.parametrize("drop, extra", [("q", None), (None, "svm_gate"), ("c", "legacy")])
+@pytest.mark.parametrize("drop, extra", [("canny_high", None), (None, "svm_gate"),
+                                         (None, "profile_norm"), ("c", "legacy")])
 def test_bundle_rejects_fit_config_key_set(saved_bundle, tmp_path, drop, extra):
     """A stored fit config must hold exactly FitConfig's fields: a missing
-    key, an extra one (svm_gate is a version-3 field) or both is corruption."""
+    key, an extra one (svm_gate is a version-3 field, profile_norm a
+    version-4 one) or both is corruption."""
     bundle, _ = saved_bundle
     cfg = bundle.fit_defaults
     fields = [(f.name, f.type, dataclasses.field(default=getattr(cfg, f.name)))
@@ -311,6 +315,34 @@ def test_bundle_rejects_fit_config_key_set(saved_bundle, tmp_path, drop, extra):
     save_bundle(dataclasses.replace(bundle, fit_defaults=odd), path)
     with pytest.raises(BundleCorruptionError, match="fit config keys"):
         load_bundle(path)
+
+
+@pytest.mark.parametrize("name, value", [("search_radius", 3.0), ("max_iters_per_level", 20.0),
+                                         ("canny_low", "x")])
+def test_bundle_rejects_mistyped_fit_defaults(saved_bundle, tmp_path, name, value):
+    bundle, _ = saved_bundle
+    path = tmp_path / "mistyped.asmb"
+    save_bundle(with_fit_default(bundle, name, value), path)
+    with pytest.raises(BundleCorruptionError, match=f"{name} must be"):
+        load_bundle(path)
+
+
+def test_bundle_rejects_two_d_statistics_in_classic_slot(saved_bundle, tmp_path):
+    """The slot fixes a profile model's kind: 2-D statistics stored as the
+    classic model do not load."""
+    bundle, _ = saved_bundle
+    path = tmp_path / "swapped.asmb"
+    save_bundle(dataclasses.replace(bundle, classic_profiles=bundle.asm_profiles), path)
+    with pytest.raises(BundleCorruptionError, match="stats dim 9 does not match"):
+        load_bundle(path)
+
+
+def test_format_doc_matches_bundle_version_and_fit_config():
+    """FORMAT.md names the current version and the stored fit config keys in order."""
+    text = (Path(__file__).resolve().parents[1] / "FORMAT.md").read_text(encoding="utf-8")
+    assert [int(v) for v in re.findall(r"currently (\d+)", text)] == [BUNDLE_VERSION]
+    keys = re.search(r"`fit_defaults\.config` is a dict .*? in\s+this\s+order:(.*?`)\.", text, re.S)
+    assert re.findall(r"`(\w+)`", keys.group(1)) == [f.name for f in dataclasses.fields(FitConfig)]
 
 
 def test_bundle_fit_defaults_must_name_asm_svm(trained):

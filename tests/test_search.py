@@ -46,7 +46,7 @@ import reference_search
 
 
 def two_d_config(**overrides):
-    base = dict(levels=1, profile_lengths=(5,), search_radius=2, profile_norm="sum")
+    base = dict(levels=1, profile_lengths=(5,), search_radius=2)
     base.update(overrides)
     return FitConfig(**base)
 
@@ -88,6 +88,16 @@ def test_fit_config_validation():
         FitConfig(mode="hybrid")
     with pytest.raises(ShapeArityError):
         FitConfig(max_iters_per_level=-1)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("levels", True), ("levels", 3.0), ("search_radius", 3.0), ("max_iters_per_level", 20.0),
+    ("max_iters_per_level", False), ("convergence", "0.9"), ("c", None), ("canny_low", "x"),
+    ("canny_high", [150.0]),
+])
+def test_fit_config_rejects_mistyped_values(name, value):
+    with pytest.raises(ShapeArityError, match=f"{name} must be"):
+        FitConfig(**{name: value})
 
 
 # ------------------------------------------------------------- placement
@@ -302,20 +312,24 @@ def oracle_context(rng, kind, size, k, hw=(40, 52), tie_image=False, gate=True, 
                         svms=svms if gate else None, scheme=None)
 
 
-@pytest.mark.parametrize("seed,kind,norm,gate,edges", [
-    (21, "two_d", "sum", True, True),
-    (22, "two_d", "sum", False, True),
-    (23, "two_d", "sum", True, False),
-    (24, "two_d", "sigmoid", True, True),
-    (25, "one_d", "sum", False, False),
-    (26, "one_d", "sum", True, True),
-])
+ORACLE_CASES = [
+    (21, "two_d", True, True),
+    (22, "two_d", False, True),
+    (23, "two_d", True, False),
+    (25, "one_d", False, False),
+    (26, "one_d", True, True),
+]
+
+
+# The ids keep the "sum" they had when the window rule was a parameter.
+@pytest.mark.parametrize("seed,kind,gate,edges", ORACLE_CASES,
+                         ids=[f"{s}-{k}-sum-{g}-{e}" for s, k, g, e in ORACLE_CASES])
 @pytest.mark.parametrize("tie_image", [False, True])
-def test_search_matches_score_gate_lexsort_oracle(seed, kind, norm, gate, edges, tie_image):
+def test_search_matches_score_gate_lexsort_oracle(seed, kind, gate, edges, tie_image):
     """Winners equal the oracle's; costs agree to rtol 1e-12, gate fallbacks and ties included."""
     rng = np.random.default_rng(seed + 10 * tie_image)
     k, size = 12, 7
-    cfg = FitConfig(levels=1, profile_lengths=(size,), search_radius=3, profile_norm=norm)
+    cfg = FitConfig(levels=1, profile_lengths=(size,), search_radius=3)
     for trial in range(4):
         ctx = oracle_context(rng, kind, size, k, tie_image=tie_image, gate=gate, edges=edges)
         # inside, fractional and integer, and across every border
@@ -331,11 +345,10 @@ def test_search_matches_score_gate_lexsort_oracle(seed, kind, norm, gate, edges,
 def test_oracle_contexts_plant_fallbacks_and_ties():
     """The oracle test above meets both gate fallbacks and cost ties."""
     rng = np.random.default_rng(1)
-    cfg = two_d_config(profile_lengths=(7,), search_radius=3)
     ctx = oracle_context(rng, "two_d", 7, 12, tie_image=True)
     pts = np.column_stack([np.full(12, 10.0), np.linspace(5.0, 35.0, 12)])
     cx, cy, valid, _ = _candidate_grid(pts, 3)
-    feats = reference_search.candidate_features(ctx, Shape(pts), cfg, 7, cx, cy)
+    feats = reference_search.candidate_features(ctx, Shape(pts), 7, cx, cy)
     accepted = [np.count_nonzero(valid[j] & (decision_values(ctx.svms[j], feats[j]) >= 0))
                 for j in range(12)]
     assert accepted[0] == 0 and accepted[-1] == np.count_nonzero(valid[-1])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from asmfit.dataset_io import AnnotatedSample
-from asmfit.errors import ClassBalanceError, InsufficientDataError
+from asmfit.errors import ClassBalanceError, InsufficientDataError, ShapeArityError
 from asmfit.imaging import GrayImage, build_pyramid, equalize_histogram, sobel_gradients
 from asmfit.scheme import DEFAULT_SCHEME
 from asmfit.search import FitConfig
@@ -10,6 +10,7 @@ from asmfit.shape_model import Shape
 from asmfit.svm import (
     LinearSvmModel,
     SvmTrainConfig,
+    _ring_offsets,
     build_landmark_training_set,
     decision_values,
 )
@@ -80,6 +81,19 @@ def test_training_requires_two_samples(faces96):
         train_bundle(faces96[:1], DEFAULT_SCHEME)
 
 
+def test_classic_fit_config_fails_before_training(faces96, monkeypatch):
+    def started(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("asmfit.training.gpa_align", started)
+    monkeypatch.setattr("asmfit.training.build_pyramid", started)
+    with pytest.raises(ShapeArityError, match="asm_svm"):
+        train_bundle(faces96[:3], DEFAULT_SCHEME, fit_config=FitConfig(mode="classic"))
+    # the patch is live: an asm_svm training reaches it
+    with pytest.raises(AssertionError, match="training started"):
+        train_bundle(faces96[:3], DEFAULT_SCHEME)
+
+
 def test_train_meta_records_settings(trained):
     bundle, _, _ = trained
     meta = bundle.train_meta
@@ -100,7 +114,7 @@ def level_training_set(samples, landmark, level, seed, levels=3):
     cfg = FitConfig()
     return build_landmark_training_set(
         dataset, landmark, level, seed=_seed_for(seed, level, landmark, 0),
-        size=cfg.profile_lengths[level], mode=cfg.profile_norm, q=cfg.q,
+        size=cfg.profile_lengths[level],
     )
 
 
@@ -149,28 +163,33 @@ def test_summary_accuracy_matches_per_landmark_oracle(trained):
 
 
 def test_constant_window_dimension_gets_unit_std(faces96):
-    # Rows 0-18 are flat, so the Sobel magnitude is zero on rows 0-17. The
-    # level-0 3x3 windows of landmark 0 at y = 10, and of its negatives at
-    # most 8 rows away, keep their top row there; only negatives 7 or 8 rows
-    # down reach the texture below. Sigmoid normalization keeps zero
-    # magnitudes at zero, where the sum rule maps flat windows to uniform.
+    # Landmark 0 is moved onto its nearest pixel, so its level-0 3x3 windows
+    # are centered on the point and on the ring offsets the training set
+    # draws (the same generator, replayed here). Every image gets a flat 3x3
+    # patch around the top-left pixel of each of those windows: the Sobel
+    # magnitude there is exactly zero, so the first dimension of every
+    # sum-normalized row is 0, while the image noise keeps the rest of each
+    # window nonzero and no window flat.
+    rng = np.random.default_rng(_seed_for(4, 0, 0, 0))
+    ring = _ring_offsets(2, 8)
     samples = []
     for sample in faces96[:6]:
-        pixels = sample.image.pixels.copy()
-        pixels[:19] = 100.0
         pts = sample.shape.points.copy()
-        pts[0] = (48.0, 10.0)
+        pts[0] = np.rint(pts[0])
+        picks = ring[rng.choice(len(ring), size=8, replace=False)]
+        pixels = sample.image.pixels.copy()
+        for x, y in (pts[0] + np.vstack([(0, 0), picks]) - 1).astype(int):
+            pixels[y - 1:y + 2, x - 1:x + 2] = 100.0
         samples.append(AnnotatedSample(sample.name, GrayImage(pixels), Shape(pts)))
-    fit_config = FitConfig(profile_norm="sigmoid")
-    bundle, _ = train_bundle(samples, DEFAULT_SCHEME, fit_config=fit_config,
-                             svm_config=SvmTrainConfig(epochs=5),
+    bundle, _ = train_bundle(samples, DEFAULT_SCHEME, svm_config=SvmTrainConfig(epochs=5),
                              negatives_per_positive=8, seed=4)
     dataset = [(sobel_gradients(equalize_histogram(s.image)).magnitude, s.shape.points)
                for s in samples]
     ts = build_landmark_training_set(dataset, 0, 0, negatives_per_positive=8,
-                                     seed=_seed_for(4, 0, 0, 0), size=3, mode="sigmoid")
+                                     seed=_seed_for(4, 0, 0, 0), size=3)
     constant = ts.features.std(axis=0) == 0.0
-    assert constant[:3].all() and not constant.all()
+    assert constant[0] and not constant.all()
+    assert np.all(ts.features[:, 0] == 0.0)
     rows, mean, std = standardized(ts.features)
     assert np.all(std[constant] == 1.0)
     ref = train_linear_svm_reference(rows, ts.labels, epochs=5, seed=_seed_for(4, 0, 0, 1))
