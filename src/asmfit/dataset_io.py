@@ -87,18 +87,10 @@ class ModelBundle:
             raise DimensionMismatchError("asm profile sizes must match fit defaults")
         if self.fit_defaults.mode != "asm_svm":
             raise ShapeArityError(f"fit defaults name mode {self.fit_defaults.mode!r}, not asm_svm")
-        if len(self.svms) != levels:
-            raise DimensionMismatchError("one SVM row per level required")
-        for level in range(levels):
-            if len(self.svms[level]) != n:
-                raise DimensionMismatchError("one SVM per landmark required")
-            d = self.asm_profiles.sizes[level] ** 2
-            for model in self.svms[level]:
-                if model.dim != d:
-                    raise DimensionMismatchError(
-                        f"level {level}: SVM dim {model.dim} vs profile dim {d}"
-                    )
-        object.__setattr__(self, "svms", tuple(tuple(row) for row in self.svms))
+        got = [model.weights.shape for model in self.svms]
+        want = [(n, size * size) for size in self.asm_profiles.sizes]
+        if got != want:
+            raise DimensionMismatchError(f"SVM weights {got} per level, profiles need {want}")
 
 
 # ---------------------------------------------------------------- points IO
@@ -378,38 +370,27 @@ def _decode(buf: memoryview, pos: int, depth: int = 0):
             arr = np.frombuffer(buf, dtype=dtype, count=count, offset=pos).reshape(shape)
         except ValueError as exc:
             raise BundleCorruptionError(f"array at byte {pos} has shape {shape}: {exc}") from None
-        return arr.copy(), end
+        arr = arr.copy()
+        arr.setflags(write=False)  # read-only, so the models take it over without a copy
+        return arr, end
     raise BundleCorruptionError(f"unknown value tag {tag} at byte {pos - 1}")
 
 
 def _profile_model_payload(pm: ProfileModel) -> dict:
     return {
         "sizes": list(pm.sizes),
-        "means": [np.stack([st.mean for st in level]) for level in pm.stats],
-        "bases": [np.stack([st.basis for st in level]) for level in pm.stats],
-        "lams": [np.stack([st.lam for st in level]) for level in pm.stats],
-        "rhos": [np.array([st.rho for st in level]) for level in pm.stats],
+        "means": [st.mean for st in pm.stats],
+        "bases": [st.basis for st in pm.stats],
+        "lams": [st.lam for st in pm.stats],
+        "rhos": [st.rho for st in pm.stats],
     }
 
 
 def _profile_model_from_payload(payload: dict, kind: str) -> ProfileModel:
     fields = [payload[key] for key in ("means", "bases", "lams", "rhos")]
-    if any(len(arrays) != len(payload["sizes"]) for arrays in fields):
-        raise BundleCorruptionError("profile arrays and sizes disagree on the level count")
-    stats = []
-    for means, bases, lams, rhos in zip(*fields):
-        k, d = means.shape
-        r = lams.shape[-1]
-        if bases.shape != (k, d, r) or lams.shape != (k, r) or rhos.shape != (k,):
-            raise BundleCorruptionError(
-                f"profile arrays {means.shape}, {bases.shape}, {lams.shape}, {rhos.shape} "
-                "do not stack to (k, d), (k, d, r), (k, r), (k,)"
-            )
-        stats.append(tuple(
-            ProfileStats(means[j], basis=bases[j], lam=lams[j], rho=rhos[j])
-            for j in range(k)
-        ))
-    return ProfileModel(kind=kind, sizes=tuple(payload["sizes"]), stats=tuple(stats))
+    stats = tuple(ProfileStats(means, basis=bases, lam=lams, rho=rhos)
+                  for means, bases, lams, rhos in zip(*fields, strict=True))
+    return ProfileModel(kind=kind, sizes=tuple(payload["sizes"]), stats=stats)
 
 
 def _fit_config_from_payload(payload: dict) -> FitConfig:
@@ -440,8 +421,8 @@ def save_bundle(bundle: ModelBundle, path) -> None:
             "asm": _profile_model_payload(bundle.asm_profiles),
         }),
         ("svms", {
-            "weights": [np.stack([m.weights for m in row]) for row in bundle.svms],
-            "biases": [np.array([m.bias for m in row]) for row in bundle.svms],
+            "weights": [model.weights for model in bundle.svms],
+            "biases": [model.bias for model in bundle.svms],
         }),
         ("fit_defaults", {
             "config": dataclasses.asdict(bundle.fit_defaults),
@@ -540,10 +521,8 @@ def _bundle_from_sections(sections: dict) -> ModelBundle:
         shape_model=shape_model,
         classic_profiles=_profile_model_from_payload(sections["profiles"]["classic"], "one_d"),
         asm_profiles=_profile_model_from_payload(sections["profiles"]["asm"], "two_d"),
-        svms=tuple(
-            tuple(LinearSvmModel(w[j], float(b[j])) for j in range(w.shape[0]))
-            for w, b in zip(svm_raw["weights"], svm_raw["biases"])
-        ),
+        svms=tuple(LinearSvmModel(w, b)
+                   for w, b in zip(svm_raw["weights"], svm_raw["biases"], strict=True)),
         fit_defaults=_fit_config_from_payload(sections["fit_defaults"]["config"]),
         train_meta=sections["fit_defaults"]["train_meta"],
     )

@@ -8,6 +8,7 @@ regularized Mahalanobis form, optionally weighted down on edge pixels.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,84 +41,103 @@ class Profile:
         return self.values.size
 
 
-def _ridge(eps: float, trace: float, dim: int) -> float:
+def _ridge(eps: float, trace, dim: int):
     """Ridge rho = eps * trace / d added to the covariance; floored when eps > 0."""
     rho = eps * trace / dim
-    return max(rho, 1e-12) if eps > 0 else rho
+    return np.maximum(rho, 1e-12) if eps > 0 else rho
+
+
+def readonly(values) -> np.ndarray:
+    """values as a read-only C-ordered float array; one that already is, such
+    as a decoded bundle array, is kept without a copy."""
+    arr = np.asarray(values, dtype=float, order="C")
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class ProfileStats:
-    """Per-landmark training statistics as an exact eigen-factor.
+    """Training statistics of one landmark, or of k stacked landmarks, as exact eigen-factors.
 
     The covariance is C = U diag(lam) U^T with an orthonormal (d, r) basis
     U; C has no mass outside span(U). Costs use C + rho * I through
     weights = 1 / (lam + rho), so no inverse is ever formed. Build it from
     a covariance (every eigenpair is kept, r = d) or directly from
     (basis, lam, rho), as stats_from_matrix and the bundle loader do.
+
+    A stack adds a leading landmark axis to every field: mean (k, d), basis
+    (k, d, r), lam and weights (k, r), rho (k,). Its landmarks share d and
+    r, and landmark j's statistics are row j of each array.
     """
 
     mean: np.ndarray
     basis: np.ndarray = field(repr=False)
     lam: np.ndarray = field(repr=False)
-    rho: float
+    rho: float | np.ndarray
     weights: np.ndarray = field(repr=False)
 
     def __init__(self, mean, covariance=None, eps: float = 1e-3, *,
                  basis=None, lam=None, rho=None):
-        mean = np.array(mean, dtype=float).ravel()
-        d = mean.size
+        mean = readonly(mean)
+        if mean.ndim not in (1, 2):
+            raise DimensionMismatchError(f"mean must be (d,) or (k, d), got {mean.shape}")
+        lead, d = mean.shape[:-1], mean.shape[-1]
         if covariance is not None:
             if basis is not None or lam is not None or rho is not None:
                 raise TypeError("give either a covariance or (basis, lam, rho), not both")
-            cov = np.array(covariance, dtype=float)
-            if cov.shape != (d, d):
+            cov = np.asarray(covariance, dtype=float)
+            if cov.shape != lead + (d, d):
                 raise DimensionMismatchError(
-                    f"covariance {cov.shape} does not match mean dim {d}"
+                    f"covariance {cov.shape} does not match mean {mean.shape}"
                 )
-            cov = (cov + cov.T) / 2
+            cov = cov + np.swapaxes(cov, -1, -2)
+            cov /= 2
             lam, basis = np.linalg.eigh(cov)
+            basis.setflags(write=False)  # owned here, so kept without a copy
             lam = np.maximum(lam, 0.0)
-            rho = _ridge(eps, float(np.trace(cov)), d)
+            rho = _ridge(eps, np.trace(cov, axis1=-2, axis2=-1), d)
         elif basis is None or lam is None or rho is None:
             raise TypeError("ProfileStats needs a covariance or (basis, lam, rho)")
-        basis = np.array(basis, dtype=float, order="C")
-        lam = np.array(lam, dtype=float)
-        rho = float(rho)
-        if basis.ndim != 2 or basis.shape[0] != d or basis.shape[1] > d:
-            raise DimensionMismatchError(f"basis {basis.shape} does not fit mean dim {d}")
-        if lam.shape != basis.shape[1:]:
-            raise DimensionMismatchError(
-                f"{lam.size} eigenvalues for a rank-{basis.shape[1]} basis"
-            )
+        basis = readonly(basis)
+        lam = readonly(lam)
+        rho = readonly(rho)
+        r = basis.shape[-1] if basis.ndim else 0
+        if basis.shape != lead + (d, r) or r > d:
+            raise DimensionMismatchError(f"basis {basis.shape} does not fit mean {mean.shape}")
+        if lam.shape != lead + (r,):
+            raise DimensionMismatchError(f"eigenvalues {lam.shape} for a basis {basis.shape}")
+        if rho.shape != lead:
+            raise DimensionMismatchError(f"ridge {rho.shape} for a mean {mean.shape}")
         if not ((lam >= 0).all() and np.isfinite(lam).all()):
             raise InsufficientDataError("eigenvalues must be finite and non-negative")
-        if not 0 <= rho < np.inf:
-            raise InsufficientDataError(f"ridge must be finite and non-negative, got {rho}")
-        if rho == 0 and (basis.shape[1] < d or not lam.all()):
+        if not ((rho >= 0) & (rho < np.inf)).all():
+            raise InsufficientDataError("ridge must be finite and non-negative")
+        if ((rho == 0) & ((r < d) | ~lam.all(axis=-1))).any():
             raise InsufficientDataError("eps=0 needs a full-rank, non-singular covariance")
-        for name, arr in (("mean", mean), ("basis", basis), ("lam", lam),
-                          ("weights", 1.0 / (lam + rho))):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "rho", rho)
+        weights = 1.0 / (lam + rho[..., None])
+        weights.setflags(write=False)
+        for name, value in (("mean", mean), ("basis", basis), ("lam", lam),
+                            ("rho", rho if lead else float(rho)), ("weights", weights)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
-        return self.mean.size
+        return self.mean.shape[-1]
 
     @property
     def rank(self) -> int:
-        return self.lam.size
+        return self.lam.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
 class ProfileModel:
-    """Profile geometry plus per (level, landmark) statistics.
+    """Profile geometry plus per-level statistics of every landmark.
 
-    stats[level][landmark] -> ProfileStats; sizes[level] is the profile
-    length (1-D) or the side of the sum-normalized window (2-D) used at
-    that pyramid level.
+    stats[level] is one ProfileStats stacked over the landmarks; sizes[level]
+    is the profile length (1-D) or the side of the sum-normalized window
+    (2-D) used at that pyramid level.
     """
 
     kind: str
@@ -127,27 +147,18 @@ class ProfileModel:
     def __post_init__(self):
         if self.kind not in ("one_d", "two_d"):
             raise ShapeArityError(f"unknown profile kind {self.kind!r}")
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = integer_sizes("profile sizes", self.sizes)
         if len(sizes) != len(self.stats):
             raise DimensionMismatchError("one size per level required")
-        for s in sizes:
-            if s < 3 or s % 2 == 0:
-                raise ShapeArityError(f"profile sizes must be odd and >= 3, got {s}")
-        stats = tuple(tuple(level) for level in self.stats)
-        n = len(stats[0]) if stats else 0
-        for level_stats, size in zip(stats, sizes):
-            if len(level_stats) != n:
-                raise DimensionMismatchError("every level must cover every landmark")
+        n = self.stats[0].mean.shape[0] if self.stats else 0
+        for level_stats, size in zip(self.stats, sizes):
             want = size if self.kind == "one_d" else size * size
-            for st in level_stats:
-                if st.dim != want:
-                    raise DimensionMismatchError(
-                        f"stats dim {st.dim} does not match configured size {size}"
-                    )
-            if len({st.rank for st in level_stats}) > 1:
-                raise DimensionMismatchError("every landmark of a level must share one rank")
+            if level_stats.mean.shape != (n, want):
+                raise DimensionMismatchError(
+                    f"stats dim {level_stats.dim} does not match configured size {size}, "
+                    f"or the level does not hold all {n} landmarks"
+                )
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "stats", stats)
 
     @property
     def levels(self) -> int:
@@ -155,7 +166,17 @@ class ProfileModel:
 
     @property
     def n_landmarks(self) -> int:
-        return len(self.stats[0])
+        return self.stats[0].mean.shape[0]
+
+
+def integer_sizes(name: str, values) -> tuple:
+    """values as a tuple of odd integers >= 3; bools and non-integers are rejected."""
+    sizes = tuple(values)
+    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in sizes):
+        raise ShapeArityError(f"{name} must be integers, got {sizes!r}")
+    if any(v < 3 or v % 2 == 0 for v in sizes):
+        raise ShapeArityError(f"{name} must be odd and >= 3, got {sizes}")
+    return tuple(int(v) for v in sizes)
 
 
 def landmark_normals(shape: Shape, scheme: LandmarkScheme = None) -> np.ndarray:
@@ -279,22 +300,28 @@ def windows_batch(values: np.ndarray, centers: np.ndarray, size: int) -> np.ndar
 def stats_from_matrix(rows: np.ndarray, eps: float = 1e-3) -> ProfileStats:
     """ProfileStats from an (m, d) sample matrix (m >= 2), of rank min(m - 1, d).
 
-    The covariance of m centred rows has rank at most m - 1. With m <= d
-    the factor comes from a thin SVD of the centred rows, otherwise from
-    the eigendecomposition of the d x d covariance; neither forms an inverse.
+    A (k, m, d) stack of k landmarks' samples gives their statistics
+    stacked. The covariance of m centred rows has rank at most m - 1. With
+    m <= d the factor comes from a thin SVD of the centred rows, otherwise
+    from the eigendecomposition of the d x d covariance; neither forms an
+    inverse.
     """
     rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[0] < 2:
+    if rows.ndim not in (2, 3) or rows.shape[-2] < 2:
         raise InsufficientDataError(f"need at least 2 profile samples, got {rows.shape}")
-    m, d = rows.shape
-    mean = rows.mean(axis=0)
-    dev = rows - mean
+    m, d = rows.shape[-2:]
+    mean = rows.mean(axis=-2)
+    dev = rows - mean[..., None, :]
     if m > d:
-        return ProfileStats(mean, dev.T @ dev / (m - 1), eps)
+        cov = np.swapaxes(dev, -1, -2) @ dev
+        del dev  # with cov, the largest arrays of a stack's statistics
+        cov /= m - 1
+        return ProfileStats(mean, cov, eps)
     _, s, vt = np.linalg.svd(dev, full_matrices=False)
-    trace = float(np.vdot(dev, dev)) / (m - 1)
-    return ProfileStats(mean, eps=eps, basis=vt[:m - 1].T, lam=s[:m - 1] ** 2 / (m - 1),
-                        rho=_ridge(eps, trace, d))
+    # One dot per landmark: a stacked sum would round differently.
+    trace = np.array([np.vdot(x, x) for x in dev.reshape(-1, m * d)]).reshape(dev.shape[:-2])
+    return ProfileStats(mean, basis=np.swapaxes(vt[..., :m - 1, :], -1, -2),
+                        lam=s[..., :m - 1] ** 2 / (m - 1), rho=_ridge(eps, trace / (m - 1), d))
 
 
 def mahalanobis_cost(stats: ProfileStats, g: Profile) -> float:
@@ -304,21 +331,26 @@ def mahalanobis_cost(stats: ProfileStats, g: Profile) -> float:
     return float(mahalanobis_batch(stats, g.values[None, :])[0])
 
 
-def mahalanobis_batch(stats: ProfileStats, rows: np.ndarray) -> np.ndarray:
+def mahalanobis_batch(stats: ProfileStats, rows: np.ndarray, landmark: int = None) -> np.ndarray:
     """Regularized Mahalanobis cost of every row of an (m, d) candidate matrix.
 
     In-span part sum((U^T delta)^2 / (lam + rho)) plus the residual outside
     span(U) over rho; the residual term is absent when U spans every dim.
+    For stacked statistics, landmark names the row of the stack to use.
     """
     rows = np.asarray(rows, dtype=float)
-    if rows.shape[-1] != stats.dim:
-        raise DimensionMismatchError(f"profile dim {rows.shape[-1]} vs stats dim {stats.dim}")
-    delta = rows - stats.mean
-    proj = delta @ stats.basis
+    mean, basis, weights, rho = stats.mean, stats.basis, stats.weights, stats.rho
+    if landmark is not None:
+        mean, basis, weights, rho = mean[landmark], basis[landmark], weights[landmark], rho[landmark]
+    if mean.shape != rows.shape[-1:]:
+        raise DimensionMismatchError(f"profile dim {rows.shape[-1]} vs stats mean {mean.shape} "
+                                     "(stacked statistics need a landmark index)")
+    delta = rows - mean
+    proj = delta @ basis
     sq = proj * proj
-    cost = sq @ stats.weights
+    cost = sq @ weights
     if stats.rank < stats.dim:
-        cost += (np.einsum("md,md->m", delta, delta) - sq.sum(axis=1)) / stats.rho
+        cost += (np.einsum("md,md->m", delta, delta) - sq.sum(axis=1)) / rho
     return cost
 
 

@@ -24,6 +24,8 @@ from .errors import (
 from .imaging import GrayImage, ImagePyramid, canny_edges, equalize_histogram, sobel_gradients
 from .imaging import sample_bilinear  # noqa: F401 (perfbench/tracing.py:WRAPS wraps this name)
 from .profiles import (
+    ProfileStats,
+    integer_sizes,
     landmark_normals,
     mahalanobis_batch,
     normalize_windows,
@@ -31,7 +33,7 @@ from .profiles import (
     windows_batch,
 )
 from .shape_model import Shape, ShapeModel, clamp_params, fit_params, synthesize
-from .svm import decision_values
+from .svm import LinearSvmModel, decision_values
 
 
 @dataclass(frozen=True)
@@ -65,13 +67,11 @@ class FitConfig:
                 raise ShapeArityError(f"{name} must be a real number, got {value!r}")
         if self.levels < 1:
             raise ShapeArityError(f"need at least 1 level, got {self.levels}")
-        lengths = tuple(int(v) for v in self.profile_lengths)
+        lengths = integer_sizes("profile_lengths", self.profile_lengths)
         if len(lengths) != self.levels:
             raise ShapeArityError(
                 f"profile_lengths needs one entry per level, got {len(lengths)} for {self.levels}"
             )
-        if any(v < 3 or v % 2 == 0 for v in lengths):
-            raise ShapeArityError(f"profile lengths must be odd and >= 3, got {lengths}")
         object.__setattr__(self, "profile_lengths", lengths)
         if self.search_radius < 1:
             raise ShapeArityError(f"search_radius must be >= 1, got {self.search_radius}")
@@ -81,19 +81,23 @@ class FitConfig:
             raise ShapeArityError(f"convergence fraction must be in (0, 1], got {self.convergence}")
         if not self.c > 1:
             raise ShapeArityError(f"edge weight constant must exceed 1, got {self.c}")
+        if not 0 <= self.canny_low <= self.canny_high:
+            raise ShapeArityError(f"canny_low must be in [0, canny_high], got low="
+                                  f"{self.canny_low} high={self.canny_high}")
         if self.mode not in ("asm_svm", "classic"):
             raise ShapeArityError(f"unknown mode {self.mode!r}, expected classic or asm_svm")
 
 
 @dataclass(frozen=True, eq=False)
 class LevelContext:
-    """Per-level cache; classic leaves gradient, edge_map and svms None."""
+    """Per-level cache of models stacked over the landmarks and of images;
+    classic leaves gradient, edge_map and svms None."""
 
     raw: GrayImage
     gradient: object
     edge_map: np.ndarray
-    stats: tuple
-    svms: tuple
+    stats: ProfileStats
+    svms: LinearSvmModel
     scheme: object
 
 
@@ -187,11 +191,11 @@ def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig, level: 
     k, m = cx.shape
     feats = _candidate_features(ctx, shape, config, size, cx, cy)
 
-    if len(ctx.stats) != k:
-        raise DimensionMismatchError(f"{len(ctx.stats)} stat entries for {k} landmarks")
+    if ctx.stats.mean.shape[:-1] != (k,):
+        raise DimensionMismatchError(f"statistics {ctx.stats.mean.shape} for {k} landmarks")
     if ctx.svms is not None:
         for j in range(k):
-            gated = allowed[j] & (decision_values(ctx.svms[j], feats[j]) >= 0)
+            gated = allowed[j] & (decision_values(ctx.svms, feats[j], j) >= 0)
             if gated.any():
                 allowed[j] = gated
 
@@ -201,7 +205,7 @@ def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig, level: 
     bounds = np.concatenate(([0], np.cumsum(np.count_nonzero(allowed, axis=1)))).tolist()
     costs = np.full((k, m), np.inf)
     costs[allowed] = np.concatenate([
-        mahalanobis_batch(ctx.stats[j], rows[bounds[j]:bounds[j + 1]]) for j in range(k)
+        mahalanobis_batch(ctx.stats, rows[bounds[j]:bounds[j + 1]], j) for j in range(k)
     ])
     if ctx.edge_map is not None:
         h, w = ctx.edge_map.shape

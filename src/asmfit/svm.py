@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClassBalanceError, DimensionMismatchError, ShapeArityError
-from .profiles import normalize_windows, windows_batch
+from .profiles import normalize_windows, readonly, windows_batch
 
 RING_MIN_DEFAULT = 2
 RING_MAX_DEFAULT = 8
@@ -21,19 +21,26 @@ RING_MAX_DEFAULT = 8
 
 @dataclass(frozen=True, eq=False)
 class LinearSvmModel:
+    """Hyperplane weights (d,) and bias of one landmark's classifier, or
+    weights (k, d) and biases (k,) of k stacked landmarks; landmark j's
+    classifier is row j."""
+
     weights: np.ndarray
-    bias: float
+    bias: float | np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float).ravel()
-        if not (np.all(np.isfinite(w)) and np.isfinite(self.bias)):
+        w = readonly(self.weights)
+        b = readonly(self.bias)
+        if w.ndim not in (1, 2) or b.shape != w.shape[:-1]:
+            raise DimensionMismatchError(f"SVM weights {w.shape} do not pair with biases {b.shape}")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ShapeArityError("SVM parameters must be finite")
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "bias", b if b.ndim else float(b))
 
     @property
     def dim(self) -> int:
-        return self.weights.size
+        return self.weights.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -69,10 +76,8 @@ class LandmarkTrainingSet:
 
     def __post_init__(self):
         # Read-only float arrays are kept as given, so a stack is not copied twice.
-        feats = np.asarray(self.features, dtype=float)
-        if feats.flags.writeable:
-            feats = feats.copy()
-        labels = np.array(self.labels, dtype=float)
+        feats = readonly(self.features)
+        labels = readonly(self.labels)
         if feats.ndim == 2:
             labels = labels.ravel()
         if feats.ndim not in (2, 3) or labels.shape != feats.shape[:-1]:
@@ -86,8 +91,6 @@ class LandmarkTrainingSet:
             raise DimensionMismatchError(f"{len(self.landmark)} landmark ids for a stack of {k}")
         if self.seeds is not None and len(self.seeds) != k:
             raise DimensionMismatchError(f"{len(self.seeds)} seeds for a stack of {k}")
-        feats.setflags(write=False)
-        labels.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
 
@@ -185,7 +188,7 @@ def train_linear_svm(train_set: LandmarkTrainingSet, config: SvmTrainConfig):
 
     A stack of k landmarks runs as one loop: every landmark keeps its own
     generator and permutation order, and each step gathers the k batches
-    at once. Returns one LinearSvmModel, or a tuple of k for a stack.
+    at once. Returns one LinearSvmModel, stacked for a stack.
     """
     k, m, d = len(train_set.landmarks), train_set.count, train_set.features.shape[-1]
     y = train_set.labels.reshape(k, m)
@@ -223,27 +226,31 @@ def train_linear_svm(train_set: LandmarkTrainingSet, config: SvmTrainConfig):
         if epoch >= config.epochs // 2:
             avg += w
             averaged += 1
-    w = avg / averaged
-    models = tuple(LinearSvmModel(row[:-1], float(row[-1])) for row in w)
-    return models if train_set.features.ndim == 3 else models[0]
+    w = (avg / averaged).reshape(train_set.features.shape[:-2] + (d + 1,))
+    return LinearSvmModel(w[..., :-1], w[..., -1])
 
 
-def training_accuracy(models, train_set: LandmarkTrainingSet) -> np.ndarray:
+def training_accuracy(model: LinearSvmModel, train_set: LandmarkTrainingSet) -> np.ndarray:
     """Fraction of each landmark's training rows classified right, shape (k,)."""
-    weights = np.stack([model.weights for model in models])
-    bias = np.array([model.bias for model in models])
-    feats = train_set.features.reshape(len(models), train_set.count, -1)
-    decision = np.matmul(feats, weights[:, :, None])[:, :, 0] + bias[:, None]
+    k = len(train_set.landmarks)
+    weights = model.weights.reshape(k, -1)
+    feats = train_set.features.reshape(k, train_set.count, -1)
+    decision = np.matmul(feats, weights[:, :, None])[:, :, 0] + np.reshape(model.bias, (k, 1))
     labels = train_set.labels.reshape(decision.shape)
     return np.mean(np.where(decision >= 0, 1.0, -1.0) == labels, axis=1)
 
 
-def decision_values(model: LinearSvmModel, rows: np.ndarray) -> np.ndarray:
-    """Decision values for an (m, d) feature matrix."""
+def decision_values(model: LinearSvmModel, rows: np.ndarray, landmark: int = None) -> np.ndarray:
+    """Decision values for an (m, d) feature matrix; for a stacked model,
+    landmark names the row of the stack to use."""
     rows = np.asarray(rows, dtype=float)
-    if rows.shape[-1] != model.dim:
-        raise DimensionMismatchError(f"profile dim {rows.shape[-1]} vs SVM dim {model.dim}")
-    return rows @ model.weights + model.bias
+    weights, bias = model.weights, model.bias
+    if landmark is not None:
+        weights, bias = weights[landmark], bias[landmark]
+    if weights.shape != rows.shape[-1:]:
+        raise DimensionMismatchError(f"profile dim {rows.shape[-1]} vs SVM weights {weights.shape} "
+                                     "(a stacked SVM needs a landmark index)")
+    return rows @ weights + bias
 
 
 def svm_objective(model: LinearSvmModel, train_set: LandmarkTrainingSet, c_penalty: float) -> float:

@@ -8,7 +8,7 @@ standardized windows; each SVM is stored folded back onto raw windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,19 +59,22 @@ def _seed_for(master: int, level: int, landmark: int, salt: int) -> int:
 
 
 def _standardize(rows: np.ndarray):
-    """(standardized rows, mean, std) per dimension. Constant dimensions
-    carry no signal; unit std leaves them at zero."""
-    mean = rows.mean(axis=0)
-    std = rows.std(axis=0)
+    """(standardized rows, mean, std) per landmark and dimension of a (k, m, d)
+    stack. Constant dimensions carry no signal; unit std leaves them at zero."""
+    mean = rows.mean(axis=1)
+    std = rows.std(axis=1)
     std = np.where(std < 1e-12, 1.0, std)
-    return (rows - mean) / std, mean, std
+    rows = (rows - mean[:, None, :]) / std[:, None, :]
+    rows.setflags(write=False)  # a training set takes read-only rows without a copy
+    return rows, mean, std
 
 
-def _fold(model: LinearSvmModel, mean: np.ndarray, std: np.ndarray) -> LinearSvmModel:
-    """The model trained on standardized rows, as a model on raw rows:
-    w' = w / std and b' = b - w'.mean."""
+def _fold(model: LinearSvmModel, mean: np.ndarray, std: np.ndarray):
+    """(weights, biases) of a stacked model trained on standardized rows,
+    rewritten for raw rows: w' = w / std and b' = b - w'.mean."""
     weights = model.weights / std
-    return LinearSvmModel(weights, model.bias - float(weights @ mean))
+    # One dot per landmark: a stacked sum would round differently.
+    return weights, model.bias - np.array([w @ m for w, m in zip(weights, mean)])
 
 
 def train_bundle(
@@ -143,17 +146,18 @@ def train_bundle(
         for mag, pts in zip(level_mag[lv], level_pts[lv]):
             wins = windows_batch(mag, pts, sizes[lv])
             windows.append(normalize_windows(wins, "sum"))
-        one_d_rows = np.stack(one_d_rows)  # (images, n, classic_length)
-        windows = np.stack(windows)  # (images, n, size^2)
-        classic_stats.append(tuple(stats_from_matrix(one_d_rows[:, j, :], eps) for j in range(n)))
-        asm_stats.append(tuple(stats_from_matrix(windows[:, j, :], eps) for j in range(n)))
+        # (n, images, d): each landmark's rows in one contiguous block.
+        one_d_rows = np.stack(one_d_rows, axis=1)
+        windows = np.stack(windows, axis=1)
+        classic_stats.append(stats_from_matrix(one_d_rows, eps))
+        asm_stats.append(stats_from_matrix(windows, eps))
 
         # The SVM stacks below take about as much memory as these arrays.
         del one_d_rows, windows
 
         dataset_lv = list(zip(level_mag[lv], level_pts[lv]))
-        lv_svms = [None] * n
-        moments = {}
+        weights = np.empty((n, sizes[lv] ** 2))
+        biases = np.empty(n)
         accuracy = []
         pos = neg = 0
         for first in range(0, n, _SVM_GROUP):
@@ -171,21 +175,19 @@ def train_bundle(
                 skipped_total += ts.skipped
                 pos += int(np.sum(ts.labels == 1))
                 neg += int(np.sum(ts.labels == -1))
-                rows, mean, std = _standardize(ts.features)
-                moments[j] = mean, std
-                by_count.setdefault(ts.count, []).append(
-                    LandmarkTrainingSet(rows, ts.labels, j, lv, ts.skipped)
-                )
+                by_count.setdefault(ts.count, []).append(ts)
             for sets in by_count.values():
                 stack = LandmarkTrainingSet.stack(
                     sets, seeds=[_seed_for(seed, lv, s.landmark, 1) for s in sets]
                 )
                 sets.clear()  # the stack now holds the only copy of these rows
-                models = train_linear_svm(stack, svm_config)
-                accuracy.extend(training_accuracy(models, stack))
-                for j, model in zip(stack.landmarks, models):
-                    lv_svms[j] = _fold(model, *moments.pop(j))
-        svms.append(tuple(lv_svms))
+                rows, mean, std = _standardize(stack.features)
+                stack = replace(stack, features=rows)
+                model = train_linear_svm(stack, svm_config)
+                accuracy.extend(training_accuracy(model, stack))
+                landmarks = list(stack.landmarks)
+                weights[landmarks], biases[landmarks] = _fold(model, mean, std)
+        svms.append(LinearSvmModel(weights, biases))
         level_pos.append(pos)
         level_neg.append(neg)
         level_acc_mean.append(float(np.mean(accuracy)))

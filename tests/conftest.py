@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import struct
 import zlib
@@ -5,8 +6,9 @@ import zlib
 import numpy as np
 import pytest
 
+from asmfit.profiles import ProfileStats
 from asmfit.scheme import DEFAULT_SCHEME
-from asmfit.svm import SvmTrainConfig
+from asmfit.svm import LinearSvmModel, SvmTrainConfig
 from asmfit.synthetic import generate_face_dataset
 from asmfit.training import train_bundle
 
@@ -35,9 +37,29 @@ def reseal(body) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
+def planted(model, **values):
+    """A copy of a frozen model with values set unchecked, as another writer
+    could have stored them."""
+    clone = copy.copy(model)
+    for name, value in values.items():
+        object.__setattr__(clone, name, value)
+    return clone
+
+
 def with_fit_default(bundle, name, value):
-    """The bundle with one fit_defaults value planted unchecked, as another
-    writer could have stored it."""
-    config = dataclasses.replace(bundle.fit_defaults)
-    object.__setattr__(config, name, value)
-    return dataclasses.replace(bundle, fit_defaults=config)
+    """The bundle with one fit_defaults value planted unchecked."""
+    return dataclasses.replace(bundle, fit_defaults=planted(bundle.fit_defaults, **{name: value}))
+
+
+def stacked_stats(stats):
+    """Single-landmark ProfileStats of one dim and rank as one stack."""
+    return ProfileStats(np.stack([st.mean for st in stats]),
+                        basis=np.stack([st.basis for st in stats]),
+                        lam=np.stack([st.lam for st in stats]),
+                        rho=np.array([st.rho for st in stats]))
+
+
+def stacked_svms(models):
+    """Single-landmark LinearSvmModels of one dim as one stack."""
+    return LinearSvmModel(np.stack([m.weights for m in models]),
+                          np.array([m.bias for m in models]))

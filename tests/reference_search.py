@@ -59,7 +59,7 @@ def search_landmarks(ctx, shape, config, level):
 
     costs = np.empty((k, m))
     for j in range(k):
-        costs[j] = mahalanobis_batch(ctx.stats[j], feats[j])
+        costs[j] = mahalanobis_batch(ctx.stats, feats[j], j)
 
     if ctx.edge_map is not None:
         h, w = ctx.edge_map.shape
@@ -70,7 +70,7 @@ def search_landmarks(ctx, shape, config, level):
     allowed = valid.copy()
     if ctx.svms is not None:
         for j in range(k):
-            accepted = decision_values(ctx.svms[j], feats[j]) >= 0
+            accepted = decision_values(ctx.svms, feats[j], j) >= 0
             gated = allowed[j] & accepted
             if gated.any():
                 allowed[j] = gated

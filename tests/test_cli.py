@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import reseal, with_fit_default
+from asmfit import cli
 from asmfit.cli import (
     GROUP_PALETTE,
     MARKER_COLOR,
@@ -110,8 +111,14 @@ def test_train_rejects_unknown_config_keys(cli_env, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", ['{"svm": ', '{"levels": "three"}', '{"levels": null}',
-                                  '[1, 2]', '{"svm": 5}', '{"levels": 1e400}', '{"q": 5}'])
-def test_malformed_train_config_fails_in_one_line(cli_env, tmp_path, capsys, text):
+                                  '[1, 2]', '{"svm": 5}', '{"levels": 1e400}', '{"q": 5}',
+                                  '{"profile_lengths": [3, 7.5, 15]}',
+                                  '{"canny_low": 200, "canny_high": 100}'])
+def test_malformed_train_config_fails_in_one_line(cli_env, tmp_path, capsys, monkeypatch, text):
+    def refuse(*args, **kwargs):
+        raise AssertionError("training started on a malformed config")
+
+    monkeypatch.setattr(cli, "train_bundle", refuse)
     bad = tmp_path / "malformed.json"
     bad.write_text(text)
     rc = main(["train", "--images", str(cli_env["images"]),

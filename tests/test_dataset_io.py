@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import reseal, with_fit_default
+from conftest import planted, reseal, with_fit_default
 from asmfit.dataset_io import (
     BUNDLE_MAGIC,
     BUNDLE_VERSION,
@@ -35,10 +35,11 @@ from asmfit.errors import (
     SplitError,
 )
 from asmfit.imaging import GrayImage
+from asmfit.profiles import ProfileStats
 from asmfit.scheme import single_contour_scheme
 from asmfit.search import FitConfig
 from asmfit.shape_model import Shape
-from asmfit.svm import SvmTrainConfig
+from asmfit.svm import LinearSvmModel, SvmTrainConfig
 from asmfit.training import train_bundle
 
 
@@ -221,16 +222,16 @@ def test_bundle_round_trip(saved_bundle):
                             (loaded.asm_profiles, bundle.asm_profiles)):
         assert got_pm.kind == want_pm.kind
         assert got_pm.sizes == want_pm.sizes
-        for got_row, want_row in zip(got_pm.stats, want_pm.stats):
-            for got, want in zip(got_row, want_row):
-                assert np.array_equal(got.mean, want.mean)
-                assert np.array_equal(got.basis, want.basis)
-                assert np.array_equal(got.lam, want.lam)
-                assert got.rho == want.rho
-    for got_row, want_row in zip(loaded.svms, bundle.svms):
-        for got, want in zip(got_row, want_row):
-            assert np.array_equal(got.weights, want.weights)
-            assert got.bias == want.bias
+        assert len(got_pm.stats) == len(want_pm.stats)
+        for got, want in zip(got_pm.stats, want_pm.stats):
+            assert np.array_equal(got.mean, want.mean)
+            assert np.array_equal(got.basis, want.basis)
+            assert np.array_equal(got.lam, want.lam)
+            assert np.array_equal(got.rho, want.rho)
+    assert len(loaded.svms) == len(bundle.svms)
+    for got, want in zip(loaded.svms, bundle.svms):
+        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.bias, want.bias)
     assert loaded.fit_defaults == bundle.fit_defaults
     assert loaded.train_meta == bundle.train_meta
 
@@ -318,7 +319,8 @@ def test_bundle_rejects_fit_config_key_set(saved_bundle, tmp_path, drop, extra):
 
 
 @pytest.mark.parametrize("name, value", [("search_radius", 3.0), ("max_iters_per_level", 20.0),
-                                         ("canny_low", "x")])
+                                         ("canny_low", "x"), ("profile_lengths", (3.0, 7.0, 15.0)),
+                                         ("canny_low", 200.0)])
 def test_bundle_rejects_mistyped_fit_defaults(saved_bundle, tmp_path, name, value):
     bundle, _ = saved_bundle
     path = tmp_path / "mistyped.asmb"
@@ -334,6 +336,58 @@ def test_bundle_rejects_two_d_statistics_in_classic_slot(saved_bundle, tmp_path)
     path = tmp_path / "swapped.asmb"
     save_bundle(dataclasses.replace(bundle, classic_profiles=bundle.asm_profiles), path)
     with pytest.raises(BundleCorruptionError, match="stats dim 9 does not match"):
+        load_bundle(path)
+
+
+def test_bundle_load_builds_one_stacked_model_per_level(saved_bundle, monkeypatch):
+    """A level's statistics and SVMs load as one stacked object each, not
+    one per landmark: 2 x 3 ProfileStats and 3 LinearSvmModels."""
+    _, path = saved_bundle
+    built = Counter()
+    for cls, method in ((ProfileStats, "__init__"), (LinearSvmModel, "__post_init__")):
+        def counting(self, *args, _original=getattr(cls, method), _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, method, counting)
+    load_bundle(path)
+    assert built == {"ProfileStats": 6, "LinearSvmModel": 3}
+
+
+def _changed(values, index, value):
+    out = np.array(values)
+    out[index] = value
+    return out
+
+
+# (model, field, damage) applied to level 0's stacked arrays, and the check that must fire.
+STACK_DEFECTS = {
+    "rhos-one-short": ("stats", "rho", lambda a: a[:-1], "ridge"),
+    "bases-other-rank": ("stats", "basis", lambda a: a[..., :-1], "eigenvalues"),
+    "negative-lam": ("stats", "lam", lambda a: _changed(a, (3, 0), -1.0), "non-negative"),
+    "nan-rho": ("stats", "rho", lambda a: _changed(a, 5, np.nan), "ridge must be"),
+    "biases-one-short": ("svms", "bias", lambda a: a[:-1], "do not pair"),
+    "weights-wrong-dim": ("svms", "weights", lambda a: a[:, :-1], "SVM weights"),
+    "infinite-bias": ("svms", "bias", lambda a: _changed(a, 7, np.inf), "finite"),
+}
+
+
+@pytest.mark.parametrize("defect", STACK_DEFECTS)
+def test_bundle_rejects_mismatched_stacked_arrays(saved_bundle, tmp_path, defect):
+    """Stacked arrays that disagree in shape, or hold values no trainer
+    writes, make the bundle corrupt."""
+    bundle, _ = saved_bundle
+    model, name, damage, expect = STACK_DEFECTS[defect]
+    if model == "stats":
+        pm = bundle.asm_profiles
+        level0 = planted(pm.stats[0], **{name: damage(getattr(pm.stats[0], name))})
+        bad = planted(bundle, asm_profiles=planted(pm, stats=(level0,) + pm.stats[1:]))
+    else:
+        level0 = planted(bundle.svms[0], **{name: damage(getattr(bundle.svms[0], name))})
+        bad = planted(bundle, svms=(level0,) + bundle.svms[1:])
+    path = tmp_path / "mismatched.asmb"
+    save_bundle(bad, path)
+    with pytest.raises(BundleCorruptionError, match=expect):
         load_bundle(path)
 
 

@@ -24,6 +24,7 @@ from asmfit.profiles import (
 )
 from asmfit.scheme import DEFAULT_SCHEME, ContourGroup, LandmarkScheme, single_contour_scheme
 from asmfit.shape_model import Shape
+from conftest import stacked_stats
 from reference_profiles import (
     clamped_windows,
     dense_costs,
@@ -111,23 +112,68 @@ def test_profile_stats_factor_validation():
 
 
 def test_profile_model_validation():
-    def make_stats(dim):
-        return ProfileStats(np.zeros(dim), np.eye(dim))
+    def make_stats(dim, k=1):
+        return stacked_stats([ProfileStats(np.zeros(dim), np.eye(dim))] * k)
 
-    model = ProfileModel("one_d", (3, 5), ((make_stats(3),), (make_stats(5),)))
+    model = ProfileModel("one_d", (3, 5), (make_stats(3), make_stats(5)))
     assert model.levels == 2
     assert model.n_landmarks == 1
     with pytest.raises(ShapeArityError):
-        ProfileModel("radial", (3,), ((make_stats(3),),))
+        ProfileModel("radial", (3,), (make_stats(3),))
     with pytest.raises(ShapeArityError):
-        ProfileModel("one_d", (4,), ((make_stats(4),),))
+        ProfileModel("one_d", (4,), (make_stats(4),))
+    for sizes in ((3.0,), ("3",), (True,)):  # integers only, never truncated
+        with pytest.raises(ShapeArityError, match="must be integers"):
+            ProfileModel("one_d", sizes, (make_stats(3),))
     with pytest.raises(DimensionMismatchError):
-        ProfileModel("one_d", (3, 5), ((make_stats(3),),))
+        ProfileModel("one_d", (3, 5), (make_stats(3),))
     with pytest.raises(DimensionMismatchError):
-        ProfileModel("two_d", (3,), ((make_stats(3),),))  # needs dim 9
-    low_rank = stats_from_matrix(np.random.default_rng(0).normal(size=(2, 3)))
+        ProfileModel("two_d", (3,), (make_stats(3),))  # needs dim 9
     with pytest.raises(DimensionMismatchError):
-        ProfileModel("one_d", (3,), ((make_stats(3), low_rank),))  # ranks 3 and 1
+        ProfileModel("one_d", (3, 5), (make_stats(3, k=2), make_stats(5)))  # 2 and 1 landmarks
+    with pytest.raises(DimensionMismatchError):
+        ProfileModel("one_d", (3,), (ProfileStats(np.zeros(3), np.eye(3)),))  # not stacked
+    # a level's stack holds one rank: rank-1 eigenvalues do not fit rank-3 bases
+    with pytest.raises(DimensionMismatchError):
+        ProfileStats(np.zeros((2, 3)), basis=np.tile(np.eye(3), (2, 1, 1)), lam=np.ones((2, 1)),
+                     rho=np.full(2, 0.1))
+
+
+@pytest.mark.parametrize("m", [5, 12], ids=["svd-rank-m-1", "eigh-full-rank"])
+def test_stacked_stats_equal_per_landmark_stats(m):
+    """A (k, m, d) stack gives each landmark's statistics and costs bit for bit."""
+    rng = np.random.default_rng(m)
+    rows = rng.normal(0.3, 0.05, (4, m, 9))
+    candidates = rng.normal(0.3, 0.08, (7, 9))
+    stack = stats_from_matrix(rows)
+    assert stack.mean.shape == (4, 9) and stack.rank == min(m - 1, 9)
+    for j in range(4):
+        one = stats_from_matrix(rows[j])
+        for attr in ("mean", "basis", "lam", "weights"):
+            assert getattr(stack, attr)[j].tobytes() == getattr(one, attr).tobytes()
+        assert stack.rho[j] == one.rho
+        assert (mahalanobis_batch(stack, candidates, j).tobytes()
+                == mahalanobis_batch(one, candidates).tobytes())
+    with pytest.raises(DimensionMismatchError, match="landmark index"):
+        mahalanobis_batch(stack, candidates)
+
+
+def test_stacked_stats_validation():
+    """Every stacked field must carry the landmark axis, and every landmark is checked."""
+    good = dict(basis=np.tile(np.eye(3)[:, :2], (2, 1, 1)), lam=np.ones((2, 2)),
+                rho=np.full(2, 0.1))
+    mean = np.zeros((2, 3))
+    assert ProfileStats(mean, **good).rho.shape == (2,)
+    for name, bad in (("basis", np.eye(3)[:, :2]), ("lam", np.ones((1, 2))),
+                      ("lam", np.ones((2, 3))), ("rho", 0.1), ("rho", np.full(3, 0.1))):
+        with pytest.raises(DimensionMismatchError):
+            ProfileStats(mean, **{**good, name: bad})
+    for name, bad in (("lam", [[1.0, 1.0], [1.0, -1.0]]), ("rho", [0.1, np.nan]),
+                      ("rho", [0.0, 0.1])):  # rank 2 < 3 needs a ridge on every landmark
+        with pytest.raises(InsufficientDataError):
+            ProfileStats(mean, **{**good, name: bad})
+    with pytest.raises(DimensionMismatchError):
+        ProfileStats(np.zeros((2, 2, 3)), **good)
 
 
 # ---------------------------------------------------------------- normals

@@ -95,13 +95,12 @@ def test_bundle_svm_parameters_round_trip_bit_for_bit(scratch, tiny_bundle, data
     weights = [data.draw(arrays(np.float64, (6, size * size), elements=SVM_FLOATS))
                for size in tiny_bundle.asm_profiles.sizes]
     biases = [data.draw(arrays(np.float64, 6, elements=SVM_FLOATS)) for _ in weights]
-    svms = tuple(tuple(LinearSvmModel(w_j, float(b_j)) for w_j, b_j in zip(w, b))
-                 for w, b in zip(weights, biases))
+    svms = tuple(LinearSvmModel(w, b) for w, b in zip(weights, biases))
     save_bundle(dataclasses.replace(tiny_bundle, svms=svms), scratch)
     loaded = load_bundle(scratch).svms
-    for w, b, row in zip(weights, biases, loaded):
-        assert np.stack([model.weights for model in row]).tobytes() == w.tobytes()
-        assert np.array([model.bias for model in row]).tobytes() == b.tobytes()
+    for w, b, model in zip(weights, biases, loaded):
+        assert model.weights.tobytes() == w.tobytes()
+        assert model.bias.tobytes() == b.tobytes()
 
 
 # Non-negative finite doubles, with signed zeros and subnormals drawn often.
@@ -142,9 +141,7 @@ def test_bundle_statistics_and_shape_model_round_trip_bit_for_bit(scratch, tiny_
     with np.errstate(over="ignore", divide="ignore"):  # 1 / (lam + rho) may overflow
         profiles = {
             name: dataclasses.replace(getattr(tiny_bundle, name), stats=tuple(
-                tuple(ProfileStats(m, basis=b, lam=lam, rho=rho)
-                      for m, b, lam, rho in zip(*level))
-                for level in levels))
+                ProfileStats(m, basis=b, lam=lam, rho=rho) for m, b, lam, rho in levels))
             for name, levels in drawn.items()
         }
         shape_model = ShapeModel(Shape(mean), modes, eigenvalues, *scalars)
@@ -154,7 +151,7 @@ def test_bundle_statistics_and_shape_model_round_trip_bit_for_bit(scratch, tiny_
     for name, levels in drawn.items():
         for level, stats in zip(levels, getattr(loaded, name).stats):
             for want, attr in zip(level, ("mean", "basis", "lam", "rho")):
-                assert np.array([getattr(one, attr) for one in stats]).tobytes() == want.tobytes()
+                assert getattr(stats, attr).tobytes() == want.tobytes()
     sm = loaded.shape_model
     assert sm.mean_shape.points.tobytes() == mean.tobytes()
     assert sm.modes.tobytes() == modes.tobytes()

@@ -41,7 +41,7 @@ from asmfit.search import (
 from asmfit.shape_model import Shape, build_shape_model, fit_params
 from asmfit.svm import LinearSvmModel, decision_values
 
-from conftest import random_shape_points
+from conftest import random_shape_points, stacked_stats, stacked_svms
 import reference_search
 
 
@@ -52,12 +52,13 @@ def two_d_config(**overrides):
 
 
 def make_context(magnitude, stats, raw=None, edge_map=None, svms=None, scheme=None):
-    """2-D context; no edge map means no edge weighting, no SVMs no gate."""
+    """2-D context from per-landmark stats and SVMs, stacked as a bundle
+    holds them; no edge map means no edge weighting, no SVMs no gate."""
     if raw is None:
         raw = GrayImage(np.zeros(magnitude.shape))
     grad = GradientField(np.zeros(magnitude.shape), np.zeros(magnitude.shape), magnitude)
-    return LevelContext(raw=raw, gradient=grad, edge_map=edge_map,
-                        stats=stats, svms=svms, scheme=scheme)
+    return LevelContext(raw=raw, gradient=grad, edge_map=edge_map, stats=stacked_stats(stats),
+                        svms=None if svms is None else stacked_svms(svms), scheme=scheme)
 
 
 def window_feature(magnitude, center, size=5):
@@ -88,12 +89,17 @@ def test_fit_config_validation():
         FitConfig(mode="hybrid")
     with pytest.raises(ShapeArityError):
         FitConfig(max_iters_per_level=-1)
+    # canny_edges needs 0 <= low <= high; the config checks it when built
+    for low, high in ((200.0, 100.0), (-1.0, 100.0), (float("nan"), 100.0)):
+        with pytest.raises(ShapeArityError, match=r"canny_low must be in \[0, canny_high\]"):
+            FitConfig(canny_low=low, canny_high=high)
 
 
 @pytest.mark.parametrize("name, value", [
     ("levels", True), ("levels", 3.0), ("search_radius", 3.0), ("max_iters_per_level", 20.0),
     ("max_iters_per_level", False), ("convergence", "0.9"), ("c", None), ("canny_low", "x"),
-    ("canny_high", [150.0]),
+    ("canny_high", [150.0]), ("profile_lengths", (3.9, 7.2, "15")),
+    ("profile_lengths", (3, True, 15)),
 ])
 def test_fit_config_rejects_mistyped_values(name, value):
     with pytest.raises(ShapeArityError, match=f"{name} must be"):
@@ -266,7 +272,7 @@ def test_search_one_d_follows_contour_normal():
     st_edge = stats_around(trained_row, rng)
     cfg = FitConfig(levels=1, profile_lengths=(5,), search_radius=3, mode="classic")
     ctx = LevelContext(raw=img, gradient=None, edge_map=None,
-                       stats=(st_edge, st_edge, st_edge), svms=None, scheme=None)
+                       stats=stacked_stats((st_edge,) * 3), svms=None, scheme=None)
     moved, _ = search_landmarks(ctx, shape, cfg, 0)
     assert tuple(moved.points[1]) == (11.0, 16.0)
 
@@ -300,11 +306,10 @@ def oracle_context(rng, kind, size, k, hw=(40, 52), tie_image=False, gate=True, 
         mag[:, : w // 2] = 3.0
         raw[:, : w // 2] = 90.0
     d = size * size if kind == "two_d" else size
-    stats = tuple(stats_from_matrix(rng.uniform(0.0, 0.05 if kind == "two_d" else 0.3,
-                                                (int(rng.integers(4, 40)), d)))
-                  for _ in range(k))
-    biases = np.linspace(-1.5, 1.5, k)
-    svms = tuple(LinearSvmModel(rng.normal(0.0, 1.0, d) / np.sqrt(d), b) for b in biases)
+    # One row count for the stack: a level's landmarks share one rank.
+    stats = stats_from_matrix(rng.uniform(0.0, 0.05 if kind == "two_d" else 0.3,
+                                          (k, int(rng.integers(4, 40)), d)))
+    svms = LinearSvmModel(rng.normal(0.0, 1.0, (k, d)) / np.sqrt(d), np.linspace(-1.5, 1.5, k))
     edge_map = (rng.uniform(size=hw) < 0.3).astype(np.uint8)
     gradient = GradientField(np.zeros(hw), np.zeros(hw), mag)
     return LevelContext(raw=GrayImage(raw), gradient=gradient if kind == "two_d" else None,
@@ -349,10 +354,10 @@ def test_oracle_contexts_plant_fallbacks_and_ties():
     pts = np.column_stack([np.full(12, 10.0), np.linspace(5.0, 35.0, 12)])
     cx, cy, valid, _ = _candidate_grid(pts, 3)
     feats = reference_search.candidate_features(ctx, Shape(pts), 7, cx, cy)
-    accepted = [np.count_nonzero(valid[j] & (decision_values(ctx.svms[j], feats[j]) >= 0))
+    accepted = [np.count_nonzero(valid[j] & (decision_values(ctx.svms, feats[j], j) >= 0))
                 for j in range(12)]
     assert accepted[0] == 0 and accepted[-1] == np.count_nonzero(valid[-1])
-    costs = np.array([mahalanobis_batch(ctx.stats[j], feats[j]) for j in range(12)])
+    costs = np.array([mahalanobis_batch(ctx.stats, feats[j], j) for j in range(12)])
     assert all(len(np.unique(row[valid[j]])) == 1 for j, row in enumerate(costs))
 
 

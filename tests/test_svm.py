@@ -43,6 +43,26 @@ def test_model_validation():
     with pytest.raises(ShapeArityError):
         LinearSvmModel(np.ones(2), float("inf"))
     assert LinearSvmModel(np.ones(4), 0.5).dim == 4
+    assert LinearSvmModel(np.ones((3, 4)), np.zeros(3)).dim == 4
+    with pytest.raises(DimensionMismatchError):
+        LinearSvmModel(np.ones((3, 4)), np.zeros(2))
+    with pytest.raises(DimensionMismatchError):
+        LinearSvmModel(np.ones(4), np.zeros(1))
+    with pytest.raises(ShapeArityError):
+        LinearSvmModel(np.ones((3, 4)), np.array([0.0, np.inf, 0.0]))
+
+
+def test_stacked_model_reads_landmark_rows():
+    """Landmark j of a stack decides exactly as a model of row j alone."""
+    rng = np.random.default_rng(9)
+    weights, biases = rng.normal(0, 1, (3, 4)), rng.normal(0, 1, 3)
+    stacked = LinearSvmModel(weights, biases)
+    rows = rng.normal(0, 1, (6, 4))
+    for j in range(3):
+        single = LinearSvmModel(weights[j], float(biases[j]))
+        assert decision_values(stacked, rows, j).tobytes() == decision_values(single, rows).tobytes()
+    with pytest.raises(DimensionMismatchError, match="landmark index"):
+        decision_values(stacked, rows)
 
 
 def test_train_config_validation():
@@ -222,14 +242,14 @@ def test_stacked_trainer_matches_per_landmark_oracle(k, m, batch):
     seeds = [11 * i + 3 for i in range(k)]
     config = SvmTrainConfig(c_penalty=2.0, epochs=25, batch_size=batch, seed=99)
     stack = LandmarkTrainingSet(feats, labels, tuple(range(10, 10 + k)), 1, seeds=seeds)
-    models = train_linear_svm(stack, config)
-    assert len(models) == k
-    for i, model in enumerate(models):
+    model = train_linear_svm(stack, config)
+    assert model.weights.shape == (k, 5) and model.bias.shape == (k,)
+    for i in range(k):
         ref = train_linear_svm_reference(feats[i], labels[i], c_penalty=2.0, epochs=25,
                                          batch_size=batch, seed=seeds[i])
-        np.testing.assert_allclose(model.weights, ref.weights, rtol=1e-12)
-        assert model.bias == pytest.approx(ref.bias, rel=1e-12)
-        assert np.array_equal(decision_values(model, feats[i]) >= 0,
+        np.testing.assert_allclose(model.weights[i], ref.weights, rtol=1e-12)
+        assert model.bias[i] == pytest.approx(ref.bias, rel=1e-12)
+        assert np.array_equal(decision_values(model, feats[i], i) >= 0,
                               decision_values(ref, feats[i]) >= 0)
 
 
@@ -237,9 +257,10 @@ def test_single_landmark_is_a_stack_of_one():
     feats, labels = stacked_problem(1, 70, seed=4)
     config = SvmTrainConfig(epochs=25, seed=5)
     single = train_linear_svm(LandmarkTrainingSet(feats[0], labels[0], 3, 0), config)
-    (stacked,) = train_linear_svm(LandmarkTrainingSet(feats, labels, (3,), 0), config)
+    stacked = train_linear_svm(LandmarkTrainingSet(feats, labels, (3,), 0), config)
     ref = train_linear_svm_reference(feats[0], labels[0], epochs=25, seed=5)
-    assert np.array_equal(single.weights, stacked.weights) and single.bias == stacked.bias
+    assert np.array_equal(single.weights, stacked.weights[0])
+    assert single.bias == stacked.bias[0]
     np.testing.assert_allclose(single.weights, ref.weights, rtol=1e-12)
 
 
@@ -272,7 +293,7 @@ def test_stack_validation_and_accessors():
 def test_training_accuracy_matches_decision_values():
     feats, labels = stacked_problem(3, 40, seed=8)
     stack = LandmarkTrainingSet(feats, labels, (0, 1, 2), 0, seeds=(1, 2, 3))
-    models = train_linear_svm(stack, SvmTrainConfig(epochs=10))
-    expected = [np.mean(np.where(decision_values(model, feats[i]) >= 0, 1.0, -1.0) == labels[i])
-                for i, model in enumerate(models)]
-    assert training_accuracy(models, stack).tolist() == expected
+    model = train_linear_svm(stack, SvmTrainConfig(epochs=10))
+    expected = [np.mean(np.where(decision_values(model, feats[i], i) >= 0, 1.0, -1.0) == labels[i])
+                for i in range(3)]
+    assert training_accuracy(model, stack).tolist() == expected

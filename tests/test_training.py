@@ -40,7 +40,7 @@ def test_bundle_covers_every_level_and_landmark(trained):
     assert bundle.classic_profiles.sizes == (15, 15, 15)
     assert bundle.asm_profiles.n_landmarks == n
     assert len(bundle.svms) == levels
-    assert all(len(row) == n for row in bundle.svms)
+    assert all(model.weights.shape[0] == n and model.bias.shape == (n,) for model in bundle.svms)
     assert summary.retained_modes == bundle.shape_model.num_modes > 0
 
 
@@ -58,22 +58,22 @@ def test_summary_window_accounting(trained):
 def test_stats_match_configured_dims(trained):
     bundle, _, _ = trained
     for level, size in enumerate(bundle.asm_profiles.sizes):
-        assert bundle.asm_profiles.stats[level][0].dim == size * size
-        assert bundle.svms[level][0].dim == size * size
+        assert bundle.asm_profiles.stats[level].dim == size * size
+        assert bundle.svms[level].dim == size * size
     for level in range(3):
-        assert bundle.classic_profiles.stats[level][0].dim == 15
+        assert bundle.classic_profiles.stats[level].dim == 15
 
 
 def test_training_is_seed_deterministic(faces96):
     kwargs = dict(svm_config=SvmTrainConfig(epochs=5), seed=3)
     a, _ = train_bundle(faces96[:3], DEFAULT_SCHEME, **kwargs)
     b, _ = train_bundle(faces96[:3], DEFAULT_SCHEME, **kwargs)
-    assert np.array_equal(a.svms[0][0].weights, b.svms[0][0].weights)
-    assert np.array_equal(a.asm_profiles.stats[0][5].mean,
-                          b.asm_profiles.stats[0][5].mean)
+    assert np.array_equal(a.svms[0].weights[0], b.svms[0].weights[0])
+    assert np.array_equal(a.asm_profiles.stats[0].mean[5],
+                          b.asm_profiles.stats[0].mean[5])
     c, _ = train_bundle(faces96[:3], DEFAULT_SCHEME,
                         svm_config=SvmTrainConfig(epochs=5), seed=4)
-    assert not np.array_equal(a.svms[0][0].weights, c.svms[0][0].weights)
+    assert not np.array_equal(a.svms[0].weights[0], c.svms[0].weights[0])
 
 
 def test_training_requires_two_samples(faces96):
@@ -138,9 +138,9 @@ def test_skipped_landmark_trains_in_its_own_stack(faces96):
         ref = folded(train_linear_svm_reference(
             rows, ts.labels, epochs=5, seed=_seed_for(2, level, landmark, 1),
         ), mean, std)
-        model = bundle.svms[level][landmark]
-        np.testing.assert_allclose(model.weights, ref.weights, rtol=1e-12)
-        assert model.bias == pytest.approx(ref.bias, rel=1e-12)
+        model = bundle.svms[level]
+        np.testing.assert_allclose(model.weights[landmark], ref.weights, rtol=1e-12)
+        assert model.bias[landmark] == pytest.approx(ref.bias, rel=1e-12)
 
 
 def test_one_class_landmark_names_landmark_and_level(faces96):
@@ -155,7 +155,7 @@ def test_summary_accuracy_matches_per_landmark_oracle(trained):
         accuracy = []
         for landmark in range(DEFAULT_SCHEME.total):
             ts = level_training_set(faces[:6], landmark, level, seed=0)
-            decision = decision_values(bundle.svms[level][landmark], ts.features)
+            decision = decision_values(bundle.svms[level], ts.features, landmark)
             accuracy.append(np.mean(np.where(decision >= 0, 1.0, -1.0) == ts.labels))
         assert summary.level_accuracy_mean[level] == pytest.approx(np.mean(accuracy), rel=1e-12)
         assert summary.level_accuracy_min[level] == min(accuracy)
@@ -194,11 +194,11 @@ def test_constant_window_dimension_gets_unit_std(faces96):
     assert np.all(std[constant] == 1.0)
     ref = train_linear_svm_reference(rows, ts.labels, epochs=5, seed=_seed_for(4, 0, 0, 1))
     want = folded(ref, mean, std)
-    model = bundle.svms[0][0]
-    assert np.all(model.weights[constant] == 0.0)
-    np.testing.assert_allclose(model.weights, want.weights, rtol=1e-12)
-    assert model.bias == pytest.approx(want.bias, rel=1e-12)
-    raw = decision_values(model, ts.features)
+    model = bundle.svms[0]
+    assert np.all(model.weights[0, constant] == 0.0)
+    np.testing.assert_allclose(model.weights[0], want.weights, rtol=1e-12)
+    assert model.bias[0] == pytest.approx(want.bias, rel=1e-12)
+    raw = decision_values(model, ts.features, 0)
     scaled = decision_values(ref, rows)
     assert np.array_equal(raw >= 0, scaled >= 0)
     np.testing.assert_allclose(raw, scaled, rtol=1e-9, atol=1e-12)
