@@ -25,12 +25,15 @@ from .search import FitConfig, config_for_mode, fit, init_shape_from_box
 from .svm import SvmTrainConfig
 from .training import train_bundle
 
-_CONFIG_KEYS = {
-    "scheme", "levels", "profile_lengths", "classic_profile_length", "search_radius",
-    "max_iters_per_level", "convergence", "c", "canny_low", "canny_high",
-    "variance_fraction", "clamp_alpha", "eps", "svm", "negatives_per_positive",
-    "offset_range", "seed",
-}
+# Config keys passed unchanged to FitConfig and to train_bundle; the config's
+# classic_profile_length is train_bundle's classic_length.
+_FIT_KEYS = (
+    "levels", "profile_lengths", "search_radius", "max_iters_per_level", "convergence", "c",
+    "canny_low", "canny_high",
+)
+_TRAIN_KEYS = ("variance_fraction", "clamp_alpha", "eps", "negatives_per_positive",
+               "offset_range", "seed")
+_CONFIG_KEYS = {"scheme", "svm", "classic_profile_length", *_FIT_KEYS, *_TRAIN_KEYS}
 _SVM_KEYS = {"c_penalty", "epochs", "batch_size"}
 
 MARKER_COLOR = (255, 0, 0)
@@ -67,37 +70,23 @@ def load_train_settings(path):
 
 
 def _train_settings(raw):
+    """The scheme and train_bundle's keyword arguments from a config's keys;
+    absent keys take the constructors' defaults, except that levels without
+    profile_lengths takes the first `levels` default lengths."""
     scheme = DEFAULT_SCHEME
     if "scheme" in raw:
         scheme = LandmarkScheme.from_jsonable(raw["scheme"])
-    levels = int(raw.get("levels", 3))
-    fit_config = FitConfig(
-        levels=levels,
-        profile_lengths=tuple(raw.get("profile_lengths", (3, 7, 15)[:levels])),
-        search_radius=int(raw.get("search_radius", 3)),
-        max_iters_per_level=int(raw.get("max_iters_per_level", 20)),
-        convergence=float(raw.get("convergence", 0.9)),
-        c=float(raw.get("c", 2.0)),
-        canny_low=float(raw.get("canny_low", 50.0)),
-        canny_high=float(raw.get("canny_high", 150.0)),
-    )
-    svm_raw = raw.get("svm", {})
-    svm_config = SvmTrainConfig(
-        c_penalty=float(svm_raw.get("c_penalty", 1.0)),
-        epochs=int(svm_raw.get("epochs", 200)),
-        batch_size=int(svm_raw.get("batch_size", 32)),
-    )
+    fit_raw = {key: raw[key] for key in _FIT_KEYS if key in raw}
+    if isinstance(raw.get("levels"), int) and "profile_lengths" not in raw:
+        fit_raw["profile_lengths"] = FitConfig.profile_lengths[:raw["levels"]]
+    settings = {key: raw[key] for key in _TRAIN_KEYS if key in raw}
+    if "classic_profile_length" in raw:
+        settings["classic_length"] = raw["classic_profile_length"]
     return {
         "scheme": scheme,
-        "fit_config": fit_config,
-        "svm_config": svm_config,
-        "variance_fraction": float(raw.get("variance_fraction", 0.975)),
-        "clamp_alpha": float(raw.get("clamp_alpha", 3.0)),
-        "classic_length": int(raw.get("classic_profile_length", 15)),
-        "negatives_per_positive": int(raw.get("negatives_per_positive", 4)),
-        "offset_range": tuple(raw.get("offset_range", (2, 8))),
-        "eps": float(raw.get("eps", 1e-3)),
-        "seed": int(raw.get("seed", 0)),
+        "fit_config": FitConfig(**fit_raw),
+        "svm_config": SvmTrainConfig(**raw.get("svm", {})),
+        **settings,
     }
 
 
@@ -112,8 +101,6 @@ def cmd_train(args) -> int:
         print(f"level {lv}: {pos} positive, {neg} negative windows")
     for lv, (mean, low) in enumerate(zip(summary.level_accuracy_mean, summary.level_accuracy_min)):
         print(f"level {lv}: SVM training accuracy mean {mean:.3f}, min {low:.3f}")
-    if summary.skipped:
-        print(f"skipped samples (landmark outside level image): {summary.skipped}")
     return 0
 
 
@@ -125,14 +112,6 @@ def _parse_box(text):
         return tuple(float(p) for p in parts)
     except ValueError:
         raise BoxError(f"non-numeric box component in {text!r}") from None
-
-
-def _check_box_overlaps(box, image: GrayImage) -> None:
-    x, y, w, h = box
-    if x + w <= 0 or y + h <= 0 or x >= image.width or y >= image.height:
-        raise BoxError(
-            f"box {box} lies outside the {image.width}x{image.height} image"
-        )
 
 
 def render_overlay(image: GrayImage, shape, scheme) -> np.ndarray:
@@ -170,7 +149,6 @@ def cmd_fit(args) -> int:
     bundle = load_bundle(args.model)
     image = load_image(args.image)
     box = _parse_box(args.box)
-    _check_box_overlaps(box, image)
     config = config_for_mode(bundle, args.mode)
     pyramid = build_pyramid(image, config.levels)
     init = init_shape_from_box(bundle.shape_model, box)

@@ -169,6 +169,25 @@ class ProfileModel:
         return self.stats[0].mean.shape[0]
 
 
+def check_numbers(values: dict, integers=(), reals=()) -> dict:
+    """Raise ShapeArityError unless values[name] is an integer, not a bool,
+    for each name in integers, and a real number for each name in reals.
+    Returns the reals as floats, in the order named, so that an integral
+    value is stored and computed with as the float it stands for."""
+    for name in integers:
+        if isinstance(values[name], bool) or not isinstance(values[name], numbers.Integral):
+            raise ShapeArityError(f"{name} must be an integer, got {values[name]!r}")
+    floats = {}
+    for name in reals:
+        if not isinstance(values[name], numbers.Real):
+            raise ShapeArityError(f"{name} must be a real number, got {values[name]!r}")
+        try:
+            floats[name] = float(values[name])
+        except OverflowError:
+            raise ShapeArityError(f"{name} is too large for a float") from None
+    return floats
+
+
 def integer_sizes(name: str, values) -> tuple:
     """values as a tuple of odd integers >= 3; bools and non-integers are rejected."""
     sizes = tuple(values)

@@ -9,7 +9,6 @@ constrained shape model. Levels hand off by doubling coordinates.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +24,7 @@ from .imaging import GrayImage, ImagePyramid, canny_edges, equalize_histogram, s
 from .imaging import sample_bilinear  # noqa: F401 (perfbench/tracing.py:WRAPS wraps this name)
 from .profiles import (
     ProfileStats,
+    check_numbers,
     integer_sizes,
     landmark_normals,
     mahalanobis_batch,
@@ -34,6 +34,9 @@ from .profiles import (
 )
 from .shape_model import Shape, ShapeModel, clamp_params, fit_params, synthesize
 from .svm import LinearSvmModel, decision_values
+
+# Least fraction of init landmarks inside the level-0 image that fit accepts.
+MIN_INIT_INSIDE = 0.5
 
 
 @dataclass(frozen=True)
@@ -57,14 +60,10 @@ class FitConfig:
     mode: str = "asm_svm"
 
     def __post_init__(self):
-        for name in ("levels", "search_radius", "max_iters_per_level"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ShapeArityError(f"{name} must be an integer, got {value!r}")
-        for name in ("convergence", "c", "canny_low", "canny_high"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
-                raise ShapeArityError(f"{name} must be a real number, got {value!r}")
+        reals = check_numbers(vars(self), integers=("levels", "search_radius", "max_iters_per_level"),
+                              reals=("convergence", "c", "canny_low", "canny_high"))
+        for name, value in reals.items():
+            object.__setattr__(self, name, value)
         if self.levels < 1:
             raise ShapeArityError(f"need at least 1 level, got {self.levels}")
         lengths = integer_sizes("profile_lengths", self.profile_lengths)
@@ -91,10 +90,11 @@ class FitConfig:
 @dataclass(frozen=True, eq=False)
 class LevelContext:
     """Per-level cache of models stacked over the landmarks and of images;
-    classic leaves gradient, edge_map and svms None."""
+    classic leaves magnitude (the Sobel gradient magnitude), edge_map and
+    svms None."""
 
     raw: GrayImage
-    gradient: object
+    magnitude: np.ndarray
     edge_map: np.ndarray
     stats: ProfileStats
     svms: LinearSvmModel
@@ -160,15 +160,15 @@ def _candidate_grid(points: np.ndarray, radius: int):
     return cx, cy, valid, cheb
 
 
-def _candidate_features(ctx: LevelContext, shape: Shape, config: FitConfig,
-                        size: int, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+def _candidate_features(ctx: LevelContext, shape: Shape, size: int,
+                        cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     """(k, m, d) normalized feature rows for every candidate of every landmark."""
     k, m = cx.shape
     centers = np.stack([cx, cy], axis=-1)
-    if ctx.gradient is None:
+    if ctx.magnitude is None:
         normals = landmark_normals(shape, ctx.scheme)[:, None, :]
         return profiles_1d_batch(ctx.raw, centers, normals, size)
-    rows = windows_batch(ctx.gradient.magnitude, centers.reshape(k * m, 2), size)
+    rows = windows_batch(ctx.magnitude, centers.reshape(k * m, 2), size)
     rows = normalize_windows(rows, "sum", out=rows)
     return rows.reshape(k, m, size * size)
 
@@ -189,7 +189,7 @@ def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig, level: 
     pts = shape.points
     cx, cy, allowed, cheb = _candidate_grid(pts, config.search_radius)
     k, m = cx.shape
-    feats = _candidate_features(ctx, shape, config, size, cx, cy)
+    feats = _candidate_features(ctx, shape, size, cx, cy)
 
     if ctx.stats.mean.shape[:-1] != (k,):
         raise DimensionMismatchError(f"statistics {ctx.stats.mean.shape} for {k} landmarks")
@@ -243,12 +243,12 @@ def build_level_context(bundle, level_image: GrayImage, level: int, config: FitC
             f"level {level}: configured profile length {config.profile_lengths[level]} "
             f"does not match trained size {pm.sizes[level]}"
         )
-    ctx = LevelContext(raw=level_image, gradient=None, edge_map=None, stats=pm.stats[level],
+    ctx = LevelContext(raw=level_image, magnitude=None, edge_map=None, stats=pm.stats[level],
                        svms=None, scheme=bundle.scheme)
     if not asm:
         return ctx
     image = equalize_histogram(level_image)
-    return replace(ctx, gradient=sobel_gradients(image),
+    return replace(ctx, magnitude=sobel_gradients(image).magnitude,
                    edge_map=canny_edges(image, config.canny_low, config.canny_high),
                    svms=bundle.svms[level])
 
@@ -260,6 +260,9 @@ def fit(pyramid: ImagePyramid, bundle, init: Shape, config: FitConfig = None) ->
     and regularized; each level then loops search + regularization until
     the configured fraction of landmarks moves under a pixel, and hands
     its shape up by doubling coordinates. Deterministic: no randomness.
+
+    Raises InitializationError when fewer than MIN_INIT_INSIDE (half) of
+    the init landmarks lie inside the level-0 image.
     """
     if config is None:
         config = bundle.fit_defaults
@@ -272,8 +275,11 @@ def fit(pyramid: ImagePyramid, bundle, init: Shape, config: FitConfig = None) ->
         (init.points[:, 0] >= 0) & (init.points[:, 0] <= base.width - 1)
         & (init.points[:, 1] >= 0) & (init.points[:, 1] <= base.height - 1)
     )
-    if not inside.any():
-        raise InitializationError("every init landmark lies outside the image")
+    if inside.mean() < MIN_INIT_INSIDE:
+        raise InitializationError(
+            f"{np.count_nonzero(~inside)} of {len(inside)} init landmarks lie outside the "
+            f"{base.width}x{base.height} image; at least {MIN_INIT_INSIDE:.0%} must lie inside"
+        )
 
     model = bundle.shape_model
     top = config.levels - 1

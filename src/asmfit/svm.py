@@ -1,4 +1,4 @@
-"""Linear soft-margin SVM over gradient windows, trained per landmark.
+"""Linear soft-margin SVM over gradient windows, one per landmark, trained in stacks.
 
 Training minimizes 0.5*|w|^2 + C * sum(hinge) by seeded stochastic
 subgradient descent on the bias-augmented problem, averaging the iterates
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClassBalanceError, DimensionMismatchError, ShapeArityError
-from .profiles import normalize_windows, readonly, windows_batch
+from .profiles import check_numbers, normalize_windows, readonly, windows_batch
 
 RING_MIN_DEFAULT = 2
 RING_MAX_DEFAULT = 8
@@ -51,7 +51,10 @@ class SvmTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.c_penalty <= 0:
+        reals = check_numbers(vars(self), integers=("epochs", "batch_size", "seed"),
+                              reals=("c_penalty",))
+        object.__setattr__(self, "c_penalty", reals["c_penalty"])
+        if not self.c_penalty > 0:
             raise ShapeArityError(f"c_penalty must be positive, got {self.c_penalty}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ShapeArityError("epochs and batch_size must be >= 1")
@@ -71,7 +74,6 @@ class LandmarkTrainingSet:
     labels: np.ndarray
     landmark: int | tuple
     level: int
-    skipped: int = 0
     seeds: tuple | None = None
 
     def __post_init__(self):
@@ -93,21 +95,6 @@ class LandmarkTrainingSet:
             raise DimensionMismatchError(f"{len(self.seeds)} seeds for a stack of {k}")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
-
-    @classmethod
-    def stack(cls, sets, seeds) -> "LandmarkTrainingSet":
-        """One stack of single-landmark sets sharing a level and a row count,
-        with one SGD seed per set."""
-        features = np.stack([s.features for s in sets])
-        features.setflags(write=False)
-        return cls(
-            features,
-            np.stack([s.labels for s in sets]),
-            tuple(s.landmark for s in sets),
-            sets[0].level,
-            sum(s.skipped for s in sets),
-            tuple(seeds),
-        )
 
     @property
     def count(self) -> int:
@@ -131,52 +118,53 @@ def _ring_offsets(d_min: int, d_max: int) -> np.ndarray:
 
 def build_landmark_training_set(
     dataset,
-    landmark: int,
+    landmarks,
     level: int,
     negatives_per_positive: int = 4,
     offset_range=(RING_MIN_DEFAULT, RING_MAX_DEFAULT),
-    seed: int = 0,
+    seeds=None,
     size: int = 15,
 ) -> LandmarkTrainingSet:
-    """Positive/negative sum-normalized gradient windows for one landmark at one level.
+    """Positive/negative sum-normalized gradient windows for a stack of landmarks at one level.
 
     `dataset` is a sequence of (gradient magnitude array, level-scaled
-    (n, 2) landmark positions) pairs. Each image contributes one positive
-    window at the annotated point and negatives_per_positive windows at
-    distinct random offsets whose Chebyshev distance lies in offset_range.
-    Annotated points falling outside the image at this level are skipped
-    and counted.
+    (n, 2) landmark positions) pairs. Each image contributes, per landmark,
+    one positive window at the annotated point followed by
+    negatives_per_positive windows at distinct random offsets whose
+    Chebyshev distance lies in offset_range. Landmark landmarks[i] draws
+    its offsets from its own generator, seeded seeds[i] (0 when seeds is
+    None), image after image. Windows that cross the border are clamped.
+    Returns one stack with (k, images * (1 + negatives_per_positive), d)
+    features; its SGD seeds are left unset.
     """
     d_min, d_max = int(offset_range[0]), int(offset_range[1])
     if d_min < 1 or d_max < d_min:
         raise ShapeArityError(f"offset range must satisfy 1 <= d_min <= d_max, got {offset_range}")
     ring = _ring_offsets(d_min, d_max)
-    if negatives_per_positive > len(ring):
+    if not 0 <= negatives_per_positive <= len(ring):
         raise ShapeArityError(
             f"ring [{d_min}, {d_max}] holds {len(ring)} offsets, "
             f"cannot draw {negatives_per_positive} without replacement"
         )
-    rng = np.random.default_rng(seed)
-    rows = []
-    labels = []
-    skipped = 0
-    for magnitude, points in dataset:
-        center = np.asarray(points, dtype=float)[landmark]
-        h, w = magnitude.shape
-        cx, cy = np.rint(center)
-        if not (0 <= cx < w and 0 <= cy < h):
-            skipped += 1
-            continue
-        pick = rng.choice(len(ring), size=negatives_per_positive, replace=False)
-        centers = np.vstack([center[None, :], center[None, :] + ring[pick]])
-        wins = normalize_windows(windows_batch(magnitude, centers, size), "sum")
-        rows.append(wins)
-        labels.extend([1.0] + [-1.0] * negatives_per_positive)
-    if not rows:
-        return LandmarkTrainingSet(
-            np.empty((0, size * size)), np.empty(0), landmark, level, skipped
-        )
-    return LandmarkTrainingSet(np.vstack(rows), np.array(labels), landmark, level, skipped)
+    landmarks = list(landmarks)
+    k = len(landmarks)
+    seeds = (0,) * k if seeds is None else tuple(seeds)
+    if len(seeds) != k:
+        raise DimensionMismatchError(f"{len(seeds)} seeds for a stack of {k}")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    per_image = 1 + negatives_per_positive
+    rows = np.empty((k, len(dataset) * per_image, size * size))
+    for i, (magnitude, points) in enumerate(dataset):
+        # (k, per_image, 2): each landmark's point, then its negatives' centers.
+        centers = np.repeat(np.asarray(points, dtype=float)[landmarks, None], per_image, axis=1)
+        for center, rng in zip(centers, rngs):
+            center[1:] += ring[rng.choice(len(ring), size=negatives_per_positive, replace=False)]
+        wins = windows_batch(magnitude, centers.reshape(k * per_image, 2), size)
+        rows[:, i * per_image:(i + 1) * per_image] = wins.reshape(k, per_image, size * size)
+    normalize_windows(rows, "sum", out=rows)
+    rows.setflags(write=False)
+    labels = np.tile([1.0] + [-1.0] * negatives_per_positive, (k, len(dataset)))
+    return LandmarkTrainingSet(rows, labels, tuple(landmarks), level)
 
 
 def train_linear_svm(train_set: LandmarkTrainingSet, config: SvmTrainConfig):

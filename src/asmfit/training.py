@@ -17,6 +17,8 @@ from .errors import InsufficientDataError, ShapeArityError
 from .imaging import build_pyramid, equalize_histogram, sobel_gradients
 from .profiles import (
     ProfileModel,
+    check_numbers,
+    integer_sizes,
     landmark_normals,
     normalize_windows,
     profiles_1d_batch,
@@ -27,7 +29,6 @@ from .scheme import LandmarkScheme
 from .search import FitConfig
 from .shape_model import Shape, build_shape_model, gpa_align
 from .svm import (
-    LandmarkTrainingSet,
     LinearSvmModel,
     SvmTrainConfig,
     build_landmark_training_set,
@@ -49,7 +50,6 @@ class TrainingSummary:
     retained_modes: int
     level_positives: tuple
     level_negatives: tuple
-    skipped: int
     level_accuracy_mean: tuple
     level_accuracy_min: tuple
 
@@ -94,8 +94,18 @@ def train_bundle(
 
     Returns (ModelBundle, TrainingSummary). Deterministic for a fixed seed:
     all randomness (negative-window placement, SVM batch order) is derived
-    from it.
+    from it. Mistyped settings raise ShapeArityError before any work.
     """
+    integer_sizes("classic_length", (classic_length,))
+    if not (isinstance(offset_range, (tuple, list)) and len(offset_range) == 2):
+        raise ShapeArityError(f"offset_range must be a pair of integers, got {offset_range!r}")
+    variance_fraction, clamp_alpha, eps = check_numbers(
+        {"negatives_per_positive": negatives_per_positive, "seed": seed,
+         "offset_range[0]": offset_range[0], "offset_range[1]": offset_range[1],
+         "variance_fraction": variance_fraction, "clamp_alpha": clamp_alpha, "eps": eps},
+        integers=("negatives_per_positive", "seed", "offset_range[0]", "offset_range[1]"),
+        reals=("variance_fraction", "clamp_alpha", "eps"),
+    ).values()
     if fit_config is None:
         fit_config = FitConfig()
     if fit_config.mode != "asm_svm":
@@ -135,7 +145,6 @@ def train_bundle(
     level_neg = []
     level_acc_mean = []
     level_acc_min = []
-    skipped_total = 0
     for lv in range(levels):
         one_d_rows = []
         windows = []
@@ -161,32 +170,21 @@ def train_bundle(
         accuracy = []
         pos = neg = 0
         for first in range(0, n, _SVM_GROUP):
-            # Landmarks skipped on some images have fewer rows, so stacks
-            # form among the chunk's landmarks of equal row count.
-            by_count = {}
-            for j in range(first, min(first + _SVM_GROUP, n)):
-                ts = build_landmark_training_set(
-                    dataset_lv, j, lv,
-                    negatives_per_positive=negatives_per_positive,
-                    offset_range=offset_range,
-                    seed=_seed_for(seed, lv, j, 0),
-                    size=sizes[lv],
-                )
-                skipped_total += ts.skipped
-                pos += int(np.sum(ts.labels == 1))
-                neg += int(np.sum(ts.labels == -1))
-                by_count.setdefault(ts.count, []).append(ts)
-            for sets in by_count.values():
-                stack = LandmarkTrainingSet.stack(
-                    sets, seeds=[_seed_for(seed, lv, s.landmark, 1) for s in sets]
-                )
-                sets.clear()  # the stack now holds the only copy of these rows
-                rows, mean, std = _standardize(stack.features)
-                stack = replace(stack, features=rows)
-                model = train_linear_svm(stack, svm_config)
-                accuracy.extend(training_accuracy(model, stack))
-                landmarks = list(stack.landmarks)
-                weights[landmarks], biases[landmarks] = _fold(model, mean, std)
+            run = range(first, min(first + _SVM_GROUP, n))
+            stack = build_landmark_training_set(
+                dataset_lv, run, lv,
+                negatives_per_positive=negatives_per_positive,
+                offset_range=offset_range,
+                seeds=[_seed_for(seed, lv, j, 0) for j in run],
+                size=sizes[lv],
+            )
+            pos += int(np.sum(stack.labels == 1))
+            neg += int(np.sum(stack.labels == -1))
+            rows, mean, std = _standardize(stack.features)
+            stack = replace(stack, features=rows, seeds=tuple(_seed_for(seed, lv, j, 1) for j in run))
+            model = train_linear_svm(stack, svm_config)
+            accuracy.extend(training_accuracy(model, stack))
+            weights[run], biases[run] = _fold(model, mean, std)
         svms.append(LinearSvmModel(weights, biases))
         level_pos.append(pos)
         level_neg.append(neg)
@@ -219,7 +217,6 @@ def train_bundle(
         retained_modes=shape_model.num_modes,
         level_positives=tuple(level_pos),
         level_negatives=tuple(level_neg),
-        skipped=skipped_total,
         level_accuracy_mean=tuple(level_acc_mean),
         level_accuracy_min=tuple(level_acc_min),
     )

@@ -39,13 +39,13 @@ def candidate_features(ctx, shape, size, cx, cy):
     """(k, m, d) feature rows of every candidate; 2-D windows use the oracle
     gather and sum normalization.
 
-    A context without a gradient field searches 1-D profiles.
+    A context without a gradient magnitude searches 1-D profiles.
     """
-    if ctx.gradient is None:
+    if ctx.magnitude is None:
         return profiles_1d(ctx, shape, size, cx, cy)
     k, m = cx.shape
     centers = np.stack([cx.ravel(), cy.ravel()], axis=1)
-    rows = sum_normalized(clamped_windows(ctx.gradient.magnitude, centers, size))
+    rows = sum_normalized(clamped_windows(ctx.magnitude, centers, size))
     return rows.reshape(k, m, size * size)
 
 

@@ -6,6 +6,10 @@ landmark, selecting the margin violators of each batch by boolean
 compaction. The library's stacked trainer must reproduce it to rounding
 for every landmark of a stack.
 
+build_landmark_training_set_reference gathers one landmark's windows at a
+time, each image's positive and negatives with their own windows_batch
+call, as the library did before it gathered a whole stack image by image.
+
 predict scores one profile at a time, the form the library's row-matrix
 decision_values replaces.
 """
@@ -13,7 +17,8 @@ decision_values replaces.
 import numpy as np
 
 from asmfit.errors import ClassBalanceError, DimensionMismatchError
-from asmfit.svm import LinearSvmModel
+from asmfit.profiles import normalize_windows, windows_batch
+from asmfit.svm import LandmarkTrainingSet, LinearSvmModel, _ring_offsets
 
 
 def predict(model: LinearSvmModel, values) -> tuple:
@@ -56,3 +61,21 @@ def train_linear_svm_reference(features, labels, c_penalty=1.0, epochs=200,
             averaged += 1
     w = avg / averaged
     return LinearSvmModel(w[:-1], float(w[-1]))
+
+
+def build_landmark_training_set_reference(dataset, landmark, level, negatives_per_positive=4,
+                                          offset_range=(2, 8), seed=0, size=15):
+    """One landmark's training set: per image, the positive window at the
+    point, then negatives at distinct ring offsets drawn from one generator;
+    windows crossing the border are clamped."""
+    ring = _ring_offsets(*offset_range)
+    rng = np.random.default_rng(seed)
+    rows = [np.empty((0, size * size))]
+    labels = []
+    for magnitude, points in dataset:
+        center = np.asarray(points, dtype=float)[landmark]
+        pick = rng.choice(len(ring), size=negatives_per_positive, replace=False)
+        centers = np.vstack([center[None, :], center[None, :] + ring[pick]])
+        rows.append(normalize_windows(windows_batch(magnitude, centers, size), "sum"))
+        labels.extend([1.0] + [-1.0] * negatives_per_positive)
+    return LandmarkTrainingSet(np.vstack(rows), np.array(labels), landmark, level)

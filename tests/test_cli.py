@@ -20,6 +20,7 @@ from asmfit.errors import BoxError
 from asmfit.imaging import GrayImage
 from asmfit.scheme import single_contour_scheme
 from asmfit.shape_model import Shape
+from asmfit.svm import SvmTrainConfig
 from asmfit.synthetic import write_dataset
 
 
@@ -137,7 +138,62 @@ def test_train_settings_defaults():
     assert settings["fit_config"].profile_lengths == (3, 7, 15)
     assert settings["svm_config"].epochs == 200
     assert settings["scheme"].total == 68
-    assert settings["seed"] == 0
+    # train_bundle's own defaults apply to every key the config leaves out
+    assert set(settings) == {"scheme", "fit_config", "svm_config"}
+
+
+def test_train_settings_pass_values_through(tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"levels": 2, "classic_profile_length": 9, "seed": 5,
+                                  "offset_range": [1, 3], "eps": 0.01, "svm": {"epochs": 7}}))
+    settings = load_train_settings(config)
+    assert settings["fit_config"].profile_lengths == (3, 7)
+    assert settings["svm_config"] == SvmTrainConfig(epochs=7)
+    assert {k: settings[k] for k in ("classic_length", "seed", "offset_range", "eps")} == {
+        "classic_length": 9, "seed": 5, "offset_range": [1, 3], "eps": 0.01}
+
+
+def test_integral_real_settings_train_the_same_bundle(cli_env, tmp_path):
+    # Real-valued settings written as JSON integers are the floats they stand for.
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"c": 2, "clamp_alpha": 3, "canny_low": 50,
+                                  "svm": {"epochs": 30, "c_penalty": 1}}))
+    out = tmp_path / "m.asmb"
+    rc = main(["train", "--images", str(cli_env["images"]), "--points", str(cli_env["points"]),
+               "--config", str(config), "--out", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == cli_env["bundle"].read_bytes()
+
+
+@pytest.mark.parametrize("config", [
+    {"search_radius": 3.7}, {"levels": 2.9}, {"levels": True}, {"max_iters_per_level": 2.5},
+    {"classic_profile_length": 7.5}, {"classic_profile_length": 8},
+    {"svm": {"epochs": 20.9}}, {"svm": {"batch_size": 32.5}}, {"svm": {"epochs": True}},
+    {"svm": {"c_penalty": "1"}}, {"negatives_per_positive": 4.5}, {"seed": 1.5},
+    {"offset_range": [2, 8.5]}, {"offset_range": [2, 4, 8]}, {"offset_range": 5},
+    {"variance_fraction": "0.9"}, {"clamp_alpha": None}, {"eps": [0.001]}, {"eps": 10**400},
+    {"c": 10**400},
+])
+def test_mistyped_train_setting_fails_before_training(cli_env, tmp_path, capsys, monkeypatch,
+                                                      config):
+    def started(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("asmfit.training.gpa_align", started)
+    monkeypatch.setattr("asmfit.training.build_pyramid", started)
+    bad = tmp_path / "bad.json"
+    args = ["train", "--images", str(cli_env["images"]), "--points", str(cli_env["points"]),
+            "--config", str(bad), "--out", str(tmp_path / "x.asmb")]
+    bad.write_text(json.dumps(config))
+    rc = main(args)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("asmfit train: ") and err.count("\n") == 1
+    assert not (tmp_path / "x.asmb").exists()
+    # the patch is live: a well-typed config reaches it
+    bad.write_text(json.dumps({"svm": {"epochs": 20}}))
+    with pytest.raises(AssertionError, match="training started"):
+        main(args)
 
 
 # -------------------------------------------------------------------- fit
@@ -188,6 +244,19 @@ def test_fit_bad_box_arguments(cli_env, tmp_path, capsys):
     rc = main(base + ["--box=-500,-500,20,20"])
     assert rc == 2
     assert "outside" in capsys.readouterr().err
+
+
+def test_fit_box_mostly_off_the_image_fails_in_one_line(cli_env, tmp_path, capsys):
+    sample = cli_env["samples"][0]
+    x, y, w, h = truth_box(sample.shape, 0.10)
+    out = tmp_path / "o.pts"
+    rc = main(["fit", "--model", str(cli_env["bundle"]),
+               "--image", str(cli_env["images"] / f"{sample.name}.pgm"),
+               f"--box={-0.75 * w:.3f},{y:.3f},{w:.3f},{h:.3f}", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("asmfit fit: ") and "outside" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_fit_missing_model_is_diagnosed(cli_env, tmp_path, capsys):

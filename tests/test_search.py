@@ -13,7 +13,6 @@ from asmfit.errors import (
     ShapeArityError,
 )
 from asmfit.imaging import (
-    GradientField,
     GrayImage,
     build_pyramid,
     canny_edges,
@@ -39,7 +38,7 @@ from asmfit.search import (
     search_landmarks,
 )
 from asmfit.shape_model import Shape, build_shape_model, fit_params
-from asmfit.svm import LinearSvmModel, decision_values
+from asmfit.svm import LinearSvmModel, SvmTrainConfig, decision_values
 
 from conftest import random_shape_points, stacked_stats, stacked_svms
 import reference_search
@@ -56,8 +55,7 @@ def make_context(magnitude, stats, raw=None, edge_map=None, svms=None, scheme=No
     holds them; no edge map means no edge weighting, no SVMs no gate."""
     if raw is None:
         raw = GrayImage(np.zeros(magnitude.shape))
-    grad = GradientField(np.zeros(magnitude.shape), np.zeros(magnitude.shape), magnitude)
-    return LevelContext(raw=raw, gradient=grad, edge_map=edge_map, stats=stacked_stats(stats),
+    return LevelContext(raw=raw, magnitude=magnitude, edge_map=edge_map, stats=stacked_stats(stats),
                         svms=None if svms is None else stacked_svms(svms), scheme=scheme)
 
 
@@ -104,6 +102,22 @@ def test_fit_config_validation():
 def test_fit_config_rejects_mistyped_values(name, value):
     with pytest.raises(ShapeArityError, match=f"{name} must be"):
         FitConfig(**{name: value})
+
+
+def test_integral_reals_are_stored_as_floats(trained):
+    # An integer edge weight used to reach the uint8 edge map as an integer:
+    # c=300 overflowed it and every asm_svm fit raised OverflowError.
+    cfg = FitConfig(convergence=1, c=300, canny_low=0, canny_high=100)
+    assert [type(getattr(cfg, name)) for name in ("convergence", "c", "canny_low", "canny_high")
+            ] == [float] * 4
+    assert cfg == FitConfig(convergence=1.0, c=300.0, canny_low=0.0, canny_high=100.0)
+    assert type(SvmTrainConfig(c_penalty=2).c_penalty) is float
+    bundle, _, faces = trained
+    sample = faces[6]
+    init = init_shape_from_box(bundle.shape_model, truth_box(sample.shape, 0.10))
+    result = fit(build_pyramid(sample.image, 3), bundle, init, dataclasses.replace(
+        bundle.fit_defaults, c=300))
+    assert np.isfinite(result.shape.points).all()
 
 
 # ------------------------------------------------------------- placement
@@ -271,7 +285,7 @@ def test_search_one_d_follows_contour_normal():
     rng = np.random.default_rng(8)
     st_edge = stats_around(trained_row, rng)
     cfg = FitConfig(levels=1, profile_lengths=(5,), search_radius=3, mode="classic")
-    ctx = LevelContext(raw=img, gradient=None, edge_map=None,
+    ctx = LevelContext(raw=img, magnitude=None, edge_map=None,
                        stats=stacked_stats((st_edge,) * 3), svms=None, scheme=None)
     moved, _ = search_landmarks(ctx, shape, cfg, 0)
     assert tuple(moved.points[1]) == (11.0, 16.0)
@@ -295,7 +309,7 @@ def oracle_context(rng, kind, size, k, hw=(40, 52), tie_image=False, gate=True, 
 
     Gate biases run from reject-all (the gate falls back) to accept-all.
     A tie image is constant in its left half, so many candidates there
-    share one window and one cost. A one_d context has no gradient field;
+    share one window and one cost. A one_d context has no gradient magnitude;
     without gate or edges it holds no SVMs or no edge map. Every array is
     drawn either way, so the draws do not depend on the switches.
     """
@@ -311,8 +325,7 @@ def oracle_context(rng, kind, size, k, hw=(40, 52), tie_image=False, gate=True, 
                                           (k, int(rng.integers(4, 40)), d)))
     svms = LinearSvmModel(rng.normal(0.0, 1.0, (k, d)) / np.sqrt(d), np.linspace(-1.5, 1.5, k))
     edge_map = (rng.uniform(size=hw) < 0.3).astype(np.uint8)
-    gradient = GradientField(np.zeros(hw), np.zeros(hw), mag)
-    return LevelContext(raw=GrayImage(raw), gradient=gradient if kind == "two_d" else None,
+    return LevelContext(raw=GrayImage(raw), magnitude=mag if kind == "two_d" else None,
                         edge_map=edge_map if edges else None, stats=stats,
                         svms=svms if gate else None, scheme=None)
 
@@ -365,7 +378,6 @@ def test_oracle_contexts_plant_fallbacks_and_ties():
 def test_one_d_candidate_features_match_inline_oracle(size):
     """The batched 1-D path equals the inline (k, m, size + 1) sampling exactly."""
     rng = np.random.default_rng(40 + size)
-    cfg = FitConfig(levels=1, profile_lengths=(size,), search_radius=3, mode="classic")
     flat_rows = 0
     for trial in range(4):
         ctx = oracle_context(rng, "one_d", size, 12, tie_image=True, gate=False, edges=False)
@@ -374,7 +386,7 @@ def test_one_d_candidate_features_match_inline_oracle(size):
         pts[::3] = np.rint(pts[::3])
         shape = Shape(pts)
         cx, cy, _, _ = _candidate_grid(pts, 3)
-        got = _candidate_features(ctx, shape, cfg, size, cx, cy)
+        got = _candidate_features(ctx, shape, size, cx, cy)
         want = reference_search.profiles_1d(ctx, shape, size, cx, cy)
         assert got.shape == want.shape == (12, 49, size)
         assert got.tobytes() == want.tobytes()
@@ -469,6 +481,26 @@ def test_fit_rejects_outside_init_and_level_mismatch(trained):
         fit(short, bundle, init, cfg)
 
 
+def test_fit_rejects_init_mostly_off_the_image(trained):
+    bundle, _, faces = trained
+    sample = faces[6]
+    cfg = dataclasses.replace(config_for_mode(bundle, "classic"), max_iters_per_level=1)
+    pyr = build_pyramid(sample.image, cfg.levels)
+    x, y, w, h = truth_box(sample.shape, 0.10)
+    init = init_shape_from_box(bundle.shape_model, (-0.75 * w, y, w, h))
+    assert 0.6 < np.mean(init.points[:, 0] < 0) < 0.9
+    with pytest.raises(InitializationError, match="outside"):
+        fit(pyr, bundle, init, cfg)
+    # The rule's edge: half the landmarks inside is enough, one fewer is not.
+    pts = init_shape_from_box(bundle.shape_model, (x, y, w, h)).points.copy()
+    half = bundle.scheme.total // 2
+    pts[:half, 0] = -40.0
+    assert np.isfinite(fit(pyr, bundle, Shape(pts), cfg).shape.points).all()
+    pts[half, 0] = -40.0
+    with pytest.raises(InitializationError, match=f"{half + 1} of {bundle.scheme.total}"):
+        fit(pyr, bundle, Shape(pts), cfg)
+
+
 # --------------------------------------------------------------- modes
 
 def test_config_for_mode(trained):
@@ -497,7 +529,7 @@ def test_classic_context_computes_no_equalization_sobel_or_canny(trained, monkey
     for level in range(cfg.levels):
         ctx = build_level_context(bundle, pyr.levels[level], level, cfg)
         assert ctx.raw is pyr.levels[level]
-        assert ctx.gradient is None and ctx.edge_map is None and ctx.svms is None
+        assert ctx.magnitude is None and ctx.edge_map is None and ctx.svms is None
         assert ctx.stats == bundle.classic_profiles.stats[level]
     init = init_shape_from_box(bundle.shape_model, truth_box(sample.shape, 0.10))
     assert np.isfinite(fit(pyr, bundle, init, cfg).shape.points).all()
@@ -515,7 +547,7 @@ def test_asm_svm_context_holds_gradients_edges_and_svms(trained):
         ctx = build_level_context(bundle, image, level, cfg)
         equalized = equalize_histogram(image)
         assert ctx.raw is image
-        assert np.array_equal(ctx.gradient.magnitude, sobel_gradients(equalized).magnitude)
+        assert np.array_equal(ctx.magnitude, sobel_gradients(equalized).magnitude)
         assert np.array_equal(ctx.edge_map,
                               canny_edges(equalized, cfg.canny_low, cfg.canny_high))
         assert ctx.svms == bundle.svms[level]

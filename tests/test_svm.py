@@ -13,7 +13,11 @@ from asmfit.svm import (
     train_linear_svm,
     training_accuracy,
 )
-from reference_svm import predict, train_linear_svm_reference
+from reference_svm import (
+    build_landmark_training_set_reference,
+    predict,
+    train_linear_svm_reference,
+)
 
 
 def two_point_set():
@@ -93,57 +97,75 @@ def grid_magnitude():
 def test_training_set_composition():
     mag = grid_magnitude()
     pts = np.array([[20.0, 20.0], [10.0, 30.0]])
-    ts = build_landmark_training_set([(mag, pts)] * 3, landmark=0, level=0,
-                                     negatives_per_positive=4, seed=1, size=5)
-    assert ts.count == 15
-    assert ts.labels.tolist() == [1.0, -1.0, -1.0, -1.0, -1.0] * 3
-    assert ts.features.shape == (15, 25)
+    ts = build_landmark_training_set([(mag, pts)] * 3, [0], level=0,
+                                     negatives_per_positive=4, seeds=[1], size=5)
+    assert ts.count == 15 and ts.landmarks == (0,) and ts.seeds is None
+    assert ts.labels.tolist() == [[1.0, -1.0, -1.0, -1.0, -1.0] * 3]
+    assert ts.features.shape == (1, 15, 25)
     positive = normalize_windows(windows_batch(mag, pts[:1], 5), "sum")[0]
-    assert np.array_equal(ts.features[0], positive)
-    assert np.array_equal(ts.features[5], positive)
+    assert np.array_equal(ts.features[0, 0], positive)
+    assert np.array_equal(ts.features[0, 5], positive)
 
 
 def test_training_set_deterministic():
     mag = grid_magnitude()
     pts = np.array([[20.0, 20.0]])
-    a = build_landmark_training_set([(mag, pts)] * 4, 0, 0, seed=9, size=5)
-    b = build_landmark_training_set([(mag, pts)] * 4, 0, 0, seed=9, size=5)
+    a = build_landmark_training_set([(mag, pts)] * 4, [0], 0, seeds=[9], size=5)
+    b = build_landmark_training_set([(mag, pts)] * 4, [0], 0, seeds=[9], size=5)
     assert np.array_equal(a.features, b.features)
-    c = build_landmark_training_set([(mag, pts)] * 4, 0, 0, seed=10, size=5)
+    c = build_landmark_training_set([(mag, pts)] * 4, [0], 0, seeds=[10], size=5)
     assert not np.array_equal(a.features, c.features)
-
-
-def test_training_set_skips_without_consuming_rng():
-    mag = grid_magnitude()
-    inside = np.array([[20.0, 20.0]])
-    outside = np.array([[-30.0, 20.0]])
-    with_skip = build_landmark_training_set(
-        [(mag, outside), (mag, inside)], 0, 0, seed=3, size=5)
-    without = build_landmark_training_set([(mag, inside)], 0, 0, seed=3, size=5)
-    assert with_skip.skipped == 1
-    assert without.skipped == 0
-    assert np.array_equal(with_skip.features, without.features)
 
 
 def test_training_set_ring_capacity():
     mag = grid_magnitude()
     pts = np.array([[20.0, 20.0]])
     # Chebyshev ring [1, 1] holds exactly 8 offsets
-    ts = build_landmark_training_set([(mag, pts)], 0, 0, negatives_per_positive=8,
+    ts = build_landmark_training_set([(mag, pts)], [0], 0, negatives_per_positive=8,
                                      offset_range=(1, 1), size=5)
     assert ts.count == 9
-    with pytest.raises(ShapeArityError):
-        build_landmark_training_set([(mag, pts)], 0, 0, negatives_per_positive=9,
-                                    offset_range=(1, 1), size=5)
-    with pytest.raises(ShapeArityError):
-        build_landmark_training_set([(mag, pts)], 0, 0, offset_range=(0, 4), size=5)
+    for bad in (dict(negatives_per_positive=9, offset_range=(1, 1)),
+                dict(negatives_per_positive=-1), dict(offset_range=(0, 4))):
+        with pytest.raises(ShapeArityError):
+            build_landmark_training_set([(mag, pts)], [0], 0, size=5, **bad)
+    with pytest.raises(DimensionMismatchError):
+        build_landmark_training_set([(mag, pts)], [0], 0, seeds=[1, 2], size=5)
 
 
 def test_training_set_empty_dataset():
-    ts = build_landmark_training_set([], 0, 0, size=5)
-    assert ts.count == 0
+    ts = build_landmark_training_set([], [0, 1], 0, size=5)
+    assert ts.count == 0 and ts.features.shape == (2, 0, 25)
     with pytest.raises(ClassBalanceError):
         train_linear_svm(ts, SvmTrainConfig())
+
+
+def oracle_dataset():
+    """Three 40x36 images. Their points lie inside, on the last column or
+    row, half a pixel past it (rounding outside the image) and at negative
+    coordinates."""
+    rng = np.random.default_rng(12)
+    points = np.array([
+        [20.0, 18.0], [39.0, 10.0], [12.0, 35.0], [39.0, 35.0],
+        [39.5, 20.0], [15.0, 35.5], [-0.5, 4.0], [-1.5, -3.0],
+    ])
+    return [(rng.uniform(0.5, 9.0, (36, 40)), points) for _ in range(3)]
+
+
+@pytest.mark.parametrize("size", [3, 5, 15])
+@pytest.mark.parametrize("negatives, ring", [(0, (2, 8)), (4, (2, 8)), (8, (1, 1))],
+                         ids=["no-negatives", "four", "full-ring"])
+@pytest.mark.parametrize("landmarks", [[4], list(range(8))], ids=["one", "eight"])
+def test_stacked_training_set_equals_per_landmark_oracle(size, negatives, ring, landmarks):
+    dataset = oracle_dataset()
+    seeds = [31 * j + 5 for j in landmarks]
+    ts = build_landmark_training_set(dataset, landmarks, 2, negatives_per_positive=negatives,
+                                     offset_range=ring, seeds=seeds, size=size)
+    assert ts.landmarks == tuple(landmarks) and ts.level == 2
+    assert ts.features.shape == (len(landmarks), 3 * (1 + negatives), size * size)
+    for i, (j, seed) in enumerate(zip(landmarks, seeds)):
+        ref = build_landmark_training_set_reference(dataset, j, 2, negatives, ring, seed, size)
+        assert np.array_equal(ts.features[i], ref.features)
+        assert np.array_equal(ts.labels[i], ref.labels)
 
 
 # ---------------------------------------------------------------- trainer
@@ -282,12 +304,11 @@ def test_stack_validation_and_accessors():
         LandmarkTrainingSet(feats, labels, (0, 1, 2), 0, seeds=(1, 2))
     with pytest.raises(DimensionMismatchError):
         LandmarkTrainingSet(feats[..., None], labels, (0, 1, 2), 0)
-    singles = [LandmarkTrainingSet(feats[i], labels[i], 5 + i, 1, skipped=i) for i in range(3)]
-    stack = LandmarkTrainingSet.stack(singles, seeds=(7, 8, 9))
+    stack = LandmarkTrainingSet(feats, labels, (5, 6, 7), 1, seeds=(7, 8, 9))
     assert stack.count == 10 and stack.landmarks == (5, 6, 7)
-    assert stack.seeds == (7, 8, 9) and stack.skipped == 3 and stack.level == 1
+    assert stack.seeds == (7, 8, 9) and stack.level == 1
     assert np.array_equal(stack.features, feats)
-    assert singles[0].landmarks == (5,)
+    assert LandmarkTrainingSet(feats[0], labels[0], 5, 1).landmarks == (5,)
 
 
 def test_training_accuracy_matches_decision_values():

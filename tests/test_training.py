@@ -1,21 +1,16 @@
 import numpy as np
 import pytest
 
+from asmfit import svm, training
 from asmfit.dataset_io import AnnotatedSample
 from asmfit.errors import ClassBalanceError, InsufficientDataError, ShapeArityError
 from asmfit.imaging import GrayImage, build_pyramid, equalize_histogram, sobel_gradients
 from asmfit.scheme import DEFAULT_SCHEME
 from asmfit.search import FitConfig
 from asmfit.shape_model import Shape
-from asmfit.svm import (
-    LinearSvmModel,
-    SvmTrainConfig,
-    _ring_offsets,
-    build_landmark_training_set,
-    decision_values,
-)
+from asmfit.svm import LinearSvmModel, SvmTrainConfig, _ring_offsets, decision_values
 from asmfit.training import _seed_for, train_bundle
-from reference_svm import train_linear_svm_reference
+from reference_svm import build_landmark_training_set_reference, train_linear_svm_reference
 
 
 def standardized(rows):
@@ -48,11 +43,8 @@ def test_summary_window_accounting(trained):
     bundle, summary, faces = trained
     n = DEFAULT_SCHEME.total
     images = 6
-    for level, (pos, neg) in enumerate(zip(summary.level_positives,
-                                           summary.level_negatives)):
-        skipped_here = images * n - pos
-        assert 0 <= skipped_here <= summary.skipped
-        assert neg == pos * 4  # negatives_per_positive default
+    assert summary.level_positives == (images * n,) * 3
+    assert summary.level_negatives == (images * n * 4,) * 3  # negatives_per_positive default
 
 
 def test_stats_match_configured_dims(trained):
@@ -112,16 +104,17 @@ def level_training_set(samples, landmark, level, seed, levels=3):
         dataset.append((sobel_gradients(equalize_histogram(raw)).magnitude,
                         sample.shape.points / 2.0**level))
     cfg = FitConfig()
-    return build_landmark_training_set(
+    return build_landmark_training_set_reference(
         dataset, landmark, level, seed=_seed_for(seed, level, landmark, 0),
         size=cfg.profile_lengths[level],
     )
 
 
-def test_skipped_landmark_trains_in_its_own_stack(faces96):
+def test_border_landmark_trains_with_clamped_windows(faces96):
     # Landmark 5 on the right border of two 96-pixel images rounds to
-    # column 48 of the 48-pixel level-1 image and to 24 at level 2, so it
-    # is skipped there and has fewer rows than its chunk neighbours.
+    # column 48 of the 48-pixel level-1 image and to 24 at level 2, one
+    # pixel past the last column. Its windows there are clamped, so it
+    # keeps every image's rows, as its stack neighbours do.
     samples = []
     for i, sample in enumerate(faces96[:4]):
         pts = sample.shape.points.copy()
@@ -130,10 +123,10 @@ def test_skipped_landmark_trains_in_its_own_stack(faces96):
         samples.append(AnnotatedSample(sample.name, sample.image, Shape(pts)))
     svm_config = SvmTrainConfig(epochs=5)
     bundle, summary = train_bundle(samples, DEFAULT_SCHEME, svm_config=svm_config, seed=2)
-    assert summary.skipped == 4
-    for level, landmark, rows in [(1, 5, 10), (1, 4, 20), (2, 5, 10), (0, 5, 20)]:
+    assert summary.level_positives == (4 * DEFAULT_SCHEME.total,) * 3
+    for level, landmark in [(1, 5), (1, 4), (2, 5), (0, 5)]:
         ts = level_training_set(samples, landmark, level, seed=2)
-        assert ts.count == rows
+        assert ts.count == 20
         rows, mean, std = standardized(ts.features)
         ref = folded(train_linear_svm_reference(
             rows, ts.labels, epochs=5, seed=_seed_for(2, level, landmark, 1),
@@ -141,6 +134,27 @@ def test_skipped_landmark_trains_in_its_own_stack(faces96):
         model = bundle.svms[level]
         np.testing.assert_allclose(model.weights[landmark], ref.weights, rtol=1e-12)
         assert model.bias[landmark] == pytest.approx(ref.bias, rel=1e-12)
+
+
+def test_one_training_set_call_per_stack_and_one_window_call_per_image(faces96, monkeypatch):
+    runs, window_calls = [], []
+    build, windows = training.build_landmark_training_set, svm.windows_batch
+
+    def counted_build(dataset, landmarks, *args, **kwargs):
+        runs.append(list(landmarks))
+        return build(dataset, landmarks, *args, **kwargs)
+
+    def counted_windows(*args, **kwargs):
+        window_calls.append(1)
+        return windows(*args, **kwargs)
+
+    monkeypatch.setattr(training, "build_landmark_training_set", counted_build)
+    monkeypatch.setattr(svm, "windows_batch", counted_windows)
+    train_bundle(faces96[:3], DEFAULT_SCHEME, svm_config=SvmTrainConfig(epochs=1))
+    # 3 levels of 68 landmarks in stacks of 8: 9 stacks per level, the last of 4
+    assert len(runs) == 27
+    assert [j for run in runs[:9] for j in run] == list(range(DEFAULT_SCHEME.total))
+    assert len(window_calls) == 27 * 3
 
 
 def test_one_class_landmark_names_landmark_and_level(faces96):
@@ -185,8 +199,8 @@ def test_constant_window_dimension_gets_unit_std(faces96):
                              negatives_per_positive=8, seed=4)
     dataset = [(sobel_gradients(equalize_histogram(s.image)).magnitude, s.shape.points)
                for s in samples]
-    ts = build_landmark_training_set(dataset, 0, 0, negatives_per_positive=8,
-                                     seed=_seed_for(4, 0, 0, 0), size=3)
+    ts = build_landmark_training_set_reference(dataset, 0, 0, negatives_per_positive=8,
+                                               seed=_seed_for(4, 0, 0, 0), size=3)
     constant = ts.features.std(axis=0) == 0.0
     assert constant[0] and not constant.all()
     assert np.all(ts.features[:, 0] == 0.0)
