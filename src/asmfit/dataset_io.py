@@ -290,12 +290,12 @@ def _encode(obj, out: bytearray):
         if arr.dtype == np.uint8:
             out.append(_T_U8)
         else:
-            arr = arr.astype("<f8")
+            arr = np.ascontiguousarray(arr, dtype="<f8")
             out.append(_T_F64)
         out.append(arr.ndim)
         for dim in arr.shape:
             out += struct.pack("<Q", dim)
-        out += arr.tobytes()
+        out += arr.data  # appended from the array's buffer, without a bytes copy
     elif isinstance(obj, (list, tuple)):
         out.append(_T_LIST)
         out += struct.pack("<I", len(obj))
@@ -433,19 +433,25 @@ def save_bundle(bundle: ModelBundle, path) -> None:
     for name, payload in sections:
         blob = bytearray()
         _encode(payload, blob)
-        blobs.append((name, bytes(blob)))
+        blobs.append((name, blob))
 
-    table = bytearray()
+    head = bytearray(BUNDLE_MAGIC + struct.pack("<II", BUNDLE_VERSION, len(blobs)))
     offset = 0
     for name, blob in blobs:
         raw = name.encode("ascii")
-        table += struct.pack("<H", len(raw))
-        table += raw
-        table += struct.pack("<QQ", offset, len(blob))
+        head += struct.pack("<H", len(raw))
+        head += raw
+        head += struct.pack("<QQ", offset, len(blob))
         offset += len(blob)
-    head = BUNDLE_MAGIC + struct.pack("<II", BUNDLE_VERSION, len(blobs))
-    body = head + bytes(table) + b"".join(blob for _, blob in blobs)
-    Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    # The sections are written as encoded, with a running CRC: the body is
+    # never joined into one more copy of the whole bundle.
+    crc = zlib.crc32(head)
+    with open(path, "wb") as f:
+        f.write(head)
+        for _, blob in blobs:
+            f.write(blob)
+            crc = zlib.crc32(blob, crc)
+        f.write(struct.pack("<I", crc))
 
 
 def _section_table(data: memoryview, count: int, start: int):

@@ -120,11 +120,18 @@ class FitResult:
 def init_shape_from_box(model: ShapeModel, box) -> Shape:
     """Mean shape scaled anisotropically (no rotation) to fill the box.
 
-    box is (x, y, width, height) in level-0 pixels.
+    box is (x, y, width, height) in level-0 pixels. A box that is not four
+    real numbers, has a non-finite entry or a width or height under 1 pixel
+    raises BoxError.
     """
-    x, y, w, h = (float(v) for v in box)
-    if not (w > 0 and h > 0):
-        raise BoxError(f"box needs positive width and height, got {w}x{h}")
+    try:
+        x, y, w, h = (float(v) for v in box)
+    except (TypeError, ValueError, OverflowError):
+        raise BoxError(f"box must be four real numbers x, y, width, height, got {box!r}") from None
+    if not np.isfinite((x, y, w, h)).all():
+        raise BoxError(f"box entries must be finite, got {(x, y, w, h)}")
+    if not (w >= 1 and h >= 1):
+        raise BoxError(f"box needs a width and height of at least 1 pixel, got {w}x{h}")
     x0, y0, x1, y1 = model.mean_shape.bounding_box()
     if x1 - x0 < 1e-12 or y1 - y0 < 1e-12:
         raise DegenerateShapeError("mean shape has no extent to place in a box")

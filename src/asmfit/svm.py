@@ -116,6 +116,28 @@ def _ring_offsets(d_min: int, d_max: int) -> np.ndarray:
     return np.column_stack([dx[keep], dy[keep]])
 
 
+def negative_ring(offset_range, negatives_per_positive) -> np.ndarray:
+    """The ring offsets of offset_range, a pair of integers 1 <= d_min <= d_max,
+    that negative windows are drawn from; raises ShapeArityError unless the
+    pair and negatives_per_positive are integers and the ring holds that
+    many distinct offsets."""
+    if not (isinstance(offset_range, (tuple, list)) and len(offset_range) == 2):
+        raise ShapeArityError(f"offset_range must be a pair of integers, got {offset_range!r}")
+    d_min, d_max = offset_range
+    check_numbers({"offset_range[0]": d_min, "offset_range[1]": d_max,
+                   "negatives_per_positive": negatives_per_positive},
+                  integers=("offset_range[0]", "offset_range[1]", "negatives_per_positive"))
+    if d_min < 1 or d_max < d_min:
+        raise ShapeArityError(f"offset range must satisfy 1 <= d_min <= d_max, got {offset_range}")
+    ring = _ring_offsets(d_min, d_max)
+    if not 0 <= negatives_per_positive <= len(ring):
+        raise ShapeArityError(
+            f"ring [{d_min}, {d_max}] holds {len(ring)} offsets, "
+            f"cannot draw {negatives_per_positive} without replacement"
+        )
+    return ring
+
+
 def build_landmark_training_set(
     dataset,
     landmarks,
@@ -135,17 +157,11 @@ def build_landmark_training_set(
     its offsets from its own generator, seeded seeds[i] (0 when seeds is
     None), image after image. Windows that cross the border are clamped.
     Returns one stack with (k, images * (1 + negatives_per_positive), d)
-    features; its SGD seeds are left unset.
+    features; its SGD seeds are left unset. A non-integer size or a ring
+    that negative_ring rejects raises ShapeArityError.
     """
-    d_min, d_max = int(offset_range[0]), int(offset_range[1])
-    if d_min < 1 or d_max < d_min:
-        raise ShapeArityError(f"offset range must satisfy 1 <= d_min <= d_max, got {offset_range}")
-    ring = _ring_offsets(d_min, d_max)
-    if not 0 <= negatives_per_positive <= len(ring):
-        raise ShapeArityError(
-            f"ring [{d_min}, {d_max}] holds {len(ring)} offsets, "
-            f"cannot draw {negatives_per_positive} without replacement"
-        )
+    check_numbers({"size": size}, integers=("size",))
+    ring = negative_ring(offset_range, negatives_per_positive)
     landmarks = list(landmarks)
     k = len(landmarks)
     seeds = (0,) * k if seeds is None else tuple(seeds)
@@ -176,7 +192,11 @@ def train_linear_svm(train_set: LandmarkTrainingSet, config: SvmTrainConfig):
 
     A stack of k landmarks runs as one loop: every landmark keeps its own
     generator and permutation order, and each step gathers the k batches
-    at once. Returns one LinearSvmModel, stacked for a stack.
+    at once. The rows are signed by their labels once, z = y*[x, 1], so a
+    step's margins are z_b @ w and its subgradient sum is the violation
+    mask @ z_b; multiplying by +/-1 is exact, so the iterates are those of
+    the plain y*(x_b @ w) form bit for bit. Returns one LinearSvmModel,
+    stacked for a stack.
     """
     k, m, d = len(train_set.landmarks), train_set.count, train_set.features.shape[-1]
     y = train_set.labels.reshape(k, m)
@@ -186,10 +206,10 @@ def train_linear_svm(train_set: LandmarkTrainingSet, config: SvmTrainConfig):
                 f"landmark {landmark} level {train_set.level}: "
                 "training set must contain both classes"
             )
-    x = np.concatenate(
-        [train_set.features.reshape(k, m, d), np.ones((k, m, 1))], axis=2
-    ).reshape(k * m, d + 1)
-    y = y.ravel()
+    z = np.empty((k, m, d + 1))
+    np.multiply(train_set.features.reshape(k, m, d), y[:, :, None], out=z[:, :, :d])
+    z[:, :, d] = y
+    z = z.reshape(k * m, d + 1)
     seeds = train_set.seeds if train_set.seeds is not None else (config.seed,) * k
     rngs = [np.random.default_rng(seed) for seed in seeds]
     first_row = np.arange(k)[:, None] * m
@@ -197,6 +217,7 @@ def train_linear_svm(train_set: LandmarkTrainingSet, config: SvmTrainConfig):
     w = np.zeros((k, d + 1))
     t = 0
     batch = min(config.batch_size, m)
+    mask = np.empty((k, batch))
     avg = np.zeros((k, d + 1))
     averaged = 0
     for epoch in range(config.epochs):
@@ -205,11 +226,10 @@ def train_linear_svm(train_set: LandmarkTrainingSet, config: SvmTrainConfig):
             idx = order[:, start:start + batch]
             t += 1
             eta = 1.0 / (lam * t)
-            xb = x.take(idx, axis=0)
-            yb = y.take(idx)
-            margin = yb * np.matmul(xb, w[:, :, None])[:, :, 0]
-            coef = np.where(margin < 1.0, yb, 0.0)
-            grad = lam * w - np.matmul(coef[:, None, :], xb)[:, 0, :] / idx.shape[1]
+            zb = z.take(idx, axis=0)
+            viol = np.less(np.matmul(zb, w[:, :, None])[:, :, 0], 1.0,
+                           out=mask[:, :idx.shape[1]])
+            grad = lam * w - np.matmul(viol[:, None, :], zb)[:, 0, :] / idx.shape[1]
             w = w - eta * grad
         if epoch >= config.epochs // 2:
             avg += w
@@ -240,9 +260,3 @@ def decision_values(model: LinearSvmModel, rows: np.ndarray, landmark: int = Non
                                      "(a stacked SVM needs a landmark index)")
     return rows @ weights + bias
 
-
-def svm_objective(model: LinearSvmModel, train_set: LandmarkTrainingSet, c_penalty: float) -> float:
-    """Primal objective 0.5*|w|^2 + C * sum hinge(1 - y*f(x))."""
-    f = decision_values(model, train_set.features)
-    hinge = np.maximum(0.0, 1.0 - train_set.labels * f)
-    return 0.5 * float(model.weights @ model.weights + model.bias**2) + c_penalty * float(hinge.sum())

@@ -32,14 +32,19 @@ from .svm import (
     LinearSvmModel,
     SvmTrainConfig,
     build_landmark_training_set,
+    negative_ring,
     train_linear_svm,
     training_accuracy,
 )
 
-# Landmarks whose SVMs train in one stacked SGD loop. Larger stacks save
-# Python steps but their rows no longer stay in cache: at the 15x15 level
-# a stack of all 68 landmarks of 240 images holds 147 MB and runs slower.
-_SVM_GROUP = 8
+# Bound, in floats per training row, on the total row width of the landmark
+# SVMs that train in one stacked SGD loop: 8 landmarks of 15x15 windows
+# plus bias. A level's landmarks split into the fewest stacks of equal size
+# under it, so 68 landmarks train in 1 stack at 3x3, 2 of 34 at 7x7 and 9
+# of 7 or 8 at 15x15. Every stack costs the same number of Python steps;
+# wider stacks no longer stay in cache (all 68 landmarks of 240 images at
+# 15x15 hold 147 MB and run slower).
+_SVM_WIDTH = 8 * (15**2 + 1)
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,14 @@ class TrainingSummary:
 
 def _seed_for(master: int, level: int, landmark: int, salt: int) -> int:
     return master * 1_000_003 + salt * 500_000 + level * 1_000 + landmark
+
+
+def _svm_stacks(n: int, size: int) -> list:
+    """Landmarks 0..n-1 split in order into the fewest stacks of equal size
+    (one more landmark in the first ones) whose rows of size*size features
+    plus bias fit in _SVM_WIDTH floats; always at least one landmark."""
+    per_stack = max(1, _SVM_WIDTH // (size * size + 1))
+    return [run.tolist() for run in np.array_split(np.arange(n), -(-n // per_stack))]
 
 
 def _standardize(rows: np.ndarray):
@@ -97,14 +110,11 @@ def train_bundle(
     from it. Mistyped settings raise ShapeArityError before any work.
     """
     integer_sizes("classic_length", (classic_length,))
-    if not (isinstance(offset_range, (tuple, list)) and len(offset_range) == 2):
-        raise ShapeArityError(f"offset_range must be a pair of integers, got {offset_range!r}")
+    negative_ring(offset_range, negatives_per_positive)
     variance_fraction, clamp_alpha, eps = check_numbers(
-        {"negatives_per_positive": negatives_per_positive, "seed": seed,
-         "offset_range[0]": offset_range[0], "offset_range[1]": offset_range[1],
-         "variance_fraction": variance_fraction, "clamp_alpha": clamp_alpha, "eps": eps},
-        integers=("negatives_per_positive", "seed", "offset_range[0]", "offset_range[1]"),
-        reals=("variance_fraction", "clamp_alpha", "eps"),
+        {"seed": seed, "variance_fraction": variance_fraction, "clamp_alpha": clamp_alpha,
+         "eps": eps},
+        integers=("seed",), reals=("variance_fraction", "clamp_alpha", "eps"),
     ).values()
     if fit_config is None:
         fit_config = FitConfig()
@@ -140,11 +150,6 @@ def train_bundle(
     n = scheme.total
     classic_stats = []
     asm_stats = []
-    svms = []
-    level_pos = []
-    level_neg = []
-    level_acc_mean = []
-    level_acc_min = []
     for lv in range(levels):
         one_d_rows = []
         windows = []
@@ -156,21 +161,25 @@ def train_bundle(
             wins = windows_batch(mag, pts, sizes[lv])
             windows.append(normalize_windows(wins, "sum"))
         # (n, images, d): each landmark's rows in one contiguous block.
-        one_d_rows = np.stack(one_d_rows, axis=1)
-        windows = np.stack(windows, axis=1)
-        classic_stats.append(stats_from_matrix(one_d_rows, eps))
-        asm_stats.append(stats_from_matrix(windows, eps))
+        classic_stats.append(stats_from_matrix(np.stack(one_d_rows, axis=1), eps))
+        asm_stats.append(stats_from_matrix(np.stack(windows, axis=1), eps))
+    # Every level's statistics come before any SVM stack, so the raw images
+    # and the statistics' temporaries are freed before the stacks' rows are
+    # allocated, and no stack's heap stays resident under the statistics.
+    del level_raw, one_d_rows, windows
 
-        # The SVM stacks below take about as much memory as these arrays.
-        del one_d_rows, windows
-
+    svms = []
+    level_pos = []
+    level_neg = []
+    level_acc_mean = []
+    level_acc_min = []
+    for lv in range(levels):
         dataset_lv = list(zip(level_mag[lv], level_pts[lv]))
         weights = np.empty((n, sizes[lv] ** 2))
         biases = np.empty(n)
         accuracy = []
         pos = neg = 0
-        for first in range(0, n, _SVM_GROUP):
-            run = range(first, min(first + _SVM_GROUP, n))
+        for run in _svm_stacks(n, sizes[lv]):
             stack = build_landmark_training_set(
                 dataset_lv, run, lv,
                 negatives_per_positive=negatives_per_positive,

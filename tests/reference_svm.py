@@ -6,19 +6,31 @@ landmark, selecting the margin violators of each batch by boolean
 compaction. The library's stacked trainer must reproduce it to rounding
 for every landmark of a stack.
 
+train_linear_svm_stacked_reference is the stacked trainer as it was before
+its rows were signed by their labels: each step gathers the rows and the
+labels, multiplies the margins by the labels and selects violators with
+np.where. The library's trainer must reproduce it bit for bit.
+
 build_landmark_training_set_reference gathers one landmark's windows at a
 time, each image's positive and negatives with their own windows_batch
 call, as the library did before it gathered a whole stack image by image.
 
 predict scores one profile at a time, the form the library's row-matrix
-decision_values replaces.
+decision_values replaces. svm_objective is the primal objective of one
+landmark's model.
 """
 
 import numpy as np
 
 from asmfit.errors import ClassBalanceError, DimensionMismatchError
 from asmfit.profiles import normalize_windows, windows_batch
-from asmfit.svm import LandmarkTrainingSet, LinearSvmModel, _ring_offsets
+from asmfit.svm import (
+    LandmarkTrainingSet,
+    LinearSvmModel,
+    SvmTrainConfig,
+    _ring_offsets,
+    decision_values,
+)
 
 
 def predict(model: LinearSvmModel, values) -> tuple:
@@ -79,3 +91,61 @@ def build_landmark_training_set_reference(dataset, landmark, level, negatives_pe
         rows.append(normalize_windows(windows_batch(magnitude, centers, size), "sum"))
         labels.extend([1.0] + [-1.0] * negatives_per_positive)
     return LandmarkTrainingSet(np.vstack(rows), np.array(labels), landmark, level)
+
+
+def train_linear_svm_stacked_reference(train_set: LandmarkTrainingSet, config: SvmTrainConfig):
+    """Seeded stochastic subgradient descent on the hinge objective.
+
+    Works on bias-augmented features with regularization 1/(C*m), stepping
+    eta_t = 1/(lambda*t); the returned model averages the epoch-final
+    iterates of the last half of epochs for stability.
+
+    A stack of k landmarks runs as one loop: every landmark keeps its own
+    generator and permutation order, and each step gathers the k batches
+    at once. Returns one LinearSvmModel, stacked for a stack.
+    """
+    k, m, d = len(train_set.landmarks), train_set.count, train_set.features.shape[-1]
+    y = train_set.labels.reshape(k, m)
+    for landmark, row in zip(train_set.landmarks, y):
+        if row.size == 0 or np.all(row == row[0]):
+            raise ClassBalanceError(
+                f"landmark {landmark} level {train_set.level}: "
+                "training set must contain both classes"
+            )
+    x = np.concatenate(
+        [train_set.features.reshape(k, m, d), np.ones((k, m, 1))], axis=2
+    ).reshape(k * m, d + 1)
+    y = y.ravel()
+    seeds = train_set.seeds if train_set.seeds is not None else (config.seed,) * k
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    first_row = np.arange(k)[:, None] * m
+    lam = 1.0 / (config.c_penalty * m)
+    w = np.zeros((k, d + 1))
+    t = 0
+    batch = min(config.batch_size, m)
+    avg = np.zeros((k, d + 1))
+    averaged = 0
+    for epoch in range(config.epochs):
+        order = np.stack([rng.permutation(m) for rng in rngs]) + first_row
+        for start in range(0, m, batch):
+            idx = order[:, start:start + batch]
+            t += 1
+            eta = 1.0 / (lam * t)
+            xb = x.take(idx, axis=0)
+            yb = y.take(idx)
+            margin = yb * np.matmul(xb, w[:, :, None])[:, :, 0]
+            coef = np.where(margin < 1.0, yb, 0.0)
+            grad = lam * w - np.matmul(coef[:, None, :], xb)[:, 0, :] / idx.shape[1]
+            w = w - eta * grad
+        if epoch >= config.epochs // 2:
+            avg += w
+            averaged += 1
+    w = (avg / averaged).reshape(train_set.features.shape[:-2] + (d + 1,))
+    return LinearSvmModel(w[..., :-1], w[..., -1])
+
+
+def svm_objective(model: LinearSvmModel, train_set: LandmarkTrainingSet, c_penalty: float) -> float:
+    """Primal objective 0.5*|w|^2 + C * sum hinge(1 - y*f(x))."""
+    f = decision_values(model, train_set.features)
+    hinge = np.maximum(0.0, 1.0 - train_set.labels * f)
+    return 0.5 * float(model.weights @ model.weights + model.bias**2) + c_penalty * float(hinge.sum())

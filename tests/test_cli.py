@@ -246,6 +246,19 @@ def test_fit_bad_box_arguments(cli_env, tmp_path, capsys):
     assert "outside" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("box", ["10,10,inf,20", "10,nan,20,20", "10,10,1e-9,1e-9",
+                                 "10,10,20,1e400"])
+def test_fit_rejects_non_finite_or_sub_pixel_box(cli_env, tmp_path, capsys, box):
+    out = tmp_path / "o.pts"
+    rc = main(["fit", "--model", str(cli_env["bundle"]),
+               "--image", str(cli_env["images"] / "face_000.pgm"), f"--box={box}",
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("asmfit fit: ") and "box" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_fit_box_mostly_off_the_image_fails_in_one_line(cli_env, tmp_path, capsys):
     sample = cli_env["samples"][0]
     x, y, w, h = truth_box(sample.shape, 0.10)

@@ -138,10 +138,29 @@ def test_init_shape_box_errors():
     ])
     with pytest.raises(BoxError):
         init_shape_from_box(model, (0.0, 0.0, 0.0, 10.0))
+    assert init_shape_from_box(model, (10.0, 10.0, 1.0, 1.0)).n == 5
     line = Shape(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
     flat = build_shape_model([line, line, line])
     with pytest.raises(DegenerateShapeError):
         init_shape_from_box(flat, (0.0, 0.0, 10.0, 10.0))
+
+
+@pytest.mark.parametrize("box", [
+    (10.0, 10.0, float("inf"), 20.0), (10.0, 10.0, 20.0, float("inf")),
+    (float("-inf"), 10.0, 20.0, 20.0), (10.0, float("nan"), 20.0, 20.0),
+    (10.0, 10.0, float("nan"), 20.0), (10.0, 10.0, 1e-9, 1e-9), (10.0, 10.0, 0.999, 20.0),
+    (10.0, 10.0, 20.0, 0.5), (10.0, 10.0, -20.0, 20.0), (10.0, 10.0, 20.0),
+    (10.0, 10.0, 10**400, 20.0), ("x", 10.0, 20.0, 20.0), None,
+])
+def test_init_shape_rejects_bad_box_before_arithmetic(box):
+    """A non-finite, sub-pixel or malformed box is a BoxError and no numpy
+    warning (which the suite turns into an error) is raised first."""
+    model = build_shape_model([
+        Shape(random_shape_points(np.random.default_rng(0), 5)),
+        Shape(random_shape_points(np.random.default_rng(1), 5)),
+    ])
+    with pytest.raises(BoxError):
+        init_shape_from_box(model, box)
 
 
 # --------------------------------------------------------- candidate grid

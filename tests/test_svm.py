@@ -9,14 +9,15 @@ from asmfit.svm import (
     SvmTrainConfig,
     build_landmark_training_set,
     decision_values,
-    svm_objective,
     train_linear_svm,
     training_accuracy,
 )
 from reference_svm import (
     build_landmark_training_set_reference,
     predict,
+    svm_objective,
     train_linear_svm_reference,
+    train_linear_svm_stacked_reference,
 )
 
 
@@ -124,12 +125,32 @@ def test_training_set_ring_capacity():
     ts = build_landmark_training_set([(mag, pts)], [0], 0, negatives_per_positive=8,
                                      offset_range=(1, 1), size=5)
     assert ts.count == 9
+    # numpy integers are integers
+    ts = build_landmark_training_set([(mag, pts)], [0], 0, offset_range=(np.int64(2), 8),
+                                     negatives_per_positive=np.int32(4), size=np.int64(5))
+    assert ts.features.shape == (1, 5, 25)
     for bad in (dict(negatives_per_positive=9, offset_range=(1, 1)),
                 dict(negatives_per_positive=-1), dict(offset_range=(0, 4))):
         with pytest.raises(ShapeArityError):
             build_landmark_training_set([(mag, pts)], [0], 0, size=5, **bad)
     with pytest.raises(DimensionMismatchError):
         build_landmark_training_set([(mag, pts)], [0], 0, seeds=[1, 2], size=5)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(offset_range=(2.7, 8.9)), dict(offset_range=(2, 8.0)), dict(offset_range=(True, 8)),
+    dict(offset_range=(np.float64(2.0), 8)), dict(offset_range=[2, 4, 8]), dict(offset_range=5),
+    dict(negatives_per_positive=4.0), dict(negatives_per_positive=True), dict(size=5.0),
+    dict(size="5"),
+], ids=lambda bad: f"{next(iter(bad))}={next(iter(bad.values()))!r}")
+def test_training_set_rejects_non_integer_settings(bad):
+    """A non-integer ring, negative count or window size is an error, never
+    truncated: (2.7, 8.9) used to train as (2, 8)."""
+    mag = grid_magnitude()
+    pts = np.array([[20.0, 20.0]])
+    settings = dict(size=5) | bad
+    with pytest.raises(ShapeArityError, match="integer"):
+        build_landmark_training_set([(mag, pts)], [0], 0, **settings)
 
 
 def test_training_set_empty_dataset():
@@ -273,6 +294,25 @@ def test_stacked_trainer_matches_per_landmark_oracle(k, m, batch):
         assert model.bias[i] == pytest.approx(ref.bias, rel=1e-12)
         assert np.array_equal(decision_values(model, feats[i], i) >= 0,
                               decision_values(ref, feats[i]) >= 0)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("m, batch", [(64, 32), (70, 32), (20, 32)],
+                         ids=["full-batches", "partial-last-batch", "batch-exceeds-rows"])
+def test_label_signed_trainer_equals_stacked_reference(k, m, batch):
+    """Signing the rows by their labels once changes no bit of any iterate.
+    The zero last dimension is where a signed-zero difference would show."""
+    feats, labels = stacked_problem(k, m, seed=k * 100 + m)
+    feats = np.concatenate([feats, np.zeros((k, m, 1))], axis=2)
+    config = SvmTrainConfig(c_penalty=2.0, epochs=25, batch_size=batch, seed=99)
+    for seeds in ([11 * i + 3 for i in range(k)], None):
+        stack = LandmarkTrainingSet(feats, labels, tuple(range(10, 10 + k)), 1, seeds=seeds)
+        model = train_linear_svm(stack, config)
+        ref = train_linear_svm_stacked_reference(stack, config)
+        assert np.array_equal(model.weights, ref.weights) and np.array_equal(model.bias, ref.bias)
+        # bytes also tell +0.0 from -0.0
+        assert model.weights.tobytes() == ref.weights.tobytes()
+        assert model.bias.tobytes() == ref.bias.tobytes()
 
 
 def test_single_landmark_is_a_stack_of_one():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from asmfit import svm, training
-from asmfit.dataset_io import AnnotatedSample
+from asmfit.dataset_io import AnnotatedSample, save_bundle
 from asmfit.errors import ClassBalanceError, InsufficientDataError, ShapeArityError
 from asmfit.imaging import GrayImage, build_pyramid, equalize_histogram, sobel_gradients
 from asmfit.scheme import DEFAULT_SCHEME
@@ -140,9 +140,9 @@ def test_one_training_set_call_per_stack_and_one_window_call_per_image(faces96, 
     runs, window_calls = [], []
     build, windows = training.build_landmark_training_set, svm.windows_batch
 
-    def counted_build(dataset, landmarks, *args, **kwargs):
-        runs.append(list(landmarks))
-        return build(dataset, landmarks, *args, **kwargs)
+    def counted_build(dataset, landmarks, level, *args, **kwargs):
+        runs.append((level, list(landmarks)))
+        return build(dataset, landmarks, level, *args, **kwargs)
 
     def counted_windows(*args, **kwargs):
         window_calls.append(1)
@@ -151,10 +151,33 @@ def test_one_training_set_call_per_stack_and_one_window_call_per_image(faces96, 
     monkeypatch.setattr(training, "build_landmark_training_set", counted_build)
     monkeypatch.setattr(svm, "windows_batch", counted_windows)
     train_bundle(faces96[:3], DEFAULT_SCHEME, svm_config=SvmTrainConfig(epochs=1))
-    # 3 levels of 68 landmarks in stacks of 8: 9 stacks per level, the last of 4
-    assert len(runs) == 27
-    assert [j for run in runs[:9] for j in run] == list(range(DEFAULT_SCHEME.total))
-    assert len(window_calls) == 27 * 3
+    # 68 landmarks of 3x3, 7x7 and 15x15 windows: 1 stack of 68, 2 of 34,
+    # then 5 of 8 and 4 of 7
+    assert [(level, len(run)) for level, run in runs] == (
+        [(0, 68), (1, 34), (1, 34)] + [(2, 8)] * 5 + [(2, 7)] * 4
+    )
+    for level in range(3):
+        covered = [j for lv, run in runs if lv == level for j in run]
+        assert covered == list(range(DEFAULT_SCHEME.total))
+    assert len(window_calls) == 12 * 3
+
+
+def test_stack_plan_leaves_bundle_bytes_unchanged(faces96, monkeypatch, tmp_path):
+    """One-landmark stacks, the default plan and one stack of all 68
+    landmarks at every level save to the same bytes."""
+    stack_counts = {}
+    for name, width in [("single", 1), ("default", training._SVM_WIDTH),
+                        ("all", DEFAULT_SCHEME.total * (15**2 + 1))]:
+        monkeypatch.setattr(training, "_SVM_WIDTH", width)
+        stack_counts[name] = [len(training._svm_stacks(DEFAULT_SCHEME.total, size))
+                              for size in (3, 7, 15)]
+        bundle, _ = train_bundle(faces96[:6], DEFAULT_SCHEME,
+                                 svm_config=SvmTrainConfig(epochs=3), seed=1)
+        save_bundle(bundle, tmp_path / f"{name}.asmb")
+    assert stack_counts == {"single": [68] * 3, "default": [1, 2, 9], "all": [1, 1, 1]}
+    data = (tmp_path / "default.asmb").read_bytes()
+    assert (tmp_path / "single.asmb").read_bytes() == data
+    assert (tmp_path / "all.asmb").read_bytes() == data
 
 
 def test_one_class_landmark_names_landmark_and_level(faces96):
