@@ -55,7 +55,8 @@ def evaluate(
     """Mean landmark error: average over images of per-image mean distance.
 
     Per-group means use the scheme when given (and matching); otherwise a
-    single "all" group is reported.
+    single "all" group is reported. image_names, when given, names each
+    fitted shape; another count of names raises ShapeArityError.
     """
     if len(fitted) != len(truth):
         raise ShapeArityError(f"{len(fitted)} fitted shapes vs {len(truth)} truth shapes")
@@ -74,6 +75,8 @@ def evaluate(
     names = tuple(image_names) if image_names is not None else tuple(
         f"image_{i:03d}" for i in range(len(fitted))
     )
+    if len(names) != len(fitted):
+        raise ShapeArityError(f"{len(names)} image names for {len(fitted)} fitted shapes")
     return EvalReport(
         method=method,
         metric=metric,

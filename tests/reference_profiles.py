@@ -11,6 +11,11 @@ The library copies gradient windows out of a strided view and normalizes
 them with one division. This module keeps the clamped three-index gather
 of every window and the masked sum normalization those replace.
 
+Training takes each level's 2-D profile statistics from the positive
+windows of its SVM stacks, stack by stack. This module keeps the separate
+pass those replace, level_window_stats: every landmark's window at its
+annotated point in every image, then one stats_from_matrix call.
+
 The library computes every landmark's normal in one vectorized pass from
 the scheme's chord_ends arrays; this module keeps the per-landmark form,
 landmark_normal, and the scheme lookups it uses, group_of and neighbors.
@@ -19,6 +24,8 @@ landmark_normal, and the scheme lookups it uses, group_of and neighbors.
 import numpy as np
 
 from asmfit.errors import ShapeArityError
+from asmfit.imaging import build_pyramid, equalize_histogram, sobel_gradients
+from asmfit.profiles import stats_from_matrix
 from asmfit.scheme import single_contour_scheme
 
 
@@ -74,6 +81,19 @@ def sum_normalized(flat):
     out = flat / safe
     out[np.broadcast_to(np.abs(total) < 1e-12, out.shape)] = 1.0 / dim
     return out
+
+
+def level_window_stats(samples, level, size, eps=1e-3, levels=3):
+    """2-D profile statistics of one pyramid level: the sum-normalized
+    windows of all n landmarks at their annotated points on the equalized
+    Sobel magnitude, then stats_from_matrix over (n, images, size*size)."""
+    windows = []
+    for sample in samples:
+        raw = build_pyramid(sample.image, levels).levels[level]
+        magnitude = sobel_gradients(equalize_histogram(raw)).magnitude
+        points = sample.shape.points / 2.0**level
+        windows.append(sum_normalized(clamped_windows(magnitude, points, size)))
+    return stats_from_matrix(np.stack(windows, axis=1), eps)
 
 
 def group_of(scheme, index):

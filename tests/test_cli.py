@@ -172,7 +172,7 @@ def test_integral_real_settings_train_the_same_bundle(cli_env, tmp_path):
     {"svm": {"c_penalty": "1"}}, {"negatives_per_positive": 4.5}, {"seed": 1.5},
     {"offset_range": [2, 8.5]}, {"offset_range": [2, 4, 8]}, {"offset_range": 5},
     {"variance_fraction": "0.9"}, {"clamp_alpha": None}, {"eps": [0.001]}, {"eps": 10**400},
-    {"c": 10**400},
+    {"c": 10**400}, {"negatives_per_positive": 0},
 ])
 def test_mistyped_train_setting_fails_before_training(cli_env, tmp_path, capsys, monkeypatch,
                                                       config):

@@ -73,6 +73,14 @@ def test_image_names():
     assert rep_default.image_names == ("image_000", "image_001")
 
 
+def test_image_names_must_name_every_image():
+    truth = [base_shape(seed=5), base_shape(seed=6), base_shape(seed=7)]
+    for names in [("a",), ("a", "b", "c", "d"), ()]:
+        with pytest.raises(ShapeArityError, match=f"{len(names)} image names for 3"):
+            evaluate(truth, truth, image_names=names)
+    assert evaluate(truth, truth, image_names=iter("abc")).image_names == ("a", "b", "c")
+
+
 def test_format_report_layout():
     truth = base_shape(seed=7)
     rep = evaluate([shifted(truth, 3.0, 4.0)], [truth],

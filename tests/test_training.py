@@ -3,13 +3,15 @@ import pytest
 
 from asmfit import svm, training
 from asmfit.dataset_io import AnnotatedSample, save_bundle
-from asmfit.errors import ClassBalanceError, InsufficientDataError, ShapeArityError
+from asmfit.errors import InsufficientDataError, ShapeArityError
 from asmfit.imaging import GrayImage, build_pyramid, equalize_histogram, sobel_gradients
 from asmfit.scheme import DEFAULT_SCHEME
 from asmfit.search import FitConfig
 from asmfit.shape_model import Shape
+from asmfit.synthetic import generate_face_dataset
 from asmfit.svm import LinearSvmModel, SvmTrainConfig, _ring_offsets, decision_values
 from asmfit.training import _seed_for, train_bundle
+from reference_profiles import level_window_stats
 from reference_svm import build_landmark_training_set_reference, train_linear_svm_reference
 
 
@@ -137,19 +139,26 @@ def test_border_landmark_trains_with_clamped_windows(faces96):
 
 
 def test_one_training_set_call_per_stack_and_one_window_call_per_image(faces96, monkeypatch):
-    runs, window_calls = [], []
-    build, windows = training.build_landmark_training_set, svm.windows_batch
+    runs = []
+    calls = {"svm.windows_batch": 0, "svm.normalize_windows": 0,
+             "training.windows_batch": 0, "training.normalize_windows": 0}
+    build = training.build_landmark_training_set
 
     def counted_build(dataset, landmarks, level, *args, **kwargs):
         runs.append((level, list(landmarks)))
         return build(dataset, landmarks, level, *args, **kwargs)
 
-    def counted_windows(*args, **kwargs):
-        window_calls.append(1)
-        return windows(*args, **kwargs)
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
 
     monkeypatch.setattr(training, "build_landmark_training_set", counted_build)
-    monkeypatch.setattr(svm, "windows_batch", counted_windows)
+    for name in calls:
+        module, attr = name.split(".")
+        target = {"svm": svm, "training": training}[module]
+        monkeypatch.setattr(target, attr, counted(name, getattr(target, attr)))
     train_bundle(faces96[:3], DEFAULT_SCHEME, svm_config=SvmTrainConfig(epochs=1))
     # 68 landmarks of 3x3, 7x7 and 15x15 windows: 1 stack of 68, 2 of 34,
     # then 5 of 8 and 4 of 7
@@ -159,7 +168,10 @@ def test_one_training_set_call_per_stack_and_one_window_call_per_image(faces96, 
     for level in range(3):
         covered = [j for lv, run in runs if lv == level for j in run]
         assert covered == list(range(DEFAULT_SCHEME.total))
-    assert len(window_calls) == 12 * 3
+    # One window call per image and one normalization per stack, all in the
+    # stacks: the profile statistics gather no window of their own.
+    assert calls == {"svm.windows_batch": 12 * 3, "svm.normalize_windows": 12,
+                     "training.windows_batch": 0, "training.normalize_windows": 0}
 
 
 def test_stack_plan_leaves_bundle_bytes_unchanged(faces96, monkeypatch, tmp_path):
@@ -180,10 +192,49 @@ def test_stack_plan_leaves_bundle_bytes_unchanged(faces96, monkeypatch, tmp_path
     assert (tmp_path / "all.asmb").read_bytes() == data
 
 
-def test_one_class_landmark_names_landmark_and_level(faces96):
-    with pytest.raises(ClassBalanceError, match="landmark 0 level 0"):
+def test_one_class_landmark_names_landmark_and_level(faces96, monkeypatch):
+    """Without negatives every landmark would have one class; training
+    refuses that before any work. A one-class stack that reaches the SGD
+    is named by landmark and level (test_stacked_one_class_landmark_is_named)."""
+    def started(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("asmfit.training.gpa_align", started)
+    monkeypatch.setattr("asmfit.training.build_pyramid", started)
+    with pytest.raises(ShapeArityError, match="negatives_per_positive must be at least 1, got 0"):
         train_bundle(faces96[:3], DEFAULT_SCHEME, svm_config=SvmTrainConfig(epochs=2),
                      negatives_per_positive=0)
+
+
+def test_svm_config_seed_must_keep_its_default(faces96, monkeypatch):
+    def started(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("asmfit.training.gpa_align", started)
+    with pytest.raises(ShapeArityError, match="svm_config.seed 5 is unused"):
+        train_bundle(faces96[:3], DEFAULT_SCHEME, svm_config=SvmTrainConfig(epochs=2, seed=5))
+    # the default seed, given or not, reaches training
+    with pytest.raises(AssertionError, match="training started"):
+        train_bundle(faces96[:3], DEFAULT_SCHEME, svm_config=SvmTrainConfig(epochs=2, seed=0))
+
+
+@pytest.mark.parametrize("width", [training._SVM_WIDTH, 1])
+def test_profile_stats_equal_separate_pass_oracle(monkeypatch, width):
+    """Each level's 2-D statistics, joined from the SVM stacks' positive
+    windows, equal one pass over all landmarks' windows byte for byte, for
+    the default stack plan and for one-landmark stacks. With 12 faces,
+    level 0 (d = 9) takes the covariance path and levels 1 and 2 (d = 49,
+    225) the SVD path."""
+    monkeypatch.setattr(training, "_SVM_WIDTH", width)
+    faces = generate_face_dataset(12, size=96, seed=9)
+    bundle, _ = train_bundle(faces, DEFAULT_SCHEME, svm_config=SvmTrainConfig(epochs=1), seed=1)
+    profiles = bundle.asm_profiles
+    assert [profiles.stats[level].rank for level in range(3)] == [9, 11, 11]
+    for level, size in enumerate(profiles.sizes):
+        ref = level_window_stats(faces, level, size, eps=bundle.train_meta["eps"])
+        for name in ("mean", "basis", "lam", "rho"):
+            got, want = getattr(profiles.stats[level], name), getattr(ref, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (level, name)
 
 
 def test_summary_accuracy_matches_per_landmark_oracle(trained):
