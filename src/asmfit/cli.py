@@ -17,7 +17,7 @@ from .dataset_io import (
     save_ppm,
     write_points_file,
 )
-from .errors import AsmFitError, BoxError, DatasetError
+from .errors import AsmFitError, BoxError, DatasetError, ShapeArityError
 from .evaluation import evaluate, format_report
 from .imaging import GrayImage, build_pyramid
 from .scheme import DEFAULT_SCHEME, LandmarkScheme
@@ -37,6 +37,8 @@ _CONFIG_KEYS = {"scheme", "svm", "classic_profile_length", *_FIT_KEYS, *_TRAIN_K
 _SVM_KEYS = {"c_penalty", "epochs", "batch_size"}
 
 MARKER_COLOR = (255, 0, 0)
+# The nine pixels of a landmark marker, relative to its rounded position.
+_MARKER_OFFSETS = np.stack(np.meshgrid([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]), axis=-1).reshape(9, 2)
 GROUP_PALETTE = (
     (0, 200, 0), (0, 128, 255), (255, 200, 0), (200, 0, 200),
     (0, 220, 220), (255, 128, 0), (128, 128, 255), (0, 80, 160),
@@ -115,34 +117,41 @@ def _parse_box(text):
 
 
 def render_overlay(image: GrayImage, shape, scheme) -> np.ndarray:
-    """Gray image as RGB with contour segments and red 3x3 landmark markers."""
+    """Gray image as RGB with contour segments and red 3x3 landmark markers.
+
+    Each segment a -> b is sampled at max(2, ceil(2 |b - a|)) evenly spaced
+    points, rounded half to even; groups draw in scheme order, so a later
+    group covers an earlier one, and the markers cover both. A scheme that
+    does not cover the shape's landmarks raises ShapeArityError.
+    """
+    if scheme.total != shape.n:
+        raise ShapeArityError(f"scheme covers {scheme.total} landmarks, shape has {shape.n}")
     rgb = np.repeat(
         np.clip(np.rint(image.pixels), 0, 255).astype(np.uint8)[:, :, None], 3, axis=2
     )
-    h, w = image.pixels.shape
-
-    def draw_segment(a, b, color):
-        steps = max(2, int(np.ceil(np.linalg.norm(b - a) * 2)))
-        for t in np.linspace(0.0, 1.0, steps):
-            x, y = a + t * (b - a)
-            cx, cy = int(round(x)), int(round(y))
-            if 0 <= cx < w and 0 <= cy < h:
-                rgb[cy, cx] = color
-
     for gi, (group, (_, sl)) in enumerate(zip(scheme.groups, scheme.group_slices())):
-        pts = shape.points[sl]
-        color = GROUP_PALETTE[gi % len(GROUP_PALETTE)]
-        pairs = list(zip(pts[:-1], pts[1:]))
-        if group.closed:
-            pairs.append((pts[-1], pts[0]))
-        for a, b in pairs:
-            draw_segment(a, b, color)
-    for x, y in shape.points:
-        cx, cy = int(round(x)), int(round(y))
-        y0, y1 = max(cy - 1, 0), min(cy + 2, h)
-        x0, x1 = max(cx - 1, 0), min(cx + 2, w)
-        rgb[y0:y1, x0:x1] = MARKER_COLOR
+        a = shape.points[sl]
+        b = np.roll(a, -1, axis=0)
+        if not group.closed:
+            a, b = a[:-1], b[:-1]
+        delta = b - a
+        # vecdot rounds like np.linalg.norm of one segment, so the counts match it.
+        steps = np.maximum(2, np.ceil(np.sqrt(np.vecdot(delta, delta)) * 2)).astype(int)
+        t = np.concatenate([np.linspace(0.0, 1.0, n) for n in steps])
+        seg = np.repeat(np.arange(len(a)), steps)
+        _paint(rgb, a[seg] + t[:, None] * delta[seg], GROUP_PALETTE[gi % len(GROUP_PALETTE)])
+    _paint(rgb, (np.rint(shape.points)[:, None, :] + _MARKER_OFFSETS).reshape(-1, 2),
+           MARKER_COLOR)
     return rgb
+
+
+def _paint(rgb: np.ndarray, xy: np.ndarray, color) -> None:
+    """Set the pixel at every rounded (x, y) row of xy that lies inside rgb."""
+    h, w = rgb.shape[:2]
+    px = np.rint(xy)
+    inside = (px[:, 0] >= 0) & (px[:, 0] < w) & (px[:, 1] >= 0) & (px[:, 1] < h)
+    px = px[inside].astype(np.intp)
+    rgb[px[:, 1], px[:, 0]] = color
 
 
 def cmd_fit(args) -> int:

@@ -168,16 +168,14 @@ def _candidate_grid(points: np.ndarray, radius: int):
 
 
 def _candidate_features(ctx: LevelContext, shape: Shape, size: int,
-                        cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-    """(k, m, d) normalized feature rows for every candidate of every landmark."""
-    k, m = cx.shape
-    centers = np.stack([cx, cy], axis=-1)
+                        centers: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """(n, d) normalized feature rows of n candidates; centers is (n, 2) and
+    owner (n,) holds the landmark each candidate belongs to."""
     if ctx.magnitude is None:
-        normals = landmark_normals(shape, ctx.scheme)[:, None, :]
+        normals = landmark_normals(shape, ctx.scheme)[owner]
         return profiles_1d_batch(ctx.raw, centers, normals, size)
-    rows = windows_batch(ctx.magnitude, centers.reshape(k * m, 2), size)
-    rows = normalize_windows(rows, "sum", out=rows)
-    return rows.reshape(k, m, size * size)
+    rows = windows_batch(ctx.magnitude, centers, size)
+    return normalize_windows(rows, "sum", out=rows)
 
 
 def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig, level: int):
@@ -196,20 +194,25 @@ def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig, level: 
     pts = shape.points
     cx, cy, allowed, cheb = _candidate_grid(pts, config.search_radius)
     k, m = cx.shape
-    feats = _candidate_features(ctx, shape, size, cx, cy)
-
     if ctx.stats.mean.shape[:-1] != (k,):
         raise DimensionMismatchError(f"statistics {ctx.stats.mean.shape} for {k} landmarks")
+    # Features of the in-radius candidates only, landmark after landmark in
+    # row-major order; landmark j's rows are rows[bounds[j]:bounds[j + 1]].
+    owner = np.nonzero(allowed)[0]
+    rows = _candidate_features(ctx, shape, size, np.stack([cx[allowed], cy[allowed]], axis=1),
+                               owner)
+    bounds = np.searchsorted(owner, np.arange(k + 1)).tolist()
     if ctx.svms is not None:
+        keep = np.ones(len(rows), dtype=bool)
         for j in range(k):
-            gated = allowed[j] & (decision_values(ctx.svms, feats[j], j) >= 0)
-            if gated.any():
-                allowed[j] = gated
+            accepted = decision_values(ctx.svms, rows[bounds[j]:bounds[j + 1]], j) >= 0
+            if accepted.any():
+                keep[bounds[j]:bounds[j + 1]] = accepted
+        allowed[allowed] = keep
+        rows = rows[keep]
+        bounds = np.searchsorted(owner[keep], np.arange(k + 1)).tolist()
 
-    # The competing candidates' rows, landmark after landmark; each
-    # landmark scores its own contiguous slice.
-    rows = feats[allowed]
-    bounds = np.concatenate(([0], np.cumsum(np.count_nonzero(allowed, axis=1)))).tolist()
+    # Only the competing candidates are scored, each landmark on its own slice.
     costs = np.full((k, m), np.inf)
     costs[allowed] = np.concatenate([
         mahalanobis_batch(ctx.stats, rows[bounds[j]:bounds[j + 1]], j) for j in range(k)

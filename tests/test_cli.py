@@ -3,8 +3,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reseal, with_fit_default
+import reference_cli
 from asmfit import cli
 from asmfit.cli import (
     GROUP_PALETTE,
@@ -16,9 +19,9 @@ from asmfit.cli import (
     truth_box,
 )
 from asmfit.dataset_io import BUNDLE_MAGIC, load_bundle, load_points_file, save_bundle
-from asmfit.errors import BoxError
+from asmfit.errors import BoxError, ShapeArityError
 from asmfit.imaging import GrayImage
-from asmfit.scheme import single_contour_scheme
+from asmfit.scheme import DEFAULT_SCHEME, ContourGroup, LandmarkScheme, single_contour_scheme
 from asmfit.shape_model import Shape
 from asmfit.svm import SvmTrainConfig
 from asmfit.synthetic import write_dataset
@@ -388,3 +391,73 @@ def test_render_overlay_marks_landmarks():
     assert (rgb[5, 9] == np.array(GROUP_PALETTE[0], dtype=np.uint8)).all()
     # untouched background stays gray
     assert (rgb[0, 0] == 100).all()
+
+
+@pytest.mark.parametrize("n,scheme", [(3, DEFAULT_SCHEME), (68, single_contour_scheme(3)),
+                                      (70, DEFAULT_SCHEME), (67, DEFAULT_SCHEME)])
+def test_render_overlay_rejects_scheme_of_other_arity(n, scheme):
+    image = GrayImage(np.full((20, 20), 100.0))
+    shape = Shape(np.random.default_rng(n).uniform(0.0, 19.0, (n, 2)))
+    with pytest.raises(ShapeArityError, match=f"covers {scheme.total} landmarks, shape has {n}"):
+        render_overlay(image, shape, scheme)
+
+
+def test_render_overlay_markers_stay_3x3_off_the_image():
+    """A landmark left of or above the image paints at most its own 3x3 block."""
+    image = GrayImage(np.full((20, 20), 100.0))
+    shape = Shape(np.array([[-5.0, 10.0], [10.0, -6.0], [-1.0, 15.0]]))
+    rgb = render_overlay(image, shape, single_contour_scheme(3, closed=False))
+    red = (rgb == np.array(MARKER_COLOR, dtype=np.uint8)).all(axis=2)
+    assert np.argwhere(red).tolist() == [[14, 0], [15, 0], [16, 0]]
+
+
+# Coordinates on the integer grid, exactly half-way between two pixels, in
+# and near a small image, and far outside it.
+OVERLAY_COORD = st.one_of(
+    st.integers(-3, 27).map(float),
+    st.integers(-7, 55).map(lambda v: v / 2.0),
+    st.floats(-5.0, 30.0, allow_nan=False),
+    st.floats(-300.0, 300.0, allow_nan=False),
+)
+
+
+@st.composite
+def overlay_cases(draw):
+    """(image, shape, scheme): open and closed groups of 2-5 landmarks, drawn
+    from a small pool of points so that landmarks repeat and some segments
+    have zero length."""
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    groups = draw(st.lists(st.tuples(st.integers(2, 5), st.booleans()), min_size=1, max_size=9))
+    groups[0] = (max(groups[0][0], 3), groups[0][1])
+    scheme = LandmarkScheme(tuple(ContourGroup(f"g{i}", count, closed)
+                                  for i, (count, closed) in enumerate(groups)))
+    pool = draw(st.lists(st.tuples(OVERLAY_COORD, OVERLAY_COORD), min_size=1, max_size=scheme.total))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=scheme.total,
+                          max_size=scheme.total))
+    pixels = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, 255.0, (h, w))
+    return GrayImage(pixels), Shape(np.array([pool[i] for i in picks])), scheme
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(case=overlay_cases())
+def test_render_overlay_equals_per_pixel_oracle(case):
+    image, shape, scheme = case
+    got = render_overlay(image, shape, scheme)
+    want = reference_cli.render_overlay(image, shape, scheme)
+    assert got.dtype == want.dtype == np.uint8
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_render_overlay_equals_oracle_in_default_scheme():
+    """68 landmarks in DEFAULT_SCHEME's seven groups, half-pixel and border
+    positions and a repeated landmark included, draw as the per-pixel oracle."""
+    rng = np.random.default_rng(3)
+    image = GrayImage(rng.uniform(0.0, 255.0, (96, 96)))
+    pts = rng.uniform(-4.0, 100.0, (68, 2))
+    pts[::4] = np.rint(pts[::4]) + 0.5
+    pts[1::4] = np.rint(pts[1::4])
+    pts[5] = pts[4]
+    shape = Shape(pts)
+    got = render_overlay(image, shape, DEFAULT_SCHEME)
+    assert got.tobytes() == reference_cli.render_overlay(image, shape, DEFAULT_SCHEME).tobytes()

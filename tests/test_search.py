@@ -393,9 +393,18 @@ def test_oracle_contexts_plant_fallbacks_and_ties():
     assert all(len(np.unique(row[valid[j]])) == 1 for j, row in enumerate(costs))
 
 
+def in_radius_features(ctx, shape, size, radius=3):
+    """_candidate_features of every in-radius candidate, with the (k, m)
+    grid (cx, cy) and its in-radius mask."""
+    cx, cy, valid, _ = _candidate_grid(shape.points, radius)
+    centers = np.stack([cx[valid], cy[valid]], axis=1)
+    return _candidate_features(ctx, shape, size, centers, np.nonzero(valid)[0]), cx, cy, valid
+
+
 @pytest.mark.parametrize("size", [3, 7, 15])
 def test_one_d_candidate_features_match_inline_oracle(size):
-    """The batched 1-D path equals the inline (k, m, size + 1) sampling exactly."""
+    """The batched 1-D path equals the inline (k, m, size + 1) sampling exactly,
+    row for row at every in-radius grid position."""
     rng = np.random.default_rng(40 + size)
     flat_rows = 0
     for trial in range(4):
@@ -404,13 +413,67 @@ def test_one_d_candidate_features_match_inline_oracle(size):
         pts = rng.uniform((-4.0, -4.0), (56.0, 44.0), (12, 2))
         pts[::3] = np.rint(pts[::3])
         shape = Shape(pts)
-        cx, cy, _, _ = _candidate_grid(pts, 3)
-        got = _candidate_features(ctx, shape, size, cx, cy)
+        got, cx, cy, valid = in_radius_features(ctx, shape, size)
         want = reference_search.profiles_1d(ctx, shape, size, cx, cy)
-        assert got.shape == want.shape == (12, 49, size)
-        assert got.tobytes() == want.tobytes()
-        flat_rows += np.count_nonzero(~want.any(axis=2))
+        assert want.shape == (12, 49, size)
+        assert got.shape == (np.count_nonzero(valid), size)
+        assert got.tobytes() == want[valid].tobytes()
+        flat_rows += np.count_nonzero(~want[valid].any(axis=1))
     assert flat_rows > 0
+
+
+@pytest.mark.parametrize("size", [3, 7, 15])
+def test_two_d_candidate_features_match_oracle_gather(size):
+    """2-D rows equal the clamped-gather, sum-normalized oracle exactly, row
+    for row at every in-radius grid position, flat windows included."""
+    rng = np.random.default_rng(50 + size)
+    flat_rows = 0
+    for trial in range(4):
+        ctx = oracle_context(rng, "two_d", size, 12, gate=False, edges=False)
+        ctx.magnitude[:, :20] = 0.0
+        pts = rng.uniform((-4.0, -4.0), (56.0, 44.0), (12, 2))
+        pts[::3] = np.rint(pts[::3])
+        shape = Shape(pts)
+        got, cx, cy, valid = in_radius_features(ctx, shape, size)
+        want = reference_search.candidate_features(ctx, shape, size, cx, cy)
+        assert got.shape == (np.count_nonzero(valid), size * size)
+        assert got.tobytes() == want[valid].tobytes()
+        flat_rows += np.count_nonzero((want[valid] == want[valid][:, :1]).all(axis=1))
+    assert flat_rows > 0
+
+
+@pytest.mark.parametrize("kind", ["two_d", "one_d"])
+def test_gate_sees_in_radius_rows_and_search_equals_oracle(kind, monkeypatch):
+    """decision_values gets each landmark's in-radius rows and nothing else:
+    36 rows at a fractional position, 49 at an integer one. Points and
+    winning costs equal the oracle's byte for byte, near the border too."""
+    calls = []
+
+    def recording(model, rows, landmark=None):
+        calls.append((landmark, np.array(rows)))
+        return decision_values(model, rows, landmark)
+
+    monkeypatch.setattr(search, "decision_values", recording)
+    rng = np.random.default_rng(60)
+    k, size = 12, 7
+    cfg = FitConfig(levels=1, profile_lengths=(size,), search_radius=3)
+    for trial in range(4):
+        ctx = oracle_context(rng, kind, size, k)
+        pts = rng.uniform((-4.0, -4.0), (56.0, 44.0), (k, 2))
+        pts[::2] = np.rint(pts[::2])
+        pts[1] = (0.5, 43.5)
+        shape = Shape(pts)
+        calls.clear()
+        got, got_costs = search_landmarks(ctx, shape, cfg, 0)
+        cx, cy, valid, _ = _candidate_grid(pts, 3)
+        want_rows = reference_search.candidate_features(ctx, shape, size, cx, cy)
+        assert [j for j, _ in calls] == list(range(k))
+        for j, rows in calls:
+            assert len(rows) == (49 if j % 2 == 0 else 36)
+            assert rows.tobytes() == want_rows[j][valid[j]].tobytes()
+        want, want_costs = reference_search.search_landmarks(ctx, shape, cfg, 0)
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got_costs.tobytes() == want_costs.tobytes()
 
 
 def test_search_checks_stats_arity():
