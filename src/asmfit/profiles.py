@@ -356,20 +356,30 @@ def mahalanobis_batch(stats: ProfileStats, rows: np.ndarray, landmark: int = Non
     In-span part sum((U^T delta)^2 / (lam + rho)) plus the residual outside
     span(U) over rho; the residual term is absent when U spans every dim.
     For stacked statistics, landmark names the row of the stack to use.
+
+    Without a landmark index, a (k, c, d) stack of rows against statistics
+    of k stacked landmarks gives each landmark's c costs, (k, c). The
+    stacked matmuls make the indexed form's products once per landmark, so
+    every cost has the same bytes.
     """
     rows = np.asarray(rows, dtype=float)
     mean, basis, weights, rho = stats.mean, stats.basis, stats.weights, stats.rho
     if landmark is not None:
         mean, basis, weights, rho = mean[landmark], basis[landmark], weights[landmark], rho[landmark]
-    if mean.shape != rows.shape[-1:]:
+    stacked = rows.ndim == 3 and mean.ndim == 2
+    if stacked:
+        if mean.shape != rows.shape[::2]:
+            raise DimensionMismatchError(f"rows {rows.shape} vs stats mean {mean.shape}")
+        mean, rho = mean[:, None, :], rho[:, None]
+    elif mean.shape != rows.shape[-1:]:
         raise DimensionMismatchError(f"profile dim {rows.shape[-1]} vs stats mean {mean.shape} "
                                      "(stacked statistics need a landmark index)")
     delta = rows - mean
     proj = delta @ basis
     sq = proj * proj
-    cost = sq @ weights
+    cost = np.matmul(sq, weights[:, :, None])[:, :, 0] if stacked else sq @ weights
     if stats.rank < stats.dim:
-        cost += (np.einsum("md,md->m", delta, delta) - sq.sum(axis=1)) / rho
+        cost += (np.einsum("...d,...d->...", delta, delta) - sq.sum(axis=-1)) / rho
     return cost
 
 

@@ -178,6 +178,22 @@ def _candidate_features(ctx: LevelContext, shape: Shape, size: int,
     return normalize_windows(rows, "sum", out=rows)
 
 
+def _by_landmark(score, model, rows: np.ndarray, bounds: list) -> np.ndarray:
+    """score(model, ...) of every row, flat: landmark j's rows
+    rows[bounds[j]:bounds[j + 1]] against entry j of the stacked model.
+
+    When every landmark has the same number of rows, this is one stacked
+    call on the (k, c, d) view of rows; otherwise one call per landmark.
+    score is decision_values or mahalanobis_batch, whose stacked form gives
+    the per-landmark bytes.
+    """
+    counts = np.diff(bounds)
+    k = len(counts)
+    if (counts == counts[0]).all():
+        return score(model, rows.reshape(k, counts[0], rows.shape[-1])).ravel()
+    return np.concatenate([score(model, rows[bounds[j]:bounds[j + 1]], j) for j in range(k)])
+
+
 def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig, level: int):
     """One candidate-search pass; every landmark moves independently.
 
@@ -196,6 +212,8 @@ def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig, level: 
     k, m = cx.shape
     if ctx.stats.mean.shape[:-1] != (k,):
         raise DimensionMismatchError(f"statistics {ctx.stats.mean.shape} for {k} landmarks")
+    if ctx.svms is not None and ctx.svms.weights.shape[:-1] != (k,):
+        raise DimensionMismatchError(f"SVM stack {ctx.svms.weights.shape} for {k} landmarks")
     # Features of the in-radius candidates only, landmark after landmark in
     # row-major order; landmark j's rows are rows[bounds[j]:bounds[j + 1]].
     owner = np.nonzero(allowed)[0]
@@ -203,20 +221,18 @@ def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig, level: 
                                owner)
     bounds = np.searchsorted(owner, np.arange(k + 1)).tolist()
     if ctx.svms is not None:
-        keep = np.ones(len(rows), dtype=bool)
-        for j in range(k):
-            accepted = decision_values(ctx.svms, rows[bounds[j]:bounds[j + 1]], j) >= 0
-            if accepted.any():
-                keep[bounds[j]:bounds[j + 1]] = accepted
+        accepted = _by_landmark(decision_values, ctx.svms, rows, bounds) >= 0
+        # A landmark none of whose candidates its classifier accepts keeps them all.
+        passed = np.zeros(k, dtype=bool)
+        passed[owner[accepted]] = True
+        keep = accepted | ~passed[owner]
         allowed[allowed] = keep
         rows = rows[keep]
         bounds = np.searchsorted(owner[keep], np.arange(k + 1)).tolist()
 
-    # Only the competing candidates are scored, each landmark on its own slice.
+    # Only the competing candidates are scored, each landmark against its own statistics.
     costs = np.full((k, m), np.inf)
-    costs[allowed] = np.concatenate([
-        mahalanobis_batch(ctx.stats, rows[bounds[j]:bounds[j + 1]], j) for j in range(k)
-    ])
+    costs[allowed] = _by_landmark(mahalanobis_batch, ctx.stats, rows, bounds)
     if ctx.edge_map is not None:
         h, w = ctx.edge_map.shape
         ex = np.clip(cx.astype(int), 0, w - 1)

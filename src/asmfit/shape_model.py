@@ -72,6 +72,11 @@ class Shape:
         return float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1])
 
 
+def _check_scale(scale: float) -> None:
+    if not (scale > 0 and math.isfinite(scale)):
+        raise ValueError(f"similarity scale must be positive, got {scale}")
+
+
 @dataclass(frozen=True)
 class SimilarityTransform:
     """Rigid scale/rotation/translation map p -> scale * R(rotation) p + translation."""
@@ -81,8 +86,7 @@ class SimilarityTransform:
     translation: np.ndarray
 
     def __post_init__(self):
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise ValueError(f"similarity scale must be positive, got {self.scale}")
+        _check_scale(self.scale)
         t = np.array(self.translation, dtype=float).reshape(2)
         t.setflags(write=False)
         object.__setattr__(self, "translation", t)
@@ -173,28 +177,33 @@ def _canonical_spin(mean_z: np.ndarray) -> complex:
     return complex(anchor.conjugate() / abs(anchor))
 
 
-def procrustes_fit(source: np.ndarray, target: np.ndarray) -> SimilarityTransform:
-    """Least-squares similarity mapping `source` points onto `target` points."""
-    src = np.asarray(source, dtype=float)
-    tgt = np.asarray(target, dtype=float)
-    if src.shape != tgt.shape or src.ndim != 2 or src.shape[1] != 2:
-        raise ShapeArityError(f"point sets must share an (n, 2) shape, got {src.shape} vs {tgt.shape}")
-    src_c = src.mean(axis=0)
-    tgt_c = tgt.mean(axis=0)
+def _similarity(src: np.ndarray, tgt_c: np.ndarray, tgt_z: np.ndarray):
+    """(scale, rotation, translation) of the least-squares similarity mapping
+    (n, 2) points src onto a target given as its centroid tgt_c and its
+    centred complex form tgt_z; the scale is not yet checked."""
+    src_c = src.sum(axis=0) / len(src)  # src.mean(axis=0) without its Python overhead
     a = _as_complex(src - src_c)
-    b = _as_complex(tgt - tgt_c)
     denom = float(np.vdot(a, a).real)
     if denom < _DEGENERATE_SIZE:
         raise DegenerateShapeError("source shape collapsed to a point")
-    sigma = np.vdot(a, b) / denom
+    sigma = np.vdot(a, tgt_z) / denom
     scale = abs(sigma)
     if scale < _DEGENERATE_SIZE:
         raise DegenerateShapeError("target shape collapsed to a point")
     rotation = float(np.angle(sigma))
     rot = np.array([[math.cos(rotation), -math.sin(rotation)],
                     [math.sin(rotation), math.cos(rotation)]])
-    translation = tgt_c - scale * rot @ src_c
-    return SimilarityTransform(float(scale), rotation, translation)
+    return float(scale), rotation, tgt_c - scale * rot @ src_c
+
+
+def procrustes_fit(source: np.ndarray, target: np.ndarray) -> SimilarityTransform:
+    """Least-squares similarity mapping `source` points onto `target` points."""
+    src = np.asarray(source, dtype=float)
+    tgt = np.asarray(target, dtype=float)
+    if src.shape != tgt.shape or src.ndim != 2 or src.shape[1] != 2:
+        raise ShapeArityError(f"point sets must share an (n, 2) shape, got {src.shape} vs {tgt.shape}")
+    tgt_c = tgt.mean(axis=0)
+    return SimilarityTransform(*_similarity(src, tgt_c, _as_complex(tgt - tgt_c)))
 
 
 def gpa_align(
@@ -320,6 +329,11 @@ def fit_params(
 
     Returns the transform, the clamped coefficients, and the residual sum of
     squared point distances between the posed model shape and the target.
+
+    The loop works on arrays: each step is procrustes_fit, the inverse
+    transform's apply and clamp_params written out, the same operations in
+    the same order, with the target's centroid and centred form computed
+    once.
     """
     if target.n != model.n:
         raise ShapeArityError(f"target has {target.n} landmarks, model expects {model.n}")
@@ -328,21 +342,31 @@ def fit_params(
 
     mean_vec = model.mean_shape.as_vector()
     scales = np.sqrt(model.eigenvalues) if model.num_modes else np.empty(0)
+    limits = model.mode_limits()
+    tgt = target.points
+    tgt_c = tgt.mean(axis=0)
+    tgt_z = _as_complex(tgt - tgt_c)
     b = np.zeros(model.num_modes)
-    transform = SimilarityTransform.identity()
     for _ in range(max_iters):
-        posed = Shape.from_vector(mean_vec + model.modes @ b)
-        transform = procrustes_fit(posed.points, target.points)
-        back = transform.inverse().apply(target.points)
-        b_new = clamp_params(model, model.modes.T @ (back.ravel() - mean_vec))
+        posed = (mean_vec + model.modes @ b).reshape(-1, 2)
+        if not np.isfinite(posed).all():
+            raise DegenerateShapeError("shape contains non-finite coordinates")
+        scale, rotation, translation = _similarity(posed, tgt_c, tgt_z)
+        _check_scale(scale)
+        # The inverse similarity, p -> (1 / scale) R(-rotation) (p - translation).
+        inv_scale = 1.0 / scale
+        c, s = math.cos(-rotation), math.sin(-rotation)
+        r_inv = np.array([[c, -s], [s, c]])
+        back = inv_scale * tgt @ r_inv.T + -inv_scale * r_inv @ translation
+        b_new = (model.modes.T @ (back.ravel() - mean_vec)).clip(-limits, limits)
         if model.num_modes == 0:
             b = b_new
             break
-        step = float(np.max(np.abs(b_new - b) / scales))
+        step = float((np.abs(b_new - b) / scales).max())
         b = b_new
         if step < tolerance:
             break
     posed = Shape.from_vector(mean_vec + model.modes @ b)
-    transform = procrustes_fit(posed.points, target.points)
+    transform = SimilarityTransform(*_similarity(posed.points, tgt_c, tgt_z))
     residual = float(np.sum((transform.apply(posed.points) - target.points) ** 2))
     return ParamFit(transform, b, residual)

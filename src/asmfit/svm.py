@@ -250,11 +250,21 @@ def training_accuracy(model: LinearSvmModel, train_set: LandmarkTrainingSet) -> 
 
 def decision_values(model: LinearSvmModel, rows: np.ndarray, landmark: int = None) -> np.ndarray:
     """Decision values for an (m, d) feature matrix; for a stacked model,
-    landmark names the row of the stack to use."""
+    landmark names the row of the stack to use.
+
+    Without a landmark index, a (k, c, d) stack of rows against a stacked
+    model of k landmarks gives each landmark's c values, (k, c). The stacked
+    matmul makes the indexed form's matrix-vector product once per
+    landmark, so every value has the same bytes.
+    """
     rows = np.asarray(rows, dtype=float)
     weights, bias = model.weights, model.bias
     if landmark is not None:
         weights, bias = weights[landmark], bias[landmark]
+    if rows.ndim == 3 and weights.ndim == 2:
+        if weights.shape != rows.shape[::2]:
+            raise DimensionMismatchError(f"rows {rows.shape} vs SVM weights {weights.shape}")
+        return np.matmul(rows, weights[:, :, None])[:, :, 0] + bias[:, None]
     if weights.shape != rows.shape[-1:]:
         raise DimensionMismatchError(f"profile dim {rows.shape[-1]} vs SVM weights {weights.shape} "
                                      "(a stacked SVM needs a landmark index)")

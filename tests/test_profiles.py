@@ -459,6 +459,27 @@ def test_mahalanobis_dimension_check():
         mahalanobis_batch(st, np.zeros((4, 3)))
 
 
+@pytest.mark.parametrize("m,d", [(6, 25), (40, 9), (12, 3)])
+@pytest.mark.parametrize("c", [1, 2, 36, 49])
+def test_stacked_mahalanobis_equals_indexed_calls(m, d, c):
+    """A (k, c, d) stack of rows scored without a landmark index gives each
+    landmark's indexed costs byte for byte, with a residual outside the
+    basis (m - 1 < d) and without one."""
+    rng = np.random.default_rng(100 * m + d + c)
+    k = 5
+    st = stats_from_matrix(rng.normal(0.3, 0.1, (k, m, d)))
+    assert (st.rank < st.dim) == (m - 1 < d)
+    rows = rng.normal(0.3, 0.1, (k * c, d))
+    got = mahalanobis_batch(st, rows.reshape(k, c, d))
+    assert got.shape == (k, c)
+    want = np.concatenate([mahalanobis_batch(st, rows[j * c:(j + 1) * c], j) for j in range(k)])
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(DimensionMismatchError):
+        mahalanobis_batch(st, rows[:4 * c].reshape(4, c, d))
+    with pytest.raises(DimensionMismatchError):
+        mahalanobis_batch(st, np.zeros((k, c, d + 1)))
+
+
 def test_edge_weighting_factors():
     rng = np.random.default_rng(5)
     st = stats_from_matrix(rng.normal(0, 1, (30, 4)))

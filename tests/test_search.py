@@ -485,6 +485,121 @@ def test_search_checks_stats_arity():
         search_landmarks(ctx, shape, two_d_config(), 0)
 
 
+@pytest.mark.parametrize("rows", [2, 4])
+def test_search_checks_svm_stack_size(rows, monkeypatch):
+    """An SVM stack of another size than the shape raises before any feature is built."""
+    rng = np.random.default_rng(11)
+    mag = np.full((24, 24), 5.0)
+    st = stats_from_matrix(rng.normal(0.3, 0.05, (8, 25)))
+    svm = LinearSvmModel(rng.normal(0.0, 1.0, 25), 0.0)
+    ctx = make_context(mag, (st, st, st), svms=(svm,) * rows)
+    built = []
+    monkeypatch.setattr(search, "_candidate_features", lambda *args: built.append(args))
+    shape = Shape(np.array([[10.5, 7.5], [4.5, 4.5], [16.5, 18.5]]))
+    with pytest.raises(DimensionMismatchError):
+        search_landmarks(ctx, shape, two_d_config(), 0)
+    assert built == []
+
+
+def one_by_one(score, model, rows, bounds):
+    """search._by_landmark without its stacked call: one call per landmark."""
+    return np.concatenate([score(model, rows[bounds[j]:bounds[j + 1]], j)
+                           for j in range(len(bounds) - 1)])
+
+
+def recorded(monkeypatch):
+    """Every gate and cost call's (landmark, rows shape), in call order."""
+    calls = {"gate": [], "cost": []}
+    for name, key, fn in (("decision_values", "gate", decision_values),
+                          ("mahalanobis_batch", "cost", mahalanobis_batch)):
+        def recording(model, rows, landmark=None, key=key, fn=fn):
+            calls[key].append((landmark, np.shape(rows)))
+            return fn(model, rows, landmark)
+        monkeypatch.setattr(search, name, recording)
+    return calls
+
+
+def fractional_points(rng, k):
+    """k positions inside and across every border, none on the integer grid
+    in either axis, so every landmark has (2r)^2 in-radius candidates."""
+    pts = np.floor(rng.uniform((-4.0, -4.0), (56.0, 44.0), (k, 2)))
+    return pts + rng.uniform(0.05, 0.95, (k, 2))
+
+
+# gate: None (no SVMs); "mixed" (centred weights accept part of the rows, and
+# landmark 0 is planted to reject all of them and fall back, so the counts
+# differ and the costs are per landmark); "all" (every row accepted, so the
+# costs are stacked too). The last trial of each case uses the tie image.
+STACKED_CASES = [(kind, gate, edges) for kind in ("two_d", "one_d")
+                 for gate in (None, "mixed", "all") for edges in (False, True)]
+
+
+@pytest.mark.parametrize("kind,gate,edges", STACKED_CASES,
+                         ids=[f"{k}-{g}-{e}" for k, g, e in STACKED_CASES])
+def test_stacked_pass_equals_per_landmark_pass(kind, gate, edges, monkeypatch):
+    """With every landmark at a fractional position the gate runs as one
+    stacked call; points and winning costs equal the same pass computed
+    landmark by landmark byte for byte, and the points equal the oracle's."""
+    rng = np.random.default_rng(70 + 10 * STACKED_CASES.index((kind, gate, edges)))
+    k, size = 12, 7
+    cfg = FitConfig(levels=1, profile_lengths=(size,), search_radius=3)
+    for trial in range(4):
+        ctx = oracle_context(rng, kind, size, k, gate=gate is not None, edges=edges,
+                             tie_image=trial == 3)
+        if gate == "mixed":
+            w = ctx.svms.weights
+            bias = np.zeros(k)
+            bias[0] = -1e9
+            ctx = dataclasses.replace(ctx, svms=LinearSvmModel(
+                1e3 * (w - w.mean(axis=1, keepdims=True)), bias))
+        elif gate == "all":
+            ctx = dataclasses.replace(ctx, svms=LinearSvmModel(ctx.svms.weights, np.full(k, 1e9)))
+        shape = Shape(fractional_points(rng, k))
+        with monkeypatch.context() as patch:
+            calls = recorded(patch)
+            got, got_costs = search_landmarks(ctx, shape, cfg, 0)
+        d = size * size if kind == "two_d" else size
+        assert calls["gate"] == ([] if gate is None else [(None, (k, 36, d))])
+        if gate == "mixed":
+            assert [j for j, _ in calls["cost"]] == list(range(k))
+        else:
+            assert calls["cost"] == [(None, (k, 36, d))]
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_by_landmark", one_by_one)
+            want, want_costs = search_landmarks(ctx, shape, cfg, 0)
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got_costs.tobytes() == want_costs.tobytes()
+        oracle, _ = reference_search.search_landmarks(ctx, shape, cfg, 0)
+        assert got.points.tobytes() == oracle.points.tobytes()
+        if gate == "mixed":
+            rows, *_ = in_radius_features(ctx, shape, size)
+            accepted = decision_values(ctx.svms, rows.reshape(k, 36, d)) >= 0
+            assert not accepted[0].any()
+            assert (accepted.any(axis=1) & ~accepted.all(axis=1)).any()
+
+
+def test_equal_counts_stack_and_mixed_counts_do_not(monkeypatch):
+    """An equal-count pass makes one stacked gate call and one stacked cost
+    call; with some landmarks on the integer grid (49 candidates, not 36)
+    both run once per landmark."""
+    rng = np.random.default_rng(90)
+    k, size = 12, 7
+    cfg = FitConfig(levels=1, profile_lengths=(size,), search_radius=3)
+    ctx = oracle_context(rng, "two_d", size, k)
+    ctx = dataclasses.replace(ctx, svms=LinearSvmModel(ctx.svms.weights, np.full(k, 1e9)))
+    pts = fractional_points(rng, k)
+    calls = recorded(monkeypatch)
+    search_landmarks(ctx, Shape(pts), cfg, 0)
+    assert calls == {"gate": [(None, (k, 36, 49))], "cost": [(None, (k, 36, 49))]}
+
+    pts[::3] = np.rint(pts[::3])
+    calls["gate"].clear()
+    calls["cost"].clear()
+    search_landmarks(ctx, Shape(pts), cfg, 0)
+    per_landmark = [(j, (49 if j % 3 == 0 else 36, 49)) for j in range(k)]
+    assert calls == {"gate": per_landmark, "cost": per_landmark}
+
+
 # ------------------------------------------------------------------- fit
 
 def mean_error(shape, truth):

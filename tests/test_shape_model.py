@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from asmfit.errors import DegenerateShapeError, InsufficientDataError, ShapeArityError
+from asmfit.errors import AsmFitError, DegenerateShapeError, InsufficientDataError, ShapeArityError
 from asmfit.shape_model import (
     Shape,
+    ShapeModel,
     SimilarityTransform,
     build_shape_model,
     clamp_params,
@@ -15,7 +18,8 @@ from asmfit.shape_model import (
     synthesize,
 )
 
-from conftest import random_shape_points
+from conftest import planted, random_shape_points
+import reference_shape_model
 
 
 def square():
@@ -298,3 +302,121 @@ def test_fit_params_errors():
         fit_params(model, square())
     with pytest.raises(DegenerateShapeError):
         fit_params(model, Shape(np.full((5, 2), 3.0)))
+
+
+# ------------------------------------------------- fit_params vs oracle
+
+def fit_outcome(fit, model, target, **kwargs):
+    """The fit's transform, coefficients and residual as bytes, or the type
+    of the error it raised. Floating-point warnings are off, as numpy has
+    them by default, so a non-finite target reaches the fit's own checks."""
+    try:
+        with np.errstate(all="ignore"):
+            pf = fit(model, target, **kwargs)
+    except (AsmFitError, ValueError) as exc:
+        return type(exc)
+    t = pf.transform
+    return (np.array([t.scale, t.rotation, pf.residual]).tobytes() + t.translation.tobytes()
+            + pf.params.tobytes())
+
+
+# model: a posed model shape, with coefficients out to twice the clamp and
+# noise; random: unrelated points; collapsed: one point repeated; tiny: the
+# model's mean scaled by 1e-13; nonfinite: a planted nan or inf; overflow:
+# coordinates near the float limit, whose centroid overflows.
+TARGET_KINDS = ("model", "random", "collapsed", "tiny", "nonfinite", "overflow")
+
+
+def oracle_target(rng, model, kind, scale, rotation):
+    n = model.n
+    if kind == "model":
+        b0 = rng.uniform(-2.0, 2.0, model.num_modes) * model.mode_limits()
+        pose = SimilarityTransform(scale, rotation, rng.normal(0.0, 50.0, 2))
+        pts = pose.apply(synthesize(model, b0).points) + rng.normal(0.0, 0.05 * scale, (n, 2))
+    elif kind == "random":
+        pts = random_shape_points(rng, n) * scale
+    elif kind == "collapsed":
+        pts = np.tile(rng.normal(0.0, 50.0, 2), (n, 1))
+    elif kind == "tiny":
+        pts = model.mean_shape.points * 1e-13
+    elif kind == "overflow":
+        pts = random_shape_points(rng, n) * 1e306
+    else:
+        shape = Shape(random_shape_points(rng, n))
+        pts = shape.points.copy()
+        pts[rng.integers(n), rng.integers(2)] = rng.choice([np.nan, np.inf, -np.inf])
+        return planted(shape, points=pts)
+    return Shape(pts)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 12), count=st.integers(2, 10),
+       wobble=st.sampled_from([0.0, 0.3, 1.5, 4.0]), aligned=st.booleans(),
+       kind=st.sampled_from(TARGET_KINDS), log_scale=st.floats(-3.0, 6.0),
+       rotation=st.floats(-np.pi, np.pi), tolerance=st.sampled_from([0.0, 1e-6, 1e-2]),
+       max_iters=st.integers(0, 60))
+def test_fit_params_equals_object_loop_oracle(seed, n, count, wobble, aligned, kind, log_scale,
+                                              rotation, tolerance, max_iters):
+    """The array loop returns the oracle's ParamFit bit for bit, or raises the
+    error type the oracle raises. A wobble of 0 stands for a model of zero modes."""
+    rng = np.random.default_rng(seed)
+    shapes = random_shapes(rng, count, n, wobble=wobble)
+    if aligned:
+        shapes, _ = gpa_align(shapes)
+    model = build_shape_model(shapes, variance_fraction=rng.uniform(0.5, 1.0))
+    if not wobble:
+        model = ShapeModel(model.mean_shape, np.empty((2 * n, 0)), np.empty(0))
+    target = oracle_target(rng, model, kind, 10.0**log_scale, rotation)
+    want = fit_outcome(reference_shape_model.fit_params, model, target,
+                       tolerance=tolerance, max_iters=max_iters)
+    got = fit_outcome(fit_params, model, target, tolerance=tolerance, max_iters=max_iters)
+    assert got == want
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), log_scale=st.floats(-14.0, 6.0),
+       collapse=st.sampled_from(["none", "source", "target"]))
+def test_procrustes_fit_equals_oracle(seed, n, log_scale, collapse):
+    """procrustes_fit gives the oracle's transform bit for bit, or raises the
+    error type the oracle raises, for point sets at every scale."""
+    rng = np.random.default_rng(seed)
+    src = random_shape_points(rng, n) * 10.0**log_scale
+    tgt = random_shape_points(rng, n) * rng.uniform(0.01, 100.0)
+    if collapse == "source":
+        src[:] = src[0]
+    elif collapse == "target":
+        tgt[:] = tgt[0]
+    outcomes = []
+    for fit in (procrustes_fit, reference_shape_model.procrustes_fit):
+        try:
+            t = fit(src, tgt)
+        except AsmFitError as exc:
+            outcomes.append(type(exc))
+        else:
+            outcomes.append(np.array([t.scale, t.rotation]).tobytes() + t.translation.tobytes())
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("kind,error", [("collapsed", DegenerateShapeError),
+                                        ("tiny", DegenerateShapeError),
+                                        ("nonfinite", ValueError), ("overflow", ValueError)])
+def test_fit_params_oracle_targets_reach_each_error(kind, error):
+    """The property above meets every error the loop raises, from both forms."""
+    rng = np.random.default_rng(16)
+    model = build_shape_model(random_shapes(rng, 8, 6))
+    for _ in range(5):
+        target = oracle_target(rng, model, kind, 1.0, 0.0)
+        for fit in (fit_params, reference_shape_model.fit_params):
+            assert fit_outcome(fit, model, target) is error
+
+
+def test_fit_params_rejects_a_non_finite_posed_shape_as_the_oracle_does():
+    rng = np.random.default_rng(17)
+    model = build_shape_model(random_shapes(rng, 8, 6))
+    modes = model.modes.copy()
+    modes[0, 0] = np.nan
+    broken = planted(model, modes=modes)
+    target = Shape(random_shape_points(rng, 6))
+    for fit in (fit_params, reference_shape_model.fit_params):
+        with pytest.raises(DegenerateShapeError):
+            fit(broken, target)

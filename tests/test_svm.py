@@ -260,6 +260,24 @@ def test_decision_values_match_predict():
         decision_values(model, np.zeros((2, 5)))
 
 
+@pytest.mark.parametrize("c", [1, 2, 36, 49])
+def test_stacked_decision_values_equal_indexed_calls(c):
+    """A (k, c, d) stack of rows against a stacked model, without a landmark
+    index, gives each landmark's indexed values byte for byte."""
+    rng = np.random.default_rng(c)
+    k, d = 6, 25
+    model = LinearSvmModel(rng.normal(0, 1, (k, d)), rng.normal(0, 1, k))
+    rows = rng.normal(0, 1, (k * c, d))
+    got = decision_values(model, rows.reshape(k, c, d))
+    assert got.shape == (k, c)
+    want = np.concatenate([decision_values(model, rows[j * c:(j + 1) * c], j) for j in range(k)])
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(DimensionMismatchError):
+        decision_values(model, rows[:5 * c].reshape(5, c, d))
+    with pytest.raises(DimensionMismatchError):
+        decision_values(model, np.zeros((k, c, d + 1)))
+
+
 def test_objective_hand_case():
     model = LinearSvmModel(np.array([1.0, 0.0]), -1.0)
     assert svm_objective(model, two_point_set(), 100.0) == pytest.approx(1.0)
