@@ -8,6 +8,7 @@ versioned little-endian bundle format documented in FORMAT.md.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import struct
 import zlib
@@ -35,7 +36,7 @@ from .shape_model import Shape, ShapeModel
 from .svm import LinearSvmModel
 
 BUNDLE_MAGIC = b"ASMFITB1"
-BUNDLE_VERSION = 5
+BUNDLE_VERSION = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,115 +266,10 @@ def split_dataset(samples, train_count: int, seed: int):
 
 # ------------------------------------------------------- bundle (de)coding
 
-_T_NONE, _T_BOOL, _T_INT, _T_FLOAT, _T_STR, _T_LIST, _T_DICT, _T_F64, _T_U8 = range(9)
-
-
-def _encode(obj, out: bytearray):
-    if obj is None:
-        out.append(_T_NONE)
-    elif isinstance(obj, bool):
-        out.append(_T_BOOL)
-        out.append(1 if obj else 0)
-    elif isinstance(obj, (int, np.integer)):
-        out.append(_T_INT)
-        out += struct.pack("<q", int(obj))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_T_FLOAT)
-        out += struct.pack("<d", float(obj))
-    elif isinstance(obj, str):
-        raw = obj.encode("utf-8")
-        out.append(_T_STR)
-        out += struct.pack("<I", len(raw))
-        out += raw
-    elif isinstance(obj, np.ndarray):
-        arr = np.ascontiguousarray(obj)
-        if arr.dtype == np.uint8:
-            out.append(_T_U8)
-        else:
-            arr = np.ascontiguousarray(arr, dtype="<f8")
-            out.append(_T_F64)
-        out.append(arr.ndim)
-        for dim in arr.shape:
-            out += struct.pack("<Q", dim)
-        out += arr.data  # appended from the array's buffer, without a bytes copy
-    elif isinstance(obj, (list, tuple)):
-        out.append(_T_LIST)
-        out += struct.pack("<I", len(obj))
-        for item in obj:
-            _encode(item, out)
-    elif isinstance(obj, dict):
-        out.append(_T_DICT)
-        out += struct.pack("<I", len(obj))
-        for key, value in obj.items():
-            _encode(str(key), out)
-            _encode(value, out)
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-# Nesting depth of lists/dicts a bundle may use; the writer needs three.
-_MAX_DEPTH = 8
-
-
-def _advance(buf: memoryview, pos: int, n: int) -> int:
-    """Position after n more bytes, if the buffer holds them."""
-    if n > len(buf) - pos:
-        raise BundleCorruptionError(f"value at byte {pos} runs past the end of its section")
-    return pos + n
-
-
-def _decode(buf: memoryview, pos: int, depth: int = 0):
-    if depth > _MAX_DEPTH:
-        raise BundleCorruptionError(f"values nested deeper than {_MAX_DEPTH} at byte {pos}")
-    pos = _advance(buf, pos, 1)
-    tag = buf[pos - 1]
-    if tag == _T_NONE:
-        return None, pos
-    if tag == _T_BOOL:
-        end = _advance(buf, pos, 1)
-        if buf[pos] > 1:
-            raise BundleCorruptionError(f"bool at byte {pos} holds {buf[pos]}")
-        return bool(buf[pos]), end
-    if tag in (_T_INT, _T_FLOAT):
-        end = _advance(buf, pos, 8)
-        return struct.unpack_from("<q" if tag == _T_INT else "<d", buf, pos)[0], end
-    if tag in (_T_STR, _T_LIST, _T_DICT):
-        start = _advance(buf, pos, 4)
-        n = struct.unpack_from("<I", buf, pos)[0]
-        # Every item takes at least one byte, a string byte exactly one.
-        _advance(buf, start, n)
-        pos = start
-        if tag == _T_STR:
-            try:
-                return str(buf[pos:pos + n], "utf-8"), pos + n
-            except UnicodeDecodeError:
-                raise BundleCorruptionError(f"string at byte {pos} is not UTF-8") from None
-        items = []
-        for _ in range(n * (2 if tag == _T_DICT else 1)):
-            item, pos = _decode(buf, pos, depth + 1)
-            items.append(item)
-        if tag == _T_LIST:
-            return items, pos
-        keys = items[0::2]
-        if not all(isinstance(key, str) for key in keys):
-            raise BundleCorruptionError(f"dict ending at byte {pos} has a non-string key")
-        return dict(zip(keys, items[1::2])), pos
-    if tag in (_T_F64, _T_U8):
-        pos = _advance(buf, pos, 1)
-        ndim = buf[pos - 1]
-        pos = _advance(buf, pos, 8 * ndim)
-        shape = struct.unpack_from(f"<{ndim}Q", buf, pos - 8 * ndim)
-        dtype = np.dtype("<f8") if tag == _T_F64 else np.dtype(np.uint8)
-        count = math.prod(shape)
-        end = _advance(buf, pos, count * dtype.itemsize)
-        try:
-            arr = np.frombuffer(buf, dtype=dtype, count=count, offset=pos).reshape(shape)
-        except ValueError as exc:
-            raise BundleCorruptionError(f"array at byte {pos} has shape {shape}: {exc}") from None
-        arr = arr.copy()
-        arr.setflags(write=False)  # read-only, so the models take it over without a copy
-        return arr, end
-    raise BundleCorruptionError(f"unknown value tag {tag} at byte {pos - 1}")
+# Magic, u32 version and u64 header length: the array block starts at the
+# first multiple of 8 after the header.
+_PREFIX = len(BUNDLE_MAGIC) + 12
+_F64 = np.dtype("<f8")
 
 
 def _profile_model_payload(pm: ProfileModel) -> dict:
@@ -405,83 +301,92 @@ def _fit_config_from_payload(payload: dict) -> FitConfig:
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
-    """Write the bundle: magic, version, section table, payload, CRC32."""
+    """Write the bundle: magic, version, JSON header, array block, CRC32."""
     sm = bundle.shape_model
-    sections = [
-        ("scheme", {"groups": bundle.scheme.to_jsonable()}),
-        ("shape_model", {
+    payload = {
+        "scheme": {"groups": bundle.scheme.to_jsonable()},
+        "shape_model": {
             "mean": sm.mean_shape.as_vector(),
             "modes": sm.modes,
             "eigenvalues": sm.eigenvalues,
             "variance_fraction": sm.variance_fraction,
             "clamp_alpha": sm.clamp_alpha,
-        }),
-        ("profiles", {
+        },
+        "profiles": {
             "classic": _profile_model_payload(bundle.classic_profiles),
             "asm": _profile_model_payload(bundle.asm_profiles),
-        }),
-        ("svms", {
+        },
+        "svms": {
             "weights": [model.weights for model in bundle.svms],
             "biases": [model.bias for model in bundle.svms],
-        }),
-        ("fit_defaults", {
+        },
+        "fit_defaults": {
             "config": dataclasses.asdict(bundle.fit_defaults),
             "train_meta": bundle.train_meta,
-        }),
-    ]
-    blobs = []
-    for name, payload in sections:
-        blob = bytearray()
-        _encode(payload, blob)
-        blobs.append((name, blob))
+        },
+    }
+    arrays = []
+    block_size = 0
 
-    head = bytearray(BUNDLE_MAGIC + struct.pack("<II", BUNDLE_VERSION, len(blobs)))
-    offset = 0
-    for name, blob in blobs:
-        raw = name.encode("ascii")
-        head += struct.pack("<H", len(raw))
-        head += raw
-        head += struct.pack("<QQ", offset, len(blob))
-        offset += len(blob)
-    # The sections are written as encoded, with a running CRC: the body is
-    # never joined into one more copy of the whole bundle.
+    def refer(obj):
+        """What the header holds for a value JSON has no form for."""
+        nonlocal block_size
+        if isinstance(obj, np.ndarray):
+            arr = np.ascontiguousarray(obj, dtype=_F64)
+            arrays.append(arr)
+            block_size += arr.nbytes
+            return {"f64": [block_size - arr.nbytes, list(arr.shape)]}
+        if isinstance(obj, np.integer):
+            return int(obj)
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+    header = json.dumps(payload, default=refer, separators=(",", ":")).encode("utf-8")
+    header += b" " * (-(_PREFIX + len(header)) % 8)
+    head = BUNDLE_MAGIC + struct.pack("<IQ", BUNDLE_VERSION, len(header)) + header
+    # The arrays are written from their own buffers with a running CRC: the
+    # body is never joined into one more copy of the whole bundle.
     crc = zlib.crc32(head)
     with open(path, "wb") as f:
         f.write(head)
-        for _, blob in blobs:
-            f.write(blob)
-            crc = zlib.crc32(blob, crc)
+        for arr in arrays:
+            f.write(arr)
+            crc = zlib.crc32(arr, crc)
         f.write(struct.pack("<I", crc))
 
 
-def _section_table(data: memoryview, count: int, start: int):
-    """(name, offset, length) entries and the first payload byte."""
-    pos = start
-    table = []
-    for _ in range(count):
-        pos = _advance(data, pos, 2)
-        name_len = struct.unpack_from("<H", data, pos - 2)[0]
-        pos = _advance(data, pos, name_len + 16)
-        try:
-            name = str(data[pos - 16 - name_len:pos - 16], "ascii")
-        except UnicodeDecodeError:
-            raise BundleCorruptionError("section name is not ASCII") from None
-        offset, length = struct.unpack_from("<QQ", data, pos - 16)
-        table.append((name, offset, length))
-    return table, pos
+def _block_array(obj: dict, block: memoryview):
+    """The array a one-key {"f64": [offset, shape]} object refers to, as a
+    read-only copy of its block bytes; any other object unchanged."""
+    if obj.keys() != {"f64"}:
+        return obj
+    ref = obj["f64"]
+    if not (isinstance(ref, list) and len(ref) == 2 and isinstance(ref[1], list)
+            and all(type(v) is int and v >= 0 for v in [ref[0], *ref[1]])):
+        raise BundleCorruptionError(
+            f"array reference {ref!r:.80} is not [offset, shape] of non-negative ints"
+        )
+    offset, shape = ref
+    count = math.prod(shape)
+    if offset + count * _F64.itemsize > len(block):
+        raise BundleCorruptionError(
+            f"array at block byte {offset} with shape {shape!r:.80} runs past the end of the block"
+        )
+    arr = np.frombuffer(block, dtype=_F64, count=count, offset=offset).reshape(shape).copy()
+    arr.setflags(write=False)  # read-only, so the models take it over without a copy
+    return arr
 
 
 def load_bundle(path) -> ModelBundle:
     """Read and validate a bundle; checks magic, checksum, then version."""
     path = Path(path)
     data = path.read_bytes()
-    if len(data) < len(BUNDLE_MAGIC) + 12 or data[:len(BUNDLE_MAGIC)] != BUNDLE_MAGIC:
+    if len(data) < _PREFIX + 4 or data[:len(BUNDLE_MAGIC)] != BUNDLE_MAGIC:
         raise BundleCorruptionError(f"{path.name}: not a model bundle (bad magic)")
-    view = memoryview(data)[:-4]
+    body = memoryview(data)[:-4]
     stored_crc = struct.unpack("<I", data[-4:])[0]
-    if zlib.crc32(view) != stored_crc:
+    if zlib.crc32(body) != stored_crc:
         raise BundleCorruptionError(f"{path.name}: checksum mismatch, file corrupted")
-    version, section_count = struct.unpack_from("<II", data, len(BUNDLE_MAGIC))
+    version, header_len = struct.unpack_from("<IQ", data, len(BUNDLE_MAGIC))
     if version != BUNDLE_VERSION:
         raise BundleVersionError(
             f"{path.name}: bundle version {version}, this build reads {BUNDLE_VERSION}; "
@@ -491,29 +396,33 @@ def load_bundle(path) -> ModelBundle:
     # another tool, or damaged before the checksum was taken). Every failure
     # to decode it or to rebuild the model from its fields is corruption.
     try:
-        table, payload_start = _section_table(view, section_count, len(BUNDLE_MAGIC) + 8)
-        sections = {}
-        for name, offset, length in table:
-            blob = view[payload_start + offset:payload_start + offset + length]
-            if len(blob) != length:
-                raise BundleCorruptionError(f"section {name} runs past the end of the file")
-            value, end = _decode(blob, 0)
-            if end != length:
-                raise BundleCorruptionError(f"section {name} has trailing bytes")
-            sections[name] = value
-        return _bundle_from_sections(sections)
+        if header_len > len(body) - _PREFIX:
+            raise BundleCorruptionError(
+                f"header of {header_len} bytes runs past the end of the file"
+            )
+        try:
+            header = str(body[_PREFIX:_PREFIX + header_len], "utf-8")
+        except UnicodeDecodeError:
+            raise BundleCorruptionError("header is not UTF-8") from None
+        block = body[_PREFIX + header_len:]
+        payload = json.loads(header, object_hook=lambda obj: _block_array(obj, block))
+        return _bundle_from_payload(payload)
     except BundleCorruptionError as exc:
         raise BundleCorruptionError(f"{path.name}: {exc}") from None
     except KeyError as exc:
         raise BundleCorruptionError(f"{path.name}: missing bundle field {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise BundleCorruptionError(f"{path.name}: header is not JSON: {exc}") from None
+    except RecursionError:
+        raise BundleCorruptionError(f"{path.name}: header nests too deeply") from None
     except (AsmFitError, LookupError, TypeError, ValueError, AttributeError,
             ArithmeticError) as exc:
         raise BundleCorruptionError(f"{path.name}: malformed bundle field: {exc}") from None
 
 
-def _bundle_from_sections(sections: dict) -> ModelBundle:
-    scheme = LandmarkScheme.from_jsonable(sections["scheme"]["groups"])
-    sm_raw = sections["shape_model"]
+def _bundle_from_payload(payload: dict) -> ModelBundle:
+    scheme = LandmarkScheme.from_jsonable(payload["scheme"]["groups"])
+    sm_raw = payload["shape_model"]
     shape_model = ShapeModel(
         mean_shape=Shape.from_vector(sm_raw["mean"]),
         modes=sm_raw["modes"],
@@ -521,14 +430,14 @@ def _bundle_from_sections(sections: dict) -> ModelBundle:
         variance_fraction=sm_raw["variance_fraction"],
         clamp_alpha=sm_raw["clamp_alpha"],
     )
-    svm_raw = sections["svms"]
+    svm_raw = payload["svms"]
     return ModelBundle(
         scheme=scheme,
         shape_model=shape_model,
-        classic_profiles=_profile_model_from_payload(sections["profiles"]["classic"], "one_d"),
-        asm_profiles=_profile_model_from_payload(sections["profiles"]["asm"], "two_d"),
+        classic_profiles=_profile_model_from_payload(payload["profiles"]["classic"], "one_d"),
+        asm_profiles=_profile_model_from_payload(payload["profiles"]["asm"], "two_d"),
         svms=tuple(LinearSvmModel(w, b)
                    for w, b in zip(svm_raw["weights"], svm_raw["biases"], strict=True)),
-        fit_defaults=_fit_config_from_payload(sections["fit_defaults"]["config"]),
-        train_meta=sections["fit_defaults"]["train_meta"],
+        fit_defaults=_fit_config_from_payload(payload["fit_defaults"]["config"]),
+        train_meta=payload["fit_defaults"]["train_meta"],
     )

@@ -92,13 +92,18 @@ def equalize_histogram(image: GrayImage) -> GrayImage:
     return GrayImage(np.clip(lut[bins], 0, 255))
 
 
+def _sobel(pixels: np.ndarray):
+    """(gx, gy, magnitude) of the 3x3 Sobel kernels with replicated borders."""
+    gx = ndimage.correlate(pixels, SOBEL_X, mode="nearest")
+    gy = ndimage.correlate(pixels, SOBEL_Y, mode="nearest")
+    return gx, gy, np.sqrt(gx * gx + gy * gy)
+
+
 def sobel_gradients(image: GrayImage) -> GradientField:
     """3x3 Sobel derivatives with replicated borders."""
     if image.width < 3 or image.height < 3:
         raise ImageSizeError(f"need at least 3x3 for gradients, got {image.width}x{image.height}")
-    gx = ndimage.correlate(image.pixels, SOBEL_X, mode="nearest")
-    gy = ndimage.correlate(image.pixels, SOBEL_Y, mode="nearest")
-    return GradientField(gx, gy, np.sqrt(gx * gx + gy * gy))
+    return GradientField(*_sobel(image.pixels))
 
 
 def _gaussian_kernel_5x5(sigma: float) -> np.ndarray:
@@ -119,9 +124,7 @@ def canny_edges(image: GrayImage, low: float = 50.0, high: float = 150.0) -> np.
     if not (0 <= low <= high):
         raise ThresholdError(f"need 0 <= low <= high, got low={low} high={high}")
     smoothed = ndimage.correlate(image.pixels, _gaussian_kernel_5x5(1.4), mode="nearest")
-    gx = ndimage.correlate(smoothed, SOBEL_X, mode="nearest")
-    gy = ndimage.correlate(smoothed, SOBEL_Y, mode="nearest")
-    mag = np.sqrt(gx * gx + gy * gy)
+    gx, gy, mag = _sobel(smoothed)
 
     # Quantize direction to 0/45/90/135 degrees. Angles in [-pi, pi]; fold
     # to [0, pi) since opposite directions share a suppression axis.
@@ -200,7 +203,7 @@ def sample_bilinear(image: GrayImage, x, y):
     top = px[y0, x0] * (1 - fx) + px[y0, x1] * fx
     bot = px[y1, x0] * (1 - fx) + px[y1, x1] * fx
     val = top * (1 - fy) + bot * fy
-    if np.isscalar(x) or (isinstance(x, (int, float)) and isinstance(y, (int, float))):
+    if np.isscalar(x):
         return float(val)
     return val
 

@@ -6,6 +6,7 @@ neighbors define each landmark's contour tangent.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,6 +22,12 @@ class ContourGroup:
     closed: bool
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ShapeArityError(f"group name must be a string, got {self.name!r}")
+        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral):
+            raise ShapeArityError(
+                f"group {self.name!r} count must be an integer, got {self.count!r}"
+            )
         if self.count < 2:
             raise ShapeArityError(f"group {self.name!r} needs at least 2 points, got {self.count}")
 
@@ -77,7 +84,7 @@ class LandmarkScheme:
             name, count, topo = entry
             if topo not in ("open", "closed"):
                 raise ShapeArityError(f"group topology must be open or closed, got {topo!r}")
-            groups.append(ContourGroup(str(name), int(count), topo == "closed"))
+            groups.append(ContourGroup(name, count, topo == "closed"))
         return cls(tuple(groups))
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 import struct
 import zlib
@@ -442,19 +443,115 @@ def test_bundle_mutation_fuzz_raises_only_bundle_errors(small_bundle_bytes, tmp_
     assert outcomes["BundleCorruptionError"] >= 20
 
 
-def test_bundle_section_table_bounds(small_bundle_bytes, tmp_path):
-    body = bytearray(small_bundle_bytes[:-4])
-    bad = tmp_path / "table.asmb"
-    # first section: u16 name length at byte 16, then the name, offset, length
-    name_len = struct.unpack_from("<H", body, 16)[0]
-    for field_pos, value in ((18 + name_len, 2**63), (26 + name_len, 2**40)):
-        data = bytearray(body)
-        struct.pack_into("<Q", data, field_pos, value)
+_HEADER_START = len(BUNDLE_MAGIC) + 12
+
+
+def _header_length(data) -> int:
+    return struct.unpack_from("<Q", data, len(BUNDLE_MAGIC) + 4)[0]
+
+
+def _header(data) -> dict:
+    """The JSON header of bundle bytes, array references left as objects."""
+    return json.loads(bytes(data[_HEADER_START:_HEADER_START + _header_length(data)]))
+
+
+def _with_header(data, header: bytes) -> bytes:
+    """Bundle bytes with the header replaced and the array block kept, resealed."""
+    block = data[_HEADER_START + _header_length(data):-4]
+    return reseal(data[:len(BUNDLE_MAGIC) + 4] + struct.pack("<Q", len(header)) + header + block)
+
+
+def _edited(data, edit) -> bytes:
+    header = _header(data)
+    edit(header)
+    return _with_header(data, json.dumps(header).encode("utf-8"))
+
+
+def _set_mean_ref(ref):
+    def edit(header):
+        header["shape_model"]["mean"]["f64"] = ref
+    return edit
+
+
+def test_bundle_header_length_past_the_end(small_bundle_bytes, tmp_path):
+    bad = tmp_path / "long.asmb"
+    body = len(small_bundle_bytes) - 4
+    for length in (body - _HEADER_START + 1, 2**64 - 1):
+        data = bytearray(small_bundle_bytes[:-4])
+        struct.pack_into("<Q", data, len(BUNDLE_MAGIC) + 4, length)
         bad.write_bytes(reseal(data))
-        with pytest.raises(BundleCorruptionError, match="past the end"):
+        with pytest.raises(BundleCorruptionError, match="past the end of the file"):
             load_bundle(bad)
-    data = bytearray(body)
-    struct.pack_into("<I", data, len(BUNDLE_MAGIC) + 4, 2**31)
-    bad.write_bytes(reseal(data))
-    with pytest.raises(BundleCorruptionError):
+
+
+def test_bundle_array_past_the_end_of_the_block(small_bundle_bytes, tmp_path):
+    block = len(small_bundle_bytes) - 4 - _HEADER_START - _header_length(small_bundle_bytes)
+    offset, shape = _header(small_bundle_bytes)["shape_model"]["mean"]["f64"]
+    bad = tmp_path / "past.asmb"
+    # the mean moved to end one f64 past the block, to its end, or grown past it
+    for ref in ([block - 8 * shape[0] + 8, shape], [block, [1]], [offset, [shape[0], 2**40]]):
+        bad.write_bytes(_edited(small_bundle_bytes, _set_mean_ref(ref)))
+        with pytest.raises(BundleCorruptionError, match="past the end of the block"):
+            load_bundle(bad)
+
+
+@pytest.mark.parametrize("ref", [
+    [0, [True, 12]], [0, [24.0]], [0, [-24]], [-8, [24]], [True, [24]], [0.0, [24]],
+    [0], [0, [24], 1], [0, 24], "0,24", None,
+])
+def test_bundle_rejects_malformed_array_reference(small_bundle_bytes, tmp_path, ref):
+    bad = tmp_path / "ref.asmb"
+    bad.write_bytes(_edited(small_bundle_bytes, _set_mean_ref(ref)))
+    with pytest.raises(BundleCorruptionError, match="array reference"):
         load_bundle(bad)
+
+
+@pytest.mark.parametrize("header, expect", [
+    (b"[" * 100_000, "nests too deeply"),
+    (b"{\"scheme\":", "not JSON"),
+    (b"\xff" * 8, "header is not UTF-8"),
+])
+def test_bundle_rejects_unreadable_header(small_bundle_bytes, tmp_path, header, expect):
+    bad = tmp_path / "header.asmb"
+    bad.write_bytes(_with_header(small_bundle_bytes, header))
+    with pytest.raises(BundleCorruptionError, match=expect):
+        load_bundle(bad)
+
+
+def test_bundle_header_is_padded_to_align_the_block(small_bundle_bytes):
+    assert (_HEADER_START + _header_length(small_bundle_bytes)) % 8 == 0
+    header = _header(small_bundle_bytes)
+    assert list(header) == ["scheme", "shape_model", "profiles", "svms", "fit_defaults"]
+
+
+@pytest.mark.parametrize("group", [["all", 12.0, "closed"], ["all", True, "closed"],
+                                   ["all", "12", "closed"], [12, 12, "closed"]])
+def test_bundle_rejects_mistyped_scheme_group(small_bundle_bytes, tmp_path, group):
+    def edit(header):
+        header["scheme"]["groups"] = [group]
+
+    bad = tmp_path / "scheme.asmb"
+    bad.write_bytes(_edited(small_bundle_bytes, edit))
+    with pytest.raises(BundleCorruptionError, match="must be"):
+        load_bundle(bad)
+
+
+def test_bundle_round_trips_numpy_integer_settings(faces96, tmp_path):
+    """numpy integer settings save, and load back as Python ints."""
+    samples = [AnnotatedSample(s.name, s.image, Shape(s.shape.points[-12:]))
+               for s in faces96[:6]]
+    bundle, _ = train_bundle(
+        samples, single_contour_scheme(np.int64(12)),
+        fit_config=FitConfig(levels=2, profile_lengths=(3, 5), search_radius=np.int64(3)),
+        svm_config=SvmTrainConfig(epochs=2), classic_length=5, seed=np.int64(3),
+    )
+    path = tmp_path / "int64.asmb"
+    save_bundle(bundle, path)
+    loaded = load_bundle(path)
+    assert type(loaded.fit_defaults.search_radius) is int
+    assert loaded.fit_defaults == bundle.fit_defaults
+    assert type(loaded.train_meta["seed"]) is int and loaded.train_meta["seed"] == 3
+    assert type(loaded.scheme.groups[0].count) is int
+    again = tmp_path / "again.asmb"
+    save_bundle(loaded, again)
+    assert again.read_bytes() == path.read_bytes()

@@ -1,6 +1,10 @@
+import json
+
+import numpy as np
 import pytest
 
-from asmfit.errors import ShapeArityError
+from asmfit.cli import load_train_settings
+from asmfit.errors import DatasetError, ShapeArityError
 from asmfit.scheme import (
     DEFAULT_SCHEME,
     ContourGroup,
@@ -91,3 +95,22 @@ def test_jsonable_round_trip():
 def test_from_jsonable_rejects_bad_topology():
     with pytest.raises(ShapeArityError):
         LandmarkScheme.from_jsonable([["a", 3, "looped"]])
+
+
+@pytest.mark.parametrize("entry", [["a", 12.7, "closed"], ["b", "9", "open"], [3, 4, "open"],
+                                   ["c", 12.0, "open"], ["d", True, "open"], [None, 4, "open"]])
+def test_from_jsonable_rejects_mistyped_group(entry):
+    """A count must be an integer and a name a string: neither is coerced."""
+    with pytest.raises(ShapeArityError, match="must be"):
+        LandmarkScheme.from_jsonable([["ok", 5, "open"], entry])
+
+
+def test_group_accepts_numpy_integer_count():
+    assert LandmarkScheme((ContourGroup("a", np.int64(3), False),)).total == 3
+
+
+def test_train_config_with_mistyped_scheme_is_a_dataset_error(tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"scheme": [["a", 12.7, "closed"], ["b", 9, "open"]]}))
+    with pytest.raises(DatasetError, match="count must be an integer, got 12.7"):
+        load_train_settings(config)
