@@ -356,7 +356,9 @@ def save_bundle(bundle: ModelBundle, path) -> None:
 
 def _block_array(obj: dict, block: memoryview):
     """The array a one-key {"f64": [offset, shape]} object refers to, as a
-    read-only copy of its block bytes; any other object unchanged."""
+    view of its block bytes; any other object unchanged. The file's bytes
+    are immutable, so the view is read-only and the models keep it without
+    a copy."""
     if obj.keys() != {"f64"}:
         return obj
     ref = obj["f64"]
@@ -371,9 +373,7 @@ def _block_array(obj: dict, block: memoryview):
         raise BundleCorruptionError(
             f"array at block byte {offset} with shape {shape!r:.80} runs past the end of the block"
         )
-    arr = np.frombuffer(block, dtype=_F64, count=count, offset=offset).reshape(shape).copy()
-    arr.setflags(write=False)  # read-only, so the models take it over without a copy
-    return arr
+    return np.frombuffer(block, dtype=_F64, count=count, offset=offset).reshape(shape)
 
 
 def load_bundle(path) -> ModelBundle:

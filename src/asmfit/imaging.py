@@ -134,28 +134,17 @@ def canny_edges(image: GrayImage, low: float = 50.0, high: float = 150.0) -> np.
     sector[(angle >= 3 * np.pi / 8) & (angle < 5 * np.pi / 8)] = 2
     sector[(angle >= 5 * np.pi / 8) & (angle < 7 * np.pi / 8)] = 3
 
-    # Neighbor offsets (dy, dx) per sector along the gradient axis. The
-    # "before" neighbor is the row-major-earlier one; a ridge of equal
-    # magnitudes keeps only its first pixel (strict > before, >= after).
-    before_off = {0: (0, -1), 1: (-1, -1), 2: (-1, 0), 3: (-1, 1)}
-    after_off = {0: (0, 1), 1: (1, 1), 2: (1, 0), 3: (1, -1)}
-
-    def shifted(arr, dy, dx):
-        out = np.zeros_like(arr)
-        h, w = arr.shape
-        ys = slice(max(dy, 0), h + min(dy, 0))
-        xs = slice(max(dx, 0), w + min(dx, 0))
-        yt = slice(max(-dy, 0), h + min(-dy, 0))
-        xt = slice(max(-dx, 0), w + min(-dx, 0))
-        out[yt, xt] = arr[ys, xs]
-        return out
-
+    # Each sector's neighbors along the gradient axis are slices of the
+    # zero-padded magnitude, at -(dy, dx) ("before", the row-major-earlier
+    # one) and +(dy, dx) ("after"). A ridge of equal magnitudes keeps only
+    # its first pixel (strict > before, >= after).
+    h, w = mag.shape
+    padded = np.pad(mag, 1)
     keep = np.zeros(mag.shape, dtype=bool)
-    for s in range(4):
-        in_sector = sector == s
-        b = shifted(mag, *before_off[s])
-        a = shifted(mag, *after_off[s])
-        keep |= in_sector & (mag > b) & (mag >= a)
+    for s, (dy, dx) in enumerate(((0, 1), (1, 1), (1, 0), (1, -1))):
+        before = padded[1 - dy:h + 1 - dy, 1 - dx:w + 1 - dx]
+        after = padded[1 + dy:h + 1 + dy, 1 + dx:w + 1 + dx]
+        keep |= (sector == s) & (mag > before) & (mag >= after)
 
     strong = keep & (mag >= high)
     weak_or_strong = keep & (mag >= low)

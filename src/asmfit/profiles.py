@@ -12,7 +12,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatchError, InsufficientDataError, ShapeArityError
 from .imaging import GrayImage, sample_bilinear
@@ -285,35 +285,20 @@ def normalize_windows(flat: np.ndarray, mode: str, q: float = 10.0,
 def windows_batch(values: np.ndarray, centers: np.ndarray, size: int) -> np.ndarray:
     """(k, size*size) row-major windows around rounded centers, border-clamped.
 
-    Windows inside the array are copied out of a strided view of it; the
-    few that cross the border are gathered with clamped indices.
+    Every window is one index into a sliding-window view of the array
+    edge-padded by size - 1. A center farther than size // 2 outside the
+    array is moved to that distance first; its window reads the same
+    replicated border pixels either way.
     """
     if size < 3 or size % 2 == 0:
         raise ShapeArityError(f"window size must be odd and >= 3, got {size}")
     h, w = values.shape
     centers = np.asarray(centers, dtype=float)
     half = size // 2
-    cx = np.rint(centers[:, 0]).astype(int)
-    cy = np.rint(centers[:, 1]).astype(int)
-    if h >= size and w >= size:
-        # Top-left corners, moved inside where a window crosses the border;
-        # those windows are read again below.
-        x0 = np.minimum(np.maximum(cx - half, 0), w - size)
-        y0 = np.minimum(np.maximum(cy - half, 0), h - size)
-        edge = (x0 != cx - half) | (y0 != cy - half)
-        s0, s1 = values.strides
-        view = as_strided(values, (h - size + 1, w - size + 1, size, size), (s0, s1, s0, s1),
-                          writeable=False)
-        wins = view[y0, x0]
-    else:
-        edge = np.ones(len(centers), dtype=bool)
-        wins = np.empty((len(centers), size, size), dtype=values.dtype)
-    if edge.any():
-        offs = np.arange(-half, half + 1)
-        xs = np.clip(cx[edge, None] + offs[None, :], 0, w - 1)
-        ys = np.clip(cy[edge, None] + offs[None, :], 0, h - 1)
-        wins[edge] = values[ys[:, :, None], xs[:, None, :]]
-    return wins.reshape(len(centers), size * size)
+    cx = np.clip(np.rint(centers[:, 0]).astype(int), -half, w - 1 + half)
+    cy = np.clip(np.rint(centers[:, 1]).astype(int), -half, h - 1 + half)
+    view = sliding_window_view(np.pad(values, size - 1, mode="edge"), (size, size))
+    return view[cy + half, cx + half].reshape(len(centers), size * size)
 
 
 def stats_from_matrix(rows: np.ndarray, eps: float = 1e-3) -> ProfileStats:

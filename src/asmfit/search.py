@@ -32,7 +32,7 @@ from .profiles import (
     profiles_1d_batch,
     windows_batch,
 )
-from .shape_model import Shape, ShapeModel, clamp_params, fit_params, synthesize
+from .shape_model import Shape, ShapeModel, fit_params, synthesize
 from .svm import LinearSvmModel, decision_values
 
 # Least fraction of init landmarks inside the level-0 image that fit accepts.
@@ -250,9 +250,10 @@ def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig, level: 
 
 
 def _regularize(model: ShapeModel, shape: Shape) -> Shape:
-    """Pull a shape back onto the constrained model manifold."""
+    """Pull a shape back onto the constrained model manifold; fit_params
+    returns clamped coefficients."""
     pf = fit_params(model, shape)
-    return Shape(pf.transform.apply(synthesize(model, clamp_params(model, pf.params)).points))
+    return Shape(pf.transform.apply(synthesize(model, pf.params).points))
 
 
 def build_level_context(bundle, level_image: GrayImage, level: int, config: FitConfig) -> LevelContext:
@@ -287,14 +288,20 @@ def fit(pyramid: ImagePyramid, bundle, init: Shape, config: FitConfig = None) ->
     the configured fraction of landmarks moves under a pixel, and hands
     its shape up by doubling coordinates. Deterministic: no randomness.
 
-    Raises InitializationError when fewer than MIN_INIT_INSIDE (half) of
-    the init landmarks lie inside the level-0 image.
+    Raises DimensionMismatchError when the pyramid does not have the
+    config's levels or the bundle has fewer, and InitializationError when
+    fewer than MIN_INIT_INSIDE (half) of the init landmarks lie inside the
+    level-0 image.
     """
     if config is None:
         config = bundle.fit_defaults
     if len(pyramid.levels) != config.levels:
         raise DimensionMismatchError(
             f"pyramid has {len(pyramid.levels)} levels, config expects {config.levels}"
+        )
+    if config.levels > bundle.asm_profiles.levels:
+        raise DimensionMismatchError(
+            f"config asks for {config.levels} levels, the bundle holds {bundle.asm_profiles.levels}"
         )
     base = pyramid.levels[0]
     inside = (

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 import struct
+import tracemalloc
 import zlib
 from collections import Counter
 from pathlib import Path
@@ -37,10 +38,11 @@ from asmfit.errors import (
 )
 from asmfit.imaging import GrayImage
 from asmfit.profiles import ProfileStats
-from asmfit.scheme import single_contour_scheme
+from asmfit.scheme import DEFAULT_SCHEME, single_contour_scheme
 from asmfit.search import FitConfig
 from asmfit.shape_model import Shape
 from asmfit.svm import LinearSvmModel, SvmTrainConfig
+from asmfit.synthetic import generate_face_dataset
 from asmfit.training import train_bundle
 
 
@@ -243,6 +245,45 @@ def test_bundle_resave_byte_identical(saved_bundle, tmp_path):
     again = tmp_path / "again.asmb"
     save_bundle(loaded, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_loaded_arrays_are_read_only_views_of_the_file(saved_bundle):
+    """The models keep the loader's arrays as they are: each one is a
+    read-only view of the file's bytes, not a copy."""
+    loaded = load_bundle(saved_bundle[1])
+    arrays = [st.basis for st in loaded.asm_profiles.stats]
+    arrays += [st.mean for st in loaded.classic_profiles.stats]
+    arrays += [model.weights for model in loaded.svms]
+    for arr in arrays:
+        assert arr.flags.writeable is False
+        assert not arr.flags.owndata
+
+
+@pytest.fixture(scope="module")
+def fit_256_bundle(tmp_path_factory):
+    """A bundle of the benchmark's fit-256 size, about 5 MB: 30 faces at
+    256x256 on the default scheme. One SGD epoch, as only the shapes of the
+    arrays matter here."""
+    bundle, _ = train_bundle(generate_face_dataset(30, size=256, seed=3), DEFAULT_SCHEME,
+                             svm_config=SvmTrainConfig(epochs=1))
+    path = tmp_path_factory.mktemp("fit256") / "model.asmb"
+    save_bundle(bundle, path)
+    return path
+
+
+def test_bundle_load_peaks_under_one_and_a_half_file_sizes(fit_256_bundle):
+    """A load holds the file's bytes once; arrays copied out of them would
+    take the peak to about twice the file size."""
+    size = fit_256_bundle.stat().st_size
+    tracemalloc.start()
+    try:
+        loaded = load_bundle(fit_256_bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 5_000_000
+    assert loaded.asm_profiles.stats[-1].basis.shape == (68, 225, 29)
+    assert peak < 1.5 * size
 
 
 def test_bundle_rejects_bad_magic(saved_bundle, tmp_path):

@@ -125,7 +125,9 @@ def test_canny_matches_reference_on_step_fixture():
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("low,high", [(10.0, 100.0), (60.0, 60.0), (0.0, 40.0)])
+# (0, 0): flat areas have magnitude exactly 0, so only the strict "before"
+# comparison keeps them off the map.
+@pytest.mark.parametrize("low,high", [(10.0, 100.0), (60.0, 60.0), (0.0, 40.0), (0.0, 0.0)])
 def test_canny_matches_reference_across_thresholds(low, high):
     px = ramp_step_fixture()
     assert np.array_equal(canny_edges(GrayImage(px), low, high),
@@ -134,12 +136,14 @@ def test_canny_matches_reference_across_thresholds(low, high):
 
 def test_canny_matches_reference_on_product_surface():
     # smooth, asymmetric field: no mirror-image neighborhoods, so no
-    # floating-point tie hazards between the two implementations
-    y, x = np.mgrid[0:16, 0:16]
-    px = 0.9 * (x + 1.0) * (y + 2.0)
-    got = canny_edges(GrayImage(px), 2.0, 8.0)
-    want = reference_canny(px, 2.0, 8.0)
-    assert np.array_equal(got, want)
+    # floating-point tie hazards between the two implementations; the small
+    # shapes put every pixel's suppression neighbors on the zero border
+    for h, w in [(16, 16), (1, 1), (2, 3), (5, 40)]:
+        y, x = np.mgrid[0:h, 0:w]
+        px = 0.9 * (x + 1.0) * (y + 2.0)
+        got = canny_edges(GrayImage(px), 2.0, 8.0)
+        want = reference_canny(px, 2.0, 8.0)
+        assert np.array_equal(got, want)
 
 
 def test_canny_blank_image_has_no_edges():

@@ -352,7 +352,7 @@ def window_centers(h, w, rng):
 
 
 @pytest.mark.parametrize("size", [3, 7, 15])
-@pytest.mark.parametrize("hw", [(23, 41), (41, 23), (16, 16), (9, 30)])
+@pytest.mark.parametrize("hw", [(23, 41), (41, 23), (16, 16), (9, 30), (1, 1), (3, 2)])
 def test_windows_batch_matches_clamped_gather_oracle(size, hw):
     rng = np.random.default_rng(size * 100 + hw[0])
     vals = rng.uniform(0.0, 50.0, hw)

@@ -9,6 +9,7 @@ and no example database is written.
 """
 
 import dataclasses
+import json
 import struct
 
 import numpy as np
@@ -189,12 +190,29 @@ def test_image_loader_raises_only_asmfit_errors(scratch, data):
     loads_or_raises_asmfit_error(load_image, scratch, data)
 
 
+# JSON headers with array references among the bundle's keys. References
+# run into the block, past its end, and have negative or mistyped fields.
+ARRAY_REFS = st.fixed_dictionaries({"f64": st.one_of(
+    st.tuples(st.integers(-1, 40), st.lists(st.integers(-1, 3), max_size=3)).map(list),
+    st.lists(st.one_of(st.integers(-1, 72), st.none()), max_size=3),
+)})
+JSON_HEADERS = st.recursive(
+    st.one_of(ARRAY_REFS, st.sampled_from([None, True, False, -1, 0, 3, 0.5, 1e308, "", "x"])),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["scheme", "groups", "shape_model", "mean", "modes",
+                                         "profiles", "classic", "asm", "svms", "weights",
+                                         "fit_defaults", "config", "f64"]), inner, max_size=4)),
+    max_leaves=10,
+).map(lambda value: json.dumps(value).encode("utf-8"))
+
+
 @PROPERTY
 @given(data=st.one_of(
     st.binary(max_size=200),
     st.binary(max_size=200).map(lambda body: reseal(BUNDLE_MAGIC + body)),
-    st.tuples(st.integers(0, 6), st.binary(max_size=200)).map(
-        lambda t: reseal(BUNDLE_MAGIC + struct.pack("<II", BUNDLE_VERSION, t[0]) + t[1])),
+    st.tuples(JSON_HEADERS, st.binary(min_size=48, max_size=96)).map(
+        lambda t: reseal(BUNDLE_MAGIC + struct.pack("<IQ", BUNDLE_VERSION, len(t[0])) + t[0] + t[1])),
 ))
 def test_bundle_loader_raises_only_asmfit_errors(scratch, data):
     loads_or_raises_asmfit_error(load_bundle, scratch, data)

@@ -20,6 +20,7 @@ from asmfit.imaging import (
     sobel_gradients,
 )
 from asmfit.profiles import (
+    ProfileStats,
     mahalanobis_batch,
     normalize_windows,
     profiles_1d_batch,
@@ -328,7 +329,9 @@ def oracle_context(rng, kind, size, k, hw=(40, 52), tie_image=False, gate=True, 
 
     Gate biases run from reject-all (the gate falls back) to accept-all.
     A tie image is constant in its left half, so many candidates there
-    share one window and one cost. A one_d context has no gradient magnitude;
+    share one window and one cost. Its statistics are centred on that
+    window, so the shared cost is exactly 0 on every BLAS kernel, wherever
+    a row sits in its call. A one_d context has no gradient magnitude;
     without gate or edges it holds no SVMs or no edge map. Every array is
     drawn either way, so the draws do not depend on the switches.
     """
@@ -344,6 +347,12 @@ def oracle_context(rng, kind, size, k, hw=(40, 52), tie_image=False, gate=True, 
                                           (k, int(rng.integers(4, 40)), d)))
     svms = LinearSvmModel(rng.normal(0.0, 1.0, (k, d)) / np.sqrt(d), np.linspace(-1.5, 1.5, k))
     edge_map = (rng.uniform(size=hw) < 0.3).astype(np.uint8)
+    if tie_image:
+        # A constant window sum-normalizes to 1/d in every dim (3/147 and
+        # 1/49 round alike); a flat 1-D profile is all zeros.
+        tie_row = np.full(d, 1.0 / d) if kind == "two_d" else np.zeros(d)
+        stats = ProfileStats(np.tile(tie_row, (k, 1)), basis=stats.basis, lam=stats.lam,
+                             rho=stats.rho)
     return LevelContext(raw=GrayImage(raw), magnitude=mag if kind == "two_d" else None,
                         edge_map=edge_map if edges else None, stats=stats,
                         svms=svms if gate else None, scheme=None)
@@ -442,6 +451,18 @@ def test_two_d_candidate_features_match_oracle_gather(size):
     assert flat_rows > 0
 
 
+def axis_stats(stats):
+    """stats cut to one mode per landmark, on a unit axis (landmark j's is
+    axis j mod d), keeping the mean, the first eigenvalue and the ridge.
+    Every product a BLAS call makes with such a basis is exact, so a row's
+    cost has the same bits on every kernel, whatever rows share its call;
+    clamped candidates past the border share rows, and so exact ties."""
+    k, d = stats.mean.shape
+    basis = np.zeros((k, d, 1))
+    basis[np.arange(k), np.arange(k) % d, 0] = 1.0
+    return ProfileStats(stats.mean, basis=basis, lam=stats.lam[:, :1], rho=stats.rho)
+
+
 @pytest.mark.parametrize("kind", ["two_d", "one_d"])
 def test_gate_sees_in_radius_rows_and_search_equals_oracle(kind, monkeypatch):
     """decision_values gets each landmark's in-radius rows and nothing else:
@@ -459,6 +480,7 @@ def test_gate_sees_in_radius_rows_and_search_equals_oracle(kind, monkeypatch):
     cfg = FitConfig(levels=1, profile_lengths=(size,), search_radius=3)
     for trial in range(4):
         ctx = oracle_context(rng, kind, size, k)
+        ctx = dataclasses.replace(ctx, stats=axis_stats(ctx.stats))
         pts = rng.uniform((-4.0, -4.0), (56.0, 44.0), (k, 2))
         pts[::2] = np.rint(pts[::2])
         pts[1] = (0.5, 43.5)
@@ -676,6 +698,19 @@ def test_fit_rejects_outside_init_and_level_mismatch(trained):
     init = init_shape_from_box(bundle.shape_model, truth_box(sample.shape, 0.10))
     with pytest.raises(DimensionMismatchError):
         fit(short, bundle, init, cfg)
+
+
+@pytest.mark.parametrize("mode", ["asm_svm", "classic"])
+def test_fit_rejects_more_levels_than_the_bundle_holds(trained, mode, monkeypatch):
+    """A config deeper than the bundle fails before any work is done."""
+    bundle, _, faces = trained
+    sample = faces[6]
+    cfg = FitConfig(levels=4, profile_lengths=(3, 7, 15, 15), mode=mode)
+    pyr = build_pyramid(sample.image, cfg.levels)
+    init = init_shape_from_box(bundle.shape_model, truth_box(sample.shape, 0.10))
+    monkeypatch.setattr(search, "fit_params", None)
+    with pytest.raises(DimensionMismatchError, match="4 levels, the bundle holds 3"):
+        fit(pyr, bundle, init, cfg)
 
 
 def test_fit_rejects_init_mostly_off_the_image(trained):
