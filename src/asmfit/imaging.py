@@ -27,7 +27,7 @@ class GrayImage:
     pixels: np.ndarray
 
     def __post_init__(self):
-        px = np.array(self.pixels, dtype=float)
+        px = np.array(self.pixels, dtype=float, order="C")
         if px.ndim != 2 or px.size == 0:
             raise ImageSizeError(f"expected a non-empty 2-D pixel array, got shape {px.shape}")
         if not np.all(np.isfinite(px)):
@@ -177,22 +177,26 @@ def build_pyramid(image: GrayImage, levels: int = 3) -> ImagePyramid:
 def sample_bilinear(image: GrayImage, x, y):
     """Bilinear interpolation at real coordinates, clamped to the border.
 
-    Accepts scalars or equally shaped arrays; returns matching shape.
+    Accepts scalars or equally shaped arrays; returns matching shape. The
+    four neighbours are gathered from the raveled pixels at one flat index
+    y0 * w + x0. On the last column or row the neighbour past it is read
+    from the next row, or clipped to the last pixel, but its weight there
+    is exactly 0. A NaN coordinate gives NaN.
     """
     px = image.pixels
     h, w = px.shape
+    flat_px = px.ravel()
     xq = np.clip(np.asarray(x, dtype=float), 0.0, w - 1.0)
     yq = np.clip(np.asarray(y, dtype=float), 0.0, h - 1.0)
-    x0 = np.clip(np.floor(xq).astype(int), 0, w - 1)
-    y0 = np.clip(np.floor(yq).astype(int), 0, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
+    x0 = np.floor(xq)
+    y0 = np.floor(yq)
+    i = (y0 * w + x0).astype(np.intp)
     fx = xq - x0
     fy = yq - y0
-    top = px[y0, x0] * (1 - fx) + px[y0, x1] * fx
-    bot = px[y1, x0] * (1 - fx) + px[y1, x1] * fx
+    top = flat_px.take(i, mode="clip") * (1 - fx) + flat_px.take(i + 1, mode="clip") * fx
+    i += w
+    bot = flat_px.take(i, mode="clip") * (1 - fx) + flat_px.take(i + 1, mode="clip") * fx
     val = top * (1 - fy) + bot * fy
     if np.isscalar(x):
         return float(val)
     return val
-

@@ -335,19 +335,42 @@ def mahalanobis_cost(stats: ProfileStats, g: Profile) -> float:
     return float(mahalanobis_batch(stats, g.values[None, :])[0])
 
 
-def mahalanobis_batch(stats: ProfileStats, rows: np.ndarray, landmark: int = None) -> np.ndarray:
+def owner_bounds(owner, rows: int, k: int) -> list:
+    """Row bounds of the blocks of an owner array: landmark j owns rows
+    bounds[j]:bounds[j + 1].
+
+    owner must hold one landmark index in [0, k) per row, as integers in
+    ascending order; anything else raises DimensionMismatchError. A
+    landmark with no rows has an empty block.
+    """
+    owner = np.asarray(owner)
+    if owner.shape != (rows,) or (rows and owner.dtype.kind not in "iu"):
+        raise DimensionMismatchError(f"owner indices {owner.shape} of dtype {owner.dtype} "
+                                     f"for {rows} rows; need one integer per row")
+    if rows and (owner[0] < 0 or owner[-1] >= k or (owner[1:] < owner[:-1]).any()):
+        raise DimensionMismatchError(f"owner indices must be sorted and lie in [0, {k})")
+    return np.searchsorted(owner, np.arange(k + 1)).tolist()
+
+
+def mahalanobis_batch(stats: ProfileStats, rows: np.ndarray, landmark=None) -> np.ndarray:
     """Regularized Mahalanobis cost of every row of an (m, d) candidate matrix.
 
     In-span part sum((U^T delta)^2 / (lam + rho)) plus the residual outside
     span(U) over rho; the residual term is absent when U spans every dim.
     For stacked statistics, landmark names the row of the stack to use.
 
-    Without a landmark index, a (k, c, d) stack of rows against statistics
-    of k stacked landmarks gives each landmark's c costs, (k, c). The
-    stacked matmuls make the indexed form's products once per landmark, so
-    every cost has the same bytes.
+    Two forms score several landmarks in one call with the bytes of the
+    indexed form. Without a landmark index, a (k, c, d) stack of rows
+    against statistics of k stacked landmarks gives each landmark's c
+    costs, (k, c); the stacked matmuls make the indexed form's products
+    once per landmark. With landmark an (m,) array of sorted owner indices
+    (see owner_bounds), row i is scored against landmark landmark[i], (m,):
+    the elementwise terms run once over all rows, and each landmark's
+    matmuls run on its own block of rows, as the indexed form runs them.
     """
     rows = np.asarray(rows, dtype=float)
+    if np.ndim(landmark) == 1:
+        return _owner_costs(stats, rows, landmark)
     mean, basis, weights, rho = stats.mean, stats.basis, stats.weights, stats.rho
     if landmark is not None:
         mean, basis, weights, rho = mean[landmark], basis[landmark], weights[landmark], rho[landmark]
@@ -365,6 +388,26 @@ def mahalanobis_batch(stats: ProfileStats, rows: np.ndarray, landmark: int = Non
     cost = np.matmul(sq, weights[:, :, None])[:, :, 0] if stacked else sq @ weights
     if stats.rank < stats.dim:
         cost += (np.einsum("...d,...d->...", delta, delta) - sq.sum(axis=-1)) / rho
+    return cost
+
+
+def _owner_costs(stats: ProfileStats, rows: np.ndarray, owner) -> np.ndarray:
+    """mahalanobis_batch's owner form: row i against landmark owner[i]."""
+    if stats.mean.ndim != 2 or rows.ndim != 2 or rows.shape[1] != stats.dim:
+        raise DimensionMismatchError(f"rows {rows.shape} vs stats mean {stats.mean.shape} "
+                                     "(owner indices need stacked statistics and (m, d) rows)")
+    bounds = owner_bounds(owner, len(rows), len(stats.mean))
+    blocks = list(enumerate(zip(bounds, bounds[1:])))
+    delta = rows - stats.mean[owner]
+    proj = np.empty((len(rows), stats.rank))
+    for j, (a, b) in blocks:
+        np.matmul(delta[a:b], stats.basis[j], out=proj[a:b])
+    sq = proj * proj
+    cost = np.empty(len(rows))
+    for j, (a, b) in blocks:
+        np.matmul(sq[a:b], stats.weights[j], out=cost[a:b])
+    if stats.rank < stats.dim:
+        cost += (np.einsum("...d,...d->...", delta, delta) - sq.sum(axis=-1)) / stats.rho[owner]
     return cost
 
 

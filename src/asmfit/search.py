@@ -178,20 +178,19 @@ def _candidate_features(ctx: LevelContext, shape: Shape, size: int,
     return normalize_windows(rows, "sum", out=rows)
 
 
-def _by_landmark(score, model, rows: np.ndarray, bounds: list) -> np.ndarray:
-    """score(model, ...) of every row, flat: landmark j's rows
-    rows[bounds[j]:bounds[j + 1]] against entry j of the stacked model.
+def _by_landmark(score, model, rows: np.ndarray, owner: np.ndarray, k: int) -> np.ndarray:
+    """score(model, ...) of every row, flat: row i against entry owner[i] of
+    the stacked model of k landmarks, with owner sorted.
 
-    When every landmark has the same number of rows, this is one stacked
-    call on the (k, c, d) view of rows; otherwise one call per landmark.
-    score is decision_values or mahalanobis_batch, whose stacked form gives
-    the per-landmark bytes.
+    One call either way: on the (k, c, d) view of rows when every landmark
+    has the same c rows, otherwise in the owner form. score is
+    decision_values or mahalanobis_batch, whose two forms give the
+    per-landmark bytes.
     """
-    counts = np.diff(bounds)
-    k = len(counts)
+    counts = np.bincount(owner, minlength=k)
     if (counts == counts[0]).all():
         return score(model, rows.reshape(k, counts[0], rows.shape[-1])).ravel()
-    return np.concatenate([score(model, rows[bounds[j]:bounds[j + 1]], j) for j in range(k)])
+    return score(model, rows, owner)
 
 
 def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig, level: int):
@@ -215,24 +214,23 @@ def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig, level: 
     if ctx.svms is not None and ctx.svms.weights.shape[:-1] != (k,):
         raise DimensionMismatchError(f"SVM stack {ctx.svms.weights.shape} for {k} landmarks")
     # Features of the in-radius candidates only, landmark after landmark in
-    # row-major order; landmark j's rows are rows[bounds[j]:bounds[j + 1]].
+    # row-major order; row i belongs to landmark owner[i].
     owner = np.nonzero(allowed)[0]
     rows = _candidate_features(ctx, shape, size, np.stack([cx[allowed], cy[allowed]], axis=1),
                                owner)
-    bounds = np.searchsorted(owner, np.arange(k + 1)).tolist()
     if ctx.svms is not None:
-        accepted = _by_landmark(decision_values, ctx.svms, rows, bounds) >= 0
+        accepted = _by_landmark(decision_values, ctx.svms, rows, owner, k) >= 0
         # A landmark none of whose candidates its classifier accepts keeps them all.
         passed = np.zeros(k, dtype=bool)
         passed[owner[accepted]] = True
         keep = accepted | ~passed[owner]
         allowed[allowed] = keep
         rows = rows[keep]
-        bounds = np.searchsorted(owner[keep], np.arange(k + 1)).tolist()
+        owner = owner[keep]
 
     # Only the competing candidates are scored, each landmark against its own statistics.
     costs = np.full((k, m), np.inf)
-    costs[allowed] = _by_landmark(mahalanobis_batch, ctx.stats, rows, bounds)
+    costs[allowed] = _by_landmark(mahalanobis_batch, ctx.stats, rows, owner, k)
     if ctx.edge_map is not None:
         h, w = ctx.edge_map.shape
         ex = np.clip(cx.astype(int), 0, w - 1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClassBalanceError, DimensionMismatchError, ShapeArityError
-from .profiles import check_numbers, normalize_windows, readonly, windows_batch
+from .profiles import check_numbers, normalize_windows, owner_bounds, readonly, windows_batch
 
 RING_MIN_DEFAULT = 2
 RING_MAX_DEFAULT = 8
@@ -248,17 +248,31 @@ def training_accuracy(model: LinearSvmModel, train_set: LandmarkTrainingSet) -> 
     return np.mean(np.where(decision >= 0, 1.0, -1.0) == labels, axis=1)
 
 
-def decision_values(model: LinearSvmModel, rows: np.ndarray, landmark: int = None) -> np.ndarray:
+def decision_values(model: LinearSvmModel, rows: np.ndarray, landmark=None) -> np.ndarray:
     """Decision values for an (m, d) feature matrix; for a stacked model,
     landmark names the row of the stack to use.
 
-    Without a landmark index, a (k, c, d) stack of rows against a stacked
-    model of k landmarks gives each landmark's c values, (k, c). The stacked
-    matmul makes the indexed form's matrix-vector product once per
-    landmark, so every value has the same bytes.
+    Two forms score several landmarks in one call with the bytes of the
+    indexed form. Without a landmark index, a (k, c, d) stack of rows
+    against a stacked model of k landmarks gives each landmark's c values,
+    (k, c); the stacked matmul makes the indexed form's matrix-vector
+    product once per landmark. With landmark an (m,) array of sorted owner
+    indices (see profiles.owner_bounds), row i is scored by classifier
+    landmark[i], (m,): each landmark's product runs on its own block of
+    rows, and the biases are added once over all rows.
     """
     rows = np.asarray(rows, dtype=float)
     weights, bias = model.weights, model.bias
+    if np.ndim(landmark) == 1:
+        if weights.ndim != 2 or rows.ndim != 2 or rows.shape[1] != weights.shape[1]:
+            raise DimensionMismatchError(f"rows {rows.shape} vs SVM weights {weights.shape} "
+                                         "(owner indices need a stacked model and (m, d) rows)")
+        bounds = owner_bounds(landmark, len(rows), len(weights))
+        out = np.empty(len(rows))
+        for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            np.matmul(rows[a:b], weights[j], out=out[a:b])
+        out += bias[landmark]
+        return out
     if landmark is not None:
         weights, bias = weights[landmark], bias[landmark]
     if rows.ndim == 3 and weights.ndim == 2:
@@ -269,4 +283,3 @@ def decision_values(model: LinearSvmModel, rows: np.ndarray, landmark: int = Non
         raise DimensionMismatchError(f"profile dim {rows.shape[-1]} vs SVM weights {weights.shape} "
                                      "(a stacked SVM needs a landmark index)")
     return rows @ weights + bias
-

@@ -12,6 +12,7 @@ from asmfit.imaging import (
     sobel_gradients,
 )
 
+import reference_imaging
 from reference_canny import ramp_step_fixture, reference_canny
 
 
@@ -229,3 +230,60 @@ def test_bilinear_array_arguments():
     ys = np.array([0.0, 1.0, 2.0])
     assert np.allclose(sample_bilinear(img, xs, ys), [0.0, 4.0, 8.0])
 
+
+
+@pytest.mark.parametrize("hw", [(256, 256), (37, 53), (1, 9), (9, 1), (1, 1), (2, 2)])
+def test_bilinear_matches_four_gather_oracle(hw):
+    """The flat-index gather gives the oracle's bytes at random coordinates
+    inside, on and beyond every border, at exact integers and halves, and
+    exactly on the last column and row, where its past-the-end neighbour
+    weighs 0. Arrays of any shape and scalars alike."""
+    h, w = hw
+    rng = np.random.default_rng(h * 1000 + w)
+    for pixels in (rng.uniform(0.0, 255.0, hw), rng.integers(0, 256, hw).astype(float),
+                   np.zeros(hw)):
+        img = GrayImage(pixels)
+        x = rng.uniform(-3.0, w + 2.0, (40, 9, 8))
+        y = rng.uniform(-3.0, h + 2.0, (40, 9, 8))
+        x[::4] = np.rint(x[::4])
+        y[1::4] = np.rint(2 * y[1::4]) / 2
+        x[2::4, 0], y[2::4, 1] = w - 1.0, h - 1.0
+        x[3::4, 2], y[3::4, 2] = w - 1.0, h - 1.0
+        x[3::4, 3], y[3::4, 3] = 0.0, 0.0
+        for xs, ys in ((x, y), (x[0, 0], y[0, 0]), (x.ravel(), y.ravel())):
+            got = sample_bilinear(img, xs, ys)
+            assert got.tobytes() == reference_imaging.sample_bilinear(img, xs, ys).tobytes()
+        scalars = ((w - 1.0, h - 1.0), (w - 1, 0), (0.0, h - 1.0), (-7.5, 1e9),
+                   (x[5, 5, 5], y[5, 5, 5]))
+        for xs, ys in scalars:
+            got = sample_bilinear(img, xs, ys)
+            want = reference_imaging.sample_bilinear(img, xs, ys)
+            assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_bilinear_nan_coordinates_give_nan():
+    """A NaN coordinate samples NaN, as the oracle does, for arrays and
+    scalars alike; its flat index is clipped, not an IndexError. The NaN to
+    integer cast warns in both."""
+    img = GrayImage(np.arange(12.0).reshape(3, 4))
+    x = np.array([np.nan, 1.5, 3.0, np.nan, 0.0])
+    y = np.array([1.0, np.nan, 2.0, np.nan, 0.25])
+    with np.errstate(invalid="ignore"):
+        got = sample_bilinear(img, x, y)
+        want = reference_imaging.sample_bilinear(img, x, y)
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got).tolist() == [True, True, False, True, False]
+        assert np.isnan(sample_bilinear(img, float("nan"), 1.0))
+        assert np.isnan(sample_bilinear(img, 2.0, float("nan")))
+    with pytest.raises(RuntimeWarning, match="invalid value"):
+        sample_bilinear(img, x, y)
+
+
+def test_bilinear_reads_fortran_ordered_pixels_in_row_major_order():
+    """A GrayImage keeps its pixels C-ordered, so the flat index y * w + x
+    names pixel (x, y) whatever the order of the array it was made from."""
+    px = np.asfortranarray(np.arange(20.0).reshape(4, 5))
+    img = GrayImage(px)
+    assert img.pixels.flags.c_contiguous
+    xs, ys = np.meshgrid(np.arange(5.0), np.arange(4.0))
+    assert sample_bilinear(img, xs, ys).tobytes() == px.tobytes(order="C")

@@ -480,6 +480,52 @@ def test_stacked_mahalanobis_equals_indexed_calls(m, d, c):
         mahalanobis_batch(st, np.zeros((k, c, d + 1)))
 
 
+# Counts from one row to a full 7x7 grid, and a landmark with no rows.
+OWNER_COUNTS = [3, 49, 0, 1, 36, 17]
+
+
+@pytest.mark.parametrize("m,d", [(30, 225), (240, 225), (12, 3)],
+                         ids=["rank-below-d", "full-rank", "eigh-small"])
+def test_owner_mahalanobis_equals_indexed_calls(m, d):
+    """Rows scored with sorted owner indices give the indexed calls'
+    costs concatenated, byte for byte. 30 samples of 225 dims give rank 29
+    with a residual term (fit-256's coarsest level); 240 give full rank
+    (train-240's)."""
+    rng = np.random.default_rng(m + d)
+    k = len(OWNER_COUNTS)
+    st = stats_from_matrix(rng.uniform(0.0, 0.05, (k, m, d)))
+    assert (st.rank < st.dim) == (m <= d)
+    owner = np.repeat(np.arange(k), OWNER_COUNTS)
+    rows = rng.uniform(0.0, 0.05, (len(owner), d))
+    got = mahalanobis_batch(st, rows, owner)
+    bounds = np.cumsum([0] + OWNER_COUNTS)
+    want = np.concatenate([mahalanobis_batch(st, rows[a:b], j)
+                           for j, (a, b) in enumerate(zip(bounds, bounds[1:]))])
+    assert got.shape == (len(owner),)
+    assert got.tobytes() == want.tobytes()
+    assert mahalanobis_batch(st, rows[:0], owner[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("owner", [[0, 2, 1, 2], [0, 1, 1, 3], [-1, 0, 1, 2], [0, 1, 2],
+                                   [0, 0, 1, 1, 2], [0.0, 1.0, 1.0, 2.0],
+                                   [False, True, True, True]],
+                         ids=["unsorted", "past-k", "negative", "short", "long", "float", "bool"])
+def test_owner_mahalanobis_rejects_bad_owners(owner):
+    st = stats_from_matrix(np.random.default_rng(3).normal(0.3, 0.1, (3, 5, 4)))
+    with pytest.raises(DimensionMismatchError, match="owner"):
+        mahalanobis_batch(st, np.zeros((4, 4)), np.array(owner))
+
+
+def test_owner_mahalanobis_needs_a_stack_and_rows_of_its_dim():
+    rng = np.random.default_rng(4)
+    stack = stats_from_matrix(rng.normal(0.3, 0.1, (3, 5, 4)))
+    owner = np.array([0, 1, 1, 2])
+    for st, rows in ((stats_from_matrix(rng.normal(0.3, 0.1, (5, 4))), np.zeros((4, 4))),
+                     (stack, np.zeros((4, 5))), (stack, np.zeros((1, 4, 4)))):
+        with pytest.raises(DimensionMismatchError, match="owner"):
+            mahalanobis_batch(st, rows, owner)
+
+
 def test_edge_weighting_factors():
     rng = np.random.default_rng(5)
     st = stats_from_matrix(rng.normal(0, 1, (30, 4)))

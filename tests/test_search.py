@@ -465,9 +465,10 @@ def axis_stats(stats):
 
 @pytest.mark.parametrize("kind", ["two_d", "one_d"])
 def test_gate_sees_in_radius_rows_and_search_equals_oracle(kind, monkeypatch):
-    """decision_values gets each landmark's in-radius rows and nothing else:
-    36 rows at a fractional position, 49 at an integer one. Points and
-    winning costs equal the oracle's byte for byte, near the border too."""
+    """decision_values gets each landmark's in-radius rows and nothing else,
+    in one owner-form call: 36 rows at a fractional position, 49 at an
+    integer one. Points and winning costs equal the oracle's byte for byte,
+    near the border too."""
     calls = []
 
     def recording(model, rows, landmark=None):
@@ -489,10 +490,12 @@ def test_gate_sees_in_radius_rows_and_search_equals_oracle(kind, monkeypatch):
         got, got_costs = search_landmarks(ctx, shape, cfg, 0)
         cx, cy, valid, _ = _candidate_grid(pts, 3)
         want_rows = reference_search.candidate_features(ctx, shape, size, cx, cy)
-        assert [j for j, _ in calls] == list(range(k))
-        for j, rows in calls:
-            assert len(rows) == (49 if j % 2 == 0 else 36)
-            assert rows.tobytes() == want_rows[j][valid[j]].tobytes()
+        assert len(calls) == 1
+        owner, rows = calls[0]
+        assert np.unique(owner).tolist() == list(range(k))
+        for j in range(k):
+            assert np.count_nonzero(owner == j) == (49 if j % 2 == 0 else 36)
+            assert rows[owner == j].tobytes() == want_rows[j][valid[j]].tobytes()
         want, want_costs = reference_search.search_landmarks(ctx, shape, cfg, 0)
         assert got.points.tobytes() == want.points.tobytes()
         assert got_costs.tobytes() == want_costs.tobytes()
@@ -523,19 +526,21 @@ def test_search_checks_svm_stack_size(rows, monkeypatch):
     assert built == []
 
 
-def one_by_one(score, model, rows, bounds):
-    """search._by_landmark without its stacked call: one call per landmark."""
-    return np.concatenate([score(model, rows[bounds[j]:bounds[j + 1]], j)
-                           for j in range(len(bounds) - 1)])
+def one_by_one(score, model, rows, owner, k):
+    """search._by_landmark without its one call: one call per landmark."""
+    bounds = np.searchsorted(owner, np.arange(k + 1))
+    return np.concatenate([score(model, rows[bounds[j]:bounds[j + 1]], j) for j in range(k)])
 
 
 def recorded(monkeypatch):
-    """Every gate and cost call's (landmark, rows shape), in call order."""
+    """Every gate and cost call's (landmark, rows shape), in call order; an
+    owner array is recorded as a tuple."""
     calls = {"gate": [], "cost": []}
     for name, key, fn in (("decision_values", "gate", decision_values),
                           ("mahalanobis_batch", "cost", mahalanobis_batch)):
         def recording(model, rows, landmark=None, key=key, fn=fn):
-            calls[key].append((landmark, np.shape(rows)))
+            owners = landmark if np.ndim(landmark) == 0 else tuple(np.asarray(landmark).tolist())
+            calls[key].append((owners, np.shape(rows)))
             return fn(model, rows, landmark)
         monkeypatch.setattr(search, name, recording)
     return calls
@@ -561,7 +566,8 @@ STACKED_CASES = [(kind, gate, edges) for kind in ("two_d", "one_d")
 def test_stacked_pass_equals_per_landmark_pass(kind, gate, edges, monkeypatch):
     """With every landmark at a fractional position the gate runs as one
     stacked call; points and winning costs equal the same pass computed
-    landmark by landmark byte for byte, and the points equal the oracle's."""
+    landmark by landmark byte for byte, and with axis statistics the points
+    equal the oracle's."""
     rng = np.random.default_rng(70 + 10 * STACKED_CASES.index((kind, gate, edges)))
     k, size = 12, 7
     cfg = FitConfig(levels=1, profile_lengths=(size,), search_radius=3)
@@ -583,7 +589,10 @@ def test_stacked_pass_equals_per_landmark_pass(kind, gate, edges, monkeypatch):
         d = size * size if kind == "two_d" else size
         assert calls["gate"] == ([] if gate is None else [(None, (k, 36, d))])
         if gate == "mixed":
-            assert [j for j, _ in calls["cost"]] == list(range(k))
+            rows, *_ = in_radius_features(ctx, shape, size)
+            accepted = decision_values(ctx.svms, rows.reshape(k, 36, d)) >= 0
+            owner = np.nonzero(accepted | ~accepted.any(axis=1, keepdims=True))[0]
+            assert calls["cost"] == [(tuple(owner.tolist()), (len(owner), d))]
         else:
             assert calls["cost"] == [(None, (k, 36, d))]
         with monkeypatch.context() as patch:
@@ -591,11 +600,14 @@ def test_stacked_pass_equals_per_landmark_pass(kind, gate, edges, monkeypatch):
             want, want_costs = search_landmarks(ctx, shape, cfg, 0)
         assert got.points.tobytes() == want.points.tobytes()
         assert got_costs.tobytes() == want_costs.tobytes()
-        oracle, _ = reference_search.search_landmarks(ctx, shape, cfg, 0)
-        assert got.points.tobytes() == oracle.points.tobytes()
+        # The oracle scores all 49 rows of a landmark and the search only its
+        # gated in-radius ones; with axis statistics a row's cost has the same
+        # bits on every BLAS kernel either way.
+        exact = dataclasses.replace(ctx, stats=axis_stats(ctx.stats))
+        oracle, _ = reference_search.search_landmarks(exact, shape, cfg, 0)
+        assert (search_landmarks(exact, shape, cfg, 0)[0].points.tobytes()
+                == oracle.points.tobytes())
         if gate == "mixed":
-            rows, *_ = in_radius_features(ctx, shape, size)
-            accepted = decision_values(ctx.svms, rows.reshape(k, 36, d)) >= 0
             assert not accepted[0].any()
             assert (accepted.any(axis=1) & ~accepted.all(axis=1)).any()
 
@@ -603,7 +615,7 @@ def test_stacked_pass_equals_per_landmark_pass(kind, gate, edges, monkeypatch):
 def test_equal_counts_stack_and_mixed_counts_do_not(monkeypatch):
     """An equal-count pass makes one stacked gate call and one stacked cost
     call; with some landmarks on the integer grid (49 candidates, not 36)
-    both run once per landmark."""
+    neither stacks, and each runs as one owner-form call."""
     rng = np.random.default_rng(90)
     k, size = 12, 7
     cfg = FitConfig(levels=1, profile_lengths=(size,), search_radius=3)
@@ -618,8 +630,9 @@ def test_equal_counts_stack_and_mixed_counts_do_not(monkeypatch):
     calls["gate"].clear()
     calls["cost"].clear()
     search_landmarks(ctx, Shape(pts), cfg, 0)
-    per_landmark = [(j, (49 if j % 3 == 0 else 36, 49)) for j in range(k)]
-    assert calls == {"gate": per_landmark, "cost": per_landmark}
+    owner = np.repeat(np.arange(k), [49 if j % 3 == 0 else 36 for j in range(k)])
+    one_owner_call = [(tuple(owner.tolist()), (len(owner), 49))]
+    assert calls == {"gate": one_owner_call, "cost": one_owner_call}
 
 
 # ------------------------------------------------------------------- fit

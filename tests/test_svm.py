@@ -278,6 +278,35 @@ def test_stacked_decision_values_equal_indexed_calls(c):
         decision_values(model, np.zeros((k, c, d + 1)))
 
 
+def test_owner_decision_values_equal_indexed_calls():
+    """Rows scored with sorted owner indices give the indexed calls' values
+    concatenated, byte for byte; counts run from none to a full 7x7 grid."""
+    rng = np.random.default_rng(12)
+    counts = [3, 49, 0, 1, 36, 17]
+    k, d = len(counts), 49
+    model = LinearSvmModel(rng.normal(0, 1, (k, d)), rng.normal(0, 1, k))
+    owner = np.repeat(np.arange(k), counts)
+    rows = rng.uniform(0.0, 0.05, (len(owner), d))
+    bounds = np.cumsum([0] + counts)
+    want = np.concatenate([decision_values(model, rows[a:b], j)
+                           for j, (a, b) in enumerate(zip(bounds, bounds[1:]))])
+    got = decision_values(model, rows, owner)
+    assert got.shape == (len(owner),)
+    assert got.tobytes() == want.tobytes()
+    assert decision_values(model, rows[:0], owner[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("owner", [[0, 2, 1, 2], [0, 1, 1, 3], [-1, 0, 1, 2], [0, 1, 2],
+                                   [0, 0, 1, 1, 2], [0.0, 1.0, 1.0, 2.0]],
+                         ids=["unsorted", "past-k", "negative", "short", "long", "float"])
+def test_owner_decision_values_reject_bad_owners(owner):
+    model = LinearSvmModel(np.ones((3, 4)), np.zeros(3))
+    with pytest.raises(DimensionMismatchError, match="owner"):
+        decision_values(model, np.zeros((4, 4)), np.array(owner))
+    with pytest.raises(DimensionMismatchError, match="owner"):
+        decision_values(LinearSvmModel(np.ones(4), 0.0), np.zeros((4, 4)), np.array([0, 0, 0, 0]))
+
+
 def test_objective_hand_case():
     model = LinearSvmModel(np.array([1.0, 0.0]), -1.0)
     assert svm_objective(model, two_point_set(), 100.0) == pytest.approx(1.0)
