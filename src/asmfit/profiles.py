@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -335,79 +336,79 @@ def mahalanobis_cost(stats: ProfileStats, g: Profile) -> float:
     return float(mahalanobis_batch(stats, g.values[None, :])[0])
 
 
-def owner_bounds(owner, rows: int, k: int) -> list:
-    """Row bounds of the blocks of an owner array: landmark j owns rows
-    bounds[j]:bounds[j + 1].
+def owner_bounds(rows: np.ndarray, params: np.ndarray, owner) -> list | None:
+    """Row bounds of the blocks of a scorer's owner array: landmark j owns
+    rows bounds[j]:bounds[j + 1].
 
-    owner must hold one landmark index in [0, k) per row, as integers in
-    ascending order; anything else raises DimensionMismatchError. A
-    landmark with no rows has an empty block.
+    rows must be (m, d). params is the model's mean or weights: (d,) for
+    one landmark's model, which takes no owner and gets None, or (k, d) for
+    a stacked one, which needs owner, one landmark index in [0, k) per row,
+    as integers in ascending order. Anything else raises
+    DimensionMismatchError. A landmark with no rows has an empty block.
     """
+    stacked = params.ndim == 2
+    if rows.ndim != 2 or rows.shape[1] != params.shape[-1] or stacked != (owner is not None):
+        raise DimensionMismatchError(
+            f"rows {rows.shape} {'without' if owner is None else 'with'} owner indices vs model "
+            f"rows {params.shape}; need (m, d) rows, and owner indices for a stacked model only")
+    if not stacked:
+        return None
     owner = np.asarray(owner)
-    if owner.shape != (rows,) or (rows and owner.dtype.kind not in "iu"):
+    m, k = len(rows), len(params)
+    if owner.shape != (m,) or (m and owner.dtype.kind not in "iu"):
         raise DimensionMismatchError(f"owner indices {owner.shape} of dtype {owner.dtype} "
-                                     f"for {rows} rows; need one integer per row")
-    if rows and (owner[0] < 0 or owner[-1] >= k or (owner[1:] < owner[:-1]).any()):
+                                     f"for {m} rows; need one integer per row")
+    if m and (owner[0] < 0 or owner[-1] >= k or (owner[1:] < owner[:-1]).any()):
         raise DimensionMismatchError(f"owner indices must be sorted and lie in [0, {k})")
     return np.searchsorted(owner, np.arange(k + 1)).tolist()
 
 
-def mahalanobis_batch(stats: ProfileStats, rows: np.ndarray, landmark=None) -> np.ndarray:
-    """Regularized Mahalanobis cost of every row of an (m, d) candidate matrix.
+def owner_matmul(rows: np.ndarray, mats: np.ndarray, bounds: list) -> np.ndarray:
+    """Each landmark's block of (m, a) rows times its own matrix of a stack:
+    (k, a, b) matrices give (m, b), (k, a) vectors (m,). Landmark j owns
+    rows bounds[j]:bounds[j + 1] (see owner_bounds).
+
+    When every block holds the same count c, one stacked matmul runs over
+    the (k, c, a) view of the rows; otherwise one matmul per block writes
+    its slice of the result. Both make one BLAS call per block, so each
+    block gets the bytes of rows[a:b] @ mats[j].
+    """
+    k, m = len(mats), len(rows)
+    counts = np.diff(bounds)
+    if counts.size and (counts == counts[0]).all():
+        stacked = np.matmul(rows.reshape(k, m // k, rows.shape[1]),
+                            mats[:, :, None] if mats.ndim == 2 else mats)
+        return stacked.reshape((m,) + mats.shape[2:])
+    out = np.empty((m,) + mats.shape[2:])
+    for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        np.matmul(rows[a:b], mats[j], out=out[a:b])
+    return out
+
+
+def mahalanobis_batch(stats: ProfileStats, rows: np.ndarray, owner=None) -> np.ndarray:
+    """Regularized Mahalanobis cost of every row of an (m, d) candidate matrix, (m,).
 
     In-span part sum((U^T delta)^2 / (lam + rho)) plus the residual outside
     span(U) over rho; the residual term is absent when U spans every dim.
-    For stacked statistics, landmark names the row of the stack to use.
-
-    Two forms score several landmarks in one call with the bytes of the
-    indexed form. Without a landmark index, a (k, c, d) stack of rows
-    against statistics of k stacked landmarks gives each landmark's c
-    costs, (k, c); the stacked matmuls make the indexed form's products
-    once per landmark. With landmark an (m,) array of sorted owner indices
-    (see owner_bounds), row i is scored against landmark landmark[i], (m,):
-    the elementwise terms run once over all rows, and each landmark's
-    matmuls run on its own block of rows, as the indexed form runs them.
+    One landmark's statistics score every row. Stacked statistics need
+    owner, an (m,) array of sorted landmark indices (see owner_bounds), and
+    score row i against landmark owner[i]: the elementwise terms run once
+    over all rows, and the matmuls on each landmark's block (owner_matmul),
+    so every block has the bytes of its landmark's statistics alone.
     """
     rows = np.asarray(rows, dtype=float)
-    if np.ndim(landmark) == 1:
-        return _owner_costs(stats, rows, landmark)
-    mean, basis, weights, rho = stats.mean, stats.basis, stats.weights, stats.rho
-    if landmark is not None:
-        mean, basis, weights, rho = mean[landmark], basis[landmark], weights[landmark], rho[landmark]
-    stacked = rows.ndim == 3 and mean.ndim == 2
-    if stacked:
-        if mean.shape != rows.shape[::2]:
-            raise DimensionMismatchError(f"rows {rows.shape} vs stats mean {mean.shape}")
-        mean, rho = mean[:, None, :], rho[:, None]
-    elif mean.shape != rows.shape[-1:]:
-        raise DimensionMismatchError(f"profile dim {rows.shape[-1]} vs stats mean {mean.shape} "
-                                     "(stacked statistics need a landmark index)")
-    delta = rows - mean
-    proj = delta @ basis
+    bounds = owner_bounds(rows, stats.mean, owner)
+    if bounds is None:
+        delta, rho, product = rows - stats.mean, stats.rho, np.matmul
+    else:
+        delta, rho = np.take(stats.mean, owner, axis=0), np.take(stats.rho, owner)
+        np.subtract(rows, delta, out=delta)  # one (m, d) temporary, not two
+        product = partial(owner_matmul, bounds=bounds)
+    proj = product(delta, stats.basis)
     sq = proj * proj
-    cost = np.matmul(sq, weights[:, :, None])[:, :, 0] if stacked else sq @ weights
+    cost = product(sq, stats.weights)
     if stats.rank < stats.dim:
         cost += (np.einsum("...d,...d->...", delta, delta) - sq.sum(axis=-1)) / rho
-    return cost
-
-
-def _owner_costs(stats: ProfileStats, rows: np.ndarray, owner) -> np.ndarray:
-    """mahalanobis_batch's owner form: row i against landmark owner[i]."""
-    if stats.mean.ndim != 2 or rows.ndim != 2 or rows.shape[1] != stats.dim:
-        raise DimensionMismatchError(f"rows {rows.shape} vs stats mean {stats.mean.shape} "
-                                     "(owner indices need stacked statistics and (m, d) rows)")
-    bounds = owner_bounds(owner, len(rows), len(stats.mean))
-    blocks = list(enumerate(zip(bounds, bounds[1:])))
-    delta = rows - stats.mean[owner]
-    proj = np.empty((len(rows), stats.rank))
-    for j, (a, b) in blocks:
-        np.matmul(delta[a:b], stats.basis[j], out=proj[a:b])
-    sq = proj * proj
-    cost = np.empty(len(rows))
-    for j, (a, b) in blocks:
-        np.matmul(sq[a:b], stats.weights[j], out=cost[a:b])
-    if stats.rank < stats.dim:
-        cost += (np.einsum("...d,...d->...", delta, delta) - sq.sum(axis=-1)) / stats.rho[owner]
     return cost
 
 

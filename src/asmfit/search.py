@@ -178,21 +178,6 @@ def _candidate_features(ctx: LevelContext, shape: Shape, size: int,
     return normalize_windows(rows, "sum", out=rows)
 
 
-def _by_landmark(score, model, rows: np.ndarray, owner: np.ndarray, k: int) -> np.ndarray:
-    """score(model, ...) of every row, flat: row i against entry owner[i] of
-    the stacked model of k landmarks, with owner sorted.
-
-    One call either way: on the (k, c, d) view of rows when every landmark
-    has the same c rows, otherwise in the owner form. score is
-    decision_values or mahalanobis_batch, whose two forms give the
-    per-landmark bytes.
-    """
-    counts = np.bincount(owner, minlength=k)
-    if (counts == counts[0]).all():
-        return score(model, rows.reshape(k, counts[0], rows.shape[-1])).ravel()
-    return score(model, rows, owner)
-
-
 def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig, level: int):
     """One candidate-search pass; every landmark moves independently.
 
@@ -219,7 +204,7 @@ def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig, level: 
     rows = _candidate_features(ctx, shape, size, np.stack([cx[allowed], cy[allowed]], axis=1),
                                owner)
     if ctx.svms is not None:
-        accepted = _by_landmark(decision_values, ctx.svms, rows, owner, k) >= 0
+        accepted = decision_values(ctx.svms, rows, owner) >= 0
         # A landmark none of whose candidates its classifier accepts keeps them all.
         passed = np.zeros(k, dtype=bool)
         passed[owner[accepted]] = True
@@ -230,7 +215,7 @@ def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig, level: 
 
     # Only the competing candidates are scored, each landmark against its own statistics.
     costs = np.full((k, m), np.inf)
-    costs[allowed] = _by_landmark(mahalanobis_batch, ctx.stats, rows, owner, k)
+    costs[allowed] = mahalanobis_batch(ctx.stats, rows, owner)
     if ctx.edge_map is not None:
         h, w = ctx.edge_map.shape
         ex = np.clip(cx.astype(int), 0, w - 1)

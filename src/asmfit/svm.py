@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClassBalanceError, DimensionMismatchError, ShapeArityError
-from .profiles import check_numbers, normalize_windows, owner_bounds, readonly, windows_batch
+from .profiles import (check_numbers, normalize_windows, owner_bounds, owner_matmul, readonly,
+                       windows_batch)
 
 RING_MIN_DEFAULT = 2
 RING_MAX_DEFAULT = 8
@@ -239,47 +240,29 @@ def train_linear_svm(train_set: LandmarkTrainingSet, config: SvmTrainConfig):
 
 
 def training_accuracy(model: LinearSvmModel, train_set: LandmarkTrainingSet) -> np.ndarray:
-    """Fraction of each landmark's training rows classified right, shape (k,)."""
-    k = len(train_set.landmarks)
-    weights = model.weights.reshape(k, -1)
-    feats = train_set.features.reshape(k, train_set.count, -1)
-    decision = np.matmul(feats, weights[:, :, None])[:, :, 0] + np.reshape(model.bias, (k, 1))
-    labels = train_set.labels.reshape(decision.shape)
+    """Fraction of each landmark's training rows classified right, shape (k,),
+    for a stack and its stacked model."""
+    k, m = len(train_set.landmarks), train_set.count
+    rows = train_set.features.reshape(k * m, -1)
+    decision = decision_values(model, rows, np.repeat(np.arange(k), m)).reshape(k, m)
+    labels = train_set.labels.reshape(k, m)
     return np.mean(np.where(decision >= 0, 1.0, -1.0) == labels, axis=1)
 
 
-def decision_values(model: LinearSvmModel, rows: np.ndarray, landmark=None) -> np.ndarray:
-    """Decision values for an (m, d) feature matrix; for a stacked model,
-    landmark names the row of the stack to use.
+def decision_values(model: LinearSvmModel, rows: np.ndarray, owner=None) -> np.ndarray:
+    """Decision values of an (m, d) feature matrix, (m,).
 
-    Two forms score several landmarks in one call with the bytes of the
-    indexed form. Without a landmark index, a (k, c, d) stack of rows
-    against a stacked model of k landmarks gives each landmark's c values,
-    (k, c); the stacked matmul makes the indexed form's matrix-vector
-    product once per landmark. With landmark an (m,) array of sorted owner
-    indices (see profiles.owner_bounds), row i is scored by classifier
-    landmark[i], (m,): each landmark's product runs on its own block of
-    rows, and the biases are added once over all rows.
+    One landmark's classifier scores every row. A stacked model needs
+    owner, an (m,) array of sorted landmark indices (see
+    profiles.owner_bounds), and scores row i by classifier owner[i]: each
+    landmark's product runs on its own block of rows (profiles.owner_matmul)
+    and the biases are added once over all rows, so every block has the
+    bytes of its landmark's classifier alone.
     """
     rows = np.asarray(rows, dtype=float)
-    weights, bias = model.weights, model.bias
-    if np.ndim(landmark) == 1:
-        if weights.ndim != 2 or rows.ndim != 2 or rows.shape[1] != weights.shape[1]:
-            raise DimensionMismatchError(f"rows {rows.shape} vs SVM weights {weights.shape} "
-                                         "(owner indices need a stacked model and (m, d) rows)")
-        bounds = owner_bounds(landmark, len(rows), len(weights))
-        out = np.empty(len(rows))
-        for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            np.matmul(rows[a:b], weights[j], out=out[a:b])
-        out += bias[landmark]
-        return out
-    if landmark is not None:
-        weights, bias = weights[landmark], bias[landmark]
-    if rows.ndim == 3 and weights.ndim == 2:
-        if weights.shape != rows.shape[::2]:
-            raise DimensionMismatchError(f"rows {rows.shape} vs SVM weights {weights.shape}")
-        return np.matmul(rows, weights[:, :, None])[:, :, 0] + bias[:, None]
-    if weights.shape != rows.shape[-1:]:
-        raise DimensionMismatchError(f"profile dim {rows.shape[-1]} vs SVM weights {weights.shape} "
-                                     "(a stacked SVM needs a landmark index)")
-    return rows @ weights + bias
+    bounds = owner_bounds(rows, model.weights, owner)
+    if bounds is None:
+        return rows @ model.weights + model.bias
+    out = owner_matmul(rows, model.weights, bounds)
+    out += np.take(model.bias, owner)
+    return out

@@ -5,6 +5,7 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, settings, strategies
 
 from asmfit.profiles import ProfileStats
 from asmfit.scheme import DEFAULT_SCHEME
@@ -25,6 +26,50 @@ def trained(faces96):
         faces96[:6], DEFAULT_SCHEME, svm_config=SvmTrainConfig(epochs=30)
     )
     return bundle, summary, faces96
+
+
+# Drawn examples are derandomized, so every run draws the same ones.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+@strategies.composite
+def owner_counts(draw, equal: bool) -> list:
+    """Row counts of k landmarks for an owner array. Equal counts are the
+    case a scorer runs as one stacked matmul, k = 1 and no rows at all
+    included; unequal ones the case it runs one matmul per block, with
+    landmarks that own no rows and one landmark that owns every row."""
+    if equal:
+        return [draw(strategies.integers(0, 9))] * draw(strategies.integers(1, 6))
+    k = draw(strategies.integers(2, 6))
+    one_owner = draw(strategies.booleans())
+    if one_owner:
+        counts = [0] * k
+        counts[draw(strategies.integers(0, k - 1))] = draw(strategies.integers(1, 12))
+    else:
+        counts = draw(strategies.lists(strategies.integers(0, 12), min_size=k, max_size=k))
+        assume(len(set(counts)) > 1)
+    return counts
+
+
+# Calls outside a scorer's two forms: a stacked model without an owner, one
+# landmark's model with one, 1-D rows and a (k, c, d) stack of rows.
+ARITY_CASES = ("stacked-no-owner", "unstacked-with-owner", "unstacked-1d-rows",
+               "stacked-1d-rows", "unstacked-kcd-rows", "stacked-kcd-rows",
+               "stacked-kcd-rows-with-owner")
+
+
+def arity_call(case, stack, one, d):
+    """(model, rows, owner) of the ARITY_CASES call named case, for a stack
+    of 3 landmarks and one landmark's model, both of dim d."""
+    rows = np.random.default_rng(6).normal(0.3, 0.1, (6, d))
+    owner = np.repeat(np.arange(3), 2)
+    return {"stacked-no-owner": (stack, rows, None),
+            "unstacked-with-owner": (one, rows, owner),
+            "unstacked-1d-rows": (one, rows[0], None),
+            "stacked-1d-rows": (stack, rows[0], np.array([0])),
+            "unstacked-kcd-rows": (one, rows.reshape(3, 2, d), None),
+            "stacked-kcd-rows": (stack, rows.reshape(3, 2, d), None),
+            "stacked-kcd-rows-with-owner": (stack, rows.reshape(3, 2, d), owner)}[case]
 
 
 def random_shape_points(rng, n, spread=20.0):

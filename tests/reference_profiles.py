@@ -19,13 +19,17 @@ annotated point in every image, then one stats_from_matrix call.
 The library computes every landmark's normal in one vectorized pass from
 the scheme's chord_ends arrays; this module keeps the per-landmark form,
 landmark_normal, and the scheme lookups it uses, group_of and neighbors.
+
+The library scores stacked statistics with one owner index per row;
+landmark_stats gives one landmark's statistics alone, to score its rows
+with the unstacked form.
 """
 
 import numpy as np
 
 from asmfit.errors import ShapeArityError
 from asmfit.imaging import build_pyramid, equalize_histogram, sobel_gradients
-from asmfit.profiles import stats_from_matrix
+from asmfit.profiles import ProfileStats, stats_from_matrix
 from asmfit.scheme import single_contour_scheme
 
 
@@ -56,6 +60,14 @@ def dense_costs(mean, cov, eps, rows):
         delta = row - mean
         out.append(float(delta @ inverse @ delta))
     return np.array(out)
+
+
+def landmark_stats(stats, j):
+    """Landmark j's unstacked statistics; every field is a view of row j of
+    the stack, so it keeps the alignment the stacked scorer reads it with."""
+    one = ProfileStats(stats.mean[j], basis=stats.basis[j], lam=stats.lam[j], rho=stats.rho[j])
+    object.__setattr__(one, "weights", stats.weights[j])
+    return one
 
 
 def clamped_windows(values, centers, size):

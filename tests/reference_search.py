@@ -5,9 +5,10 @@ picks every winner with one masked selection. This module keeps the form
 those replace: every candidate of every landmark is gathered with the
 clamped three-index gather (2-D windows) or sampled along its landmark's
 normal in one inline (k, m, size + 1) grid (1-D profiles), normalized and
-scored; the gate then masks the scores, and a lexsort per landmark picks
-the lowest cost, then the smallest Chebyshev distance, then the first
-candidate in row-major order.
+scored, each landmark by its own unstacked statistics and classifier; the
+gate then masks the scores, and a lexsort per landmark picks the lowest
+cost, then the smallest Chebyshev distance, then the first candidate in
+row-major order.
 """
 
 import numpy as np
@@ -17,7 +18,8 @@ from asmfit.profiles import landmark_normals, mahalanobis_batch
 from asmfit.search import _candidate_grid
 from asmfit.shape_model import Shape
 from asmfit.svm import decision_values
-from reference_profiles import clamped_windows, sum_normalized
+from reference_profiles import clamped_windows, landmark_stats, sum_normalized
+from reference_svm import landmark_svm
 
 
 def profiles_1d(ctx, shape, size, cx, cy):
@@ -59,7 +61,7 @@ def search_landmarks(ctx, shape, config, level):
 
     costs = np.empty((k, m))
     for j in range(k):
-        costs[j] = mahalanobis_batch(ctx.stats, feats[j], j)
+        costs[j] = mahalanobis_batch(landmark_stats(ctx.stats, j), feats[j])
 
     if ctx.edge_map is not None:
         h, w = ctx.edge_map.shape
@@ -70,7 +72,7 @@ def search_landmarks(ctx, shape, config, level):
     allowed = valid.copy()
     if ctx.svms is not None:
         for j in range(k):
-            accepted = decision_values(ctx.svms, feats[j], j) >= 0
+            accepted = decision_values(landmark_svm(ctx.svms, j), feats[j]) >= 0
             gated = allowed[j] & accepted
             if gated.any():
                 allowed[j] = gated

@@ -17,7 +17,8 @@ call, as the library did before it gathered a whole stack image by image.
 
 predict scores one profile at a time, the form the library's row-matrix
 decision_values replaces. svm_objective is the primal objective of one
-landmark's model.
+landmark's model. landmark_svm gives one landmark's classifier out of a
+stacked model, which the library scores with one owner index per row.
 """
 
 import numpy as np
@@ -31,6 +32,12 @@ from asmfit.svm import (
     _ring_offsets,
     decision_values,
 )
+
+
+def landmark_svm(model: LinearSvmModel, j) -> LinearSvmModel:
+    """Landmark j's unstacked classifier; its weights are a view of row j of
+    the stack, so they keep the alignment the stacked scorer reads them with."""
+    return LinearSvmModel(model.weights[j], model.bias[j])
 
 
 def predict(model: LinearSvmModel, values) -> tuple:

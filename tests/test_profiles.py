@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies
 
 from asmfit.errors import (
     DimensionMismatchError,
@@ -24,11 +25,12 @@ from asmfit.profiles import (
 )
 from asmfit.scheme import DEFAULT_SCHEME, ContourGroup, LandmarkScheme, single_contour_scheme
 from asmfit.shape_model import Shape
-from conftest import stacked_stats
+from conftest import ARITY_CASES, PROPERTY, arity_call, owner_counts, stacked_stats
 from reference_profiles import (
     clamped_windows,
     dense_costs,
     landmark_normal,
+    landmark_stats,
     sample_covariance,
     sum_normalized,
 )
@@ -152,9 +154,9 @@ def test_stacked_stats_equal_per_landmark_stats(m):
         for attr in ("mean", "basis", "lam", "weights"):
             assert getattr(stack, attr)[j].tobytes() == getattr(one, attr).tobytes()
         assert stack.rho[j] == one.rho
-        assert (mahalanobis_batch(stack, candidates, j).tobytes()
+        assert (mahalanobis_batch(stack, candidates, np.full(7, j)).tobytes()
                 == mahalanobis_batch(one, candidates).tobytes())
-    with pytest.raises(DimensionMismatchError, match="landmark index"):
+    with pytest.raises(DimensionMismatchError, match="owner"):
         mahalanobis_batch(stack, candidates)
 
 
@@ -462,22 +464,25 @@ def test_mahalanobis_dimension_check():
 @pytest.mark.parametrize("m,d", [(6, 25), (40, 9), (12, 3)])
 @pytest.mark.parametrize("c", [1, 2, 36, 49])
 def test_stacked_mahalanobis_equals_indexed_calls(m, d, c):
-    """A (k, c, d) stack of rows scored without a landmark index gives each
-    landmark's indexed costs byte for byte, with a residual outside the
-    basis (m - 1 < d) and without one."""
+    """Rows whose owner gives every landmark c of them, the stacked matmul's
+    case, cost each landmark's block byte for byte what its statistics
+    alone give, with a residual outside the basis (m - 1 < d) and without
+    one."""
     rng = np.random.default_rng(100 * m + d + c)
     k = 5
     st = stats_from_matrix(rng.normal(0.3, 0.1, (k, m, d)))
     assert (st.rank < st.dim) == (m - 1 < d)
     rows = rng.normal(0.3, 0.1, (k * c, d))
-    got = mahalanobis_batch(st, rows.reshape(k, c, d))
-    assert got.shape == (k, c)
-    want = np.concatenate([mahalanobis_batch(st, rows[j * c:(j + 1) * c], j) for j in range(k)])
+    owner = np.repeat(np.arange(k), c)
+    got = mahalanobis_batch(st, rows, owner)
+    assert got.shape == (k * c,)
+    want = np.concatenate([mahalanobis_batch(landmark_stats(st, j), rows[j * c:(j + 1) * c])
+                           for j in range(k)])
     assert got.tobytes() == want.tobytes()
     with pytest.raises(DimensionMismatchError):
-        mahalanobis_batch(st, rows[:4 * c].reshape(4, c, d))
+        mahalanobis_batch(st, rows.reshape(k, c, d), owner)
     with pytest.raises(DimensionMismatchError):
-        mahalanobis_batch(st, np.zeros((k, c, d + 1)))
+        mahalanobis_batch(st, np.zeros((k * c, d + 1)), owner)
 
 
 # Counts from one row to a full 7x7 grid, and a landmark with no rows.
@@ -487,8 +492,8 @@ OWNER_COUNTS = [3, 49, 0, 1, 36, 17]
 @pytest.mark.parametrize("m,d", [(30, 225), (240, 225), (12, 3)],
                          ids=["rank-below-d", "full-rank", "eigh-small"])
 def test_owner_mahalanobis_equals_indexed_calls(m, d):
-    """Rows scored with sorted owner indices give the indexed calls'
-    costs concatenated, byte for byte. 30 samples of 225 dims give rank 29
+    """Rows scored with sorted owner indices, in unequal counts, give each
+    landmark's costs from its statistics alone, concatenated, byte for byte. 30 samples of 225 dims give rank 29
     with a residual term (fit-256's coarsest level); 240 give full rank
     (train-240's)."""
     rng = np.random.default_rng(m + d)
@@ -499,7 +504,7 @@ def test_owner_mahalanobis_equals_indexed_calls(m, d):
     rows = rng.uniform(0.0, 0.05, (len(owner), d))
     got = mahalanobis_batch(st, rows, owner)
     bounds = np.cumsum([0] + OWNER_COUNTS)
-    want = np.concatenate([mahalanobis_batch(st, rows[a:b], j)
+    want = np.concatenate([mahalanobis_batch(landmark_stats(st, j), rows[a:b])
                            for j, (a, b) in enumerate(zip(bounds, bounds[1:]))])
     assert got.shape == (len(owner),)
     assert got.tobytes() == want.tobytes()
@@ -524,6 +529,40 @@ def test_owner_mahalanobis_needs_a_stack_and_rows_of_its_dim():
                      (stack, np.zeros((4, 5))), (stack, np.zeros((1, 4, 4)))):
         with pytest.raises(DimensionMismatchError, match="owner"):
             mahalanobis_batch(st, rows, owner)
+
+
+@pytest.mark.parametrize("case", ARITY_CASES)
+def test_mahalanobis_takes_only_its_two_forms(case):
+    """Only one landmark's statistics with (m, d) rows, or stacked ones with
+    (m, d) rows and an owner array, are scored; every other call raises
+    DimensionMismatchError, never a bare numpy error."""
+    stack = stats_from_matrix(np.random.default_rng(5).normal(0.3, 0.1, (3, 5, 4)))
+    st, rows, owner = arity_call(case, stack, landmark_stats(stack, 1), 4)
+    with pytest.raises(DimensionMismatchError, match="owner indices for a stacked model only"):
+        mahalanobis_batch(st, rows, owner)
+
+
+@PROPERTY
+@pytest.mark.parametrize("equal", [True, False], ids=["stacked-matmul", "matmul-per-block"])
+@given(data=strategies.data())
+def test_owner_costs_equal_each_block_by_its_own_statistics(equal, data):
+    """Every landmark's block of an owner-form call costs, byte for byte,
+    what the landmark's statistics alone give its rows, through either
+    branch of owner_matmul, for statistics of rank below d and of rank d."""
+    counts = data.draw(owner_counts(equal))
+    d = data.draw(strategies.integers(2, 12))
+    full_rank = data.draw(strategies.booleans())
+    m = d + 1 + data.draw(strategies.integers(0, 3)) if full_rank else data.draw(
+        strategies.integers(2, d))
+    rng = np.random.default_rng(data.draw(strategies.integers(0, 2**32 - 1)))
+    stack = stats_from_matrix(rng.normal(0.3, 0.1, (len(counts), m, d)))
+    assert (stack.rank == d) == full_rank
+    rows = rng.normal(0.3, 0.1, (sum(counts), d))
+    got = mahalanobis_batch(stack, rows, np.repeat(np.arange(len(counts)), counts))
+    assert got.shape == (len(rows),)
+    bounds = np.cumsum([0] + counts)
+    for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        assert got[a:b].tobytes() == mahalanobis_batch(landmark_stats(stack, j), rows[a:b]).tobytes()
 
 
 def test_edge_weighting_factors():

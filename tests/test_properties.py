@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import reseal
+from conftest import PROPERTY, reseal
 from asmfit.dataset_io import (
     BUNDLE_MAGIC,
     BUNDLE_VERSION,
@@ -38,8 +38,6 @@ from asmfit.search import FitConfig, config_for_mode, fit, init_shape_from_box
 from asmfit.shape_model import Shape, ShapeModel
 from asmfit.svm import LinearSvmModel, SvmTrainConfig
 from asmfit.training import train_bundle
-
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from asmfit import search
+from asmfit import profiles, search, svm
 from asmfit.cli import truth_box
 from asmfit.errors import (
     BoxError,
@@ -23,6 +23,7 @@ from asmfit.profiles import (
     ProfileStats,
     mahalanobis_batch,
     normalize_windows,
+    owner_matmul,
     profiles_1d_batch,
     stats_from_matrix,
     windows_batch,
@@ -42,6 +43,8 @@ from asmfit.shape_model import Shape, build_shape_model, fit_params
 from asmfit.svm import LinearSvmModel, SvmTrainConfig, decision_values
 
 from conftest import random_shape_points, stacked_stats, stacked_svms
+from reference_profiles import landmark_stats
+from reference_svm import landmark_svm
 import reference_search
 
 
@@ -395,10 +398,10 @@ def test_oracle_contexts_plant_fallbacks_and_ties():
     pts = np.column_stack([np.full(12, 10.0), np.linspace(5.0, 35.0, 12)])
     cx, cy, valid, _ = _candidate_grid(pts, 3)
     feats = reference_search.candidate_features(ctx, Shape(pts), 7, cx, cy)
-    accepted = [np.count_nonzero(valid[j] & (decision_values(ctx.svms, feats[j], j) >= 0))
-                for j in range(12)]
+    gates = [decision_values(landmark_svm(ctx.svms, j), feats[j]) >= 0 for j in range(12)]
+    accepted = [np.count_nonzero(valid[j] & gates[j]) for j in range(12)]
     assert accepted[0] == 0 and accepted[-1] == np.count_nonzero(valid[-1])
-    costs = np.array([mahalanobis_batch(ctx.stats, feats[j], j) for j in range(12)])
+    costs = np.array([mahalanobis_batch(landmark_stats(ctx.stats, j), feats[j]) for j in range(12)])
     assert all(len(np.unique(row[valid[j]])) == 1 for j, row in enumerate(costs))
 
 
@@ -471,9 +474,9 @@ def test_gate_sees_in_radius_rows_and_search_equals_oracle(kind, monkeypatch):
     near the border too."""
     calls = []
 
-    def recording(model, rows, landmark=None):
-        calls.append((landmark, np.array(rows)))
-        return decision_values(model, rows, landmark)
+    def recording(model, rows, owner=None):
+        calls.append((owner, np.array(rows)))
+        return decision_values(model, rows, owner)
 
     monkeypatch.setattr(search, "decision_values", recording)
     rng = np.random.default_rng(60)
@@ -526,22 +529,29 @@ def test_search_checks_svm_stack_size(rows, monkeypatch):
     assert built == []
 
 
-def one_by_one(score, model, rows, owner, k):
-    """search._by_landmark without its one call: one call per landmark."""
-    bounds = np.searchsorted(owner, np.arange(k + 1))
-    return np.concatenate([score(model, rows[bounds[j]:bounds[j + 1]], j) for j in range(k)])
+SCORERS = (("decision_values", "gate", decision_values, landmark_svm),
+           ("mahalanobis_batch", "cost", mahalanobis_batch, landmark_stats))
+
+
+def one_by_one(monkeypatch):
+    """The search's gate and cost scoring each landmark's block of rows with
+    its own unstacked model, one call per landmark: the pass computed
+    landmark by landmark."""
+    for name, _, fn, single in SCORERS:
+        def per_landmark(model, rows, owner, fn=fn, single=single):
+            bounds = np.searchsorted(owner, np.arange(owner[-1] + 2))
+            return np.concatenate([fn(single(model, j), rows[a:b])
+                                   for j, (a, b) in enumerate(zip(bounds, bounds[1:]))])
+        monkeypatch.setattr(search, name, per_landmark)
 
 
 def recorded(monkeypatch):
-    """Every gate and cost call's (landmark, rows shape), in call order; an
-    owner array is recorded as a tuple."""
+    """Every gate and cost call's (owner as a tuple, rows shape), in call order."""
     calls = {"gate": [], "cost": []}
-    for name, key, fn in (("decision_values", "gate", decision_values),
-                          ("mahalanobis_batch", "cost", mahalanobis_batch)):
-        def recording(model, rows, landmark=None, key=key, fn=fn):
-            owners = landmark if np.ndim(landmark) == 0 else tuple(np.asarray(landmark).tolist())
-            calls[key].append((owners, np.shape(rows)))
-            return fn(model, rows, landmark)
+    for name, key, fn, _ in SCORERS:
+        def recording(model, rows, owner=None, key=key, fn=fn):
+            calls[key].append((None if owner is None else tuple(owner.tolist()), np.shape(rows)))
+            return fn(model, rows, owner)
         monkeypatch.setattr(search, name, recording)
     return calls
 
@@ -554,9 +564,10 @@ def fractional_points(rng, k):
 
 
 # gate: None (no SVMs); "mixed" (centred weights accept part of the rows, and
-# landmark 0 is planted to reject all of them and fall back, so the counts
-# differ and the costs are per landmark); "all" (every row accepted, so the
-# costs are stacked too). The last trial of each case uses the tie image.
+# landmark 0 is planted to reject all of them and fall back, so the costs'
+# counts differ and run one matmul per block); "all" (every row accepted, so
+# the costs' counts are equal too). The last trial of each case uses the tie
+# image.
 STACKED_CASES = [(kind, gate, edges) for kind in ("two_d", "one_d")
                  for gate in (None, "mixed", "all") for edges in (False, True)]
 
@@ -564,10 +575,10 @@ STACKED_CASES = [(kind, gate, edges) for kind in ("two_d", "one_d")
 @pytest.mark.parametrize("kind,gate,edges", STACKED_CASES,
                          ids=[f"{k}-{g}-{e}" for k, g, e in STACKED_CASES])
 def test_stacked_pass_equals_per_landmark_pass(kind, gate, edges, monkeypatch):
-    """With every landmark at a fractional position the gate runs as one
-    stacked call; points and winning costs equal the same pass computed
-    landmark by landmark byte for byte, and with axis statistics the points
-    equal the oracle's."""
+    """With every landmark at a fractional position the gate gets one
+    owner array of equal counts; points and winning costs equal the same
+    pass computed landmark by landmark, each by its own unstacked model,
+    byte for byte, and with axis statistics the points equal the oracle's."""
     rng = np.random.default_rng(70 + 10 * STACKED_CASES.index((kind, gate, edges)))
     k, size = 12, 7
     cfg = FitConfig(levels=1, profile_lengths=(size,), search_radius=3)
@@ -587,16 +598,18 @@ def test_stacked_pass_equals_per_landmark_pass(kind, gate, edges, monkeypatch):
             calls = recorded(patch)
             got, got_costs = search_landmarks(ctx, shape, cfg, 0)
         d = size * size if kind == "two_d" else size
-        assert calls["gate"] == ([] if gate is None else [(None, (k, 36, d))])
+        equal = (tuple(np.repeat(np.arange(k), 36).tolist()), (k * 36, d))
+        assert calls["gate"] == ([] if gate is None else [equal])
         if gate == "mixed":
             rows, *_ = in_radius_features(ctx, shape, size)
-            accepted = decision_values(ctx.svms, rows.reshape(k, 36, d)) >= 0
+            accepted = decision_values(ctx.svms, rows, np.repeat(np.arange(k), 36)) >= 0
+            accepted = accepted.reshape(k, 36)
             owner = np.nonzero(accepted | ~accepted.any(axis=1, keepdims=True))[0]
             assert calls["cost"] == [(tuple(owner.tolist()), (len(owner), d))]
         else:
-            assert calls["cost"] == [(None, (k, 36, d))]
+            assert calls["cost"] == [equal]
         with monkeypatch.context() as patch:
-            patch.setattr(search, "_by_landmark", one_by_one)
+            one_by_one(patch)
             want, want_costs = search_landmarks(ctx, shape, cfg, 0)
         assert got.points.tobytes() == want.points.tobytes()
         assert got_costs.tobytes() == want_costs.tobytes()
@@ -613,9 +626,11 @@ def test_stacked_pass_equals_per_landmark_pass(kind, gate, edges, monkeypatch):
 
 
 def test_equal_counts_stack_and_mixed_counts_do_not(monkeypatch):
-    """An equal-count pass makes one stacked gate call and one stacked cost
-    call; with some landmarks on the integer grid (49 candidates, not 36)
-    neither stacks, and each runs as one owner-form call."""
+    """A pass makes one gate call and one cost call, each with (m, d) rows
+    and an owner array. In an equal-count pass every product of both gets
+    36 rows per landmark, so owner_matmul runs it as one stacked matmul;
+    with some landmarks on the integer grid (49 candidates, not 36) the
+    counts differ, and it runs one matmul per block."""
     rng = np.random.default_rng(90)
     k, size = 12, 7
     cfg = FitConfig(levels=1, profile_lengths=(size,), search_radius=3)
@@ -623,16 +638,30 @@ def test_equal_counts_stack_and_mixed_counts_do_not(monkeypatch):
     ctx = dataclasses.replace(ctx, svms=LinearSvmModel(ctx.svms.weights, np.full(k, 1e9)))
     pts = fractional_points(rng, k)
     calls = recorded(monkeypatch)
+    products = []
+
+    def counting(rows, mats, bounds):
+        products.append(tuple(np.diff(bounds).tolist()))
+        return owner_matmul(rows, mats, bounds)
+
+    monkeypatch.setattr(svm, "owner_matmul", counting)
+    monkeypatch.setattr(profiles, "owner_matmul", counting)
     search_landmarks(ctx, Shape(pts), cfg, 0)
-    assert calls == {"gate": [(None, (k, 36, 49))], "cost": [(None, (k, 36, 49))]}
+    owner = np.repeat(np.arange(k), 36)
+    one_owner_call = [(tuple(owner.tolist()), (len(owner), 49))]
+    assert calls == {"gate": one_owner_call, "cost": one_owner_call}
+    assert products == [(36,) * k] * 3  # the gate's product, then the cost's two
 
     pts[::3] = np.rint(pts[::3])
     calls["gate"].clear()
     calls["cost"].clear()
+    products.clear()
     search_landmarks(ctx, Shape(pts), cfg, 0)
-    owner = np.repeat(np.arange(k), [49 if j % 3 == 0 else 36 for j in range(k)])
+    counts = tuple(49 if j % 3 == 0 else 36 for j in range(k))
+    owner = np.repeat(np.arange(k), counts)
     one_owner_call = [(tuple(owner.tolist()), (len(owner), 49))]
     assert calls == {"gate": one_owner_call, "cost": one_owner_call}
+    assert products == [counts] * 3
 
 
 # ------------------------------------------------------------------- fit

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies
 
 from asmfit.errors import ClassBalanceError, DimensionMismatchError, ShapeArityError
 from asmfit.profiles import Profile, normalize_windows, windows_batch
@@ -12,8 +13,10 @@ from asmfit.svm import (
     train_linear_svm,
     training_accuracy,
 )
+from conftest import ARITY_CASES, PROPERTY, arity_call, owner_counts
 from reference_svm import (
     build_landmark_training_set_reference,
+    landmark_svm,
     predict,
     svm_objective,
     train_linear_svm_reference,
@@ -65,8 +68,9 @@ def test_stacked_model_reads_landmark_rows():
     rows = rng.normal(0, 1, (6, 4))
     for j in range(3):
         single = LinearSvmModel(weights[j], float(biases[j]))
-        assert decision_values(stacked, rows, j).tobytes() == decision_values(single, rows).tobytes()
-    with pytest.raises(DimensionMismatchError, match="landmark index"):
+        assert (decision_values(stacked, rows, np.full(6, j)).tobytes()
+                == decision_values(single, rows).tobytes())
+    with pytest.raises(DimensionMismatchError, match="owner"):
         decision_values(stacked, rows)
 
 
@@ -262,25 +266,29 @@ def test_decision_values_match_predict():
 
 @pytest.mark.parametrize("c", [1, 2, 36, 49])
 def test_stacked_decision_values_equal_indexed_calls(c):
-    """A (k, c, d) stack of rows against a stacked model, without a landmark
-    index, gives each landmark's indexed values byte for byte."""
+    """Rows whose owner gives every landmark c of them, the stacked matmul's
+    case, get each landmark's values from its classifier alone byte for
+    byte."""
     rng = np.random.default_rng(c)
     k, d = 6, 25
     model = LinearSvmModel(rng.normal(0, 1, (k, d)), rng.normal(0, 1, k))
     rows = rng.normal(0, 1, (k * c, d))
-    got = decision_values(model, rows.reshape(k, c, d))
-    assert got.shape == (k, c)
-    want = np.concatenate([decision_values(model, rows[j * c:(j + 1) * c], j) for j in range(k)])
+    owner = np.repeat(np.arange(k), c)
+    got = decision_values(model, rows, owner)
+    assert got.shape == (k * c,)
+    want = np.concatenate([decision_values(landmark_svm(model, j), rows[j * c:(j + 1) * c])
+                           for j in range(k)])
     assert got.tobytes() == want.tobytes()
     with pytest.raises(DimensionMismatchError):
-        decision_values(model, rows[:5 * c].reshape(5, c, d))
+        decision_values(model, rows.reshape(k, c, d), owner)
     with pytest.raises(DimensionMismatchError):
-        decision_values(model, np.zeros((k, c, d + 1)))
+        decision_values(model, np.zeros((k * c, d + 1)), owner)
 
 
 def test_owner_decision_values_equal_indexed_calls():
-    """Rows scored with sorted owner indices give the indexed calls' values
-    concatenated, byte for byte; counts run from none to a full 7x7 grid."""
+    """Rows scored with sorted owner indices, in unequal counts, give each
+    landmark's values from its classifier alone, concatenated, byte for
+    byte; counts run from none to a full 7x7 grid."""
     rng = np.random.default_rng(12)
     counts = [3, 49, 0, 1, 36, 17]
     k, d = len(counts), 49
@@ -288,7 +296,7 @@ def test_owner_decision_values_equal_indexed_calls():
     owner = np.repeat(np.arange(k), counts)
     rows = rng.uniform(0.0, 0.05, (len(owner), d))
     bounds = np.cumsum([0] + counts)
-    want = np.concatenate([decision_values(model, rows[a:b], j)
+    want = np.concatenate([decision_values(landmark_svm(model, j), rows[a:b])
                            for j, (a, b) in enumerate(zip(bounds, bounds[1:]))])
     got = decision_values(model, rows, owner)
     assert got.shape == (len(owner),)
@@ -305,6 +313,37 @@ def test_owner_decision_values_reject_bad_owners(owner):
         decision_values(model, np.zeros((4, 4)), np.array(owner))
     with pytest.raises(DimensionMismatchError, match="owner"):
         decision_values(LinearSvmModel(np.ones(4), 0.0), np.zeros((4, 4)), np.array([0, 0, 0, 0]))
+
+
+@pytest.mark.parametrize("case", ARITY_CASES)
+def test_decision_values_take_only_their_two_forms(case):
+    """Only one landmark's classifier with (m, d) rows, or a stacked model
+    with (m, d) rows and an owner array, scores; every other call raises
+    DimensionMismatchError, never a bare numpy error."""
+    rng = np.random.default_rng(7)
+    stack = LinearSvmModel(rng.normal(0, 1, (3, 4)), rng.normal(0, 1, 3))
+    model, rows, owner = arity_call(case, stack, landmark_svm(stack, 1), 4)
+    with pytest.raises(DimensionMismatchError, match="owner indices for a stacked model only"):
+        decision_values(model, rows, owner)
+
+
+@PROPERTY
+@pytest.mark.parametrize("equal", [True, False], ids=["stacked-matmul", "matmul-per-block"])
+@given(data=strategies.data())
+def test_owner_values_equal_each_block_by_its_own_classifier(equal, data):
+    """Every landmark's block of an owner-form call gets, byte for byte, the
+    values the landmark's classifier alone gives its rows, through either
+    branch of owner_matmul."""
+    counts = data.draw(owner_counts(equal))
+    d = data.draw(strategies.integers(1, 30))
+    rng = np.random.default_rng(data.draw(strategies.integers(0, 2**32 - 1)))
+    model = LinearSvmModel(rng.normal(0, 1, (len(counts), d)), rng.normal(0, 1, len(counts)))
+    rows = rng.normal(0, 1, (sum(counts), d))
+    got = decision_values(model, rows, np.repeat(np.arange(len(counts)), counts))
+    assert got.shape == (len(rows),)
+    bounds = np.cumsum([0] + counts)
+    for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        assert got[a:b].tobytes() == decision_values(landmark_svm(model, j), rows[a:b]).tobytes()
 
 
 def test_objective_hand_case():
@@ -339,7 +378,7 @@ def test_stacked_trainer_matches_per_landmark_oracle(k, m, batch):
                                          batch_size=batch, seed=seeds[i])
         np.testing.assert_allclose(model.weights[i], ref.weights, rtol=1e-12)
         assert model.bias[i] == pytest.approx(ref.bias, rel=1e-12)
-        assert np.array_equal(decision_values(model, feats[i], i) >= 0,
+        assert np.array_equal(decision_values(landmark_svm(model, i), feats[i]) >= 0,
                               decision_values(ref, feats[i]) >= 0)
 
 
@@ -402,6 +441,7 @@ def test_training_accuracy_matches_decision_values():
     feats, labels = stacked_problem(3, 40, seed=8)
     stack = LandmarkTrainingSet(feats, labels, (0, 1, 2), 0, seeds=(1, 2, 3))
     model = train_linear_svm(stack, SvmTrainConfig(epochs=10))
-    expected = [np.mean(np.where(decision_values(model, feats[i], i) >= 0, 1.0, -1.0) == labels[i])
+    expected = [np.mean(np.where(decision_values(landmark_svm(model, i), feats[i]) >= 0,
+                                 1.0, -1.0) == labels[i])
                 for i in range(3)]
     assert training_accuracy(model, stack).tolist() == expected

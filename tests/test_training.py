@@ -12,7 +12,11 @@ from asmfit.synthetic import generate_face_dataset
 from asmfit.svm import LinearSvmModel, SvmTrainConfig, _ring_offsets, decision_values
 from asmfit.training import _seed_for, train_bundle
 from reference_profiles import level_window_stats
-from reference_svm import build_landmark_training_set_reference, train_linear_svm_reference
+from reference_svm import (
+    build_landmark_training_set_reference,
+    landmark_svm,
+    train_linear_svm_reference,
+)
 
 
 def standardized(rows):
@@ -243,7 +247,7 @@ def test_summary_accuracy_matches_per_landmark_oracle(trained):
         accuracy = []
         for landmark in range(DEFAULT_SCHEME.total):
             ts = level_training_set(faces[:6], landmark, level, seed=0)
-            decision = decision_values(bundle.svms[level], ts.features, landmark)
+            decision = decision_values(landmark_svm(bundle.svms[level], landmark), ts.features)
             accuracy.append(np.mean(np.where(decision >= 0, 1.0, -1.0) == ts.labels))
         assert summary.level_accuracy_mean[level] == pytest.approx(np.mean(accuracy), rel=1e-12)
         assert summary.level_accuracy_min[level] == min(accuracy)
@@ -286,7 +290,7 @@ def test_constant_window_dimension_gets_unit_std(faces96):
     assert np.all(model.weights[0, constant] == 0.0)
     np.testing.assert_allclose(model.weights[0], want.weights, rtol=1e-12)
     assert model.bias[0] == pytest.approx(want.bias, rel=1e-12)
-    raw = decision_values(model, ts.features, 0)
+    raw = decision_values(landmark_svm(model, 0), ts.features)
     scaled = decision_values(ref, rows)
     assert np.array_equal(raw >= 0, scaled >= 0)
     np.testing.assert_allclose(raw, scaled, rtol=1e-9, atol=1e-12)
