@@ -336,9 +336,9 @@ def mahalanobis_cost(stats: ProfileStats, g: Profile) -> float:
     return float(mahalanobis_batch(stats, g.values[None, :])[0])
 
 
-def owner_bounds(rows: np.ndarray, params: np.ndarray, owner) -> list | None:
-    """Row bounds of the blocks of a scorer's owner array: landmark j owns
-    rows bounds[j]:bounds[j + 1].
+def owner_bounds(rows: np.ndarray, params: np.ndarray, owner) -> tuple | None:
+    """The checked owner array of a scorer's call, as intp, and the row
+    bounds of its blocks: landmark j owns rows bounds[j]:bounds[j + 1].
 
     rows must be (m, d). params is the model's mean or weights: (d,) for
     one landmark's model, which takes no owner and gets None, or (k, d) for
@@ -360,7 +360,8 @@ def owner_bounds(rows: np.ndarray, params: np.ndarray, owner) -> list | None:
                                      f"for {m} rows; need one integer per row")
     if m and (owner[0] < 0 or owner[-1] >= k or (owner[1:] < owner[:-1]).any()):
         raise DimensionMismatchError(f"owner indices must be sorted and lie in [0, {k})")
-    return np.searchsorted(owner, np.arange(k + 1)).tolist()
+    owner = owner.astype(np.intp, copy=False)  # an empty [] arrives as float
+    return owner, np.searchsorted(owner, np.arange(k + 1)).tolist()
 
 
 def owner_matmul(rows: np.ndarray, mats: np.ndarray, bounds: list) -> np.ndarray:
@@ -397,10 +398,11 @@ def mahalanobis_batch(stats: ProfileStats, rows: np.ndarray, owner=None) -> np.n
     so every block has the bytes of its landmark's statistics alone.
     """
     rows = np.asarray(rows, dtype=float)
-    bounds = owner_bounds(rows, stats.mean, owner)
-    if bounds is None:
+    checked = owner_bounds(rows, stats.mean, owner)
+    if checked is None:
         delta, rho, product = rows - stats.mean, stats.rho, np.matmul
     else:
+        owner, bounds = checked
         delta, rho = np.take(stats.mean, owner, axis=0), np.take(stats.rho, owner)
         np.subtract(rows, delta, out=delta)  # one (m, d) temporary, not two
         product = partial(owner_matmul, bounds=bounds)

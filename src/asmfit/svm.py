@@ -241,10 +241,11 @@ def train_linear_svm(train_set: LandmarkTrainingSet, config: SvmTrainConfig):
 
 def training_accuracy(model: LinearSvmModel, train_set: LandmarkTrainingSet) -> np.ndarray:
     """Fraction of each landmark's training rows classified right, shape (k,),
-    for a stack and its stacked model."""
+    for a stack and its stacked model or one landmark's set and model."""
     k, m = len(train_set.landmarks), train_set.count
     rows = train_set.features.reshape(k * m, -1)
-    decision = decision_values(model, rows, np.repeat(np.arange(k), m)).reshape(k, m)
+    owner = np.repeat(np.arange(k), m) if model.weights.ndim == 2 else None
+    decision = decision_values(model, rows, owner).reshape(k, m)
     labels = train_set.labels.reshape(k, m)
     return np.mean(np.where(decision >= 0, 1.0, -1.0) == labels, axis=1)
 
@@ -260,9 +261,10 @@ def decision_values(model: LinearSvmModel, rows: np.ndarray, owner=None) -> np.n
     bytes of its landmark's classifier alone.
     """
     rows = np.asarray(rows, dtype=float)
-    bounds = owner_bounds(rows, model.weights, owner)
-    if bounds is None:
+    checked = owner_bounds(rows, model.weights, owner)
+    if checked is None:
         return rows @ model.weights + model.bias
+    owner, bounds = checked
     out = owner_matmul(rows, model.weights, bounds)
     out += np.take(model.bias, owner)
     return out

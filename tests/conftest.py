@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import dataclasses
 import struct
@@ -49,6 +50,33 @@ def owner_counts(draw, equal: bool) -> list:
         counts = draw(strategies.lists(strategies.integers(0, 12), min_size=k, max_size=k))
         assume(len(set(counts)) > 1)
     return counts
+
+
+@contextlib.contextmanager
+def matmul_operands():
+    """Shapes of the first operand of every np.matmul call made in the block,
+    in call order: the stacked branch of owner_matmul makes one (k, c, a)
+    call per product, the block branch one (c_j, a) call per landmark."""
+    shapes, real = [], np.matmul
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    np.matmul = recording
+    try:
+        yield shapes
+    finally:
+        np.matmul = real
+
+
+def owner_products(counts, widths) -> list:
+    """The matmul_operands an owner-form scorer call records for these
+    landmark row counts, one product per operand width: one stacked call
+    each when every count is equal, one call per block otherwise."""
+    if len(set(counts)) == 1:
+        return [(len(counts), counts[0], a) for a in widths]
+    return [(c, a) for a in widths for c in counts]
 
 
 # Calls outside a scorer's two forms: a stacked model without an owner, one

@@ -25,7 +25,15 @@ from asmfit.profiles import (
 )
 from asmfit.scheme import DEFAULT_SCHEME, ContourGroup, LandmarkScheme, single_contour_scheme
 from asmfit.shape_model import Shape
-from conftest import ARITY_CASES, PROPERTY, arity_call, owner_counts, stacked_stats
+from conftest import (
+    ARITY_CASES,
+    PROPERTY,
+    arity_call,
+    matmul_operands,
+    owner_counts,
+    owner_products,
+    stacked_stats,
+)
 from reference_profiles import (
     clamped_windows,
     dense_costs,
@@ -521,6 +529,13 @@ def test_owner_mahalanobis_rejects_bad_owners(owner):
         mahalanobis_batch(st, np.zeros((4, 4)), np.array(owner))
 
 
+@pytest.mark.parametrize("owner", [[], np.zeros(0), np.zeros(0, np.int32), np.zeros(0, bool)],
+                         ids=["list", "float", "int32", "bool"])
+def test_empty_owner_of_any_dtype_gets_no_costs(owner):
+    st = stats_from_matrix(np.random.default_rng(3).normal(0.3, 0.1, (3, 5, 4)))
+    assert mahalanobis_batch(st, np.zeros((0, 4)), owner).shape == (0,)
+
+
 def test_owner_mahalanobis_needs_a_stack_and_rows_of_its_dim():
     rng = np.random.default_rng(4)
     stack = stats_from_matrix(rng.normal(0.3, 0.1, (3, 5, 4)))
@@ -558,7 +573,9 @@ def test_owner_costs_equal_each_block_by_its_own_statistics(equal, data):
     stack = stats_from_matrix(rng.normal(0.3, 0.1, (len(counts), m, d)))
     assert (stack.rank == d) == full_rank
     rows = rng.normal(0.3, 0.1, (sum(counts), d))
-    got = mahalanobis_batch(stack, rows, np.repeat(np.arange(len(counts)), counts))
+    with matmul_operands() as products:
+        got = mahalanobis_batch(stack, rows, np.repeat(np.arange(len(counts)), counts))
+    assert products == owner_products(counts, (d, stack.rank))
     assert got.shape == (len(rows),)
     bounds = np.cumsum([0] + counts)
     for j, (a, b) in enumerate(zip(bounds, bounds[1:])):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from asmfit import profiles, search, svm
+from asmfit import search
 from asmfit.cli import truth_box
 from asmfit.errors import (
     BoxError,
@@ -23,7 +23,6 @@ from asmfit.profiles import (
     ProfileStats,
     mahalanobis_batch,
     normalize_windows,
-    owner_matmul,
     profiles_1d_batch,
     stats_from_matrix,
     windows_batch,
@@ -42,7 +41,13 @@ from asmfit.search import (
 from asmfit.shape_model import Shape, build_shape_model, fit_params
 from asmfit.svm import LinearSvmModel, SvmTrainConfig, decision_values
 
-from conftest import random_shape_points, stacked_stats, stacked_svms
+from conftest import (
+    matmul_operands,
+    owner_products,
+    random_shape_points,
+    stacked_stats,
+    stacked_svms,
+)
 from reference_profiles import landmark_stats
 from reference_svm import landmark_svm
 import reference_search
@@ -627,41 +632,32 @@ def test_stacked_pass_equals_per_landmark_pass(kind, gate, edges, monkeypatch):
 
 def test_equal_counts_stack_and_mixed_counts_do_not(monkeypatch):
     """A pass makes one gate call and one cost call, each with (m, d) rows
-    and an owner array. In an equal-count pass every product of both gets
-    36 rows per landmark, so owner_matmul runs it as one stacked matmul;
+    and an owner array. In an equal-count pass, 36 rows per landmark, each
+    of the gate's product and the cost's two runs as one stacked matmul;
     with some landmarks on the integer grid (49 candidates, not 36) the
-    counts differ, and it runs one matmul per block."""
+    counts differ, and each runs as one matmul per block."""
     rng = np.random.default_rng(90)
     k, size = 12, 7
     cfg = FitConfig(levels=1, profile_lengths=(size,), search_radius=3)
     ctx = oracle_context(rng, "two_d", size, k)
     ctx = dataclasses.replace(ctx, svms=LinearSvmModel(ctx.svms.weights, np.full(k, 1e9)))
+    widths = (size * size, size * size, ctx.stats.rank)  # the gate's product, then the cost's two
     pts = fractional_points(rng, k)
     calls = recorded(monkeypatch)
-    products = []
 
-    def counting(rows, mats, bounds):
-        products.append(tuple(np.diff(bounds).tolist()))
-        return owner_matmul(rows, mats, bounds)
+    def one_pass(counts):
+        calls["gate"].clear()
+        calls["cost"].clear()
+        with matmul_operands() as products:
+            search_landmarks(ctx, Shape(pts), cfg, 0)
+        owner = np.repeat(np.arange(k), counts)
+        one_owner_call = [(tuple(owner.tolist()), (len(owner), size * size))]
+        assert calls == {"gate": one_owner_call, "cost": one_owner_call}
+        assert products == owner_products(counts, widths)
 
-    monkeypatch.setattr(svm, "owner_matmul", counting)
-    monkeypatch.setattr(profiles, "owner_matmul", counting)
-    search_landmarks(ctx, Shape(pts), cfg, 0)
-    owner = np.repeat(np.arange(k), 36)
-    one_owner_call = [(tuple(owner.tolist()), (len(owner), 49))]
-    assert calls == {"gate": one_owner_call, "cost": one_owner_call}
-    assert products == [(36,) * k] * 3  # the gate's product, then the cost's two
-
+    one_pass((36,) * k)
     pts[::3] = np.rint(pts[::3])
-    calls["gate"].clear()
-    calls["cost"].clear()
-    products.clear()
-    search_landmarks(ctx, Shape(pts), cfg, 0)
-    counts = tuple(49 if j % 3 == 0 else 36 for j in range(k))
-    owner = np.repeat(np.arange(k), counts)
-    one_owner_call = [(tuple(owner.tolist()), (len(owner), 49))]
-    assert calls == {"gate": one_owner_call, "cost": one_owner_call}
-    assert products == [counts] * 3
+    one_pass(tuple(49 if j % 3 == 0 else 36 for j in range(k)))
 
 
 # ------------------------------------------------------------------- fit

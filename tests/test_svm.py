@@ -13,7 +13,7 @@ from asmfit.svm import (
     train_linear_svm,
     training_accuracy,
 )
-from conftest import ARITY_CASES, PROPERTY, arity_call, owner_counts
+from conftest import ARITY_CASES, PROPERTY, arity_call, matmul_operands, owner_counts, owner_products
 from reference_svm import (
     build_landmark_training_set_reference,
     landmark_svm,
@@ -315,6 +315,13 @@ def test_owner_decision_values_reject_bad_owners(owner):
         decision_values(LinearSvmModel(np.ones(4), 0.0), np.zeros((4, 4)), np.array([0, 0, 0, 0]))
 
 
+@pytest.mark.parametrize("owner", [[], np.zeros(0), np.zeros(0, np.int32), np.zeros(0, bool)],
+                         ids=["list", "float", "int32", "bool"])
+def test_empty_owner_of_any_dtype_gets_no_values(owner):
+    model = LinearSvmModel(np.ones((3, 4)), np.zeros(3))
+    assert decision_values(model, np.zeros((0, 4)), owner).shape == (0,)
+
+
 @pytest.mark.parametrize("case", ARITY_CASES)
 def test_decision_values_take_only_their_two_forms(case):
     """Only one landmark's classifier with (m, d) rows, or a stacked model
@@ -339,7 +346,9 @@ def test_owner_values_equal_each_block_by_its_own_classifier(equal, data):
     rng = np.random.default_rng(data.draw(strategies.integers(0, 2**32 - 1)))
     model = LinearSvmModel(rng.normal(0, 1, (len(counts), d)), rng.normal(0, 1, len(counts)))
     rows = rng.normal(0, 1, (sum(counts), d))
-    got = decision_values(model, rows, np.repeat(np.arange(len(counts)), counts))
+    with matmul_operands() as products:
+        got = decision_values(model, rows, np.repeat(np.arange(len(counts)), counts))
+    assert products == owner_products(counts, (d,))
     assert got.shape == (len(rows),)
     bounds = np.cumsum([0] + counts)
     for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
@@ -445,3 +454,17 @@ def test_training_accuracy_matches_decision_values():
                                  1.0, -1.0) == labels[i])
                 for i in range(3)]
     assert training_accuracy(model, stack).tolist() == expected
+
+
+def test_training_accuracy_of_one_landmark_set():
+    """One landmark's set and its unstacked model score like row 0 of a
+    stack of one."""
+    feats, labels = stacked_problem(1, 40, seed=9)
+    one = LandmarkTrainingSet(feats[0], labels[0], 4, 0)
+    model = train_linear_svm(one, SvmTrainConfig(epochs=10))
+    assert model.weights.ndim == 1
+    stacked = LinearSvmModel(model.weights[None], np.reshape(model.bias, 1))
+    want = training_accuracy(stacked, LandmarkTrainingSet(feats, labels, (4,), 0))
+    assert training_accuracy(model, one).tolist() == want.tolist()
+    assert want[0] == np.mean(np.where(decision_values(model, feats[0]) >= 0, 1.0, -1.0)
+                              == labels[0])
