@@ -27,12 +27,10 @@ from .training import train_bundle
 
 # Config keys passed unchanged to FitConfig and to train_bundle; the config's
 # classic_profile_length is train_bundle's classic_length.
-_FIT_KEYS = (
-    "levels", "profile_lengths", "search_radius", "max_iters_per_level", "convergence", "c",
-    "canny_low", "canny_high",
-)
-_TRAIN_KEYS = ("variance_fraction", "clamp_alpha", "eps", "negatives_per_positive",
-               "offset_range", "seed")
+_FIT_KEYS = ("levels", "search_radius", "max_iters_per_level", "convergence", "c",
+             "canny_low", "canny_high")
+_TRAIN_KEYS = ("profile_lengths", "variance_fraction", "clamp_alpha", "eps",
+               "negatives_per_positive", "offset_range", "seed")
 _CONFIG_KEYS = {"scheme", "svm", "classic_profile_length", *_FIT_KEYS, *_TRAIN_KEYS}
 _SVM_KEYS = {"c_penalty", "epochs", "batch_size"}
 
@@ -73,14 +71,11 @@ def load_train_settings(path):
 
 def _train_settings(raw):
     """The scheme and train_bundle's keyword arguments from a config's keys;
-    absent keys take the constructors' defaults, except that levels without
-    profile_lengths takes the first `levels` default lengths."""
+    absent keys take the constructors' defaults."""
     scheme = DEFAULT_SCHEME
     if "scheme" in raw:
         scheme = LandmarkScheme.from_jsonable(raw["scheme"])
     fit_raw = {key: raw[key] for key in _FIT_KEYS if key in raw}
-    if isinstance(raw.get("levels"), int) and "profile_lengths" not in raw:
-        fit_raw["profile_lengths"] = FitConfig.profile_lengths[:raw["levels"]]
     settings = {key: raw[key] for key in _TRAIN_KEYS if key in raw}
     if "classic_profile_length" in raw:
         settings["classic_length"] = raw["classic_profile_length"]

@@ -25,7 +25,6 @@ from .errors import (
     DimensionMismatchError,
     PgmDecodeError,
     PointsParseError,
-    ShapeArityError,
     SplitError,
 )
 from .imaging import GrayImage
@@ -36,7 +35,7 @@ from .shape_model import Shape, ShapeModel
 from .svm import LinearSvmModel
 
 BUNDLE_MAGIC = b"ASMFITB1"
-BUNDLE_VERSION = 6
+BUNDLE_VERSION = 7
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,10 +83,6 @@ class ModelBundle:
         levels = self.fit_defaults.levels
         if not (self.classic_profiles.levels == self.asm_profiles.levels == levels):
             raise DimensionMismatchError("profile models and fit defaults disagree on levels")
-        if self.asm_profiles.sizes != self.fit_defaults.profile_lengths:
-            raise DimensionMismatchError("asm profile sizes must match fit defaults")
-        if self.fit_defaults.mode != "asm_svm":
-            raise ShapeArityError(f"fit defaults name mode {self.fit_defaults.mode!r}, not asm_svm")
         got = [model.weights.shape for model in self.svms]
         want = [(n, size * size) for size in self.asm_profiles.sizes]
         if got != want:

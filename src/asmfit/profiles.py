@@ -323,10 +323,10 @@ def stats_from_matrix(rows: np.ndarray, eps: float = 1e-3) -> ProfileStats:
         cov /= m - 1
         return ProfileStats(mean, cov, eps)
     _, s, vt = np.linalg.svd(dev, full_matrices=False)
-    # One dot per landmark: a stacked sum would round differently.
-    trace = np.array([np.vdot(x, x) for x in dev.reshape(-1, m * d)]).reshape(dev.shape[:-2])
+    # The m eigenvalues of the covariance; their sum is its trace.
+    lam = s * s / (m - 1)
     return ProfileStats(mean, basis=np.swapaxes(vt[..., :m - 1, :], -1, -2),
-                        lam=s[..., :m - 1] ** 2 / (m - 1), rho=_ridge(eps, trace / (m - 1), d))
+                        lam=lam[..., :m - 1], rho=_ridge(eps, lam.sum(axis=-1), d))
 
 
 def mahalanobis_cost(stats: ProfileStats, g: Profile) -> float:

@@ -25,7 +25,6 @@ from .imaging import sample_bilinear  # noqa: F401 (perfbench/tracing.py:WRAPS w
 from .profiles import (
     ProfileStats,
     check_numbers,
-    integer_sizes,
     landmark_normals,
     mahalanobis_batch,
     normalize_windows,
@@ -43,14 +42,12 @@ MIN_INIT_INSIDE = 0.5
 class FitConfig:
     """Knobs for the fitting loop.
 
-    profile_lengths is indexed by pyramid level: entry 0 applies at full
-    resolution, the last entry at the coarsest level. Defaults follow the
-    coarse-to-fine shrinkage 15, 7, 3 with the 15-wide window at the
-    coarsest level. mode, asm_svm or classic, names the pipeline.
+    levels counts the pyramid levels a fit walks, from the bundle's first;
+    each level's profile length or window side is the one trained at that
+    level. mode, asm_svm or classic, names the pipeline.
     """
 
     levels: int = 3
-    profile_lengths: tuple = (3, 7, 15)
     search_radius: int = 3
     max_iters_per_level: int = 20
     convergence: float = 0.9
@@ -66,12 +63,6 @@ class FitConfig:
             object.__setattr__(self, name, value)
         if self.levels < 1:
             raise ShapeArityError(f"need at least 1 level, got {self.levels}")
-        lengths = integer_sizes("profile_lengths", self.profile_lengths)
-        if len(lengths) != self.levels:
-            raise ShapeArityError(
-                f"profile_lengths needs one entry per level, got {len(lengths)} for {self.levels}"
-            )
-        object.__setattr__(self, "profile_lengths", lengths)
         if self.search_radius < 1:
             raise ShapeArityError(f"search_radius must be >= 1, got {self.search_radius}")
         if self.max_iters_per_level < 0:
@@ -91,8 +82,9 @@ class FitConfig:
 class LevelContext:
     """Per-level cache of models stacked over the landmarks and of images;
     classic leaves magnitude (the Sobel gradient magnitude), edge_map and
-    svms None."""
+    svms None. size is the trained profile length or window side."""
 
+    size: int
     raw: GrayImage
     magnitude: np.ndarray
     edge_map: np.ndarray
@@ -167,18 +159,18 @@ def _candidate_grid(points: np.ndarray, radius: int):
     return cx, cy, valid, cheb
 
 
-def _candidate_features(ctx: LevelContext, shape: Shape, size: int,
-                        centers: np.ndarray, owner: np.ndarray) -> np.ndarray:
+def _candidate_features(ctx: LevelContext, shape: Shape, centers: np.ndarray,
+                        owner: np.ndarray) -> np.ndarray:
     """(n, d) normalized feature rows of n candidates; centers is (n, 2) and
     owner (n,) holds the landmark each candidate belongs to."""
     if ctx.magnitude is None:
         normals = landmark_normals(shape, ctx.scheme)[owner]
-        return profiles_1d_batch(ctx.raw, centers, normals, size)
-    rows = windows_batch(ctx.magnitude, centers, size)
+        return profiles_1d_batch(ctx.raw, centers, normals, ctx.size)
+    rows = windows_batch(ctx.magnitude, centers, ctx.size)
     return normalize_windows(rows, "sum", out=rows)
 
 
-def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig, level: int):
+def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig):
     """One candidate-search pass; every landmark moves independently.
 
     Candidates within the Chebyshev search radius compete; when the
@@ -190,7 +182,6 @@ def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig, level: 
 
     Returns (new Shape, per-landmark winning costs).
     """
-    size = config.profile_lengths[level]
     pts = shape.points
     cx, cy, allowed, cheb = _candidate_grid(pts, config.search_radius)
     k, m = cx.shape
@@ -201,8 +192,7 @@ def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig, level: 
     # Features of the in-radius candidates only, landmark after landmark in
     # row-major order; row i belongs to landmark owner[i].
     owner = np.nonzero(allowed)[0]
-    rows = _candidate_features(ctx, shape, size, np.stack([cx[allowed], cy[allowed]], axis=1),
-                               owner)
+    rows = _candidate_features(ctx, shape, np.stack([cx[allowed], cy[allowed]], axis=1), owner)
     if ctx.svms is not None:
         accepted = decision_values(ctx.svms, rows, owner) >= 0
         # A landmark none of whose candidates its classifier accepts keeps them all.
@@ -244,17 +234,12 @@ def build_level_context(bundle, level_image: GrayImage, level: int, config: FitC
 
     asm_svm adds Sobel gradients and Canny edges of the level image after
     histogram equalization, and the level's SVMs; classic samples 1-D
-    profiles from raw.
+    profiles from raw. The level's profile size is the one it was trained with.
     """
     asm = config.mode == "asm_svm"
     pm = bundle.asm_profiles if asm else bundle.classic_profiles
-    if pm.sizes[level] != config.profile_lengths[level]:
-        raise DimensionMismatchError(
-            f"level {level}: configured profile length {config.profile_lengths[level]} "
-            f"does not match trained size {pm.sizes[level]}"
-        )
-    ctx = LevelContext(raw=level_image, magnitude=None, edge_map=None, stats=pm.stats[level],
-                       svms=None, scheme=bundle.scheme)
+    ctx = LevelContext(size=pm.sizes[level], raw=level_image, magnitude=None, edge_map=None,
+                       stats=pm.stats[level], svms=None, scheme=bundle.scheme)
     if not asm:
         return ctx
     image = equalize_histogram(level_image)
@@ -309,7 +294,7 @@ def fit(pyramid: ImagePyramid, bundle, init: Shape, config: FitConfig = None) ->
             ctx = build_level_context(bundle, pyramid.levels[level], level, config)
         for _ in range(config.max_iters_per_level):
             iterations[level] += 1
-            searched, costs = search_landmarks(ctx, shape, config, level)
+            searched, costs = search_landmarks(ctx, shape, config)
             updated = _regularize(model, searched)
             moved = np.linalg.norm(updated.points - shape.points, axis=1)
             shape = updated
@@ -322,14 +307,6 @@ def fit(pyramid: ImagePyramid, bundle, init: Shape, config: FitConfig = None) ->
 
 
 def config_for_mode(bundle, mode: str) -> FitConfig:
-    """Fit configuration for the two evaluation pipelines.
-
-    Both reuse the training-time defaults stored in the bundle, which name
-    asm_svm; classic swaps in its mode and its trained profile lengths.
-    """
-    if mode == "asm_svm":
-        return bundle.fit_defaults
-    if mode == "classic":
-        return replace(bundle.fit_defaults, mode="classic",
-                       profile_lengths=bundle.classic_profiles.sizes)
-    raise ShapeArityError(f"unknown mode {mode!r}, expected classic or asm_svm")
+    """The bundle's stored fit defaults with `mode`, asm_svm or classic, as
+    the pipeline; FitConfig rejects any other mode."""
+    return replace(bundle.fit_defaults, mode=mode)

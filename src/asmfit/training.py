@@ -90,8 +90,7 @@ def _fold(model: LinearSvmModel, mean: np.ndarray, std: np.ndarray):
     """(weights, biases) of a stacked model trained on standardized rows,
     rewritten for raw rows: w' = w / std and b' = b - w'.mean."""
     weights = model.weights / std
-    # One dot per landmark: a stacked sum would round differently.
-    return weights, model.bias - np.array([w @ m for w, m in zip(weights, mean)])
+    return weights, model.bias - (weights * mean).sum(axis=-1)
 
 
 def _joined(parts) -> ProfileStats:
@@ -109,6 +108,7 @@ def train_bundle(
     svm_config: SvmTrainConfig = None,
     variance_fraction: float = 0.975,
     clamp_alpha: float = 3.0,
+    profile_lengths: tuple = None,
     classic_length: int = 15,
     negatives_per_positive: int = 4,
     offset_range=(2, 8),
@@ -117,12 +117,24 @@ def train_bundle(
 ):
     """Train every model component from annotated samples.
 
+    profile_lengths holds the asm window side of each of fit_config.levels
+    pyramid levels, finest first; None takes the first `levels` of
+    (3, 7, 15). The bundle stores fit_config as its fit defaults.
+
     Returns (ModelBundle, TrainingSummary). Deterministic for a fixed seed:
     all randomness (negative-window placement, SVM batch order) is derived
     from it, so svm_config.seed must keep its default. Mistyped settings,
     fewer than one negative per positive and any other svm_config.seed
     raise ShapeArityError before any work.
     """
+    if fit_config is None:
+        fit_config = FitConfig()
+    levels = fit_config.levels
+    sizes = integer_sizes("profile_lengths",
+                          (3, 7, 15)[:levels] if profile_lengths is None else profile_lengths)
+    if len(sizes) != levels:
+        raise ShapeArityError(f"profile_lengths needs one entry per level, got {len(sizes)} "
+                              f"for {levels}")
     integer_sizes("classic_length", (classic_length,))
     negative_ring(offset_range, negatives_per_positive)
     if negatives_per_positive < 1:
@@ -134,12 +146,6 @@ def train_bundle(
          "eps": eps},
         integers=("seed",), reals=("variance_fraction", "clamp_alpha", "eps"),
     ).values()
-    if fit_config is None:
-        fit_config = FitConfig()
-    if fit_config.mode != "asm_svm":
-        raise ShapeArityError(
-            f"fit_config names mode {fit_config.mode!r}; bundles are trained for asm_svm"
-        )
     if len(samples) < 2:
         raise InsufficientDataError(f"need at least 2 training samples, got {len(samples)}")
     if svm_config is None:
@@ -149,8 +155,6 @@ def train_bundle(
             f"svm_config.seed {svm_config.seed} is unused: every SVM's seed derives from "
             f"train_bundle's seed, so it must stay {SvmTrainConfig.seed}"
         )
-    levels = fit_config.levels
-    sizes = fit_config.profile_lengths
 
     aligned, _ = gpa_align([s.shape for s in samples])
     shape_model = build_shape_model(aligned, variance_fraction, clamp_alpha)

@@ -51,9 +51,9 @@ def candidate_features(ctx, shape, size, cx, cy):
     return rows.reshape(k, m, size * size)
 
 
-def search_landmarks(ctx, shape, config, level):
+def search_landmarks(ctx, shape, config):
     """(new Shape, per-landmark winning costs) of one search pass."""
-    size = config.profile_lengths[level]
+    size = ctx.size
     pts = shape.points
     cx, cy, valid, cheb = _candidate_grid(pts, config.search_radius)
     k, m = cx.shape

@@ -22,6 +22,7 @@ from asmfit.dataset_io import BUNDLE_MAGIC, load_bundle, load_points_file, save_
 from asmfit.errors import BoxError, ShapeArityError
 from asmfit.imaging import GrayImage
 from asmfit.scheme import DEFAULT_SCHEME, ContourGroup, LandmarkScheme, single_contour_scheme
+from asmfit.search import FitConfig
 from asmfit.shape_model import Shape
 from asmfit.svm import SvmTrainConfig
 from asmfit.synthetic import write_dataset
@@ -116,7 +117,6 @@ def test_train_rejects_unknown_config_keys(cli_env, tmp_path, capsys):
 
 @pytest.mark.parametrize("text", ['{"svm": ', '{"levels": "three"}', '{"levels": null}',
                                   '[1, 2]', '{"svm": 5}', '{"levels": 1e400}', '{"q": 5}',
-                                  '{"profile_lengths": [3, 7.5, 15]}',
                                   '{"canny_low": 200, "canny_high": 100}'])
 def test_malformed_train_config_fails_in_one_line(cli_env, tmp_path, capsys, monkeypatch, text):
     def refuse(*args, **kwargs):
@@ -137,8 +137,7 @@ def test_malformed_train_config_fails_in_one_line(cli_env, tmp_path, capsys, mon
 
 def test_train_settings_defaults():
     settings = load_train_settings(None)
-    assert settings["fit_config"].levels == 3
-    assert settings["fit_config"].profile_lengths == (3, 7, 15)
+    assert settings["fit_config"] == FitConfig()
     assert settings["svm_config"].epochs == 200
     assert settings["scheme"].total == 68
     # train_bundle's own defaults apply to every key the config leaves out
@@ -148,12 +147,15 @@ def test_train_settings_defaults():
 def test_train_settings_pass_values_through(tmp_path):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"levels": 2, "classic_profile_length": 9, "seed": 5,
-                                  "offset_range": [1, 3], "eps": 0.01, "svm": {"epochs": 7}}))
+                                  "offset_range": [1, 3], "eps": 0.01, "svm": {"epochs": 7},
+                                  "profile_lengths": [3, 5]}))
     settings = load_train_settings(config)
-    assert settings["fit_config"].profile_lengths == (3, 7)
+    assert settings["fit_config"] == FitConfig(levels=2)
     assert settings["svm_config"] == SvmTrainConfig(epochs=7)
-    assert {k: settings[k] for k in ("classic_length", "seed", "offset_range", "eps")} == {
-        "classic_length": 9, "seed": 5, "offset_range": [1, 3], "eps": 0.01}
+    assert {k: settings[k] for k in ("classic_length", "seed", "offset_range", "eps",
+                                     "profile_lengths")} == {
+        "classic_length": 9, "seed": 5, "offset_range": [1, 3], "eps": 0.01,
+        "profile_lengths": [3, 5]}
 
 
 def test_integral_real_settings_train_the_same_bundle(cli_env, tmp_path):
@@ -175,7 +177,7 @@ def test_integral_real_settings_train_the_same_bundle(cli_env, tmp_path):
     {"svm": {"c_penalty": "1"}}, {"negatives_per_positive": 4.5}, {"seed": 1.5},
     {"offset_range": [2, 8.5]}, {"offset_range": [2, 4, 8]}, {"offset_range": 5},
     {"variance_fraction": "0.9"}, {"clamp_alpha": None}, {"eps": [0.001]}, {"eps": 10**400},
-    {"c": 10**400}, {"negatives_per_positive": 0},
+    {"c": 10**400}, {"negatives_per_positive": 0}, {"profile_lengths": [3, 7.5, 15]},
 ])
 def test_mistyped_train_setting_fails_before_training(cli_env, tmp_path, capsys, monkeypatch,
                                                       config):

@@ -33,13 +33,12 @@ from asmfit.errors import (
     DatasetError,
     PgmDecodeError,
     PointsParseError,
-    ShapeArityError,
     SplitError,
 )
 from asmfit.imaging import GrayImage
 from asmfit.profiles import ProfileStats
 from asmfit.scheme import DEFAULT_SCHEME, single_contour_scheme
-from asmfit.search import FitConfig
+from asmfit.search import FitConfig, config_for_mode
 from asmfit.shape_model import Shape
 from asmfit.svm import LinearSvmModel, SvmTrainConfig
 from asmfit.synthetic import generate_face_dataset
@@ -330,7 +329,7 @@ def test_bundle_rejects_future_version(saved_bundle, tmp_path):
         load_bundle(bad)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
 def test_bundle_rejects_previous_version(saved_bundle, tmp_path, version):
     _, path = saved_bundle
     data = bytearray(path.read_bytes()[:-4])
@@ -342,11 +341,12 @@ def test_bundle_rejects_previous_version(saved_bundle, tmp_path, version):
 
 
 @pytest.mark.parametrize("drop, extra", [("canny_high", None), (None, "svm_gate"),
-                                         (None, "profile_norm"), ("c", "legacy")])
+                                         (None, "profile_norm"), (None, "profile_lengths"),
+                                         ("c", "legacy")])
 def test_bundle_rejects_fit_config_key_set(saved_bundle, tmp_path, drop, extra):
     """A stored fit config must hold exactly FitConfig's fields: a missing
     key, an extra one (svm_gate is a version-3 field, profile_norm a
-    version-4 one) or both is corruption."""
+    version-4 one, profile_lengths a version-6 one) or both is corruption."""
     bundle, _ = saved_bundle
     cfg = bundle.fit_defaults
     fields = [(f.name, f.type, dataclasses.field(default=getattr(cfg, f.name)))
@@ -361,13 +361,23 @@ def test_bundle_rejects_fit_config_key_set(saved_bundle, tmp_path, drop, extra):
 
 
 @pytest.mark.parametrize("name, value", [("search_radius", 3.0), ("max_iters_per_level", 20.0),
-                                         ("canny_low", "x"), ("profile_lengths", (3.0, 7.0, 15.0)),
-                                         ("canny_low", 200.0)])
+                                         ("canny_low", "x"), ("canny_low", 200.0)])
 def test_bundle_rejects_mistyped_fit_defaults(saved_bundle, tmp_path, name, value):
     bundle, _ = saved_bundle
     path = tmp_path / "mistyped.asmb"
     save_bundle(with_fit_default(bundle, name, value), path)
     with pytest.raises(BundleCorruptionError, match=f"{name} must be"):
+        load_bundle(path)
+
+
+def test_bundle_rejects_mistyped_profile_sizes(saved_bundle, tmp_path):
+    """The trained sizes are the bundle's one record of each level's profile
+    size; sizes that are not integers are corruption."""
+    bundle, _ = saved_bundle
+    path = tmp_path / "mistyped.asmb"
+    sizes = tuple(float(size) for size in bundle.asm_profiles.sizes)
+    save_bundle(planted(bundle, asm_profiles=planted(bundle.asm_profiles, sizes=sizes)), path)
+    with pytest.raises(BundleCorruptionError, match="profile sizes must be integers"):
         load_bundle(path)
 
 
@@ -441,22 +451,40 @@ def test_format_doc_matches_bundle_version_and_fit_config():
     assert re.findall(r"`(\w+)`", keys.group(1)) == [f.name for f in dataclasses.fields(FitConfig)]
 
 
-def test_bundle_fit_defaults_must_name_asm_svm(trained):
-    bundle, _, _ = trained
-    classic = dataclasses.replace(bundle.fit_defaults, mode="classic")
-    with pytest.raises(ShapeArityError, match="asm_svm"):
-        dataclasses.replace(bundle, fit_defaults=classic)
+def mouth_samples(faces):
+    """The first 6 faces cut to their 12 mouth landmarks."""
+    return [AnnotatedSample(s.name, s.image, Shape(s.shape.points[-12:]))
+            for s in faces[:6]]
+
+
+def test_classic_fit_defaults_round_trip_and_give_each_mode(faces96, tmp_path):
+    """A bundle may store either mode as its default; config_for_mode
+    gives each mode from it. Two levels train the first two default window
+    sides."""
+    bundle, _ = train_bundle(
+        mouth_samples(faces96), single_contour_scheme(12),
+        fit_config=FitConfig(levels=2, mode="classic"),
+        svm_config=SvmTrainConfig(epochs=2), classic_length=5,
+    )
+    assert bundle.asm_profiles.sizes == (3, 7)
+    path = tmp_path / "classic.asmb"
+    save_bundle(bundle, path)
+    loaded = load_bundle(path)
+    assert loaded.fit_defaults == bundle.fit_defaults == FitConfig(levels=2, mode="classic")
+    assert config_for_mode(loaded, "classic") == loaded.fit_defaults
+    assert config_for_mode(loaded, "asm_svm") == FitConfig(levels=2)
+    again = tmp_path / "again.asmb"
+    save_bundle(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 @pytest.fixture(scope="module")
 def small_bundle_bytes(faces96, tmp_path_factory):
     # The 12 mouth landmarks on two levels keep a load near two
     # milliseconds, so the fuzz below stays fast.
-    samples = [AnnotatedSample(s.name, s.image, Shape(s.shape.points[-12:]))
-               for s in faces96[:6]]
     bundle, _ = train_bundle(
-        samples, single_contour_scheme(12),
-        fit_config=FitConfig(levels=2, profile_lengths=(3, 5)),
+        mouth_samples(faces96), single_contour_scheme(12),
+        fit_config=FitConfig(levels=2), profile_lengths=(3, 5),
         svm_config=SvmTrainConfig(epochs=2), classic_length=5,
     )
     path = tmp_path_factory.mktemp("small") / "small.asmb"
@@ -579,11 +607,9 @@ def test_bundle_rejects_mistyped_scheme_group(small_bundle_bytes, tmp_path, grou
 
 def test_bundle_round_trips_numpy_integer_settings(faces96, tmp_path):
     """numpy integer settings save, and load back as Python ints."""
-    samples = [AnnotatedSample(s.name, s.image, Shape(s.shape.points[-12:]))
-               for s in faces96[:6]]
     bundle, _ = train_bundle(
-        samples, single_contour_scheme(np.int64(12)),
-        fit_config=FitConfig(levels=2, profile_lengths=(3, 5), search_radius=np.int64(3)),
+        mouth_samples(faces96), single_contour_scheme(np.int64(12)),
+        fit_config=FitConfig(levels=2, search_radius=np.int64(3)), profile_lengths=(3, 5),
         svm_config=SvmTrainConfig(epochs=2), classic_length=5, seed=np.int64(3),
     )
     path = tmp_path / "int64.asmb"

@@ -75,7 +75,7 @@ def tiny_bundle(faces96):
                for s in faces96[:3]]
     bundle, _ = train_bundle(
         samples, single_contour_scheme(6),
-        fit_config=FitConfig(levels=2, profile_lengths=(3, 5)),
+        fit_config=FitConfig(levels=2), profile_lengths=(3, 5),
         svm_config=SvmTrainConfig(epochs=1), classic_length=3,
     )
     return bundle

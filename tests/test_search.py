@@ -54,17 +54,19 @@ import reference_search
 
 
 def two_d_config(**overrides):
-    base = dict(levels=1, profile_lengths=(5,), search_radius=2)
+    base = dict(levels=1, search_radius=2)
     base.update(overrides)
     return FitConfig(**base)
 
 
-def make_context(magnitude, stats, raw=None, edge_map=None, svms=None, scheme=None):
-    """2-D context from per-landmark stats and SVMs, stacked as a bundle
-    holds them; no edge map means no edge weighting, no SVMs no gate."""
+def make_context(magnitude, stats, raw=None, edge_map=None, svms=None, scheme=None, size=5):
+    """2-D context of size x size windows from per-landmark stats and SVMs,
+    stacked as a bundle holds them; no edge map means no edge weighting, no
+    SVMs no gate."""
     if raw is None:
         raw = GrayImage(np.zeros(magnitude.shape))
-    return LevelContext(raw=raw, magnitude=magnitude, edge_map=edge_map, stats=stacked_stats(stats),
+    return LevelContext(size=size, raw=raw, magnitude=magnitude, edge_map=edge_map,
+                        stats=stacked_stats(stats),
                         svms=None if svms is None else stacked_svms(svms), scheme=scheme)
 
 
@@ -81,11 +83,7 @@ def stats_around(feature, rng, spread=1e-3, rows=6):
 
 def test_fit_config_validation():
     with pytest.raises(ShapeArityError):
-        FitConfig(levels=0, profile_lengths=())
-    with pytest.raises(ShapeArityError):
-        FitConfig(levels=2, profile_lengths=(3,))
-    with pytest.raises(ShapeArityError):
-        FitConfig(levels=1, profile_lengths=(4,))
+        FitConfig(levels=0)
     with pytest.raises(ShapeArityError):
         FitConfig(search_radius=0)
     with pytest.raises(ShapeArityError):
@@ -105,8 +103,7 @@ def test_fit_config_validation():
 @pytest.mark.parametrize("name, value", [
     ("levels", True), ("levels", 3.0), ("search_radius", 3.0), ("max_iters_per_level", 20.0),
     ("max_iters_per_level", False), ("convergence", "0.9"), ("c", None), ("canny_low", "x"),
-    ("canny_high", [150.0]), ("profile_lengths", (3.9, 7.2, "15")),
-    ("profile_lengths", (3, True, 15)),
+    ("canny_high", [150.0]),
 ])
 def test_fit_config_rejects_mistyped_values(name, value):
     with pytest.raises(ShapeArityError, match=f"{name} must be"):
@@ -218,7 +215,7 @@ def test_search_moves_to_planted_pattern():
     st = stats_around(window_feature(mag, (20.0, 12.0)), rng)
     ctx = make_context(mag, (st, st, st))
     shape = Shape(np.array([[18.0, 12.0], [5.0, 5.0], [26.0, 26.0]]))
-    moved, costs = search_landmarks(ctx, shape, two_d_config(), 0)
+    moved, costs = search_landmarks(ctx, shape, two_d_config())
     assert tuple(moved.points[0]) == (20.0, 12.0)
     assert np.max(np.abs(moved.points - shape.points)) <= 2.0
     assert costs.shape == (3,)
@@ -230,7 +227,7 @@ def test_search_tie_breaks_toward_nearest_integer():
     st = stats_from_matrix(rng.normal(0.3, 0.05, (8, 25)))
     ctx = make_context(mag, (st, st, st))
     shape = Shape(np.array([[10.3, 7.6], [4.4, 4.3], [16.7, 18.2]]))
-    moved, _ = search_landmarks(ctx, shape, two_d_config(), 0)
+    moved, _ = search_landmarks(ctx, shape, two_d_config())
     assert np.array_equal(moved.points, np.rint(shape.points))
 
 
@@ -240,7 +237,7 @@ def test_search_integer_position_is_stationary_on_flat_costs():
     st = stats_from_matrix(rng.normal(0.3, 0.05, (8, 25)))
     ctx = make_context(mag, (st, st, st))
     shape = Shape(np.array([[10.0, 7.0], [4.0, 4.0], [16.0, 18.0]]))
-    moved, _ = search_landmarks(ctx, shape, two_d_config(), 0)
+    moved, _ = search_landmarks(ctx, shape, two_d_config())
     assert np.array_equal(moved.points, shape.points)
 
 
@@ -254,7 +251,7 @@ def test_search_edge_weighting_attracts_to_edges():
     edge_map[9, 12] = 1
     ctx = make_context(mag, (st, st, st), edge_map=edge_map)
     shape = Shape(np.array([[10.0, 7.0], [4.0, 4.0], [16.0, 18.0]]))
-    moved, _ = search_landmarks(ctx, shape, two_d_config(), 0)
+    moved, _ = search_landmarks(ctx, shape, two_d_config())
     assert tuple(moved.points[0]) == (12.0, 9.0)
 
 
@@ -268,7 +265,7 @@ def test_search_gate_overrides_cost_ranking():
     st = stats_around(window_feature(mag, decoy), rng)
     ctx_plain = make_context(mag, (st, st, st))
     shape = Shape(np.vstack([start, [4.0, 4.0], [26.0, 26.0]]))
-    ungated, _ = search_landmarks(ctx_plain, shape, two_d_config(), 0)
+    ungated, _ = search_landmarks(ctx_plain, shape, two_d_config())
     assert tuple(ungated.points[0]) == decoy
 
     # linear gate fires only on the target window: accepted set is a
@@ -285,7 +282,7 @@ def test_search_gate_overrides_cost_ranking():
     assert scores[t_idx] + bias > 0 > others.max() + bias
     gate = LinearSvmModel(w, float(bias))
     ctx_gated = make_context(mag, (st, st, st), svms=(gate, gate, gate))
-    gated, _ = search_landmarks(ctx_gated, shape, two_d_config(), 0)
+    gated, _ = search_landmarks(ctx_gated, shape, two_d_config())
     assert tuple(gated.points[0]) == target
 
 
@@ -297,7 +294,7 @@ def test_search_gate_falls_back_when_nothing_passes():
     reject_all = LinearSvmModel(np.zeros(25), -1.0)
     ctx = make_context(mag, (st, st, st), svms=(reject_all,) * 3)
     shape = Shape(np.array([[10.0, 12.0], [4.0, 4.0], [26.0, 26.0]]))
-    moved, _ = search_landmarks(ctx, shape, two_d_config(), 0)
+    moved, _ = search_landmarks(ctx, shape, two_d_config())
     assert tuple(moved.points[0]) == decoy
 
 
@@ -312,10 +309,10 @@ def test_search_one_d_follows_contour_normal():
                                     np.array([[-1.0, 0.0]]), 5)[0]
     rng = np.random.default_rng(8)
     st_edge = stats_around(trained_row, rng)
-    cfg = FitConfig(levels=1, profile_lengths=(5,), search_radius=3, mode="classic")
-    ctx = LevelContext(raw=img, magnitude=None, edge_map=None,
+    cfg = FitConfig(levels=1, search_radius=3, mode="classic")
+    ctx = LevelContext(size=5, raw=img, magnitude=None, edge_map=None,
                        stats=stacked_stats((st_edge,) * 3), svms=None, scheme=None)
-    moved, _ = search_landmarks(ctx, shape, cfg, 0)
+    moved, _ = search_landmarks(ctx, shape, cfg)
     assert tuple(moved.points[1]) == (11.0, 16.0)
 
 
@@ -327,7 +324,7 @@ def test_search_respects_radius_property():
         ctx = make_context(mag, (st, st, st))
         pts = rng.uniform(6.0, 24.0, (3, 2))
         r = int(rng.integers(1, 4))
-        moved, _ = search_landmarks(ctx, Shape(pts), two_d_config(search_radius=r), 0)
+        moved, _ = search_landmarks(ctx, Shape(pts), two_d_config(search_radius=r))
         assert np.max(np.abs(moved.points - pts)) <= r + 1e-9
         assert np.array_equal(moved.points, np.rint(moved.points))
 
@@ -361,7 +358,7 @@ def oracle_context(rng, kind, size, k, hw=(40, 52), tie_image=False, gate=True, 
         tie_row = np.full(d, 1.0 / d) if kind == "two_d" else np.zeros(d)
         stats = ProfileStats(np.tile(tie_row, (k, 1)), basis=stats.basis, lam=stats.lam,
                              rho=stats.rho)
-    return LevelContext(raw=GrayImage(raw), magnitude=mag if kind == "two_d" else None,
+    return LevelContext(size=size, raw=GrayImage(raw), magnitude=mag if kind == "two_d" else None,
                         edge_map=edge_map if edges else None, stats=stats,
                         svms=svms if gate else None, scheme=None)
 
@@ -383,15 +380,15 @@ def test_search_matches_score_gate_lexsort_oracle(seed, kind, gate, edges, tie_i
     """Winners equal the oracle's; costs agree to rtol 1e-12, gate fallbacks and ties included."""
     rng = np.random.default_rng(seed + 10 * tie_image)
     k, size = 12, 7
-    cfg = FitConfig(levels=1, profile_lengths=(size,), search_radius=3)
+    cfg = FitConfig(levels=1, search_radius=3)
     for trial in range(4):
         ctx = oracle_context(rng, kind, size, k, tie_image=tie_image, gate=gate, edges=edges)
         # inside, fractional and integer, and across every border
         pts = rng.uniform((-4.0, -4.0), (56.0, 44.0), (k, 2))
         pts[::3] = np.rint(pts[::3])
         shape = Shape(pts)
-        got, got_costs = search_landmarks(ctx, shape, cfg, 0)
-        want, want_costs = reference_search.search_landmarks(ctx, shape, cfg, 0)
+        got, got_costs = search_landmarks(ctx, shape, cfg)
+        want, want_costs = reference_search.search_landmarks(ctx, shape, cfg)
         assert np.array_equal(got.points, want.points)
         np.testing.assert_allclose(got_costs, want_costs, rtol=1e-12, atol=0)
 
@@ -410,12 +407,12 @@ def test_oracle_contexts_plant_fallbacks_and_ties():
     assert all(len(np.unique(row[valid[j]])) == 1 for j, row in enumerate(costs))
 
 
-def in_radius_features(ctx, shape, size, radius=3):
+def in_radius_features(ctx, shape, radius=3):
     """_candidate_features of every in-radius candidate, with the (k, m)
     grid (cx, cy) and its in-radius mask."""
     cx, cy, valid, _ = _candidate_grid(shape.points, radius)
     centers = np.stack([cx[valid], cy[valid]], axis=1)
-    return _candidate_features(ctx, shape, size, centers, np.nonzero(valid)[0]), cx, cy, valid
+    return _candidate_features(ctx, shape, centers, np.nonzero(valid)[0]), cx, cy, valid
 
 
 @pytest.mark.parametrize("size", [3, 7, 15])
@@ -430,7 +427,7 @@ def test_one_d_candidate_features_match_inline_oracle(size):
         pts = rng.uniform((-4.0, -4.0), (56.0, 44.0), (12, 2))
         pts[::3] = np.rint(pts[::3])
         shape = Shape(pts)
-        got, cx, cy, valid = in_radius_features(ctx, shape, size)
+        got, cx, cy, valid = in_radius_features(ctx, shape)
         want = reference_search.profiles_1d(ctx, shape, size, cx, cy)
         assert want.shape == (12, 49, size)
         assert got.shape == (np.count_nonzero(valid), size)
@@ -451,7 +448,7 @@ def test_two_d_candidate_features_match_oracle_gather(size):
         pts = rng.uniform((-4.0, -4.0), (56.0, 44.0), (12, 2))
         pts[::3] = np.rint(pts[::3])
         shape = Shape(pts)
-        got, cx, cy, valid = in_radius_features(ctx, shape, size)
+        got, cx, cy, valid = in_radius_features(ctx, shape)
         want = reference_search.candidate_features(ctx, shape, size, cx, cy)
         assert got.shape == (np.count_nonzero(valid), size * size)
         assert got.tobytes() == want[valid].tobytes()
@@ -486,7 +483,7 @@ def test_gate_sees_in_radius_rows_and_search_equals_oracle(kind, monkeypatch):
     monkeypatch.setattr(search, "decision_values", recording)
     rng = np.random.default_rng(60)
     k, size = 12, 7
-    cfg = FitConfig(levels=1, profile_lengths=(size,), search_radius=3)
+    cfg = FitConfig(levels=1, search_radius=3)
     for trial in range(4):
         ctx = oracle_context(rng, kind, size, k)
         ctx = dataclasses.replace(ctx, stats=axis_stats(ctx.stats))
@@ -495,7 +492,7 @@ def test_gate_sees_in_radius_rows_and_search_equals_oracle(kind, monkeypatch):
         pts[1] = (0.5, 43.5)
         shape = Shape(pts)
         calls.clear()
-        got, got_costs = search_landmarks(ctx, shape, cfg, 0)
+        got, got_costs = search_landmarks(ctx, shape, cfg)
         cx, cy, valid, _ = _candidate_grid(pts, 3)
         want_rows = reference_search.candidate_features(ctx, shape, size, cx, cy)
         assert len(calls) == 1
@@ -504,7 +501,7 @@ def test_gate_sees_in_radius_rows_and_search_equals_oracle(kind, monkeypatch):
         for j in range(k):
             assert np.count_nonzero(owner == j) == (49 if j % 2 == 0 else 36)
             assert rows[owner == j].tobytes() == want_rows[j][valid[j]].tobytes()
-        want, want_costs = reference_search.search_landmarks(ctx, shape, cfg, 0)
+        want, want_costs = reference_search.search_landmarks(ctx, shape, cfg)
         assert got.points.tobytes() == want.points.tobytes()
         assert got_costs.tobytes() == want_costs.tobytes()
 
@@ -515,7 +512,7 @@ def test_search_checks_stats_arity():
     ctx = make_context(mag, (st, st))
     shape = Shape(np.array([[10.0, 7.0], [4.0, 4.0], [16.0, 18.0]]))
     with pytest.raises(DimensionMismatchError):
-        search_landmarks(ctx, shape, two_d_config(), 0)
+        search_landmarks(ctx, shape, two_d_config())
 
 
 @pytest.mark.parametrize("rows", [2, 4])
@@ -530,7 +527,7 @@ def test_search_checks_svm_stack_size(rows, monkeypatch):
     monkeypatch.setattr(search, "_candidate_features", lambda *args: built.append(args))
     shape = Shape(np.array([[10.5, 7.5], [4.5, 4.5], [16.5, 18.5]]))
     with pytest.raises(DimensionMismatchError):
-        search_landmarks(ctx, shape, two_d_config(), 0)
+        search_landmarks(ctx, shape, two_d_config())
     assert built == []
 
 
@@ -586,7 +583,7 @@ def test_stacked_pass_equals_per_landmark_pass(kind, gate, edges, monkeypatch):
     byte for byte, and with axis statistics the points equal the oracle's."""
     rng = np.random.default_rng(70 + 10 * STACKED_CASES.index((kind, gate, edges)))
     k, size = 12, 7
-    cfg = FitConfig(levels=1, profile_lengths=(size,), search_radius=3)
+    cfg = FitConfig(levels=1, search_radius=3)
     for trial in range(4):
         ctx = oracle_context(rng, kind, size, k, gate=gate is not None, edges=edges,
                              tie_image=trial == 3)
@@ -601,12 +598,12 @@ def test_stacked_pass_equals_per_landmark_pass(kind, gate, edges, monkeypatch):
         shape = Shape(fractional_points(rng, k))
         with monkeypatch.context() as patch:
             calls = recorded(patch)
-            got, got_costs = search_landmarks(ctx, shape, cfg, 0)
+            got, got_costs = search_landmarks(ctx, shape, cfg)
         d = size * size if kind == "two_d" else size
         equal = (tuple(np.repeat(np.arange(k), 36).tolist()), (k * 36, d))
         assert calls["gate"] == ([] if gate is None else [equal])
         if gate == "mixed":
-            rows, *_ = in_radius_features(ctx, shape, size)
+            rows, *_ = in_radius_features(ctx, shape)
             accepted = decision_values(ctx.svms, rows, np.repeat(np.arange(k), 36)) >= 0
             accepted = accepted.reshape(k, 36)
             owner = np.nonzero(accepted | ~accepted.any(axis=1, keepdims=True))[0]
@@ -615,15 +612,15 @@ def test_stacked_pass_equals_per_landmark_pass(kind, gate, edges, monkeypatch):
             assert calls["cost"] == [equal]
         with monkeypatch.context() as patch:
             one_by_one(patch)
-            want, want_costs = search_landmarks(ctx, shape, cfg, 0)
+            want, want_costs = search_landmarks(ctx, shape, cfg)
         assert got.points.tobytes() == want.points.tobytes()
         assert got_costs.tobytes() == want_costs.tobytes()
         # The oracle scores all 49 rows of a landmark and the search only its
         # gated in-radius ones; with axis statistics a row's cost has the same
         # bits on every BLAS kernel either way.
         exact = dataclasses.replace(ctx, stats=axis_stats(ctx.stats))
-        oracle, _ = reference_search.search_landmarks(exact, shape, cfg, 0)
-        assert (search_landmarks(exact, shape, cfg, 0)[0].points.tobytes()
+        oracle, _ = reference_search.search_landmarks(exact, shape, cfg)
+        assert (search_landmarks(exact, shape, cfg)[0].points.tobytes()
                 == oracle.points.tobytes())
         if gate == "mixed":
             assert not accepted[0].any()
@@ -638,7 +635,7 @@ def test_equal_counts_stack_and_mixed_counts_do_not(monkeypatch):
     counts differ, and each runs as one matmul per block."""
     rng = np.random.default_rng(90)
     k, size = 12, 7
-    cfg = FitConfig(levels=1, profile_lengths=(size,), search_radius=3)
+    cfg = FitConfig(levels=1, search_radius=3)
     ctx = oracle_context(rng, "two_d", size, k)
     ctx = dataclasses.replace(ctx, svms=LinearSvmModel(ctx.svms.weights, np.full(k, 1e9)))
     widths = (size * size, size * size, ctx.stats.rank)  # the gate's product, then the cost's two
@@ -649,7 +646,7 @@ def test_equal_counts_stack_and_mixed_counts_do_not(monkeypatch):
         calls["gate"].clear()
         calls["cost"].clear()
         with matmul_operands() as products:
-            search_landmarks(ctx, Shape(pts), cfg, 0)
+            search_landmarks(ctx, Shape(pts), cfg)
         owner = np.repeat(np.arange(k), counts)
         one_owner_call = [(tuple(owner.tolist()), (len(owner), size * size))]
         assert calls == {"gate": one_owner_call, "cost": one_owner_call}
@@ -697,8 +694,7 @@ def test_fit_zero_iterations_returns_regularized_init(trained):
     bundle, _, faces = trained
     sample = faces[6]
     base = config_for_mode(bundle, "asm_svm")
-    cfg = FitConfig(levels=base.levels, profile_lengths=base.profile_lengths,
-                    max_iters_per_level=0)
+    cfg = FitConfig(levels=base.levels, max_iters_per_level=0)
     pyr = build_pyramid(sample.image, cfg.levels)
     init = init_shape_from_box(bundle.shape_model, truth_box(sample.shape, 0.10))
     res = fit(pyr, bundle, init, cfg)
@@ -743,7 +739,7 @@ def test_fit_rejects_more_levels_than_the_bundle_holds(trained, mode, monkeypatc
     """A config deeper than the bundle fails before any work is done."""
     bundle, _, faces = trained
     sample = faces[6]
-    cfg = FitConfig(levels=4, profile_lengths=(3, 7, 15, 15), mode=mode)
+    cfg = FitConfig(levels=4, mode=mode)
     pyr = build_pyramid(sample.image, cfg.levels)
     init = init_shape_from_box(bundle.shape_model, truth_box(sample.shape, 0.10))
     monkeypatch.setattr(search, "fit_params", None)
@@ -775,13 +771,33 @@ def test_fit_rejects_init_mostly_off_the_image(trained):
 
 def test_config_for_mode(trained):
     bundle, _, _ = trained
-    assert config_for_mode(bundle, "asm_svm") is bundle.fit_defaults
+    assert config_for_mode(bundle, "asm_svm") == bundle.fit_defaults
     assert bundle.fit_defaults.mode == "asm_svm"
     classic = config_for_mode(bundle, "classic")
-    assert classic == dataclasses.replace(bundle.fit_defaults, mode="classic",
-                                          profile_lengths=bundle.classic_profiles.sizes)
+    assert classic == dataclasses.replace(bundle.fit_defaults, mode="classic")
     with pytest.raises(ShapeArityError):
         config_for_mode(bundle, "hybrid")
+
+
+@pytest.mark.parametrize("mode, sizes", [("asm_svm", [7, 3]), ("classic", [15, 15])],
+                         ids=["asm_svm", "classic"])
+def test_fewer_levels_read_their_sizes_from_the_bundle(trained, monkeypatch, mode, sizes):
+    """A 2-level fit of the 3-level bundle searches its two finest levels,
+    coarse to fine, each with the profile size trained there."""
+    bundle, _, faces = trained
+    sample = faces[6]
+    seen = []
+
+    def recording(*args):
+        ctx = build_level_context(*args)
+        seen.append(ctx.size)
+        return ctx
+
+    monkeypatch.setattr(search, "build_level_context", recording)
+    init = init_shape_from_box(bundle.shape_model, truth_box(sample.shape, 0.10))
+    result = fit(build_pyramid(sample.image, 2), bundle, init, FitConfig(levels=2, mode=mode))
+    assert seen == sizes
+    assert len(result.iterations) == 2 and np.isfinite(result.shape.points).all()
 
 
 def test_classic_context_computes_no_equalization_sobel_or_canny(trained, monkeypatch):
@@ -798,6 +814,7 @@ def test_classic_context_computes_no_equalization_sobel_or_canny(trained, monkey
         monkeypatch.setattr(search, name, refuse)
     for level in range(cfg.levels):
         ctx = build_level_context(bundle, pyr.levels[level], level, cfg)
+        assert ctx.size == bundle.classic_profiles.sizes[level]
         assert ctx.raw is pyr.levels[level]
         assert ctx.magnitude is None and ctx.edge_map is None and ctx.svms is None
         assert ctx.stats == bundle.classic_profiles.stats[level]
@@ -815,6 +832,7 @@ def test_asm_svm_context_holds_gradients_edges_and_svms(trained):
     for level in range(cfg.levels):
         image = pyr.levels[level]
         ctx = build_level_context(bundle, image, level, cfg)
+        assert ctx.size == bundle.asm_profiles.sizes[level]
         equalized = equalize_histogram(image)
         assert ctx.raw is image
         assert np.array_equal(ctx.magnitude, sobel_gradients(equalized).magnitude)

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from asmfit import svm, training
 from asmfit.dataset_io import AnnotatedSample, save_bundle
 from asmfit.errors import InsufficientDataError, ShapeArityError
 from asmfit.imaging import GrayImage, build_pyramid, equalize_histogram, sobel_gradients
+from asmfit.profiles import stats_from_matrix
 from asmfit.scheme import DEFAULT_SCHEME
 from asmfit.search import FitConfig
 from asmfit.shape_model import Shape
 from asmfit.synthetic import generate_face_dataset
 from asmfit.svm import LinearSvmModel, SvmTrainConfig, _ring_offsets, decision_values
-from asmfit.training import _seed_for, train_bundle
+from asmfit.training import _fold, _seed_for, train_bundle
+from conftest import PROPERTY
 from reference_profiles import level_window_stats
 from reference_svm import (
     build_landmark_training_set_reference,
@@ -79,17 +83,32 @@ def test_training_requires_two_samples(faces96):
         train_bundle(faces96[:1], DEFAULT_SCHEME)
 
 
-def test_classic_fit_config_fails_before_training(faces96, monkeypatch):
+PROFILE_LENGTH_CASES = {
+    "non-integers": ((3.9, 7.2, "15"), "profile_lengths must be integers"),
+    "bool": ((3, True, 15), "profile_lengths must be integers"),
+    "even": ((3, 8, 15), "profile_lengths must be odd"),
+    "one-short": ((3, 7), "profile_lengths needs one entry per level, got 2 for 3"),
+    "default-short": (None, "profile_lengths needs one entry per level, got 3 for 4"),
+}
+
+
+@pytest.mark.parametrize("case", PROFILE_LENGTH_CASES)
+def test_mistyped_profile_lengths_fail_before_training(faces96, monkeypatch, case):
+    """profile_lengths needs one odd integer >= 3 per level; the default
+    (3, 7, 15) covers at most three levels."""
     def started(*args, **kwargs):
         raise AssertionError("training started")
 
     monkeypatch.setattr("asmfit.training.gpa_align", started)
     monkeypatch.setattr("asmfit.training.build_pyramid", started)
-    with pytest.raises(ShapeArityError, match="asm_svm"):
-        train_bundle(faces96[:3], DEFAULT_SCHEME, fit_config=FitConfig(mode="classic"))
-    # the patch is live: an asm_svm training reaches it
+    lengths, message = PROFILE_LENGTH_CASES[case]
+    levels = 4 if case == "default-short" else 3
+    with pytest.raises(ShapeArityError, match=message):
+        train_bundle(faces96[:3], DEFAULT_SCHEME, fit_config=FitConfig(levels=levels),
+                     profile_lengths=lengths)
+    # the patch is live: well-formed lengths reach it
     with pytest.raises(AssertionError, match="training started"):
-        train_bundle(faces96[:3], DEFAULT_SCHEME)
+        train_bundle(faces96[:3], DEFAULT_SCHEME, profile_lengths=(3, 5, 9))
 
 
 def test_train_meta_records_settings(trained):
@@ -109,10 +128,9 @@ def level_training_set(samples, landmark, level, seed, levels=3):
         raw = build_pyramid(sample.image, levels).levels[level]
         dataset.append((sobel_gradients(equalize_histogram(raw)).magnitude,
                         sample.shape.points / 2.0**level))
-    cfg = FitConfig()
     return build_landmark_training_set_reference(
         dataset, landmark, level, seed=_seed_for(seed, level, landmark, 0),
-        size=cfg.profile_lengths[level],
+        size=(3, 7, 15)[level],
     )
 
 
@@ -194,6 +212,34 @@ def test_stack_plan_leaves_bundle_bytes_unchanged(faces96, monkeypatch, tmp_path
     data = (tmp_path / "default.asmb").read_bytes()
     assert (tmp_path / "single.asmb").read_bytes() == data
     assert (tmp_path / "all.asmb").read_bytes() == data
+
+
+@PROPERTY
+@given(images=st.integers(1, 19).map(lambda half: 2 * half + 1), d=st.sampled_from([9, 49, 225]),
+       k=st.integers(2, 9), seed=st.integers(0, 2**32 - 1))
+def test_stacked_statistics_and_fold_equal_per_landmark_calls(images, d, k, seed):
+    """A stack of k landmarks' positive windows gives each landmark the
+    statistics of its own call, and a stacked SVM folds to each landmark's
+    own fold, byte for byte; the own calls take copies, so their rows start
+    on fresh allocations. With an odd image count and an odd window dim,
+    every other landmark's rows in a stack start 8 bytes off a 16-byte
+    boundary. With images <= d the statistics take the SVD path, otherwise
+    the covariance."""
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(0.0, 0.05, (k, images, d))
+    stack = stats_from_matrix(rows)
+    model = LinearSvmModel(rng.normal(0.0, 1.0, (k, d)), rng.normal(0.0, 1.0, k))
+    mean = rng.uniform(0.0, 0.05, (k, d))
+    std = rng.uniform(0.01, 0.05, (k, d))
+    weights, biases = _fold(model, mean, std)
+    for j in range(k):
+        want = stats_from_matrix(rows[j].copy())
+        for name in ("mean", "basis", "lam", "rho"):
+            assert getattr(stack, name)[j].tobytes() == np.asarray(getattr(want, name)).tobytes()
+        w, b = _fold(LinearSvmModel(model.weights[j].copy(), model.bias[j]), mean[j].copy(),
+                     std[j].copy())
+        assert weights[j].tobytes() == w.tobytes()
+        assert biases[j].tobytes() == np.float64(b).tobytes()
 
 
 def test_one_class_landmark_names_landmark_and_level(faces96, monkeypatch):
