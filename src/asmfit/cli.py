@@ -23,7 +23,7 @@ from .imaging import GrayImage, build_pyramid
 from .scheme import DEFAULT_SCHEME, LandmarkScheme
 from .search import FitConfig, config_for_mode, fit, init_shape_from_box
 from .svm import SvmTrainConfig
-from .training import train_bundle
+from .training import check_train_settings, train_bundle
 
 # Config keys passed unchanged to FitConfig and to train_bundle; the config's
 # classic_profile_length is train_bundle's classic_length.
@@ -47,7 +47,7 @@ def load_train_settings(path):
     """Training settings from a JSON file merged over defaults.
 
     A file that is not a JSON object of known keys with usable values
-    raises DatasetError naming the file.
+    raises DatasetError naming the file, before any training image is read.
     """
     if path is None:
         return _train_settings({})
@@ -70,8 +70,9 @@ def load_train_settings(path):
 
 
 def _train_settings(raw):
-    """The scheme and train_bundle's keyword arguments from a config's keys;
-    absent keys take the constructors' defaults."""
+    """The scheme and train_bundle's keyword arguments from a config's keys,
+    checked as train_bundle checks them; absent keys take the constructors'
+    defaults."""
     scheme = DEFAULT_SCHEME
     if "scheme" in raw:
         scheme = LandmarkScheme.from_jsonable(raw["scheme"])
@@ -79,12 +80,10 @@ def _train_settings(raw):
     settings = {key: raw[key] for key in _TRAIN_KEYS if key in raw}
     if "classic_profile_length" in raw:
         settings["classic_length"] = raw["classic_profile_length"]
-    return {
-        "scheme": scheme,
-        "fit_config": FitConfig(**fit_raw),
-        "svm_config": SvmTrainConfig(**raw.get("svm", {})),
-        **settings,
-    }
+    settings["fit_config"] = FitConfig(**fit_raw)
+    settings["svm_config"] = SvmTrainConfig(**raw.get("svm", {}))
+    check_train_settings(**settings)
+    return {"scheme": scheme, **settings}
 
 
 def cmd_train(args) -> int:

@@ -14,10 +14,10 @@ from scipy import ndimage
 
 from .errors import ImageSizeError, ThresholdError
 
-SOBEL_X = np.array([[-1.0, 0.0, 1.0],
-                    [-2.0, 0.0, 2.0],
-                    [-1.0, 0.0, 1.0]])
-SOBEL_Y = SOBEL_X.T.copy()
+# Quantized gradient directions 1, 2, 3 (45, 90, 135 degrees) start at the
+# first three of these angles in [0, pi]; direction 0 lies below the first
+# and at or past the last, where the count of starts passed is 4.
+_SECTOR_STARTS = np.array([np.pi / 8, 3 * np.pi / 8, 5 * np.pi / 8, 7 * np.pi / 8])
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,10 +93,43 @@ def equalize_histogram(image: GrayImage) -> GrayImage:
 
 
 def _sobel(pixels: np.ndarray):
-    """(gx, gy, magnitude) of the 3x3 Sobel kernels with replicated borders."""
-    gx = ndimage.correlate(pixels, SOBEL_X, mode="nearest")
-    gy = ndimage.correlate(pixels, SOBEL_Y, mode="nearest")
-    return gx, gy, np.sqrt(gx * gx + gy * gy)
+    """(gx, gy, magnitude) of the 3x3 Sobel kernels with replicated borders.
+
+    SOBEL_X is [[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]] and SOBEL_Y its
+    transpose. The result is byte-equal to ndimage.correlate with them,
+    which adds pixel * weight over the nonzero taps in the kernel's C
+    order, starting from 0.0. Here each tap is a slice of the edge-padded
+    image, added or subtracted in that order: every weight is +-1 or +-2,
+    so each product is exact and the sums round alike. Starting from
+    0.0 - p gives a zero the sign that 0.0 + p * -1 gives it.
+    """
+    h, w = pixels.shape
+    padded = np.pad(pixels, 1, mode="edge")
+
+    def tap(row, col):
+        return padded[row:row + h, col:col + w]
+
+    # A new array faults in its pages on first write, so the magnitude's
+    # array holds the doubled taps until its turn, and the spent padded
+    # image holds gy * gy.
+    gx = np.subtract(0.0, tap(0, 0))
+    gy = gx.copy()
+    mag = np.multiply(2.0, tap(1, 0))
+    # SOBEL_X: (0,0) -1, (0,2) +1, (1,0) -2, (1,2) +2, (2,0) -1, (2,2) +1.
+    gx += tap(0, 2)
+    gx -= mag
+    gx += np.multiply(2.0, tap(1, 2), out=mag)
+    gx -= tap(2, 0)
+    gx += tap(2, 2)
+    # SOBEL_Y: (0,0) -1, (0,1) -2, (0,2) -1, (2,0) +1, (2,1) +2, (2,2) +1.
+    gy -= np.multiply(2.0, tap(0, 1), out=mag)
+    gy -= tap(0, 2)
+    gy += tap(2, 0)
+    gy += np.multiply(2.0, tap(2, 1), out=mag)
+    gy += tap(2, 2)
+    np.multiply(gx, gx, out=mag)
+    mag += np.multiply(gy, gy, out=tap(0, 0))
+    return gx, gy, np.sqrt(mag, out=mag)
 
 
 def sobel_gradients(image: GrayImage) -> GradientField:
@@ -119,42 +152,48 @@ def canny_edges(image: GrayImage, low: float = 50.0, high: float = 150.0) -> np.
     Pipeline: 5x5 Gaussian blur (sigma 1.4), Sobel gradients, non-maximum
     suppression along the gradient direction quantized to 4 bins, then
     double-threshold hysteresis where weak pixels survive only in an
-    8-connected component touching a strong pixel.
+    8-connected component touching a strong pixel. A pixel below `low`
+    can never be an edge, so direction and suppression run only on the
+    pixels at or above it.
     """
     if not (0 <= low <= high):
         raise ThresholdError(f"need 0 <= low <= high, got low={low} high={high}")
     smoothed = ndimage.correlate(image.pixels, _gaussian_kernel_5x5(1.4), mode="nearest")
     gx, gy, mag = _sobel(smoothed)
+    h, w = mag.shape
+    cand = np.flatnonzero(mag >= low)
 
     # Quantize direction to 0/45/90/135 degrees. Angles in [-pi, pi]; fold
-    # to [0, pi) since opposite directions share a suppression axis.
-    angle = np.mod(np.arctan2(gy, gx), np.pi)
-    sector = np.zeros(mag.shape, dtype=int)
-    sector[(angle >= np.pi / 8) & (angle < 3 * np.pi / 8)] = 1
-    sector[(angle >= 3 * np.pi / 8) & (angle < 5 * np.pi / 8)] = 2
-    sector[(angle >= 5 * np.pi / 8) & (angle < 7 * np.pi / 8)] = 3
+    # (-pi, 0) to (0, pi) since opposite directions share a suppression
+    # axis. Adding pi there rounds as np.mod(angle, pi) does; elsewhere
+    # adding 0.0 changes nothing but -0.0. Both -0.0 and -pi fold to 0, and
+    # pi lands at or past the last sector start: all direction 0.
+    angle = np.arctan2(gy.take(cand), gx.take(cand))
+    angle += np.pi * (angle < 0)
+    sector = (angle >= _SECTOR_STARTS[0]).view(np.int8)
+    for start in _SECTOR_STARTS[1:]:
+        sector += angle >= start
 
-    # Each sector's neighbors along the gradient axis are slices of the
-    # zero-padded magnitude, at -(dy, dx) ("before", the row-major-earlier
-    # one) and +(dy, dx) ("after"). A ridge of equal magnitudes keeps only
-    # its first pixel (strict > before, >= after).
-    h, w = mag.shape
-    padded = np.pad(mag, 1)
-    keep = np.zeros(mag.shape, dtype=bool)
-    for s, (dy, dx) in enumerate(((0, 1), (1, 1), (1, 0), (1, -1))):
-        before = padded[1 - dy:h + 1 - dy, 1 - dx:w + 1 - dx]
-        after = padded[1 + dy:h + 1 + dy, 1 + dx:w + 1 + dx]
-        keep |= (sector == s) & (mag > before) & (mag >= after)
+    # Each direction's neighbours along the gradient axis sit at a flat
+    # offset (dy, dx) -> dy * (w + 2) + dx of the zero-padded magnitude:
+    # "before" (the row-major-earlier one) at minus it, "after" at plus it.
+    # A ridge of equal magnitudes keeps only its first pixel (strict >
+    # before, >= after).
+    # Candidate i = y * w + x sits at (y + 1) * (w + 2) + x + 1 there.
+    padded = np.pad(mag, 1).ravel()
+    step = np.array([1, w + 3, w + 2, w + 1, 1]).take(sector)
+    at = cand // w * 2 + cand + (w + 3)
+    value = padded.take(at)
+    keep = (value > padded.take(at - step)) & (value >= padded.take(at + step))
+    edges = cand[keep]
 
-    strong = keep & (mag >= high)
-    weak_or_strong = keep & (mag >= low)
-    labels, count = ndimage.label(weak_or_strong, structure=np.ones((3, 3), dtype=int))
-    if count == 0:
-        return np.zeros(mag.shape, dtype=np.uint8)
-    anchored = np.zeros(count + 1, dtype=bool)
-    anchored[np.unique(labels[strong])] = True
-    anchored[0] = False
-    return (anchored[labels]).astype(np.uint8)
+    weak_or_strong = np.zeros(h * w, dtype=bool)
+    weak_or_strong[edges] = True
+    labels, count = ndimage.label(weak_or_strong.reshape(h, w),
+                                  structure=np.ones((3, 3), dtype=int))
+    anchored = np.zeros(count + 1, dtype=np.uint8)
+    anchored[labels.take(edges[value[keep] >= high])] = 1
+    return anchored.take(labels)
 
 
 def build_pyramid(image: GrayImage, levels: int = 3) -> ImagePyramid:

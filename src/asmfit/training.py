@@ -101,6 +101,54 @@ def _joined(parts) -> ProfileStats:
     return ProfileStats(mean, basis=basis, lam=lam, rho=rho)
 
 
+def check_train_settings(
+    fit_config: FitConfig = None,
+    svm_config: SvmTrainConfig = None,
+    variance_fraction: float = 0.975,
+    clamp_alpha: float = 3.0,
+    profile_lengths: tuple = None,
+    classic_length: int = 15,
+    negatives_per_positive: int = 4,
+    offset_range=(2, 8),
+    eps: float = 1e-3,
+    seed: int = 0,
+) -> dict:
+    """train_bundle's settings, checked before any image is read.
+
+    Takes train_bundle's keyword arguments with the same defaults. Returns
+    fit_config and svm_config with their defaults filled in, the asm window
+    sides of every level as "sizes", and variance_fraction, clamp_alpha and
+    eps as floats. Raises ShapeArityError as train_bundle documents.
+    """
+    if fit_config is None:
+        fit_config = FitConfig()
+    levels = fit_config.levels
+    sizes = integer_sizes("profile_lengths",
+                          (3, 7, 15)[:levels] if profile_lengths is None else profile_lengths)
+    if len(sizes) != levels:
+        raise ShapeArityError(f"profile_lengths needs one entry per level, got {len(sizes)} "
+                              f"for {levels}")
+    integer_sizes("classic_length", (classic_length,))
+    negative_ring(offset_range, negatives_per_positive)
+    if negatives_per_positive < 1:
+        raise ShapeArityError(
+            f"negatives_per_positive must be at least 1, got {negatives_per_positive}"
+        )
+    reals = check_numbers(
+        {"seed": seed, "variance_fraction": variance_fraction, "clamp_alpha": clamp_alpha,
+         "eps": eps},
+        integers=("seed",), reals=("variance_fraction", "clamp_alpha", "eps"),
+    )
+    if svm_config is None:
+        svm_config = SvmTrainConfig()
+    if svm_config.seed != SvmTrainConfig.seed:
+        raise ShapeArityError(
+            f"svm_config.seed {svm_config.seed} is unused: every SVM's seed derives from "
+            f"train_bundle's seed, so it must stay {SvmTrainConfig.seed}"
+        )
+    return {"fit_config": fit_config, "svm_config": svm_config, "sizes": sizes, **reals}
+
+
 def train_bundle(
     samples,
     scheme: LandmarkScheme,
@@ -125,36 +173,15 @@ def train_bundle(
     all randomness (negative-window placement, SVM batch order) is derived
     from it, so svm_config.seed must keep its default. Mistyped settings,
     fewer than one negative per positive and any other svm_config.seed
-    raise ShapeArityError before any work.
+    raise ShapeArityError before any work (check_train_settings).
     """
-    if fit_config is None:
-        fit_config = FitConfig()
-    levels = fit_config.levels
-    sizes = integer_sizes("profile_lengths",
-                          (3, 7, 15)[:levels] if profile_lengths is None else profile_lengths)
-    if len(sizes) != levels:
-        raise ShapeArityError(f"profile_lengths needs one entry per level, got {len(sizes)} "
-                              f"for {levels}")
-    integer_sizes("classic_length", (classic_length,))
-    negative_ring(offset_range, negatives_per_positive)
-    if negatives_per_positive < 1:
-        raise ShapeArityError(
-            f"negatives_per_positive must be at least 1, got {negatives_per_positive}"
-        )
-    variance_fraction, clamp_alpha, eps = check_numbers(
-        {"seed": seed, "variance_fraction": variance_fraction, "clamp_alpha": clamp_alpha,
-         "eps": eps},
-        integers=("seed",), reals=("variance_fraction", "clamp_alpha", "eps"),
+    fit_config, svm_config, sizes, variance_fraction, clamp_alpha, eps = check_train_settings(
+        fit_config, svm_config, variance_fraction, clamp_alpha, profile_lengths, classic_length,
+        negatives_per_positive, offset_range, eps, seed,
     ).values()
     if len(samples) < 2:
         raise InsufficientDataError(f"need at least 2 training samples, got {len(samples)}")
-    if svm_config is None:
-        svm_config = SvmTrainConfig()
-    if svm_config.seed != SvmTrainConfig.seed:
-        raise ShapeArityError(
-            f"svm_config.seed {svm_config.seed} is unused: every SVM's seed derives from "
-            f"train_bundle's seed, so it must stay {SvmTrainConfig.seed}"
-        )
+    levels = fit_config.levels
 
     aligned, _ = gpa_align([s.shape for s in samples])
     shape_model = build_shape_model(aligned, variance_fraction, clamp_alpha)

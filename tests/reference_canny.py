@@ -1,15 +1,25 @@
-"""Brute-force loop Canny used as an independent oracle in tests.
+"""Two Canny oracles for the tests.
 
-Same conventions as the library (5x5 Gaussian sigma 1.4, replicated
-borders, Sobel, 4-sector suppression with the first-of-ridge tie rule,
-8-connected transitive hysteresis) but written as explicit per-pixel
-loops with breadth-first hysteresis instead of vectorized numpy.
+`reference_canny` is a brute-force loop Canny: the library's conventions
+(5x5 Gaussian sigma 1.4, replicated borders, Sobel, 4-sector suppression
+with the first-of-ridge tie rule, 8-connected transitive hysteresis)
+written as explicit per-pixel loops with breadth-first hysteresis. Its
+sums round differently, so it agrees with the library only away from
+floating-point ties.
+
+`vectorized_canny` is the library's former whole-image form: Sobel by
+ndimage.correlate, every pixel's direction folded with np.mod, and
+suppression by one masked slice comparison per direction. The library
+must equal it byte for byte.
 """
 
 import math
 from collections import deque
 
 import numpy as np
+from scipy import ndimage
+
+import reference_imaging
 
 SOBEL_X = [[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]]
 SOBEL_Y = [[-1, -2, -1], [0, 0, 0], [1, 2, 1]]
@@ -88,6 +98,39 @@ def reference_canny(pixels, low, high):
                     edges[ny, nx] = 1
                     queue.append((ny, nx))
     return edges
+
+
+def vectorized_canny(pixels, low, high):
+    """Binary Canny edge map (uint8 0/1), computed on every pixel."""
+    ax = np.arange(-2.0, 3.0)
+    xx, yy = np.meshgrid(ax, ax)
+    kernel = np.exp(-(xx * xx + yy * yy) / (2.0 * 1.4 * 1.4))
+    smoothed = ndimage.correlate(pixels, kernel / kernel.sum(), mode="nearest")
+    gx, gy, mag = reference_imaging.sobel(smoothed)
+
+    angle = np.mod(np.arctan2(gy, gx), np.pi)
+    sector = np.zeros(mag.shape, dtype=int)
+    sector[(angle >= np.pi / 8) & (angle < 3 * np.pi / 8)] = 1
+    sector[(angle >= 3 * np.pi / 8) & (angle < 5 * np.pi / 8)] = 2
+    sector[(angle >= 5 * np.pi / 8) & (angle < 7 * np.pi / 8)] = 3
+
+    h, w = mag.shape
+    padded = np.pad(mag, 1)
+    keep = np.zeros(mag.shape, dtype=bool)
+    for s, (dy, dx) in enumerate(((0, 1), (1, 1), (1, 0), (1, -1))):
+        before = padded[1 - dy:h + 1 - dy, 1 - dx:w + 1 - dx]
+        after = padded[1 + dy:h + 1 + dy, 1 + dx:w + 1 + dx]
+        keep |= (sector == s) & (mag > before) & (mag >= after)
+
+    strong = keep & (mag >= high)
+    weak_or_strong = keep & (mag >= low)
+    labels, count = ndimage.label(weak_or_strong, structure=np.ones((3, 3), dtype=int))
+    if count == 0:
+        return np.zeros(mag.shape, dtype=np.uint8)
+    anchored = np.zeros(count + 1, dtype=bool)
+    anchored[np.unique(labels[strong])] = True
+    anchored[0] = False
+    return (anchored[labels]).astype(np.uint8)
 
 
 def ramp_step_fixture(size=16):

@@ -1,4 +1,9 @@
-"""Bilinear sampling with four 2-D gathers, used as an oracle.
+"""Imaging oracles: Sobel by ndimage.correlate, bilinear sampling by four
+2-D gathers.
+
+The library's Sobel adds shifted slices of the edge-padded image in the
+order ndimage.correlate visits the kernel taps. `sobel` keeps the two
+correlate calls it replaces.
 
 The library gathers a sample's four neighbours from the raveled pixels at
 one flat index. This module keeps the form it replaces: both coordinates
@@ -7,6 +12,19 @@ four 2-D fancy indexes. The arithmetic is the library's, in the same order.
 """
 
 import numpy as np
+from scipy import ndimage
+
+SOBEL_X = np.array([[-1.0, 0.0, 1.0],
+                    [-2.0, 0.0, 2.0],
+                    [-1.0, 0.0, 1.0]])
+SOBEL_Y = SOBEL_X.T.copy()
+
+
+def sobel(pixels):
+    """(gx, gy, magnitude) of the 3x3 Sobel kernels with replicated borders."""
+    gx = ndimage.correlate(pixels, SOBEL_X, mode="nearest")
+    gy = ndimage.correlate(pixels, SOBEL_Y, mode="nearest")
+    return gx, gy, np.sqrt(gx * gx + gy * gy)
 
 
 def sample_bilinear(image, x, y):

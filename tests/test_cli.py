@@ -201,6 +201,27 @@ def test_mistyped_train_setting_fails_before_training(cli_env, tmp_path, capsys,
         main(args)
 
 
+def test_train_config_is_checked_before_any_image_is_read(cli_env, tmp_path, capsys):
+    """A mistyped profile_lengths names the config even when the images
+    cannot be read; with a well-typed config the unreadable image is
+    what fails."""
+    images = tmp_path / "images"
+    images.mkdir()
+    for pts in cli_env["points"].glob("*.pts"):
+        (images / f"{pts.stem}.pgm").write_bytes(b"not an image")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"profile_lengths": [3, 7.5, 15]}))
+    args = ["train", "--images", str(images), "--points", str(cli_env["points"]),
+            "--out", str(tmp_path / "x.asmb")]
+    assert main(args + ["--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"asmfit train: {bad}: bad training config value: profile_lengths")
+    assert err.count("\n") == 1
+    assert main(args) == 2
+    assert ".pgm" in capsys.readouterr().err
+    assert not (tmp_path / "x.asmb").exists()
+
+
 # -------------------------------------------------------------------- fit
 
 def test_fit_writes_points_and_overlay(cli_env, tmp_path, capsys):

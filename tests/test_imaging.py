@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
+from asmfit import imaging
 from asmfit.errors import ImageSizeError, ThresholdError
 from asmfit.imaging import (
     GradientField,
@@ -11,9 +16,32 @@ from asmfit.imaging import (
     sample_bilinear,
     sobel_gradients,
 )
+from asmfit.search import build_level_context, config_for_mode
+from asmfit.synthetic import generate_face_dataset
 
 import reference_imaging
-from reference_canny import ramp_step_fixture, reference_canny
+from conftest import PROPERTY
+from reference_canny import ramp_step_fixture, reference_canny, vectorized_canny
+
+# Intensities for the byte-equality properties: arbitrary floats in
+# [0, 255], the signed zeros and the smallest subnormal included.
+INTENSITIES = st.one_of(st.floats(0.0, 255.0), st.sampled_from([-0.0, 0.0, 5e-324, 0.5, 255.0]))
+
+
+@st.composite
+def images(draw, min_side):
+    """A float image of min_side..24 pixels a side: arbitrary intensities,
+    few levels (equal magnitudes along ridges and in flat areas) or one
+    constant; thin and tiny shapes are drawn first when shrinking."""
+    shape = draw(st.tuples(st.integers(min_side, 24), st.integers(min_side, 24)))
+    kind = draw(st.sampled_from(["floats", "levels", "constant"]))
+    if kind == "floats":
+        return draw(arrays(np.float64, shape, elements=INTENSITIES))
+    if kind == "levels":
+        levels = draw(st.lists(INTENSITIES, min_size=2, max_size=3))
+        index = draw(arrays(np.intp, shape, elements=st.integers(0, len(levels) - 1)))
+        return np.array(levels)[index]
+    return np.full(shape, draw(INTENSITIES))
 
 
 # ------------------------------------------------------------- containers
@@ -115,7 +143,94 @@ def test_sobel_rejects_tiny_images():
         sobel_gradients(GrayImage(np.zeros((5, 2))))
 
 
+@PROPERTY
+@given(pixels=images(min_side=3))
+@example(pixels=np.array([[0.0, 0.0, -0.0]] * 3))
+def test_sobel_gradients_equal_correlate_oracle(pixels):
+    """The slice-add Sobel gives ndimage.correlate's bytes: gx, gy and the
+    magnitude, signed zeros included. In the example, -p of the first tap
+    in place of 0.0 - p would leave gx at -0.0."""
+    got = sobel_gradients(GrayImage(pixels))
+    want = reference_imaging.sobel(GrayImage(pixels).pixels)
+    for name, arr in zip(("gx", "gy", "magnitude"), want):
+        assert getattr(got, name).tobytes() == arr.tobytes(), name
+
+
 # ----------------------------------------------------------------- canny
+
+# low = 0 makes every pixel a candidate, low == high leaves no weak pixels,
+# and small levels put equal magnitudes side by side, where only the
+# strict "before" comparison drops the second pixel of a ridge.
+THRESHOLDS = st.one_of(
+    st.sampled_from([(0.0, 0.0), (0.0, 40.0), (10.0, 10.0), (50.0, 150.0), (300.0, 300.0)]),
+    st.tuples(st.floats(0.0, 400.0), st.floats(0.0, 400.0)).map(sorted),
+)
+
+
+@PROPERTY
+@given(pixels=images(min_side=1), thresholds=THRESHOLDS)
+def test_canny_edges_equal_vectorized_oracle(pixels, thresholds):
+    """Suppression on the candidates at or above low gives the whole-image
+    form's edge map byte for byte."""
+    low, high = thresholds
+    got = canny_edges(GrayImage(pixels), low, high)
+    want = vectorized_canny(GrayImage(pixels).pixels, low, high)
+    assert got.dtype == np.uint8 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("hw", [(1, 1), (1, 9), (9, 1), (2, 2), (2, 7), (7, 2)])
+@pytest.mark.parametrize("low,high", [(0.0, 0.0), (0.0, 5.0), (5.0, 5.0), (1.0, 30.0)])
+def test_canny_edges_equal_vectorized_oracle_on_thin_images(hw, low, high):
+    """Every pixel of a thin image has a suppression neighbour on the zero
+    border or a replicated row; the candidates' flat offsets must land on
+    the same neighbours as the whole-image slices."""
+    rng = np.random.default_rng(hw[0] * 10 + hw[1])
+    for pixels in (rng.uniform(0.0, 255.0, hw), 80.0 * rng.integers(0, 3, hw), np.zeros(hw)):
+        got = canny_edges(GrayImage(pixels), low, high)
+        assert got.tobytes() == vectorized_canny(pixels, low, high).tobytes()
+
+
+def test_canny_folds_plus_and_minus_pi_to_direction_zero():
+    """A vertical step's smoothed gradient points left with gy rounding to
+    +0 or a tiny negative, so arctan2 gives pi in one edge column and -pi
+    in the next; both are direction 0, and the step keeps one column."""
+    px = np.full((7, 8), 200.0)
+    px[:, 4:] = 20.0
+    smoothed = ndimage.correlate(px, imaging._gaussian_kernel_5x5(1.4), mode="nearest")
+    angle = np.arctan2(*reference_imaging.sobel(smoothed)[1::-1])
+    assert (angle[:, 3] == np.pi).all() and (angle[:, 4] == -np.pi).all()
+    got = canny_edges(GrayImage(px), 10.0, 20.0)
+    assert got.tobytes() == vectorized_canny(px, 10.0, 20.0).tobytes()
+    assert np.array_equal(np.flatnonzero(got.any(axis=0)), [3])
+
+
+# gx, gy of each quantized direction, in the upper and the lower half-plane,
+# and the (dy, dx) its suppression neighbours lie along.
+DIRECTIONS = [((1.0, 0.0), (0, 1)), ((-1.0, -0.0), (0, 1)), ((1.0, 1.0), (1, 1)),
+              ((-1.0, -1.0), (1, 1)), ((0.0, 1.0), (1, 0)), ((0.0, -1.0), (1, 0)),
+              ((-1.0, 1.0), (1, -1)), ((1.0, -1.0), (1, -1))]
+
+
+@pytest.mark.parametrize("gradient,axis", DIRECTIONS)
+def test_canny_keeps_the_first_pixel_of_an_equal_ridge(monkeypatch, gradient, axis):
+    """Three equal magnitudes along the gradient axis keep only the first,
+    row-major-earlier one: "before" must be strictly smaller, "after" may
+    be equal. The Sobel of both Cannys is replaced by the planted field."""
+    (gx0, gy0), (dy, dx) = gradient, axis
+    mag = np.zeros((7, 7))
+    for t in (-1, 0, 1):
+        mag[3 + t * dy, 3 + t * dx] = 5.0
+    field = (np.full((7, 7), gx0), np.full((7, 7), gy0), mag)
+    monkeypatch.setattr(imaging, "_sobel", lambda pixels: field)
+    monkeypatch.setattr(reference_imaging, "sobel", lambda pixels: field)
+    want = np.zeros((7, 7), dtype=np.uint8)
+    want[3 - dy, 3 - dx] = 1
+    for low, high in ((5.0, 5.0), (0.0, 5.0), (1.0, 9.0)):
+        expected = (want * (high <= 5)).tobytes()
+        assert vectorized_canny(np.zeros((7, 7)), low, high).tobytes() == expected
+        assert canny_edges(GrayImage(np.zeros((7, 7))), low, high).tobytes() == expected
+
 
 def test_canny_matches_reference_on_step_fixture():
     px = ramp_step_fixture()
@@ -164,6 +279,21 @@ def test_canny_threshold_validation():
         canny_edges(img, 100.0, 50.0)
     with pytest.raises(ThresholdError):
         canny_edges(img, -1.0, 50.0)
+
+
+def test_context_images_equal_oracles_on_face_pyramids(trained):
+    """An asm_svm level context holds the oracles' magnitude and edge map at
+    all three pyramid levels of 256x256 synthetic faces."""
+    bundle = trained[0]
+    config = config_for_mode(bundle, "asm_svm")
+    for sample in generate_face_dataset(4, size=256, seed=201):
+        for level, image in enumerate(build_pyramid(sample.image, 3).levels):
+            ctx = build_level_context(bundle, image, level, config)
+            equalized = equalize_histogram(image).pixels
+            assert ctx.magnitude.tobytes() == reference_imaging.sobel(equalized)[2].tobytes()
+            want = vectorized_canny(equalized, config.canny_low, config.canny_high)
+            assert want.any()
+            assert ctx.edge_map.tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------------- pyramid

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,7 +15,7 @@ from asmfit.search import FitConfig
 from asmfit.shape_model import Shape
 from asmfit.synthetic import generate_face_dataset
 from asmfit.svm import LinearSvmModel, SvmTrainConfig, _ring_offsets, decision_values
-from asmfit.training import _fold, _seed_for, train_bundle
+from asmfit.training import _fold, _seed_for, check_train_settings, train_bundle
 from conftest import PROPERTY
 from reference_profiles import level_window_stats
 from reference_svm import (
@@ -340,3 +342,17 @@ def test_constant_window_dimension_gets_unit_std(faces96):
     scaled = decision_values(ref, rows)
     assert np.array_equal(raw >= 0, scaled >= 0)
     np.testing.assert_allclose(raw, scaled, rtol=1e-9, atol=1e-12)
+
+
+def test_settings_check_takes_train_bundle_settings_and_defaults():
+    """check_train_settings takes every train_bundle keyword but the samples
+    and the scheme, in the same order and with the same defaults, and fills
+    in the configs and default window sides."""
+    trained = list(inspect.signature(train_bundle).parameters.values())[2:]
+    checked = list(inspect.signature(check_train_settings).parameters.values())
+    assert [(p.name, p.default) for p in checked] == [(p.name, p.default) for p in trained]
+    settings = check_train_settings(fit_config=FitConfig(levels=2), variance_fraction=1)
+    assert settings == {"fit_config": FitConfig(levels=2), "svm_config": SvmTrainConfig(),
+                        "sizes": (3, 7), "variance_fraction": 1.0, "clamp_alpha": 3.0,
+                        "eps": 1e-3}
+    assert type(settings["variance_fraction"]) is float
