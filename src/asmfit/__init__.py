@@ -63,6 +63,6 @@ from .svm import (
     train_linear_svm,
 )
 from .synthetic import generate_face_dataset, write_dataset
-from .training import TrainingSummary, train_bundle
+from .training import TrainConfig, TrainingSummary, train_bundle
 
 __version__ = "0.1.0"

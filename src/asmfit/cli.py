@@ -23,10 +23,10 @@ from .imaging import GrayImage, build_pyramid
 from .scheme import DEFAULT_SCHEME, LandmarkScheme
 from .search import FitConfig, config_for_mode, fit, init_shape_from_box
 from .svm import SvmTrainConfig
-from .training import check_train_settings, train_bundle
+from .training import TrainConfig, train_bundle
 
-# Config keys passed unchanged to FitConfig and to train_bundle; the config's
-# classic_profile_length is train_bundle's classic_length.
+# Config keys passed unchanged to FitConfig and to train_bundle (TrainConfig);
+# the config's classic_profile_length is TrainConfig's classic_length.
 _FIT_KEYS = ("levels", "search_radius", "max_iters_per_level", "convergence", "c",
              "canny_low", "canny_high")
 _TRAIN_KEYS = ("profile_lengths", "variance_fraction", "clamp_alpha", "eps",
@@ -44,17 +44,19 @@ GROUP_PALETTE = (
 
 
 def load_train_settings(path):
-    """Training settings from a JSON file merged over defaults.
+    """The scheme and train_bundle's keyword arguments from a JSON file of
+    training settings (no file when path is None); absent keys take the
+    constructors' defaults.
 
     A file that is not a JSON object of known keys with usable values
     raises DatasetError naming the file, before any training image is read.
     """
-    if path is None:
-        return _train_settings({})
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise DatasetError(f"{path}: not a JSON training config: {exc}") from exc
+    raw = {}
+    if path is not None:
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise DatasetError(f"{path}: not a JSON training config: {exc}") from exc
     if not isinstance(raw, dict) or not isinstance(raw.get("svm", {}), dict):
         raise DatasetError(f"{path}: the training config and its svm entry must be JSON objects")
     unknown = set(raw) - _CONFIG_KEYS
@@ -63,26 +65,16 @@ def load_train_settings(path):
     svm_unknown = set(raw.get("svm", {})) - _SVM_KEYS
     if svm_unknown:
         raise DatasetError(f"{path}: unknown svm config keys: {sorted(svm_unknown)}")
-    try:
-        return _train_settings(raw)
-    except (AsmFitError, TypeError, ValueError, OverflowError) as exc:
-        raise DatasetError(f"{path}: bad training config value: {exc}") from exc
-
-
-def _train_settings(raw):
-    """The scheme and train_bundle's keyword arguments from a config's keys,
-    checked as train_bundle checks them; absent keys take the constructors'
-    defaults."""
-    scheme = DEFAULT_SCHEME
-    if "scheme" in raw:
-        scheme = LandmarkScheme.from_jsonable(raw["scheme"])
-    fit_raw = {key: raw[key] for key in _FIT_KEYS if key in raw}
     settings = {key: raw[key] for key in _TRAIN_KEYS if key in raw}
     if "classic_profile_length" in raw:
         settings["classic_length"] = raw["classic_profile_length"]
-    settings["fit_config"] = FitConfig(**fit_raw)
-    settings["svm_config"] = SvmTrainConfig(**raw.get("svm", {}))
-    check_train_settings(**settings)
+    try:
+        scheme = LandmarkScheme.from_jsonable(raw["scheme"]) if "scheme" in raw else DEFAULT_SCHEME
+        settings["fit_config"] = FitConfig(**{key: raw[key] for key in _FIT_KEYS if key in raw})
+        settings["svm_config"] = SvmTrainConfig(**raw.get("svm", {}))
+        TrainConfig(**settings)
+    except (AsmFitError, TypeError, ValueError, OverflowError) as exc:
+        raise DatasetError(f"{path}: bad training config value: {exc}") from exc
     return {"scheme": scheme, **settings}
 
 

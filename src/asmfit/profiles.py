@@ -190,8 +190,11 @@ def check_numbers(values: dict, integers=(), reals=()) -> dict:
 
 
 def integer_sizes(name: str, values) -> tuple:
-    """values as a tuple of odd integers >= 3; bools and non-integers are rejected."""
-    sizes = tuple(values)
+    """values as a tuple of odd integers >= 3; anything else raises ShapeArityError."""
+    try:
+        sizes = tuple(values)
+    except TypeError:
+        raise ShapeArityError(f"{name} must be a sequence of integers, got {values!r}") from None
     if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in sizes):
         raise ShapeArityError(f"{name} must be integers, got {sizes!r}")
     if any(v < 3 or v % 2 == 0 for v in sizes):

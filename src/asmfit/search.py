@@ -69,8 +69,8 @@ class FitConfig:
             raise ShapeArityError("max_iters_per_level must be >= 0")
         if not 0 < self.convergence <= 1:
             raise ShapeArityError(f"convergence fraction must be in (0, 1], got {self.convergence}")
-        if not self.c > 1:
-            raise ShapeArityError(f"edge weight constant must exceed 1, got {self.c}")
+        if not 1 < self.c < np.inf:
+            raise ShapeArityError(f"edge weight constant must exceed 1 and be finite, got {self.c}")
         if not 0 <= self.canny_low <= self.canny_high:
             raise ShapeArityError(f"canny_low must be in [0, canny_high], got low="
                                   f"{self.canny_low} high={self.canny_high}")

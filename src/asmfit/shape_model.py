@@ -91,10 +91,6 @@ class SimilarityTransform:
         t.setflags(write=False)
         object.__setattr__(self, "translation", t)
 
-    @classmethod
-    def identity(cls) -> "SimilarityTransform":
-        return cls(1.0, 0.0, np.zeros(2))
-
     def rotation_matrix(self) -> np.ndarray:
         c, s = math.cos(self.rotation), math.sin(self.rotation)
         return np.array([[c, -s], [s, c]])
@@ -108,6 +104,14 @@ class SimilarityTransform:
         c, s = math.cos(-self.rotation), math.sin(-self.rotation)
         r_inv = np.array([[c, -s], [s, c]])
         return SimilarityTransform(inv_scale, -self.rotation, -inv_scale * r_inv @ self.translation)
+
+
+def check_shape_limits(variance_fraction, clamp_alpha) -> None:
+    """Raise ShapeArityError unless 0 < variance_fraction <= 1 and 0 < clamp_alpha < inf."""
+    if not 0 < variance_fraction <= 1:
+        raise ShapeArityError(f"variance_fraction must be in (0, 1], got {variance_fraction}")
+    if not 0 < clamp_alpha < math.inf:
+        raise ShapeArityError(f"clamp_alpha must be positive and finite, got {clamp_alpha}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,6 +137,7 @@ class ShapeModel:
             raise ShapeArityError("one eigenvalue per mode required")
         if evals.size and (np.any(evals <= 0) or np.any(np.diff(evals) > 0)):
             raise ValueError("eigenvalues must be positive and non-increasing")
+        check_shape_limits(self.variance_fraction, self.clamp_alpha)
         modes.setflags(write=False)
         evals.setflags(write=False)
         object.__setattr__(self, "modes", modes)

@@ -44,6 +44,13 @@ class LinearSvmModel:
         return self.weights.shape[-1]
 
 
+def check_seed(name: str, seed) -> None:
+    """Raise ShapeArityError unless seed is an integer >= 0, as default_rng takes."""
+    check_numbers({name: seed}, integers=(name,))
+    if seed < 0:
+        raise ShapeArityError(f"{name} must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True)
 class SvmTrainConfig:
     c_penalty: float = 1.0
@@ -52,8 +59,8 @@ class SvmTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        reals = check_numbers(vars(self), integers=("epochs", "batch_size", "seed"),
-                              reals=("c_penalty",))
+        reals = check_numbers(vars(self), integers=("epochs", "batch_size"), reals=("c_penalty",))
+        check_seed("seed", self.seed)
         object.__setattr__(self, "c_penalty", reals["c_penalty"])
         if not self.c_penalty > 0:
             raise ShapeArityError(f"c_penalty must be positive, got {self.c_penalty}")

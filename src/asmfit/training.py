@@ -31,11 +31,12 @@ from .profiles import (
 from .profiles import normalize_windows, windows_batch  # noqa: F401
 from .scheme import LandmarkScheme
 from .search import FitConfig
-from .shape_model import Shape, build_shape_model, gpa_align
+from .shape_model import Shape, build_shape_model, check_shape_limits, gpa_align
 from .svm import (
     LinearSvmModel,
     SvmTrainConfig,
     build_landmark_training_set,
+    check_seed,
     negative_ring,
     train_linear_svm,
     training_accuracy,
@@ -101,90 +102,77 @@ def _joined(parts) -> ProfileStats:
     return ProfileStats(mean, basis=basis, lam=lam, rho=rho)
 
 
-def check_train_settings(
-    fit_config: FitConfig = None,
-    svm_config: SvmTrainConfig = None,
-    variance_fraction: float = 0.975,
-    clamp_alpha: float = 3.0,
-    profile_lengths: tuple = None,
-    classic_length: int = 15,
-    negatives_per_positive: int = 4,
-    offset_range=(2, 8),
-    eps: float = 1e-3,
-    seed: int = 0,
-) -> dict:
-    """train_bundle's settings, checked before any image is read.
-
-    Takes train_bundle's keyword arguments with the same defaults. Returns
-    fit_config and svm_config with their defaults filled in, the asm window
-    sides of every level as "sizes", and variance_fraction, clamp_alpha and
-    eps as floats. Raises ShapeArityError as train_bundle documents.
-    """
-    if fit_config is None:
-        fit_config = FitConfig()
-    levels = fit_config.levels
-    sizes = integer_sizes("profile_lengths",
-                          (3, 7, 15)[:levels] if profile_lengths is None else profile_lengths)
-    if len(sizes) != levels:
-        raise ShapeArityError(f"profile_lengths needs one entry per level, got {len(sizes)} "
-                              f"for {levels}")
-    integer_sizes("classic_length", (classic_length,))
-    negative_ring(offset_range, negatives_per_positive)
-    if negatives_per_positive < 1:
-        raise ShapeArityError(
-            f"negatives_per_positive must be at least 1, got {negatives_per_positive}"
-        )
-    reals = check_numbers(
-        {"seed": seed, "variance_fraction": variance_fraction, "clamp_alpha": clamp_alpha,
-         "eps": eps},
-        integers=("seed",), reals=("variance_fraction", "clamp_alpha", "eps"),
-    )
-    if svm_config is None:
-        svm_config = SvmTrainConfig()
-    if svm_config.seed != SvmTrainConfig.seed:
-        raise ShapeArityError(
-            f"svm_config.seed {svm_config.seed} is unused: every SVM's seed derives from "
-            f"train_bundle's seed, so it must stay {SvmTrainConfig.seed}"
-        )
-    return {"fit_config": fit_config, "svm_config": svm_config, "sizes": sizes, **reals}
-
-
-def train_bundle(
-    samples,
-    scheme: LandmarkScheme,
-    fit_config: FitConfig = None,
-    svm_config: SvmTrainConfig = None,
-    variance_fraction: float = 0.975,
-    clamp_alpha: float = 3.0,
-    profile_lengths: tuple = None,
-    classic_length: int = 15,
-    negatives_per_positive: int = 4,
-    offset_range=(2, 8),
-    eps: float = 1e-3,
-    seed: int = 0,
-):
-    """Train every model component from annotated samples.
+@dataclass(frozen=True)
+class TrainConfig:
+    """train_bundle's settings, checked when built, before any image is read.
 
     profile_lengths holds the asm window side of each of fit_config.levels
-    pyramid levels, finest first; None takes the first `levels` of
-    (3, 7, 15). The bundle stores fit_config as its fit defaults.
-
-    Returns (ModelBundle, TrainingSummary). Deterministic for a fixed seed:
-    all randomness (negative-window placement, SVM batch order) is derived
-    from it, so svm_config.seed must keep its default. Mistyped settings,
-    fewer than one negative per positive and any other svm_config.seed
-    raise ShapeArityError before any work (check_train_settings).
+    pyramid levels, finest first; None takes the first `levels` of (3, 7, 15).
+    All randomness (negative-window placement, SVM batch order) derives from
+    seed, so svm_config.seed must keep its default. Stores None configs as
+    their defaults, profile_lengths and offset_range as tuples and the reals
+    as floats; a mistyped or out-of-range setting raises ShapeArityError.
     """
-    fit_config, svm_config, sizes, variance_fraction, clamp_alpha, eps = check_train_settings(
-        fit_config, svm_config, variance_fraction, clamp_alpha, profile_lengths, classic_length,
-        negatives_per_positive, offset_range, eps, seed,
-    ).values()
+
+    fit_config: FitConfig = None
+    svm_config: SvmTrainConfig = None
+    variance_fraction: float = 0.975
+    clamp_alpha: float = 3.0
+    profile_lengths: tuple = None
+    classic_length: int = 15
+    negatives_per_positive: int = 4
+    offset_range: tuple = (2, 8)
+    eps: float = 1e-3
+    seed: int = 0
+
+    def __post_init__(self):
+        fit_config = FitConfig() if self.fit_config is None else self.fit_config
+        svm_config = SvmTrainConfig() if self.svm_config is None else self.svm_config
+        if not (isinstance(fit_config, FitConfig) and isinstance(svm_config, SvmTrainConfig)):
+            raise ShapeArityError("fit_config must be a FitConfig and svm_config an SvmTrainConfig")
+        levels = fit_config.levels
+        sizes = integer_sizes("profile_lengths", (3, 7, 15)[:levels]
+                              if self.profile_lengths is None else self.profile_lengths)
+        if len(sizes) != levels:
+            raise ShapeArityError(f"profile_lengths needs one entry per level, got {len(sizes)} "
+                                  f"for {levels}")
+        integer_sizes("classic_length", (self.classic_length,))
+        negative_ring(self.offset_range, self.negatives_per_positive)
+        if self.negatives_per_positive < 1:
+            raise ShapeArityError(
+                f"negatives_per_positive must be at least 1, got {self.negatives_per_positive}"
+            )
+        check_seed("seed", self.seed)
+        reals = check_numbers(vars(self), reals=("variance_fraction", "clamp_alpha", "eps"))
+        check_shape_limits(reals["variance_fraction"], reals["clamp_alpha"])
+        if not 0 <= reals["eps"] < np.inf:
+            raise ShapeArityError(f"eps must be finite and non-negative, got {self.eps}")
+        if svm_config.seed != SvmTrainConfig.seed:
+            raise ShapeArityError(
+                f"svm_config.seed {svm_config.seed} is unused: every SVM's seed derives from "
+                f"train_bundle's seed, so it must stay {SvmTrainConfig.seed}"
+            )
+        filled = {"fit_config": fit_config, "svm_config": svm_config, "profile_lengths": sizes,
+                  "offset_range": tuple(self.offset_range)}
+        for name, value in {**filled, **reals}.items():
+            object.__setattr__(self, name, value)
+
+
+def train_bundle(samples, scheme: LandmarkScheme, **settings):
+    """Train every model component from annotated samples.
+
+    settings are TrainConfig's fields, which checks them before any work;
+    the bundle stores its fit_config as the fit defaults.
+
+    Returns (ModelBundle, TrainingSummary). Deterministic for a fixed seed.
+    """
+    config = TrainConfig(**settings)
     if len(samples) < 2:
         raise InsufficientDataError(f"need at least 2 training samples, got {len(samples)}")
-    levels = fit_config.levels
+    levels = config.fit_config.levels
 
     aligned, _ = gpa_align([s.shape for s in samples])
-    shape_model = build_shape_model(aligned, variance_fraction, clamp_alpha)
+    shape_model = build_shape_model(aligned, config.variance_fraction, config.clamp_alpha)
 
     n = scheme.total
     # Per sample and level: the raw image (1-D sampling surface) and its Sobel
@@ -200,29 +188,32 @@ def train_bundle(
     level_acc_min = []
     for lv in range(levels):
         points = [sample.shape.points / 2.0**lv for sample in samples]
+        size = config.profile_lengths[lv]
         # (n, images, d): each landmark's rows in one contiguous block.
-        one_d_rows = [profiles_1d_batch(surface[lv][0], pts,
-                                        landmark_normals(Shape(pts), scheme), classic_length)
+        one_d_rows = [profiles_1d_batch(surface[lv][0], pts, landmark_normals(Shape(pts), scheme),
+                                        config.classic_length)
                       for surface, pts in zip(surfaces, points)]
-        classic_stats.append(stats_from_matrix(np.stack(one_d_rows, axis=1), eps))
+        classic_stats.append(stats_from_matrix(np.stack(one_d_rows, axis=1), config.eps))
         dataset_lv = [(surface[lv][1], pts) for surface, pts in zip(surfaces, points)]
-        weights = np.empty((n, sizes[lv] ** 2))
+        weights = np.empty((n, size**2))
         biases = np.empty(n)
         stats = []
         accuracy = []
-        for run in _svm_stacks(n, sizes[lv]):
+        for run in _svm_stacks(n, size):
             stack = build_landmark_training_set(
                 dataset_lv, run, lv,
-                negatives_per_positive=negatives_per_positive,
-                offset_range=offset_range,
-                seeds=[_seed_for(seed, lv, j, 0) for j in run],
-                size=sizes[lv],
+                negatives_per_positive=config.negatives_per_positive,
+                offset_range=config.offset_range,
+                seeds=[_seed_for(config.seed, lv, j, 0) for j in run],
+                size=size,
             )
             # Each image's first row per landmark is the positive window.
-            stats.append(stats_from_matrix(stack.features[:, ::1 + negatives_per_positive], eps))
+            stats.append(stats_from_matrix(stack.features[:, ::1 + config.negatives_per_positive],
+                                           config.eps))
             rows, mean, std = _standardize(stack.features)
-            stack = replace(stack, features=rows, seeds=tuple(_seed_for(seed, lv, j, 1) for j in run))
-            model = train_linear_svm(stack, svm_config)
+            stack = replace(stack, features=rows,
+                            seeds=tuple(_seed_for(config.seed, lv, j, 1) for j in run))
+            model = train_linear_svm(stack, config.svm_config)
             accuracy.extend(training_accuracy(model, stack))
             weights[run], biases[run] = _fold(model, mean, std)
         asm_stats.append(_joined(stats))
@@ -233,29 +224,30 @@ def train_bundle(
     bundle = ModelBundle(
         scheme=scheme,
         shape_model=shape_model,
-        classic_profiles=ProfileModel("one_d", (classic_length,) * levels, tuple(classic_stats)),
-        asm_profiles=ProfileModel("two_d", sizes, tuple(asm_stats)),
+        classic_profiles=ProfileModel("one_d", (config.classic_length,) * levels,
+                                      tuple(classic_stats)),
+        asm_profiles=ProfileModel("two_d", config.profile_lengths, tuple(asm_stats)),
         svms=tuple(svms),
-        fit_defaults=fit_config,
+        fit_defaults=config.fit_config,
         train_meta={
-            "seed": seed,
+            "seed": config.seed,
             "samples": len(samples),
-            "c_penalty": svm_config.c_penalty,
-            "epochs": svm_config.epochs,
-            "batch_size": svm_config.batch_size,
-            "negatives_per_positive": negatives_per_positive,
-            "offset_min": int(offset_range[0]),
-            "offset_max": int(offset_range[1]),
-            "classic_length": classic_length,
-            "variance_fraction": variance_fraction,
-            "clamp_alpha": clamp_alpha,
-            "eps": eps,
+            "c_penalty": config.svm_config.c_penalty,
+            "epochs": config.svm_config.epochs,
+            "batch_size": config.svm_config.batch_size,
+            "negatives_per_positive": config.negatives_per_positive,
+            "offset_min": int(config.offset_range[0]),
+            "offset_max": int(config.offset_range[1]),
+            "classic_length": config.classic_length,
+            "variance_fraction": config.variance_fraction,
+            "clamp_alpha": config.clamp_alpha,
+            "eps": config.eps,
         },
     )
     summary = TrainingSummary(
         retained_modes=shape_model.num_modes,
         level_positives=(len(samples) * n,) * levels,
-        level_negatives=(len(samples) * n * negatives_per_positive,) * levels,
+        level_negatives=(len(samples) * n * config.negatives_per_positive,) * levels,
         level_accuracy_mean=tuple(level_acc_mean),
         level_accuracy_min=tuple(level_acc_min),
     )

@@ -64,7 +64,7 @@ def fit_params(
     mean_vec = model.mean_shape.as_vector()
     scales = np.sqrt(model.eigenvalues) if model.num_modes else np.empty(0)
     b = np.zeros(model.num_modes)
-    transform = SimilarityTransform.identity()
+    transform = SimilarityTransform(1.0, 0.0, np.zeros(2))
     for _ in range(max_iters):
         posed = Shape.from_vector(mean_vec + model.modes @ b)
         transform = procrustes_fit(posed.points, target.points)

@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from asmfit.scheme import DEFAULT_SCHEME, ContourGroup, LandmarkScheme, single_c
 from asmfit.search import FitConfig
 from asmfit.shape_model import Shape
 from asmfit.svm import SvmTrainConfig
+from asmfit.training import TrainConfig
 from asmfit.synthetic import write_dataset
 
 
@@ -158,6 +160,16 @@ def test_train_settings_pass_values_through(tmp_path):
         "profile_lengths": [3, 5]}
 
 
+def test_readme_config_block_gives_the_defaults(tmp_path):
+    """README's JSON config block loads, and every key it shows is at its default."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    config = tmp_path / "readme.json"
+    config.write_text(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    settings = load_train_settings(config)
+    assert settings.pop("scheme") == DEFAULT_SCHEME
+    assert TrainConfig(**settings) == TrainConfig()
+
+
 def test_integral_real_settings_train_the_same_bundle(cli_env, tmp_path):
     # Real-valued settings written as JSON integers are the floats they stand for.
     config = tmp_path / "c.json"
@@ -178,6 +190,9 @@ def test_integral_real_settings_train_the_same_bundle(cli_env, tmp_path):
     {"offset_range": [2, 8.5]}, {"offset_range": [2, 4, 8]}, {"offset_range": 5},
     {"variance_fraction": "0.9"}, {"clamp_alpha": None}, {"eps": [0.001]}, {"eps": 10**400},
     {"c": 10**400}, {"negatives_per_positive": 0}, {"profile_lengths": [3, 7.5, 15]},
+    {"seed": -1}, {"eps": -1}, {"eps": float("nan")}, {"variance_fraction": 2.0},
+    {"variance_fraction": -1}, {"clamp_alpha": -3}, {"clamp_alpha": 0},
+    {"c": float("inf")},
 ])
 def test_mistyped_train_setting_fails_before_training(cli_env, tmp_path, capsys, monkeypatch,
                                                       config):

@@ -605,6 +605,18 @@ def test_bundle_rejects_mistyped_scheme_group(small_bundle_bytes, tmp_path, grou
         load_bundle(bad)
 
 
+@pytest.mark.parametrize("name, value", [("clamp_alpha", -1), ("clamp_alpha", 0),
+                                         ("variance_fraction", 1.5), ("variance_fraction", 0)])
+def test_bundle_rejects_out_of_range_shape_limits(small_bundle_bytes, tmp_path, name, value):
+    def edit(header):
+        header["shape_model"][name] = value
+
+    bad = tmp_path / "limits.asmb"
+    bad.write_bytes(_edited(small_bundle_bytes, edit))
+    with pytest.raises(BundleCorruptionError, match=f"{name} must be"):
+        load_bundle(bad)
+
+
 def test_bundle_round_trips_numpy_integer_settings(faces96, tmp_path):
     """numpy integer settings save, and load back as Python ints."""
     bundle, _ = train_bundle(

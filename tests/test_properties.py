@@ -136,7 +136,12 @@ def test_bundle_statistics_and_shape_model_round_trip_bit_for_bit(scratch, tiny_
     modes = data.draw(arrays(np.float64, (12, t), elements=SVM_FLOATS))
     eigenvalues = np.sort(data.draw(arrays(
         np.float64, t, elements=st.floats(min_value=5e-324, allow_infinity=False))))[::-1]
-    scalars = data.draw(st.tuples(SVM_FLOATS, SVM_FLOATS))
+    # variance_fraction in (0, 1] and a positive, finite clamp_alpha
+    scalars = data.draw(st.tuples(
+        st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.sampled_from([5e-324, 1.0])),
+        st.one_of(st.floats(0.0, exclude_min=True, allow_infinity=False),
+                  st.sampled_from([5e-324, 1.7976931348623157e308])),
+    ))
     with np.errstate(over="ignore", divide="ignore"):  # 1 / (lam + rho) may overflow
         profiles = {
             name: dataclasses.replace(getattr(tiny_bundle, name), stats=tuple(

@@ -90,6 +90,8 @@ def test_fit_config_validation():
         FitConfig(convergence=0.0)
     with pytest.raises(ShapeArityError):
         FitConfig(c=1.0)
+    with pytest.raises(ShapeArityError, match="finite"):
+        FitConfig(c=float("inf"))
     with pytest.raises(ShapeArityError):
         FitConfig(mode="hybrid")
     with pytest.raises(ShapeArityError):

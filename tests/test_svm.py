@@ -81,6 +81,8 @@ def test_train_config_validation():
         SvmTrainConfig(epochs=0)
     with pytest.raises(ShapeArityError):
         SvmTrainConfig(batch_size=0)
+    with pytest.raises(ShapeArityError, match="seed must be non-negative"):
+        SvmTrainConfig(seed=-1)
 
 
 def test_training_set_validation():

@@ -1,4 +1,4 @@
-import inspect
+import dataclasses
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from asmfit.search import FitConfig
 from asmfit.shape_model import Shape
 from asmfit.synthetic import generate_face_dataset
 from asmfit.svm import LinearSvmModel, SvmTrainConfig, _ring_offsets, decision_values
-from asmfit.training import _fold, _seed_for, check_train_settings, train_bundle
+from asmfit.training import TrainConfig, _fold, _seed_for, train_bundle
 from conftest import PROPERTY
 from reference_profiles import level_window_stats
 from reference_svm import (
@@ -111,6 +111,24 @@ def test_mistyped_profile_lengths_fail_before_training(faces96, monkeypatch, cas
     # the patch is live: well-formed lengths reach it
     with pytest.raises(AssertionError, match="training started"):
         train_bundle(faces96[:3], DEFAULT_SCHEME, profile_lengths=(3, 5, 9))
+
+
+@pytest.mark.parametrize("settings", [
+    {"seed": -1}, {"eps": -1.0}, {"eps": float("nan")}, {"eps": float("inf")},
+    {"variance_fraction": 2.0}, {"variance_fraction": -1}, {"variance_fraction": 0},
+    {"clamp_alpha": -3}, {"clamp_alpha": 0}, {"clamp_alpha": float("inf")},
+    {"fit_config": {"levels": 2}}, {"svm_config": FitConfig()}, {"profile_lengths": 5},
+])
+def test_out_of_range_settings_fail_before_training(faces96, monkeypatch, settings):
+    def started(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("asmfit.training.gpa_align", started)
+    monkeypatch.setattr("asmfit.training.build_pyramid", started)
+    with pytest.raises(ShapeArityError, match=next(iter(settings))):
+        train_bundle(faces96[:3], DEFAULT_SCHEME, **settings)
+    with pytest.raises(AssertionError, match="training started"):
+        train_bundle(faces96[:3], DEFAULT_SCHEME)
 
 
 def test_train_meta_records_settings(trained):
@@ -344,15 +362,21 @@ def test_constant_window_dimension_gets_unit_std(faces96):
     np.testing.assert_allclose(raw, scaled, rtol=1e-9, atol=1e-12)
 
 
-def test_settings_check_takes_train_bundle_settings_and_defaults():
-    """check_train_settings takes every train_bundle keyword but the samples
-    and the scheme, in the same order and with the same defaults, and fills
-    in the configs and default window sides."""
-    trained = list(inspect.signature(train_bundle).parameters.values())[2:]
-    checked = list(inspect.signature(check_train_settings).parameters.values())
-    assert [(p.name, p.default) for p in checked] == [(p.name, p.default) for p in trained]
-    settings = check_train_settings(fit_config=FitConfig(levels=2), variance_fraction=1)
-    assert settings == {"fit_config": FitConfig(levels=2), "svm_config": SvmTrainConfig(),
-                        "sizes": (3, 7), "variance_fraction": 1.0, "clamp_alpha": 3.0,
-                        "eps": 1e-3}
-    assert type(settings["variance_fraction"]) is float
+def test_train_config_declares_settings_and_fills_in_defaults():
+    """TrainConfig declares train_bundle's ten settings with their defaults,
+    and stores the configs' defaults, the default window sides of its levels
+    and the reals as floats; train_bundle takes no other keyword."""
+    assert [(f.name, f.default) for f in dataclasses.fields(TrainConfig)] == [
+        ("fit_config", None), ("svm_config", None), ("variance_fraction", 0.975),
+        ("clamp_alpha", 3.0), ("profile_lengths", None), ("classic_length", 15),
+        ("negatives_per_positive", 4), ("offset_range", (2, 8)), ("eps", 1e-3), ("seed", 0)]
+    config = TrainConfig(fit_config=FitConfig(levels=2), variance_fraction=1, clamp_alpha=3)
+    assert vars(config) == {
+        "fit_config": FitConfig(levels=2), "svm_config": SvmTrainConfig(),
+        "variance_fraction": 1.0, "clamp_alpha": 3.0, "profile_lengths": (3, 7),
+        "classic_length": 15, "negatives_per_positive": 4, "offset_range": (2, 8),
+        "eps": 1e-3, "seed": 0}
+    assert type(config.variance_fraction) is float and type(config.clamp_alpha) is float
+    assert TrainConfig(**vars(config)) == config
+    with pytest.raises(TypeError, match="profile_length"):
+        train_bundle([], DEFAULT_SCHEME, profile_length=(3, 7, 15))
