@@ -84,7 +84,8 @@ def cmd_train(args) -> int:
     samples = load_annotated(args.images, args.points, scheme)
     bundle, summary = train_bundle(samples, scheme, **settings)
     save_bundle(bundle, args.out)
-    print(f"modes: {summary.retained_modes}")
+    print(f"modes: {summary.retained_modes}, profile ranks per level: "
+          f"{' '.join(map(str, summary.level_profile_ranks))}")
     for lv, (pos, neg) in enumerate(zip(summary.level_positives, summary.level_negatives)):
         print(f"level {lv}: {pos} positive, {neg} negative windows")
     for lv, (mean, low) in enumerate(zip(summary.level_accuracy_mean, summary.level_accuracy_min)):

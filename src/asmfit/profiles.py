@@ -11,6 +11,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -18,10 +19,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DimensionMismatchError, InsufficientDataError, ShapeArityError
 from .imaging import GrayImage, sample_bilinear
 from .scheme import LandmarkScheme, single_contour_scheme
-from .shape_model import Shape
+
+if TYPE_CHECKING:  # shape_model imports retained_rank from here
+    from .shape_model import Shape
 
 # Window sums below this count as flat; sum-normalization returns uniform.
 _FLAT_SUM = 1e-12
+
+# Relative eigenvalue floor: anything smaller is numerical noise, not a mode.
+_EIGENVALUE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,6 +338,48 @@ def stats_from_matrix(rows: np.ndarray, eps: float = 1e-3) -> ProfileStats:
                         lam=lam[..., :m - 1], rho=_ridge(eps, lam.sum(axis=-1), d))
 
 
+def retained_rank(eigenvalues, fraction: float):
+    """The smallest count of leading eigenvalues whose cumulative sum reaches
+    `fraction` of their total, for eigenvalues sorted largest first; one
+    whose value is at or below 1e-12 of the largest is never counted.
+    (r,) eigenvalues give one count, (k, r) one per row."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    total = lam.sum(axis=-1)
+    short = np.cumsum(lam, axis=-1) < (fraction * total - 1e-12 * total)[..., None]
+    usable = np.sum(lam > _EIGENVALUE_FLOOR * lam[..., :1], axis=-1)
+    return np.minimum(short.sum(axis=-1) + 1, usable)
+
+
+def subspace_rank(stats: ProfileStats, fraction: float) -> int:
+    """The least rank whose leading eigenpairs keep `fraction` of the
+    variance of every landmark of stats (retained_rank per landmark)."""
+    return int(np.max(retained_rank(np.sort(stats.lam)[..., ::-1], fraction)))
+
+
+def leading_subspace(stats: ProfileStats, rank: int) -> dict:
+    """The fields (mean, basis, lam, rho) of stats cut to their `rank`
+    largest eigenpairs, as views, for ProfileStats(**fields).
+
+    The variance of the dropped pairs is spread evenly over the d - rank
+    dims outside the kept span, the residual of probabilistic PCA:
+    rho' = rho + sum(dropped lam) / (d - rank). stats are as
+    stats_from_matrix makes them: eigh's pairs in ascending order when it
+    keeps all d, otherwise the SVD's in descending order. A rank at or
+    above stats.rank keeps every field as it is.
+    """
+    full, d = stats.rank, stats.dim
+    fields = {"mean": stats.mean, "basis": stats.basis, "lam": stats.lam, "rho": stats.rho}
+    if rank >= full:
+        return fields
+    if full == d:  # ascending: the largest pairs are the last columns
+        keep, drop = slice(full - rank, None), slice(None, full - rank)
+    else:
+        keep, drop = slice(None, rank), slice(rank, None)
+    fields.update(basis=stats.basis[..., keep], lam=stats.lam[..., keep],
+                  rho=stats.rho + stats.lam[..., drop].sum(axis=-1) / (d - rank))
+    return fields
+
+
 def mahalanobis_cost(stats: ProfileStats, g: Profile) -> float:
     """Quadratic form (g - mean)^T (C + rho I)^-1 (g - mean) of one profile."""
     if g.dim != stats.dim:
@@ -417,8 +465,13 @@ def mahalanobis_batch(stats: ProfileStats, rows: np.ndarray, owner=None) -> np.n
     return cost
 
 
+def check_edge_weight(c) -> None:
+    """Raise ShapeArityError unless the edge weight constant is finite and exceeds 1."""
+    if not 1 < c < np.inf:
+        raise ShapeArityError(f"edge weight constant must exceed 1 and be finite, got {c}")
+
+
 def edge_weighted_cost(stats: ProfileStats, g: Profile, on_edge: bool, c: float = 2.0) -> float:
     """(c - I) * mahalanobis_cost with I = 1 on an edge pixel, 0 off it."""
-    if not c > 1:
-        raise ValueError(f"edge weight constant must exceed 1, got {c}")
+    check_edge_weight(c)
     return (c - (1.0 if on_edge else 0.0)) * mahalanobis_cost(stats, g)

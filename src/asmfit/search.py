@@ -24,6 +24,7 @@ from .imaging import GrayImage, ImagePyramid, canny_edges, equalize_histogram, s
 from .imaging import sample_bilinear  # noqa: F401 (perfbench/tracing.py:WRAPS wraps this name)
 from .profiles import (
     ProfileStats,
+    check_edge_weight,
     check_numbers,
     landmark_normals,
     mahalanobis_batch,
@@ -69,11 +70,10 @@ class FitConfig:
             raise ShapeArityError("max_iters_per_level must be >= 0")
         if not 0 < self.convergence <= 1:
             raise ShapeArityError(f"convergence fraction must be in (0, 1], got {self.convergence}")
-        if not 1 < self.c < np.inf:
-            raise ShapeArityError(f"edge weight constant must exceed 1 and be finite, got {self.c}")
-        if not 0 <= self.canny_low <= self.canny_high:
-            raise ShapeArityError(f"canny_low must be in [0, canny_high], got low="
-                                  f"{self.canny_low} high={self.canny_high}")
+        check_edge_weight(self.c)
+        if not 0 <= self.canny_low <= self.canny_high < np.inf:
+            raise ShapeArityError(f"canny_low must be in [0, canny_high] and canny_high finite, "
+                                  f"got low={self.canny_low} high={self.canny_high}")
         if self.mode not in ("asm_svm", "classic"):
             raise ShapeArityError(f"unknown mode {self.mode!r}, expected classic or asm_svm")
 

@@ -15,12 +15,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateShapeError, InsufficientDataError, ShapeArityError
+from .profiles import retained_rank
 
 # Centroid sizes below this are treated as a point mass (unusable geometry).
 _DEGENERATE_SIZE = 1e-12
-
-# Relative eigenvalue floor: anything smaller is numerical noise, not a mode.
-_EIGENVALUE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,9 +262,9 @@ def build_shape_model(
     """PCA model of an aligned shape set.
 
     Modes come from the eigendecomposition of the sample covariance of the
-    flattened shape vectors; the retained count is the smallest one whose
-    cumulative eigenvalue sum reaches `variance_fraction` of the total.
-    Near-zero eigenvalues (relative to the largest) are never retained.
+    flattened shape vectors; profiles.retained_rank keeps the smallest count
+    whose cumulative eigenvalue sum reaches `variance_fraction` of the total,
+    never a near-zero eigenvalue (relative to the largest).
     """
     if len(aligned) < 2:
         raise InsufficientDataError(f"need at least 2 aligned shapes, got {len(aligned)}")
@@ -284,15 +282,7 @@ def build_shape_model(
     evals = np.clip(evals[order], 0.0, None)
     evecs = evecs[:, order]
 
-    if evals.size == 0 or evals[0] <= 0:
-        t = 0
-    else:
-        usable = int(np.sum(evals > _EIGENVALUE_FLOOR * evals[0]))
-        total = float(evals.sum())
-        target = variance_fraction * total
-        csum = np.cumsum(evals)
-        t = int(np.searchsorted(csum, target - 1e-12 * total) + 1)
-        t = min(t, usable)
+    t = int(retained_rank(evals, variance_fraction))
     return ShapeModel(
         mean_shape=Shape.from_vector(mean_vec),
         modes=evecs[:, :t],

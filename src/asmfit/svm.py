@@ -99,8 +99,11 @@ class LandmarkTrainingSet:
         k = feats.shape[0] if feats.ndim == 3 else 1
         if feats.ndim == 3 and len(self.landmark) != k:
             raise DimensionMismatchError(f"{len(self.landmark)} landmark ids for a stack of {k}")
-        if self.seeds is not None and len(self.seeds) != k:
-            raise DimensionMismatchError(f"{len(self.seeds)} seeds for a stack of {k}")
+        if self.seeds is not None:
+            if len(self.seeds) != k:
+                raise DimensionMismatchError(f"{len(self.seeds)} seeds for a stack of {k}")
+            for i, seed in enumerate(self.seeds):
+                check_seed(f"seeds[{i}]", seed)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
 

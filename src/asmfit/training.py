@@ -6,7 +6,9 @@ windows plus per-landmark SVMs for the gated search). Training runs one
 pass per pyramid level; there the SVM stacks gather every window once,
 and their positive windows are the samples of the 2-D profile statistics.
 SGD runs on standardized windows; each SVM is stored folded back onto raw
-windows.
+windows. A level's 2-D statistics keep the leading subspace that holds
+variance_fraction of every landmark's variance, and fold the rest into the
+ridge.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ from .profiles import (
     check_numbers,
     integer_sizes,
     landmark_normals,
+    leading_subspace,
     profiles_1d_batch,
     stats_from_matrix,
+    subspace_rank,
 )
 # The SVM stacks gather the windows; perfbench/tracing.py:WRAPS wraps these names here.
 from .profiles import normalize_windows, windows_batch  # noqa: F401
@@ -54,14 +58,16 @@ _SVM_WIDTH = 8 * (15**2 + 1)
 
 @dataclass(frozen=True)
 class TrainingSummary:
-    """Training counts; per level, SVM accuracy on its own training rows
-    as the mean and the minimum over landmarks."""
+    """Training counts; per level, the rank kept by the 2-D profile
+    statistics, and SVM accuracy on its own training rows as the mean and
+    the minimum over landmarks."""
 
     retained_modes: int
     level_positives: tuple
     level_negatives: tuple
     level_accuracy_mean: tuple
     level_accuracy_min: tuple
+    level_profile_ranks: tuple
 
 
 def _seed_for(master: int, level: int, landmark: int, salt: int) -> int:
@@ -94,9 +100,13 @@ def _fold(model: LinearSvmModel, mean: np.ndarray, std: np.ndarray):
     return weights, model.bias - (weights * mean).sum(axis=-1)
 
 
-def _joined(parts) -> ProfileStats:
-    """The statistics of consecutive landmark stacks as one stack."""
-    mean, basis, lam, rho = (np.concatenate([getattr(part, name) for part in parts])
+def _joined(parts, fraction: float) -> ProfileStats:
+    """The statistics of consecutive landmark stacks as one stack, cut to
+    the least rank that keeps `fraction` of every landmark's variance. Each
+    stack is cut as a view, so the join is the only copy."""
+    rank = max(subspace_rank(part, fraction) for part in parts)
+    cut = [leading_subspace(part, rank) for part in parts]
+    mean, basis, lam, rho = (np.concatenate([fields[name] for fields in cut])
                              for name in ("mean", "basis", "lam", "rho"))
     basis.setflags(write=False)  # owned here, so kept without a copy
     return ProfileStats(mean, basis=basis, lam=lam, rho=rho)
@@ -216,7 +226,7 @@ def train_bundle(samples, scheme: LandmarkScheme, **settings):
             model = train_linear_svm(stack, config.svm_config)
             accuracy.extend(training_accuracy(model, stack))
             weights[run], biases[run] = _fold(model, mean, std)
-        asm_stats.append(_joined(stats))
+        asm_stats.append(_joined(stats, config.variance_fraction))
         svms.append(LinearSvmModel(weights, biases))
         level_acc_mean.append(float(np.mean(accuracy)))
         level_acc_min.append(float(np.min(accuracy)))
@@ -250,5 +260,6 @@ def train_bundle(samples, scheme: LandmarkScheme, **settings):
         level_negatives=(len(samples) * n * config.negatives_per_positive,) * levels,
         level_accuracy_mean=tuple(level_acc_mean),
         level_accuracy_min=tuple(level_acc_min),
+        level_profile_ranks=tuple(level.rank for level in asm_stats),
     )
     return bundle, summary

@@ -23,6 +23,11 @@ landmark_normal, and the scheme lookups it uses, group_of and neighbors.
 The library scores stacked statistics with one owner index per row;
 landmark_stats gives one landmark's statistics alone, to score its rows
 with the unstacked form.
+
+The library cuts each level's 2-D statistics to a leading subspace, as
+views of the eigen-factor, and folds the dropped variance into the ridge;
+subspace_dense_costs keeps the dense form of that model: the explicit
+inverse of U_r diag(lam_r) U_r^T + rho' I built from the sample covariance.
 """
 
 import numpy as np
@@ -57,6 +62,30 @@ def dense_costs(mean, cov, eps, rows):
     inverse = regularized_inverse(cov, eps)
     out = []
     for row in np.atleast_2d(np.asarray(rows, dtype=float)):
+        delta = row - mean
+        out.append(float(delta @ inverse @ delta))
+    return np.array(out)
+
+
+def subspace_dense_costs(rows, eps, rank, candidates):
+    """delta^T (U_r diag(lam_r) U_r^T + rho' I)^-1 delta for every candidate,
+    one row at a time: U_r and lam_r are the rank largest eigenpairs of the
+    sample covariance C of rows, and rho' = rho + (sum of the others) / (d - rank)
+    with rho = eps * trace(C) / d, floored at 1e-12 when eps > 0."""
+    mean, cov = sample_covariance(rows)
+    cov = (cov + cov.T) / 2
+    d = cov.shape[0]
+    lam, vec = np.linalg.eigh(cov)
+    lam, vec = np.maximum(lam[::-1], 0.0), vec[:, ::-1]
+    ridge = eps * float(np.trace(cov)) / d
+    if eps > 0:
+        ridge = max(ridge, 1e-12)
+    if rank < d:
+        ridge += lam[rank:].sum() / (d - rank)
+    kept = vec[:, :rank]
+    inverse = np.linalg.inv(kept @ np.diag(lam[:rank]) @ kept.T + ridge * np.eye(d))
+    out = []
+    for row in np.atleast_2d(np.asarray(candidates, dtype=float)):
         delta = row - mean
         out.append(float(delta @ inverse @ delta))
     return np.array(out)

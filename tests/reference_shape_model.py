@@ -7,6 +7,10 @@ library's loop writes the same operations out on arrays and must return
 the same ParamFit bit for bit, and raise the same errors. procrustes_fit
 here centres both point sets with mean(axis=0) in every call; the
 library's must give the same transform bit for bit.
+
+retained_count is the shape model's mode-count search as it was written
+before profiles.retained_rank took it over for every eigenvalue row, so
+the shape model must still get the same count from it.
 """
 
 import math
@@ -23,6 +27,20 @@ from asmfit.shape_model import (
     _as_complex,
     clamp_params,
 )
+
+
+def retained_count(evals, variance_fraction):
+    """The shape model's mode count, searched on one descending eigenvalue
+    row: the smallest count whose cumulative sum reaches the fraction of
+    the total, never past the eigenvalues above 1e-12 of the largest."""
+    evals = np.asarray(evals, dtype=float)
+    if evals.size == 0 or evals[0] <= 0:
+        return 0
+    usable = int(np.sum(evals > 1e-12 * evals[0]))
+    total = float(evals.sum())
+    csum = np.cumsum(evals)
+    t = int(np.searchsorted(csum, variance_fraction * total - 1e-12 * total) + 1)
+    return min(t, usable)
 
 
 def procrustes_fit(source: np.ndarray, target: np.ndarray) -> SimilarityTransform:

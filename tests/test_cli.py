@@ -66,6 +66,21 @@ def test_train_output_and_determinism(cli_env, capsys):
     assert second.read_bytes() == cli_env["bundle"].read_bytes()
 
 
+def test_train_prints_profile_ranks_beside_modes(cli_env, tmp_path, capsys):
+    """The first line gives the shape modes and the rank each level's 2-D
+    profile statistics keep, as TrainingSummary holds them."""
+    rc = main(["train", "--images", str(cli_env["images"]),
+               "--points", str(cli_env["points"]),
+               "--config", str(cli_env["config"]), "--out", str(tmp_path / "m.asmb")])
+    first = capsys.readouterr().out.splitlines()[0]
+    assert rc == 0
+    modes, ranks = first.split(", ")
+    bundle = load_bundle(tmp_path / "m.asmb")
+    assert modes == f"modes: {bundle.shape_model.num_modes}"
+    assert ranks.split(": ") == ["profile ranks per level",
+                                 " ".join(str(stats.rank) for stats in bundle.asm_profiles.stats)]
+
+
 def test_train_prints_svm_accuracy_per_level(cli_env, tmp_path, capsys):
     rc = main(["train", "--images", str(cli_env["images"]),
                "--points", str(cli_env["points"]),

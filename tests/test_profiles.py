@@ -16,11 +16,13 @@ from asmfit.profiles import (
     ProfileStats,
     edge_weighted_cost,
     landmark_normals,
+    leading_subspace,
     mahalanobis_batch,
     mahalanobis_cost,
     normalize_windows,
     profiles_1d_batch,
     stats_from_matrix,
+    subspace_rank,
     windows_batch,
 )
 from asmfit.scheme import DEFAULT_SCHEME, ContourGroup, LandmarkScheme, single_contour_scheme
@@ -40,6 +42,7 @@ from reference_profiles import (
     landmark_normal,
     landmark_stats,
     sample_covariance,
+    subspace_dense_costs,
     sum_normalized,
 )
 
@@ -444,6 +447,59 @@ def test_cost_matches_dense_inverse_oracle(m, d, eps, spread):
     assert np.allclose(mahalanobis_batch(from_cov, candidates), want, rtol=1e-9, atol=0)
 
 
+@pytest.mark.parametrize("m, d, eps, fraction", [
+    (8, 25, 1e-3, 0.9),     # SVD path: cut below rank m - 1
+    (30, 225, 1e-3, 0.975),  # fit-256's coarsest window
+    (240, 49, 1e-3, 0.975),  # eigh path, as train-240's middle level
+    (40, 9, 0.0, 0.6),      # eigh path without a ridge: the cut makes one
+    (40, 9, 1e-3, 1.0),     # every pair kept: no residual term
+])
+def test_cut_cost_matches_dense_subspace_oracle(m, d, eps, fraction):
+    """Statistics cut to their leading subspace score every candidate with
+    the inverse of U_r diag(lam_r) U_r^T + rho' I, rho' holding the dropped
+    variance spread over the d - r other dims."""
+    rng = np.random.default_rng(m * 1000 + d)
+    rows = rng.normal(0.3, 0.05, (m, d)) * np.linspace(0.2, 2.0, d)
+    candidates = rng.normal(0.3, 0.08, (49, d))
+    st = stats_from_matrix(rows, eps)
+    rank = subspace_rank(st, fraction)
+    assert (rank < st.rank) == (fraction < 1)
+    fields = leading_subspace(st, rank)
+    assert all(np.shares_memory(fields[name], getattr(st, name)) for name in ("basis", "lam"))
+    cut = ProfileStats(**fields)
+    assert cut.rank == rank
+    want = subspace_dense_costs(rows, eps, rank, candidates)
+    assert np.allclose(mahalanobis_batch(cut, candidates), want, rtol=1e-9, atol=0)
+
+
+@PROPERTY
+@given(data=strategies.data())
+def test_stack_cut_equals_each_landmark_cut_at_the_least_rank(data):
+    """Cutting a stack's statistics to subspace_rank equals cutting each
+    landmark's statistics alone to the same rank, byte for byte, on both
+    factor paths; and that rank is the least one that keeps the fraction
+    of every landmark's variance."""
+    k = data.draw(strategies.integers(1, 6))
+    d = data.draw(strategies.integers(2, 12))
+    m = data.draw(strategies.integers(2, d + 4))
+    fraction = data.draw(strategies.floats(0.05, 1.0))
+    rng = np.random.default_rng(data.draw(strategies.integers(0, 2**32 - 1)))
+    stack = stats_from_matrix(rng.normal(0.3, 0.1, (k, m, d)) * rng.uniform(0.1, 3.0, d))
+    rank = subspace_rank(stack, fraction)
+    cut = ProfileStats(**leading_subspace(stack, rank))
+    for j in range(k):
+        one = ProfileStats(**leading_subspace(landmark_stats(stack, j), rank))
+        for name in ("mean", "basis", "lam", "rho", "weights"):
+            got, want = np.asarray(getattr(cut, name))[j], np.asarray(getattr(one, name))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (j, name)
+    lam = np.sort(stack.lam)[:, ::-1]
+    total = lam.sum(axis=-1)
+    kept = np.concatenate([np.zeros((k, 1)), np.cumsum(lam, axis=-1)], axis=1)
+    target = fraction * total - 1e-12 * total
+    assert 1 <= rank <= stack.rank
+    assert (kept[:, rank] >= target).all() and (kept[:, rank - 1] < target).any()
+
+
 # ------------------------------------------------------------------ costs
 
 def test_mahalanobis_hand_case():
@@ -594,6 +650,8 @@ def test_edge_weighting_factors():
 
 
 def test_edge_weighting_requires_c_above_one():
+    """edge_weighted_cost takes FitConfig's rule for c: finite and above 1."""
     st = ProfileStats(np.zeros(2), np.eye(2))
-    with pytest.raises(ValueError):
-        edge_weighted_cost(st, Profile(np.ones(2)), True, c=1.0)
+    for c in (1.0, 0.5, math.inf, math.nan):
+        with pytest.raises(ShapeArityError, match="edge weight constant"):
+            edge_weighted_cost(st, Profile(np.ones(2)), True, c=c)

@@ -96,8 +96,11 @@ def test_fit_config_validation():
         FitConfig(mode="hybrid")
     with pytest.raises(ShapeArityError):
         FitConfig(max_iters_per_level=-1)
-    # canny_edges needs 0 <= low <= high; the config checks it when built
-    for low, high in ((200.0, 100.0), (-1.0, 100.0), (float("nan"), 100.0)):
+    # canny_edges needs 0 <= low <= high; the config checks it when built. An
+    # infinite high threshold marks no edge, which would turn edge weighting off.
+    inf = float("inf")
+    for low, high in ((200.0, 100.0), (-1.0, 100.0), (float("nan"), 100.0), (inf, inf),
+                      (50.0, inf), (50.0, float("nan"))):
         with pytest.raises(ShapeArityError, match=r"canny_low must be in \[0, canny_high\]"):
             FitConfig(canny_low=low, canny_high=high)
 

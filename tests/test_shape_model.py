@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asmfit.errors import AsmFitError, DegenerateShapeError, InsufficientDataError, ShapeArityError
+from asmfit.profiles import retained_rank
 from asmfit.shape_model import (
     Shape,
     ShapeModel,
@@ -420,3 +421,21 @@ def test_fit_params_rejects_a_non_finite_posed_shape_as_the_oracle_does():
     for fit in (fit_params, reference_shape_model.fit_params):
         with pytest.raises(DegenerateShapeError):
             fit(broken, target)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 5), r=st.integers(0, 12),
+       zeros=st.integers(0, 4), fraction=st.sampled_from([1e-9, 0.5, 0.9, 0.975, 1.0]),
+       spread=st.floats(-20.0, 3.0))
+def test_retained_rank_equals_the_shape_models_count(seed, rows, r, zeros, fraction, spread):
+    """retained_rank, which build_shape_model and the 2-D profile cut share,
+    gives per row of descending eigenvalues the count the shape model's own
+    search gave, also past eigenvalues at the 1e-12 floor and on zero rows."""
+    rng = np.random.default_rng(seed)
+    lam = np.sort(10.0 ** rng.uniform(spread, 3.0, (rows, r)), axis=-1)[:, ::-1]
+    lam[:, max(r - zeros, 0):] = 0.0
+    if rows > 1:
+        lam[0] = 0.0  # a zero row beside the others
+    want = [reference_shape_model.retained_count(row, fraction) for row in lam]
+    assert retained_rank(lam, fraction).tolist() == want
+    assert [int(retained_rank(row, fraction)) for row in lam] == want

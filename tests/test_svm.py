@@ -94,6 +94,18 @@ def test_training_set_validation():
     assert ts.count == 2
 
 
+@pytest.mark.parametrize("seed", [-5, True, 1.0, None], ids=["negative", "bool", "float", "none"])
+def test_training_set_checks_its_seeds(seed):
+    """Per-landmark SGD seeds follow check_seed, as SvmTrainConfig.seed does,
+    so a bad one raises ShapeArityError before any SGD step, not a bare
+    error from default_rng."""
+    feats = np.zeros((2, 4, 3))
+    labels = np.tile([1.0, -1.0], (2, 2))
+    with pytest.raises(ShapeArityError, match=r"seeds\[1\]"):
+        LandmarkTrainingSet(feats, labels, (0, 1), 0, seeds=(0, seed))
+    assert LandmarkTrainingSet(feats, labels, (0, 1), 0, seeds=(0, 7)).seeds == (0, 7)
+
+
 # ------------------------------------------------------- training windows
 
 def grid_magnitude():

@@ -9,7 +9,7 @@ from asmfit import svm, training
 from asmfit.dataset_io import AnnotatedSample, save_bundle
 from asmfit.errors import InsufficientDataError, ShapeArityError
 from asmfit.imaging import GrayImage, build_pyramid, equalize_histogram, sobel_gradients
-from asmfit.profiles import stats_from_matrix
+from asmfit.profiles import ProfileStats, leading_subspace, stats_from_matrix, subspace_rank
 from asmfit.scheme import DEFAULT_SCHEME
 from asmfit.search import FitConfig
 from asmfit.shape_model import Shape
@@ -49,6 +49,9 @@ def test_bundle_covers_every_level_and_landmark(trained):
     assert len(bundle.svms) == levels
     assert all(model.weights.shape[0] == n and model.bias.shape == (n,) for model in bundle.svms)
     assert summary.retained_modes == bundle.shape_model.num_modes > 0
+    assert summary.level_profile_ranks == tuple(stats.rank for stats in bundle.asm_profiles.stats)
+    # 1-D statistics keep every pair: 6 faces give rank 5 of 15 dims.
+    assert [stats.rank for stats in bundle.classic_profiles.stats] == [5, 5, 5]
 
 
 def test_summary_window_accounting(trained):
@@ -291,17 +294,22 @@ def test_svm_config_seed_must_keep_its_default(faces96, monkeypatch):
 @pytest.mark.parametrize("width", [training._SVM_WIDTH, 1])
 def test_profile_stats_equal_separate_pass_oracle(monkeypatch, width):
     """Each level's 2-D statistics, joined from the SVM stacks' positive
-    windows, equal one pass over all landmarks' windows byte for byte, for
-    the default stack plan and for one-landmark stacks. With 12 faces,
-    level 0 (d = 9) takes the covariance path and levels 1 and 2 (d = 49,
-    225) the SVD path."""
+    windows and cut to the level's subspace rank, equal one pass over all
+    landmarks' windows cut the same way, byte for byte, for the default
+    stack plan and for one-landmark stacks. With 12 faces, level 0 (d = 9)
+    takes the covariance path, cut from 9 to 7 pairs, and levels 1 and 2
+    (d = 49, 225) the SVD path, where some landmark needs all 11 pairs."""
     monkeypatch.setattr(training, "_SVM_WIDTH", width)
     faces = generate_face_dataset(12, size=96, seed=9)
-    bundle, _ = train_bundle(faces, DEFAULT_SCHEME, svm_config=SvmTrainConfig(epochs=1), seed=1)
+    bundle, summary = train_bundle(faces, DEFAULT_SCHEME, svm_config=SvmTrainConfig(epochs=1),
+                                   seed=1)
     profiles = bundle.asm_profiles
-    assert [profiles.stats[level].rank for level in range(3)] == [9, 11, 11]
+    assert [profiles.stats[level].rank for level in range(3)] == [7, 11, 11]
+    assert summary.level_profile_ranks == (7, 11, 11)
+    fraction = bundle.train_meta["variance_fraction"]
     for level, size in enumerate(profiles.sizes):
         ref = level_window_stats(faces, level, size, eps=bundle.train_meta["eps"])
+        ref = ProfileStats(**leading_subspace(ref, subspace_rank(ref, fraction)))
         for name in ("mean", "basis", "lam", "rho"):
             got, want = getattr(profiles.stats[level], name), getattr(ref, name)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (level, name)
