@@ -7,6 +7,7 @@ landmarks are not contaminated by a zero halo.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,9 @@ def equalize_histogram(image: GrayImage) -> GrayImage:
     is returned unchanged (nothing to spread).
     """
     px = image.pixels
-    bins = np.clip(np.rint(px).astype(int), 0, 255)
+    # GrayImage holds [0, 255], so every bin is in range; the LUT entries
+    # that can be read lie in [0, 255] too.
+    bins = np.rint(px).astype(np.intp)
     hist = np.bincount(bins.ravel(), minlength=256)
     cdf = np.cumsum(hist)
     occupied = np.flatnonzero(hist)
@@ -89,7 +92,7 @@ def equalize_histogram(image: GrayImage) -> GrayImage:
     if total == cdf_min:
         return image
     lut = np.rint(255.0 * (cdf - cdf_min) / (total - cdf_min))
-    return GrayImage(np.clip(lut[bins], 0, 255))
+    return GrayImage(lut.take(bins))
 
 
 def _sobel(pixels: np.ndarray):
@@ -104,7 +107,13 @@ def _sobel(pixels: np.ndarray):
     0.0 - p gives a zero the sign that 0.0 + p * -1 gives it.
     """
     h, w = pixels.shape
-    padded = np.pad(pixels, 1, mode="edge")
+    # np.pad(pixels, 1, mode="edge"), built by slice copies.
+    padded = np.empty((h + 2, w + 2))
+    padded[1:-1, 1:-1] = pixels
+    padded[0, 1:-1] = pixels[0]
+    padded[-1, 1:-1] = pixels[-1]
+    padded[:, 0] = padded[:, 1]
+    padded[:, -1] = padded[:, -2]
 
     def tap(row, col):
         return padded[row:row + h, col:col + w]
@@ -146,6 +155,11 @@ def _gaussian_kernel_5x5(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
+# Canny's blur, built once.
+_CANNY_BLUR = _gaussian_kernel_5x5(1.4)
+_CANNY_BLUR.setflags(write=False)
+
+
 def canny_edges(image: GrayImage, low: float = 50.0, high: float = 150.0) -> np.ndarray:
     """Binary Canny edge map (uint8 0/1).
 
@@ -154,11 +168,12 @@ def canny_edges(image: GrayImage, low: float = 50.0, high: float = 150.0) -> np.
     double-threshold hysteresis where weak pixels survive only in an
     8-connected component touching a strong pixel. A pixel below `low`
     can never be an edge, so direction and suppression run only on the
-    pixels at or above it.
+    pixels at or above it, and the hysteresis result is written only at
+    the pixels that survive suppression; every other pixel stays 0.
     """
     if not (0 <= low <= high):
         raise ThresholdError(f"need 0 <= low <= high, got low={low} high={high}")
-    smoothed = ndimage.correlate(image.pixels, _gaussian_kernel_5x5(1.4), mode="nearest")
+    smoothed = ndimage.correlate(image.pixels, _CANNY_BLUR, mode="nearest")
     gx, gy, mag = _sobel(smoothed)
     h, w = mag.shape
     cand = np.flatnonzero(mag >= low)
@@ -180,7 +195,11 @@ def canny_edges(image: GrayImage, low: float = 50.0, high: float = 150.0) -> np.
     # A ridge of equal magnitudes keeps only its first pixel (strict >
     # before, >= after).
     # Candidate i = y * w + x sits at (y + 1) * (w + 2) + x + 1 there.
-    padded = np.pad(mag, 1).ravel()
+    padded = np.empty((h + 2, w + 2))
+    padded[1:-1, 1:-1] = mag
+    padded[0] = padded[-1] = 0.0
+    padded[1:-1, 0] = padded[1:-1, -1] = 0.0
+    padded = padded.ravel()
     step = np.array([1, w + 3, w + 2, w + 1, 1]).take(sector)
     at = cand // w * 2 + cand + (w + 3)
     value = padded.take(at)
@@ -191,13 +210,25 @@ def canny_edges(image: GrayImage, low: float = 50.0, high: float = 150.0) -> np.
     weak_or_strong[edges] = True
     labels, count = ndimage.label(weak_or_strong.reshape(h, w),
                                   structure=np.ones((3, 3), dtype=int))
+    # Only survivors carry a label, so they are the only pixels to write.
+    edge_labels = labels.take(edges)
     anchored = np.zeros(count + 1, dtype=np.uint8)
-    anchored[labels.take(edges[value[keep] >= high])] = 1
-    return anchored.take(labels)
+    anchored[edge_labels[value[keep] >= high]] = 1
+    out = np.zeros(h * w, dtype=np.uint8)
+    out[edges] = anchored.take(edge_labels)
+    return out.reshape(h, w)
 
 
 def build_pyramid(image: GrayImage, levels: int = 3) -> ImagePyramid:
-    """Stack of `levels` images, each the 2x2 block average of the previous."""
+    """Stack of `levels` images, each the 2x2 block average of the previous.
+
+    levels is an integer >= 1 (not a bool); an odd last row or column is
+    dropped. Each block's four pixels are summed from four strided slices,
+    in the order numpy's mean over the blocks adds them, then divided by 4,
+    so a level is byte-equal to reshape(h2, 2, w2, 2).mean(axis=(1, 3)).
+    """
+    if isinstance(levels, bool) or not isinstance(levels, numbers.Integral):
+        raise ImageSizeError(f"pyramid levels must be an integer, got {levels!r}")
     if levels < 1:
         raise ImageSizeError(f"need at least 1 level, got {levels}")
     out = [image]
@@ -208,8 +239,17 @@ def build_pyramid(image: GrayImage, levels: int = 3) -> ImagePyramid:
             raise ImageSizeError(
                 f"image {image.width}x{image.height} too small for {levels} pyramid levels"
             )
-        block = prev[: 2 * h2, : 2 * w2].reshape(h2, 2, w2, 2)
-        out.append(GrayImage(block.mean(axis=(1, 3))))
+        top, bottom = prev[0:2 * h2:2], prev[1:2 * h2:2]
+        total = top[:, 0:2 * w2:2] + top[:, 1:2 * w2:2]
+        if w2 > 1:
+            total += bottom[:, 0:2 * w2:2] + bottom[:, 1:2 * w2:2]
+        else:
+            total += bottom[:, 0:1]
+            total += bottom[:, 1:2]
+        total /= 4
+        # mean's sum starts from +0.0, so a block of four -0.0 averages to +0.0.
+        total += 0.0
+        out.append(GrayImage(total))
     return ImagePyramid(tuple(out))
 
 
@@ -221,21 +261,41 @@ def sample_bilinear(image: GrayImage, x, y):
     y0 * w + x0. On the last column or row the neighbour past it is read
     from the next row, or clipped to the last pixel, but its weight there
     is exactly 0. A NaN coordinate gives NaN.
+
+    The arithmetic is top = p00 * (1 - fx) + p01 * fx, bot likewise, then
+    top * (1 - fy) + bot * fy. Each step writes in place into an array this
+    call already made (the clipped coordinates, their floors, the gathered
+    pixels), which gives the same bytes with fewer temporaries.
     """
     px = image.pixels
     h, w = px.shape
     flat_px = px.ravel()
-    xq = np.clip(np.asarray(x, dtype=float), 0.0, w - 1.0)
-    yq = np.clip(np.asarray(y, dtype=float), 0.0, h - 1.0)
+    xq = np.clip(np.atleast_1d(np.asarray(x, dtype=float)), 0.0, w - 1.0)
+    yq = np.clip(np.atleast_1d(np.asarray(y, dtype=float)), 0.0, h - 1.0)
     x0 = np.floor(xq)
     y0 = np.floor(yq)
-    i = (y0 * w + x0).astype(np.intp)
-    fx = xq - x0
-    fy = yq - y0
-    top = flat_px.take(i, mode="clip") * (1 - fx) + flat_px.take(i + 1, mode="clip") * fx
-    i += w
-    bot = flat_px.take(i, mode="clip") * (1 - fx) + flat_px.take(i + 1, mode="clip") * fx
-    val = top * (1 - fy) + bot * fy
+    left = y0 * w
+    left += x0
+    left = left.astype(np.intp)
+    right = left + 1
+    fx = np.subtract(xq, x0, out=x0)
+    fy = np.subtract(yq, y0, out=y0)
+    fx_left = np.subtract(1, fx, out=xq)
+    top = flat_px.take(left, mode="clip")
+    top *= fx_left
+    part = flat_px.take(right, mode="clip")
+    part *= fx
+    top += part
+    left += w
+    right += w
+    bot = flat_px.take(left, mode="clip")
+    bot *= fx_left
+    flat_px.take(right, mode="clip", out=part)
+    part *= fx
+    bot += part
+    bot *= fy
+    top *= np.subtract(1, fy, out=yq)
+    top += bot
     if np.isscalar(x):
-        return float(val)
-    return val
+        return float(top[0])
+    return top.reshape(np.shape(x))

@@ -242,9 +242,11 @@ def landmark_normals(shape: Shape, scheme: LandmarkScheme = None) -> np.ndarray:
 def _normalize_derivatives(diffs: np.ndarray) -> np.ndarray:
     """Divide rows by their absolute sum; flat rows become zero rows."""
     norm = np.sum(np.abs(diffs), axis=-1, keepdims=True)
-    safe = np.where(norm < _FLAT_SUM, 1.0, norm)
-    out = diffs / safe
-    out[np.broadcast_to(norm < _FLAT_SUM, out.shape)] = 0.0
+    flat = norm < _FLAT_SUM
+    if not flat.any():
+        return diffs / norm
+    out = diffs / np.where(flat, 1.0, norm)
+    out[np.broadcast_to(flat, out.shape)] = 0.0
     return out
 
 

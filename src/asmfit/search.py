@@ -32,7 +32,7 @@ from .profiles import (
     profiles_1d_batch,
     windows_batch,
 )
-from .shape_model import Shape, ShapeModel, fit_params, synthesize
+from .shape_model import Shape, ShapeModel, fit_params
 from .svm import LinearSvmModel, decision_values
 
 # Least fraction of init landmarks inside the level-0 image that fit accepts.
@@ -223,10 +223,9 @@ def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig):
 
 
 def _regularize(model: ShapeModel, shape: Shape) -> Shape:
-    """Pull a shape back onto the constrained model manifold; fit_params
-    returns clamped coefficients."""
-    pf = fit_params(model, shape)
-    return Shape(pf.transform.apply(synthesize(model, pf.params).points))
+    """Pull a shape back onto the constrained model manifold: the posed
+    model shape of fit_params, whose coefficients are clamped."""
+    return Shape(fit_params(model, shape).points)
 
 
 def build_level_context(bundle, level_image: GrayImage, level: int, config: FitConfig) -> LevelContext:

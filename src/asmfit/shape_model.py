@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy._core.umath import clip as _clip  # the ufunc behind ndarray.clip
 
 from .errors import DegenerateShapeError, InsufficientDataError, ShapeArityError
 from .profiles import retained_rank
@@ -155,9 +156,12 @@ class ShapeModel:
 
 
 class ParamFit(NamedTuple):
+    """points is the posed model shape, transform applied to mean + modes @ params."""
+
     transform: SimilarityTransform
     params: np.ndarray
     residual: float
+    points: np.ndarray
 
 
 def _as_complex(points: np.ndarray) -> np.ndarray:
@@ -184,7 +188,9 @@ def _similarity(src: np.ndarray, tgt_c: np.ndarray, tgt_z: np.ndarray):
     """(scale, rotation, translation) of the least-squares similarity mapping
     (n, 2) points src onto a target given as its centroid tgt_c and its
     centred complex form tgt_z; the scale is not yet checked."""
-    src_c = src.sum(axis=0) / len(src)  # src.mean(axis=0) without its Python overhead
+    # src.mean(axis=0) and np.angle(sigma) as the ufuncs behind them, without
+    # their Python wrappers.
+    src_c = np.add.reduce(src, axis=0) / len(src)
     a = _as_complex(src - src_c)
     denom = float(np.vdot(a, a).real)
     if denom < _DEGENERATE_SIZE:
@@ -193,7 +199,7 @@ def _similarity(src: np.ndarray, tgt_c: np.ndarray, tgt_z: np.ndarray):
     scale = abs(sigma)
     if scale < _DEGENERATE_SIZE:
         raise DegenerateShapeError("target shape collapsed to a point")
-    rotation = float(np.angle(sigma))
+    rotation = float(np.arctan2(sigma.imag, sigma.real))
     rot = np.array([[math.cos(rotation), -math.sin(rotation)],
                     [math.sin(rotation), math.cos(rotation)]])
     return float(scale), rotation, tgt_c - scale * rot @ src_c
@@ -322,46 +328,51 @@ def fit_params(
     clamping after every projection. Stops when the largest coefficient
     change, relative to sqrt(lambda_i), falls below `tolerance`.
 
-    Returns the transform, the clamped coefficients, and the residual sum of
-    squared point distances between the posed model shape and the target.
+    Returns the transform, the clamped coefficients, the residual sum of
+    squared point distances between the posed model shape and the target,
+    and that posed shape's points.
 
     The loop works on arrays: each step is procrustes_fit, the inverse
     transform's apply and clamp_params written out, the same operations in
     the same order, with the target's centroid and centred form computed
-    once.
+    once (the centroid as mean computes it: add.reduce, then divided by
+    n). The model is posed once per pass; the pass after the last
+    projection poses the final coefficients and stops.
     """
     if target.n != model.n:
         raise ShapeArityError(f"target has {target.n} landmarks, model expects {model.n}")
-    if target.centroid_size() < _DEGENERATE_SIZE:
+    tgt = target.points
+    tgt_c = np.add.reduce(tgt, axis=0) / len(tgt)
+    centred = tgt - tgt_c
+    if np.linalg.norm(centred) < _DEGENERATE_SIZE:  # target.centroid_size()
         raise DegenerateShapeError("target shape collapsed to a point")
 
     mean_vec = model.mean_shape.as_vector()
     scales = np.sqrt(model.eigenvalues) if model.num_modes else np.empty(0)
     limits = model.mode_limits()
-    tgt = target.points
-    tgt_c = tgt.mean(axis=0)
-    tgt_z = _as_complex(tgt - tgt_c)
+    tgt_z = _as_complex(centred)
     b = np.zeros(model.num_modes)
-    for _ in range(max_iters):
+    projections = 0
+    settled = False
+    while True:
         posed = (mean_vec + model.modes @ b).reshape(-1, 2)
         if not np.isfinite(posed).all():
             raise DegenerateShapeError("shape contains non-finite coordinates")
         scale, rotation, translation = _similarity(posed, tgt_c, tgt_z)
         _check_scale(scale)
+        if settled or projections >= max_iters:
+            break
+        projections += 1
         # The inverse similarity, p -> (1 / scale) R(-rotation) (p - translation).
         inv_scale = 1.0 / scale
         c, s = math.cos(-rotation), math.sin(-rotation)
         r_inv = np.array([[c, -s], [s, c]])
         back = inv_scale * tgt @ r_inv.T + -inv_scale * r_inv @ translation
-        b_new = (model.modes.T @ (back.ravel() - mean_vec)).clip(-limits, limits)
-        if model.num_modes == 0:
-            b = b_new
-            break
-        step = float((np.abs(b_new - b) / scales).max())
+        b_new = _clip(model.modes.T @ (back.ravel() - mean_vec), -limits, limits)
+        settled = (model.num_modes == 0
+                   or np.maximum.reduce(np.abs(b_new - b) / scales) < tolerance)
         b = b_new
-        if step < tolerance:
-            break
-    posed = Shape.from_vector(mean_vec + model.modes @ b)
-    transform = SimilarityTransform(*_similarity(posed.points, tgt_c, tgt_z))
-    residual = float(np.sum((transform.apply(posed.points) - target.points) ** 2))
-    return ParamFit(transform, b, residual)
+    transform = SimilarityTransform(scale, rotation, translation)
+    points = transform.apply(posed)
+    residual = float(np.add.reduce((points - tgt) ** 2, axis=None))
+    return ParamFit(transform, b, residual, points)

@@ -11,6 +11,11 @@ floating-point ties.
 ndimage.correlate, every pixel's direction folded with np.mod, and
 suppression by one masked slice comparison per direction. The library
 must equal it byte for byte.
+
+`whole_image_labels_canny` is the library's candidate-only suppression
+as it was before it wrote only the survivors: the magnitude's zero border
+made by np.pad, and the hysteresis result read for every pixel by
+anchored.take(labels). The library must equal it byte for byte too.
 """
 
 import math
@@ -144,3 +149,31 @@ def ramp_step_fixture(size=16):
     for c in range(size):
         img[:, c] = 10.0 if c <= 6 else 210.0 + 3.0 * (c - 7)
     return img
+
+
+def whole_image_labels_canny(pixels, low, high):
+    """Binary Canny edge map (uint8 0/1), suppressed at the candidates only."""
+    ax = np.arange(-2.0, 3.0)
+    xx, yy = np.meshgrid(ax, ax)
+    kernel = np.exp(-(xx * xx + yy * yy) / (2.0 * 1.4 * 1.4))
+    smoothed = ndimage.correlate(pixels, kernel / kernel.sum(), mode="nearest")
+    gx, gy, mag = reference_imaging.sobel_np_pad(smoothed)
+    h, w = mag.shape
+    cand = np.flatnonzero(mag >= low)
+    angle = np.arctan2(gy.take(cand), gx.take(cand))
+    angle += np.pi * (angle < 0)
+    sector = np.searchsorted(np.array([np.pi / 8, 3 * np.pi / 8, 5 * np.pi / 8, 7 * np.pi / 8]),
+                             angle, side="right") % 4
+    padded = np.pad(mag, 1).ravel()
+    step = np.array([1, w + 3, w + 2, w + 1]).take(sector)
+    at = cand // w * 2 + cand + (w + 3)
+    value = padded.take(at)
+    keep = (value > padded.take(at - step)) & (value >= padded.take(at + step))
+    edges = cand[keep]
+    weak_or_strong = np.zeros(h * w, dtype=bool)
+    weak_or_strong[edges] = True
+    labels, count = ndimage.label(weak_or_strong.reshape(h, w),
+                                  structure=np.ones((3, 3), dtype=int))
+    anchored = np.zeros(count + 1, dtype=np.uint8)
+    anchored[labels.take(edges[value[keep] >= high])] = 1
+    return anchored.take(labels)

@@ -8,6 +8,11 @@ the same ParamFit bit for bit, and raise the same errors. procrustes_fit
 here centres both point sets with mean(axis=0) in every call; the
 library's must give the same transform bit for bit.
 
+regularize is search._regularize before fit_params returned its posed
+points: it synthesizes the returned coefficients and poses them again.
+The library's _regularize takes the points fit_params already posed and
+must return the same shape bit for bit.
+
 retained_count is the shape model's mode-count search as it was written
 before profiles.retained_rank took it over for every eigenvalue row, so
 the shape model must still get the same count from it.
@@ -26,6 +31,7 @@ from asmfit.shape_model import (
     SimilarityTransform,
     _as_complex,
     clamp_params,
+    synthesize,
 )
 
 
@@ -97,5 +103,13 @@ def fit_params(
             break
     posed = Shape.from_vector(mean_vec + model.modes @ b)
     transform = procrustes_fit(posed.points, target.points)
-    residual = float(np.sum((transform.apply(posed.points) - target.points) ** 2))
-    return ParamFit(transform, b, residual)
+    points = transform.apply(posed.points)
+    residual = float(np.sum((points - target.points) ** 2))
+    return ParamFit(transform, b, residual, points)
+
+
+def regularize(model: ShapeModel, shape: Shape) -> Shape:
+    """search._regularize as it was: the coefficients of fit_params
+    synthesized into a new shape and posed by its transform."""
+    pf = fit_params(model, shape)
+    return Shape(pf.transform.apply(synthesize(model, pf.params).points))

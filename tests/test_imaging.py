@@ -21,7 +21,12 @@ from asmfit.synthetic import generate_face_dataset
 
 import reference_imaging
 from conftest import PROPERTY
-from reference_canny import ramp_step_fixture, reference_canny, vectorized_canny
+from reference_canny import (
+    ramp_step_fixture,
+    reference_canny,
+    vectorized_canny,
+    whole_image_labels_canny,
+)
 
 # Intensities for the byte-equality properties: arbitrary floats in
 # [0, 255], the signed zeros and the smallest subnormal included.
@@ -106,6 +111,19 @@ def test_equalize_stays_in_range():
         assert out.min() >= 0.0 and out.max() <= 255.0
 
 
+@PROPERTY
+@given(pixels=images(min_side=1))
+def test_equalize_equals_clipped_fancy_index_oracle(pixels):
+    """One take through the LUT, without the clips, gives the oracle's bytes;
+    a constant image comes back unchanged."""
+    img = GrayImage(pixels)
+    got = equalize_histogram(img).pixels
+    if np.ptp(np.rint(img.pixels)) == 0:
+        assert got is img.pixels
+    else:
+        assert got.tobytes() == reference_imaging.equalize(img.pixels).tobytes()
+
+
 # ----------------------------------------------------------------- sobel
 
 def test_sobel_constant_is_zero():
@@ -147,22 +165,27 @@ def test_sobel_rejects_tiny_images():
 @given(pixels=images(min_side=3))
 @example(pixels=np.array([[0.0, 0.0, -0.0]] * 3))
 def test_sobel_gradients_equal_correlate_oracle(pixels):
-    """The slice-add Sobel gives ndimage.correlate's bytes: gx, gy and the
-    magnitude, signed zeros included. In the example, -p of the first tap
-    in place of 0.0 - p would leave gx at -0.0."""
+    """The slice-add Sobel gives ndimage.correlate's bytes, and those of the
+    same taps on an np.pad border: gx, gy and the magnitude, signed zeros
+    included. In the example, -p of the first tap in place of 0.0 - p would
+    leave gx at -0.0."""
     got = sobel_gradients(GrayImage(pixels))
-    want = reference_imaging.sobel(GrayImage(pixels).pixels)
-    for name, arr in zip(("gx", "gy", "magnitude"), want):
-        assert getattr(got, name).tobytes() == arr.tobytes(), name
+    for oracle in (reference_imaging.sobel, reference_imaging.sobel_np_pad):
+        want = oracle(GrayImage(pixels).pixels)
+        for name, arr in zip(("gx", "gy", "magnitude"), want):
+            assert getattr(got, name).tobytes() == arr.tobytes(), (oracle.__name__, name)
 
 
 # ----------------------------------------------------------------- canny
 
 # low = 0 makes every pixel a candidate, low == high leaves no weak pixels,
 # and small levels put equal magnitudes side by side, where only the
-# strict "before" comparison drops the second pixel of a ridge.
+# strict "before" comparison drops the second pixel of a ridge. A high of
+# 1500 lies above every magnitude (at most 1020 * sqrt(2) on [0, 255]), so
+# no component is anchored.
 THRESHOLDS = st.one_of(
-    st.sampled_from([(0.0, 0.0), (0.0, 40.0), (10.0, 10.0), (50.0, 150.0), (300.0, 300.0)]),
+    st.sampled_from([(0.0, 0.0), (0.0, 40.0), (10.0, 10.0), (50.0, 150.0), (300.0, 300.0),
+                     (0.0, 1500.0)]),
     st.tuples(st.floats(0.0, 400.0), st.floats(0.0, 400.0)).map(sorted),
 )
 
@@ -171,12 +194,14 @@ THRESHOLDS = st.one_of(
 @given(pixels=images(min_side=1), thresholds=THRESHOLDS)
 def test_canny_edges_equal_vectorized_oracle(pixels, thresholds):
     """Suppression on the candidates at or above low gives the whole-image
-    form's edge map byte for byte."""
+    form's edge map byte for byte, and writing only the survivors gives the
+    bytes of reading every pixel's label."""
     low, high = thresholds
     got = canny_edges(GrayImage(pixels), low, high)
-    want = vectorized_canny(GrayImage(pixels).pixels, low, high)
-    assert got.dtype == np.uint8 and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    for oracle in (vectorized_canny, whole_image_labels_canny):
+        want = oracle(GrayImage(pixels).pixels, low, high)
+        assert got.dtype == np.uint8 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), oracle.__name__
 
 
 @pytest.mark.parametrize("hw", [(1, 1), (1, 9), (9, 1), (2, 2), (2, 7), (7, 2)])
@@ -329,6 +354,35 @@ def test_pyramid_size_errors():
         build_pyramid(GrayImage(np.zeros((2, 2))), levels=3)
     with pytest.raises(ImageSizeError):
         build_pyramid(GrayImage(np.zeros((4, 4))), levels=0)
+
+
+@pytest.mark.parametrize("levels", [True, 2.0, "3"])
+def test_pyramid_rejects_non_integer_levels(levels):
+    """A bool would build one level and a float or string raise a bare
+    TypeError; each is refused like levels < 1."""
+    with pytest.raises(ImageSizeError, match="integer"):
+        build_pyramid(GrayImage(np.zeros((8, 8))), levels=levels)
+
+
+@PROPERTY
+@given(pixels=images(min_side=2), levels=st.integers(2, 4))
+@example(pixels=np.full((4, 3), -0.0), levels=2)
+@example(pixels=np.full((3, 4), -0.0), levels=2)
+@example(pixels=np.full((8, 8), -0.0), levels=3)
+def test_pyramid_levels_equal_block_mean_oracle(pixels, levels):
+    """Every level is the oracle's block mean of the one before, byte for
+    byte: odd sides, levels one row or one column wide, constant images
+    and blocks of -0.0 (which mean averages to +0.0) included."""
+    image = GrayImage(pixels)
+    if min(pixels.shape) < 2 ** (levels - 1):
+        with pytest.raises(ImageSizeError):
+            build_pyramid(image, levels)
+        return
+    got = build_pyramid(image, levels).levels
+    want = image.pixels
+    for level in got[1:]:
+        want = reference_imaging.pyramid_level(want)
+        assert level.pixels.tobytes() == want.tobytes()
 
 
 # -------------------------------------------------------------- sampling

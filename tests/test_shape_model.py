@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asmfit import search
 from asmfit.errors import AsmFitError, DegenerateShapeError, InsufficientDataError, ShapeArityError
 from asmfit.profiles import retained_rank
 from asmfit.shape_model import (
@@ -308,9 +309,10 @@ def test_fit_params_errors():
 # ------------------------------------------------- fit_params vs oracle
 
 def fit_outcome(fit, model, target, **kwargs):
-    """The fit's transform, coefficients and residual as bytes, or the type
-    of the error it raised. Floating-point warnings are off, as numpy has
-    them by default, so a non-finite target reaches the fit's own checks."""
+    """The fit's transform, coefficients, residual and posed points as
+    bytes, or the type of the error it raised. Floating-point warnings are
+    off, as numpy has them by default, so a non-finite target reaches the
+    fit's own checks."""
     try:
         with np.errstate(all="ignore"):
             pf = fit(model, target, **kwargs)
@@ -318,7 +320,7 @@ def fit_outcome(fit, model, target, **kwargs):
         return type(exc)
     t = pf.transform
     return (np.array([t.scale, t.rotation, pf.residual]).tobytes() + t.translation.tobytes()
-            + pf.params.tobytes())
+            + pf.params.tobytes() + pf.points.tobytes())
 
 
 # model: a posed model shape, with coefficients out to twice the clamp and
@@ -395,6 +397,29 @@ def test_procrustes_fit_equals_oracle(seed, n, log_scale, collapse):
             outcomes.append(type(exc))
         else:
             outcomes.append(np.array([t.scale, t.rotation]).tobytes() + t.translation.tobytes())
+    assert outcomes[0] == outcomes[1]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 12), count=st.integers(2, 10),
+       wobble=st.sampled_from([0.0, 0.3, 1.5, 4.0]), kind=st.sampled_from(TARGET_KINDS),
+       log_scale=st.floats(-3.0, 6.0), rotation=st.floats(-np.pi, np.pi))
+def test_regularize_equals_synthesize_and_pose_oracle(seed, n, count, wobble, kind, log_scale,
+                                                      rotation):
+    """search._regularize returns the shape the oracle synthesizes from the
+    fit's coefficients and poses again, bit for bit, or raises its error type."""
+    rng = np.random.default_rng(seed)
+    model = build_shape_model(random_shapes(rng, count, n, wobble=wobble))
+    if not wobble:
+        model = ShapeModel(model.mean_shape, np.empty((2 * n, 0)), np.empty(0))
+    target = oracle_target(rng, model, kind, 10.0**log_scale, rotation)
+    outcomes = []
+    for regularize in (search._regularize, reference_shape_model.regularize):
+        try:
+            with np.errstate(all="ignore"):
+                outcomes.append(regularize(model, target).points.tobytes())
+        except (AsmFitError, ValueError) as exc:
+            outcomes.append(type(exc))
     assert outcomes[0] == outcomes[1]
 
 
