@@ -52,7 +52,6 @@ from .shape_model import (
     clamp_params,
     fit_params,
     gpa_align,
-    procrustes_fit,
     synthesize,
 )
 from .svm import (

@@ -70,9 +70,6 @@ class ImagePyramid:
 
     levels: tuple
 
-    def __len__(self) -> int:
-        return len(self.levels)
-
 
 def equalize_histogram(image: GrayImage) -> GrayImage:
     """Spread intensities by the 256-bin CDF remap.
@@ -160,7 +157,7 @@ _CANNY_BLUR = _gaussian_kernel_5x5(1.4)
 _CANNY_BLUR.setflags(write=False)
 
 
-def canny_edges(image: GrayImage, low: float = 50.0, high: float = 150.0) -> np.ndarray:
+def canny_edges(image: GrayImage, low: float, high: float) -> np.ndarray:
     """Binary Canny edge map (uint8 0/1).
 
     Pipeline: 5x5 Gaussian blur (sigma 1.4), Sobel gradients, non-maximum
@@ -219,7 +216,7 @@ def canny_edges(image: GrayImage, low: float = 50.0, high: float = 150.0) -> np.
     return out.reshape(h, w)
 
 
-def build_pyramid(image: GrayImage, levels: int = 3) -> ImagePyramid:
+def build_pyramid(image: GrayImage, levels: int) -> ImagePyramid:
     """Stack of `levels` images, each the 2x2 block average of the previous.
 
     levels is an integer >= 1 (not a bool); an odd last row or column is
@@ -256,8 +253,8 @@ def build_pyramid(image: GrayImage, levels: int = 3) -> ImagePyramid:
 def sample_bilinear(image: GrayImage, x, y):
     """Bilinear interpolation at real coordinates, clamped to the border.
 
-    Accepts scalars or equally shaped arrays; returns matching shape. The
-    four neighbours are gathered from the raveled pixels at one flat index
+    x and y are equally shaped arrays; returns that shape. The four
+    neighbours are gathered from the raveled pixels at one flat index
     y0 * w + x0. On the last column or row the neighbour past it is read
     from the next row, or clipped to the last pixel, but its weight there
     is exactly 0. A NaN coordinate gives NaN.
@@ -296,6 +293,4 @@ def sample_bilinear(image: GrayImage, x, y):
     bot *= fy
     top *= np.subtract(1, fy, out=yq)
     top += bot
-    if np.isscalar(x):
-        return float(top[0])
     return top.reshape(np.shape(x))

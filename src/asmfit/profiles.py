@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatchError, InsufficientDataError, ShapeArityError
 from .imaging import GrayImage, sample_bilinear
-from .scheme import LandmarkScheme, single_contour_scheme
+from .scheme import LandmarkScheme
 
 if TYPE_CHECKING:  # shape_model imports retained_rank from here
     from .shape_model import Shape
@@ -208,7 +208,7 @@ def integer_sizes(name: str, values) -> tuple:
     return tuple(int(v) for v in sizes)
 
 
-def landmark_normals(shape: Shape, scheme: LandmarkScheme = None) -> np.ndarray:
+def landmark_normals(shape: Shape, scheme: LandmarkScheme) -> np.ndarray:
     """(n, 2) array of unit normals, each pointing away from the shape centroid.
 
     The tangent is the chord joining the landmark's contour neighbors
@@ -218,8 +218,6 @@ def landmark_normals(shape: Shape, scheme: LandmarkScheme = None) -> np.ndarray:
     vecdot, which rounds like np.linalg.norm and a scalar dot, so the
     per-landmark form agrees bit for bit.
     """
-    if scheme is None:
-        scheme = single_contour_scheme(shape.n)
     if scheme.total != shape.n:
         raise ShapeArityError(f"scheme covers {scheme.total} landmarks, shape has {shape.n}")
     prev, nxt = scheme.chord_ends
@@ -473,7 +471,7 @@ def check_edge_weight(c) -> None:
         raise ShapeArityError(f"edge weight constant must exceed 1 and be finite, got {c}")
 
 
-def edge_weighted_cost(stats: ProfileStats, g: Profile, on_edge: bool, c: float = 2.0) -> float:
+def edge_weighted_cost(stats: ProfileStats, g: Profile, on_edge: bool, c: float) -> float:
     """(c - I) * mahalanobis_cost with I = 1 on an edge pixel, 0 off it."""
     check_edge_weight(c)
     return (c - (1.0 if on_edge else 0.0)) * mahalanobis_cost(stats, g)

@@ -97,8 +97,3 @@ DEFAULT_SCHEME = LandmarkScheme((
     ContourGroup("nose", 9, False),
     ContourGroup("mouth", 12, True),
 ))
-
-
-def single_contour_scheme(n: int, closed: bool = True) -> LandmarkScheme:
-    """Fallback scheme treating all n landmarks as one contour."""
-    return LandmarkScheme((ContourGroup("all", n, closed),))

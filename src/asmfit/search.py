@@ -247,7 +247,7 @@ def build_level_context(bundle, level_image: GrayImage, level: int, config: FitC
                    svms=bundle.svms[level])
 
 
-def fit(pyramid: ImagePyramid, bundle, init: Shape, config: FitConfig = None) -> FitResult:
+def fit(pyramid: ImagePyramid, bundle, init: Shape, config: FitConfig) -> FitResult:
     """Coarse-to-fine constrained fit of the bundle's model to one image.
 
     The init shape (level-0 pixels) is scaled down to the coarsest level
@@ -260,8 +260,6 @@ def fit(pyramid: ImagePyramid, bundle, init: Shape, config: FitConfig = None) ->
     fewer than MIN_INIT_INSIDE (half) of the init landmarks lie inside the
     level-0 image.
     """
-    if config is None:
-        config = bundle.fit_defaults
     if len(pyramid.levels) != config.levels:
         raise DimensionMismatchError(
             f"pyramid has {len(pyramid.levels)} levels, config expects {config.levels}"

@@ -21,6 +21,11 @@ from .profiles import retained_rank
 # Centroid sizes below this are treated as a point mass (unusable geometry).
 _DEGENERATE_SIZE = 1e-12
 
+# Generalized Procrustes alignment stops once its mean moves less than
+# _GPA_TOLERANCE in a round, or after _GPA_MAX_ROUNDS rounds.
+_GPA_TOLERANCE = 1e-10
+_GPA_MAX_ROUNDS = 100
+
 
 @dataclass(frozen=True, eq=False)
 class Shape:
@@ -60,10 +65,6 @@ class Shape:
     def centroid(self) -> np.ndarray:
         return self.points.mean(axis=0)
 
-    def centroid_size(self) -> float:
-        """Frobenius norm of the centered landmark cloud."""
-        return float(np.linalg.norm(self.points - self.centroid()))
-
     def bounding_box(self) -> tuple[float, float, float, float]:
         """(min_x, min_y, max_x, max_y) of the landmarks."""
         lo = self.points.min(axis=0)
@@ -98,12 +99,6 @@ class SimilarityTransform:
         pts = np.asarray(points, dtype=float)
         return self.scale * pts @ self.rotation_matrix().T + self.translation
 
-    def inverse(self) -> "SimilarityTransform":
-        inv_scale = 1.0 / self.scale
-        c, s = math.cos(-self.rotation), math.sin(-self.rotation)
-        r_inv = np.array([[c, -s], [s, c]])
-        return SimilarityTransform(inv_scale, -self.rotation, -inv_scale * r_inv @ self.translation)
-
 
 def check_shape_limits(variance_fraction, clamp_alpha) -> None:
     """Raise ShapeArityError unless 0 < variance_fraction <= 1 and 0 < clamp_alpha < inf."""
@@ -124,8 +119,8 @@ class ShapeModel:
     mean_shape: Shape
     modes: np.ndarray
     eigenvalues: np.ndarray
-    variance_fraction: float = 0.975
-    clamp_alpha: float = 3.0
+    variance_fraction: float
+    clamp_alpha: float
 
     def __post_init__(self):
         modes = np.array(self.modes, dtype=float)
@@ -165,7 +160,7 @@ class ParamFit(NamedTuple):
 
 
 def _as_complex(points: np.ndarray) -> np.ndarray:
-    return points[:, 0] + 1j * points[:, 1]
+    return points[..., 0] + 1j * points[..., 1]
 
 
 def _from_complex(z: np.ndarray) -> np.ndarray:
@@ -205,25 +200,19 @@ def _similarity(src: np.ndarray, tgt_c: np.ndarray, tgt_z: np.ndarray):
     return float(scale), rotation, tgt_c - scale * rot @ src_c
 
 
-def procrustes_fit(source: np.ndarray, target: np.ndarray) -> SimilarityTransform:
-    """Least-squares similarity mapping `source` points onto `target` points."""
-    src = np.asarray(source, dtype=float)
-    tgt = np.asarray(target, dtype=float)
-    if src.shape != tgt.shape or src.ndim != 2 or src.shape[1] != 2:
-        raise ShapeArityError(f"point sets must share an (n, 2) shape, got {src.shape} vs {tgt.shape}")
-    tgt_c = tgt.mean(axis=0)
-    return SimilarityTransform(*_similarity(src, tgt_c, _as_complex(tgt - tgt_c)))
-
-
-def gpa_align(
-    shapes: Sequence[Shape], tolerance: float = 1e-10, max_rounds: int = 100
-) -> tuple[list[Shape], Shape]:
+def gpa_align(shapes: Sequence[Shape]) -> tuple[list[Shape], Shape]:
     """Generalized Procrustes alignment of a shape set into a common frame.
 
     Each shape is translated to zero centroid, then iteratively rotated and
     scaled onto the evolving mean; the mean is re-normalized to unit centroid
     size (and a canonical spin) every round. Iteration stops when the mean
-    moves less than `tolerance` or after `max_rounds`.
+    moves less than _GPA_TOLERANCE or after _GPA_MAX_ROUNDS.
+
+    The shapes are the rows of one complex array. A round scales every row
+    z by vecdot(z, mean) / vecdot(z, z), which rounds as np.vdot of that row
+    does; the denominator does not change between rounds and is computed
+    once. The first shape of another landmark count, or the first collapsed
+    shape before it, is reported.
 
     Returns the aligned shapes and the converged mean, both in the common
     frame (zero centroid, mean at unit centroid size).
@@ -231,22 +220,21 @@ def gpa_align(
     if not shapes:
         raise ShapeArityError("cannot align an empty shape list")
     n = shapes[0].n
-    centered = []
-    for s in shapes:
-        if s.n != n:
-            raise ShapeArityError(f"mixed landmark counts: {s.n} vs {n}")
-        z = _as_complex(s.points)
-        z = z - z.mean()
-        size = np.linalg.norm(z)
-        if size < _DEGENERATE_SIZE:
-            raise DegenerateShapeError("shape collapsed to a point; cannot align")
-        centered.append(z)
+    count = next((i for i, s in enumerate(shapes) if s.n != n), len(shapes))
+    z = _as_complex(np.stack([s.points for s in shapes[:count]]))
+    z -= z.mean(axis=1, keepdims=True)
+    # Each row's np.linalg.norm: its real and imaginary parts dotted with themselves.
+    sizes = np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
+    if (sizes < _DEGENERATE_SIZE).any():
+        raise DegenerateShapeError("shape collapsed to a point; cannot align")
+    if count < len(shapes):
+        raise ShapeArityError(f"mixed landmark counts: {shapes[count].n} vs {n}")
+    squared = np.vecdot(z, z).real
 
-    mean = centered[0] / np.linalg.norm(centered[0])
+    mean = z[0] / np.linalg.norm(z[0])
     mean = mean * _canonical_spin(mean)
-    for _ in range(max_rounds):
-        aligned = [z * (np.vdot(z, mean) / np.vdot(z, z).real) for z in centered]
-        new_mean = np.mean(aligned, axis=0)
+    for _ in range(_GPA_MAX_ROUNDS):
+        new_mean = (z * (np.vecdot(z, mean) / squared)[:, None]).mean(axis=0)
         size = np.linalg.norm(new_mean)
         if size < _DEGENERATE_SIZE:
             raise DegenerateShapeError("mean shape collapsed during alignment")
@@ -254,10 +242,10 @@ def gpa_align(
         new_mean = new_mean * _canonical_spin(new_mean)
         moved = np.linalg.norm(new_mean - mean)
         mean = new_mean
-        if moved < tolerance:
+        if moved < _GPA_TOLERANCE:
             break
-    aligned = [z * (np.vdot(z, mean) / np.vdot(z, z).real) for z in centered]
-    return [Shape(_from_complex(z)) for z in aligned], Shape(_from_complex(mean))
+    aligned = z * (np.vecdot(z, mean) / squared)[:, None]
+    return [Shape(_from_complex(row)) for row in aligned], Shape(_from_complex(mean))
 
 
 def build_shape_model(
@@ -332,19 +320,19 @@ def fit_params(
     squared point distances between the posed model shape and the target,
     and that posed shape's points.
 
-    The loop works on arrays: each step is procrustes_fit, the inverse
-    transform's apply and clamp_params written out, the same operations in
-    the same order, with the target's centroid and centred form computed
-    once (the centroid as mean computes it: add.reduce, then divided by
-    n). The model is posed once per pass; the pass after the last
-    projection poses the final coefficients and stops.
+    The loop works on arrays: each step is _similarity, the inverse
+    similarity applied to the target and clamp_params written out, with
+    the target's centroid and centred form computed once (the centroid as
+    mean computes it: add.reduce, then divided by n). The model is posed
+    once per pass; the pass after the last projection poses the final
+    coefficients and stops.
     """
     if target.n != model.n:
         raise ShapeArityError(f"target has {target.n} landmarks, model expects {model.n}")
     tgt = target.points
     tgt_c = np.add.reduce(tgt, axis=0) / len(tgt)
     centred = tgt - tgt_c
-    if np.linalg.norm(centred) < _DEGENERATE_SIZE:  # target.centroid_size()
+    if np.linalg.norm(centred) < _DEGENERATE_SIZE:  # the target's centroid size
         raise DegenerateShapeError("target shape collapsed to a point")
 
     mean_vec = model.mean_shape.as_vector()

@@ -8,6 +8,7 @@ ties classify +1 so boundary candidates stay in play.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,9 +16,6 @@ import numpy as np
 from .errors import ClassBalanceError, DimensionMismatchError, ShapeArityError
 from .profiles import (check_numbers, normalize_windows, owner_bounds, owner_matmul, readonly,
                        windows_batch)
-
-RING_MIN_DEFAULT = 2
-RING_MAX_DEFAULT = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,10 +37,6 @@ class LinearSvmModel:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b if b.ndim else float(b))
 
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[-1]
-
 
 def check_seed(name: str, seed) -> None:
     """Raise ShapeArityError unless seed is an integer >= 0, as default_rng takes."""
@@ -62,8 +56,8 @@ class SvmTrainConfig:
         reals = check_numbers(vars(self), integers=("epochs", "batch_size"), reals=("c_penalty",))
         check_seed("seed", self.seed)
         object.__setattr__(self, "c_penalty", reals["c_penalty"])
-        if not self.c_penalty > 0:
-            raise ShapeArityError(f"c_penalty must be positive, got {self.c_penalty}")
+        if not 0 < self.c_penalty < math.inf:
+            raise ShapeArityError(f"c_penalty must be positive and finite, got {self.c_penalty}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ShapeArityError("epochs and batch_size must be >= 1")
 
@@ -150,13 +144,7 @@ def negative_ring(offset_range, negatives_per_positive) -> np.ndarray:
 
 
 def build_landmark_training_set(
-    dataset,
-    landmarks,
-    level: int,
-    negatives_per_positive: int = 4,
-    offset_range=(RING_MIN_DEFAULT, RING_MAX_DEFAULT),
-    seeds=None,
-    size: int = 15,
+    dataset, landmarks, level: int, *, negatives_per_positive: int, offset_range, seeds, size: int
 ) -> LandmarkTrainingSet:
     """Positive/negative sum-normalized gradient windows for a stack of landmarks at one level.
 
@@ -165,17 +153,16 @@ def build_landmark_training_set(
     one positive window at the annotated point followed by
     negatives_per_positive windows at distinct random offsets whose
     Chebyshev distance lies in offset_range. Landmark landmarks[i] draws
-    its offsets from its own generator, seeded seeds[i] (0 when seeds is
-    None), image after image. Windows that cross the border are clamped.
-    Returns one stack with (k, images * (1 + negatives_per_positive), d)
-    features; its SGD seeds are left unset. A non-integer size or a ring
-    that negative_ring rejects raises ShapeArityError.
+    its offsets from its own generator, seeded seeds[i], image after
+    image. Windows that cross the border are clamped. Returns one stack
+    with (k, images * (1 + negatives_per_positive), d) features; its SGD
+    seeds are left unset. A non-integer size or a ring that negative_ring
+    rejects raises ShapeArityError.
     """
     check_numbers({"size": size}, integers=("size",))
     ring = negative_ring(offset_range, negatives_per_positive)
     landmarks = list(landmarks)
     k = len(landmarks)
-    seeds = (0,) * k if seeds is None else tuple(seeds)
     if len(seeds) != k:
         raise DimensionMismatchError(f"{len(seeds)} seeds for a stack of {k}")
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -207,7 +194,8 @@ def train_linear_svm(train_set: LandmarkTrainingSet, config: SvmTrainConfig):
     step's margins are z_b @ w and its subgradient sum is the violation
     mask @ z_b; multiplying by +/-1 is exact, so the iterates are those of
     the plain y*(x_b @ w) form bit for bit. Returns one LinearSvmModel,
-    stacked for a stack.
+    stacked for a stack. A c_penalty for which 1/(C*m) overflows or
+    underflows raises ShapeArityError before the first step.
     """
     k, m, d = len(train_set.landmarks), train_set.count, train_set.features.shape[-1]
     y = train_set.labels.reshape(k, m)
@@ -217,6 +205,10 @@ def train_linear_svm(train_set: LandmarkTrainingSet, config: SvmTrainConfig):
                 f"landmark {landmark} level {train_set.level}: "
                 "training set must contain both classes"
             )
+    lam = 1.0 / (config.c_penalty * m)
+    if not 0 < lam < math.inf:
+        raise ShapeArityError(f"c_penalty {config.c_penalty} over {m} rows gives the "
+                              f"regularization 1/(C*m) = {lam}; it must be positive and finite")
     z = np.empty((k, m, d + 1))
     np.multiply(train_set.features.reshape(k, m, d), y[:, :, None], out=z[:, :, :d])
     z[:, :, d] = y
@@ -224,7 +216,6 @@ def train_linear_svm(train_set: LandmarkTrainingSet, config: SvmTrainConfig):
     seeds = train_set.seeds if train_set.seeds is not None else (config.seed,) * k
     rngs = [np.random.default_rng(seed) for seed in seeds]
     first_row = np.arange(k)[:, None] * m
-    lam = 1.0 / (config.c_penalty * m)
     w = np.zeros((k, d + 1))
     t = 0
     batch = min(config.batch_size, m)
@@ -251,13 +242,11 @@ def train_linear_svm(train_set: LandmarkTrainingSet, config: SvmTrainConfig):
 
 def training_accuracy(model: LinearSvmModel, train_set: LandmarkTrainingSet) -> np.ndarray:
     """Fraction of each landmark's training rows classified right, shape (k,),
-    for a stack and its stacked model or one landmark's set and model."""
-    k, m = len(train_set.landmarks), train_set.count
-    rows = train_set.features.reshape(k * m, -1)
-    owner = np.repeat(np.arange(k), m) if model.weights.ndim == 2 else None
-    decision = decision_values(model, rows, owner).reshape(k, m)
-    labels = train_set.labels.reshape(k, m)
-    return np.mean(np.where(decision >= 0, 1.0, -1.0) == labels, axis=1)
+    for a stack and its stacked model."""
+    k, m, d = train_set.features.shape
+    decision = decision_values(model, train_set.features.reshape(k * m, d),
+                               np.repeat(np.arange(k), m)).reshape(k, m)
+    return np.mean(np.where(decision >= 0, 1.0, -1.0) == train_set.labels, axis=1)
 
 
 def decision_values(model: LinearSvmModel, rows: np.ndarray, owner=None) -> np.ndarray:

@@ -19,6 +19,7 @@ annotated point in every image, then one stats_from_matrix call.
 The library computes every landmark's normal in one vectorized pass from
 the scheme's chord_ends arrays; this module keeps the per-landmark form,
 landmark_normal, and the scheme lookups it uses, group_of and neighbors.
+single_contour_scheme makes the one-contour schemes the tests use.
 
 The library scores stacked statistics with one owner index per row;
 landmark_stats gives one landmark's statistics alone, to score its rows
@@ -35,7 +36,12 @@ import numpy as np
 from asmfit.errors import ShapeArityError
 from asmfit.imaging import build_pyramid, equalize_histogram, sobel_gradients
 from asmfit.profiles import ProfileStats, stats_from_matrix
-from asmfit.scheme import single_contour_scheme
+from asmfit.scheme import ContourGroup, LandmarkScheme
+
+
+def single_contour_scheme(n: int, closed: bool = True) -> LandmarkScheme:
+    """A scheme treating all n landmarks as one contour."""
+    return LandmarkScheme((ContourGroup("all", n, closed),))
 
 
 def sample_covariance(rows):

@@ -1,12 +1,18 @@
-"""fit_params as a loop of shape objects, and procrustes_fit on its own, used as oracles.
+"""fit_params as a loop of shape objects, procrustes_fit and gpa_align on lists, used as oracles.
 
 Each step of this fit_params builds a Shape of the posed model, fits a
 SimilarityTransform with procrustes_fit, inverts and applies it to the
-target and clamps the projected coefficients with clamp_params. The
-library's loop writes the same operations out on arrays and must return
-the same ParamFit bit for bit, and raise the same errors. procrustes_fit
-here centres both point sets with mean(axis=0) in every call; the
-library's must give the same transform bit for bit.
+target (inverse) and clamps the projected coefficients with clamp_params.
+The library's loop writes the same operations out on arrays and must
+return the same ParamFit bit for bit, and raise the same errors.
+procrustes_fit centres both point sets with mean(axis=0) in every call;
+the library's one Procrustes solve, shape_model._similarity, must give the
+same transform bit for bit.
+
+gpa_align keeps one small complex array per shape and scales each with
+np.vdot in every round. The library aligns the shapes as the rows of one
+array and must return the same aligned shapes and mean bit for bit, and
+raise the same errors.
 
 regularize is search._regularize before fit_params returned its posed
 points: it synthesizes the returned coefficients and poses them again.
@@ -30,6 +36,8 @@ from asmfit.shape_model import (
     ShapeModel,
     SimilarityTransform,
     _as_complex,
+    _canonical_spin,
+    _from_complex,
     clamp_params,
     synthesize,
 )
@@ -47,6 +55,20 @@ def retained_count(evals, variance_fraction):
     csum = np.cumsum(evals)
     t = int(np.searchsorted(csum, variance_fraction * total - 1e-12 * total) + 1)
     return min(t, usable)
+
+
+def centroid_size(shape: Shape) -> float:
+    """Frobenius norm of the centered landmark cloud."""
+    return float(np.linalg.norm(shape.points - shape.centroid()))
+
+
+def inverse(transform: SimilarityTransform) -> SimilarityTransform:
+    """The similarity that undoes `transform`."""
+    inv_scale = 1.0 / transform.scale
+    c, s = math.cos(-transform.rotation), math.sin(-transform.rotation)
+    r_inv = np.array([[c, -s], [s, c]])
+    return SimilarityTransform(inv_scale, -transform.rotation,
+                               -inv_scale * r_inv @ transform.translation)
 
 
 def procrustes_fit(source: np.ndarray, target: np.ndarray) -> SimilarityTransform:
@@ -73,6 +95,41 @@ def procrustes_fit(source: np.ndarray, target: np.ndarray) -> SimilarityTransfor
     return SimilarityTransform(float(scale), rotation, translation)
 
 
+def gpa_align(shapes, tolerance: float = 1e-10, max_rounds: int = 100):
+    """Generalized Procrustes alignment of a shape set into a common frame,
+    one array per shape: (aligned shapes, mean)."""
+    if not shapes:
+        raise ShapeArityError("cannot align an empty shape list")
+    n = shapes[0].n
+    centered = []
+    for s in shapes:
+        if s.n != n:
+            raise ShapeArityError(f"mixed landmark counts: {s.n} vs {n}")
+        z = _as_complex(s.points)
+        z = z - z.mean()
+        size = np.linalg.norm(z)
+        if size < _DEGENERATE_SIZE:
+            raise DegenerateShapeError("shape collapsed to a point; cannot align")
+        centered.append(z)
+
+    mean = centered[0] / np.linalg.norm(centered[0])
+    mean = mean * _canonical_spin(mean)
+    for _ in range(max_rounds):
+        aligned = [z * (np.vdot(z, mean) / np.vdot(z, z).real) for z in centered]
+        new_mean = np.mean(aligned, axis=0)
+        size = np.linalg.norm(new_mean)
+        if size < _DEGENERATE_SIZE:
+            raise DegenerateShapeError("mean shape collapsed during alignment")
+        new_mean = new_mean / size
+        new_mean = new_mean * _canonical_spin(new_mean)
+        moved = np.linalg.norm(new_mean - mean)
+        mean = new_mean
+        if moved < tolerance:
+            break
+    aligned = [z * (np.vdot(z, mean) / np.vdot(z, z).real) for z in centered]
+    return [Shape(_from_complex(z)) for z in aligned], Shape(_from_complex(mean))
+
+
 def fit_params(
     model: ShapeModel,
     target: Shape,
@@ -82,7 +139,7 @@ def fit_params(
     """Pose and coefficients that best explain `target` under the model."""
     if target.n != model.n:
         raise ShapeArityError(f"target has {target.n} landmarks, model expects {model.n}")
-    if target.centroid_size() < _DEGENERATE_SIZE:
+    if centroid_size(target) < _DEGENERATE_SIZE:
         raise DegenerateShapeError("target shape collapsed to a point")
 
     mean_vec = model.mean_shape.as_vector()
@@ -92,7 +149,7 @@ def fit_params(
     for _ in range(max_iters):
         posed = Shape.from_vector(mean_vec + model.modes @ b)
         transform = procrustes_fit(posed.points, target.points)
-        back = transform.inverse().apply(target.points)
+        back = inverse(transform).apply(target.points)
         b_new = clamp_params(model, model.modes.T @ (back.ravel() - mean_vec))
         if model.num_modes == 0:
             b = b_new

@@ -43,8 +43,8 @@ def landmark_svm(model: LinearSvmModel, j) -> LinearSvmModel:
 def predict(model: LinearSvmModel, values) -> tuple:
     """(label, decision value) of one profile; decision >= 0 classifies +1."""
     g = np.asarray(getattr(values, "values", values), dtype=float).ravel()
-    if g.size != model.dim:
-        raise DimensionMismatchError(f"profile dim {g.size} vs SVM dim {model.dim}")
+    if g.size != model.weights.shape[-1]:
+        raise DimensionMismatchError(f"profile dim {g.size} vs SVM dim {model.weights.shape[-1]}")
     decision = float(g @ model.weights + model.bias)
     return (1 if decision >= 0 else -1), decision
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reseal, with_fit_default
+from reference_profiles import single_contour_scheme
 import reference_cli
 from asmfit import cli
 from asmfit.cli import (
@@ -22,7 +23,7 @@ from asmfit.cli import (
 from asmfit.dataset_io import BUNDLE_MAGIC, load_bundle, load_points_file, save_bundle
 from asmfit.errors import BoxError, ShapeArityError
 from asmfit.imaging import GrayImage
-from asmfit.scheme import DEFAULT_SCHEME, ContourGroup, LandmarkScheme, single_contour_scheme
+from asmfit.scheme import DEFAULT_SCHEME, ContourGroup, LandmarkScheme
 from asmfit.search import FitConfig
 from asmfit.shape_model import Shape
 from asmfit.svm import SvmTrainConfig
@@ -134,7 +135,8 @@ def test_train_rejects_unknown_config_keys(cli_env, tmp_path, capsys):
 
 @pytest.mark.parametrize("text", ['{"svm": ', '{"levels": "three"}', '{"levels": null}',
                                   '[1, 2]', '{"svm": 5}', '{"levels": 1e400}', '{"q": 5}',
-                                  '{"canny_low": 200, "canny_high": 100}'])
+                                  '{"canny_low": 200, "canny_high": 100}',
+                                  '{"svm": {"c_penalty": 1e309, "epochs": 2}, "levels": 2}'])
 def test_malformed_train_config_fails_in_one_line(cli_env, tmp_path, capsys, monkeypatch, text):
     def refuse(*args, **kwargs):
         raise AssertionError("training started on a malformed config")
@@ -183,6 +185,20 @@ def test_readme_config_block_gives_the_defaults(tmp_path):
     settings = load_train_settings(config)
     assert settings.pop("scheme") == DEFAULT_SCHEME
     assert TrainConfig(**settings) == TrainConfig()
+
+
+def test_overflowing_c_penalty_fails_training_in_one_line(cli_env, tmp_path, capsys):
+    """A finite c_penalty whose regularization 1/(C*m) underflows to 0 is
+    refused by the SVM trainer, in one line and without a bundle."""
+    config = tmp_path / "c.json"
+    config.write_text('{"svm": {"c_penalty": 1e308, "epochs": 2}, "levels": 2}')
+    out = tmp_path / "m.asmb"
+    rc = main(["train", "--images", str(cli_env["images"]), "--points", str(cli_env["points"]),
+               "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("asmfit train: c_penalty 1e+308 over ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_integral_real_settings_train_the_same_bundle(cli_env, tmp_path):

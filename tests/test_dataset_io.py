@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import planted, reseal, with_fit_default
+from reference_profiles import single_contour_scheme
 from asmfit.dataset_io import (
     BUNDLE_MAGIC,
     BUNDLE_VERSION,
@@ -37,7 +38,7 @@ from asmfit.errors import (
 )
 from asmfit.imaging import GrayImage
 from asmfit.profiles import ProfileStats
-from asmfit.scheme import DEFAULT_SCHEME, single_contour_scheme
+from asmfit.scheme import DEFAULT_SCHEME
 from asmfit.search import FitConfig, config_for_mode
 from asmfit.shape_model import Shape
 from asmfit.svm import LinearSvmModel, SvmTrainConfig

@@ -25,7 +25,7 @@ from asmfit.profiles import (
     subspace_rank,
     windows_batch,
 )
-from asmfit.scheme import DEFAULT_SCHEME, ContourGroup, LandmarkScheme, single_contour_scheme
+from asmfit.scheme import DEFAULT_SCHEME, ContourGroup, LandmarkScheme
 from asmfit.shape_model import Shape
 from conftest import (
     ARITY_CASES,
@@ -42,6 +42,7 @@ from reference_profiles import (
     landmark_normal,
     landmark_stats,
     sample_covariance,
+    single_contour_scheme,
     subspace_dense_costs,
     sum_normalized,
 )
@@ -193,7 +194,7 @@ def test_stacked_stats_validation():
 
 def test_normal_square_corner_points_outward():
     sq = Shape(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
-    normals = landmark_normals(sq)
+    normals = landmark_normals(sq, single_contour_scheme(4))
     assert np.allclose(normals[0], [-1 / math.sqrt(2), -1 / math.sqrt(2)])
     outward = sq.points - sq.centroid()
     assert (np.sum(normals * outward, axis=1) > 0).all()
@@ -208,12 +209,13 @@ def test_normal_open_endpoint_uses_adjacent_segment():
 
 def test_normal_degenerate_chord_falls_back_to_radial():
     pts = np.array([[2.0, 2.0], [0.0, 0.0], [2.0, 2.0]])
-    n = landmark_normals(Shape(pts))[1]
+    n = landmark_normals(Shape(pts), single_contour_scheme(3))[1]
     assert np.allclose(n, [-1 / math.sqrt(2), -1 / math.sqrt(2)])
 
 
 def test_normal_fully_degenerate_default():
-    assert np.array_equal(landmark_normals(Shape(np.ones((3, 2)))), [[1.0, 0.0]] * 3)
+    assert np.array_equal(landmark_normals(Shape(np.ones((3, 2))), single_contour_scheme(3)),
+                          [[1.0, 0.0]] * 3)
 
 
 def test_normal_scheme_arity_check():
@@ -254,7 +256,7 @@ def test_normals_batch_checks_scheme_arity():
 def test_normals_are_unit_length():
     rng = np.random.default_rng(0)
     shape = Shape(rng.normal(0, 10, (9, 2)))
-    norms = landmark_normals(shape)
+    norms = landmark_normals(shape, single_contour_scheme(9))
     assert np.allclose(np.linalg.norm(norms, axis=1), 1.0, atol=1e-12)
 
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import PROPERTY, reseal
+from reference_profiles import single_contour_scheme
 from asmfit.dataset_io import (
     BUNDLE_MAGIC,
     BUNDLE_VERSION,
@@ -33,7 +34,6 @@ from asmfit.dataset_io import (
 from asmfit.errors import AsmFitError
 from asmfit.imaging import GrayImage, build_pyramid
 from asmfit.profiles import ProfileStats
-from asmfit.scheme import single_contour_scheme
 from asmfit.search import FitConfig, config_for_mode, fit, init_shape_from_box
 from asmfit.shape_model import Shape, ShapeModel
 from asmfit.svm import LinearSvmModel, SvmTrainConfig

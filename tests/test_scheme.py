@@ -5,14 +5,9 @@ import pytest
 
 from asmfit.cli import load_train_settings
 from asmfit.errors import DatasetError, ShapeArityError
-from asmfit.scheme import (
-    DEFAULT_SCHEME,
-    ContourGroup,
-    LandmarkScheme,
-    single_contour_scheme,
-)
+from asmfit.scheme import DEFAULT_SCHEME, ContourGroup, LandmarkScheme
 
-from reference_profiles import group_of, neighbors
+from reference_profiles import group_of, neighbors, single_contour_scheme
 
 
 def test_group_needs_two_points():

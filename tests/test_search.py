@@ -48,7 +48,7 @@ from conftest import (
     stacked_stats,
     stacked_svms,
 )
-from reference_profiles import landmark_stats
+from reference_profiles import landmark_stats, single_contour_scheme
 from reference_svm import landmark_svm
 import reference_search
 
@@ -316,7 +316,8 @@ def test_search_one_d_follows_contour_normal():
     st_edge = stats_around(trained_row, rng)
     cfg = FitConfig(levels=1, search_radius=3, mode="classic")
     ctx = LevelContext(size=5, raw=img, magnitude=None, edge_map=None,
-                       stats=stacked_stats((st_edge,) * 3), svms=None, scheme=None)
+                       stats=stacked_stats((st_edge,) * 3), svms=None,
+                       scheme=single_contour_scheme(3))
     moved, _ = search_landmarks(ctx, shape, cfg)
     assert tuple(moved.points[1]) == (11.0, 16.0)
 
@@ -365,7 +366,7 @@ def oracle_context(rng, kind, size, k, hw=(40, 52), tie_image=False, gate=True, 
                              rho=stats.rho)
     return LevelContext(size=size, raw=GrayImage(raw), magnitude=mag if kind == "two_d" else None,
                         edge_map=edge_map if edges else None, stats=stats,
-                        svms=svms if gate else None, scheme=None)
+                        svms=svms if gate else None, scheme=single_contour_scheme(k))
 
 
 ORACLE_CASES = [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,18 +11,20 @@ from asmfit.errors import AsmFitError, DegenerateShapeError, InsufficientDataErr
 from asmfit.profiles import retained_rank
 from asmfit.shape_model import (
     Shape,
-    ShapeModel,
     SimilarityTransform,
+    _as_complex,
+    _similarity,
     build_shape_model,
     clamp_params,
     fit_params,
     gpa_align,
-    procrustes_fit,
     synthesize,
 )
+from asmfit.synthetic import generate_face_dataset
 
 from conftest import planted, random_shape_points
 import reference_shape_model
+from reference_shape_model import centroid_size, inverse
 
 
 def square():
@@ -31,6 +34,13 @@ def square():
 def random_shapes(rng, count, n, spread=20.0, wobble=1.5):
     base = random_shape_points(rng, n, spread)
     return [Shape(base + rng.normal(0.0, wobble, (n, 2))) for _ in range(count)]
+
+
+def similarity(source, target) -> SimilarityTransform:
+    """shape_model._similarity mapping source onto target points, with the
+    target centred as fit_params centres it."""
+    tgt_c = np.add.reduce(target, axis=0) / len(target)
+    return SimilarityTransform(*_similarity(source, tgt_c, _as_complex(target - tgt_c)))
 
 
 # ------------------------------------------------------------------ Shape
@@ -55,7 +65,7 @@ def test_shape_vector_round_trip():
 def test_shape_geometry():
     s = square()
     assert np.allclose(s.centroid(), [0.5, 0.5])
-    assert s.centroid_size() == pytest.approx(math.sqrt(2.0))
+    assert centroid_size(s) == pytest.approx(math.sqrt(2.0))
     assert s.bounding_box() == (0.0, 0.0, 1.0, 1.0)
 
 
@@ -73,7 +83,7 @@ def test_transform_apply_inverse_round_trip():
         t = SimilarityTransform(rng.uniform(0.2, 3.0), rng.uniform(-np.pi, np.pi),
                                 rng.normal(0, 10, 2))
         pts = rng.normal(0, 5, (6, 2))
-        assert np.allclose(t.inverse().apply(t.apply(pts)), pts, atol=1e-10)
+        assert np.allclose(inverse(t).apply(t.apply(pts)), pts, atol=1e-10)
 
 
 def test_transform_rejects_bad_scale():
@@ -89,7 +99,7 @@ def test_procrustes_recovers_known_similarity():
     rng = np.random.default_rng(2)
     base = rng.normal(0, 5, (7, 2))
     truth = SimilarityTransform(1.7, 0.6, np.array([3.0, -2.0]))
-    fitted = procrustes_fit(base, truth.apply(base))
+    fitted = similarity(base, truth.apply(base))
     assert fitted.scale == pytest.approx(1.7, abs=1e-9)
     assert fitted.rotation == pytest.approx(0.6, abs=1e-9)
     assert np.allclose(fitted.translation, [3.0, -2.0], atol=1e-9)
@@ -97,8 +107,11 @@ def test_procrustes_recovers_known_similarity():
 
 
 def test_procrustes_degenerate_source():
-    with pytest.raises(DegenerateShapeError):
-        procrustes_fit(np.ones((4, 2)), np.arange(8.0).reshape(4, 2))
+    """_similarity raises on a collapsed source and on a collapsed target."""
+    with pytest.raises(DegenerateShapeError, match="source"):
+        similarity(np.ones((4, 2)), np.arange(8.0).reshape(4, 2))
+    with pytest.raises(DegenerateShapeError, match="target"):
+        similarity(np.arange(8.0).reshape(4, 2), np.ones((4, 2)))
 
 
 # ----------------------------------------------------------------- GPA
@@ -107,7 +120,7 @@ def test_gpa_identical_shapes():
     s = square()
     aligned, mean = gpa_align([s, s])
     assert np.allclose(aligned[0].points, aligned[1].points, atol=1e-12)
-    assert mean.centroid_size() == pytest.approx(1.0)
+    assert centroid_size(mean) == pytest.approx(1.0)
     assert np.allclose(mean.centroid(), 0.0, atol=1e-12)
 
 
@@ -123,7 +136,7 @@ def test_gpa_single_shape():
     aligned, mean = gpa_align([s])
     assert len(aligned) == 1
     assert np.allclose(aligned[0].points, mean.points, atol=1e-12)
-    assert mean.centroid_size() == pytest.approx(1.0)
+    assert centroid_size(mean) == pytest.approx(1.0)
 
 
 def test_gpa_common_similarity_invariance():
@@ -143,12 +156,68 @@ def test_gpa_common_similarity_invariance():
 
 
 def test_gpa_errors():
-    with pytest.raises(ShapeArityError):
-        gpa_align([])
-    with pytest.raises(ShapeArityError):
-        gpa_align([square(), Shape(np.zeros((3, 2)) + np.arange(3)[:, None])])
-    with pytest.raises(DegenerateShapeError):
-        gpa_align([Shape(np.ones((4, 2))), square()])
+    """Each error of the list form, of the same type from the array form;
+    a collapsed shape before the first of another landmark count is
+    reported first, one after it is not."""
+    triangle = Shape(np.zeros((3, 2)) + np.arange(3)[:, None])
+    collapsed = Shape(np.ones((4, 2)))
+    cases = [([], ShapeArityError), ([square(), triangle], ShapeArityError),
+             ([collapsed, square()], DegenerateShapeError),
+             ([square(), collapsed, triangle], DegenerateShapeError),
+             ([square(), triangle, collapsed], ShapeArityError),
+             ([triangle, triangle, square(), collapsed], ShapeArityError)]
+    for shapes, error in cases:
+        for align in (gpa_align, reference_shape_model.gpa_align):
+            with pytest.raises(error):
+                align(shapes)
+
+
+def gpa_outcome(align, shapes):
+    """The aligned shapes' and the mean's bytes, or the error type raised."""
+    try:
+        aligned, mean = align(shapes)
+    except AsmFitError as exc:
+        return type(exc)
+    return [s.points.tobytes() for s in aligned], mean.points.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 70), count=st.integers(1, 40),
+       wobble=st.sampled_from([0.0, 1e-13, 0.3, 1.5, 8.0]), log_scale=st.floats(-13.0, 8.0),
+       moved=st.booleans(), duplicates=st.integers(0, 3),
+       fault=st.sampled_from(["none", "collapsed", "arity"]))
+def test_gpa_align_equals_list_oracle(seed, n, count, wobble, log_scale, moved, duplicates,
+                                      fault):
+    """The array form returns the list oracle's aligned shapes and mean bit
+    for bit, or raises its error type: one or two shapes, duplicated shapes,
+    shapes each under its own random similarity, shapes at every scale down
+    to collapse, and a collapsed shape or one of another landmark count
+    planted among them."""
+    rng = np.random.default_rng(seed)
+    shapes = [Shape(s.points * 10.0**log_scale) for s in random_shapes(rng, count, n,
+                                                                         wobble=wobble)]
+    if moved:
+        shapes = [Shape(SimilarityTransform(rng.uniform(0.1, 10.0), rng.uniform(-np.pi, np.pi),
+                                            rng.normal(0.0, 100.0, 2)).apply(s.points))
+                  for s in shapes]
+    shapes += [shapes[i] for i in rng.integers(0, count, duplicates)]
+    if fault != "none":
+        planted_shape = (Shape(np.ones((n, 2))) if fault == "collapsed"
+                         else Shape(random_shape_points(rng, n + 1)))
+        shapes.insert(int(rng.integers(0, len(shapes) + 1)), planted_shape)
+    want = gpa_outcome(reference_shape_model.gpa_align, shapes)
+    assert gpa_outcome(gpa_align, shapes) == want
+
+
+@pytest.mark.parametrize("count,size,seed", [(30, 256, 201), (30, 256, 7), (240, 128, 101),
+                                             (50, 96, 3)])
+def test_gpa_align_equals_list_oracle_on_face_datasets(count, size, seed):
+    """The training shapes of the synthetic face sets the benchmark and the
+    acceptance criteria train on align to the oracle's bytes."""
+    shapes = [sample.shape for sample in generate_face_dataset(count, size, seed=seed)]
+    got = gpa_outcome(gpa_align, shapes)
+    assert got == gpa_outcome(reference_shape_model.gpa_align, shapes)
+    assert len(got[0]) == count
 
 
 # ----------------------------------------------------------------- PCA
@@ -368,7 +437,7 @@ def test_fit_params_equals_object_loop_oracle(seed, n, count, wobble, aligned, k
         shapes, _ = gpa_align(shapes)
     model = build_shape_model(shapes, variance_fraction=rng.uniform(0.5, 1.0))
     if not wobble:
-        model = ShapeModel(model.mean_shape, np.empty((2 * n, 0)), np.empty(0))
+        model = dataclasses.replace(model, modes=np.empty((2 * n, 0)), eigenvalues=np.empty(0))
     target = oracle_target(rng, model, kind, 10.0**log_scale, rotation)
     want = fit_outcome(reference_shape_model.fit_params, model, target,
                        tolerance=tolerance, max_iters=max_iters)
@@ -380,8 +449,9 @@ def test_fit_params_equals_object_loop_oracle(seed, n, count, wobble, aligned, k
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), log_scale=st.floats(-14.0, 6.0),
        collapse=st.sampled_from(["none", "source", "target"]))
 def test_procrustes_fit_equals_oracle(seed, n, log_scale, collapse):
-    """procrustes_fit gives the oracle's transform bit for bit, or raises the
-    error type the oracle raises, for point sets at every scale."""
+    """_similarity, the library's one Procrustes solve, gives the oracle
+    procrustes_fit's transform bit for bit, or raises the error type the
+    oracle raises, for point sets at every scale."""
     rng = np.random.default_rng(seed)
     src = random_shape_points(rng, n) * 10.0**log_scale
     tgt = random_shape_points(rng, n) * rng.uniform(0.01, 100.0)
@@ -390,7 +460,7 @@ def test_procrustes_fit_equals_oracle(seed, n, log_scale, collapse):
     elif collapse == "target":
         tgt[:] = tgt[0]
     outcomes = []
-    for fit in (procrustes_fit, reference_shape_model.procrustes_fit):
+    for fit in (similarity, reference_shape_model.procrustes_fit):
         try:
             t = fit(src, tgt)
         except AsmFitError as exc:
@@ -411,7 +481,7 @@ def test_regularize_equals_synthesize_and_pose_oracle(seed, n, count, wobble, ki
     rng = np.random.default_rng(seed)
     model = build_shape_model(random_shapes(rng, count, n, wobble=wobble))
     if not wobble:
-        model = ShapeModel(model.mean_shape, np.empty((2 * n, 0)), np.empty(0))
+        model = dataclasses.replace(model, modes=np.empty((2 * n, 0)), eigenvalues=np.empty(0))
     target = oracle_target(rng, model, kind, 10.0**log_scale, rotation)
     outcomes = []
     for regularize in (search._regularize, reference_shape_model.regularize):

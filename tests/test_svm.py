@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies
@@ -13,6 +15,7 @@ from asmfit.svm import (
     train_linear_svm,
     training_accuracy,
 )
+from asmfit.training import TrainConfig
 from conftest import ARITY_CASES, PROPERTY, arity_call, matmul_operands, owner_counts, owner_products
 from reference_svm import (
     build_landmark_training_set_reference,
@@ -50,8 +53,8 @@ def test_model_validation():
         LinearSvmModel(np.array([1.0, np.nan]), 0.0)
     with pytest.raises(ShapeArityError):
         LinearSvmModel(np.ones(2), float("inf"))
-    assert LinearSvmModel(np.ones(4), 0.5).dim == 4
-    assert LinearSvmModel(np.ones((3, 4)), np.zeros(3)).dim == 4
+    assert LinearSvmModel(np.ones(4), 0.5).weights.shape == (4,)
+    assert LinearSvmModel(np.ones((3, 4)), np.zeros(3)).weights.shape == (3, 4)
     with pytest.raises(DimensionMismatchError):
         LinearSvmModel(np.ones((3, 4)), np.zeros(2))
     with pytest.raises(DimensionMismatchError):
@@ -75,8 +78,9 @@ def test_stacked_model_reads_landmark_rows():
 
 
 def test_train_config_validation():
-    with pytest.raises(ShapeArityError):
-        SvmTrainConfig(c_penalty=0.0)
+    for c_penalty in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ShapeArityError, match="c_penalty"):
+            SvmTrainConfig(c_penalty=c_penalty)
     with pytest.raises(ShapeArityError):
         SvmTrainConfig(epochs=0)
     with pytest.raises(ShapeArityError):
@@ -108,6 +112,14 @@ def test_training_set_checks_its_seeds(seed):
 
 # ------------------------------------------------------- training windows
 
+def training_set(dataset, landmarks, level, **settings):
+    """build_landmark_training_set with TrainConfig's ring, 5x5 windows and
+    seed 0 for every landmark, in place of the settings not given."""
+    defaults = dict(negatives_per_positive=TrainConfig.negatives_per_positive,
+                    offset_range=TrainConfig.offset_range, seeds=[0] * len(landmarks), size=5)
+    return build_landmark_training_set(dataset, landmarks, level, **(defaults | settings))
+
+
 def grid_magnitude():
     rng = np.random.default_rng(6)
     return rng.uniform(1.0, 9.0, (40, 40))
@@ -116,8 +128,7 @@ def grid_magnitude():
 def test_training_set_composition():
     mag = grid_magnitude()
     pts = np.array([[20.0, 20.0], [10.0, 30.0]])
-    ts = build_landmark_training_set([(mag, pts)] * 3, [0], level=0,
-                                     negatives_per_positive=4, seeds=[1], size=5)
+    ts = training_set([(mag, pts)] * 3, [0], level=0, seeds=[1])
     assert ts.count == 15 and ts.landmarks == (0,) and ts.seeds is None
     assert ts.labels.tolist() == [[1.0, -1.0, -1.0, -1.0, -1.0] * 3]
     assert ts.features.shape == (1, 15, 25)
@@ -129,10 +140,10 @@ def test_training_set_composition():
 def test_training_set_deterministic():
     mag = grid_magnitude()
     pts = np.array([[20.0, 20.0]])
-    a = build_landmark_training_set([(mag, pts)] * 4, [0], 0, seeds=[9], size=5)
-    b = build_landmark_training_set([(mag, pts)] * 4, [0], 0, seeds=[9], size=5)
+    a = training_set([(mag, pts)] * 4, [0], 0, seeds=[9])
+    b = training_set([(mag, pts)] * 4, [0], 0, seeds=[9])
     assert np.array_equal(a.features, b.features)
-    c = build_landmark_training_set([(mag, pts)] * 4, [0], 0, seeds=[10], size=5)
+    c = training_set([(mag, pts)] * 4, [0], 0, seeds=[10])
     assert not np.array_equal(a.features, c.features)
 
 
@@ -140,19 +151,18 @@ def test_training_set_ring_capacity():
     mag = grid_magnitude()
     pts = np.array([[20.0, 20.0]])
     # Chebyshev ring [1, 1] holds exactly 8 offsets
-    ts = build_landmark_training_set([(mag, pts)], [0], 0, negatives_per_positive=8,
-                                     offset_range=(1, 1), size=5)
+    ts = training_set([(mag, pts)], [0], 0, negatives_per_positive=8, offset_range=(1, 1))
     assert ts.count == 9
     # numpy integers are integers
-    ts = build_landmark_training_set([(mag, pts)], [0], 0, offset_range=(np.int64(2), 8),
-                                     negatives_per_positive=np.int32(4), size=np.int64(5))
+    ts = training_set([(mag, pts)], [0], 0, offset_range=(np.int64(2), 8),
+                      negatives_per_positive=np.int32(4), size=np.int64(5))
     assert ts.features.shape == (1, 5, 25)
     for bad in (dict(negatives_per_positive=9, offset_range=(1, 1)),
                 dict(negatives_per_positive=-1), dict(offset_range=(0, 4))):
         with pytest.raises(ShapeArityError):
-            build_landmark_training_set([(mag, pts)], [0], 0, size=5, **bad)
+            training_set([(mag, pts)], [0], 0, **bad)
     with pytest.raises(DimensionMismatchError):
-        build_landmark_training_set([(mag, pts)], [0], 0, seeds=[1, 2], size=5)
+        training_set([(mag, pts)], [0], 0, seeds=[1, 2])
 
 
 @pytest.mark.parametrize("bad", [
@@ -166,13 +176,12 @@ def test_training_set_rejects_non_integer_settings(bad):
     truncated: (2.7, 8.9) used to train as (2, 8)."""
     mag = grid_magnitude()
     pts = np.array([[20.0, 20.0]])
-    settings = dict(size=5) | bad
     with pytest.raises(ShapeArityError, match="integer"):
-        build_landmark_training_set([(mag, pts)], [0], 0, **settings)
+        training_set([(mag, pts)], [0], 0, **bad)
 
 
 def test_training_set_empty_dataset():
-    ts = build_landmark_training_set([], [0, 1], 0, size=5)
+    ts = training_set([], [0, 1], 0)
     assert ts.count == 0 and ts.features.shape == (2, 0, 25)
     with pytest.raises(ClassBalanceError):
         train_linear_svm(ts, SvmTrainConfig())
@@ -208,6 +217,20 @@ def test_stacked_training_set_equals_per_landmark_oracle(size, negatives, ring, 
 
 
 # ---------------------------------------------------------------- trainer
+
+@pytest.mark.parametrize("c_penalty,lam", [(1e308, 0.0), (1e-320, math.inf)])
+def test_trainer_rejects_a_c_penalty_whose_regularization_is_not_finite(c_penalty, lam):
+    """1/(C*m) of 0 divided by zero in the first step, and of inf turned the
+    weights NaN; both are refused before the first step, stacked or not.
+    RuntimeWarnings are errors here, so none may be raised either."""
+    feats, labels = stacked_problem(2, 40, seed=3)
+    assert 1.0 / (c_penalty * 40) == lam
+    config = SvmTrainConfig(c_penalty=c_penalty, epochs=2)
+    for train_set in (LandmarkTrainingSet(feats, labels, (0, 1), 0),
+                      LandmarkTrainingSet(feats[0], labels[0], 0, 0)):
+        with pytest.raises(ShapeArityError, match="positive and finite"):
+            train_linear_svm(train_set, config)
+
 
 def test_two_point_analytic_solution():
     model = train_linear_svm(two_point_set(),
@@ -469,16 +492,3 @@ def test_training_accuracy_matches_decision_values():
                 for i in range(3)]
     assert training_accuracy(model, stack).tolist() == expected
 
-
-def test_training_accuracy_of_one_landmark_set():
-    """One landmark's set and its unstacked model score like row 0 of a
-    stack of one."""
-    feats, labels = stacked_problem(1, 40, seed=9)
-    one = LandmarkTrainingSet(feats[0], labels[0], 4, 0)
-    model = train_linear_svm(one, SvmTrainConfig(epochs=10))
-    assert model.weights.ndim == 1
-    stacked = LinearSvmModel(model.weights[None], np.reshape(model.bias, 1))
-    want = training_accuracy(stacked, LandmarkTrainingSet(feats, labels, (4,), 0))
-    assert training_accuracy(model, one).tolist() == want.tolist()
-    assert want[0] == np.mean(np.where(decision_values(model, feats[0]) >= 0, 1.0, -1.0)
-                              == labels[0])

@@ -66,7 +66,7 @@ def test_stats_match_configured_dims(trained):
     bundle, _, _ = trained
     for level, size in enumerate(bundle.asm_profiles.sizes):
         assert bundle.asm_profiles.stats[level].dim == size * size
-        assert bundle.svms[level].dim == size * size
+        assert bundle.svms[level].weights.shape == (68, size * size)
     for level in range(3):
         assert bundle.classic_profiles.stats[level].dim == 15
 
