@@ -32,7 +32,7 @@ _FIT_KEYS = ("levels", "search_radius", "max_iters_per_level", "convergence", "c
 _TRAIN_KEYS = ("profile_lengths", "variance_fraction", "clamp_alpha", "eps",
                "negatives_per_positive", "offset_range", "seed")
 _CONFIG_KEYS = {"scheme", "svm", "classic_profile_length", *_FIT_KEYS, *_TRAIN_KEYS}
-_SVM_KEYS = {"c_penalty", "epochs", "batch_size"}
+_SVM_KEYS = {"c_penalty", "epochs"}
 
 MARKER_COLOR = (255, 0, 0)
 # The nine pixels of a landmark marker, relative to its rounded position.

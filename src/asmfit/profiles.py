@@ -71,7 +71,7 @@ class ProfileStats:
     The covariance is C = U diag(lam) U^T with an orthonormal (d, r) basis
     U; C has no mass outside span(U). Costs use C + rho * I through
     weights = 1 / (lam + rho), so no inverse is ever formed. Build it from
-    a covariance (every eigenpair is kept, r = d) or directly from
+    a covariance and eps (every eigenpair is kept, r = d) or directly from
     (basis, lam, rho), as stats_from_matrix and the bundle loader do.
 
     A stack adds a leading landmark axis to every field: mean (k, d), basis
@@ -85,15 +85,15 @@ class ProfileStats:
     rho: float | np.ndarray
     weights: np.ndarray = field(repr=False)
 
-    def __init__(self, mean, covariance=None, eps: float = 1e-3, *,
+    def __init__(self, mean, covariance=None, eps: float | None = None, *,
                  basis=None, lam=None, rho=None):
         mean = readonly(mean)
         if mean.ndim not in (1, 2):
             raise DimensionMismatchError(f"mean must be (d,) or (k, d), got {mean.shape}")
         lead, d = mean.shape[:-1], mean.shape[-1]
         if covariance is not None:
-            if basis is not None or lam is not None or rho is not None:
-                raise TypeError("give either a covariance or (basis, lam, rho), not both")
+            if eps is None or basis is not None or lam is not None or rho is not None:
+                raise TypeError("give either a covariance and eps or (basis, lam, rho), not both")
             cov = np.asarray(covariance, dtype=float)
             if cov.shape != lead + (d, d):
                 raise DimensionMismatchError(

@@ -234,11 +234,11 @@ def gpa_align(shapes: Sequence[Shape]) -> tuple[list[Shape], Shape]:
     mean = z[0] / np.linalg.norm(z[0])
     mean = mean * _canonical_spin(mean)
     for _ in range(_GPA_MAX_ROUNDS):
+        # A power iteration, new_mean = S mean / N with S = sum of u u^H over the
+        # unit rows u (the spin is a unit factor). Its Rayleigh quotient starts at
+        # |u_0^H u_0|^2 = 1 and never falls, so |new_mean| >= 1/N: no collapse.
         new_mean = (z * (np.vecdot(z, mean) / squared)[:, None]).mean(axis=0)
-        size = np.linalg.norm(new_mean)
-        if size < _DEGENERATE_SIZE:
-            raise DegenerateShapeError("mean shape collapsed during alignment")
-        new_mean = new_mean / size
+        new_mean = new_mean / np.linalg.norm(new_mean)
         new_mean = new_mean * _canonical_spin(new_mean)
         moved = np.linalg.norm(new_mean - mean)
         mean = new_mean

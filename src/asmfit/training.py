@@ -5,7 +5,7 @@ pipelines (1-D derivative profiles for the classic baseline, 2-D gradient
 windows plus per-landmark SVMs for the gated search). Training runs one
 pass per pyramid level; there the SVM stacks gather every window once,
 and their positive windows are the samples of the 2-D profile statistics.
-SGD runs on standardized windows; each SVM is stored folded back onto raw
+The SVMs train on standardized windows, each stored folded back onto raw
 windows. A level's 2-D statistics keep the leading subspace that holds
 variance_fraction of every landmark's variance, and fold the rest into the
 ridge.
@@ -47,12 +47,13 @@ from .svm import (
 )
 
 # Bound, in floats per training row, on the total row width of the landmark
-# SVMs that train in one stacked SGD loop: 8 landmarks of 15x15 windows
-# plus bias. A level's landmarks split into the fewest stacks of equal size
-# under it, so 68 landmarks train in 1 stack at 3x3, 2 of 34 at 7x7 and 9
-# of 7 or 8 at 15x15. Every stack costs the same number of Python steps;
-# wider stacks no longer stay in cache (all 68 landmarks of 240 images at
-# 15x15 hold 147 MB and run slower).
+# SVMs that train as one stack: 8 landmarks of 15x15 windows plus bias. A
+# level's landmarks split into the fewest stacks of equal size under it, so
+# 68 landmarks train in 1 stack at 3x3, 2 of 34 at 7x7 and 9 of 7 or 8 at
+# 15x15. A stack's signed rows copy its windows, so wider stacks hold more
+# and train little faster: 240 faces at 128x128 (1 BLAS thread, 2-core Xeon
+# VM) took 4.9/4.7/4.6/4.4 s and peaked at 243/261/371/712 MB with stacks
+# of 4/8/17/68 landmarks at 15x15.
 _SVM_WIDTH = 8 * (15**2 + 1)
 
 
@@ -70,8 +71,8 @@ class TrainingSummary:
     level_profile_ranks: tuple
 
 
-def _seed_for(master: int, level: int, landmark: int, salt: int) -> int:
-    return master * 1_000_003 + salt * 500_000 + level * 1_000 + landmark
+def _seed_for(master: int, level: int, landmark: int) -> int:
+    return master * 1_000_003 + level * 1_000 + landmark
 
 
 def _svm_stacks(n: int, size: int) -> list:
@@ -118,8 +119,8 @@ class TrainConfig:
 
     profile_lengths holds the asm window side of each of fit_config.levels
     pyramid levels, finest first; None takes the first `levels` of (3, 7, 15).
-    All randomness (negative-window placement, SVM batch order) derives from
-    seed, so svm_config.seed must keep its default. Stores None configs as
+    Negative windows derive from seed and the SVM trainer draws no random
+    numbers, so svm_config.seed must keep its default. Stores None configs as
     their defaults, profile_lengths and offset_range as tuples and the reals
     as floats; a mistyped or out-of-range setting raises ShapeArityError.
     """
@@ -159,8 +160,8 @@ class TrainConfig:
             raise ShapeArityError(f"eps must be finite and non-negative, got {self.eps}")
         if svm_config.seed != SvmTrainConfig.seed:
             raise ShapeArityError(
-                f"svm_config.seed {svm_config.seed} is unused: every SVM's seed derives from "
-                f"train_bundle's seed, so it must stay {SvmTrainConfig.seed}"
+                f"svm_config.seed {svm_config.seed} is unused: the SVM trainer draws no random "
+                f"numbers, so it must stay {SvmTrainConfig.seed}"
             )
         filled = {"fit_config": fit_config, "svm_config": svm_config, "profile_lengths": sizes,
                   "offset_range": tuple(self.offset_range)}
@@ -214,15 +215,14 @@ def train_bundle(samples, scheme: LandmarkScheme, **settings):
                 dataset_lv, run, lv,
                 negatives_per_positive=config.negatives_per_positive,
                 offset_range=config.offset_range,
-                seeds=[_seed_for(config.seed, lv, j, 0) for j in run],
+                seeds=[_seed_for(config.seed, lv, j) for j in run],
                 size=size,
             )
             # Each image's first row per landmark is the positive window.
             stats.append(stats_from_matrix(stack.features[:, ::1 + config.negatives_per_positive],
                                            config.eps))
             rows, mean, std = _standardize(stack.features)
-            stack = replace(stack, features=rows,
-                            seeds=tuple(_seed_for(config.seed, lv, j, 1) for j in run))
+            stack = replace(stack, features=rows)
             model = train_linear_svm(stack, config.svm_config)
             accuracy.extend(training_accuracy(model, stack))
             weights[run], biases[run] = _fold(model, mean, std)
@@ -244,7 +244,6 @@ def train_bundle(samples, scheme: LandmarkScheme, **settings):
             "samples": len(samples),
             "c_penalty": config.svm_config.c_penalty,
             "epochs": config.svm_config.epochs,
-            "batch_size": config.svm_config.batch_size,
             "negatives_per_positive": config.negatives_per_positive,
             "offset_min": int(config.offset_range[0]),
             "offset_max": int(config.offset_range[1]),

@@ -216,7 +216,7 @@ def test_integral_real_settings_train_the_same_bundle(cli_env, tmp_path):
 @pytest.mark.parametrize("config", [
     {"search_radius": 3.7}, {"levels": 2.9}, {"levels": True}, {"max_iters_per_level": 2.5},
     {"classic_profile_length": 7.5}, {"classic_profile_length": 8},
-    {"svm": {"epochs": 20.9}}, {"svm": {"batch_size": 32.5}}, {"svm": {"epochs": True}},
+    {"svm": {"epochs": 20.9}}, {"svm": {"batch_size": 32}}, {"svm": {"epochs": True}},
     {"svm": {"c_penalty": "1"}}, {"negatives_per_positive": 4.5}, {"seed": 1.5},
     {"offset_range": [2, 8.5]}, {"offset_range": [2, 4, 8]}, {"offset_range": 5},
     {"variance_fraction": "0.9"}, {"clamp_alpha": None}, {"eps": [0.001]}, {"eps": 10**400},

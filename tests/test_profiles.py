@@ -67,8 +67,8 @@ def factor_inverse(st):
 
 def test_profile_stats_symmetrizes_covariance():
     cov = np.array([[2.0, 0.4], [0.0, 1.0]])
-    st = ProfileStats(np.zeros(2), cov)
-    sym = ProfileStats(np.zeros(2), (cov + cov.T) / 2)
+    st = ProfileStats(np.zeros(2), cov, eps=1e-3)
+    sym = ProfileStats(np.zeros(2), (cov + cov.T) / 2, eps=1e-3)
     assert np.array_equal(st.basis, sym.basis)
     assert np.array_equal(st.lam, sym.lam)
     assert st.rho == sym.rho
@@ -97,7 +97,7 @@ def test_profile_stats_eps_zero_exact_inverse():
 
 def test_profile_stats_dimension_checks():
     with pytest.raises(DimensionMismatchError):
-        ProfileStats(np.zeros(3), np.eye(2))
+        ProfileStats(np.zeros(3), np.eye(2), eps=1e-3)
     with pytest.raises(DimensionMismatchError):
         ProfileStats(np.zeros(2), basis=np.eye(3), lam=np.ones(3), rho=0.1)
     with pytest.raises(DimensionMismatchError):
@@ -120,14 +120,16 @@ def test_profile_stats_factor_validation():
     with pytest.raises(InsufficientDataError):
         stats_from_matrix(np.random.default_rng(0).normal(size=(3, 5)), eps=0.0)
     with pytest.raises(TypeError):
-        ProfileStats(np.zeros(2), np.eye(2), basis=np.eye(2), lam=[1.0, 1.0], rho=0.1)
+        ProfileStats(np.zeros(2), np.eye(2), eps=1e-3, basis=np.eye(2), lam=[1.0, 1.0], rho=0.1)
+    with pytest.raises(TypeError, match="covariance and eps"):
+        ProfileStats(np.zeros(2), np.eye(2))  # the covariance form has no default eps
     with pytest.raises(TypeError):
         ProfileStats(np.zeros(2), basis=np.eye(2), lam=[1.0, 1.0])
 
 
 def test_profile_model_validation():
     def make_stats(dim, k=1):
-        return stacked_stats([ProfileStats(np.zeros(dim), np.eye(dim))] * k)
+        return stacked_stats([ProfileStats(np.zeros(dim), np.eye(dim), eps=1e-3)] * k)
 
     model = ProfileModel("one_d", (3, 5), (make_stats(3), make_stats(5)))
     assert model.levels == 2
@@ -146,7 +148,8 @@ def test_profile_model_validation():
     with pytest.raises(DimensionMismatchError):
         ProfileModel("one_d", (3, 5), (make_stats(3, k=2), make_stats(5)))  # 2 and 1 landmarks
     with pytest.raises(DimensionMismatchError):
-        ProfileModel("one_d", (3,), (ProfileStats(np.zeros(3), np.eye(3)),))  # not stacked
+        # not stacked
+        ProfileModel("one_d", (3,), (ProfileStats(np.zeros(3), np.eye(3), eps=1e-3),))
     # a level's stack holds one rank: rank-1 eigenvalues do not fit rank-3 bases
     with pytest.raises(DimensionMismatchError):
         ProfileStats(np.zeros((2, 3)), basis=np.tile(np.eye(3), (2, 1, 1)), lam=np.ones((2, 1)),
@@ -520,7 +523,7 @@ def test_mahalanobis_batch_matches_scalar():
 
 
 def test_mahalanobis_dimension_check():
-    st = ProfileStats(np.zeros(2), np.eye(2))
+    st = ProfileStats(np.zeros(2), np.eye(2), eps=1e-3)
     with pytest.raises(DimensionMismatchError):
         mahalanobis_cost(st, Profile(np.zeros(3)))
     with pytest.raises(DimensionMismatchError):
@@ -653,7 +656,7 @@ def test_edge_weighting_factors():
 
 def test_edge_weighting_requires_c_above_one():
     """edge_weighted_cost takes FitConfig's rule for c: finite and above 1."""
-    st = ProfileStats(np.zeros(2), np.eye(2))
+    st = ProfileStats(np.zeros(2), np.eye(2), eps=1e-3)
     for c in (1.0, 0.5, math.inf, math.nan):
         with pytest.raises(ShapeArityError, match="edge weight constant"):
             edge_weighted_cost(st, Profile(np.ones(2)), True, c=c)

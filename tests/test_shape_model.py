@@ -125,10 +125,15 @@ def test_gpa_identical_shapes():
 
 
 def test_gpa_inverts_known_similarity():
+    """A shape beside its image under a similarity aligns onto it. The point
+    reflection, a 180-degree turn, is the pair whose mean would vanish if
+    the shapes were averaged unaligned."""
     base = Shape(np.array([[0.0, 0.0], [4.0, 1.0], [2.0, 5.0], [-1.0, 3.0]]))
-    t = SimilarityTransform(2.0, np.pi / 2, np.array([10.0, -4.0]))
-    aligned, _ = gpa_align([base, Shape(t.apply(base.points))])
-    assert np.allclose(aligned[0].points, aligned[1].points, atol=1e-9)
+    for t in (SimilarityTransform(2.0, np.pi / 2, np.array([10.0, -4.0])),
+              SimilarityTransform(1.0, np.pi, np.zeros(2))):  # the point reflection
+        aligned, mean = gpa_align([base, Shape(t.apply(base.points))])
+        assert np.allclose(aligned[0].points, aligned[1].points, atol=1e-9)
+        assert centroid_size(mean) == pytest.approx(1.0)
 
 
 def test_gpa_single_shape():

@@ -19,11 +19,11 @@ from asmfit.training import TrainConfig
 from conftest import ARITY_CASES, PROPERTY, arity_call, matmul_operands, owner_counts, owner_products
 from reference_svm import (
     build_landmark_training_set_reference,
+    kkt_residual,
     landmark_svm,
     predict,
     svm_objective,
     train_linear_svm_reference,
-    train_linear_svm_stacked_reference,
 )
 
 
@@ -83,8 +83,10 @@ def test_train_config_validation():
             SvmTrainConfig(c_penalty=c_penalty)
     with pytest.raises(ShapeArityError):
         SvmTrainConfig(epochs=0)
-    with pytest.raises(ShapeArityError):
-        SvmTrainConfig(batch_size=0)
+    # batch_size is a constant that perfbench's step counter reads, not a setting.
+    assert SvmTrainConfig().batch_size == SvmTrainConfig.batch_size == 32
+    with pytest.raises(TypeError, match="batch_size"):
+        SvmTrainConfig(batch_size=32)
     with pytest.raises(ShapeArityError, match="seed must be non-negative"):
         SvmTrainConfig(seed=-1)
 
@@ -96,18 +98,6 @@ def test_training_set_validation():
         LandmarkTrainingSet(np.zeros((2, 3)), np.array([1.0]), 0, 0)
     ts = two_point_set()
     assert ts.count == 2
-
-
-@pytest.mark.parametrize("seed", [-5, True, 1.0, None], ids=["negative", "bool", "float", "none"])
-def test_training_set_checks_its_seeds(seed):
-    """Per-landmark SGD seeds follow check_seed, as SvmTrainConfig.seed does,
-    so a bad one raises ShapeArityError before any SGD step, not a bare
-    error from default_rng."""
-    feats = np.zeros((2, 4, 3))
-    labels = np.tile([1.0, -1.0], (2, 2))
-    with pytest.raises(ShapeArityError, match=r"seeds\[1\]"):
-        LandmarkTrainingSet(feats, labels, (0, 1), 0, seeds=(0, seed))
-    assert LandmarkTrainingSet(feats, labels, (0, 1), 0, seeds=(0, 7)).seeds == (0, 7)
 
 
 # ------------------------------------------------------- training windows
@@ -125,11 +115,23 @@ def grid_magnitude():
     return rng.uniform(1.0, 9.0, (40, 40))
 
 
+@pytest.mark.parametrize("seed", [-5, True, 1.0, None], ids=["negative", "bool", "float", "none"])
+def test_training_set_checks_its_seeds(seed):
+    """Each landmark's negative-window seed follows check_seed, as
+    SvmTrainConfig.seed does, so a bad one raises ShapeArityError before any
+    window is drawn, not a bare error from default_rng (which would take
+    True as 1 and None as fresh entropy)."""
+    dataset = [(grid_magnitude(), np.array([[20.0, 20.0], [10.0, 30.0]]))]
+    with pytest.raises(ShapeArityError, match=r"seeds\[1\]"):
+        training_set(dataset, [0, 1], 0, seeds=[0, seed])
+    assert training_set(dataset, [0, 1], 0, seeds=[0, 7]).features.shape == (2, 5, 25)
+
+
 def test_training_set_composition():
     mag = grid_magnitude()
     pts = np.array([[20.0, 20.0], [10.0, 30.0]])
     ts = training_set([(mag, pts)] * 3, [0], level=0, seeds=[1])
-    assert ts.count == 15 and ts.landmarks == (0,) and ts.seeds is None
+    assert ts.count == 15 and ts.landmarks == (0,)
     assert ts.labels.tolist() == [[1.0, -1.0, -1.0, -1.0, -1.0] * 3]
     assert ts.features.shape == (1, 15, 25)
     positive = normalize_windows(windows_batch(mag, pts[:1], 5), "sum")[0]
@@ -256,13 +258,16 @@ def test_trainer_beats_zero_model_objective():
     assert svm_objective(model, ts, 10.0) < svm_objective(zero, ts, 10.0)
 
 
-def test_trainer_deterministic_per_seed():
-    ts = separable_set(4)
-    a = train_linear_svm(ts, SvmTrainConfig(seed=7, epochs=50))
-    b = train_linear_svm(ts, SvmTrainConfig(seed=7, epochs=50))
-    assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
-    c = train_linear_svm(ts, SvmTrainConfig(seed=8, epochs=50))
-    assert not np.array_equal(a.weights, c.weights)
+def test_trainer_deterministic_per_seed(monkeypatch):
+    """The trainer draws no random numbers: it makes no generator, and every
+    seed gives the same bytes."""
+    feats, labels = stacked_problem(3, 70, seed=4)
+    ts = LandmarkTrainingSet(feats, labels, (0, 1, 2), 0)
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: pytest.fail("made a generator"))
+    a = train_linear_svm(ts, SvmTrainConfig(seed=7))
+    for seed in (7, 8, 0):
+        b = train_linear_svm(ts, SvmTrainConfig(seed=seed))
+        assert a.weights.tobytes() == b.weights.tobytes() and a.bias.tobytes() == b.bias.tobytes()
 
 
 def test_trainer_rejects_single_class():
@@ -409,42 +414,58 @@ def stacked_problem(k, m, d=5, seed=0):
     return feats, labels
 
 
+# How a stack's landmarks share the trainer's batched steps: all k hold the
+# same rows, so they finish together and every step is a full batch; they
+# hold different rows, so they finish at different iterations and the last
+# steps run on part of the stack, its finished landmarks held fixed; or
+# every landmark has fewer rows (20) than unknowns (25 + bias), so every
+# solve takes the push-through form.
+BATCH_CASES = {"full-batches": (64, 5, True), "partial-last-batch": (70, 5, False),
+               "batch-exceeds-rows": (20, 25, False)}
+
+
 @pytest.mark.parametrize("k", [1, 3, 8])
-@pytest.mark.parametrize("m, batch", [(64, 32), (70, 32), (20, 32)],
-                         ids=["full-batches", "partial-last-batch", "batch-exceeds-rows"])
-def test_stacked_trainer_matches_per_landmark_oracle(k, m, batch):
-    feats, labels = stacked_problem(k, m, seed=k * 100 + m)
-    seeds = [11 * i + 3 for i in range(k)]
-    config = SvmTrainConfig(c_penalty=2.0, epochs=25, batch_size=batch, seed=99)
-    stack = LandmarkTrainingSet(feats, labels, tuple(range(10, 10 + k)), 1, seeds=seeds)
-    model = train_linear_svm(stack, config)
-    assert model.weights.shape == (k, 5) and model.bias.shape == (k,)
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_stacked_trainer_matches_per_landmark_oracle(k, case):
+    """Each landmark of a stack gets the bytes it gets trained alone, and
+    the dense oracle's optimum to rounding, with the same signs on its
+    rows."""
+    m, d, same = BATCH_CASES[case]
+    feats, labels = stacked_problem(1 if same else k, m, d, seed=k * 100 + m)
+    feats, labels = np.resize(feats, (k, m, d)), np.resize(labels, (k, m))
+    config = SvmTrainConfig(c_penalty=2.0)
+    model = train_linear_svm(LandmarkTrainingSet(feats, labels, tuple(range(10, 10 + k)), 1),
+                             config)
+    assert model.weights.shape == (k, d) and model.bias.shape == (k,)
     for i in range(k):
-        ref = train_linear_svm_reference(feats[i], labels[i], c_penalty=2.0, epochs=25,
-                                         batch_size=batch, seed=seeds[i])
-        np.testing.assert_allclose(model.weights[i], ref.weights, rtol=1e-12)
-        assert model.bias[i] == pytest.approx(ref.bias, rel=1e-12)
+        alone = train_linear_svm(LandmarkTrainingSet(feats[i], labels[i], 10 + i, 1), config)
+        assert model.weights[i].tobytes() == alone.weights.tobytes()
+        assert model.bias[i].tobytes() == np.float64(alone.bias).tobytes()
+        ref = train_linear_svm_reference(LandmarkTrainingSet(feats[i], labels[i], 10 + i, 1),
+                                         c_penalty=2.0)
+        np.testing.assert_allclose(model.weights[i], ref.weights, rtol=1e-9, atol=1e-12)
+        assert model.bias[i] == pytest.approx(ref.bias, rel=1e-9, abs=1e-12)
         assert np.array_equal(decision_values(landmark_svm(model, i), feats[i]) >= 0,
                               decision_values(ref, feats[i]) >= 0)
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
-@pytest.mark.parametrize("m, batch", [(64, 32), (70, 32), (20, 32)],
-                         ids=["full-batches", "partial-last-batch", "batch-exceeds-rows"])
-def test_label_signed_trainer_equals_stacked_reference(k, m, batch):
-    """Signing the rows by their labels once changes no bit of any iterate.
-    The zero last dimension is where a signed-zero difference would show."""
-    feats, labels = stacked_problem(k, m, seed=k * 100 + m)
-    feats = np.concatenate([feats, np.zeros((k, m, 1))], axis=2)
-    config = SvmTrainConfig(c_penalty=2.0, epochs=25, batch_size=batch, seed=99)
-    for seeds in ([11 * i + 3 for i in range(k)], None):
-        stack = LandmarkTrainingSet(feats, labels, tuple(range(10, 10 + k)), 1, seeds=seeds)
-        model = train_linear_svm(stack, config)
-        ref = train_linear_svm_stacked_reference(stack, config)
-        assert np.array_equal(model.weights, ref.weights) and np.array_equal(model.bias, ref.bias)
-        # bytes also tell +0.0 from -0.0
-        assert model.weights.tobytes() == ref.weights.tobytes()
-        assert model.bias.tobytes() == ref.bias.tobytes()
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_label_signed_trainer_equals_stacked_reference(k, case):
+    """Signing the rows by their labels once, z = y*[x, 1], changes nothing:
+    the stack reaches the optimum of the oracle, which keeps features and
+    labels apart, to rounding, where the KKT conditions hold. The zero last
+    dimension, signed -0.0 on every negative row, trains to a zero weight."""
+    m, d, same = BATCH_CASES[case]
+    feats, labels = stacked_problem(1 if same else k, m, d, seed=k * 100 + m)
+    feats = np.concatenate([np.resize(feats, (k, m, d)), np.zeros((k, m, 1))], axis=2)
+    stack = LandmarkTrainingSet(feats, np.resize(labels, (k, m)), tuple(range(10, 10 + k)), 1)
+    model = train_linear_svm(stack, SvmTrainConfig(c_penalty=2.0))
+    ref = train_linear_svm_reference(stack, c_penalty=2.0)
+    np.testing.assert_allclose(model.weights, ref.weights, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(model.bias, ref.bias, rtol=1e-9, atol=1e-12)
+    assert np.all(model.weights[:, -1] == 0.0)
+    assert kkt_residual(model, stack, 2.0).max() < 1e-10
 
 
 def test_single_landmark_is_a_stack_of_one():
@@ -452,16 +473,16 @@ def test_single_landmark_is_a_stack_of_one():
     config = SvmTrainConfig(epochs=25, seed=5)
     single = train_linear_svm(LandmarkTrainingSet(feats[0], labels[0], 3, 0), config)
     stacked = train_linear_svm(LandmarkTrainingSet(feats, labels, (3,), 0), config)
-    ref = train_linear_svm_reference(feats[0], labels[0], epochs=25, seed=5)
+    ref = train_linear_svm_reference(LandmarkTrainingSet(feats[0], labels[0], 3, 0))
     assert np.array_equal(single.weights, stacked.weights[0])
     assert single.bias == stacked.bias[0]
-    np.testing.assert_allclose(single.weights, ref.weights, rtol=1e-12)
+    np.testing.assert_allclose(single.weights, ref.weights, rtol=1e-9)
 
 
 def test_stacked_one_class_landmark_is_named():
     feats, labels = stacked_problem(3, 20)
     labels[1] = 1.0
-    stack = LandmarkTrainingSet(feats, labels, (40, 42, 44), 2, seeds=(1, 2, 3))
+    stack = LandmarkTrainingSet(feats, labels, (40, 42, 44), 2)
     with pytest.raises(ClassBalanceError, match="landmark 42 level 2"):
         train_linear_svm(stack, SvmTrainConfig(epochs=2))
 
@@ -473,19 +494,16 @@ def test_stack_validation_and_accessors():
     with pytest.raises(DimensionMismatchError):
         LandmarkTrainingSet(feats, labels, (0, 1), 0)
     with pytest.raises(DimensionMismatchError):
-        LandmarkTrainingSet(feats, labels, (0, 1, 2), 0, seeds=(1, 2))
-    with pytest.raises(DimensionMismatchError):
         LandmarkTrainingSet(feats[..., None], labels, (0, 1, 2), 0)
-    stack = LandmarkTrainingSet(feats, labels, (5, 6, 7), 1, seeds=(7, 8, 9))
-    assert stack.count == 10 and stack.landmarks == (5, 6, 7)
-    assert stack.seeds == (7, 8, 9) and stack.level == 1
+    stack = LandmarkTrainingSet(feats, labels, (5, 6, 7), 1)
+    assert stack.count == 10 and stack.landmarks == (5, 6, 7) and stack.level == 1
     assert np.array_equal(stack.features, feats)
     assert LandmarkTrainingSet(feats[0], labels[0], 5, 1).landmarks == (5,)
 
 
 def test_training_accuracy_matches_decision_values():
     feats, labels = stacked_problem(3, 40, seed=8)
-    stack = LandmarkTrainingSet(feats, labels, (0, 1, 2), 0, seeds=(1, 2, 3))
+    stack = LandmarkTrainingSet(feats, labels, (0, 1, 2), 0)
     model = train_linear_svm(stack, SvmTrainConfig(epochs=10))
     expected = [np.mean(np.where(decision_values(landmark_svm(model, i), feats[i]) >= 0,
                                  1.0, -1.0) == labels[i])
