@@ -269,17 +269,18 @@ def profiles_1d_batch(
     return _normalize_derivatives(np.diff(samples, axis=-1))
 
 
-def normalize_windows(flat: np.ndarray, mode: str, q: float = 10.0,
+def normalize_windows(flat: np.ndarray, mode: str, q: float = None,
                       out: np.ndarray = None) -> np.ndarray:
     """Normalize flattened gradient windows (rows); training and fitting use sum.
 
     sum: g / sum(g), with flat windows mapped to the uniform vector so
-    costs stay finite. sigmoid: g / (|g| + q) elementwise. The result goes
-    to `out` when given, which may be `flat` itself.
+    costs stay finite; it ignores q. sigmoid: g / (|g| + q) elementwise,
+    with q > 0 given by the caller. The result goes to `out` when given,
+    which may be `flat` itself.
     """
     flat = np.asarray(flat, dtype=float)
     if mode == "sigmoid":
-        if q <= 0:
+        if q is None or q <= 0:
             raise ShapeArityError(f"sigmoid normalization needs q > 0, got {q}")
         return np.divide(flat, np.abs(flat) + q, out=out)
     if mode == "sum":

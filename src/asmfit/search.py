@@ -2,9 +2,10 @@
 
 Fitting walks the pyramid coarse to fine. At each level every landmark
 scans the integer grid within a Chebyshev radius of its current position,
-scores candidates with the mode's profile cost (SVM-gated and
-edge-weighted in asm_svm), and the whole shape is then pulled back onto the
-constrained shape model. Levels hand off by doubling coordinates.
+scores candidates with the mode's profile cost (SVM-gated in asm_svm, and
+edge-weighted there at every level but the finest), and the whole shape is
+then pulled back onto the constrained shape model. Levels hand off by
+doubling coordinates.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ class FitConfig:
 
     levels counts the pyramid levels a fit walks, from the bundle's first;
     each level's profile length or window side is the one trained at that
-    level. mode, asm_svm or classic, names the pipeline.
+    level. mode, asm_svm or classic, names the pipeline. canny_low,
+    canny_high and the edge weight c act only at asm_svm levels >= 1, the
+    only ones with an edge map, so a one-level asm_svm fit reads none of them.
     """
 
     levels: int = 3
@@ -82,7 +85,8 @@ class FitConfig:
 class LevelContext:
     """Per-level cache of models stacked over the landmarks and of images;
     classic leaves magnitude (the Sobel gradient magnitude), edge_map and
-    svms None. size is the trained profile length or window side."""
+    svms None, and asm_svm leaves edge_map None at level 0. size is the
+    trained profile length or window side."""
 
     size: int
     raw: GrayImage
@@ -231,8 +235,10 @@ def _regularize(model: ShapeModel, shape: Shape) -> Shape:
 def build_level_context(bundle, level_image: GrayImage, level: int, config: FitConfig) -> LevelContext:
     """Everything one level's search needs: the one place a mode becomes a pipeline.
 
-    asm_svm adds Sobel gradients and Canny edges of the level image after
-    histogram equalization, and the level's SVMs; classic samples 1-D
+    asm_svm adds Sobel gradients of the level image after histogram
+    equalization and the level's SVMs, and at levels >= 1 its Canny edges;
+    level 0 computes no edge map, so its search is not edge-weighted and a
+    one-level asm_svm fit runs no Canny at all. classic samples 1-D
     profiles from raw. The level's profile size is the one it was trained with.
     """
     asm = config.mode == "asm_svm"
@@ -243,7 +249,7 @@ def build_level_context(bundle, level_image: GrayImage, level: int, config: FitC
         return ctx
     image = equalize_histogram(level_image)
     return replace(ctx, magnitude=sobel_gradients(image).magnitude,
-                   edge_map=canny_edges(image, config.canny_low, config.canny_high),
+                   edge_map=canny_edges(image, config.canny_low, config.canny_high) if level else None,
                    svms=bundle.svms[level])
 
 

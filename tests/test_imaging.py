@@ -307,18 +307,25 @@ def test_canny_threshold_validation():
 
 
 def test_context_images_equal_oracles_on_face_pyramids(trained):
-    """An asm_svm level context holds the oracles' magnitude and edge map at
-    all three pyramid levels of 256x256 synthetic faces."""
+    """An asm_svm level context holds the oracles' magnitude at all three
+    pyramid levels of 256x256 synthetic faces, and their edge map at levels
+    1 and 2. Level 0 has no edge map, so canny_edges is checked on its
+    equalized 256x256 image directly."""
     bundle = trained[0]
     config = config_for_mode(bundle, "asm_svm")
     for sample in generate_face_dataset(4, size=256, seed=201):
         for level, image in enumerate(build_pyramid(sample.image, 3).levels):
             ctx = build_level_context(bundle, image, level, config)
-            equalized = equalize_histogram(image).pixels
-            assert ctx.magnitude.tobytes() == reference_imaging.sobel(equalized)[2].tobytes()
-            want = vectorized_canny(equalized, config.canny_low, config.canny_high)
+            equalized = equalize_histogram(image)
+            assert ctx.magnitude.tobytes() == reference_imaging.sobel(equalized.pixels)[2].tobytes()
+            want = vectorized_canny(equalized.pixels, config.canny_low, config.canny_high)
             assert want.any()
-            assert ctx.edge_map.tobytes() == want.tobytes()
+            if level:
+                assert ctx.edge_map.tobytes() == want.tobytes()
+            else:
+                assert ctx.edge_map is None
+                got = canny_edges(equalized, config.canny_low, config.canny_high)
+                assert got.tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------------- pyramid

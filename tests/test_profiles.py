@@ -315,8 +315,10 @@ def test_sigmoid_fixed_points():
 
 
 def test_sigmoid_needs_positive_q():
-    with pytest.raises(ShapeArityError):
-        normalize_windows(np.ones((1, 4)), "sigmoid", 0.0)
+    # a sigmoid call must pass q: one that omits it is refused like q <= 0
+    for args in [(0.0,), (-1.0,), ()]:
+        with pytest.raises(ShapeArityError, match="needs q > 0"):
+            normalize_windows(np.ones((1, 4)), "sigmoid", *args)
 
 
 def test_sum_normalization():

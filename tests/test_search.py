@@ -831,21 +831,45 @@ def test_classic_context_computes_no_equalization_sobel_or_canny(trained, monkey
         build_level_context(bundle, pyr.levels[0], 0, config_for_mode(bundle, "asm_svm"))
 
 
-def test_asm_svm_context_holds_gradients_edges_and_svms(trained):
+def test_asm_svm_context_holds_gradients_edges_and_svms(trained, monkeypatch):
+    """Every asm_svm level holds the equalized image's Sobel magnitude and
+    the level's SVMs; only levels >= 1 hold Canny edges. Level 0 never calls
+    canny_edges, so a fit over L levels calls it L - 1 times."""
     bundle, _, faces = trained
     cfg = config_for_mode(bundle, "asm_svm")
     pyr = build_pyramid(faces[6].image, cfg.levels)
+    calls = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a level-0 asm_svm context computed Canny edges")
+
+    def counted(image, low, high):
+        calls.append(image.pixels.shape)
+        return canny_edges(image, low, high)
+
     for level in range(cfg.levels):
+        monkeypatch.setattr(search, "canny_edges", counted if level else refuse)
         image = pyr.levels[level]
         ctx = build_level_context(bundle, image, level, cfg)
         assert ctx.size == bundle.asm_profiles.sizes[level]
         equalized = equalize_histogram(image)
         assert ctx.raw is image
         assert np.array_equal(ctx.magnitude, sobel_gradients(equalized).magnitude)
-        assert np.array_equal(ctx.edge_map,
-                              canny_edges(equalized, cfg.canny_low, cfg.canny_high))
+        if level:
+            assert np.array_equal(ctx.edge_map,
+                                  canny_edges(equalized, cfg.canny_low, cfg.canny_high))
+        else:
+            assert ctx.edge_map is None
         assert ctx.svms == bundle.svms[level]
         assert ctx.stats == bundle.asm_profiles.stats[level]
+    assert calls == [pyr.levels[1].pixels.shape, pyr.levels[2].pixels.shape]
+
+    calls.clear()
+    monkeypatch.setattr(search, "canny_edges", counted)
+    init = init_shape_from_box(bundle.shape_model, truth_box(faces[6].shape, 0.10))
+    assert cfg.levels == 3 and cfg.max_iters_per_level > 0
+    assert np.isfinite(fit(pyr, bundle, init, cfg).shape.points).all()
+    assert calls == [pyr.levels[2].pixels.shape, pyr.levels[1].pixels.shape]
 
 
 def test_gate_decision_convention():
