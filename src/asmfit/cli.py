@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -25,14 +26,14 @@ from .search import FitConfig, config_for_mode, fit, init_shape_from_box
 from .svm import SvmTrainConfig
 from .training import TrainConfig, train_bundle
 
-# Config keys passed unchanged to FitConfig and to train_bundle (TrainConfig);
-# the config's classic_profile_length is TrainConfig's classic_length.
-_FIT_KEYS = ("levels", "search_radius", "max_iters_per_level", "convergence", "c",
-             "canny_low", "canny_high")
-_TRAIN_KEYS = ("profile_lengths", "variance_fraction", "clamp_alpha", "eps",
-               "negatives_per_positive", "offset_range", "seed")
+# Config keys passed unchanged to FitConfig (the fit command sets its mode),
+# to train_bundle (TrainConfig) and, under "svm", to SvmTrainConfig; the
+# config's classic_profile_length is TrainConfig's classic_length.
+_FIT_KEYS = [f.name for f in fields(FitConfig) if f.name != "mode"]
+_TRAIN_KEYS = [f.name for f in fields(TrainConfig)
+               if f.name not in ("fit_config", "svm_config", "classic_length")]
 _CONFIG_KEYS = {"scheme", "svm", "classic_profile_length", *_FIT_KEYS, *_TRAIN_KEYS}
-_SVM_KEYS = {"c_penalty", "epochs"}
+_SVM_KEYS = {f.name for f in fields(SvmTrainConfig)}
 
 MARKER_COLOR = (255, 0, 0)
 # The nine pixels of a landmark marker, relative to its rounded position.
@@ -84,10 +85,12 @@ def cmd_train(args) -> int:
     samples = load_annotated(args.images, args.points, scheme)
     bundle, summary = train_bundle(samples, scheme, **settings)
     save_bundle(bundle, args.out)
-    print(f"modes: {summary.retained_modes}, profile ranks per level: "
-          f"{' '.join(map(str, summary.level_profile_ranks))}")
-    for lv, (pos, neg) in enumerate(zip(summary.level_positives, summary.level_negatives)):
-        print(f"level {lv}: {pos} positive, {neg} negative windows")
+    print(f"modes: {bundle.shape_model.num_modes}, profile ranks per level: "
+          f"{' '.join(str(stats.rank) for stats in bundle.asm_profiles.stats)}")
+    positives = bundle.train_meta["samples"] * scheme.total
+    negatives = positives * bundle.train_meta["negatives_per_positive"]
+    for lv in range(len(bundle.svms)):
+        print(f"level {lv}: {positives} positive, {negatives} negative windows")
     for lv, (mean, low) in enumerate(zip(summary.level_accuracy_mean, summary.level_accuracy_min)):
         print(f"level {lv}: SVM training accuracy mean {mean:.3f}, min {low:.3f}")
     return 0

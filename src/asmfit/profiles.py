@@ -29,6 +29,9 @@ _FLAT_SUM = 1e-12
 # Relative eigenvalue floor: anything smaller is numerical noise, not a mode.
 _EIGENVALUE_FLOOR = 1e-12
 
+# Default ridge fraction eps of stats_from_matrix and of training (TrainConfig).
+DEFAULT_EPS = 1e-3
+
 
 @dataclass(frozen=True, eq=False)
 class Profile:
@@ -312,7 +315,7 @@ def windows_batch(values: np.ndarray, centers: np.ndarray, size: int) -> np.ndar
     return view[cy + half, cx + half].reshape(len(centers), size * size)
 
 
-def stats_from_matrix(rows: np.ndarray, eps: float = 1e-3) -> ProfileStats:
+def stats_from_matrix(rows: np.ndarray, eps: float = DEFAULT_EPS) -> ProfileStats:
     """ProfileStats from an (m, d) sample matrix (m >= 2), of rank min(m - 1, d).
 
     A (k, m, d) stack of k landmarks' samples gives their statistics

@@ -26,6 +26,10 @@ _DEGENERATE_SIZE = 1e-12
 _GPA_TOLERANCE = 1e-10
 _GPA_MAX_ROUNDS = 100
 
+# Defaults of build_shape_model and of training (TrainConfig).
+DEFAULT_VARIANCE_FRACTION = 0.975
+DEFAULT_CLAMP_ALPHA = 3.0
+
 
 @dataclass(frozen=True, eq=False)
 class Shape:
@@ -250,8 +254,8 @@ def gpa_align(shapes: Sequence[Shape]) -> tuple[list[Shape], Shape]:
 
 def build_shape_model(
     aligned: Sequence[Shape],
-    variance_fraction: float = 0.975,
-    clamp_alpha: float = 3.0,
+    variance_fraction: float = DEFAULT_VARIANCE_FRACTION,
+    clamp_alpha: float = DEFAULT_CLAMP_ALPHA,
 ) -> ShapeModel:
     """PCA model of an aligned shape set.
 

@@ -9,7 +9,7 @@ classify +1 so boundary candidates stay in play.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -50,12 +50,15 @@ def check_seed(name: str, seed) -> None:
 class SvmTrainConfig:
     c_penalty: float = 1.0
     epochs: int = 200  # the cap on Newton iterations
-    seed: int = 0  # changes nothing: the trainer draws no random numbers
+    seed: InitVar[int] = 0  # not a setting: the trainer draws no random numbers, so only 0
     batch_size: ClassVar[int] = 32  # not a setting; perfbench's SGD step counter reads it
 
-    def __post_init__(self):
+    def __post_init__(self, seed):
         reals = check_numbers(vars(self), integers=("epochs",), reals=("c_penalty",))
-        check_seed("seed", self.seed)
+        check_seed("seed", seed)
+        if seed != 0:
+            raise ShapeArityError(f"seed {seed} is unused: the SVM trainer draws no random "
+                                  "numbers, so it must be 0")
         object.__setattr__(self, "c_penalty", reals["c_penalty"])
         if not 0 < self.c_penalty < math.inf:
             raise ShapeArityError(f"c_penalty must be positive and finite, got {self.c_penalty}")
@@ -136,8 +139,12 @@ def negative_ring(offset_range, negatives_per_positive) -> np.ndarray:
     return ring
 
 
+def _seed_for(master: int, level: int, landmark: int) -> int:
+    return master * 1_000_003 + level * 1_000 + landmark
+
+
 def build_landmark_training_set(
-    dataset, landmarks, level: int, *, negatives_per_positive: int, offset_range, seeds, size: int
+    dataset, landmarks, level: int, *, negatives_per_positive: int, offset_range, seed, size: int
 ) -> LandmarkTrainingSet:
     """Positive/negative sum-normalized gradient windows for a stack of landmarks at one level.
 
@@ -145,22 +152,19 @@ def build_landmark_training_set(
     (n, 2) landmark positions) pairs. Each image contributes, per landmark,
     one positive window at the annotated point followed by
     negatives_per_positive windows at distinct random offsets whose
-    Chebyshev distance lies in offset_range. Landmark landmarks[i] draws
-    its offsets from its own generator, seeded seeds[i], image after
-    image. Windows that cross the border are clamped. Returns one stack
-    with (k, images * (1 + negatives_per_positive), d) features. A seed that
-    check_seed rejects, a non-integer size or a ring that negative_ring
-    rejects raises ShapeArityError.
+    Chebyshev distance lies in offset_range. Landmark j draws its offsets
+    from its own generator, seeded _seed_for(seed, level, j), image after
+    image, whatever its stack. Windows that cross the border are clamped.
+    Returns one stack with (k, images * (1 + negatives_per_positive), d)
+    features. A seed that check_seed rejects, a non-integer size or a ring
+    that negative_ring rejects raises ShapeArityError.
     """
     check_numbers({"size": size}, integers=("size",))
     ring = negative_ring(offset_range, negatives_per_positive)
+    check_seed("seed", seed)
     landmarks = list(landmarks)
     k = len(landmarks)
-    if len(seeds) != k:
-        raise DimensionMismatchError(f"{len(seeds)} seeds for a stack of {k}")
-    for i, seed in enumerate(seeds):
-        check_seed(f"seeds[{i}]", seed)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = [np.random.default_rng(_seed_for(seed, level, j)) for j in landmarks]
     per_image = 1 + negatives_per_positive
     rows = np.empty((k, len(dataset) * per_image, size * size))
     for i, (magnitude, points) in enumerate(dataset):

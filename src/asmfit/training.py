@@ -21,6 +21,7 @@ from .dataset_io import ModelBundle
 from .errors import InsufficientDataError, ShapeArityError
 from .imaging import build_pyramid, equalize_histogram, sobel_gradients
 from .profiles import (
+    DEFAULT_EPS,
     ProfileModel,
     ProfileStats,
     check_numbers,
@@ -35,7 +36,8 @@ from .profiles import (
 from .profiles import normalize_windows, windows_batch  # noqa: F401
 from .scheme import LandmarkScheme
 from .search import FitConfig
-from .shape_model import Shape, build_shape_model, check_shape_limits, gpa_align
+from .shape_model import (DEFAULT_CLAMP_ALPHA, DEFAULT_VARIANCE_FRACTION, Shape,
+                          build_shape_model, check_shape_limits, gpa_align)
 from .svm import (
     LinearSvmModel,
     SvmTrainConfig,
@@ -59,20 +61,12 @@ _SVM_WIDTH = 8 * (15**2 + 1)
 
 @dataclass(frozen=True)
 class TrainingSummary:
-    """Training counts; per level, the rank kept by the 2-D profile
-    statistics, and SVM accuracy on its own training rows as the mean and
-    the minimum over landmarks."""
+    """What training measured and the bundle does not hold: per level, SVM
+    accuracy on its own training rows as the mean and the minimum over
+    landmarks."""
 
-    retained_modes: int
-    level_positives: tuple
-    level_negatives: tuple
     level_accuracy_mean: tuple
     level_accuracy_min: tuple
-    level_profile_ranks: tuple
-
-
-def _seed_for(master: int, level: int, landmark: int) -> int:
-    return master * 1_000_003 + level * 1_000 + landmark
 
 
 def _svm_stacks(n: int, size: int) -> list:
@@ -119,21 +113,20 @@ class TrainConfig:
 
     profile_lengths holds the asm window side of each of fit_config.levels
     pyramid levels, finest first; None takes the first `levels` of (3, 7, 15).
-    Negative windows derive from seed and the SVM trainer draws no random
-    numbers, so svm_config.seed must keep its default. Stores None configs as
-    their defaults, profile_lengths and offset_range as tuples and the reals
-    as floats; a mistyped or out-of-range setting raises ShapeArityError.
+    Stores None configs as their defaults, profile_lengths and offset_range
+    as tuples and the reals as floats; a mistyped or out-of-range setting
+    raises ShapeArityError.
     """
 
     fit_config: FitConfig = None
     svm_config: SvmTrainConfig = None
-    variance_fraction: float = 0.975
-    clamp_alpha: float = 3.0
+    variance_fraction: float = DEFAULT_VARIANCE_FRACTION
+    clamp_alpha: float = DEFAULT_CLAMP_ALPHA
     profile_lengths: tuple = None
     classic_length: int = 15
     negatives_per_positive: int = 4
     offset_range: tuple = (2, 8)
-    eps: float = 1e-3
+    eps: float = DEFAULT_EPS
     seed: int = 0
 
     def __post_init__(self):
@@ -158,11 +151,6 @@ class TrainConfig:
         check_shape_limits(reals["variance_fraction"], reals["clamp_alpha"])
         if not 0 <= reals["eps"] < np.inf:
             raise ShapeArityError(f"eps must be finite and non-negative, got {self.eps}")
-        if svm_config.seed != SvmTrainConfig.seed:
-            raise ShapeArityError(
-                f"svm_config.seed {svm_config.seed} is unused: the SVM trainer draws no random "
-                f"numbers, so it must stay {SvmTrainConfig.seed}"
-            )
         filled = {"fit_config": fit_config, "svm_config": svm_config, "profile_lengths": sizes,
                   "offset_range": tuple(self.offset_range)}
         for name, value in {**filled, **reals}.items():
@@ -215,7 +203,7 @@ def train_bundle(samples, scheme: LandmarkScheme, **settings):
                 dataset_lv, run, lv,
                 negatives_per_positive=config.negatives_per_positive,
                 offset_range=config.offset_range,
-                seeds=[_seed_for(config.seed, lv, j) for j in run],
+                seed=config.seed,
                 size=size,
             )
             # Each image's first row per landmark is the positive window.
@@ -253,12 +241,4 @@ def train_bundle(samples, scheme: LandmarkScheme, **settings):
             "eps": config.eps,
         },
     )
-    summary = TrainingSummary(
-        retained_modes=shape_model.num_modes,
-        level_positives=(len(samples) * n,) * levels,
-        level_negatives=(len(samples) * n * config.negatives_per_positive,) * levels,
-        level_accuracy_mean=tuple(level_acc_mean),
-        level_accuracy_min=tuple(level_acc_min),
-        level_profile_ranks=tuple(level.rank for level in asm_stats),
-    )
-    return bundle, summary
+    return bundle, TrainingSummary(tuple(level_acc_mean), tuple(level_acc_min))

@@ -21,7 +21,7 @@ from asmfit.cli import (
     truth_box,
 )
 from asmfit.dataset_io import BUNDLE_MAGIC, load_bundle, load_points_file, save_bundle
-from asmfit.errors import BoxError, ShapeArityError
+from asmfit.errors import BoxError, DatasetError, ShapeArityError
 from asmfit.imaging import GrayImage
 from asmfit.scheme import DEFAULT_SCHEME, ContourGroup, LandmarkScheme
 from asmfit.search import FitConfig
@@ -69,7 +69,7 @@ def test_train_output_and_determinism(cli_env, capsys):
 
 def test_train_prints_profile_ranks_beside_modes(cli_env, tmp_path, capsys):
     """The first line gives the shape modes and the rank each level's 2-D
-    profile statistics keep, as TrainingSummary holds them."""
+    profile statistics keep, as the bundle holds them."""
     rc = main(["train", "--images", str(cli_env["images"]),
                "--points", str(cli_env["points"]),
                "--config", str(cli_env["config"]), "--out", str(tmp_path / "m.asmb")])
@@ -80,6 +80,24 @@ def test_train_prints_profile_ranks_beside_modes(cli_env, tmp_path, capsys):
     assert modes == f"modes: {bundle.shape_model.num_modes}"
     assert ranks.split(": ") == ["profile ranks per level",
                                  " ".join(str(stats.rank) for stats in bundle.asm_profiles.stats)]
+
+
+@pytest.mark.parametrize("extra, negatives, levels", [({}, 1632, 3),
+                                                      ({"negatives_per_positive": 2,
+                                                        "levels": 2}, 816, 2)])
+def test_train_prints_window_counts_per_level(cli_env, tmp_path, capsys, extra, negatives,
+                                              levels):
+    """Every level trains on one positive window per image and landmark and
+    negatives_per_positive (default 4) negatives per positive: 6 faces of
+    68 landmarks give 408 positives."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"svm": {"epochs": 30}, **extra}))
+    rc = main(["train", "--images", str(cli_env["images"]), "--points", str(cli_env["points"]),
+               "--config", str(config), "--out", str(tmp_path / "m.asmb")])
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if "windows" in ln]
+    assert rc == 0
+    assert lines == [f"level {lv}: 408 positive, {negatives} negative windows"
+                     for lv in range(levels)]
 
 
 def test_train_prints_svm_accuracy_per_level(cli_env, tmp_path, capsys):
@@ -152,6 +170,19 @@ def test_malformed_train_config_fails_in_one_line(cli_env, tmp_path, capsys, mon
     assert err.startswith(f"asmfit train: {bad}: ")
     assert err.count("\n") == 1
     assert not (tmp_path / "x.asmb").exists()
+
+
+@pytest.mark.parametrize("raw", [{"classic_length": 9}, {"mode": "classic"}, {"fit_config": {}},
+                                 {"svm_config": {}}, {"svm": {"seed": 0}}])
+def test_config_keys_are_the_settings_less_the_derived_ones(tmp_path, raw):
+    """The config's keys are FitConfig's, TrainConfig's and SvmTrainConfig's
+    fields, less the ones the file names otherwise or not at all: the fit
+    mode, the nested configs, classic_length (classic_profile_length in the
+    file) and the SVM seed, which is not a setting."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(raw))
+    with pytest.raises(DatasetError, match="unknown"):
+        load_train_settings(config)
 
 
 def test_train_settings_defaults():

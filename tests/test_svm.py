@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from asmfit.svm import (
     LandmarkTrainingSet,
     LinearSvmModel,
     SvmTrainConfig,
+    _seed_for,
     build_landmark_training_set,
     decision_values,
     train_linear_svm,
@@ -91,6 +93,18 @@ def test_train_config_validation():
         SvmTrainConfig(seed=-1)
 
 
+@pytest.mark.parametrize("seed", [1, 7])
+def test_svm_seed_is_not_a_setting(seed):
+    """The trainer draws no random numbers, so its config holds no seed: the
+    constructor takes seed=0, as criterion 7 passes it, and refuses any
+    other value."""
+    assert [f.name for f in dataclasses.fields(SvmTrainConfig)] == ["c_penalty", "epochs"]
+    assert SvmTrainConfig(seed=0) == SvmTrainConfig()
+    assert SvmTrainConfig(c_penalty=2.0, epochs=5, seed=0) == SvmTrainConfig(2.0, 5)
+    with pytest.raises(ShapeArityError, match=f"seed {seed} is unused"):
+        SvmTrainConfig(seed=seed)
+
+
 def test_training_set_validation():
     with pytest.raises(ShapeArityError):
         LandmarkTrainingSet(np.zeros((2, 3)), np.array([1.0, 2.0]), 0, 0)
@@ -104,9 +118,9 @@ def test_training_set_validation():
 
 def training_set(dataset, landmarks, level, **settings):
     """build_landmark_training_set with TrainConfig's ring, 5x5 windows and
-    seed 0 for every landmark, in place of the settings not given."""
+    seed 0, in place of the settings not given."""
     defaults = dict(negatives_per_positive=TrainConfig.negatives_per_positive,
-                    offset_range=TrainConfig.offset_range, seeds=[0] * len(landmarks), size=5)
+                    offset_range=TrainConfig.offset_range, seed=0, size=5)
     return build_landmark_training_set(dataset, landmarks, level, **(defaults | settings))
 
 
@@ -117,20 +131,20 @@ def grid_magnitude():
 
 @pytest.mark.parametrize("seed", [-5, True, 1.0, None], ids=["negative", "bool", "float", "none"])
 def test_training_set_checks_its_seeds(seed):
-    """Each landmark's negative-window seed follows check_seed, as
-    SvmTrainConfig.seed does, so a bad one raises ShapeArityError before any
-    window is drawn, not a bare error from default_rng (which would take
-    True as 1 and None as fresh entropy)."""
+    """The negative-window seed follows check_seed, as TrainConfig.seed
+    does, so a bad one raises ShapeArityError before any window is drawn,
+    not a bare error from default_rng (which would take True as 1 and None
+    as fresh entropy)."""
     dataset = [(grid_magnitude(), np.array([[20.0, 20.0], [10.0, 30.0]]))]
-    with pytest.raises(ShapeArityError, match=r"seeds\[1\]"):
-        training_set(dataset, [0, 1], 0, seeds=[0, seed])
-    assert training_set(dataset, [0, 1], 0, seeds=[0, 7]).features.shape == (2, 5, 25)
+    with pytest.raises(ShapeArityError, match="seed must be"):
+        training_set(dataset, [0, 1], 0, seed=seed)
+    assert training_set(dataset, [0, 1], 0, seed=7).features.shape == (2, 5, 25)
 
 
 def test_training_set_composition():
     mag = grid_magnitude()
     pts = np.array([[20.0, 20.0], [10.0, 30.0]])
-    ts = training_set([(mag, pts)] * 3, [0], level=0, seeds=[1])
+    ts = training_set([(mag, pts)] * 3, [0], level=0, seed=1)
     assert ts.count == 15 and ts.landmarks == (0,)
     assert ts.labels.tolist() == [[1.0, -1.0, -1.0, -1.0, -1.0] * 3]
     assert ts.features.shape == (1, 15, 25)
@@ -142,10 +156,10 @@ def test_training_set_composition():
 def test_training_set_deterministic():
     mag = grid_magnitude()
     pts = np.array([[20.0, 20.0]])
-    a = training_set([(mag, pts)] * 4, [0], 0, seeds=[9])
-    b = training_set([(mag, pts)] * 4, [0], 0, seeds=[9])
+    a = training_set([(mag, pts)] * 4, [0], 0, seed=9)
+    b = training_set([(mag, pts)] * 4, [0], 0, seed=9)
     assert np.array_equal(a.features, b.features)
-    c = training_set([(mag, pts)] * 4, [0], 0, seeds=[10])
+    c = training_set([(mag, pts)] * 4, [0], 0, seed=10)
     assert not np.array_equal(a.features, c.features)
 
 
@@ -163,8 +177,6 @@ def test_training_set_ring_capacity():
                 dict(negatives_per_positive=-1), dict(offset_range=(0, 4))):
         with pytest.raises(ShapeArityError):
             training_set([(mag, pts)], [0], 0, **bad)
-    with pytest.raises(DimensionMismatchError):
-        training_set([(mag, pts)], [0], 0, seeds=[1, 2])
 
 
 @pytest.mark.parametrize("bad", [
@@ -207,15 +219,40 @@ def oracle_dataset():
 @pytest.mark.parametrize("landmarks", [[4], list(range(8))], ids=["one", "eight"])
 def test_stacked_training_set_equals_per_landmark_oracle(size, negatives, ring, landmarks):
     dataset = oracle_dataset()
-    seeds = [31 * j + 5 for j in landmarks]
     ts = build_landmark_training_set(dataset, landmarks, 2, negatives_per_positive=negatives,
-                                     offset_range=ring, seeds=seeds, size=size)
+                                     offset_range=ring, seed=5, size=size)
     assert ts.landmarks == tuple(landmarks) and ts.level == 2
     assert ts.features.shape == (len(landmarks), 3 * (1 + negatives), size * size)
-    for i, (j, seed) in enumerate(zip(landmarks, seeds)):
-        ref = build_landmark_training_set_reference(dataset, j, 2, negatives, ring, seed, size)
+    for i, j in enumerate(landmarks):
+        ref = build_landmark_training_set_reference(dataset, j, 2, negatives, ring,
+                                                    _seed_for(5, 2, j), size)
         assert np.array_equal(ts.features[i], ref.features)
         assert np.array_equal(ts.labels[i], ref.labels)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_one_seed_gives_each_landmark_its_own_generator(seed, level):
+    """One master seed seeds landmark j at a level with _seed_for(seed,
+    level, j), so each stacked landmark gets the per-landmark oracle's
+    windows, whatever its stack, and the windows change with the seed and
+    the level."""
+    dataset = oracle_dataset()
+    landmarks = [6, 1, 4, 3]
+    ts = build_landmark_training_set(dataset, landmarks, level, negatives_per_positive=4,
+                                     offset_range=(2, 8), seed=seed, size=5)
+    for i, j in enumerate(landmarks):
+        ref = build_landmark_training_set_reference(dataset, j, level, 4, (2, 8),
+                                                    _seed_for(seed, level, j), 5)
+        assert np.array_equal(ts.features[i], ref.features)
+        alone = build_landmark_training_set(dataset, [j], level, negatives_per_positive=4,
+                                            offset_range=(2, 8), seed=seed, size=5)
+        assert np.array_equal(alone.features[0], ref.features)
+    for other_seed, other_level in ((seed + 1, level), (seed, 1 - level)):
+        other = build_landmark_training_set(dataset, landmarks, other_level,
+                                            negatives_per_positive=4, offset_range=(2, 8),
+                                            seed=other_seed, size=5)
+        assert not np.array_equal(ts.features, other.features)
 
 
 # ---------------------------------------------------------------- trainer
@@ -259,14 +296,14 @@ def test_trainer_beats_zero_model_objective():
 
 
 def test_trainer_deterministic_per_seed(monkeypatch):
-    """The trainer draws no random numbers: it makes no generator, and every
-    seed gives the same bytes."""
+    """The trainer draws no random numbers, so it takes no seed: it makes no
+    generator, and every run on the same rows gives the same bytes."""
     feats, labels = stacked_problem(3, 70, seed=4)
     ts = LandmarkTrainingSet(feats, labels, (0, 1, 2), 0)
     monkeypatch.setattr(np.random, "default_rng", lambda *args: pytest.fail("made a generator"))
-    a = train_linear_svm(ts, SvmTrainConfig(seed=7))
-    for seed in (7, 8, 0):
-        b = train_linear_svm(ts, SvmTrainConfig(seed=seed))
+    a = train_linear_svm(ts, SvmTrainConfig())
+    for config in (SvmTrainConfig(), SvmTrainConfig(seed=0)):
+        b = train_linear_svm(ts, config)
         assert a.weights.tobytes() == b.weights.tobytes() and a.bias.tobytes() == b.bias.tobytes()
 
 
@@ -470,7 +507,7 @@ def test_label_signed_trainer_equals_stacked_reference(k, case):
 
 def test_single_landmark_is_a_stack_of_one():
     feats, labels = stacked_problem(1, 70, seed=4)
-    config = SvmTrainConfig(epochs=25, seed=5)
+    config = SvmTrainConfig(epochs=25)
     single = train_linear_svm(LandmarkTrainingSet(feats[0], labels[0], 3, 0), config)
     stacked = train_linear_svm(LandmarkTrainingSet(feats, labels, (3,), 0), config)
     ref = train_linear_svm_reference(LandmarkTrainingSet(feats[0], labels[0], 3, 0))

@@ -14,8 +14,15 @@ from asmfit.scheme import DEFAULT_SCHEME
 from asmfit.search import FitConfig
 from asmfit.shape_model import Shape
 from asmfit.synthetic import generate_face_dataset
-from asmfit.svm import LinearSvmModel, SvmTrainConfig, _ring_offsets, decision_values
-from asmfit.training import TrainConfig, _fold, _seed_for, train_bundle
+from asmfit.svm import (
+    LinearSvmModel,
+    SvmTrainConfig,
+    _ring_offsets,
+    _seed_for,
+    build_landmark_training_set,
+    decision_values,
+)
+from asmfit.training import TrainConfig, _fold, train_bundle
 from conftest import PROPERTY
 from reference_profiles import level_window_stats
 from reference_svm import (
@@ -41,7 +48,7 @@ def folded(model, mean, std):
 
 
 def test_bundle_covers_every_level_and_landmark(trained):
-    bundle, summary, _ = trained
+    bundle, _, _ = trained
     n = DEFAULT_SCHEME.total
     levels = bundle.fit_defaults.levels
     assert bundle.asm_profiles.sizes == (3, 7, 15)
@@ -49,18 +56,29 @@ def test_bundle_covers_every_level_and_landmark(trained):
     assert bundle.asm_profiles.n_landmarks == n
     assert len(bundle.svms) == levels
     assert all(model.weights.shape[0] == n and model.bias.shape == (n,) for model in bundle.svms)
-    assert summary.retained_modes == bundle.shape_model.num_modes > 0
-    assert summary.level_profile_ranks == tuple(stats.rank for stats in bundle.asm_profiles.stats)
+    assert bundle.shape_model.num_modes > 0
     # 1-D statistics keep every pair: 6 faces give rank 5 of 15 dims.
     assert [stats.rank for stats in bundle.classic_profiles.stats] == [5, 5, 5]
 
 
 def test_summary_window_accounting(trained):
-    bundle, summary, faces = trained
+    """The window counts asmfit train prints come from train_meta and the
+    scheme; they are the rows each level's stack holds: one positive per
+    image and landmark, negatives_per_positive (default 4) negatives each."""
+    bundle, _, faces = trained
     n = DEFAULT_SCHEME.total
+    meta = bundle.train_meta
     images = 6
-    assert summary.level_positives == (images * n,) * 3
-    assert summary.level_negatives == (images * n * 4,) * 3  # negatives_per_positive default
+    assert (meta["samples"], meta["negatives_per_positive"]) == (images, 4)
+    for level, size in enumerate(bundle.asm_profiles.sizes):
+        dataset = [(sobel_gradients(equalize_histogram(build_pyramid(s.image, 3).levels[level]))
+                    .magnitude, s.shape.points / 2.0**level) for s in faces[:images]]
+        stack = build_landmark_training_set(
+            dataset, range(n), level, negatives_per_positive=meta["negatives_per_positive"],
+            offset_range=(meta["offset_min"], meta["offset_max"]), seed=meta["seed"], size=size)
+        assert stack.labels.shape == (n, images * 5)
+        assert int((stack.labels == 1).sum()) == meta["samples"] * n == images * n
+        assert int((stack.labels == -1).sum()) == images * n * 4
 
 
 def test_stats_match_configured_dims(trained):
@@ -169,8 +187,7 @@ def test_border_landmark_trains_with_clamped_windows(faces96):
         if i < 2:
             pts[5, 0] = 95.0
         samples.append(AnnotatedSample(sample.name, sample.image, Shape(pts)))
-    bundle, summary = train_bundle(samples, DEFAULT_SCHEME, seed=2)
-    assert summary.level_positives == (4 * DEFAULT_SCHEME.total,) * 3
+    bundle, _ = train_bundle(samples, DEFAULT_SCHEME, seed=2)
     for level, landmark in [(1, 5), (1, 4), (2, 5), (0, 5)]:
         ts = level_training_set(samples, landmark, level, seed=2)
         assert ts.count == 20
@@ -299,11 +316,13 @@ def test_one_class_landmark_names_landmark_and_level(faces96, monkeypatch):
 
 
 def test_svm_config_seed_must_keep_its_default(faces96, monkeypatch):
+    """A non-zero SVM seed is refused when the config is built, so no
+    training can start from one; seed=0 is the only value it takes."""
     def started(*args, **kwargs):
         raise AssertionError("training started")
 
     monkeypatch.setattr("asmfit.training.gpa_align", started)
-    with pytest.raises(ShapeArityError, match="svm_config.seed 5 is unused"):
+    with pytest.raises(ShapeArityError, match="seed 5 is unused"):
         train_bundle(faces96[:3], DEFAULT_SCHEME, svm_config=SvmTrainConfig(epochs=2, seed=5))
     # the default seed, given or not, reaches training
     with pytest.raises(AssertionError, match="training started"):
@@ -320,11 +339,9 @@ def test_profile_stats_equal_separate_pass_oracle(monkeypatch, width):
     (d = 49, 225) the SVD path, where some landmark needs all 11 pairs."""
     monkeypatch.setattr(training, "_SVM_WIDTH", width)
     faces = generate_face_dataset(12, size=96, seed=9)
-    bundle, summary = train_bundle(faces, DEFAULT_SCHEME, svm_config=SvmTrainConfig(epochs=1),
-                                   seed=1)
+    bundle, _ = train_bundle(faces, DEFAULT_SCHEME, svm_config=SvmTrainConfig(epochs=1), seed=1)
     profiles = bundle.asm_profiles
     assert [profiles.stats[level].rank for level in range(3)] == [7, 11, 11]
-    assert summary.level_profile_ranks == (7, 11, 11)
     fraction = bundle.train_meta["variance_fraction"]
     for level, size in enumerate(profiles.sizes):
         ref = level_window_stats(faces, level, size, eps=bundle.train_meta["eps"])
@@ -335,7 +352,11 @@ def test_profile_stats_equal_separate_pass_oracle(monkeypatch, width):
 
 
 def test_summary_accuracy_matches_per_landmark_oracle(trained):
+    """The summary holds only what training measured and the bundle does
+    not: each level's SVM accuracy, as the mean and minimum over landmarks."""
     bundle, summary, faces = trained
+    assert [f.name for f in dataclasses.fields(summary)] == ["level_accuracy_mean",
+                                                            "level_accuracy_min"]
     for level in range(bundle.fit_defaults.levels):
         accuracy = []
         for landmark in range(DEFAULT_SCHEME.total):
