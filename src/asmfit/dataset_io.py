@@ -35,7 +35,7 @@ from .shape_model import Shape, ShapeModel
 from .svm import LinearSvmModel
 
 BUNDLE_MAGIC = b"ASMFITB1"
-BUNDLE_VERSION = 7
+BUNDLE_VERSION = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,7 +264,8 @@ def split_dataset(samples, train_count: int, seed: int):
 # Magic, u32 version and u64 header length: the array block starts at the
 # first multiple of 8 after the header.
 _PREFIX = len(BUNDLE_MAGIC) + 12
-_F64 = np.dtype("<f8")
+# An array reference's one key names the dtype of its block bytes.
+_DTYPES = {"f64": np.dtype("<f8"), "f32": np.dtype("<f4")}
 
 
 def _profile_model_payload(pm: ProfileModel) -> dict:
@@ -277,8 +278,8 @@ def _profile_model_payload(pm: ProfileModel) -> dict:
     }
 
 
-def _profile_model_from_payload(payload: dict, kind: str) -> ProfileModel:
-    fields = [payload[key] for key in ("means", "bases", "lams", "rhos")]
+def _profile_model_from_payload(payload: dict, kind: str, array) -> ProfileModel:
+    fields = [map(array, payload[key]) for key in ("means", "bases", "lams", "rhos")]
     stats = tuple(ProfileStats(means, basis=bases, lam=lams, rho=rhos)
                   for means, bases, lams, rhos in zip(*fields, strict=True))
     return ProfileModel(kind=kind, sizes=tuple(payload["sizes"]), stats=stats)
@@ -324,13 +325,17 @@ def save_bundle(bundle: ModelBundle, path) -> None:
     block_size = 0
 
     def refer(obj):
-        """What the header holds for a value JSON has no form for."""
+        """What the header holds for a value JSON has no form for. A float32
+        array is stored as f32, any other as f64; zero bytes pad the block
+        to a multiple of 8 after each array, so every array starts aligned."""
         nonlocal block_size
         if isinstance(obj, np.ndarray):
-            arr = np.ascontiguousarray(obj, dtype=_F64)
-            arrays.append(arr)
-            block_size += arr.nbytes
-            return {"f64": [block_size - arr.nbytes, list(arr.shape)]}
+            key = "f32" if obj.dtype == np.float32 else "f64"
+            arr = np.ascontiguousarray(obj, dtype=_DTYPES[key])
+            offset, pad = block_size, -arr.nbytes % 8
+            arrays.extend([arr, bytes(pad)] if pad else [arr])
+            block_size += arr.nbytes + pad
+            return {key: [offset, list(arr.shape)]}
         if isinstance(obj, np.integer):
             return int(obj)
         raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -349,14 +354,17 @@ def save_bundle(bundle: ModelBundle, path) -> None:
         f.write(struct.pack("<I", crc))
 
 
-def _block_array(obj: dict, block: memoryview):
-    """The array a one-key {"f64": [offset, shape]} object refers to, as a
-    view of its block bytes; any other object unchanged. The file's bytes
-    are immutable, so the view is read-only and the models keep it without
-    a copy."""
-    if obj.keys() != {"f64"}:
-        return obj
-    ref = obj["f64"]
+def _block_array(obj, block: memoryview) -> np.ndarray:
+    """The array a one-key {"f64": [offset, shape]} or {"f32": [offset,
+    shape]} object refers to, as a view of its block bytes in that dtype.
+    The file's bytes are immutable, so the view is read-only and the models
+    keep it without a copy."""
+    if not (isinstance(obj, dict) and len(obj) == 1 and next(iter(obj)) in _DTYPES):
+        raise BundleCorruptionError(
+            f"array reference {obj!r:.80} is not one {{\"f64\" or \"f32\": [offset, shape]}}"
+        )
+    [(key, ref)] = obj.items()
+    dtype = _DTYPES[key]
     if not (isinstance(ref, list) and len(ref) == 2 and isinstance(ref[1], list)
             and all(type(v) is int and v >= 0 for v in [ref[0], *ref[1]])):
         raise BundleCorruptionError(
@@ -364,11 +372,12 @@ def _block_array(obj: dict, block: memoryview):
         )
     offset, shape = ref
     count = math.prod(shape)
-    if offset + count * _F64.itemsize > len(block):
+    if offset + count * dtype.itemsize > len(block):
         raise BundleCorruptionError(
-            f"array at block byte {offset} with shape {shape!r:.80} runs past the end of the block"
+            f"{key} array at block byte {offset} with shape {shape!r:.80} runs past the end of "
+            "the block"
         )
-    return np.frombuffer(block, dtype=_F64, count=count, offset=offset).reshape(shape)
+    return np.frombuffer(block, dtype=dtype, count=count, offset=offset).reshape(shape)
 
 
 def load_bundle(path) -> ModelBundle:
@@ -400,8 +409,8 @@ def load_bundle(path) -> ModelBundle:
         except UnicodeDecodeError:
             raise BundleCorruptionError("header is not UTF-8") from None
         block = body[_PREFIX + header_len:]
-        payload = json.loads(header, object_hook=lambda obj: _block_array(obj, block))
-        return _bundle_from_payload(payload)
+        return _bundle_from_payload(json.loads(header),
+                                    lambda obj: _block_array(obj, block))
     except BundleCorruptionError as exc:
         raise BundleCorruptionError(f"{path.name}: {exc}") from None
     except KeyError as exc:
@@ -415,13 +424,15 @@ def load_bundle(path) -> ModelBundle:
         raise BundleCorruptionError(f"{path.name}: malformed bundle field: {exc}") from None
 
 
-def _bundle_from_payload(payload: dict) -> ModelBundle:
+def _bundle_from_payload(payload: dict, array) -> ModelBundle:
+    """The bundle of a decoded header; array(obj) gives the block array that
+    the reference obj names, at each place the format holds an array."""
     scheme = LandmarkScheme.from_jsonable(payload["scheme"]["groups"])
     sm_raw = payload["shape_model"]
     shape_model = ShapeModel(
-        mean_shape=Shape.from_vector(sm_raw["mean"]),
-        modes=sm_raw["modes"],
-        eigenvalues=sm_raw["eigenvalues"],
+        mean_shape=Shape.from_vector(array(sm_raw["mean"])),
+        modes=array(sm_raw["modes"]),
+        eigenvalues=array(sm_raw["eigenvalues"]),
         variance_fraction=sm_raw["variance_fraction"],
         clamp_alpha=sm_raw["clamp_alpha"],
     )
@@ -429,9 +440,10 @@ def _bundle_from_payload(payload: dict) -> ModelBundle:
     return ModelBundle(
         scheme=scheme,
         shape_model=shape_model,
-        classic_profiles=_profile_model_from_payload(payload["profiles"]["classic"], "one_d"),
-        asm_profiles=_profile_model_from_payload(payload["profiles"]["asm"], "two_d"),
-        svms=tuple(LinearSvmModel(w, b)
+        classic_profiles=_profile_model_from_payload(payload["profiles"]["classic"], "one_d",
+                                                     array),
+        asm_profiles=_profile_model_from_payload(payload["profiles"]["asm"], "two_d", array),
+        svms=tuple(LinearSvmModel(array(w), array(b))
                    for w, b in zip(svm_raw["weights"], svm_raw["biases"], strict=True)),
         fit_defaults=_fit_config_from_payload(payload["fit_defaults"]["config"]),
         train_meta=payload["fit_defaults"]["train_meta"],

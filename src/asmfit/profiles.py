@@ -57,14 +57,20 @@ def _ridge(eps: float, trace, dim: int):
     return np.maximum(rho, 1e-12) if eps > 0 else rho
 
 
-def readonly(values) -> np.ndarray:
-    """values as a read-only C-ordered float array; one that already is, such
-    as a decoded bundle array, is kept without a copy."""
-    arr = np.asarray(values, dtype=float, order="C")
+def readonly(values, dtype=float) -> np.ndarray:
+    """values as a read-only C-ordered array of dtype, float64 unless given;
+    one that already is, such as a decoded bundle array, is kept without a
+    copy."""
+    arr = np.asarray(values, dtype=dtype, order="C")
     if arr.flags.writeable:
         arr = arr.copy()
         arr.setflags(write=False)
     return arr
+
+
+def _stored_dtype(values):
+    """float32 for a float32 array, float64 for anything else."""
+    return np.float32 if getattr(values, "dtype", None) == np.float32 else float
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -80,6 +86,10 @@ class ProfileStats:
     A stack adds a leading landmark axis to every field: mean (k, d), basis
     (k, d, r), lam and weights (k, r), rho (k,). Its landmarks share d and
     r, and landmark j's statistics are row j of each array.
+
+    A float32 mean or basis, as training stores the 2-D statistics and the
+    bundle loader reads them, is kept float32; every other field, and any
+    other input, is float64.
     """
 
     mean: np.ndarray
@@ -90,7 +100,7 @@ class ProfileStats:
 
     def __init__(self, mean, covariance=None, eps: float | None = None, *,
                  basis=None, lam=None, rho=None):
-        mean = readonly(mean)
+        mean = readonly(mean, _stored_dtype(mean))
         if mean.ndim not in (1, 2):
             raise DimensionMismatchError(f"mean must be (d,) or (k, d), got {mean.shape}")
         lead, d = mean.shape[:-1], mean.shape[-1]
@@ -110,7 +120,7 @@ class ProfileStats:
             rho = _ridge(eps, np.trace(cov, axis1=-2, axis2=-1), d)
         elif basis is None or lam is None or rho is None:
             raise TypeError("ProfileStats needs a covariance or (basis, lam, rho)")
-        basis = readonly(basis)
+        basis = readonly(basis, _stored_dtype(basis))
         lam = readonly(lam)
         rho = readonly(rho)
         r = basis.shape[-1] if basis.ndim else 0
@@ -427,7 +437,9 @@ def owner_matmul(rows: np.ndarray, mats: np.ndarray, bounds: list) -> np.ndarray
     When every block holds the same count c, one stacked matmul runs over
     the (k, c, a) view of the rows; otherwise one matmul per block writes
     its slice of the result. Both make one BLAS call per block, so each
-    block gets the bytes of rows[a:b] @ mats[j].
+    block gets the bytes of rows[a:b] @ mats[j]. The product has the
+    operands' common dtype, so float32 rows and matrices multiply in
+    float32 and neither is cast.
     """
     k, m = len(mats), len(rows)
     counts = np.diff(bounds)
@@ -435,7 +447,7 @@ def owner_matmul(rows: np.ndarray, mats: np.ndarray, bounds: list) -> np.ndarray
         stacked = np.matmul(rows.reshape(k, m // k, rows.shape[1]),
                             mats[:, :, None] if mats.ndim == 2 else mats)
         return stacked.reshape((m,) + mats.shape[2:])
-    out = np.empty((m,) + mats.shape[2:])
+    out = np.empty((m,) + mats.shape[2:], np.result_type(rows, mats))
     for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
         np.matmul(rows[a:b], mats[j], out=out[a:b])
     return out
@@ -451,18 +463,25 @@ def mahalanobis_batch(stats: ProfileStats, rows: np.ndarray, owner=None) -> np.n
     score row i against landmark owner[i]: the elementwise terms run once
     over all rows, and the matmuls on each landmark's block (owner_matmul),
     so every block has the bytes of its landmark's statistics alone.
+
+    The deltas are float64. The projection runs in the basis's dtype: a
+    float32 basis projects the deltas rounded once to float32, and is
+    itself never cast or copied. The squared projection, the residual and
+    the cost are float64.
     """
     rows = np.asarray(rows, dtype=float)
     checked = owner_bounds(rows, stats.mean, owner)
+    mean = stats.mean.astype(float, copy=False)  # a float32 mean upcast, small beside the rows
     if checked is None:
-        delta, rho, product = rows - stats.mean, stats.rho, np.matmul
+        delta, rho, product = rows - mean, stats.rho, np.matmul
     else:
         owner, bounds = checked
-        delta, rho = np.take(stats.mean, owner, axis=0), np.take(stats.rho, owner)
+        delta, rho = np.take(mean, owner, axis=0), np.take(stats.rho, owner)
         np.subtract(rows, delta, out=delta)  # one (m, d) temporary, not two
         product = partial(owner_matmul, bounds=bounds)
-    proj = product(delta, stats.basis)
-    sq = proj * proj
+    proj = product(delta.astype(stats.basis.dtype, copy=False), stats.basis)
+    sq = proj.astype(float, copy=False)  # a float64 projection is squared in place
+    np.multiply(sq, sq, out=sq)
     cost = product(sq, stats.weights)
     if stats.rank < stats.dim:
         cost += (np.einsum("...d,...d->...", delta, delta) - sq.sum(axis=-1)) / rho

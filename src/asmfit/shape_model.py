@@ -127,7 +127,9 @@ class ShapeModel:
     clamp_alpha: float
 
     def __post_init__(self):
-        modes = np.array(self.modes, dtype=float)
+        # C order whatever the source: eigh's modes are Fortran-ordered, a
+        # loaded bundle's are not, and BLAS rounds fit_params by the layout.
+        modes = np.array(self.modes, dtype=float, order="C")
         evals = np.array(self.eigenvalues, dtype=float)
         if modes.ndim != 2 or modes.shape[0] != 2 * self.mean_shape.n:
             raise ShapeArityError(f"modes must be (2n, t), got {modes.shape}")

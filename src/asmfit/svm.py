@@ -140,7 +140,9 @@ def negative_ring(offset_range, negatives_per_positive) -> np.ndarray:
 
 
 def _seed_for(master: int, level: int, landmark: int) -> int:
-    return master * 1_000_003 + level * 1_000 + landmark
+    """A landmark's generator seed at a level, computed in Python ints, so a
+    numpy integer gives the seed of its value rather than wrapping."""
+    return int(master) * 1_000_003 + int(level) * 1_000 + int(landmark)
 
 
 def build_landmark_training_set(

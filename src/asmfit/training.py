@@ -97,13 +97,18 @@ def _fold(model: LinearSvmModel, mean: np.ndarray, std: np.ndarray):
 
 def _joined(parts, fraction: float) -> ProfileStats:
     """The statistics of consecutive landmark stacks as one stack, cut to
-    the least rank that keeps `fraction` of every landmark's variance. Each
-    stack is cut as a view, so the join is the only copy."""
+    the least rank that keeps `fraction` of every landmark's variance, with
+    the mean and basis stored as float32. The cut and the ridge's share of
+    the dropped variance are taken in float64, so lam and rho keep their
+    float64 bytes. Each stack is cut as a view, so the join is the only
+    copy, and it rounds to float32 as it copies."""
     rank = max(subspace_rank(part, fraction) for part in parts)
     cut = [leading_subspace(part, rank) for part in parts]
-    mean, basis, lam, rho = (np.concatenate([fields[name] for fields in cut])
-                             for name in ("mean", "basis", "lam", "rho"))
-    basis.setflags(write=False)  # owned here, so kept without a copy
+    mean, basis, lam, rho = (np.concatenate([fields[name] for fields in cut], dtype=dtype)
+                             for name, dtype in (("mean", np.float32), ("basis", np.float32),
+                                                 ("lam", float), ("rho", float)))
+    mean.setflags(write=False)  # owned here, so kept without a copy
+    basis.setflags(write=False)
     return ProfileStats(mean, basis=basis, lam=lam, rho=rho)
 
 

@@ -21,6 +21,10 @@ the scheme's chord_ends arrays; this module keeps the per-landmark form,
 landmark_normal, and the scheme lookups it uses, group_of and neighbors.
 single_contour_scheme makes the one-contour schemes the tests use.
 
+The library scores float32 means and bases by projecting the deltas in
+float32; factor_costs keeps the float64 quadratic form of the same
+eigen-factor, evaluated row by row through its dense matrix.
+
 The library scores stacked statistics with one owner index per row;
 landmark_stats gives one landmark's statistics alone, to score its rows
 with the unstacked form.
@@ -95,6 +99,21 @@ def subspace_dense_costs(rows, eps, rank, candidates):
         delta = row - mean
         out.append(float(delta @ inverse @ delta))
     return np.array(out)
+
+
+def factor_costs(mean, basis, lam, rho, rows):
+    """sum((U^T delta)^2 / (lam + rho)) + (|delta|^2 - |U^T delta|^2) / rho
+    for every row of one landmark, in float64 whatever the inputs' dtype,
+    one row at a time through the dense matrix U diag(1 / (lam + rho)) U^T
+    + (I - U U^T) / rho. Its second term is absent when U is square, as the
+    library's residual term is."""
+    mean, basis, lam = (np.asarray(a, dtype=float) for a in (mean, basis, lam))
+    d, r = basis.shape
+    form = basis @ np.diag(1.0 / (lam + rho)) @ basis.T
+    if r < d:
+        form += (np.eye(d) - basis @ basis.T) / rho
+    return np.array([float(delta @ form @ delta)
+                     for delta in np.atleast_2d(np.asarray(rows, dtype=float)) - mean])
 
 
 def landmark_stats(stats, j):

@@ -393,9 +393,16 @@ def _previous_version(body):
     return body
 
 
+def _version_7(body):
+    """The last version before the asm means and bases became float32."""
+    struct.pack_into("<I", body, len(BUNDLE_MAGIC), 7)
+    return body
+
+
 @pytest.mark.parametrize("damage, expect", [
     (_undecodable_key, "is not UTF-8"),
     (_previous_version, "bundle version 1"),
+    (_version_7, "bundle version 7, this build reads 8; retrain the model"),
 ])
 def test_fit_rejects_unreadable_bundle_in_one_line(cli_env, tmp_path, capsys, damage, expect):
     model = tmp_path / "damaged.asmb"

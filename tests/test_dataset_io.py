@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import struct
 import tracemalloc
@@ -12,6 +13,7 @@ import pytest
 
 from conftest import planted, reseal, with_fit_default
 from reference_profiles import single_contour_scheme
+from asmfit.cli import truth_box
 from asmfit.dataset_io import (
     BUNDLE_MAGIC,
     BUNDLE_VERSION,
@@ -36,10 +38,10 @@ from asmfit.errors import (
     PointsParseError,
     SplitError,
 )
-from asmfit.imaging import GrayImage
+from asmfit.imaging import GrayImage, build_pyramid
 from asmfit.profiles import ProfileStats
 from asmfit.scheme import DEFAULT_SCHEME
-from asmfit.search import FitConfig, config_for_mode
+from asmfit.search import FitConfig, config_for_mode, fit, init_shape_from_box
 from asmfit.shape_model import Shape
 from asmfit.svm import LinearSvmModel, SvmTrainConfig
 from asmfit.synthetic import generate_face_dataset
@@ -259,11 +261,64 @@ def test_loaded_arrays_are_read_only_views_of_the_file(saved_bundle):
         assert not arr.flags.owndata
 
 
+def _buffer_of(arr):
+    """The object whose memory an array views: its last ndarray base's buffer."""
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr.obj if isinstance(arr, memoryview) else arr
+
+
+def test_asm_means_and_bases_are_float32_everything_else_float64(saved_bundle):
+    """Training stores the asm means and bases as float32, and the loader
+    views them in place as float32: read-only views of the file's bytes,
+    not copies. The asm lam, rho and weights, the classic statistics, the
+    SVMs and the shape model stay float64, in the trained bundle and in its
+    loaded copy alike."""
+    bundle, path = saved_bundle
+    loaded = load_bundle(path)
+    f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+    for model in (bundle, loaded):
+        for st in model.asm_profiles.stats:
+            assert (st.mean.dtype, st.basis.dtype) == (f32, f32)
+            assert {st.lam.dtype, st.rho.dtype, st.weights.dtype} == {f64}
+        for st in model.classic_profiles.stats:
+            assert {st.mean.dtype, st.basis.dtype, st.lam.dtype, st.rho.dtype} == {f64}
+        for svm in model.svms:
+            assert {svm.weights.dtype, svm.bias.dtype} == {f64}
+        sm = model.shape_model
+        assert {sm.mean_shape.points.dtype, sm.modes.dtype, sm.eigenvalues.dtype} == {f64}
+    data = path.read_bytes()
+    for st in loaded.asm_profiles.stats:
+        for arr in (st.mean, st.basis):
+            assert arr.flags.writeable is False and not arr.flags.owndata
+            assert _buffer_of(arr) == data
+
+
+def test_trained_bundle_fits_as_its_saved_and_loaded_copy(saved_bundle, faces96):
+    """A freshly trained bundle fits, byte for byte, as its saved-and-loaded
+    copy does, in both modes: the same points and landmark costs. eigh
+    returns the shape modes in Fortran order and a loaded bundle holds them
+    in C order; both are kept in C order, since BLAS rounds fit_params by
+    the layout."""
+    bundle, path = saved_bundle
+    loaded = load_bundle(path)
+    assert bundle.shape_model.modes.flags.c_contiguous
+    for face in faces96[6:]:
+        box = truth_box(face.shape, 0.10)
+        for mode in ("asm_svm", "classic"):
+            config = config_for_mode(bundle, mode)
+            pyramid = build_pyramid(face.image, config.levels)
+            trained, reloaded = (fit(pyramid, model, init_shape_from_box(model.shape_model, box),
+                                     config) for model in (bundle, loaded))
+            assert trained.shape.points.tobytes() == reloaded.shape.points.tobytes()
+            assert trained.landmark_costs.tobytes() == reloaded.landmark_costs.tobytes()
+
+
 @pytest.fixture(scope="module")
 def fit_256_bundle(tmp_path_factory):
     """A bundle of the benchmark's fit-256 size, about 5 MB: 30 faces at
-    256x256 on the default scheme. One SGD epoch, as only the shapes of the
-    arrays matter here."""
+    256x256 on the default scheme. One Newton iteration, as only the shapes
+    of the arrays matter here."""
     bundle, _ = train_bundle(generate_face_dataset(30, size=256, seed=3), DEFAULT_SCHEME,
                              svm_config=SvmTrainConfig(epochs=1))
     path = tmp_path_factory.mktemp("fit256") / "model.asmb"
@@ -281,7 +336,7 @@ def test_bundle_load_peaks_under_one_and_a_half_file_sizes(fit_256_bundle):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert size > 4_600_000
+    assert size > 2_600_000
     assert loaded.asm_profiles.stats[-1].basis.shape == (68, 225, 27)
     assert peak < 1.5 * size
 
@@ -330,7 +385,7 @@ def test_bundle_rejects_future_version(saved_bundle, tmp_path):
         load_bundle(bad)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
 def test_bundle_rejects_previous_version(saved_bundle, tmp_path, version):
     _, path = saved_bundle
     data = bytearray(path.read_bytes()[:-4])
@@ -635,3 +690,81 @@ def test_bundle_round_trips_numpy_integer_settings(faces96, tmp_path):
     again = tmp_path / "again.asmb"
     save_bundle(loaded, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def _array_refs(obj) -> list:
+    """(dtype key, offset, shape) of every array reference in a header, in
+    the order the header lists them, which is block order."""
+    if isinstance(obj, dict):
+        if len(obj) == 1 and next(iter(obj)) in ("f64", "f32"):
+            [(key, (offset, shape))] = obj.items()
+            return [(key, offset, shape)]
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [ref for item in obj for ref in _array_refs(item)]
+    return []
+
+
+def test_odd_float32_arrays_are_padded_so_every_array_stays_aligned(faces96, tmp_path):
+    """13 landmarks give level-0 asm means of 13 x 9 float32 values, 468
+    bytes. The writer follows each such array with 4 zero bytes, so every
+    array still starts at a multiple of 8 in the file; the bundle loads back
+    bit for bit, dtype for dtype, and re-saves byte-identically."""
+    samples = [AnnotatedSample(s.name, s.image, Shape(s.shape.points[-13:])) for s in faces96[:6]]
+    bundle, _ = train_bundle(samples, single_contour_scheme(13), fit_config=FitConfig(levels=2),
+                             profile_lengths=(3, 5), svm_config=SvmTrainConfig(epochs=2),
+                             classic_length=5)
+    path = tmp_path / "odd.asmb"
+    save_bundle(bundle, path)
+    data = path.read_bytes()
+    start = _HEADER_START + _header_length(data)
+    refs = _array_refs(_header(data))
+    ends = [offset + math.prod(shape) * (4 if key == "f32" else 8) for key, offset, shape in refs]
+    odd = [i for i, (key, _, shape) in enumerate(refs) if key == "f32" and math.prod(shape) % 2]
+    assert odd and odd[0] < len(refs) - 1  # an odd f32 array with arrays after it
+    assert [offset for _, offset, _ in refs] == sorted(offset for _, offset, _ in refs)
+    assert start % 8 == 0 and all((start + offset) % 8 == 0 for _, offset, _ in refs)
+    for end, (_, offset, _) in zip(ends, refs[1:]):
+        assert offset - end == (4 if end % 8 else 0)
+        assert data[start + end:start + offset] == bytes(offset - end)
+    loaded = load_bundle(path)
+    for got_pm, want_pm in ((loaded.classic_profiles, bundle.classic_profiles),
+                            (loaded.asm_profiles, bundle.asm_profiles)):
+        for got, want in zip(got_pm.stats, want_pm.stats):
+            for name in ("mean", "basis", "lam", "rho"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    again = tmp_path / "again.asmb"
+    save_bundle(loaded, again)
+    assert again.read_bytes() == data
+
+
+def _set_asm_mean_ref(obj):
+    def edit(header):
+        header["profiles"]["asm"]["means"][0] = obj
+    return edit
+
+
+def test_float32_array_past_the_end_of_the_block(small_bundle_bytes, tmp_path):
+    block = len(small_bundle_bytes) - 4 - _HEADER_START - _header_length(small_bundle_bytes)
+    offset, shape = _header(small_bundle_bytes)["profiles"]["asm"]["means"][0]["f32"]
+    count = math.prod(shape)
+    bad = tmp_path / "past.asmb"
+    # the level-0 asm mean moved to end one f32 past the block, to its end, or grown past it
+    for ref in ([block - 4 * count + 4, shape], [block, [1]], [offset, [shape[0], 2**40]]):
+        bad.write_bytes(_edited(small_bundle_bytes, _set_asm_mean_ref({"f32": ref})))
+        with pytest.raises(BundleCorruptionError, match="f32 array .* past the end of the block"):
+            load_bundle(bad)
+
+
+@pytest.mark.parametrize("obj", [{"f16": [0, [12, 9]]}, {"F32": [0, [12, 9]]},
+                                 {"f32": [0, [12, 9]], "f64": [0, [12, 9]]}, {}, [0.5] * 108,
+                                 None],
+                         ids=["f16", "F32", "two-keys", "empty", "inline-list", "null"])
+def test_bundle_rejects_unknown_array_reference_keys(small_bundle_bytes, tmp_path, obj):
+    """Where the format holds an array, only a one-key f64 or f32 reference
+    loads; any other object, or an inline JSON list, is corruption."""
+    bad = tmp_path / "key.asmb"
+    bad.write_bytes(_edited(small_bundle_bytes, _set_asm_mean_ref(obj)))
+    with pytest.raises(BundleCorruptionError, match="array reference"):
+        load_bundle(bad)

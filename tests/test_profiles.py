@@ -39,6 +39,7 @@ from conftest import (
 from reference_profiles import (
     clamped_windows,
     dense_costs,
+    factor_costs,
     landmark_normal,
     landmark_stats,
     sample_covariance,
@@ -643,6 +644,91 @@ def test_owner_costs_equal_each_block_by_its_own_statistics(equal, data):
     bounds = np.cumsum([0] + counts)
     for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
         assert got[a:b].tobytes() == mahalanobis_batch(landmark_stats(stack, j), rows[a:b]).tobytes()
+
+
+def float32_stats(stats, fraction=None):
+    """stats cut to the least rank that keeps `fraction` of every landmark's
+    variance (None keeps every pair), with the mean and basis rounded to
+    float32 as training stores them."""
+    rank = stats.rank if fraction is None else subspace_rank(stats, fraction)
+    cut = leading_subspace(stats, rank)
+    return ProfileStats(cut["mean"].astype(np.float32), basis=cut["basis"].astype(np.float32),
+                        lam=cut["lam"], rho=cut["rho"])
+
+
+def window_rows(rng, shape):
+    """Positive rows that sum to 1, as sum-normalized gradient windows do."""
+    rows = rng.uniform(0.5, 1.5, shape) ** 3
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("counts", [[4, 4, 4, 4, 4], [3, 49, 0, 1, 36]],
+                         ids=["equal-counts", "unequal-counts"])
+@pytest.mark.parametrize("m,d,fraction", [(30, 225, 0.975), (240, 225, 0.975), (12, 9, 0.975),
+                                          (40, 49, 0.975), (12, 9, None)],
+                         ids=["fit-256-level-2", "train-240-level-2", "level-0", "level-1",
+                              "level-0-uncut"])
+def test_float32_costs_match_the_float64_factor_oracle(counts, m, d, fraction):
+    """Float32 means and bases, scored with their float32 projection, cost
+    what the float64 quadratic form of the same values upcast gives, to a
+    relative 1e-3. float32 keeps about 7 digits, and the residual term, a
+    difference of two sums of squares over rho, magnifies their rounding by
+    up to |delta|^2 / (rho * cost): these draws reach 1.4e-4 at level 0,
+    where the one dim outside the basis has the smallest rho, and stay under
+    1e-6 at 49 and 225 dims. Uncut statistics of rows that are not
+    normalized span every dim and have no residual term. A wrong mean,
+    basis, weight or owner moves a cost in its first digits."""
+    rng = np.random.default_rng(m + d)
+    shape = (len(counts), m, d)
+    samples = window_rows(rng, shape) if fraction else rng.normal(0.3, 0.1, shape)
+    st = float32_stats(stats_from_matrix(samples), fraction)
+    assert (st.rank < d) == bool(fraction)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    rows = window_rows(rng, (len(owner), d))
+    bounds = np.cumsum([0] + counts)
+    want = np.concatenate([factor_costs(st.mean[j], st.basis[j], st.lam[j], st.rho[j], rows[a:b])
+                           for j, (a, b) in enumerate(zip(bounds, bounds[1:]))])
+    np.testing.assert_allclose(mahalanobis_batch(st, rows, owner), want, rtol=1e-3, atol=0)
+
+
+@PROPERTY
+@pytest.mark.parametrize("equal", [True, False], ids=["stacked-matmul", "matmul-per-block"])
+@given(data=strategies.data())
+def test_float32_owner_costs_equal_each_block_alone_and_keep_the_basis(equal, data):
+    """With a float32 mean and basis, every landmark's block of an
+    owner-form call costs, byte for byte, what its statistics alone give,
+    through either branch of owner_matmul. Each projection multiplies
+    float32 deltas by the stack's own float32 basis, or a view of it, so
+    the basis is never cast or copied; the costs are float64."""
+    counts = data.draw(owner_counts(equal))
+    d = data.draw(strategies.integers(2, 12))
+    m = data.draw(strategies.integers(2, d + 4))
+    rng = np.random.default_rng(data.draw(strategies.integers(0, 2**32 - 1)))
+    stack = float32_stats(stats_from_matrix(rng.normal(0.3, 0.1, (len(counts), m, d))), 0.975)
+    rows = rng.normal(0.3, 0.1, (sum(counts), d))
+    calls, real = [], np.matmul
+
+    def recording(a, b, *args, **kwargs):
+        calls.append((np.shape(a), a.dtype, b.dtype, np.shares_memory(b, stack.basis)))
+        return real(a, b, *args, **kwargs)
+
+    np.matmul = recording
+    try:
+        got = mahalanobis_batch(stack, rows, np.repeat(np.arange(len(counts)), counts))
+    finally:
+        np.matmul = real
+    products = owner_products(counts, (d, stack.rank))
+    assert [shape for shape, *_ in calls] == products
+    f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+    half = len(products) // 2
+    assert all(call[1:] == (f32, f32, True) for call in calls[:half])
+    assert all(call[1:] == (f64, f64, False) for call in calls[half:])
+    assert got.dtype == f64 and got.shape == (len(rows),)
+    bounds = np.cumsum([0] + counts)
+    for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        alone = landmark_stats(stack, j)
+        assert alone.basis.dtype == f32 and np.shares_memory(alone.basis, stack.basis)
+        assert got[a:b].tobytes() == mahalanobis_batch(alone, rows[a:b]).tobytes()
 
 
 def test_edge_weighting_factors():

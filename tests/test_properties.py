@@ -109,9 +109,23 @@ NONNEGATIVE_FLOATS = st.one_of(
 )
 
 
+# Finite float32 values, with signed zeros, subnormals and extremes drawn often.
+F32_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.sampled_from([-0.0, 0.0, 1.401298464324817e-45, -1.401298464324817e-45,
+                     1.1754943508222875e-38, -3.4028234663852886e38]),
+)
+
+
 def draw_profile_arrays(data, pm):
-    """Per level (means, bases, lams, rhos) of a drawn rank, shaped for pm."""
+    """Per level (means, bases, lams, rhos) of a drawn rank, shaped for pm.
+    The means and bases of 2-D statistics are float32, as training stores
+    them, or float64, as another writer may; lams and rhos are float64."""
     k = pm.n_landmarks
+    kept = np.float64
+    if pm.kind == "two_d":
+        kept = data.draw(st.sampled_from([np.float32, np.float64]))
+    elements = F32_FLOATS if kept == np.float32 else SVM_FLOATS
     levels = []
     for size in pm.sizes:
         d = size if pm.kind == "one_d" else size * size
@@ -120,8 +134,8 @@ def draw_profile_arrays(data, pm):
         rhos = data.draw(arrays(np.float64, k, elements=NONNEGATIVE_FLOATS))
         # A zero ridge needs a full-rank, non-singular factor.
         rhos[(rhos == 0) & ~((r == d) & lams.all(axis=1))] = 5e-324
-        levels.append((data.draw(arrays(np.float64, (k, d), elements=SVM_FLOATS)),
-                       data.draw(arrays(np.float64, (k, d, r), elements=SVM_FLOATS)),
+        levels.append((data.draw(arrays(kept, (k, d), elements=elements)),
+                       data.draw(arrays(kept, (k, d, r), elements=elements)),
                        lams, rhos))
     return levels
 
@@ -155,7 +169,8 @@ def test_bundle_statistics_and_shape_model_round_trip_bit_for_bit(scratch, tiny_
     for name, levels in drawn.items():
         for level, stats in zip(levels, getattr(loaded, name).stats):
             for want, attr in zip(level, ("mean", "basis", "lam", "rho")):
-                assert getattr(stats, attr).tobytes() == want.tobytes()
+                got = getattr(stats, attr)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     sm = loaded.shape_model
     assert sm.mean_shape.points.tobytes() == mean.tobytes()
     assert sm.modes.tobytes() == modes.tobytes()

@@ -255,6 +255,20 @@ def test_one_seed_gives_each_landmark_its_own_generator(seed, level):
         assert not np.array_equal(ts.features, other.features)
 
 
+@pytest.mark.parametrize("seed", [10**13, 2**62], ids=["1e13", "2^62"])
+def test_numpy_integer_seed_gives_the_windows_of_its_value(seed):
+    """A numpy integer master seed seeds each landmark as the Python int of
+    its value does: 10**13 * 1_000_003 would wrap in int64, and 2**62 would
+    wrap negative, which default_rng refuses mid-training."""
+    dataset = oracle_dataset()
+    for level in (0, 1):
+        assert _seed_for(np.int64(seed), level, 3) == _seed_for(seed, level, 3)
+        assert type(_seed_for(np.int64(seed), np.int64(level), np.int64(3))) is int
+        want = training_set(dataset, [6, 1, 3], level, seed=seed)
+        got = training_set(dataset, [6, 1, 3], level, seed=np.int64(seed))
+        assert got.features.tobytes() == want.features.tobytes()
+
+
 # ---------------------------------------------------------------- trainer
 
 @pytest.mark.parametrize("c_penalty,lam", [(1e308, 0.0), (1e-320, math.inf)])

@@ -303,8 +303,8 @@ def test_stacked_statistics_and_fold_equal_per_landmark_calls(images, d, k, seed
 
 def test_one_class_landmark_names_landmark_and_level(faces96, monkeypatch):
     """Without negatives every landmark would have one class; training
-    refuses that before any work. A one-class stack that reaches the SGD
-    is named by landmark and level (test_stacked_one_class_landmark_is_named)."""
+    refuses that before any work. A one-class stack that reaches the SVM
+    trainer is named by landmark and level (test_stacked_one_class_landmark_is_named)."""
     def started(*args, **kwargs):
         raise AssertionError("training started")
 
@@ -334,9 +334,11 @@ def test_profile_stats_equal_separate_pass_oracle(monkeypatch, width):
     """Each level's 2-D statistics, joined from the SVM stacks' positive
     windows and cut to the level's subspace rank, equal one pass over all
     landmarks' windows cut the same way, byte for byte, for the default
-    stack plan and for one-landmark stacks. With 12 faces, level 0 (d = 9)
-    takes the covariance path, cut from 9 to 7 pairs, and levels 1 and 2
-    (d = 49, 225) the SVD path, where some landmark needs all 11 pairs."""
+    stack plan and for one-landmark stacks: the mean and basis as the
+    oracle's rounded to float32, as training stores them, and lam and rho
+    as its float64. With 12 faces, level 0 (d = 9) takes the covariance
+    path, cut from 9 to 7 pairs, and levels 1 and 2 (d = 49, 225) the SVD
+    path, where some landmark needs all 11 pairs."""
     monkeypatch.setattr(training, "_SVM_WIDTH", width)
     faces = generate_face_dataset(12, size=96, seed=9)
     bundle, _ = train_bundle(faces, DEFAULT_SCHEME, svm_config=SvmTrainConfig(epochs=1), seed=1)
@@ -346,9 +348,11 @@ def test_profile_stats_equal_separate_pass_oracle(monkeypatch, width):
     for level, size in enumerate(profiles.sizes):
         ref = level_window_stats(faces, level, size, eps=bundle.train_meta["eps"])
         ref = ProfileStats(**leading_subspace(ref, subspace_rank(ref, fraction)))
-        for name in ("mean", "basis", "lam", "rho"):
-            got, want = getattr(profiles.stats[level], name), getattr(ref, name)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (level, name)
+        for name, dtype in (("mean", np.float32), ("basis", np.float32),
+                            ("lam", np.float64), ("rho", np.float64)):
+            got, want = getattr(profiles.stats[level], name), getattr(ref, name).astype(dtype)
+            assert got.dtype == dtype and got.shape == want.shape, (level, name)
+            assert got.tobytes() == want.tobytes(), (level, name)
 
 
 def test_summary_accuracy_matches_per_landmark_oracle(trained):
