@@ -10,7 +10,6 @@ from .evaluation import EvalReport, evaluate, format_report
 from .imaging import (
     GradientField,
     GrayImage,
-    ImagePyramid,
     build_pyramid,
     canny_edges,
     equalize_histogram,
@@ -62,6 +61,6 @@ from .svm import (
     train_linear_svm,
 )
 from .synthetic import generate_face_dataset, write_dataset
-from .training import TrainConfig, TrainingSummary, train_bundle
+from .training import TrainConfig, train_bundle
 
 __version__ = "0.1.0"

@@ -83,7 +83,7 @@ def cmd_train(args) -> int:
     settings = load_train_settings(args.config)
     scheme = settings.pop("scheme")
     samples = load_annotated(args.images, args.points, scheme)
-    bundle, summary = train_bundle(samples, scheme, **settings)
+    bundle, accuracy = train_bundle(samples, scheme, **settings)
     save_bundle(bundle, args.out)
     print(f"modes: {bundle.shape_model.num_modes}, profile ranks per level: "
           f"{' '.join(str(stats.rank) for stats in bundle.asm_profiles.stats)}")
@@ -91,8 +91,8 @@ def cmd_train(args) -> int:
     negatives = positives * bundle.train_meta["negatives_per_positive"]
     for lv in range(len(bundle.svms)):
         print(f"level {lv}: {positives} positive, {negatives} negative windows")
-    for lv, (mean, low) in enumerate(zip(summary.level_accuracy_mean, summary.level_accuracy_min)):
-        print(f"level {lv}: SVM training accuracy mean {mean:.3f}, min {low:.3f}")
+    for lv, row in enumerate(accuracy):
+        print(f"level {lv}: SVM training accuracy mean {row.mean():.3f}, min {row.min():.3f}")
     return 0
 
 
@@ -236,6 +236,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (AsmFitError, OSError) as exc:
         print(f"asmfit {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a setting too large for this host, e.g. a huge search radius
+        print(f"asmfit {args.command}: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

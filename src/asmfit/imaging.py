@@ -64,13 +64,6 @@ class GradientField:
             raise ImageSizeError("gradient components must share one shape")
 
 
-@dataclass(frozen=True, eq=False)
-class ImagePyramid:
-    """Coarse-to-fine image stack; levels[0] is full resolution."""
-
-    levels: tuple
-
-
 def equalize_histogram(image: GrayImage) -> GrayImage:
     """Spread intensities by the 256-bin CDF remap.
 
@@ -216,8 +209,9 @@ def canny_edges(image: GrayImage, low: float, high: float) -> np.ndarray:
     return out.reshape(h, w)
 
 
-def build_pyramid(image: GrayImage, levels: int) -> ImagePyramid:
-    """Stack of `levels` images, each the 2x2 block average of the previous.
+def build_pyramid(image: GrayImage, levels: int) -> tuple:
+    """Tuple of `levels` images, the input image first, each next one the
+    2x2 block average of the one before.
 
     levels is an integer >= 1 (not a bool); an odd last row or column is
     dropped. Each block's four pixels are summed from four strided slices,
@@ -247,7 +241,7 @@ def build_pyramid(image: GrayImage, levels: int) -> ImagePyramid:
         # mean's sum starts from +0.0, so a block of four -0.0 averages to +0.0.
         total += 0.0
         out.append(GrayImage(total))
-    return ImagePyramid(tuple(out))
+    return tuple(out)
 
 
 def sample_bilinear(image: GrayImage, x, y):

@@ -21,7 +21,7 @@ from .errors import (
     InitializationError,
     ShapeArityError,
 )
-from .imaging import GrayImage, ImagePyramid, canny_edges, equalize_histogram, sobel_gradients
+from .imaging import GrayImage, canny_edges, equalize_histogram, sobel_gradients
 from .imaging import sample_bilinear  # noqa: F401 (perfbench/tracing.py:WRAPS wraps this name)
 from .profiles import (
     ProfileStats,
@@ -253,8 +253,9 @@ def build_level_context(bundle, level_image: GrayImage, level: int, config: FitC
                    svms=bundle.svms[level])
 
 
-def fit(pyramid: ImagePyramid, bundle, init: Shape, config: FitConfig) -> FitResult:
-    """Coarse-to-fine constrained fit of the bundle's model to one image.
+def fit(pyramid: tuple, bundle, init: Shape, config: FitConfig) -> FitResult:
+    """Coarse-to-fine constrained fit of the bundle's model to one image,
+    given as build_pyramid's tuple of level images.
 
     The init shape (level-0 pixels) is scaled down to the coarsest level
     and regularized; each level then loops search + regularization until
@@ -266,15 +267,15 @@ def fit(pyramid: ImagePyramid, bundle, init: Shape, config: FitConfig) -> FitRes
     fewer than MIN_INIT_INSIDE (half) of the init landmarks lie inside the
     level-0 image.
     """
-    if len(pyramid.levels) != config.levels:
+    if len(pyramid) != config.levels:
         raise DimensionMismatchError(
-            f"pyramid has {len(pyramid.levels)} levels, config expects {config.levels}"
+            f"pyramid has {len(pyramid)} levels, config expects {config.levels}"
         )
     if config.levels > bundle.asm_profiles.levels:
         raise DimensionMismatchError(
             f"config asks for {config.levels} levels, the bundle holds {bundle.asm_profiles.levels}"
         )
-    base = pyramid.levels[0]
+    base = pyramid[0]
     inside = (
         (init.points[:, 0] >= 0) & (init.points[:, 0] <= base.width - 1)
         & (init.points[:, 1] >= 0) & (init.points[:, 1] <= base.height - 1)
@@ -294,7 +295,7 @@ def fit(pyramid: ImagePyramid, bundle, init: Shape, config: FitConfig) -> FitRes
     for level in range(top, -1, -1):
         shape = _regularize(model, shape)
         if config.max_iters_per_level:
-            ctx = build_level_context(bundle, pyramid.levels[level], level, config)
+            ctx = build_level_context(bundle, pyramid[level], level, config)
         for _ in range(config.max_iters_per_level):
             iterations[level] += 1
             searched, costs = search_landmarks(ctx, shape, config)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy._core.umath import clip as _clip  # the ufunc behind ndarray.clip
 
 from .errors import DegenerateShapeError, InsufficientDataError, ShapeArityError
 from .profiles import retained_rank
@@ -362,7 +361,8 @@ def fit_params(
         c, s = math.cos(-rotation), math.sin(-rotation)
         r_inv = np.array([[c, -s], [s, c]])
         back = inv_scale * tgt @ r_inv.T + -inv_scale * r_inv @ translation
-        b_new = _clip(model.modes.T @ (back.ravel() - mean_vec), -limits, limits)
+        b_new = np.minimum(np.maximum(model.modes.T @ (back.ravel() - mean_vec), -limits),
+                           limits)
         settled = (model.num_modes == 0
                    or np.maximum.reduce(np.abs(b_new - b) / scales) < tolerance)
         b = b_new

@@ -59,16 +59,6 @@ from .svm import (
 _SVM_WIDTH = 8 * (15**2 + 1)
 
 
-@dataclass(frozen=True)
-class TrainingSummary:
-    """What training measured and the bundle does not hold: per level, SVM
-    accuracy on its own training rows as the mean and the minimum over
-    landmarks."""
-
-    level_accuracy_mean: tuple
-    level_accuracy_min: tuple
-
-
 def _svm_stacks(n: int, size: int) -> list:
     """Landmarks 0..n-1 split in order into the fewest stacks of equal size
     (one more landmark in the first ones) whose rows of size*size features
@@ -168,7 +158,9 @@ def train_bundle(samples, scheme: LandmarkScheme, **settings):
     settings are TrainConfig's fields, which checks them before any work;
     the bundle stores its fit_config as the fit defaults.
 
-    Returns (ModelBundle, TrainingSummary). Deterministic for a fixed seed.
+    Returns (ModelBundle, accuracy), accuracy the read-only (levels, landmarks)
+    array of each SVM's accuracy on its own training rows. Deterministic for
+    a fixed seed.
     """
     config = TrainConfig(**settings)
     if len(samples) < 2:
@@ -184,12 +176,11 @@ def train_bundle(samples, scheme: LandmarkScheme, **settings):
     # end. Freed level by level they leave a smaller heap, and bundle loads in
     # the same process then page-fault (30 faces at 256x256: ~30% slower).
     surfaces = [[(raw, sobel_gradients(equalize_histogram(raw)).magnitude)
-                 for raw in build_pyramid(sample.image, levels).levels] for sample in samples]
+                 for raw in build_pyramid(sample.image, levels)] for sample in samples]
     classic_stats = []
     asm_stats = []
     svms = []
-    level_acc_mean = []
-    level_acc_min = []
+    accuracy = np.empty((levels, n))
     for lv in range(levels):
         points = [sample.shape.points / 2.0**lv for sample in samples]
         size = config.profile_lengths[lv]
@@ -202,7 +193,6 @@ def train_bundle(samples, scheme: LandmarkScheme, **settings):
         weights = np.empty((n, size**2))
         biases = np.empty(n)
         stats = []
-        accuracy = []
         for run in _svm_stacks(n, size):
             stack = build_landmark_training_set(
                 dataset_lv, run, lv,
@@ -217,12 +207,11 @@ def train_bundle(samples, scheme: LandmarkScheme, **settings):
             rows, mean, std = _standardize(stack.features)
             stack = replace(stack, features=rows)
             model = train_linear_svm(stack, config.svm_config)
-            accuracy.extend(training_accuracy(model, stack))
+            accuracy[lv, run] = training_accuracy(model, stack)
             weights[run], biases[run] = _fold(model, mean, std)
         asm_stats.append(_joined(stats, config.variance_fraction))
         svms.append(LinearSvmModel(weights, biases))
-        level_acc_mean.append(float(np.mean(accuracy)))
-        level_acc_min.append(float(np.min(accuracy)))
+    accuracy.setflags(write=False)
 
     bundle = ModelBundle(
         scheme=scheme,
@@ -246,4 +235,4 @@ def train_bundle(samples, scheme: LandmarkScheme, **settings):
             "eps": config.eps,
         },
     )
-    return bundle, TrainingSummary(tuple(level_acc_mean), tuple(level_acc_min))
+    return bundle, accuracy

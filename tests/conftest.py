@@ -23,10 +23,10 @@ def faces96():
 @pytest.fixture(scope="session")
 def trained(faces96):
     """Small trained bundle shared by search/CLI-adjacent tests."""
-    bundle, summary = train_bundle(
+    bundle, accuracy = train_bundle(
         faces96[:6], DEFAULT_SCHEME, svm_config=SvmTrainConfig(epochs=30)
     )
-    return bundle, summary, faces96
+    return bundle, accuracy, faces96
 
 
 # Drawn examples are derandomized, so every run draws the same ones.

@@ -155,7 +155,7 @@ def level_window_stats(samples, level, size, eps=1e-3, levels=3):
     Sobel magnitude, then stats_from_matrix over (n, images, size*size)."""
     windows = []
     for sample in samples:
-        raw = build_pyramid(sample.image, levels).levels[level]
+        raw = build_pyramid(sample.image, levels)[level]
         magnitude = sobel_gradients(equalize_histogram(raw)).magnitude
         points = sample.shape.points / 2.0**level
         windows.append(sum_normalized(clamped_windows(magnitude, points, size)))

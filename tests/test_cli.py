@@ -22,12 +22,12 @@ from asmfit.cli import (
 )
 from asmfit.dataset_io import BUNDLE_MAGIC, load_bundle, load_points_file, save_bundle
 from asmfit.errors import BoxError, DatasetError, ShapeArityError
-from asmfit.imaging import GrayImage
+from asmfit.imaging import GrayImage, build_pyramid
 from asmfit.scheme import DEFAULT_SCHEME, ContourGroup, LandmarkScheme
 from asmfit.search import FitConfig
 from asmfit.shape_model import Shape
 from asmfit.svm import SvmTrainConfig
-from asmfit.training import TrainConfig
+from asmfit.training import TrainConfig, train_bundle
 from asmfit.synthetic import write_dataset
 
 
@@ -100,16 +100,67 @@ def test_train_prints_window_counts_per_level(cli_env, tmp_path, capsys, extra, 
                      for lv in range(levels)]
 
 
-def test_train_prints_svm_accuracy_per_level(cli_env, tmp_path, capsys):
+def test_train_prints_svm_accuracy_per_level(cli_env, tmp_path, capsys, monkeypatch):
+    """Training indexes the pyramid as a tuple that starts with the input
+    image and returns a read-only (levels, landmarks) accuracy array;
+    asmfit train prints each level's row mean and minimum."""
+    pyramids, results = [], []
+
+    def recorded_pyramid(image, levels):
+        pyramids.append((image, build_pyramid(image, levels)))
+        return pyramids[-1][1]
+
+    def recorded_train(*args, **kwargs):
+        results.append(train_bundle(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr("asmfit.training.build_pyramid", recorded_pyramid)
+    monkeypatch.setattr(cli, "train_bundle", recorded_train)
     rc = main(["train", "--images", str(cli_env["images"]),
                "--points", str(cli_env["points"]),
                "--config", str(cli_env["config"]), "--out", str(tmp_path / "m.asmb")])
     lines = [ln for ln in capsys.readouterr().out.splitlines() if "SVM training accuracy" in ln]
     assert rc == 0
+    assert len(pyramids) == 6
+    for image, pyramid in pyramids:
+        assert type(pyramid) is tuple and len(pyramid) == 3 and pyramid[0] is image
+    (_, accuracy), = results
+    assert accuracy.shape == (3, 68) and not accuracy.flags.writeable
     assert [ln.split(":")[0] for ln in lines] == ["level 0", "level 1", "level 2"]
+    assert lines == [f"level {lv}: SVM training accuracy mean {row.mean():.3f}, min {row.min():.3f}"
+                     for lv, row in enumerate(accuracy)]
     for line in lines:
         mean, low = (float(part.split()[-1]) for part in line.split(","))
         assert 0.0 <= low <= mean <= 1.0
+
+
+@pytest.mark.parametrize("command", ["train", "fit"])
+def test_out_of_memory_exits_2_in_one_line(cli_env, tmp_path, capsys, monkeypatch, command):
+    """A setting too large for memory (a huge offset_range or search_radius)
+    ends in one line naming the command and exit 2, and writes nothing. The
+    allocation is refused by a stand-in, so no test asks for a huge array."""
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 29.1 TiB for an array with shape "
+                          "(2000001, 2000001) and data type int64")
+
+    outputs = [tmp_path / "m.asmb", tmp_path / "o.pts", tmp_path / "o.ppm"]
+    if command == "train":
+        monkeypatch.setattr("asmfit.svm._ring_offsets", refuse)
+        args = ["--images", str(cli_env["images"]), "--points", str(cli_env["points"]),
+                "--config", str(cli_env["config"]), "--out", str(outputs[0])]
+    else:
+        monkeypatch.setattr("asmfit.search._candidate_grid", refuse)
+        sample = cli_env["samples"][0]
+        args = ["--model", str(cli_env["bundle"]),
+                "--image", str(cli_env["images"] / f"{sample.name}.pgm"),
+                "--box", box_arg(sample.shape), "--out", str(outputs[1]),
+                "--overlay", str(outputs[2])]
+    rc = main([command] + args)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (f"asmfit {command}: out of memory: Unable to allocate 29.1 TiB for an array "
+                   "with shape (2000001, 2000001) and data type int64\n")
+    assert not any(path.exists() for path in outputs)
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

@@ -314,7 +314,7 @@ def test_context_images_equal_oracles_on_face_pyramids(trained):
     bundle = trained[0]
     config = config_for_mode(bundle, "asm_svm")
     for sample in generate_face_dataset(4, size=256, seed=201):
-        for level, image in enumerate(build_pyramid(sample.image, 3).levels):
+        for level, image in enumerate(build_pyramid(sample.image, 3)):
             ctx = build_level_context(bundle, image, level, config)
             equalized = equalize_histogram(image)
             assert ctx.magnitude.tobytes() == reference_imaging.sobel(equalized.pixels)[2].tobytes()
@@ -334,26 +334,26 @@ def test_pyramid_block_average():
     px = np.arange(16.0).reshape(4, 4)
     pyr = build_pyramid(GrayImage(px), levels=2)
     want = np.array([[2.5, 4.5], [10.5, 12.5]])
-    assert np.array_equal(pyr.levels[1].pixels, want)
-    assert np.array_equal(pyr.levels[0].pixels, px)
+    assert np.array_equal(pyr[1].pixels, want)
+    assert np.array_equal(pyr[0].pixels, px)
 
 
 def test_pyramid_odd_dimensions_floor():
     pyr = build_pyramid(GrayImage(np.zeros((5, 5))), levels=2)
-    assert pyr.levels[1].pixels.shape == (2, 2)
+    assert pyr[1].pixels.shape == (2, 2)
 
 
 def test_pyramid_shape_chain():
     pyr = build_pyramid(GrayImage(np.zeros((17, 12))), levels=3)
-    assert [lvl.pixels.shape for lvl in pyr.levels] == [(17, 12), (8, 6), (4, 3)]
-    assert len(pyr.levels) == 3
+    assert [lvl.pixels.shape for lvl in pyr] == [(17, 12), (8, 6), (4, 3)]
+    assert len(pyr) == 3
 
 
 def test_pyramid_single_level():
     img = GrayImage(np.zeros((3, 3)))
     pyr = build_pyramid(img, levels=1)
-    assert len(pyr.levels) == 1
-    assert np.array_equal(pyr.levels[0].pixels, img.pixels)
+    assert len(pyr) == 1
+    assert np.array_equal(pyr[0].pixels, img.pixels)
 
 
 def test_pyramid_size_errors():
@@ -385,7 +385,7 @@ def test_pyramid_levels_equal_block_mean_oracle(pixels, levels):
         with pytest.raises(ImageSizeError):
             build_pyramid(image, levels)
         return
-    got = build_pyramid(image, levels).levels
+    got = build_pyramid(image, levels)
     want = image.pixels
     for level in got[1:]:
         want = reference_imaging.pyramid_level(want)

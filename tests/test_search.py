@@ -819,16 +819,16 @@ def test_classic_context_computes_no_equalization_sobel_or_canny(trained, monkey
     for name in ("equalize_histogram", "sobel_gradients", "canny_edges"):
         monkeypatch.setattr(search, name, refuse)
     for level in range(cfg.levels):
-        ctx = build_level_context(bundle, pyr.levels[level], level, cfg)
+        ctx = build_level_context(bundle, pyr[level], level, cfg)
         assert ctx.size == bundle.classic_profiles.sizes[level]
-        assert ctx.raw is pyr.levels[level]
+        assert ctx.raw is pyr[level]
         assert ctx.magnitude is None and ctx.edge_map is None and ctx.svms is None
         assert ctx.stats == bundle.classic_profiles.stats[level]
     init = init_shape_from_box(bundle.shape_model, truth_box(sample.shape, 0.10))
     assert np.isfinite(fit(pyr, bundle, init, cfg).shape.points).all()
     # the patch is live: an asm_svm context does reach it
     with pytest.raises(AssertionError, match="computed an asm_svm image"):
-        build_level_context(bundle, pyr.levels[0], 0, config_for_mode(bundle, "asm_svm"))
+        build_level_context(bundle, pyr[0], 0, config_for_mode(bundle, "asm_svm"))
 
 
 def test_asm_svm_context_holds_gradients_edges_and_svms(trained, monkeypatch):
@@ -849,7 +849,7 @@ def test_asm_svm_context_holds_gradients_edges_and_svms(trained, monkeypatch):
 
     for level in range(cfg.levels):
         monkeypatch.setattr(search, "canny_edges", counted if level else refuse)
-        image = pyr.levels[level]
+        image = pyr[level]
         ctx = build_level_context(bundle, image, level, cfg)
         assert ctx.size == bundle.asm_profiles.sizes[level]
         equalized = equalize_histogram(image)
@@ -862,14 +862,14 @@ def test_asm_svm_context_holds_gradients_edges_and_svms(trained, monkeypatch):
             assert ctx.edge_map is None
         assert ctx.svms == bundle.svms[level]
         assert ctx.stats == bundle.asm_profiles.stats[level]
-    assert calls == [pyr.levels[1].pixels.shape, pyr.levels[2].pixels.shape]
+    assert calls == [pyr[1].pixels.shape, pyr[2].pixels.shape]
 
     calls.clear()
     monkeypatch.setattr(search, "canny_edges", counted)
     init = init_shape_from_box(bundle.shape_model, truth_box(faces[6].shape, 0.10))
     assert cfg.levels == 3 and cfg.max_iters_per_level > 0
     assert np.isfinite(fit(pyr, bundle, init, cfg).shape.points).all()
-    assert calls == [pyr.levels[2].pixels.shape, pyr.levels[1].pixels.shape]
+    assert calls == [pyr[2].pixels.shape, pyr[1].pixels.shape]
 
 
 def test_gate_decision_convention():
