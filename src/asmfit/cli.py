@@ -18,9 +18,9 @@ from .dataset_io import (
     save_ppm,
     write_points_file,
 )
-from .errors import AsmFitError, BoxError, DatasetError, ShapeArityError
+from .errors import AsmFitError, DatasetError, ShapeArityError
 from .evaluation import evaluate, format_report
-from .imaging import GrayImage, build_pyramid
+from .imaging import GrayImage, build_pyramid, marks, paint, segment_points
 from .scheme import DEFAULT_SCHEME, LandmarkScheme
 from .search import FitConfig, config_for_mode, fit, init_shape_from_box
 from .svm import SvmTrainConfig
@@ -36,8 +36,6 @@ _CONFIG_KEYS = {"scheme", "svm", "classic_profile_length", *_FIT_KEYS, *_TRAIN_K
 _SVM_KEYS = {f.name for f in fields(SvmTrainConfig)}
 
 MARKER_COLOR = (255, 0, 0)
-# The nine pixels of a landmark marker, relative to its rounded position.
-_MARKER_OFFSETS = np.stack(np.meshgrid([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]), axis=-1).reshape(9, 2)
 GROUP_PALETTE = (
     (0, 200, 0), (0, 128, 255), (255, 200, 0), (200, 0, 200),
     (0, 220, 220), (255, 128, 0), (128, 128, 255), (0, 80, 160),
@@ -96,16 +94,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _parse_box(text):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise BoxError(f"box must be x,y,w,h, got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise BoxError(f"non-numeric box component in {text!r}") from None
-
-
 def render_overlay(image: GrayImage, shape, scheme) -> np.ndarray:
     """Gray image as RGB with contour segments and red 3x3 landmark markers.
 
@@ -124,34 +112,23 @@ def render_overlay(image: GrayImage, shape, scheme) -> np.ndarray:
         b = np.roll(a, -1, axis=0)
         if not group.closed:
             a, b = a[:-1], b[:-1]
-        delta = b - a
-        # vecdot rounds like np.linalg.norm of one segment, so the counts match it.
-        steps = np.maximum(2, np.ceil(np.sqrt(np.vecdot(delta, delta)) * 2)).astype(int)
-        t = np.concatenate([np.linspace(0.0, 1.0, n) for n in steps])
-        seg = np.repeat(np.arange(len(a)), steps)
-        _paint(rgb, a[seg] + t[:, None] * delta[seg], GROUP_PALETTE[gi % len(GROUP_PALETTE)])
-    _paint(rgb, (np.rint(shape.points)[:, None, :] + _MARKER_OFFSETS).reshape(-1, 2),
-           MARKER_COLOR)
+        paint(rgb, segment_points(a, b), GROUP_PALETTE[gi % len(GROUP_PALETTE)])
+    paint(rgb, marks(shape.points), MARKER_COLOR)
     return rgb
 
 
-def _paint(rgb: np.ndarray, xy: np.ndarray, color) -> None:
-    """Set the pixel at every rounded (x, y) row of xy that lies inside rgb."""
-    h, w = rgb.shape[:2]
-    px = np.rint(xy)
-    inside = (px[:, 0] >= 0) & (px[:, 0] < w) & (px[:, 1] >= 0) & (px[:, 1] < h)
-    px = px[inside].astype(np.intp)
-    rgb[px[:, 1], px[:, 0]] = color
+def _fit_from_box(bundle, image: GrayImage, box, config):
+    """The fit of image from the mean shape stretched over box; a malformed
+    box raises BoxError before the pyramid is built."""
+    init = init_shape_from_box(bundle.shape_model, box)
+    return fit(build_pyramid(image, config.levels), bundle, init, config)
 
 
 def cmd_fit(args) -> int:
     bundle = load_bundle(args.model)
     image = load_image(args.image)
-    box = _parse_box(args.box)
     config = config_for_mode(bundle, args.mode)
-    pyramid = build_pyramid(image, config.levels)
-    init = init_shape_from_box(bundle.shape_model, box)
-    result = fit(pyramid, bundle, init, config)
+    result = _fit_from_box(bundle, image, args.box.split(","), config)
     write_points_file(result.shape, args.out)
     if args.overlay:
         save_ppm(render_overlay(image, result.shape, bundle.scheme), args.overlay)
@@ -173,11 +150,8 @@ def cmd_eval(args) -> int:
     bundle = load_bundle(args.model)
     samples = load_annotated(args.images, args.points, bundle.scheme)
     config = config_for_mode(bundle, args.mode)
-    fitted = []
-    for sample in samples:
-        pyramid = build_pyramid(sample.image, config.levels)
-        init = init_shape_from_box(bundle.shape_model, truth_box(sample.shape, args.box_inflate))
-        fitted.append(fit(pyramid, bundle, init, config).shape)
+    fitted = [_fit_from_box(bundle, s.image, truth_box(s.shape, args.box_inflate), config).shape
+              for s in samples]
     report = evaluate(
         fitted,
         [s.shape for s in samples],

@@ -10,9 +10,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 import struct
 import zlib
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -98,38 +100,29 @@ def load_points_file(path) -> Shape:
         lines = path.read_bytes().decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise PointsParseError(f"{path.name}: not UTF-8 text at byte {exc.start}") from None
-    idx = 0
 
     def fail(msg, lineno):
         raise PointsParseError(f"{path.name}:{lineno}: {msg}")
 
-    def next_content():
-        nonlocal idx
-        while idx < len(lines):
-            stripped = lines[idx].strip()
-            idx += 1
-            if stripped:
-                return stripped, idx
-        return None, idx
-
-    header, ln = next_content()
+    # Each non-blank line, stripped, with its 1-based number; past the last
+    # one, None at the number of lines.
+    rows = ((text, ln) for ln, text in enumerate(map(str.strip, lines), 1) if text)
+    end = (None, len(lines))
+    header, ln = next(rows, end)
     if header is None or header.replace(" ", "") != "version:1":
         fail(f"expected 'version: 1', got {header!r}", ln)
-    counts, ln = next_content()
+    counts, ln = next(rows, end)
     if counts is None or not counts.startswith("n_points:"):
         fail(f"expected 'n_points: <k>', got {counts!r}", ln)
     try:
         declared = int(counts.split(":", 1)[1].strip())
     except ValueError:
         fail(f"non-integer point count in {counts!r}", ln)
-    brace, ln = next_content()
+    brace, ln = next(rows, end)
     if brace != "{":
         fail(f"expected '{{', got {brace!r}", ln)
     pts = []
-    while True:
-        row, ln = next_content()
-        if row is None:
-            fail("missing closing '}'", ln)
+    for row, ln in rows:
         if row == "}":
             break
         parts = row.split()
@@ -139,6 +132,8 @@ def load_points_file(path) -> Shape:
             pts.append((float(parts[0]), float(parts[1])))
         except ValueError:
             fail(f"non-numeric coordinate in {row!r}", ln)
+    else:
+        fail("missing closing '}'", len(lines))
     if len(pts) != declared:
         raise PointsParseError(
             f"{path.name}: header declares {declared} points but body has {len(pts)}"
@@ -156,46 +151,31 @@ def write_points_file(shape: Shape, path) -> None:
 
 # ----------------------------------------------------------------- image IO
 
-def _pgm_tokens(data: bytes):
-    """Header tokens of a PGM/PPM file, skipping whitespace and comments."""
-    pos = 0
-    while True:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            return
-        yield data[start:pos].decode("ascii", "replace"), pos
+# A PGM header token: a '#' at a token start begins a comment that runs to
+# the end of its line; any other token is a run of non-whitespace bytes.
+_PGM_TOKEN = re.compile(rb"#[^\n]*|(\S+)")
 
 
 def load_image(path) -> GrayImage:
     """Decode a binary 8-bit PGM (P5)."""
     path = Path(path)
     data = path.read_bytes()
-    tokens = _pgm_tokens(data)
+    # Magic, width, height and maxval; the payload starts one byte after them.
+    header = list(islice((m for m in _PGM_TOKEN.finditer(data) if m[1]), 4))
+    fields = [m[1].decode("ascii", "replace") for m in header]
+    if fields and fields[0] != "P5":
+        raise PgmDecodeError(f"{path.name}: expected P5 magic, got {fields[0]!r}")
+    if len(fields) < 4:
+        raise PgmDecodeError(f"{path.name}: truncated header")
     try:
-        magic, _ = next(tokens)
-        if magic != "P5":
-            raise PgmDecodeError(f"{path.name}: expected P5 magic, got {magic!r}")
-        width, _ = next(tokens)
-        height, _ = next(tokens)
-        maxval, end = next(tokens)
-    except StopIteration:
-        raise PgmDecodeError(f"{path.name}: truncated header") from None
-    try:
-        width, height, maxval = int(width), int(height), int(maxval)
+        width, height, maxval = map(int, fields[1:])
     except ValueError:
         raise PgmDecodeError(f"{path.name}: non-numeric header field") from None
     if maxval != 255:
         raise PgmDecodeError(f"{path.name}: only 8-bit images supported, maxval={maxval}")
     if width < 1 or height < 1:
         raise PgmDecodeError(f"{path.name}: bad dimensions {width}x{height}")
+    end = header[-1].end()
     payload = data[end + 1: end + 1 + width * height]
     if len(payload) < width * height:
         raise PgmDecodeError(

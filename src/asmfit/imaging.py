@@ -1,4 +1,5 @@
-"""Grayscale image operations: equalization, Sobel, Canny, pyramid, sampling.
+"""Grayscale image operations: equalization, Sobel, Canny, pyramid, sampling,
+and the rasterizer that draws polylines and marks into a pixel array.
 
 Images are float64 (h, w) arrays with intensities in [0, 255]. All
 convolutions replicate the border pixel so gradients near face-boundary
@@ -19,6 +20,8 @@ from .errors import ImageSizeError, ThresholdError
 # first three of these angles in [0, pi]; direction 0 lies below the first
 # and at or past the last, where the count of starts passed is 4.
 _SECTOR_STARTS = np.array([np.pi / 8, 3 * np.pi / 8, 5 * np.pi / 8, 7 * np.pi / 8])
+# The nine pixels of a 3x3 mark, relative to its rounded center.
+_MARK_OFFSETS = np.stack(np.meshgrid([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]), axis=-1).reshape(9, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,3 +291,29 @@ def sample_bilinear(image: GrayImage, x, y):
     top *= np.subtract(1, fy, out=yq)
     top += bot
     return top.reshape(np.shape(x))
+
+
+def segment_points(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Points along each segment a[i] -> b[i], segment by segment: a + t (b - a)
+    at max(2, ceil(2 |b - a|)) values of np.linspace(0, 1, steps)."""
+    delta = b - a
+    # vecdot rounds like np.linalg.norm of one segment, so the counts match it.
+    steps = np.maximum(2, np.ceil(np.sqrt(np.vecdot(delta, delta)) * 2)).astype(int)
+    t = np.concatenate([np.linspace(0.0, 1.0, n) for n in steps])
+    seg = np.repeat(np.arange(len(a)), steps)
+    return a[seg] + t[:, None] * delta[seg]
+
+
+def marks(xy: np.ndarray) -> np.ndarray:
+    """The nine pixel positions of a 3x3 mark around each rounded (x, y) row."""
+    return (np.rint(xy)[:, None, :] + _MARK_OFFSETS).reshape(-1, 2)
+
+
+def paint(canvas: np.ndarray, xy: np.ndarray, value) -> None:
+    """Set the pixel at every (x, y) row of xy, rounded half to even, that
+    lies inside canvas (h, w) or (h, w, channels)."""
+    h, w = canvas.shape[:2]
+    px = np.rint(xy)
+    inside = (px[:, 0] >= 0) & (px[:, 0] < w) & (px[:, 1] >= 0) & (px[:, 1] < h)
+    px = px[inside].astype(np.intp)
+    canvas[px[:, 1], px[:, 0]] = value

@@ -130,6 +130,8 @@ class ProfileStats:
             raise DimensionMismatchError(f"eigenvalues {lam.shape} for a basis {basis.shape}")
         if rho.shape != lead:
             raise DimensionMismatchError(f"ridge {rho.shape} for a mean {mean.shape}")
+        if not (np.isfinite(mean).all() and np.isfinite(basis).all()):
+            raise InsufficientDataError("mean and basis must be finite")
         if not ((lam >= 0).all() and np.isfinite(lam).all()):
             raise InsufficientDataError("eigenvalues must be finite and non-negative")
         if not ((rho >= 0) & (rho < np.inf)).all():

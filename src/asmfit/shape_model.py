@@ -116,7 +116,8 @@ class ShapeModel:
     """Linear shape model: mean plus orthonormal deformation modes.
 
     ``modes`` is (2n, t) with unit columns; ``eigenvalues`` the matching
-    per-mode variances, sorted non-increasing and all positive.
+    per-mode variances, sorted non-increasing and all positive. Non-finite
+    modes or eigenvalues raise DegenerateShapeError.
     """
 
     mean_shape: Shape
@@ -134,8 +135,10 @@ class ShapeModel:
             raise ShapeArityError(f"modes must be (2n, t), got {modes.shape}")
         if evals.shape != (modes.shape[1],):
             raise ShapeArityError("one eigenvalue per mode required")
-        if evals.size and (np.any(evals <= 0) or np.any(np.diff(evals) > 0)):
-            raise ValueError("eigenvalues must be positive and non-increasing")
+        if not np.isfinite(modes).all():
+            raise DegenerateShapeError("shape modes must be finite")
+        if not (np.isfinite(evals).all() and (evals > 0).all() and (np.diff(evals) <= 0).all()):
+            raise DegenerateShapeError("eigenvalues must be finite, positive and non-increasing")
         check_shape_limits(self.variance_fraction, self.clamp_alpha)
         modes.setflags(write=False)
         evals.setflags(write=False)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset_io import AnnotatedSample, save_pgm, write_points_file
-from .imaging import GrayImage
+from .imaging import GrayImage, marks, paint, segment_points
 from .scheme import DEFAULT_SCHEME
 from .shape_model import Shape
 
@@ -35,18 +35,6 @@ def _fill_ellipse(canvas, center, rx, ry, value):
     ys, xs = np.ogrid[:h, :w]
     mask = ((xs - center[0]) / rx) ** 2 + ((ys - center[1]) / ry) ** 2 <= 1.0
     canvas[mask] = value
-
-
-def _stroke_polyline(canvas, points, value):
-    h, w = canvas.shape
-    for a, b in zip(points[:-1], points[1:]):
-        steps = max(2, int(np.ceil(np.linalg.norm(b - a) * 2)))
-        for t in np.linspace(0.0, 1.0, steps):
-            x, y = a + t * (b - a)
-            cx, cy = int(round(x)), int(round(y))
-            y0, y1 = max(cy - 1, 0), min(cy + 2, h)
-            x0, x1 = max(cx - 1, 0), min(cx + 2, w)
-            canvas[y0:y1, x0:x1] = value
 
 
 def _nose_points(center, half_width, top_y, base_y):
@@ -83,25 +71,25 @@ def generate_face(rng, size: int = 256, noise_sigma: float = 5.0):
     nose_base = cy + 0.20 * b * jit(-0.05, 0.05)
 
     face_center = np.array([cx, cy])
-    groups = {
-        "face_boundary": _ellipse_points(face_center, a, b, 15),
-        "right_eyebrow": _ellipse_points(face_center + (-brow_dx, brow_dy), brow_rx, brow_ry, 8),
-        "left_eyebrow": _ellipse_points(face_center + (brow_dx, brow_dy), brow_rx, brow_ry, 8),
-        "left_eye": _ellipse_points(face_center + (eye_dx, eye_dy), eye_rx, eye_ry, 8),
-        "right_eye": _ellipse_points(face_center + (-eye_dx, eye_dy), eye_rx, eye_ry, 8),
-        "nose": _nose_points(cx, nose_hw, nose_top, nose_base),
-        "mouth": _ellipse_points(face_center + (0.0, mouth_dy), mouth_rx, mouth_ry, 12),
-    }
-    points = np.vstack([groups[g.name] for g in DEFAULT_SCHEME.groups])
-
+    # Each ellipse's group, offset from the face center, radii, landmark
+    # count and fill, in fill order; the nose stroke is drawn over them all.
+    ellipses = (
+        ("face_boundary", (0.0, 0.0), a, b, 15, FACE_FILL),
+        ("right_eyebrow", (-brow_dx, brow_dy), brow_rx, brow_ry, 8, BROW_FILL),
+        ("left_eyebrow", (brow_dx, brow_dy), brow_rx, brow_ry, 8, BROW_FILL),
+        ("left_eye", (eye_dx, eye_dy), eye_rx, eye_ry, 8, EYE_FILL),
+        ("right_eye", (-eye_dx, eye_dy), eye_rx, eye_ry, 8, EYE_FILL),
+        ("mouth", (0.0, mouth_dy), mouth_rx, mouth_ry, 12, MOUTH_FILL),
+    )
     canvas = np.full((size, size), BACKGROUND)
-    _fill_ellipse(canvas, face_center, a, b, FACE_FILL)
-    _fill_ellipse(canvas, face_center + (-brow_dx, brow_dy), brow_rx, brow_ry, BROW_FILL)
-    _fill_ellipse(canvas, face_center + (brow_dx, brow_dy), brow_rx, brow_ry, BROW_FILL)
-    _fill_ellipse(canvas, face_center + (eye_dx, eye_dy), eye_rx, eye_ry, EYE_FILL)
-    _fill_ellipse(canvas, face_center + (-eye_dx, eye_dy), eye_rx, eye_ry, EYE_FILL)
-    _fill_ellipse(canvas, face_center + (0.0, mouth_dy), mouth_rx, mouth_ry, MOUTH_FILL)
-    _stroke_polyline(canvas, groups["nose"], NOSE_FILL)
+    groups = {"nose": _nose_points(cx, nose_hw, nose_top, nose_base)}
+    for name, offset, rx, ry, count, fill in ellipses:
+        center = face_center + offset
+        groups[name] = _ellipse_points(center, rx, ry, count)
+        _fill_ellipse(canvas, center, rx, ry, fill)
+    points = np.vstack([groups[g.name] for g in DEFAULT_SCHEME.groups])
+    nose = groups["nose"]
+    paint(canvas, marks(segment_points(nose[:-1], nose[1:])), NOSE_FILL)
     canvas += rng.normal(0.0, noise_sigma, canvas.shape)
     canvas = np.clip(np.rint(canvas), 0, 255)
     return GrayImage(canvas), Shape(points)

@@ -129,8 +129,11 @@ class TrainConfig:
         svm_config = SvmTrainConfig() if self.svm_config is None else self.svm_config
         if not (isinstance(fit_config, FitConfig) and isinstance(svm_config, SvmTrainConfig)):
             raise ShapeArityError("fit_config must be a FitConfig and svm_config an SvmTrainConfig")
-        levels = fit_config.levels
-        sizes = integer_sizes("profile_lengths", (3, 7, 15)[:levels]
+        levels, default = fit_config.levels, (3, 7, 15)
+        if self.profile_lengths is None and levels > len(default):
+            raise ShapeArityError(f"the default profile_lengths {default} covers {len(default)} "
+                                  f"levels; give profile_lengths for {levels}")
+        sizes = integer_sizes("profile_lengths", default[:levels]
                               if self.profile_lengths is None else self.profile_lengths)
         if len(sizes) != levels:
             raise ShapeArityError(f"profile_lengths needs one entry per level, got {len(sizes)} "

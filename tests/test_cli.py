@@ -14,14 +14,13 @@ from asmfit import cli
 from asmfit.cli import (
     GROUP_PALETTE,
     MARKER_COLOR,
-    _parse_box,
     load_train_settings,
     main,
     render_overlay,
     truth_box,
 )
 from asmfit.dataset_io import BUNDLE_MAGIC, load_bundle, load_points_file, save_bundle
-from asmfit.errors import BoxError, DatasetError, ShapeArityError
+from asmfit.errors import DatasetError, ShapeArityError
 from asmfit.imaging import GrayImage, build_pyramid
 from asmfit.scheme import DEFAULT_SCHEME, ContourGroup, LandmarkScheme
 from asmfit.search import FitConfig
@@ -329,6 +328,17 @@ def test_mistyped_train_setting_fails_before_training(cli_env, tmp_path, capsys,
         main(args)
 
 
+def test_four_levels_without_profile_lengths_say_what_to_give(cli_env, tmp_path, capsys):
+    config = tmp_path / "levels.json"
+    config.write_text(json.dumps({"levels": 4}))
+    rc = main(["train", "--images", str(cli_env["images"]), "--points", str(cli_env["points"]),
+               "--config", str(config), "--out", str(tmp_path / "x.asmb")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"asmfit train: {config}: bad training config value: the default profile_lengths "
+        "(3, 7, 15) covers 3 levels; give profile_lengths for 4\n")
+
+
 def test_train_config_is_checked_before_any_image_is_read(cli_env, tmp_path, capsys):
     """A mistyped profile_lengths names the config even when the images
     cannot be read; with a well-typed config the unreadable image is
@@ -389,12 +399,11 @@ def test_fit_bad_box_arguments(cli_env, tmp_path, capsys):
     image = str(cli_env["images"] / "face_000.pgm")
     base = ["fit", "--model", str(cli_env["bundle"]), "--image", image,
             "--out", str(tmp_path / "o.pts")]
-    rc = main(base + ["--box", "1,2,3"])
-    assert rc == 2
-    assert "box" in capsys.readouterr().err
-    rc = main(base + ["--box", "1,2,three,4"])
-    assert rc == 2
-    capsys.readouterr()
+    for box in ("1,2,3", "1,2,3,4,5", "1,2,three,4"):
+        rc = main(base + ["--box", box])
+        assert rc == 2
+        assert capsys.readouterr().err == ("asmfit fit: box must be four real numbers x, y, "
+                                           f"width, height, got {box.split(',')}\n")
     rc = main(base + ["--box=-500,-500,20,20"])
     assert rc == 2
     assert "outside" in capsys.readouterr().err
@@ -522,14 +531,6 @@ def test_eval_metric_flag(cli_env, tmp_path):
 
 
 # ------------------------------------------------------------------ units
-
-def test_parse_box():
-    assert _parse_box("1,2.5,3,4") == (1.0, 2.5, 3.0, 4.0)
-    with pytest.raises(BoxError):
-        _parse_box("1,2,3,4,5")
-    with pytest.raises(BoxError):
-        _parse_box("a,b,c,d")
-
 
 def test_truth_box_hand_case():
     shape = Shape(np.array([[10.0, 20.0], [30.0, 60.0], [20.0, 40.0]]))

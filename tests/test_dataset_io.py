@@ -598,6 +598,34 @@ def _set_mean_ref(ref):
     return edit
 
 
+# Header paths of array references where a non-finite value is planted.
+NON_FINITE_SITES = {
+    "asm-basis": ("profiles", "asm", "bases", 0),
+    "classic-mean": ("profiles", "classic", "means", 0),
+    "shape-modes": ("shape_model", "modes"),
+    "eigenvalues": ("shape_model", "eigenvalues"),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("site", NON_FINITE_SITES)
+def test_bundle_rejects_non_finite_model_values(small_bundle_bytes, tmp_path, site, value):
+    """A NaN or inf as the first entry of a statistic or of the shape model,
+    under a valid checksum, makes the bundle corrupt."""
+    ref = _header(small_bundle_bytes)
+    for key in NON_FINITE_SITES[site]:
+        ref = ref[key]
+    [(kind, (offset, _))] = ref.items()
+    planted_value = np.array(value, dtype={"f64": "<f8", "f32": "<f4"}[kind]).tobytes()
+    data = bytearray(small_bundle_bytes[:-4])
+    start = _HEADER_START + _header_length(data) + offset
+    data[start:start + len(planted_value)] = planted_value
+    bad = tmp_path / "non_finite.asmb"
+    bad.write_bytes(reseal(data))
+    with pytest.raises(BundleCorruptionError, match="finite"):
+        load_bundle(bad)
+
+
 def test_bundle_header_length_past_the_end(small_bundle_bytes, tmp_path):
     bad = tmp_path / "long.asmb"
     body = len(small_bundle_bytes) - 4

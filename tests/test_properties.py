@@ -2,7 +2,8 @@
 
 Written files read back exactly, a bundle's SVM parameters, profile
 statistics and shape model included, and arbitrary bytes make a loader
-raise an AsmFitError or nothing at all. A
+raise an AsmFitError or nothing at all; the `.pts` and PGM readers give
+their cursor oracles' array, or exception type and message, on each. A
 fit of any image from any box returns finite points or raises an
 AsmFitError. Examples are derandomized, so every run draws the same ones,
 and no example database is written.
@@ -14,12 +15,13 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import PROPERTY, reseal
 from reference_profiles import single_contour_scheme
+import reference_dataset_io
 from asmfit.dataset_io import (
     BUNDLE_MAGIC,
     BUNDLE_VERSION,
@@ -186,26 +188,72 @@ POINTS_LINES = st.one_of(
 )
 
 
-@PROPERTY
-@given(data=st.one_of(
+POINTS_FILES = st.one_of(
     st.binary(max_size=200),
     st.lists(POINTS_LINES, max_size=10).map(lambda lines: "\n".join(lines).encode("utf-8")),
     st.lists(st.one_of(st.sampled_from([b"version: 1\n", b"n_points: 3\n", b"{\n", b"1 2\n",
                                         b"}\n"]), st.binary(max_size=4)), max_size=8).map(b"".join),
-))
+)
+PGM_FILES = st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.one_of(st.sampled_from([b"P5", b"P6", b" ", b"\n", b"#c\n", b"2", b"3", b"0", b"-1",
+                                        b"255", b"65535", b"1e3", b"99999999999"]),
+                       st.binary(max_size=4)), max_size=12).map(b"".join),
+)
+
+
+@PROPERTY
+@given(data=POINTS_FILES)
 def test_points_loader_raises_only_asmfit_errors(scratch, data):
     loads_or_raises_asmfit_error(load_points_file, scratch, data)
 
 
 @PROPERTY
-@given(data=st.one_of(
-    st.binary(max_size=200),
-    st.lists(st.one_of(st.sampled_from([b"P5", b"P6", b" ", b"\n", b"#c\n", b"2", b"3", b"0", b"-1",
-                                        b"255", b"65535", b"1e3", b"99999999999"]),
-                       st.binary(max_size=4)), max_size=12).map(b"".join),
-))
+@given(data=PGM_FILES)
 def test_image_loader_raises_only_asmfit_errors(scratch, data):
     loads_or_raises_asmfit_error(load_image, scratch, data)
+
+
+def outcome(loader, path):
+    """The array that loader reads from path, or the exception it raises."""
+    try:
+        loaded = loader(path)
+    except Exception as exc:
+        return exc
+    return loaded.points if isinstance(loaded, Shape) else loaded.pixels
+
+
+def assert_same_outcome(loader, oracle, path, data):
+    """loader gives oracle's array, or its exception type and message."""
+    path.write_bytes(data)
+    got, want = outcome(loader, path), outcome(oracle, path)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert isinstance(got, np.ndarray)
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+
+@PROPERTY
+@given(data=POINTS_FILES)
+@example(data=b"")
+@example(data=b"version: 1\n\nn_points: 1\n{\n1 2\n\n")
+@example(data=b"\n version:1 \r\n \t \r\nn_points: 3\r\n {\r\n1 2\r\n 3 4 \r\n5 6\n\t}\r\n")
+def test_points_loader_equals_cursor_oracle(scratch, data):
+    assert_same_outcome(load_points_file, reference_dataset_io.load_points_file, scratch, data)
+
+
+@PROPERTY
+@given(data=PGM_FILES)
+@example(data=b"")
+@example(data=b"P5 1 #only a comment")
+@example(data=b"P5\n# c\r2 2\n1 1\n255\nx")
+@example(data=b"P5#c 1 1 255 x")
+@example(data=b"P5 1#c 1 255\nx")
+@example(data=b"P5\x0b1\x0c1\t255\rx")
+@example(data=b"P5 1 1\x1c255 x")
+def test_image_loader_equals_cursor_oracle(scratch, data):
+    assert_same_outcome(load_image, reference_dataset_io.load_image, scratch, data)
 
 
 # JSON headers with array references among the bundle's keys. References

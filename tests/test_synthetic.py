@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+import reference_synthetic
 from asmfit.dataset_io import load_annotated, load_image, save_pgm
 from asmfit.scheme import DEFAULT_SCHEME
 from asmfit.synthetic import generate_face, generate_face_dataset, write_dataset
@@ -61,3 +63,31 @@ def test_write_dataset_round_trip(tmp_path):
     for got, want in zip(loaded, samples):
         assert np.array_equal(got.image.pixels, want.image.pixels)
         assert np.array_equal(got.shape.points, want.shape.points)
+
+
+# The criterion-8 data, a mid-size set and a small one.
+@pytest.mark.parametrize("count,size,seed", [(40, 256, 7), (20, 128, 1), (10, 33, 2)])
+def test_dataset_equals_feature_by_feature_oracle(count, size, seed):
+    got = generate_face_dataset(count, size=size, seed=seed)
+    want = reference_synthetic.generate_face_dataset(count, size=size, seed=seed)
+    assert len(got) == len(want) == count
+    for g, w in zip(got, want):
+        assert g.name == w.name
+        assert g.image.pixels.tobytes() == w.image.pixels.tobytes()
+        assert g.shape.points.tobytes() == w.shape.points.tobytes()
+
+
+def test_clipped_nose_stroke_equals_oracle():
+    """In a 3x3 face the stroke's 3x3 blocks around the rounded nose
+    landmarks reach past the border and are clipped there. Such a face has
+    landmarks off the image, so it is drawn by generate_face, not as a
+    dataset sample."""
+    nose = dict(DEFAULT_SCHEME.group_slices())["nose"]
+    rng, oracle_rng = np.random.default_rng(0), np.random.default_rng(0)
+    for _ in range(10):
+        image, shape = generate_face(rng, size=3)
+        want_image, want_shape = reference_synthetic.generate_face(oracle_rng, size=3)
+        px = np.rint(shape.points[nose])
+        assert (px - 1).min() < 0 or (px + 1).max() > 2
+        assert image.pixels.tobytes() == want_image.pixels.tobytes()
+        assert shape.points.tobytes() == want_shape.points.tobytes()

@@ -112,7 +112,8 @@ PROFILE_LENGTH_CASES = {
     "bool": ((3, True, 15), "profile_lengths must be integers"),
     "even": ((3, 8, 15), "profile_lengths must be odd"),
     "one-short": ((3, 7), "profile_lengths needs one entry per level, got 2 for 3"),
-    "default-short": (None, "profile_lengths needs one entry per level, got 3 for 4"),
+    "default-short": (None, r"the default profile_lengths \(3, 7, 15\) covers 3 levels; "
+                            "give profile_lengths for 4"),
 }
 
 
@@ -133,6 +134,11 @@ def test_mistyped_profile_lengths_fail_before_training(faces96, monkeypatch, cas
     # the patch is live: well-formed lengths reach it
     with pytest.raises(AssertionError, match="training started"):
         train_bundle(faces96[:3], DEFAULT_SCHEME, profile_lengths=(3, 5, 9))
+
+
+def test_four_levels_build_with_four_profile_lengths():
+    config = TrainConfig(fit_config=FitConfig(levels=4), profile_lengths=(3, 7, 15, 15))
+    assert config.profile_lengths == (3, 7, 15, 15)
 
 
 @pytest.mark.parametrize("settings", [
