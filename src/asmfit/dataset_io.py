@@ -50,14 +50,11 @@ class AnnotatedSample:
 
     def __post_init__(self):
         pts = self.shape.points
-        w, h = self.image.width, self.image.height
-        bad = np.flatnonzero(
-            (pts[:, 0] < 0) | (pts[:, 0] > w - 1) | (pts[:, 1] < 0) | (pts[:, 1] > h - 1)
-        )
+        bad = np.flatnonzero(~self.image.contains(pts))
         if bad.size:
             raise DatasetError(
                 f"{self.name}: landmark {bad[0]} at {tuple(pts[bad[0]])} "
-                f"lies outside the {w}x{h} image"
+                f"lies outside the {self.image.width}x{self.image.height} image"
             )
 
 

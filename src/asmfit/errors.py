@@ -1,4 +1,13 @@
-"""Exception types raised by the toolkit."""
+"""Exception types raised by the toolkit, and the argument rules that raise them.
+
+Each argument rule that more than one module applies lives here, once. The
+check_* rules raise ShapeArityError, except check_scale, which raises
+DegenerateShapeError; readonly is the one way a value type keeps an array.
+"""
+
+import numbers
+
+import numpy as np
 
 
 class AsmFitError(Exception):
@@ -63,3 +72,87 @@ class InitializationError(AsmFitError):
 
 class DatasetError(AsmFitError):
     """Problem assembling a training dataset (pairing, bounds, scheme mismatch)."""
+
+
+def check_integer(name: str, value) -> None:
+    """Raise ShapeArityError unless value is an integer and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ShapeArityError(f"{name} must be an integer, got {value!r}")
+
+
+def check_numbers(values: dict, integers=(), reals=()) -> dict:
+    """Raise ShapeArityError unless values[name] is an integer for each name in integers
+    and a real number for each in reals; returns the reals as floats, in the order named."""
+    for name in integers:
+        check_integer(name, values[name])
+    floats = {}
+    for name in reals:
+        if not isinstance(values[name], numbers.Real):
+            raise ShapeArityError(f"{name} must be a real number, got {values[name]!r}")
+        try:
+            floats[name] = float(values[name])
+        except OverflowError:
+            raise ShapeArityError(f"{name} is too large for a float") from None
+    return floats
+
+
+def check_odd_size(name: str, size) -> None:
+    """Raise ShapeArityError unless size, a profile length or window side, is odd and >= 3."""
+    check_integer(name, size)
+    if size < 3 or size % 2 == 0:
+        raise ShapeArityError(f"{name} must be odd and >= 3, got {size}")
+
+
+def integer_sizes(name: str, values) -> tuple:
+    """values as a tuple of odd integers >= 3, or ShapeArityError naming the first bad name[i]."""
+    try:
+        sizes = tuple(values)
+    except TypeError:
+        raise ShapeArityError(f"{name} must be a sequence of integers, got {values!r}") from None
+    for i, size in enumerate(sizes):
+        check_odd_size(f"{name}[{i}]", size)
+    return tuple(int(v) for v in sizes)
+
+
+def check_levels(levels) -> None:
+    """Raise ShapeArityError unless levels, a pyramid's level count, is an integer >= 1."""
+    check_integer("levels", levels)
+    if levels < 1:
+        raise ShapeArityError(f"need at least 1 level, got {levels}")
+
+
+def check_seed(name: str, seed) -> None:
+    """Raise ShapeArityError unless seed is an integer >= 0, as default_rng takes."""
+    check_integer(name, seed)
+    if seed < 0:
+        raise ShapeArityError(f"{name} must be non-negative, got {seed}")
+
+
+def check_edge_weight(c) -> None:
+    """Raise ShapeArityError unless the edge weight constant is finite and exceeds 1."""
+    if not 1 < c < np.inf:
+        raise ShapeArityError(f"edge weight constant must exceed 1 and be finite, got {c}")
+
+
+def check_shape_limits(variance_fraction, clamp_alpha) -> None:
+    """Raise ShapeArityError unless 0 < variance_fraction <= 1 and 0 < clamp_alpha < inf."""
+    if not 0 < variance_fraction <= 1:
+        raise ShapeArityError(f"variance_fraction must be in (0, 1], got {variance_fraction}")
+    if not 0 < clamp_alpha < np.inf:
+        raise ShapeArityError(f"clamp_alpha must be positive and finite, got {clamp_alpha}")
+
+
+def check_scale(scale: float) -> None:
+    """Raise DegenerateShapeError unless a similarity scale is positive and finite."""
+    if not 0 < scale < np.inf:
+        raise DegenerateShapeError(f"similarity scale must be positive and finite, got {scale}")
+
+
+def readonly(values, dtype=float) -> np.ndarray:
+    """values as a read-only C-ordered array of dtype, float64 unless given: one that
+    already is, such as a decoded bundle array, as it is, and any other as a frozen copy."""
+    arr = np.asarray(values, dtype=dtype, order="C")
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeArityError
+from .errors import ShapeArityError, readonly
 from .scheme import LandmarkScheme
 from .shape_model import Shape
 
@@ -30,9 +30,7 @@ class EvalReport:
     image_names: tuple
 
     def __post_init__(self):
-        per_image = np.array(self.per_image, dtype=float)
-        per_image.setflags(write=False)
-        object.__setattr__(self, "per_image", per_image)
+        object.__setattr__(self, "per_image", readonly(self.per_image))
 
 
 def _distances(fitted: Shape, truth: Shape, metric: str) -> np.ndarray:

@@ -8,13 +8,12 @@ landmarks are not contaminated by a zero halo.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import ImageSizeError, ThresholdError
+from .errors import ImageSizeError, ThresholdError, check_levels, readonly
 
 # Quantized gradient directions 1, 2, 3 (45, 90, 135 degrees) start at the
 # first three of these angles in [0, pi]; direction 0 lies below the first
@@ -31,14 +30,13 @@ class GrayImage:
     pixels: np.ndarray
 
     def __post_init__(self):
-        px = np.array(self.pixels, dtype=float, order="C")
+        px = readonly(self.pixels)
         if px.ndim != 2 or px.size == 0:
             raise ImageSizeError(f"expected a non-empty 2-D pixel array, got shape {px.shape}")
         if not np.all(np.isfinite(px)):
             raise ImageSizeError("image contains non-finite intensities")
         if px.min() < 0 or px.max() > 255:
             raise ImageSizeError("intensities must lie in [0, 255]")
-        px.setflags(write=False)
         object.__setattr__(self, "pixels", px)
 
     @property
@@ -48,6 +46,11 @@ class GrayImage:
     @property
     def width(self) -> int:
         return self.pixels.shape[1]
+
+    def contains(self, points) -> np.ndarray:
+        """(n,) mask of the (n, 2) (x, y) points with 0 <= x <= w - 1 and 0 <= y <= h - 1."""
+        x, y = points[:, 0], points[:, 1]
+        return (x >= 0) & (x <= self.width - 1) & (y >= 0) & (y <= self.height - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,9 +63,7 @@ class GradientField:
 
     def __post_init__(self):
         for name in ("gx", "gy", "magnitude"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, readonly(getattr(self, name)))
         if not (self.gx.shape == self.gy.shape == self.magnitude.shape):
             raise ImageSizeError("gradient components must share one shape")
 
@@ -138,7 +139,10 @@ def sobel_gradients(image: GrayImage) -> GradientField:
     """3x3 Sobel derivatives with replicated borders."""
     if image.width < 3 or image.height < 3:
         raise ImageSizeError(f"need at least 3x3 for gradients, got {image.width}x{image.height}")
-    return GradientField(*_sobel(image.pixels))
+    gradients = _sobel(image.pixels)
+    for arr in gradients:  # fresh, so GradientField keeps them without a copy
+        arr.setflags(write=False)
+    return GradientField(*gradients)
 
 
 def _gaussian_kernel_5x5(sigma: float) -> np.ndarray:
@@ -216,15 +220,13 @@ def build_pyramid(image: GrayImage, levels: int) -> tuple:
     """Tuple of `levels` images, the input image first, each next one the
     2x2 block average of the one before.
 
-    levels is an integer >= 1 (not a bool); an odd last row or column is
-    dropped. Each block's four pixels are summed from four strided slices,
-    in the order numpy's mean over the blocks adds them, then divided by 4,
-    so a level is byte-equal to reshape(h2, 2, w2, 2).mean(axis=(1, 3)).
+    levels is an integer >= 1 (not a bool); any other raises ShapeArityError,
+    as FitConfig does. An odd last row or column is dropped. Each block's
+    four pixels are summed from four strided slices, in the order numpy's
+    mean over the blocks adds them, then divided by 4, so a level is
+    byte-equal to reshape(h2, 2, w2, 2).mean(axis=(1, 3)).
     """
-    if isinstance(levels, bool) or not isinstance(levels, numbers.Integral):
-        raise ImageSizeError(f"pyramid levels must be an integer, got {levels!r}")
-    if levels < 1:
-        raise ImageSizeError(f"need at least 1 level, got {levels}")
+    check_levels(levels)
     out = [image]
     for _ in range(levels - 1):
         prev = out[-1].pixels

@@ -8,7 +8,6 @@ regularized Mahalanobis form, optionally weighted down on edge pixels.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING
@@ -16,7 +15,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionMismatchError, InsufficientDataError, ShapeArityError
+from .errors import (DimensionMismatchError, InsufficientDataError, ShapeArityError,
+                     check_edge_weight, check_odd_size, integer_sizes, readonly)
 from .imaging import GrayImage, sample_bilinear
 from .scheme import LandmarkScheme
 
@@ -40,32 +40,16 @@ class Profile:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float).ravel()
+        v = readonly(self.values).ravel()
         if not np.all(np.isfinite(v)):
             raise ShapeArityError("profile contains non-finite values")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    @property
-    def dim(self) -> int:
-        return self.values.size
 
 
 def _ridge(eps: float, trace, dim: int):
     """Ridge rho = eps * trace / d added to the covariance; floored when eps > 0."""
     rho = eps * trace / dim
     return np.maximum(rho, 1e-12) if eps > 0 else rho
-
-
-def readonly(values, dtype=float) -> np.ndarray:
-    """values as a read-only C-ordered array of dtype, float64 unless given;
-    one that already is, such as a decoded bundle array, is kept without a
-    copy."""
-    arr = np.asarray(values, dtype=dtype, order="C")
-    if arr.flags.writeable:
-        arr = arr.copy()
-        arr.setflags(write=False)
-    return arr
 
 
 def _stored_dtype(values):
@@ -191,38 +175,6 @@ class ProfileModel:
         return self.stats[0].mean.shape[0]
 
 
-def check_numbers(values: dict, integers=(), reals=()) -> dict:
-    """Raise ShapeArityError unless values[name] is an integer, not a bool,
-    for each name in integers, and a real number for each name in reals.
-    Returns the reals as floats, in the order named, so that an integral
-    value is stored and computed with as the float it stands for."""
-    for name in integers:
-        if isinstance(values[name], bool) or not isinstance(values[name], numbers.Integral):
-            raise ShapeArityError(f"{name} must be an integer, got {values[name]!r}")
-    floats = {}
-    for name in reals:
-        if not isinstance(values[name], numbers.Real):
-            raise ShapeArityError(f"{name} must be a real number, got {values[name]!r}")
-        try:
-            floats[name] = float(values[name])
-        except OverflowError:
-            raise ShapeArityError(f"{name} is too large for a float") from None
-    return floats
-
-
-def integer_sizes(name: str, values) -> tuple:
-    """values as a tuple of odd integers >= 3; anything else raises ShapeArityError."""
-    try:
-        sizes = tuple(values)
-    except TypeError:
-        raise ShapeArityError(f"{name} must be a sequence of integers, got {values!r}") from None
-    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in sizes):
-        raise ShapeArityError(f"{name} must be integers, got {sizes!r}")
-    if any(v < 3 or v % 2 == 0 for v in sizes):
-        raise ShapeArityError(f"{name} must be odd and >= 3, got {sizes}")
-    return tuple(int(v) for v in sizes)
-
-
 def landmark_normals(shape: Shape, scheme: LandmarkScheme) -> np.ndarray:
     """(n, 2) array of unit normals, each pointing away from the shape centroid.
 
@@ -273,8 +225,7 @@ def profiles_1d_batch(
     (..., 2) and normals (..., 2) broadcasts against it, so one normal can
     serve a landmark's whole (k, m, 2) grid of candidate centers.
     """
-    if length < 3 or length % 2 == 0:
-        raise ShapeArityError(f"profile length must be odd and >= 3, got {length}")
+    check_odd_size("profile length", length)
     centers = np.asarray(centers, dtype=float)
     normals = np.asarray(normals, dtype=float)
     offsets = np.arange(length + 1) - length / 2.0
@@ -316,8 +267,7 @@ def windows_batch(values: np.ndarray, centers: np.ndarray, size: int) -> np.ndar
     array is moved to that distance first; its window reads the same
     replicated border pixels either way.
     """
-    if size < 3 or size % 2 == 0:
-        raise ShapeArityError(f"window size must be odd and >= 3, got {size}")
+    check_odd_size("window size", size)
     h, w = values.shape
     centers = np.asarray(centers, dtype=float)
     half = size // 2
@@ -398,8 +348,6 @@ def leading_subspace(stats: ProfileStats, rank: int) -> dict:
 
 def mahalanobis_cost(stats: ProfileStats, g: Profile) -> float:
     """Quadratic form (g - mean)^T (C + rho I)^-1 (g - mean) of one profile."""
-    if g.dim != stats.dim:
-        raise DimensionMismatchError(f"profile dim {g.dim} vs stats dim {stats.dim}")
     return float(mahalanobis_batch(stats, g.values[None, :])[0])
 
 
@@ -488,12 +436,6 @@ def mahalanobis_batch(stats: ProfileStats, rows: np.ndarray, owner=None) -> np.n
     if stats.rank < stats.dim:
         cost += (np.einsum("...d,...d->...", delta, delta) - sq.sum(axis=-1)) / rho
     return cost
-
-
-def check_edge_weight(c) -> None:
-    """Raise ShapeArityError unless the edge weight constant is finite and exceeds 1."""
-    if not 1 < c < np.inf:
-        raise ShapeArityError(f"edge weight constant must exceed 1 and be finite, got {c}")
 
 
 def edge_weighted_cost(stats: ProfileStats, g: Profile, on_edge: bool, c: float) -> float:

@@ -6,13 +6,13 @@ neighbors define each landmark's contour tangent.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
-from .errors import ShapeArityError
+from .errors import ShapeArityError, check_integer, readonly
 
 
 @dataclass(frozen=True)
@@ -24,10 +24,7 @@ class ContourGroup:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise ShapeArityError(f"group name must be a string, got {self.name!r}")
-        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral):
-            raise ShapeArityError(
-                f"group {self.name!r} count must be an integer, got {self.count!r}"
-            )
+        check_integer(f"group {self.name!r} count", self.count)
         if self.count < 2:
             raise ShapeArityError(f"group {self.name!r} needs at least 2 points, got {self.count}")
 
@@ -41,13 +38,9 @@ class LandmarkScheme:
         if not groups:
             raise ShapeArityError("scheme needs at least one contour group")
         object.__setattr__(self, "groups", groups)
-        starts = []
-        pos = 0
-        for g in groups:
-            starts.append(pos)
-            pos += g.count
-        object.__setattr__(self, "_starts", tuple(starts))
-        object.__setattr__(self, "_total", pos)
+        ends = tuple(accumulate(g.count for g in groups))
+        object.__setattr__(self, "_starts", (0,) + ends[:-1])
+        object.__setattr__(self, "_total", ends[-1])
 
     @property
     def total(self) -> int:
@@ -66,9 +59,7 @@ class LandmarkScheme:
         for g, start in zip(self.groups, self._starts):
             last = start + g.count - 1
             prev[start], nxt[last] = (last, start) if g.closed else (start, last)
-        prev.setflags(write=False)
-        nxt.setflags(write=False)
-        return prev, nxt
+        return readonly(prev, np.intp), readonly(nxt, np.intp)
 
     def group_slices(self):
         """(name, slice) per group, in scheme order."""
@@ -79,8 +70,15 @@ class LandmarkScheme:
 
     @classmethod
     def from_jsonable(cls, spec_list) -> "LandmarkScheme":
+        """The scheme of to_jsonable's [name, count, topology] lists; other forms raise."""
+        if not isinstance(spec_list, list):
+            raise ShapeArityError(f"scheme must be a list of [name, count, topology] entries, "
+                                  f"got {spec_list!r:.80}")
         groups = []
-        for entry in spec_list:
+        for i, entry in enumerate(spec_list):
+            if not (isinstance(entry, list) and len(entry) == 3):
+                raise ShapeArityError(f"scheme entry {i} must be a [name, count, topology] list, "
+                                      f"got {entry!r:.80}")
             name, count, topo = entry
             if topo not in ("open", "closed"):
                 raise ShapeArityError(f"group topology must be open or closed, got {topo!r}")

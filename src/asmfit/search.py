@@ -20,13 +20,14 @@ from .errors import (
     DimensionMismatchError,
     InitializationError,
     ShapeArityError,
+    check_edge_weight,
+    check_levels,
+    check_numbers,
 )
 from .imaging import GrayImage, canny_edges, equalize_histogram, sobel_gradients
 from .imaging import sample_bilinear  # noqa: F401 (perfbench/tracing.py:WRAPS wraps this name)
 from .profiles import (
     ProfileStats,
-    check_edge_weight,
-    check_numbers,
     landmark_normals,
     mahalanobis_batch,
     normalize_windows,
@@ -61,12 +62,11 @@ class FitConfig:
     mode: str = "asm_svm"
 
     def __post_init__(self):
-        reals = check_numbers(vars(self), integers=("levels", "search_radius", "max_iters_per_level"),
+        check_levels(self.levels)
+        reals = check_numbers(vars(self), integers=("search_radius", "max_iters_per_level"),
                               reals=("convergence", "c", "canny_low", "canny_high"))
         for name, value in reals.items():
             object.__setattr__(self, name, value)
-        if self.levels < 1:
-            raise ShapeArityError(f"need at least 1 level, got {self.levels}")
         if self.search_radius < 1:
             raise ShapeArityError(f"search_radius must be >= 1, got {self.search_radius}")
         if self.max_iters_per_level < 0:
@@ -226,12 +226,6 @@ def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig):
     return Shape(np.stack([cx[lm, pick], cy[lm, pick]], axis=1)), costs[lm, pick]
 
 
-def _regularize(model: ShapeModel, shape: Shape) -> Shape:
-    """Pull a shape back onto the constrained model manifold: the posed
-    model shape of fit_params, whose coefficients are clamped."""
-    return Shape(fit_params(model, shape).points)
-
-
 def build_level_context(bundle, level_image: GrayImage, level: int, config: FitConfig) -> LevelContext:
     """Everything one level's search needs: the one place a mode becomes a pipeline.
 
@@ -276,10 +270,7 @@ def fit(pyramid: tuple, bundle, init: Shape, config: FitConfig) -> FitResult:
             f"config asks for {config.levels} levels, the bundle holds {bundle.asm_profiles.levels}"
         )
     base = pyramid[0]
-    inside = (
-        (init.points[:, 0] >= 0) & (init.points[:, 0] <= base.width - 1)
-        & (init.points[:, 1] >= 0) & (init.points[:, 1] <= base.height - 1)
-    )
+    inside = base.contains(init.points)
     if inside.mean() < MIN_INIT_INSIDE:
         raise InitializationError(
             f"{np.count_nonzero(~inside)} of {len(inside)} init landmarks lie outside the "
@@ -293,13 +284,13 @@ def fit(pyramid: tuple, bundle, init: Shape, config: FitConfig) -> FitResult:
     converged = [False] * config.levels
     costs = None
     for level in range(top, -1, -1):
-        shape = _regularize(model, shape)
+        shape = Shape(fit_params(model, shape).points)
         if config.max_iters_per_level:
             ctx = build_level_context(bundle, pyramid[level], level, config)
         for _ in range(config.max_iters_per_level):
             iterations[level] += 1
             searched, costs = search_landmarks(ctx, shape, config)
-            updated = _regularize(model, searched)
+            updated = Shape(fit_params(model, searched).points)
             moved = np.linalg.norm(updated.points - shape.points, axis=1)
             shape = updated
             if np.mean(moved < 1.0) >= config.convergence:

@@ -14,7 +14,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateShapeError, InsufficientDataError, ShapeArityError
+from .errors import (DegenerateShapeError, InsufficientDataError, ShapeArityError, check_scale,
+                     check_shape_limits, readonly)
 from .profiles import retained_rank
 
 # Centroid sizes below this are treated as a point mass (unusable geometry).
@@ -41,14 +42,13 @@ class Shape:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+        pts = readonly(self.points)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ShapeArityError(f"expected (n, 2) point array, got shape {pts.shape}")
         if pts.shape[0] < 3:
             raise ShapeArityError(f"need at least 3 landmarks, got {pts.shape[0]}")
         if not np.all(np.isfinite(pts)):
             raise DegenerateShapeError("shape contains non-finite coordinates")
-        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
     @classmethod
@@ -75,11 +75,6 @@ class Shape:
         return float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1])
 
 
-def _check_scale(scale: float) -> None:
-    if not (scale > 0 and math.isfinite(scale)):
-        raise ValueError(f"similarity scale must be positive, got {scale}")
-
-
 @dataclass(frozen=True)
 class SimilarityTransform:
     """Rigid scale/rotation/translation map p -> scale * R(rotation) p + translation."""
@@ -89,10 +84,8 @@ class SimilarityTransform:
     translation: np.ndarray
 
     def __post_init__(self):
-        _check_scale(self.scale)
-        t = np.array(self.translation, dtype=float).reshape(2)
-        t.setflags(write=False)
-        object.__setattr__(self, "translation", t)
+        check_scale(self.scale)
+        object.__setattr__(self, "translation", readonly(self.translation).reshape(2))
 
     def rotation_matrix(self) -> np.ndarray:
         c, s = math.cos(self.rotation), math.sin(self.rotation)
@@ -101,14 +94,6 @@ class SimilarityTransform:
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         return self.scale * pts @ self.rotation_matrix().T + self.translation
-
-
-def check_shape_limits(variance_fraction, clamp_alpha) -> None:
-    """Raise ShapeArityError unless 0 < variance_fraction <= 1 and 0 < clamp_alpha < inf."""
-    if not 0 < variance_fraction <= 1:
-        raise ShapeArityError(f"variance_fraction must be in (0, 1], got {variance_fraction}")
-    if not 0 < clamp_alpha < math.inf:
-        raise ShapeArityError(f"clamp_alpha must be positive and finite, got {clamp_alpha}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,10 +112,9 @@ class ShapeModel:
     clamp_alpha: float
 
     def __post_init__(self):
-        # C order whatever the source: eigh's modes are Fortran-ordered, a
-        # loaded bundle's are not, and BLAS rounds fit_params by the layout.
-        modes = np.array(self.modes, dtype=float, order="C")
-        evals = np.array(self.eigenvalues, dtype=float)
+        # readonly gives C order, not eigh's Fortran order: BLAS rounds fit_params by layout.
+        modes = readonly(self.modes)
+        evals = readonly(self.eigenvalues)
         if modes.ndim != 2 or modes.shape[0] != 2 * self.mean_shape.n:
             raise ShapeArityError(f"modes must be (2n, t), got {modes.shape}")
         if evals.shape != (modes.shape[1],):
@@ -140,8 +124,6 @@ class ShapeModel:
         if not (np.isfinite(evals).all() and (evals > 0).all() and (np.diff(evals) <= 0).all()):
             raise DegenerateShapeError("eigenvalues must be finite, positive and non-increasing")
         check_shape_limits(self.variance_fraction, self.clamp_alpha)
-        modes.setflags(write=False)
-        evals.setflags(write=False)
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "eigenvalues", evals)
 
@@ -355,7 +337,7 @@ def fit_params(
         if not np.isfinite(posed).all():
             raise DegenerateShapeError("shape contains non-finite coordinates")
         scale, rotation, translation = _similarity(posed, tgt_c, tgt_z)
-        _check_scale(scale)
+        check_scale(scale)
         if settled or projections >= max_iters:
             break
         projections += 1

@@ -14,9 +14,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ClassBalanceError, DimensionMismatchError, ShapeArityError
-from .profiles import (check_numbers, normalize_windows, owner_bounds, owner_matmul, readonly,
-                       windows_batch)
+from .errors import (ClassBalanceError, DimensionMismatchError, ShapeArityError, check_numbers,
+                     check_seed, readonly)
+from .profiles import normalize_windows, owner_bounds, owner_matmul, windows_batch
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,13 +39,6 @@ class LinearSvmModel:
         object.__setattr__(self, "bias", b if b.ndim else float(b))
 
 
-def check_seed(name: str, seed) -> None:
-    """Raise ShapeArityError unless seed is an integer >= 0, as default_rng takes."""
-    check_numbers({name: seed}, integers=(name,))
-    if seed < 0:
-        raise ShapeArityError(f"{name} must be non-negative, got {seed}")
-
-
 @dataclass(frozen=True)
 class SvmTrainConfig:
     c_penalty: float = 1.0
@@ -60,10 +53,16 @@ class SvmTrainConfig:
             raise ShapeArityError(f"seed {seed} is unused: the SVM trainer draws no random "
                                   "numbers, so it must be 0")
         object.__setattr__(self, "c_penalty", reals["c_penalty"])
-        if not 0 < self.c_penalty < math.inf:
-            raise ShapeArityError(f"c_penalty must be positive and finite, got {self.c_penalty}")
+        if not (0 < self.c_penalty < math.inf and self.ridge < math.inf):
+            raise ShapeArityError(f"c_penalty must be positive and finite, and its Newton ridge "
+                                  f"0.5 / c_penalty finite, got {self.c_penalty}")
         if self.epochs < 1:
             raise ShapeArityError("epochs must be >= 1")
+
+    @property
+    def ridge(self) -> float:
+        """The ridge the trainer adds: its objective over C is ridge*|w|^2 + sum of squares."""
+        return 0.5 / self.c_penalty
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +80,6 @@ class LandmarkTrainingSet:
     level: int
 
     def __post_init__(self):
-        # Read-only float arrays are kept as given, so a stack is not copied twice.
         feats = readonly(self.features)
         labels = readonly(self.labels)
         if feats.ndim == 2:
@@ -193,10 +191,10 @@ def train_linear_svm(train_set: LandmarkTrainingSet, config: SvmTrainConfig):
     makes w' the optimum; otherwise the step is halved (down to 2^-52) until
     the objective does not rise. config.epochs caps the iterations. A stack
     steps together, but each landmark solves on its own rows (z itself while
-    all are active), so it gets the bytes it gets alone.
+    all are active), so it gets the bytes it gets alone. A system that solve
+    finds singular (the ridge rounded away) takes its least-norm solution.
 
-    Returns one LinearSvmModel, stacked for a stack. A c_penalty for which
-    1/(C*m) overflows or underflows raises ShapeArityError.
+    Returns one LinearSvmModel, stacked for a stack.
     """
     k, m, d = len(train_set.landmarks), train_set.count, train_set.features.shape[-1]
     y = train_set.labels.reshape(k, m)
@@ -206,11 +204,7 @@ def train_linear_svm(train_set: LandmarkTrainingSet, config: SvmTrainConfig):
                 f"landmark {landmark} level {train_set.level}: "
                 "training set must contain both classes"
             )
-    lam = 1.0 / (config.c_penalty * m)
-    if not 0 < lam < math.inf:
-        raise ShapeArityError(f"c_penalty {config.c_penalty} over {m} rows gives the "
-                              f"regularization 1/(C*m) = {lam}; it must be positive and finite")
-    ridge = 0.5 / config.c_penalty  # the objective over C is ridge*|w|^2 + sum of squares
+    ridge = config.ridge
     z = np.empty((k, m, d + 1))
     np.multiply(train_set.features.reshape(k, m, d), y[:, :, None], out=z[:, :, :d])
     z[:, :, d] = y
@@ -225,8 +219,12 @@ def train_linear_svm(train_set: LandmarkTrainingSet, config: SvmTrainConfig):
             wide = counts[j] < d + 1  # fewer rows than unknowns: the push-through form
             system = rows @ rows.T if wide else rows.T @ rows
             system.flat[::len(system) + 1] += ridge
-            target[j] = (rows.T @ np.linalg.solve(system, np.ones(counts[j])) if wide
-                         else np.linalg.solve(system, rows.sum(axis=0)))
+            rhs = np.ones(counts[j]) if wide else rows.sum(axis=0)
+            try:
+                solved = np.linalg.solve(system, rhs)
+            except np.linalg.LinAlgError:  # a ridge lost to rounding left it singular
+                solved = np.linalg.lstsq(system, rhs)[0]
+            target[j] = rows.T @ solved if wide else solved
         full = np.matmul(z, target[:, :, None])[:, :, 0]
         done = pending & ((full < 1.0) == active).all(axis=1)
         step = np.ones((k, 1))  # a full step is target itself; finished landmarks keep their bytes

@@ -18,14 +18,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset_io import ModelBundle
-from .errors import InsufficientDataError, ShapeArityError
+from .errors import (InsufficientDataError, ShapeArityError, check_numbers, check_odd_size,
+                     check_seed, check_shape_limits, integer_sizes)
 from .imaging import build_pyramid, equalize_histogram, sobel_gradients
 from .profiles import (
     DEFAULT_EPS,
     ProfileModel,
     ProfileStats,
-    check_numbers,
-    integer_sizes,
     landmark_normals,
     leading_subspace,
     profiles_1d_batch,
@@ -37,12 +36,11 @@ from .profiles import normalize_windows, windows_batch  # noqa: F401
 from .scheme import LandmarkScheme
 from .search import FitConfig
 from .shape_model import (DEFAULT_CLAMP_ALPHA, DEFAULT_VARIANCE_FRACTION, Shape,
-                          build_shape_model, check_shape_limits, gpa_align)
+                          build_shape_model, gpa_align)
 from .svm import (
     LinearSvmModel,
     SvmTrainConfig,
     build_landmark_training_set,
-    check_seed,
     negative_ring,
     train_linear_svm,
     training_accuracy,
@@ -138,7 +136,7 @@ class TrainConfig:
         if len(sizes) != levels:
             raise ShapeArityError(f"profile_lengths needs one entry per level, got {len(sizes)} "
                                   f"for {levels}")
-        integer_sizes("classic_length", (self.classic_length,))
+        check_odd_size("classic_length", self.classic_length)
         negative_ring(self.offset_range, self.negatives_per_positive)
         if self.negatives_per_positive < 1:
             raise ShapeArityError(

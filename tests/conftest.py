@@ -29,6 +29,16 @@ def trained(faces96):
     return bundle, accuracy, faces96
 
 
+# Scheme specs that are not a list of [name, count, topology] lists: the
+# whole spec, or its entry 1, has another form. Each names the scheme.
+MALFORMED_SCHEMES = {
+    "int": 3, "string": "face", "object": {"groups": []}, "null": None,
+    "short-entry": [["face", 5, "open"], ["nose", 5]],
+    "long-entry": [["face", 5, "open"], ["nose", 5, "open", 1]],
+    "string-entry": [["face", 5, "open"], "nose"], "int-entry": [["face", 5, "open"], 5],
+}
+
+
 # Drawn examples are derandomized, so every run draws the same ones.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 

@@ -14,10 +14,10 @@ np.vdot in every round. The library aligns the shapes as the rows of one
 array and must return the same aligned shapes and mean bit for bit, and
 raise the same errors.
 
-regularize is search._regularize before fit_params returned its posed
-points: it synthesizes the returned coefficients and poses them again.
-The library's _regularize takes the points fit_params already posed and
-must return the same shape bit for bit.
+regularize is the regularization of search.fit before fit_params
+returned its posed points: it synthesizes the returned coefficients and
+poses them again. fit takes the points fit_params already posed, as a
+Shape, and must get the same shape bit for bit.
 
 retained_count is the shape model's mode-count search as it was written
 before profiles.retained_rank took it over for every eigenvalue row, so
@@ -166,7 +166,7 @@ def fit_params(
 
 
 def regularize(model: ShapeModel, shape: Shape) -> Shape:
-    """search._regularize as it was: the coefficients of fit_params
+    """fit's regularization as it was: the coefficients of fit_params
     synthesized into a new shape and posed by its transform."""
     pf = fit_params(model, shape)
     return Shape(pf.transform.apply(synthesize(model, pf.params).points))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reseal, with_fit_default
+from conftest import MALFORMED_SCHEMES, reseal, with_fit_default
 from reference_profiles import single_contour_scheme
 import reference_cli
 from asmfit import cli
@@ -268,17 +268,46 @@ def test_readme_config_block_gives_the_defaults(tmp_path):
     assert TrainConfig(**settings) == TrainConfig()
 
 
-def test_overflowing_c_penalty_fails_training_in_one_line(cli_env, tmp_path, capsys):
-    """A finite c_penalty whose regularization 1/(C*m) underflows to 0 is
-    refused by the SVM trainer, in one line and without a bundle."""
+def test_overflowing_c_penalty_fails_training_in_one_line(cli_env, tmp_path, capsys,
+                                                          monkeypatch):
+    """A positive, finite c_penalty whose Newton ridge 0.5 / c_penalty
+    overflows is refused with the config, before any image is read, in one
+    line and without a bundle."""
+    def read(*args, **kwargs):
+        raise AssertionError("an image was read")
+
+    monkeypatch.setattr(cli, "load_annotated", read)
     config = tmp_path / "c.json"
-    config.write_text('{"svm": {"c_penalty": 1e308, "epochs": 2}, "levels": 2}')
+    config.write_text('{"svm": {"c_penalty": 2e-309, "epochs": 2}, "levels": 2}')
     out = tmp_path / "m.asmb"
     rc = main(["train", "--images", str(cli_env["images"]), "--points", str(cli_env["points"]),
                "--config", str(config), "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("asmfit train: c_penalty 1e+308 over ") and err.count("\n") == 1
+    assert err == (f"asmfit train: {config}: bad training config value: c_penalty must be "
+                   "positive and finite, and its Newton ridge 0.5 / c_penalty finite, "
+                   "got 2e-309\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", MALFORMED_SCHEMES)
+def test_malformed_scheme_fails_training_in_one_line(cli_env, tmp_path, capsys, monkeypatch,
+                                                     case):
+    """A config scheme of another form exits 2 with one line that names the
+    scheme, before any image is read, and writes no bundle."""
+    def read(*args, **kwargs):
+        raise AssertionError("an image was read")
+
+    monkeypatch.setattr(cli, "load_annotated", read)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"scheme": MALFORMED_SCHEMES[case]}))
+    out = tmp_path / "m.asmb"
+    rc = main(["train", "--images", str(cli_env["images"]), "--points", str(cli_env["points"]),
+               "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"asmfit train: {config}: bad training config value: scheme ")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import planted, reseal, with_fit_default
+from conftest import MALFORMED_SCHEMES, planted, reseal, with_fit_default
 from reference_profiles import single_contour_scheme
 from asmfit.cli import truth_box
 from asmfit.dataset_io import (
@@ -433,7 +433,8 @@ def test_bundle_rejects_mistyped_profile_sizes(saved_bundle, tmp_path):
     path = tmp_path / "mistyped.asmb"
     sizes = tuple(float(size) for size in bundle.asm_profiles.sizes)
     save_bundle(planted(bundle, asm_profiles=planted(bundle.asm_profiles, sizes=sizes)), path)
-    with pytest.raises(BundleCorruptionError, match="profile sizes must be integers"):
+    want = rf"malformed bundle field: profile sizes\[0\] must be an integer, got {sizes[0]}$"
+    with pytest.raises(BundleCorruptionError, match=want):
         load_bundle(path)
 
 
@@ -624,6 +625,21 @@ def test_bundle_rejects_non_finite_model_values(small_bundle_bytes, tmp_path, si
     bad.write_bytes(reseal(data))
     with pytest.raises(BundleCorruptionError, match="finite"):
         load_bundle(bad)
+
+
+@pytest.mark.parametrize("case", MALFORMED_SCHEMES)
+def test_bundle_rejects_a_malformed_scheme(small_bundle_bytes, tmp_path, case):
+    """A header scheme of another form, under a valid checksum, is
+    corruption, in one line that names the scheme."""
+    def edit(header):
+        header["scheme"]["groups"] = MALFORMED_SCHEMES[case]
+
+    bad = tmp_path / "scheme.asmb"
+    bad.write_bytes(_edited(small_bundle_bytes, edit))
+    with pytest.raises(BundleCorruptionError,
+                       match=r"^scheme\.asmb: malformed bundle field: scheme ") as caught:
+        load_bundle(bad)
+    assert "\n" not in str(caught.value)
 
 
 def test_bundle_header_length_past_the_end(small_bundle_bytes, tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -6,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from asmfit import imaging
-from asmfit.errors import ImageSizeError, ThresholdError
+from asmfit.errors import ImageSizeError, ShapeArityError, ThresholdError
 from asmfit.imaging import (
     GradientField,
     GrayImage,
@@ -16,7 +18,7 @@ from asmfit.imaging import (
     sample_bilinear,
     sobel_gradients,
 )
-from asmfit.search import build_level_context, config_for_mode
+from asmfit.search import FitConfig, build_level_context, config_for_mode
 from asmfit.synthetic import generate_face_dataset
 
 import reference_imaging
@@ -74,6 +76,33 @@ def test_gray_image_properties_and_immutability():
 def test_gradient_field_shape_check():
     with pytest.raises(ImageSizeError):
         GradientField(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)))
+
+
+def test_gradient_field_keeps_arrays_by_the_readonly_rule(monkeypatch):
+    """GradientField keeps a read-only array as it is and freezes a copy of
+    a writable one, so its caller's arrays stay writable and its own do not
+    change with them. sobel_gradients freezes the fresh arrays of _sobel,
+    which GradientField then keeps without a copy."""
+    gx, gy, mag = np.zeros((3, 4)), np.ones((3, 4)), np.full((3, 4), 2.0)
+    field = GradientField(gx, gy, mag)
+    for caller, kept in zip((gx, gy, mag), (field.gx, field.gy, field.magnitude)):
+        assert caller.flags.writeable and not kept.flags.writeable
+        caller += 5.0
+        assert not np.array_equal(caller, kept)
+    frozen = np.zeros((3, 4))
+    frozen.setflags(write=False)
+    assert GradientField(frozen, frozen, frozen).gx is frozen
+
+    made = []
+
+    def sobel(pixels, original=imaging._sobel):
+        made.extend(original(pixels))
+        return tuple(made)
+
+    monkeypatch.setattr(imaging, "_sobel", sobel)
+    field = sobel_gradients(GrayImage(np.arange(20.0).reshape(4, 5)))
+    assert len(made) == 3
+    assert all(kept is fresh for kept, fresh in zip((field.gx, field.gy, field.magnitude), made))
 
 
 # ------------------------------------------------------------ equalization
@@ -357,18 +386,26 @@ def test_pyramid_single_level():
 
 
 def test_pyramid_size_errors():
+    """An image too small for its levels is an image error; a level count
+    under 1 is refused as FitConfig refuses it."""
     with pytest.raises(ImageSizeError):
         build_pyramid(GrayImage(np.zeros((2, 2))), levels=3)
-    with pytest.raises(ImageSizeError):
+    with pytest.raises(ShapeArityError, match=r"^need at least 1 level, got 0$"):
         build_pyramid(GrayImage(np.zeros((4, 4))), levels=0)
+    with pytest.raises(ShapeArityError, match=r"^need at least 1 level, got 0$"):
+        FitConfig(levels=0)
 
 
 @pytest.mark.parametrize("levels", [True, 2.0, "3"])
 def test_pyramid_rejects_non_integer_levels(levels):
     """A bool would build one level and a float or string raise a bare
-    TypeError; each is refused like levels < 1."""
-    with pytest.raises(ImageSizeError, match="integer"):
+    TypeError; each is refused like levels < 1, with FitConfig's error and
+    wording for the same setting."""
+    want = rf"^levels must be an integer, got {re.escape(repr(levels))}$"
+    with pytest.raises(ShapeArityError, match=want):
         build_pyramid(GrayImage(np.zeros((8, 8))), levels=levels)
+    with pytest.raises(ShapeArityError, match=want):
+        FitConfig(levels=levels)
 
 
 @PROPERTY

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ def ramp_image(width=21, height=7, slope=3.0):
 def test_profile_validation():
     with pytest.raises(ShapeArityError):
         Profile(np.array([1.0, np.inf]))
-    assert Profile(np.zeros((3, 3))).dim == 9
+    assert Profile(np.zeros((3, 3))).values.shape == (9,)
 
 
 def factor_inverse(st):
@@ -137,10 +138,13 @@ def test_profile_model_validation():
     assert model.n_landmarks == 1
     with pytest.raises(ShapeArityError):
         ProfileModel("radial", (3,), (make_stats(3),))
-    with pytest.raises(ShapeArityError):
+    with pytest.raises(ShapeArityError, match=r"^profile sizes\[0\] must be odd and >= 3, got 4$"):
         ProfileModel("one_d", (4,), (make_stats(4),))
+    with pytest.raises(ShapeArityError, match=r"^profile sizes\[1\] must be odd and >= 3, got 4$"):
+        ProfileModel("one_d", (3, 4), (make_stats(3), make_stats(4)))
     for sizes in ((3.0,), ("3",), (True,)):  # integers only, never truncated
-        with pytest.raises(ShapeArityError, match="must be integers"):
+        want = rf"^profile sizes\[0\] must be an integer, got {re.escape(repr(sizes[0]))}$"
+        with pytest.raises(ShapeArityError, match=want):
             ProfileModel("one_d", sizes, (make_stats(3),))
     with pytest.raises(DimensionMismatchError):
         ProfileModel("one_d", (3, 5), (make_stats(3),))

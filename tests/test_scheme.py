@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from asmfit.cli import load_train_settings
 from asmfit.errors import DatasetError, ShapeArityError
 from asmfit.scheme import DEFAULT_SCHEME, ContourGroup, LandmarkScheme
 
+from conftest import MALFORMED_SCHEMES
 from reference_profiles import group_of, neighbors, single_contour_scheme
 
 
@@ -98,6 +100,24 @@ def test_from_jsonable_rejects_mistyped_group(entry):
     """A count must be an integer and a name a string: neither is coerced."""
     with pytest.raises(ShapeArityError, match="must be"):
         LandmarkScheme.from_jsonable([["ok", 5, "open"], entry])
+
+
+@pytest.mark.parametrize("case", MALFORMED_SCHEMES)
+def test_from_jsonable_names_a_scheme_or_entry_of_another_form(case):
+    """A scheme that is not a list, or an entry that is not a 3-item list,
+    raises ShapeArityError naming it, never a bare TypeError or ValueError."""
+    spec = MALFORMED_SCHEMES[case]
+    want = (r"^scheme entry 1 must be a \[name, count, topology\] list, got "
+            if case.endswith("entry") else
+            r"^scheme must be a list of \[name, count, topology\] entries, got ")
+    with pytest.raises(ShapeArityError, match=want + re.escape(repr(
+            spec[1] if case.endswith("entry") else spec)) + "$"):
+        LandmarkScheme.from_jsonable(spec)
+    # tuples, as Python would spell a spec or an entry, are not the JSON form either
+    with pytest.raises(ShapeArityError, match="scheme must be a list"):
+        LandmarkScheme.from_jsonable((["face", 5, "open"],))
+    with pytest.raises(ShapeArityError, match="scheme entry 0 must be"):
+        LandmarkScheme.from_jsonable([("face", 5, "open")])
 
 
 def test_group_accepts_numpy_integer_count():

@@ -5,8 +5,10 @@ import pytest
 
 from asmfit import search
 from asmfit.cli import truth_box
+from asmfit.dataset_io import AnnotatedSample
 from asmfit.errors import (
     BoxError,
+    DatasetError,
     DegenerateShapeError,
     DimensionMismatchError,
     InitializationError,
@@ -771,6 +773,35 @@ def test_fit_rejects_init_mostly_off_the_image(trained):
     pts[half, 0] = -40.0
     with pytest.raises(InitializationError, match=f"{half + 1} of {bundle.scheme.total}"):
         fit(pyr, bundle, Shape(pts), cfg)
+
+
+@pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+def test_fit_and_samples_share_the_inside_rule_at_the_far_edge(trained, axis):
+    """fit's init check and AnnotatedSample both ask GrayImage.contains: a
+    landmark at the last pixel, w - 1 (or h - 1), is inside for both, and
+    the next float past it is outside for both."""
+    bundle, _, faces = trained
+    sample = faces[6]
+    image = sample.image
+    edge = float((image.width, image.height)[axis] - 1)
+    cfg = dataclasses.replace(config_for_mode(bundle, "classic"), max_iters_per_level=0)
+    pyr = build_pyramid(image, cfg.levels)
+    init = init_shape_from_box(bundle.shape_model, truth_box(sample.shape, 0.10)).points
+    assert image.contains(init).all() and image.contains(sample.shape.points).all()
+    moved = bundle.scheme.total // 2 + 1  # one past half: fit refuses the init iff all are outside
+    for value, inside in ((edge, True), (np.nextafter(edge, np.inf), False)):
+        pts, truth = init.copy(), sample.shape.points.copy()
+        pts[:moved, axis] = value
+        truth[0, axis] = value
+        assert (image.contains(pts) == (np.arange(len(pts)) >= moved) | inside).all()
+        if inside:
+            assert fit(pyr, bundle, Shape(pts), cfg).iterations == (0,) * cfg.levels
+            AnnotatedSample("edge", image, Shape(truth))
+            continue
+        with pytest.raises(InitializationError, match=f"{moved} of {bundle.scheme.total} "):
+            fit(pyr, bundle, Shape(pts), cfg)
+        with pytest.raises(DatasetError, match=r"edge: landmark 0 at .* lies outside the "):
+            AnnotatedSample("edge", image, Shape(truth))
 
 
 # --------------------------------------------------------------- modes

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -271,18 +272,62 @@ def test_numpy_integer_seed_gives_the_windows_of_its_value(seed):
 
 # ---------------------------------------------------------------- trainer
 
-@pytest.mark.parametrize("c_penalty,lam", [(1e308, 0.0), (1e-320, math.inf)])
-def test_trainer_rejects_a_c_penalty_whose_regularization_is_not_finite(c_penalty, lam):
-    """1/(C*m) of 0 divided by zero in the first step, and of inf turned the
-    weights NaN; both are refused before the first step, stacked or not.
-    RuntimeWarnings are errors here, so none may be raised either."""
+@pytest.mark.parametrize("c_penalty", [2e-309, 1e-320])
+def test_config_rejects_a_c_penalty_whose_newton_ridge_is_not_finite(c_penalty):
+    """The trainer adds the ridge 0.5 / c_penalty to its Newton systems. A
+    positive c_penalty for which that ridge overflows would train all-zero
+    weights; the config refuses it, before any training set is built."""
+    assert 0.5 / c_penalty == math.inf
+    with pytest.raises(ShapeArityError, match=r"c_penalty must be positive and finite, and its "
+                                              r"Newton ridge 0\.5 / c_penalty finite, got "):
+        SvmTrainConfig(c_penalty=c_penalty)
+
+
+@pytest.mark.parametrize("c_penalty", [1e308, 1.7976931348623157e308])
+def test_trainer_fits_the_largest_c_penalties_with_finite_weights(c_penalty):
+    """The ridge of the largest finite c_penalty is tiny but positive, and
+    the trainer solves with it, stacked or not, with every warning an error.
+    On problems that are not separable it gives the weights of C = 1e12 to
+    within 1e-9 of their size."""
     feats, labels = stacked_problem(2, 40, seed=3)
-    assert 1.0 / (c_penalty * 40) == lam
-    config = SvmTrainConfig(c_penalty=c_penalty, epochs=2)
+    config = SvmTrainConfig(c_penalty=c_penalty)
+    assert 0 < config.ridge == 0.5 / c_penalty < math.inf
     for train_set in (LandmarkTrainingSet(feats, labels, (0, 1), 0),
                       LandmarkTrainingSet(feats[0], labels[0], 0, 0)):
-        with pytest.raises(ShapeArityError, match="positive and finite"):
-            train_linear_svm(train_set, config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train_linear_svm(train_set, config)
+        near = train_linear_svm(train_set, SvmTrainConfig(c_penalty=1e12))
+        assert np.isfinite(model.weights).all() and np.isfinite(model.bias).all()
+        np.testing.assert_allclose(model.weights, near.weights, rtol=1e-9)
+        np.testing.assert_allclose(model.bias, near.bias, rtol=1e-9)
+
+
+@pytest.mark.parametrize("c_penalty", [1e16, 1e308])
+def test_trainer_takes_the_least_norm_solution_of_a_singular_system(c_penalty, monkeypatch):
+    """A feature column twice over leaves the Newton system singular once
+    the ridge is too small to round into it, as it is from C = 1e16 on;
+    some BLAS kernels' LU then meets an exact zero pivot, and solve raises.
+    Here every solve raises: the trainer takes each system's least-norm
+    solution, with every warning an error, so the two copies share the
+    weight of the single column evenly, and the other weights and the bias
+    are those of the problem without the copy."""
+    feats, labels = stacked_problem(2, 40, seed=3)
+    twice = np.concatenate([feats, feats[..., :1]], axis=-1)
+    config = SvmTrainConfig(c_penalty=c_penalty)
+    single = train_linear_svm(LandmarkTrainingSet(feats, labels, (0, 1), 0), config)
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = train_linear_svm(LandmarkTrainingSet(twice, labels, (0, 1), 0), config)
+    np.testing.assert_allclose(model.weights[:, 0], model.weights[:, -1], rtol=1e-12)
+    np.testing.assert_allclose(2 * model.weights[:, 0], single.weights[:, 0], rtol=1e-9)
+    np.testing.assert_allclose(model.weights[:, 1:-1], single.weights[:, 1:], rtol=1e-9)
+    np.testing.assert_allclose(model.bias, single.bias, rtol=1e-9)
 
 
 def test_two_point_analytic_solution():

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -102,15 +103,31 @@ def test_training_is_seed_deterministic(faces96):
     assert not np.array_equal(a.svms[0].weights[0], c.svms[0].weights[0])
 
 
+@pytest.mark.parametrize("c_penalty", [1e308, 1.7976931348623157e308])
+def test_the_largest_c_penalties_train_a_finite_bundle(faces96, trained, c_penalty):
+    """On 6 faces at 96x96 the ridge of these c_penalty values rounds away
+    and leaves Newton systems singular; training still gives a bundle,
+    with every warning an error (the SVM models hold finite values only),
+    and the 3x3 SVMs classify their training rows as well as the shared
+    bundle's, trained at C = 1."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, accuracy = train_bundle(faces96[:6], DEFAULT_SCHEME,
+                                   svm_config=SvmTrainConfig(c_penalty=c_penalty, epochs=30))
+    _, usual, _ = trained
+    assert accuracy.mean(axis=1)[0] >= usual.mean(axis=1)[0]
+    assert (accuracy[1:] == 1.0).all()
+
+
 def test_training_requires_two_samples(faces96):
     with pytest.raises(InsufficientDataError):
         train_bundle(faces96[:1], DEFAULT_SCHEME)
 
 
 PROFILE_LENGTH_CASES = {
-    "non-integers": ((3.9, 7.2, "15"), "profile_lengths must be integers"),
-    "bool": ((3, True, 15), "profile_lengths must be integers"),
-    "even": ((3, 8, 15), "profile_lengths must be odd"),
+    "non-integers": ((3.9, 7.2, "15"), r"^profile_lengths\[0\] must be an integer, got 3\.9$"),
+    "bool": ((3, True, 15), r"^profile_lengths\[1\] must be an integer, got True$"),
+    "even": ((3, 8, 15), r"^profile_lengths\[1\] must be odd and >= 3, got 8$"),
     "one-short": ((3, 7), "profile_lengths needs one entry per level, got 2 for 3"),
     "default-short": (None, r"the default profile_lengths \(3, 7, 15\) covers 3 levels; "
                             "give profile_lengths for 4"),
