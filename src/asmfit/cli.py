@@ -18,7 +18,7 @@ from .dataset_io import (
     save_ppm,
     write_points_file,
 )
-from .errors import AsmFitError, DatasetError, ShapeArityError
+from .errors import AsmFitError, DatasetError, check_scheme_covers
 from .evaluation import evaluate, format_report
 from .imaging import GrayImage, build_pyramid, marks, paint, segment_points
 from .scheme import DEFAULT_SCHEME, LandmarkScheme
@@ -102,8 +102,7 @@ def render_overlay(image: GrayImage, shape, scheme) -> np.ndarray:
     group covers an earlier one, and the markers cover both. A scheme that
     does not cover the shape's landmarks raises ShapeArityError.
     """
-    if scheme.total != shape.n:
-        raise ShapeArityError(f"scheme covers {scheme.total} landmarks, shape has {shape.n}")
+    check_scheme_covers(scheme, shape)
     rgb = np.repeat(
         np.clip(np.rint(image.pixels), 0, 255).astype(np.uint8)[:, :, None], 3, axis=2
     )

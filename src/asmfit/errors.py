@@ -1,8 +1,9 @@
 """Exception types raised by the toolkit, and the argument rules that raise them.
 
 Each argument rule that more than one module applies lives here, once. The
-check_* rules raise ShapeArityError, except check_scale, which raises
-DegenerateShapeError; readonly is the one way a value type keeps an array.
+check_* rules, check_scheme_covers among them, raise ShapeArityError, except
+check_scale (DegenerateShapeError) and check_canny_thresholds (ThresholdError,
+a ShapeArityError); readonly is the one way a value type keeps an array.
 """
 
 import numbers
@@ -26,7 +27,7 @@ class ImageSizeError(AsmFitError):
     """Image is too small for the requested operation."""
 
 
-class ThresholdError(AsmFitError):
+class ThresholdError(ShapeArityError):
     """Invalid hysteresis threshold pair."""
 
 
@@ -132,6 +133,19 @@ def check_edge_weight(c) -> None:
     """Raise ShapeArityError unless the edge weight constant is finite and exceeds 1."""
     if not 1 < c < np.inf:
         raise ShapeArityError(f"edge weight constant must exceed 1 and be finite, got {c}")
+
+
+def check_canny_thresholds(low, high) -> None:
+    """Raise ThresholdError unless 0 <= low <= high < inf; an infinite high marks no edge."""
+    if not 0 <= low <= high < np.inf:
+        raise ThresholdError(f"canny_low must be in [0, canny_high] and canny_high finite, "
+                             f"got low={low} high={high}")
+
+
+def check_scheme_covers(scheme, shape) -> None:
+    """Raise ShapeArityError unless the landmark scheme covers exactly the shape's landmarks."""
+    if scheme.total != shape.n:
+        raise ShapeArityError(f"scheme covers {scheme.total} landmarks, shape has {shape.n}")
 
 
 def check_shape_limits(variance_fraction, clamp_alpha) -> None:

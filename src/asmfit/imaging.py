@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import ImageSizeError, ThresholdError, check_levels, readonly
+from .errors import ImageSizeError, check_canny_thresholds, check_levels, readonly
 
 # Quantized gradient directions 1, 2, 3 (45, 90, 135 degrees) start at the
 # first three of these angles in [0, pi]; direction 0 lies below the first
@@ -168,8 +168,7 @@ def canny_edges(image: GrayImage, low: float, high: float) -> np.ndarray:
     pixels at or above it, and the hysteresis result is written only at
     the pixels that survive suppression; every other pixel stays 0.
     """
-    if not (0 <= low <= high):
-        raise ThresholdError(f"need 0 <= low <= high, got low={low} high={high}")
+    check_canny_thresholds(low, high)
     smoothed = ndimage.correlate(image.pixels, _CANNY_BLUR, mode="nearest")
     gx, gy, mag = _sobel(smoothed)
     h, w = mag.shape

@@ -16,7 +16,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DimensionMismatchError, InsufficientDataError, ShapeArityError,
-                     check_edge_weight, check_odd_size, integer_sizes, readonly)
+                     check_edge_weight, check_odd_size, check_scheme_covers, integer_sizes,
+                     readonly)
 from .imaging import GrayImage, sample_bilinear
 from .scheme import LandmarkScheme
 
@@ -185,8 +186,7 @@ def landmark_normals(shape: Shape, scheme: LandmarkScheme) -> np.ndarray:
     vecdot, which rounds like np.linalg.norm and a scalar dot, so the
     per-landmark form agrees bit for bit.
     """
-    if scheme.total != shape.n:
-        raise ShapeArityError(f"scheme covers {scheme.total} landmarks, shape has {shape.n}")
+    check_scheme_covers(scheme, shape)
     prev, nxt = scheme.chord_ends
     pts = shape.points
     outward = pts - shape.centroid()
@@ -205,14 +205,13 @@ def landmark_normals(shape: Shape, scheme: LandmarkScheme) -> np.ndarray:
 
 
 def _normalize_derivatives(diffs: np.ndarray) -> np.ndarray:
-    """Divide rows by their absolute sum; flat rows become zero rows."""
+    """Divide rows by their absolute sum, in place; flat rows become zero rows."""
     norm = np.sum(np.abs(diffs), axis=-1, keepdims=True)
-    flat = norm < _FLAT_SUM
-    if not flat.any():
-        return diffs / norm
-    out = diffs / np.where(flat, 1.0, norm)
-    out[np.broadcast_to(flat, out.shape)] = 0.0
-    return out
+    flat = norm[..., 0] < _FLAT_SUM
+    norm[flat] = 1.0
+    diffs /= norm
+    diffs[flat] = 0.0
+    return diffs
 
 
 def profiles_1d_batch(

@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatchError,
     InitializationError,
     ShapeArityError,
+    check_canny_thresholds,
     check_edge_weight,
     check_levels,
     check_numbers,
@@ -74,9 +75,7 @@ class FitConfig:
         if not 0 < self.convergence <= 1:
             raise ShapeArityError(f"convergence fraction must be in (0, 1], got {self.convergence}")
         check_edge_weight(self.c)
-        if not 0 <= self.canny_low <= self.canny_high < np.inf:
-            raise ShapeArityError(f"canny_low must be in [0, canny_high] and canny_high finite, "
-                                  f"got low={self.canny_low} high={self.canny_high}")
+        check_canny_thresholds(self.canny_low, self.canny_high)
         if self.mode not in ("asm_svm", "classic"):
             raise ShapeArityError(f"unknown mode {self.mode!r}, expected classic or asm_svm")
 

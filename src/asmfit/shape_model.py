@@ -135,6 +135,13 @@ class ShapeModel:
     def num_modes(self) -> int:
         return self.modes.shape[1]
 
+    def coefficients(self, params) -> np.ndarray:
+        """params as a float array, or ShapeArityError unless it holds one per mode."""
+        b = np.asarray(params, dtype=float)
+        if b.shape != (self.num_modes,):
+            raise ShapeArityError(f"expected {self.num_modes} coefficients, got {b.shape}")
+        return b
+
     def mode_limits(self) -> np.ndarray:
         """Per-mode clamp bound alpha * sqrt(lambda_i)."""
         return self.clamp_alpha * np.sqrt(self.eigenvalues)
@@ -183,7 +190,7 @@ def _similarity(src: np.ndarray, tgt_c: np.ndarray, tgt_z: np.ndarray):
     sigma = np.vdot(a, tgt_z) / denom
     scale = abs(sigma)
     if scale < _DEGENERATE_SIZE:
-        raise DegenerateShapeError("target shape collapsed to a point")
+        raise DegenerateShapeError("no similarity maps the model shape onto the target")
     rotation = float(np.arctan2(sigma.imag, sigma.real))
     rot = np.array([[math.cos(rotation), -math.sin(rotation)],
                     [math.sin(rotation), math.cos(rotation)]])
@@ -278,19 +285,14 @@ def build_shape_model(
 
 def synthesize(model: ShapeModel, params: np.ndarray) -> Shape:
     """Shape generated by the model at coefficients `params` (model frame)."""
-    b = np.asarray(params, dtype=float)
-    if b.shape != (model.num_modes,):
-        raise ShapeArityError(f"expected {model.num_modes} coefficients, got {b.shape}")
+    b = model.coefficients(params)
     return Shape.from_vector(model.mean_shape.as_vector() + model.modes @ b)
 
 
 def clamp_params(model: ShapeModel, params: np.ndarray) -> np.ndarray:
     """Clip each coefficient to +/- alpha * sqrt(lambda_i)."""
-    b = np.asarray(params, dtype=float)
-    if b.shape != (model.num_modes,):
-        raise ShapeArityError(f"expected {model.num_modes} coefficients, got {b.shape}")
     limits = model.mode_limits()
-    return np.clip(b, -limits, limits)
+    return np.clip(model.coefficients(params), -limits, limits)
 
 
 def fit_params(
@@ -335,7 +337,7 @@ def fit_params(
     while True:
         posed = (mean_vec + model.modes @ b).reshape(-1, 2)
         if not np.isfinite(posed).all():
-            raise DegenerateShapeError("shape contains non-finite coordinates")
+            raise DegenerateShapeError("the posed model shape has non-finite coordinates")
         scale, rotation, translation = _similarity(posed, tgt_c, tgt_z)
         check_scale(scale)
         if settled or projections >= max_iters:

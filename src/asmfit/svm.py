@@ -191,8 +191,8 @@ def train_linear_svm(train_set: LandmarkTrainingSet, config: SvmTrainConfig):
     makes w' the optimum; otherwise the step is halved (down to 2^-52) until
     the objective does not rise. config.epochs caps the iterations. A stack
     steps together, but each landmark solves on its own rows (z itself while
-    all are active), so it gets the bytes it gets alone. A system that solve
-    finds singular (the ridge rounded away) takes its least-norm solution.
+    all are active), so it gets the bytes it gets alone. A system whose ridge
+    is at most eps times its trace (it rounds away) takes its least-norm solution.
 
     Returns one LinearSvmModel, stacked for a stack.
     """
@@ -218,12 +218,11 @@ def train_linear_svm(train_set: LandmarkTrainingSet, config: SvmTrainConfig):
             rows = z[j] if counts[j] == m else z[j, active[j]]
             wide = counts[j] < d + 1  # fewer rows than unknowns: the push-through form
             system = rows @ rows.T if wide else rows.T @ rows
+            lost = ridge <= np.finfo(float).eps * np.trace(system)  # both forms' trace is |rows|^2
             system.flat[::len(system) + 1] += ridge
             rhs = np.ones(counts[j]) if wide else rows.sum(axis=0)
-            try:
-                solved = np.linalg.solve(system, rhs)
-            except np.linalg.LinAlgError:  # a ridge lost to rounding left it singular
-                solved = np.linalg.lstsq(system, rhs)[0]
+            # A lost ridge may leave the system singular: lstsq gives its least-norm solution.
+            solved = np.linalg.lstsq(system, rhs)[0] if lost else np.linalg.solve(system, rhs)
             target[j] = rows.T @ solved if wide else solved
         full = np.matmul(z, target[:, :, None])[:, :, 0]
         done = pending & ((full < 1.0) == active).all(axis=1)

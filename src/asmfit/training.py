@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset_io import ModelBundle
 from .errors import (InsufficientDataError, ShapeArityError, check_numbers, check_odd_size,
-                     check_seed, check_shape_limits, integer_sizes)
+                     check_scheme_covers, check_seed, check_shape_limits, integer_sizes)
 from .imaging import build_pyramid, equalize_histogram, sobel_gradients
 from .profiles import (
     DEFAULT_EPS,
@@ -166,6 +166,7 @@ def train_bundle(samples, scheme: LandmarkScheme, **settings):
     config = TrainConfig(**settings)
     if len(samples) < 2:
         raise InsufficientDataError(f"need at least 2 training samples, got {len(samples)}")
+    check_scheme_covers(scheme, samples[0].shape)
     levels = config.fit_config.levels
 
     aligned, _ = gpa_align([s.shape for s in samples])

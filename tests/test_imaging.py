@@ -328,11 +328,20 @@ def test_canny_output_is_binary():
 
 
 def test_canny_threshold_validation():
+    """canny_edges applies FitConfig's rule 0 <= low <= high < inf: an
+    infinite high threshold marks no edge, which would turn edge weighting
+    off. ThresholdError is the ShapeArityError FitConfig raises."""
     img = GrayImage(np.zeros((8, 8)))
     with pytest.raises(ThresholdError):
         canny_edges(img, 100.0, 50.0)
     with pytest.raises(ThresholdError):
         canny_edges(img, -1.0, 50.0)
+    inf = float("inf")
+    for low, high in ((50.0, inf), (inf, inf)):
+        with pytest.raises(ThresholdError, match=r"^canny_low must be in \[0, canny_high\] and "
+                                                 r"canny_high finite, got low=.* high=inf$"):
+            canny_edges(img, low, high)
+    assert issubclass(ThresholdError, ShapeArityError)
 
 
 def test_context_images_equal_oracles_on_face_pyramids(trained):

@@ -10,7 +10,7 @@ from asmfit.errors import (
     InsufficientDataError,
     ShapeArityError,
 )
-from asmfit.imaging import GrayImage
+from asmfit.imaging import GrayImage, sample_bilinear
 from asmfit.profiles import (
     Profile,
     ProfileModel,
@@ -290,6 +290,31 @@ def test_profiles_1d_constant_image_is_zero():
     rows = profiles_1d_batch(GrayImage(np.full((7, 21), 50.0)),
                              np.array([[10.0, 3.0]]), np.array([[1.0, 0.0]]), 5)
     assert np.array_equal(rows, np.zeros((1, 5)))
+
+
+def test_profiles_1d_mixed_flat_rows_equal_a_per_row_oracle():
+    """A batch whose rows are flat (on the image's constant left half) and not
+    flat (on its noisy right half) gives each row's bytes, signed zeros
+    included: its differences over their absolute sum, or zeros when that sum
+    is below 1e-12."""
+    rng = np.random.default_rng(5)
+    px = np.full((20, 40), 80.0)
+    px[:, 20:] += rng.normal(0.0, 20.0, (20, 20))
+    image = GrayImage(px)
+    centers = np.stack([rng.uniform(5.0, 35.0, (6, 8)), rng.uniform(5.0, 15.0, (6, 8))], axis=-1)
+    normals = np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, 0.8], [0.8, 0.6], [0.0, -1.0],
+                        [-1.0, 0.0]])[:, None, :]
+    rows = profiles_1d_batch(image, centers, normals, 5)
+    flat = 0
+    for i, j in np.ndindex(centers.shape[:2]):
+        xs = centers[i, j, 0] + (np.arange(6) - 2.5) * normals[i, 0, 0]
+        ys = centers[i, j, 1] + (np.arange(6) - 2.5) * normals[i, 0, 1]
+        diffs = np.diff(sample_bilinear(image, xs, ys))
+        total = np.sum(np.abs(diffs))
+        want = np.zeros(5) if total < 1e-12 else diffs / total
+        flat += total < 1e-12
+        assert rows[i, j].tobytes() == want.tobytes()
+    assert 0 < flat < centers.shape[0] * centers.shape[1]
 
 
 def test_profiles_1d_direction_reversal():

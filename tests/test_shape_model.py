@@ -500,18 +500,31 @@ def test_regularize_equals_synthesize_and_pose_oracle(seed, n, count, wobble, ki
     assert outcomes[0] == outcomes[1]
 
 
+# fit_params's message for each error target: each check has its own words.
+# The tiny target is not collapsed, but its similarity scale rounds to zero.
+FIT_PARAMS_MESSAGES = {
+    "collapsed": r"^target shape collapsed to a point$",
+    "tiny": r"^no similarity maps the model shape onto the target$",
+    "nonfinite": r"^similarity scale must be positive and finite, got nan$",
+    "overflow": r"^similarity scale must be positive and finite, got nan$",
+}
+
+
 @pytest.mark.parametrize("kind,error", [("collapsed", DegenerateShapeError),
                                         ("tiny", DegenerateShapeError),
                                         ("nonfinite", DegenerateShapeError),
                                         ("overflow", DegenerateShapeError)])
 def test_fit_params_oracle_targets_reach_each_error(kind, error):
-    """The property above meets every error the loop raises, from both forms."""
+    """The property above meets every error the loop raises on a target, from
+    both forms; fit_params raises each in the words of its own check."""
     rng = np.random.default_rng(16)
     model = build_shape_model(random_shapes(rng, 8, 6))
     for _ in range(5):
         target = oracle_target(rng, model, kind, 1.0, 0.0)
         for fit in (fit_params, reference_shape_model.fit_params):
             assert fit_outcome(fit, model, target) is error
+        with np.errstate(all="ignore"), pytest.raises(error, match=FIT_PARAMS_MESSAGES[kind]):
+            fit_params(model, target)
 
 
 def test_fit_params_rejects_a_non_finite_posed_shape_as_the_oracle_does():
@@ -524,6 +537,9 @@ def test_fit_params_rejects_a_non_finite_posed_shape_as_the_oracle_does():
     for fit in (fit_params, reference_shape_model.fit_params):
         with pytest.raises(DegenerateShapeError):
             fit(broken, target)
+    with pytest.raises(DegenerateShapeError,
+                       match=r"^the posed model shape has non-finite coordinates$"):
+        fit_params(broken, target)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)

@@ -11,7 +11,7 @@ from asmfit.dataset_io import AnnotatedSample, save_bundle
 from asmfit.errors import InsufficientDataError, ShapeArityError
 from asmfit.imaging import GrayImage, build_pyramid, equalize_histogram, sobel_gradients
 from asmfit.profiles import ProfileStats, leading_subspace, stats_from_matrix, subspace_rank
-from asmfit.scheme import DEFAULT_SCHEME
+from asmfit.scheme import DEFAULT_SCHEME, ContourGroup, LandmarkScheme
 from asmfit.search import FitConfig
 from asmfit.shape_model import Shape
 from asmfit.synthetic import generate_face_dataset
@@ -151,6 +151,21 @@ def test_mistyped_profile_lengths_fail_before_training(faces96, monkeypatch, cas
     # the patch is live: well-formed lengths reach it
     with pytest.raises(AssertionError, match="training started"):
         train_bundle(faces96[:3], DEFAULT_SCHEME, profile_lengths=(3, 5, 9))
+
+
+def test_mismatched_scheme_fails_before_training(faces96, monkeypatch):
+    """A scheme that does not cover the samples' landmarks fails before GPA,
+    the shape model or any image pyramid."""
+    def started(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("asmfit.training.gpa_align", started)
+    scheme = LandmarkScheme((ContourGroup("jaw", 5, False),))
+    with pytest.raises(ShapeArityError, match=r"^scheme covers 5 landmarks, shape has 68$"):
+        train_bundle(faces96[:3], scheme)
+    # the patch is live: the covering scheme reaches it
+    with pytest.raises(AssertionError, match="training started"):
+        train_bundle(faces96[:3], DEFAULT_SCHEME)
 
 
 def test_four_levels_build_with_four_profile_lengths():
