@@ -18,13 +18,13 @@ from .imaging import (
 )
 from .profiles import (
     Profile,
-    ProfileModel,
     ProfileStats,
     edge_weighted_cost,
     mahalanobis_cost,
 )
 from .dataset_io import (
     AnnotatedSample,
+    LevelModel,
     ModelBundle,
     load_bundle,
     load_image,

@@ -84,10 +84,10 @@ def cmd_train(args) -> int:
     bundle, accuracy = train_bundle(samples, scheme, **settings)
     save_bundle(bundle, args.out)
     print(f"modes: {bundle.shape_model.num_modes}, profile ranks per level: "
-          f"{' '.join(str(stats.rank) for stats in bundle.asm_profiles.stats)}")
+          f"{' '.join(str(lv.asm.rank) for lv in bundle.levels)}")
     positives = bundle.train_meta["samples"] * scheme.total
     negatives = positives * bundle.train_meta["negatives_per_positive"]
-    for lv in range(len(bundle.svms)):
+    for lv in range(len(bundle.levels)):
         print(f"level {lv}: {positives} positive, {negatives} negative windows")
     for lv, row in enumerate(accuracy):
         print(f"level {lv}: SVM training accuracy mean {row.mean():.3f}, min {row.min():.3f}")

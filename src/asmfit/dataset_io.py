@@ -28,9 +28,10 @@ from .errors import (
     PgmDecodeError,
     PointsParseError,
     SplitError,
+    check_odd_size,
 )
 from .imaging import GrayImage
-from .profiles import ProfileModel, ProfileStats
+from .profiles import ProfileStats
 from .scheme import LandmarkScheme
 from .search import FitConfig
 from .shape_model import Shape, ShapeModel
@@ -59,33 +60,57 @@ class AnnotatedSample:
 
 
 @dataclass(frozen=True, eq=False)
+class LevelModel:
+    """One pyramid level's models, each stacked over the landmarks: the 1-D
+    profile statistics (classic), the 2-D window statistics (asm) and the
+    SVMs. The profile length and window side are the statistics' own sizes."""
+
+    classic: ProfileStats
+    asm: ProfileStats
+    svms: LinearSvmModel
+
+    def __post_init__(self):
+        if self.window_side**2 != self.asm.dim:
+            raise DimensionMismatchError(f"window dimension {self.asm.dim} is not a square")
+        check_odd_size("profile length", self.classic_length)
+        check_odd_size("window side", self.window_side)
+        classic, asm = self.classic.mean.shape, self.asm.mean.shape
+        if len(asm) != 2 or classic[:-1] != asm[:-1] or self.svms.weights.shape != asm:
+            raise DimensionMismatchError(
+                f"1-D means {classic}, 2-D means {asm} and SVM weights "
+                f"{self.svms.weights.shape} do not stack one model per landmark"
+            )
+
+    @property
+    def classic_length(self) -> int:
+        return self.classic.dim
+
+    @property
+    def window_side(self) -> int:
+        return math.isqrt(self.asm.dim)
+
+
+@dataclass(frozen=True, eq=False)
 class ModelBundle:
-    """Everything fitting needs, persisted as one artifact."""
+    """Everything fitting needs, persisted as one artifact: levels[l] holds
+    pyramid level l's models, finest first."""
 
     scheme: LandmarkScheme
     shape_model: ShapeModel
-    classic_profiles: ProfileModel
-    asm_profiles: ProfileModel
-    svms: tuple
+    levels: tuple
     fit_defaults: FitConfig
     train_meta: dict
 
     def __post_init__(self):
+        object.__setattr__(self, "levels", tuple(self.levels))  # no list to change after the checks
         n = self.scheme.total
-        if self.shape_model.n != n:
+        covered = [self.shape_model.n] + [lv.asm.mean.shape[0] for lv in self.levels]
+        if covered != [n] * len(covered):
+            raise DimensionMismatchError(f"landmarks: scheme {n}, shape model and levels {covered}")
+        if len(self.levels) != self.fit_defaults.levels:
             raise DimensionMismatchError(
-                f"shape model covers {self.shape_model.n} landmarks, scheme {n}"
+                f"bundle holds {len(self.levels)} levels, fit defaults {self.fit_defaults.levels}"
             )
-        for pm in (self.classic_profiles, self.asm_profiles):
-            if pm.n_landmarks != n:
-                raise DimensionMismatchError("profile models must cover every landmark")
-        levels = self.fit_defaults.levels
-        if not (self.classic_profiles.levels == self.asm_profiles.levels == levels):
-            raise DimensionMismatchError("profile models and fit defaults disagree on levels")
-        got = [model.weights.shape for model in self.svms]
-        want = [(n, size * size) for size in self.asm_profiles.sizes]
-        if got != want:
-            raise DimensionMismatchError(f"SVM weights {got} per level, profiles need {want}")
 
 
 # ---------------------------------------------------------------- points IO
@@ -245,21 +270,27 @@ _PREFIX = len(BUNDLE_MAGIC) + 12
 _DTYPES = {"f64": np.dtype("<f8"), "f32": np.dtype("<f4")}
 
 
-def _profile_model_payload(pm: ProfileModel) -> dict:
+def _profile_sizes(levels) -> dict:
+    """Each kind's size per level, as the header restates them beside the arrays."""
+    return {"classic": [lv.classic_length for lv in levels],
+            "asm": [lv.window_side for lv in levels]}
+
+
+def _profile_payload(levels, kind: str) -> dict:
+    stats = [getattr(lv, kind) for lv in levels]
     return {
-        "sizes": list(pm.sizes),
-        "means": [st.mean for st in pm.stats],
-        "bases": [st.basis for st in pm.stats],
-        "lams": [st.lam for st in pm.stats],
-        "rhos": [st.rho for st in pm.stats],
+        "sizes": _profile_sizes(levels)[kind],
+        "means": [st.mean for st in stats],
+        "bases": [st.basis for st in stats],
+        "lams": [st.lam for st in stats],
+        "rhos": [st.rho for st in stats],
     }
 
 
-def _profile_model_from_payload(payload: dict, kind: str, array) -> ProfileModel:
+def _profile_stats_from_payload(payload: dict, array) -> list:
     fields = [map(array, payload[key]) for key in ("means", "bases", "lams", "rhos")]
-    stats = tuple(ProfileStats(means, basis=bases, lam=lams, rho=rhos)
-                  for means, bases, lams, rhos in zip(*fields, strict=True))
-    return ProfileModel(kind=kind, sizes=tuple(payload["sizes"]), stats=stats)
+    return [ProfileStats(means, basis=bases, lam=lams, rho=rhos)
+            for means, bases, lams, rhos in zip(*fields, strict=True)]
 
 
 def _fit_config_from_payload(payload: dict) -> FitConfig:
@@ -275,7 +306,7 @@ def _fit_config_from_payload(payload: dict) -> FitConfig:
 
 def save_bundle(bundle: ModelBundle, path) -> None:
     """Write the bundle: magic, version, JSON header, array block, CRC32."""
-    sm = bundle.shape_model
+    sm, levels = bundle.shape_model, bundle.levels
     payload = {
         "scheme": {"groups": bundle.scheme.to_jsonable()},
         "shape_model": {
@@ -285,13 +316,10 @@ def save_bundle(bundle: ModelBundle, path) -> None:
             "variance_fraction": sm.variance_fraction,
             "clamp_alpha": sm.clamp_alpha,
         },
-        "profiles": {
-            "classic": _profile_model_payload(bundle.classic_profiles),
-            "asm": _profile_model_payload(bundle.asm_profiles),
-        },
+        "profiles": {kind: _profile_payload(levels, kind) for kind in ("classic", "asm")},
         "svms": {
-            "weights": [model.weights for model in bundle.svms],
-            "biases": [model.bias for model in bundle.svms],
+            "weights": [lv.svms.weights for lv in levels],
+            "biases": [lv.svms.bias for lv in levels],
         },
         "fit_defaults": {
             "config": dataclasses.asdict(bundle.fit_defaults),
@@ -413,15 +441,20 @@ def _bundle_from_payload(payload: dict, array) -> ModelBundle:
         variance_fraction=sm_raw["variance_fraction"],
         clamp_alpha=sm_raw["clamp_alpha"],
     )
-    svm_raw = payload["svms"]
+    profiles, svm_raw = payload["profiles"], payload["svms"]
+    svms = [LinearSvmModel(array(w), array(b))
+            for w, b in zip(svm_raw["weights"], svm_raw["biases"], strict=True)]
+    stats = [_profile_stats_from_payload(profiles[kind], array) for kind in ("classic", "asm")]
+    levels = tuple(LevelModel(*models) for models in zip(*stats, svms, strict=True))
+    for kind, sizes in _profile_sizes(levels).items():
+        stored = profiles[kind]["sizes"]
+        if not (isinstance(stored, list) and all(type(v) is int for v in stored)
+                and stored == sizes):
+            raise BundleCorruptionError(f"profiles.{kind}.sizes {stored!r:.80} are not {sizes}")
     return ModelBundle(
         scheme=scheme,
         shape_model=shape_model,
-        classic_profiles=_profile_model_from_payload(payload["profiles"]["classic"], "one_d",
-                                                     array),
-        asm_profiles=_profile_model_from_payload(payload["profiles"]["asm"], "two_d", array),
-        svms=tuple(LinearSvmModel(array(w), array(b))
-                   for w, b in zip(svm_raw["weights"], svm_raw["biases"], strict=True)),
+        levels=levels,
         fit_defaults=_fit_config_from_payload(payload["fit_defaults"]["config"]),
         train_meta=payload["fit_defaults"]["train_meta"],
     )

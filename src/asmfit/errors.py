@@ -2,8 +2,8 @@
 
 Each argument rule that more than one module applies lives here, once. The
 check_* rules, check_scheme_covers among them, raise ShapeArityError, except
-check_scale (DegenerateShapeError) and check_canny_thresholds (ThresholdError,
-a ShapeArityError); readonly is the one way a value type keeps an array.
+check_scale (DegenerateShapeError) and check_canny_thresholds on reals out of
+range (ThresholdError); readonly is the one way a value type keeps an array.
 """
 
 import numbers
@@ -88,7 +88,7 @@ def check_numbers(values: dict, integers=(), reals=()) -> dict:
         check_integer(name, values[name])
     floats = {}
     for name in reals:
-        if not isinstance(values[name], numbers.Real):
+        if isinstance(values[name], bool) or not isinstance(values[name], numbers.Real):
             raise ShapeArityError(f"{name} must be a real number, got {values[name]!r}")
         try:
             floats[name] = float(values[name])
@@ -131,15 +131,17 @@ def check_seed(name: str, seed) -> None:
 
 def check_edge_weight(c) -> None:
     """Raise ShapeArityError unless the edge weight constant is finite and exceeds 1."""
+    check_numbers(locals(), reals=("c",))
     if not 1 < c < np.inf:
         raise ShapeArityError(f"edge weight constant must exceed 1 and be finite, got {c}")
 
 
-def check_canny_thresholds(low, high) -> None:
-    """Raise ThresholdError unless 0 <= low <= high < inf; an infinite high marks no edge."""
-    if not 0 <= low <= high < np.inf:
+def check_canny_thresholds(canny_low, canny_high) -> None:
+    """Raise ThresholdError unless 0 <= canny_low <= canny_high < inf; inf marks no edge."""
+    check_numbers(locals(), reals=("canny_low", "canny_high"))
+    if not 0 <= canny_low <= canny_high < np.inf:
         raise ThresholdError(f"canny_low must be in [0, canny_high] and canny_high finite, "
-                             f"got low={low} high={high}")
+                             f"got low={canny_low} high={canny_high}")
 
 
 def check_scheme_covers(scheme, shape) -> None:
@@ -150,6 +152,7 @@ def check_scheme_covers(scheme, shape) -> None:
 
 def check_shape_limits(variance_fraction, clamp_alpha) -> None:
     """Raise ShapeArityError unless 0 < variance_fraction <= 1 and 0 < clamp_alpha < inf."""
+    check_numbers(locals(), reals=("variance_fraction", "clamp_alpha"))
     if not 0 < variance_fraction <= 1:
         raise ShapeArityError(f"variance_fraction must be in (0, 1], got {variance_fraction}")
     if not 0 < clamp_alpha < np.inf:

@@ -16,8 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DimensionMismatchError, InsufficientDataError, ShapeArityError,
-                     check_edge_weight, check_odd_size, check_scheme_covers, integer_sizes,
-                     readonly)
+                     check_edge_weight, check_odd_size, check_scheme_covers, readonly)
 from .imaging import GrayImage, sample_bilinear
 from .scheme import LandmarkScheme
 
@@ -136,44 +135,6 @@ class ProfileStats:
     @property
     def rank(self) -> int:
         return self.lam.shape[-1]
-
-
-@dataclass(frozen=True, eq=False)
-class ProfileModel:
-    """Profile geometry plus per-level statistics of every landmark.
-
-    stats[level] is one ProfileStats stacked over the landmarks; sizes[level]
-    is the profile length (1-D) or the side of the sum-normalized window
-    (2-D) used at that pyramid level.
-    """
-
-    kind: str
-    sizes: tuple
-    stats: tuple
-
-    def __post_init__(self):
-        if self.kind not in ("one_d", "two_d"):
-            raise ShapeArityError(f"unknown profile kind {self.kind!r}")
-        sizes = integer_sizes("profile sizes", self.sizes)
-        if len(sizes) != len(self.stats):
-            raise DimensionMismatchError("one size per level required")
-        n = self.stats[0].mean.shape[0] if self.stats else 0
-        for level_stats, size in zip(self.stats, sizes):
-            want = size if self.kind == "one_d" else size * size
-            if level_stats.mean.shape != (n, want):
-                raise DimensionMismatchError(
-                    f"stats dim {level_stats.dim} does not match configured size {size}, "
-                    f"or the level does not hold all {n} landmarks"
-                )
-        object.__setattr__(self, "sizes", sizes)
-
-    @property
-    def levels(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def n_landmarks(self) -> int:
-        return self.stats[0].mean.shape[0]
 
 
 def landmark_normals(shape: Shape, scheme: LandmarkScheme) -> np.ndarray:

@@ -235,15 +235,16 @@ def build_level_context(bundle, level_image: GrayImage, level: int, config: FitC
     profiles from raw. The level's profile size is the one it was trained with.
     """
     asm = config.mode == "asm_svm"
-    pm = bundle.asm_profiles if asm else bundle.classic_profiles
-    ctx = LevelContext(size=pm.sizes[level], raw=level_image, magnitude=None, edge_map=None,
-                       stats=pm.stats[level], svms=None, scheme=bundle.scheme)
+    lv = bundle.levels[level]
+    ctx = LevelContext(size=lv.window_side if asm else lv.classic_length, raw=level_image,
+                       magnitude=None, edge_map=None, stats=lv.asm if asm else lv.classic,
+                       svms=None, scheme=bundle.scheme)
     if not asm:
         return ctx
     image = equalize_histogram(level_image)
     return replace(ctx, magnitude=sobel_gradients(image).magnitude,
                    edge_map=canny_edges(image, config.canny_low, config.canny_high) if level else None,
-                   svms=bundle.svms[level])
+                   svms=lv.svms)
 
 
 def fit(pyramid: tuple, bundle, init: Shape, config: FitConfig) -> FitResult:
@@ -264,9 +265,9 @@ def fit(pyramid: tuple, bundle, init: Shape, config: FitConfig) -> FitResult:
         raise DimensionMismatchError(
             f"pyramid has {len(pyramid)} levels, config expects {config.levels}"
         )
-    if config.levels > bundle.asm_profiles.levels:
+    if config.levels > len(bundle.levels):
         raise DimensionMismatchError(
-            f"config asks for {config.levels} levels, the bundle holds {bundle.asm_profiles.levels}"
+            f"config asks for {config.levels} levels, the bundle holds {len(bundle.levels)}"
         )
     base = pyramid[0]
     inside = base.contains(init.points)

@@ -17,13 +17,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset_io import ModelBundle
+from .dataset_io import LevelModel, ModelBundle
 from .errors import (InsufficientDataError, ShapeArityError, check_numbers, check_odd_size,
                      check_scheme_covers, check_seed, check_shape_limits, integer_sizes)
 from .imaging import build_pyramid, equalize_histogram, sobel_gradients
 from .profiles import (
     DEFAULT_EPS,
-    ProfileModel,
     ProfileStats,
     landmark_normals,
     leading_subspace,
@@ -179,9 +178,7 @@ def train_bundle(samples, scheme: LandmarkScheme, **settings):
     # the same process then page-fault (30 faces at 256x256: ~30% slower).
     surfaces = [[(raw, sobel_gradients(equalize_histogram(raw)).magnitude)
                  for raw in build_pyramid(sample.image, levels)] for sample in samples]
-    classic_stats = []
-    asm_stats = []
-    svms = []
+    level_models = []
     accuracy = np.empty((levels, n))
     for lv in range(levels):
         points = [sample.shape.points / 2.0**lv for sample in samples]
@@ -190,7 +187,7 @@ def train_bundle(samples, scheme: LandmarkScheme, **settings):
         one_d_rows = [profiles_1d_batch(surface[lv][0], pts, landmark_normals(Shape(pts), scheme),
                                         config.classic_length)
                       for surface, pts in zip(surfaces, points)]
-        classic_stats.append(stats_from_matrix(np.stack(one_d_rows, axis=1), config.eps))
+        classic = stats_from_matrix(np.stack(one_d_rows, axis=1), config.eps)
         dataset_lv = [(surface[lv][1], pts) for surface, pts in zip(surfaces, points)]
         weights = np.empty((n, size**2))
         biases = np.empty(n)
@@ -211,17 +208,14 @@ def train_bundle(samples, scheme: LandmarkScheme, **settings):
             model = train_linear_svm(stack, config.svm_config)
             accuracy[lv, run] = training_accuracy(model, stack)
             weights[run], biases[run] = _fold(model, mean, std)
-        asm_stats.append(_joined(stats, config.variance_fraction))
-        svms.append(LinearSvmModel(weights, biases))
+        level_models.append(LevelModel(classic, _joined(stats, config.variance_fraction),
+                                       LinearSvmModel(weights, biases)))
     accuracy.setflags(write=False)
 
     bundle = ModelBundle(
         scheme=scheme,
         shape_model=shape_model,
-        classic_profiles=ProfileModel("one_d", (config.classic_length,) * levels,
-                                      tuple(classic_stats)),
-        asm_profiles=ProfileModel("two_d", config.profile_lengths, tuple(asm_stats)),
-        svms=tuple(svms),
+        levels=tuple(level_models),
         fit_defaults=config.fit_config,
         train_meta={
             "seed": config.seed,

@@ -78,7 +78,7 @@ def test_train_prints_profile_ranks_beside_modes(cli_env, tmp_path, capsys):
     bundle = load_bundle(tmp_path / "m.asmb")
     assert modes == f"modes: {bundle.shape_model.num_modes}"
     assert ranks.split(": ") == ["profile ranks per level",
-                                 " ".join(str(stats.rank) for stats in bundle.asm_profiles.stats)]
+                                 " ".join(str(lv.asm.rank) for lv in bundle.levels)]
 
 
 @pytest.mark.parametrize("extra, negatives, levels", [({}, 1632, 3),
@@ -268,6 +268,22 @@ def test_readme_config_block_gives_the_defaults(tmp_path):
     assert TrainConfig(**settings) == TrainConfig()
 
 
+def test_readme_bundle_sample_runs_on_a_trained_bundle(cli_env):
+    """README's Python sample of a level's stacked models runs as written,
+    with `bundle` a trained bundle, and computes what its comments say."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    [sample] = [block.split("```", 1)[0] for block in readme.split("```python\n")[1:]
+                if "bundle.levels" in block.split("```", 1)[0]]
+    bundle = load_bundle(cli_env["bundle"])
+    names = {"bundle": bundle}
+    exec(compile(sample, "README.md", "exec"), names)
+    level = bundle.levels[names["level"]]
+    assert names["svm"] is level.svms and names["stats"] is level.asm
+    assert names["accepted"].shape == names["costs"].shape == (1,)
+    assert np.array_equal(names["same"] >= 0, names["accepted"])
+    assert names["some"].shape == (3,)
+
+
 def test_overflowing_c_penalty_fails_training_in_one_line(cli_env, tmp_path, capsys,
                                                           monkeypatch):
     """A positive, finite c_penalty whose Newton ridge 0.5 / c_penalty
@@ -333,7 +349,8 @@ def test_integral_real_settings_train_the_same_bundle(cli_env, tmp_path):
     {"c": 10**400}, {"negatives_per_positive": 0}, {"profile_lengths": [3, 7.5, 15]},
     {"seed": -1}, {"eps": -1}, {"eps": float("nan")}, {"variance_fraction": 2.0},
     {"variance_fraction": -1}, {"clamp_alpha": -3}, {"clamp_alpha": 0},
-    {"c": float("inf")},
+    {"c": float("inf")}, {"convergence": True}, {"svm": {"c_penalty": True}},
+    {"variance_fraction": True}, {"canny_low": False},
 ])
 def test_mistyped_train_setting_fails_before_training(cli_env, tmp_path, capsys, monkeypatch,
                                                       config):

@@ -11,13 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import MALFORMED_SCHEMES, planted, reseal, with_fit_default
+from conftest import MALFORMED_SCHEMES, planted, reseal, stacked_stats, with_fit_default
 from reference_profiles import single_contour_scheme
 from asmfit.cli import truth_box
 from asmfit.dataset_io import (
     BUNDLE_MAGIC,
     BUNDLE_VERSION,
     AnnotatedSample,
+    LevelModel,
+    ModelBundle,
     discover_pairs,
     load_annotated,
     load_bundle,
@@ -34,8 +36,10 @@ from asmfit.errors import (
     BundleCorruptionError,
     BundleVersionError,
     DatasetError,
+    DimensionMismatchError,
     PgmDecodeError,
     PointsParseError,
+    ShapeArityError,
     SplitError,
 )
 from asmfit.imaging import GrayImage, build_pyramid
@@ -215,6 +219,55 @@ def saved_bundle(trained, tmp_path_factory):
     return bundle, path
 
 
+def test_level_model_validation(saved_bundle):
+    """A level's sizes are its statistics' dimensions: an odd profile length
+    and an odd window side, both >= 3, and a square window. Its statistics
+    and SVMs stack one model per landmark, and a bundle's levels cover the
+    scheme's landmarks, one level per configured level. A size that is not
+    an integer cannot arise in memory; a bundle header that stores one is
+    corruption (test_bundle_rejects_mistyped_profile_sizes)."""
+    def stats(dim, k=1):
+        return stacked_stats([ProfileStats(np.zeros(dim), np.eye(dim), eps=1e-3)] * k)
+
+    def svms(dim, k=1):
+        return LinearSvmModel(np.zeros((k, dim)), np.zeros(k))
+
+    level = LevelModel(stats(5), stats(9), svms(9))
+    assert (level.classic_length, level.window_side) == (5, 3)
+    for classic, asm, name, size in ((4, 9, "profile length", 4), (1, 9, "profile length", 1),
+                                     (3, 16, "window side", 4), (3, 1, "window side", 1)):
+        with pytest.raises(ShapeArityError, match=rf"^{name} must be odd and >= 3, got {size}$"):
+            LevelModel(stats(classic), stats(asm), svms(asm))
+    for asm in (3, 8, 15):  # not a square window: 1-D statistics in the 2-D slot
+        with pytest.raises(DimensionMismatchError,
+                           match=rf"^window dimension {asm} is not a square$"):
+            LevelModel(stats(3), stats(asm), svms(asm))
+    unstacked = ProfileStats(np.zeros(9), np.eye(9), eps=1e-3)
+    for classic, asm, model in (
+        (ProfileStats(np.zeros(3), np.eye(3), eps=1e-3), stats(9), svms(9)),  # not stacked
+        (stats(3), unstacked, LinearSvmModel(np.zeros(9), 0.0)),
+        (stats(3, k=2), stats(9), svms(9)),  # 2 and 1 landmarks
+        (stats(3), stats(9, k=2), svms(9, k=2)),
+        (stats(3), stats(9), svms(9, k=2)),
+        (stats(3), stats(9), svms(8)),
+    ):
+        with pytest.raises(DimensionMismatchError, match="do not stack one model per landmark$"):
+            LevelModel(classic, asm, model)
+
+    bundle, _ = saved_bundle
+    fields = {name: getattr(bundle, name)
+              for name in ("scheme", "shape_model", "levels", "fit_defaults", "train_meta")}
+    assert list(fields) == [f.name for f in dataclasses.fields(ModelBundle)]
+    assert ModelBundle(**fields).levels == bundle.levels
+    assert ModelBundle(**{**fields, "levels": list(bundle.levels)}).levels == bundle.levels
+    two_landmarks = LevelModel(stats(15, k=2), stats(225, k=2), svms(225, k=2))
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^landmarks: scheme 68, shape model and levels \[68, 68, 68, 2\]$"):
+        ModelBundle(**{**fields, "levels": bundle.levels[:2] + (two_landmarks,)})
+    with pytest.raises(DimensionMismatchError, match="^bundle holds 2 levels, fit defaults 3$"):
+        ModelBundle(**{**fields, "levels": bundle.levels[:2]})
+
+
 def test_bundle_round_trip(saved_bundle):
     bundle, path = saved_bundle
     loaded = load_bundle(path)
@@ -223,20 +276,18 @@ def test_bundle_round_trip(saved_bundle):
                           bundle.shape_model.mean_shape.points)
     assert np.array_equal(loaded.shape_model.modes, bundle.shape_model.modes)
     assert np.array_equal(loaded.shape_model.eigenvalues, bundle.shape_model.eigenvalues)
-    for got_pm, want_pm in ((loaded.classic_profiles, bundle.classic_profiles),
-                            (loaded.asm_profiles, bundle.asm_profiles)):
-        assert got_pm.kind == want_pm.kind
-        assert got_pm.sizes == want_pm.sizes
-        assert len(got_pm.stats) == len(want_pm.stats)
-        for got, want in zip(got_pm.stats, want_pm.stats):
+    assert len(loaded.levels) == len(bundle.levels)
+    for got_lv, want_lv in zip(loaded.levels, bundle.levels):
+        assert got_lv.classic_length == want_lv.classic_length
+        assert got_lv.window_side == want_lv.window_side
+        for kind in ("classic", "asm"):
+            got, want = getattr(got_lv, kind), getattr(want_lv, kind)
             assert np.array_equal(got.mean, want.mean)
             assert np.array_equal(got.basis, want.basis)
             assert np.array_equal(got.lam, want.lam)
             assert np.array_equal(got.rho, want.rho)
-    assert len(loaded.svms) == len(bundle.svms)
-    for got, want in zip(loaded.svms, bundle.svms):
-        assert np.array_equal(got.weights, want.weights)
-        assert np.array_equal(got.bias, want.bias)
+        assert np.array_equal(got_lv.svms.weights, want_lv.svms.weights)
+        assert np.array_equal(got_lv.svms.bias, want_lv.svms.bias)
     assert loaded.fit_defaults == bundle.fit_defaults
     assert loaded.train_meta == bundle.train_meta
 
@@ -253,9 +304,9 @@ def test_loaded_arrays_are_read_only_views_of_the_file(saved_bundle):
     """The models keep the loader's arrays as they are: each one is a
     read-only view of the file's bytes, not a copy."""
     loaded = load_bundle(saved_bundle[1])
-    arrays = [st.basis for st in loaded.asm_profiles.stats]
-    arrays += [st.mean for st in loaded.classic_profiles.stats]
-    arrays += [model.weights for model in loaded.svms]
+    arrays = [lv.asm.basis for lv in loaded.levels]
+    arrays += [lv.classic.mean for lv in loaded.levels]
+    arrays += [lv.svms.weights for lv in loaded.levels]
     for arr in arrays:
         assert arr.flags.writeable is False
         assert not arr.flags.owndata
@@ -278,18 +329,18 @@ def test_asm_means_and_bases_are_float32_everything_else_float64(saved_bundle):
     loaded = load_bundle(path)
     f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
     for model in (bundle, loaded):
-        for st in model.asm_profiles.stats:
+        for lv in model.levels:
+            st = lv.asm
             assert (st.mean.dtype, st.basis.dtype) == (f32, f32)
             assert {st.lam.dtype, st.rho.dtype, st.weights.dtype} == {f64}
-        for st in model.classic_profiles.stats:
+            st = lv.classic
             assert {st.mean.dtype, st.basis.dtype, st.lam.dtype, st.rho.dtype} == {f64}
-        for svm in model.svms:
-            assert {svm.weights.dtype, svm.bias.dtype} == {f64}
+            assert {lv.svms.weights.dtype, lv.svms.bias.dtype} == {f64}
         sm = model.shape_model
         assert {sm.mean_shape.points.dtype, sm.modes.dtype, sm.eigenvalues.dtype} == {f64}
     data = path.read_bytes()
-    for st in loaded.asm_profiles.stats:
-        for arr in (st.mean, st.basis):
+    for lv in loaded.levels:
+        for arr in (lv.asm.mean, lv.asm.basis):
             assert arr.flags.writeable is False and not arr.flags.owndata
             assert _buffer_of(arr) == data
 
@@ -337,7 +388,7 @@ def test_bundle_load_peaks_under_one_and_a_half_file_sizes(fit_256_bundle):
     finally:
         tracemalloc.stop()
     assert size > 2_600_000
-    assert loaded.asm_profiles.stats[-1].basis.shape == (68, 225, 27)
+    assert loaded.levels[-1].asm.basis.shape == (68, 225, 27)
     assert peak < 1.5 * size
 
 
@@ -426,26 +477,55 @@ def test_bundle_rejects_mistyped_fit_defaults(saved_bundle, tmp_path, name, valu
         load_bundle(path)
 
 
+# Stored sizes no writer of the arrays above gives: floats, a str, bools,
+# other sizes, one level too few or too many, and no list at all.
+BAD_SIZES = [
+    ("asm", [3.0, 7.0, 15.0]), ("asm", [3, 7.0, 15]), ("classic", [15.0, 15.0, 15.0]),
+    ("asm", ["3", 7, 15]), ("asm", [True, 7, 15]), ("classic", [15, 15, True]),
+    ("asm", [3, 7, 13]), ("classic", [15, 15]), ("asm", [3, 7, 15, 31]), ("asm", "3 7 15"),
+    ("asm", None), ("classic", 15),
+]
+
+
 def test_bundle_rejects_mistyped_profile_sizes(saved_bundle, tmp_path):
-    """The trained sizes are the bundle's one record of each level's profile
-    size; sizes that are not integers are corruption."""
-    bundle, _ = saved_bundle
+    """The header restates each level's profile length and window side, which
+    the arrays set; a stored size that is not an int (a float or a bool), or
+    sizes that disagree with the arrays, are corruption."""
+    _, source = saved_bundle
     path = tmp_path / "mistyped.asmb"
-    sizes = tuple(float(size) for size in bundle.asm_profiles.sizes)
-    save_bundle(planted(bundle, asm_profiles=planted(bundle.asm_profiles, sizes=sizes)), path)
-    want = rf"malformed bundle field: profile sizes\[0\] must be an integer, got {sizes[0]}$"
-    with pytest.raises(BundleCorruptionError, match=want):
-        load_bundle(path)
+    for kind, sizes in BAD_SIZES:
+        path.write_bytes(_edited(source.read_bytes(),
+                                 lambda header: header["profiles"][kind].update(sizes=sizes)))
+        want = {"classic": [15, 15, 15], "asm": [3, 7, 15]}[kind]
+        with pytest.raises(BundleCorruptionError, match=re.escape(
+                f"mistyped.asmb: profiles.{kind}.sizes {sizes!r} are not {want}") + "$"):
+            load_bundle(path)
+
+
+def _swap_profiles(header):
+    profiles = header["profiles"]
+    profiles["classic"], profiles["asm"] = profiles["asm"], profiles["classic"]
+
+
+def _asm_arrays_as_classic(header):
+    profiles = header["profiles"]
+    profiles["classic"] = {**profiles["asm"], "sizes": profiles["classic"]["sizes"]}
 
 
 def test_bundle_rejects_two_d_statistics_in_classic_slot(saved_bundle, tmp_path):
-    """The slot fixes a profile model's kind: 2-D statistics stored as the
-    classic model do not load."""
-    bundle, _ = saved_bundle
+    """The slot fixes a statistic's kind: 2-D statistics stored as the
+    classic ones do not load, whether the two kinds trade places or the 2-D
+    arrays fill the classic slot under its own sizes."""
+    _, source = saved_bundle
     path = tmp_path / "swapped.asmb"
-    save_bundle(dataclasses.replace(bundle, classic_profiles=bundle.asm_profiles), path)
-    with pytest.raises(BundleCorruptionError, match="stats dim 9 does not match"):
-        load_bundle(path)
+    for edit, want in (
+        (_swap_profiles, "malformed bundle field: window dimension 15 is not a square$"),
+        (_asm_arrays_as_classic,
+         re.escape("profiles.classic.sizes [15, 15, 15] are not [9, 49, 225]") + "$"),
+    ):
+        path.write_bytes(_edited(source.read_bytes(), edit))
+        with pytest.raises(BundleCorruptionError, match=want):
+            load_bundle(path)
 
 
 def test_bundle_load_builds_one_stacked_model_per_level(saved_bundle, monkeypatch):
@@ -469,12 +549,12 @@ def _changed(values, index, value):
     return out
 
 
-# (model, field, damage) applied to level 0's stacked arrays, and the check that must fire.
+# (level-0 model, field, damage) applied to its stacked arrays, and the check that must fire.
 STACK_DEFECTS = {
-    "rhos-one-short": ("stats", "rho", lambda a: a[:-1], "ridge"),
-    "bases-other-rank": ("stats", "basis", lambda a: a[..., :-1], "eigenvalues"),
-    "negative-lam": ("stats", "lam", lambda a: _changed(a, (3, 0), -1.0), "non-negative"),
-    "nan-rho": ("stats", "rho", lambda a: _changed(a, 5, np.nan), "ridge must be"),
+    "rhos-one-short": ("asm", "rho", lambda a: a[:-1], "ridge"),
+    "bases-other-rank": ("asm", "basis", lambda a: a[..., :-1], "eigenvalues"),
+    "negative-lam": ("asm", "lam", lambda a: _changed(a, (3, 0), -1.0), "non-negative"),
+    "nan-rho": ("asm", "rho", lambda a: _changed(a, 5, np.nan), "ridge must be"),
     "biases-one-short": ("svms", "bias", lambda a: a[:-1], "do not pair"),
     "weights-wrong-dim": ("svms", "weights", lambda a: a[:, :-1], "SVM weights"),
     "infinite-bias": ("svms", "bias", lambda a: _changed(a, 7, np.inf), "finite"),
@@ -487,13 +567,10 @@ def test_bundle_rejects_mismatched_stacked_arrays(saved_bundle, tmp_path, defect
     writes, make the bundle corrupt."""
     bundle, _ = saved_bundle
     model, name, damage, expect = STACK_DEFECTS[defect]
-    if model == "stats":
-        pm = bundle.asm_profiles
-        level0 = planted(pm.stats[0], **{name: damage(getattr(pm.stats[0], name))})
-        bad = planted(bundle, asm_profiles=planted(pm, stats=(level0,) + pm.stats[1:]))
-    else:
-        level0 = planted(bundle.svms[0], **{name: damage(getattr(bundle.svms[0], name))})
-        bad = planted(bundle, svms=(level0,) + bundle.svms[1:])
+    part = getattr(bundle.levels[0], model)
+    damaged = planted(part, **{name: damage(getattr(part, name))})
+    level0 = planted(bundle.levels[0], **{model: damaged})
+    bad = planted(bundle, levels=(level0,) + bundle.levels[1:])
     path = tmp_path / "mismatched.asmb"
     save_bundle(bad, path)
     with pytest.raises(BundleCorruptionError, match=expect):
@@ -523,7 +600,7 @@ def test_classic_fit_defaults_round_trip_and_give_each_mode(faces96, tmp_path):
         fit_config=FitConfig(levels=2, mode="classic"),
         svm_config=SvmTrainConfig(epochs=2), classic_length=5,
     )
-    assert bundle.asm_profiles.sizes == (3, 7)
+    assert [(lv.classic_length, lv.window_side) for lv in bundle.levels] == [(5, 3), (5, 7)]
     path = tmp_path / "classic.asmb"
     save_bundle(bundle, path)
     loaded = load_bundle(path)
@@ -705,8 +782,11 @@ def test_bundle_rejects_mistyped_scheme_group(small_bundle_bytes, tmp_path, grou
         load_bundle(bad)
 
 
+# A bool or a str is no real number, though true stands for 1 in range.
 @pytest.mark.parametrize("name, value", [("clamp_alpha", -1), ("clamp_alpha", 0),
-                                         ("variance_fraction", 1.5), ("variance_fraction", 0)])
+                                         ("variance_fraction", 1.5), ("variance_fraction", 0),
+                                         ("variance_fraction", True), ("clamp_alpha", True),
+                                         ("variance_fraction", "0.9")])
 def test_bundle_rejects_out_of_range_shape_limits(small_bundle_bytes, tmp_path, name, value):
     def edit(header):
         header["shape_model"][name] = value
@@ -772,9 +852,8 @@ def test_odd_float32_arrays_are_padded_so_every_array_stays_aligned(faces96, tmp
         assert offset - end == (4 if end % 8 else 0)
         assert data[start + end:start + offset] == bytes(offset - end)
     loaded = load_bundle(path)
-    for got_pm, want_pm in ((loaded.classic_profiles, bundle.classic_profiles),
-                            (loaded.asm_profiles, bundle.asm_profiles)):
-        for got, want in zip(got_pm.stats, want_pm.stats):
+    for got_lv, want_lv in zip(loaded.levels, bundle.levels, strict=True):
+        for got, want in ((got_lv.classic, want_lv.classic), (got_lv.asm, want_lv.asm)):
             for name in ("mean", "basis", "lam", "rho"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -342,6 +342,13 @@ def test_canny_threshold_validation():
                                                  r"canny_high finite, got low=.* high=inf$"):
             canny_edges(img, low, high)
     assert issubclass(ThresholdError, ShapeArityError)
+    # A threshold that is not a real number, a bool among them, is refused by
+    # FitConfig's name before any comparison.
+    for value in ("50", None, True):
+        want = f"must be a real number, got {re.escape(repr(value))}$"
+        for low, high, name in ((value, 150.0, "canny_low"), (50.0, value, "canny_high")):
+            with pytest.raises(ShapeArityError, match=f"^{name} {want}"):
+                canny_edges(img, low, high)
 
 
 def test_context_images_equal_oracles_on_face_pyramids(trained):

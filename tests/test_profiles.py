@@ -13,7 +13,6 @@ from asmfit.errors import (
 from asmfit.imaging import GrayImage, sample_bilinear
 from asmfit.profiles import (
     Profile,
-    ProfileModel,
     ProfileStats,
     edge_weighted_cost,
     landmark_normals,
@@ -104,6 +103,10 @@ def test_profile_stats_dimension_checks():
         ProfileStats(np.zeros(2), basis=np.eye(3), lam=np.ones(3), rho=0.1)
     with pytest.raises(DimensionMismatchError):
         ProfileStats(np.zeros(2), basis=np.eye(2), lam=np.ones(3), rho=0.1)
+    # a level's stack holds one rank: rank-1 eigenvalues do not fit rank-3 bases
+    with pytest.raises(DimensionMismatchError):
+        ProfileStats(np.zeros((2, 3)), basis=np.tile(np.eye(3), (2, 1, 1)), lam=np.ones((2, 1)),
+                     rho=np.full(2, 0.1))
 
 
 def test_profile_stats_factor_validation():
@@ -127,38 +130,6 @@ def test_profile_stats_factor_validation():
         ProfileStats(np.zeros(2), np.eye(2))  # the covariance form has no default eps
     with pytest.raises(TypeError):
         ProfileStats(np.zeros(2), basis=np.eye(2), lam=[1.0, 1.0])
-
-
-def test_profile_model_validation():
-    def make_stats(dim, k=1):
-        return stacked_stats([ProfileStats(np.zeros(dim), np.eye(dim), eps=1e-3)] * k)
-
-    model = ProfileModel("one_d", (3, 5), (make_stats(3), make_stats(5)))
-    assert model.levels == 2
-    assert model.n_landmarks == 1
-    with pytest.raises(ShapeArityError):
-        ProfileModel("radial", (3,), (make_stats(3),))
-    with pytest.raises(ShapeArityError, match=r"^profile sizes\[0\] must be odd and >= 3, got 4$"):
-        ProfileModel("one_d", (4,), (make_stats(4),))
-    with pytest.raises(ShapeArityError, match=r"^profile sizes\[1\] must be odd and >= 3, got 4$"):
-        ProfileModel("one_d", (3, 4), (make_stats(3), make_stats(4)))
-    for sizes in ((3.0,), ("3",), (True,)):  # integers only, never truncated
-        want = rf"^profile sizes\[0\] must be an integer, got {re.escape(repr(sizes[0]))}$"
-        with pytest.raises(ShapeArityError, match=want):
-            ProfileModel("one_d", sizes, (make_stats(3),))
-    with pytest.raises(DimensionMismatchError):
-        ProfileModel("one_d", (3, 5), (make_stats(3),))
-    with pytest.raises(DimensionMismatchError):
-        ProfileModel("two_d", (3,), (make_stats(3),))  # needs dim 9
-    with pytest.raises(DimensionMismatchError):
-        ProfileModel("one_d", (3, 5), (make_stats(3, k=2), make_stats(5)))  # 2 and 1 landmarks
-    with pytest.raises(DimensionMismatchError):
-        # not stacked
-        ProfileModel("one_d", (3,), (ProfileStats(np.zeros(3), np.eye(3), eps=1e-3),))
-    # a level's stack holds one rank: rank-1 eigenvalues do not fit rank-3 bases
-    with pytest.raises(DimensionMismatchError):
-        ProfileStats(np.zeros((2, 3)), basis=np.tile(np.eye(3), (2, 1, 1)), lam=np.ones((2, 1)),
-                     rho=np.full(2, 0.1))
 
 
 @pytest.mark.parametrize("m", [5, 12], ids=["svd-rank-m-1", "eigh-full-rank"])

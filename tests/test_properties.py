@@ -93,13 +93,14 @@ SVM_FLOATS = st.one_of(
 @PROPERTY
 @given(data=st.data())
 def test_bundle_svm_parameters_round_trip_bit_for_bit(scratch, tiny_bundle, data):
-    weights = [data.draw(arrays(np.float64, (6, size * size), elements=SVM_FLOATS))
-               for size in tiny_bundle.asm_profiles.sizes]
+    weights = [data.draw(arrays(np.float64, (6, lv.window_side**2), elements=SVM_FLOATS))
+               for lv in tiny_bundle.levels]
     biases = [data.draw(arrays(np.float64, 6, elements=SVM_FLOATS)) for _ in weights]
-    svms = tuple(LinearSvmModel(w, b) for w, b in zip(weights, biases))
-    save_bundle(dataclasses.replace(tiny_bundle, svms=svms), scratch)
-    loaded = load_bundle(scratch).svms
-    for w, b, model in zip(weights, biases, loaded):
+    levels = tuple(dataclasses.replace(lv, svms=LinearSvmModel(w, b))
+                   for lv, w, b in zip(tiny_bundle.levels, weights, biases))
+    save_bundle(dataclasses.replace(tiny_bundle, levels=levels), scratch)
+    loaded = [lv.svms for lv in load_bundle(scratch).levels]
+    for w, b, model in zip(weights, biases, loaded, strict=True):
         assert model.weights.tobytes() == w.tobytes()
         assert model.bias.tobytes() == b.tobytes()
 
@@ -119,34 +120,34 @@ F32_FLOATS = st.one_of(
 )
 
 
-def draw_profile_arrays(data, pm):
-    """Per level (means, bases, lams, rhos) of a drawn rank, shaped for pm.
-    The means and bases of 2-D statistics are float32, as training stores
-    them, or float64, as another writer may; lams and rhos are float64."""
-    k = pm.n_landmarks
+def draw_profile_arrays(data, levels, kind):
+    """Per level (means, bases, lams, rhos) of a drawn rank, shaped like the
+    levels' `kind` statistics, classic or asm. The means and bases of 2-D
+    (asm) statistics are float32, as training stores them, or float64, as
+    another writer may; lams and rhos are float64."""
     kept = np.float64
-    if pm.kind == "two_d":
+    if kind == "asm":
         kept = data.draw(st.sampled_from([np.float32, np.float64]))
     elements = F32_FLOATS if kept == np.float32 else SVM_FLOATS
-    levels = []
-    for size in pm.sizes:
-        d = size if pm.kind == "one_d" else size * size
+    drawn = []
+    for lv in levels:
+        k, d = getattr(lv, kind).mean.shape
         r = data.draw(st.integers(1, d))
         lams = data.draw(arrays(np.float64, (k, r), elements=NONNEGATIVE_FLOATS))
         rhos = data.draw(arrays(np.float64, k, elements=NONNEGATIVE_FLOATS))
         # A zero ridge needs a full-rank, non-singular factor.
         rhos[(rhos == 0) & ~((r == d) & lams.all(axis=1))] = 5e-324
-        levels.append((data.draw(arrays(kept, (k, d), elements=elements)),
-                       data.draw(arrays(kept, (k, d, r), elements=elements)),
-                       lams, rhos))
-    return levels
+        drawn.append((data.draw(arrays(kept, (k, d), elements=elements)),
+                      data.draw(arrays(kept, (k, d, r), elements=elements)),
+                      lams, rhos))
+    return drawn
 
 
 @PROPERTY
 @given(data=st.data())
 def test_bundle_statistics_and_shape_model_round_trip_bit_for_bit(scratch, tiny_bundle, data):
-    drawn = {name: draw_profile_arrays(data, getattr(tiny_bundle, name))
-             for name in ("classic_profiles", "asm_profiles")}
+    drawn = {kind: draw_profile_arrays(data, tiny_bundle.levels, kind)
+             for kind in ("classic", "asm")}
     t = data.draw(st.integers(0, 4))
     mean = data.draw(arrays(np.float64, (6, 2), elements=SVM_FLOATS))
     modes = data.draw(arrays(np.float64, (12, t), elements=SVM_FLOATS))
@@ -159,19 +160,18 @@ def test_bundle_statistics_and_shape_model_round_trip_bit_for_bit(scratch, tiny_
                   st.sampled_from([5e-324, 1.7976931348623157e308])),
     ))
     with np.errstate(over="ignore", divide="ignore"):  # 1 / (lam + rho) may overflow
-        profiles = {
-            name: dataclasses.replace(getattr(tiny_bundle, name), stats=tuple(
-                ProfileStats(m, basis=b, lam=lam, rho=rho) for m, b, lam, rho in levels))
-            for name, levels in drawn.items()
-        }
+        levels = tuple(
+            dataclasses.replace(lv, **{kind: ProfileStats(m, basis=b, lam=lam, rho=rho)
+                                       for kind, (m, b, lam, rho) in zip(drawn, level)})
+            for lv, level in zip(tiny_bundle.levels, zip(*drawn.values()), strict=True))
         shape_model = ShapeModel(Shape(mean), modes, eigenvalues, *scalars)
-        save_bundle(dataclasses.replace(tiny_bundle, shape_model=shape_model, **profiles),
+        save_bundle(dataclasses.replace(tiny_bundle, shape_model=shape_model, levels=levels),
                     scratch)
         loaded = load_bundle(scratch)
-    for name, levels in drawn.items():
-        for level, stats in zip(levels, getattr(loaded, name).stats):
+    for kind, levels in drawn.items():
+        for level, lv in zip(levels, loaded.levels, strict=True):
             for want, attr in zip(level, ("mean", "basis", "lam", "rho")):
-                got = getattr(stats, attr)
+                got = getattr(getattr(lv, kind), attr)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     sm = loaded.shape_model
     assert sm.mean_shape.points.tobytes() == mean.tobytes()

@@ -110,7 +110,7 @@ def test_fit_config_validation():
 @pytest.mark.parametrize("name, value", [
     ("levels", True), ("levels", 3.0), ("search_radius", 3.0), ("max_iters_per_level", 20.0),
     ("max_iters_per_level", False), ("convergence", "0.9"), ("c", None), ("canny_low", "x"),
-    ("canny_high", [150.0]),
+    ("canny_high", [150.0]), ("convergence", True), ("canny_low", False), ("c", True),
 ])
 def test_fit_config_rejects_mistyped_values(name, value):
     with pytest.raises(ShapeArityError, match=f"{name} must be"):
@@ -851,10 +851,10 @@ def test_classic_context_computes_no_equalization_sobel_or_canny(trained, monkey
         monkeypatch.setattr(search, name, refuse)
     for level in range(cfg.levels):
         ctx = build_level_context(bundle, pyr[level], level, cfg)
-        assert ctx.size == bundle.classic_profiles.sizes[level]
+        assert ctx.size == bundle.levels[level].classic_length == 15
         assert ctx.raw is pyr[level]
         assert ctx.magnitude is None and ctx.edge_map is None and ctx.svms is None
-        assert ctx.stats == bundle.classic_profiles.stats[level]
+        assert ctx.stats == bundle.levels[level].classic
     init = init_shape_from_box(bundle.shape_model, truth_box(sample.shape, 0.10))
     assert np.isfinite(fit(pyr, bundle, init, cfg).shape.points).all()
     # the patch is live: an asm_svm context does reach it
@@ -882,7 +882,7 @@ def test_asm_svm_context_holds_gradients_edges_and_svms(trained, monkeypatch):
         monkeypatch.setattr(search, "canny_edges", counted if level else refuse)
         image = pyr[level]
         ctx = build_level_context(bundle, image, level, cfg)
-        assert ctx.size == bundle.asm_profiles.sizes[level]
+        assert ctx.size == bundle.levels[level].window_side == (3, 7, 15)[level]
         equalized = equalize_histogram(image)
         assert ctx.raw is image
         assert np.array_equal(ctx.magnitude, sobel_gradients(equalized).magnitude)
@@ -891,8 +891,8 @@ def test_asm_svm_context_holds_gradients_edges_and_svms(trained, monkeypatch):
                                   canny_edges(equalized, cfg.canny_low, cfg.canny_high))
         else:
             assert ctx.edge_map is None
-        assert ctx.svms == bundle.svms[level]
-        assert ctx.stats == bundle.asm_profiles.stats[level]
+        assert ctx.svms == bundle.levels[level].svms
+        assert ctx.stats == bundle.levels[level].asm
     assert calls == [pyr[1].pixels.shape, pyr[2].pixels.shape]
 
     calls.clear()

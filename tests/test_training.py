@@ -52,14 +52,15 @@ def test_bundle_covers_every_level_and_landmark(trained):
     bundle, _, _ = trained
     n = DEFAULT_SCHEME.total
     levels = bundle.fit_defaults.levels
-    assert bundle.asm_profiles.sizes == (3, 7, 15)
-    assert bundle.classic_profiles.sizes == (15, 15, 15)
-    assert bundle.asm_profiles.n_landmarks == n
-    assert len(bundle.svms) == levels
-    assert all(model.weights.shape[0] == n and model.bias.shape == (n,) for model in bundle.svms)
+    assert [lv.window_side for lv in bundle.levels] == [3, 7, 15]
+    assert [lv.classic_length for lv in bundle.levels] == [15, 15, 15]
+    assert all(lv.asm.mean.shape[0] == lv.classic.mean.shape[0] == n for lv in bundle.levels)
+    assert len(bundle.levels) == levels
+    assert all(lv.svms.weights.shape[0] == n and lv.svms.bias.shape == (n,)
+               for lv in bundle.levels)
     assert bundle.shape_model.num_modes > 0
     # 1-D statistics keep every pair: 6 faces give rank 5 of 15 dims.
-    assert [stats.rank for stats in bundle.classic_profiles.stats] == [5, 5, 5]
+    assert [lv.classic.rank for lv in bundle.levels] == [5, 5, 5]
 
 
 def test_summary_window_accounting(trained):
@@ -71,7 +72,7 @@ def test_summary_window_accounting(trained):
     meta = bundle.train_meta
     images = 6
     assert (meta["samples"], meta["negatives_per_positive"]) == (images, 4)
-    for level, size in enumerate(bundle.asm_profiles.sizes):
+    for level, size in enumerate(lv.window_side for lv in bundle.levels):
         dataset = [(sobel_gradients(equalize_histogram(build_pyramid(s.image, 3)[level]))
                     .magnitude, s.shape.points / 2.0**level) for s in faces[:images]]
         stack = build_landmark_training_set(
@@ -84,23 +85,22 @@ def test_summary_window_accounting(trained):
 
 def test_stats_match_configured_dims(trained):
     bundle, _, _ = trained
-    for level, size in enumerate(bundle.asm_profiles.sizes):
-        assert bundle.asm_profiles.stats[level].dim == size * size
-        assert bundle.svms[level].weights.shape == (68, size * size)
+    for level, size in enumerate((3, 7, 15)):
+        assert bundle.levels[level].asm.dim == size * size
+        assert bundle.levels[level].svms.weights.shape == (68, size * size)
     for level in range(3):
-        assert bundle.classic_profiles.stats[level].dim == 15
+        assert bundle.levels[level].classic.dim == 15
 
 
 def test_training_is_seed_deterministic(faces96):
     kwargs = dict(svm_config=SvmTrainConfig(epochs=5), seed=3)
     a, _ = train_bundle(faces96[:3], DEFAULT_SCHEME, **kwargs)
     b, _ = train_bundle(faces96[:3], DEFAULT_SCHEME, **kwargs)
-    assert np.array_equal(a.svms[0].weights[0], b.svms[0].weights[0])
-    assert np.array_equal(a.asm_profiles.stats[0].mean[5],
-                          b.asm_profiles.stats[0].mean[5])
+    assert np.array_equal(a.levels[0].svms.weights[0], b.levels[0].svms.weights[0])
+    assert np.array_equal(a.levels[0].asm.mean[5], b.levels[0].asm.mean[5])
     c, _ = train_bundle(faces96[:3], DEFAULT_SCHEME,
                         svm_config=SvmTrainConfig(epochs=5), seed=4)
-    assert not np.array_equal(a.svms[0].weights[0], c.svms[0].weights[0])
+    assert not np.array_equal(a.levels[0].svms.weights[0], c.levels[0].svms.weights[0])
 
 
 @pytest.mark.parametrize("c_penalty", [1e308, 1.7976931348623157e308])
@@ -232,7 +232,7 @@ def test_border_landmark_trains_with_clamped_windows(faces96):
         rows, mean, std = standardized(ts.features)
         ref = folded(train_linear_svm_reference(dataclasses.replace(ts, features=rows)),
                      mean, std)
-        model = bundle.svms[level]
+        model = bundle.levels[level].svms
         np.testing.assert_allclose(model.weights[landmark], ref.weights, rtol=1e-9)
         assert model.bias[landmark] == pytest.approx(ref.bias, rel=1e-9)
 
@@ -380,15 +380,14 @@ def test_profile_stats_equal_separate_pass_oracle(monkeypatch, width):
     monkeypatch.setattr(training, "_SVM_WIDTH", width)
     faces = generate_face_dataset(12, size=96, seed=9)
     bundle, _ = train_bundle(faces, DEFAULT_SCHEME, svm_config=SvmTrainConfig(epochs=1), seed=1)
-    profiles = bundle.asm_profiles
-    assert [profiles.stats[level].rank for level in range(3)] == [7, 11, 11]
+    assert [lv.asm.rank for lv in bundle.levels] == [7, 11, 11]
     fraction = bundle.train_meta["variance_fraction"]
-    for level, size in enumerate(profiles.sizes):
+    for level, size in enumerate(lv.window_side for lv in bundle.levels):
         ref = level_window_stats(faces, level, size, eps=bundle.train_meta["eps"])
         ref = ProfileStats(**leading_subspace(ref, subspace_rank(ref, fraction)))
         for name, dtype in (("mean", np.float32), ("basis", np.float32),
                             ("lam", np.float64), ("rho", np.float64)):
-            got, want = getattr(profiles.stats[level], name), getattr(ref, name).astype(dtype)
+            got, want = getattr(bundle.levels[level].asm, name), getattr(ref, name).astype(dtype)
             assert got.dtype == dtype and got.shape == want.shape, (level, name)
             assert got.tobytes() == want.tobytes(), (level, name)
 
@@ -402,7 +401,8 @@ def test_summary_accuracy_matches_per_landmark_oracle(trained):
     for level in range(bundle.fit_defaults.levels):
         for landmark in range(DEFAULT_SCHEME.total):
             ts = level_training_set(faces[:6], landmark, level, seed=0)
-            decision = decision_values(landmark_svm(bundle.svms[level], landmark), ts.features)
+            decision = decision_values(landmark_svm(bundle.levels[level].svms, landmark),
+                                       ts.features)
             want = np.mean(np.where(decision >= 0, 1.0, -1.0) == ts.labels)
             assert accuracy[level, landmark] == want, (level, landmark)
     assert accuracy[-1].min() > 0.5
@@ -439,7 +439,7 @@ def test_constant_window_dimension_gets_unit_std(faces96):
     assert np.all(std[constant] == 1.0)
     ref = train_linear_svm_reference(dataclasses.replace(ts, features=rows))
     want = folded(ref, mean, std)
-    model = bundle.svms[0]
+    model = bundle.levels[0].svms
     assert np.all(model.weights[0, constant] == 0.0)
     np.testing.assert_allclose(model.weights[0], want.weights, rtol=1e-9)
     assert model.bias[0] == pytest.approx(want.bias, rel=1e-9)
