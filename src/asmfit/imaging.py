@@ -86,7 +86,9 @@ def equalize_histogram(image: GrayImage) -> GrayImage:
     if total == cdf_min:
         return image
     lut = np.rint(255.0 * (cdf - cdf_min) / (total - cdf_min))
-    return GrayImage(lut.take(bins))
+    out = lut.take(bins)
+    out.setflags(write=False)  # owned here, so GrayImage keeps it without a copy
+    return GrayImage(out)
 
 
 def _sobel(pixels: np.ndarray):
@@ -244,6 +246,7 @@ def build_pyramid(image: GrayImage, levels: int) -> tuple:
         total /= 4
         # mean's sum starts from +0.0, so a block of four -0.0 averages to +0.0.
         total += 0.0
+        total.setflags(write=False)  # owned here, so GrayImage keeps it without a copy
         out.append(GrayImage(total))
     return tuple(out)
 

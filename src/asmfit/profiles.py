@@ -165,7 +165,7 @@ def landmark_normals(shape: Shape, scheme: LandmarkScheme) -> np.ndarray:
     return normal
 
 
-def _normalize_derivatives(diffs: np.ndarray) -> np.ndarray:
+def normalize_derivatives(diffs: np.ndarray) -> np.ndarray:
     """Divide rows by their absolute sum, in place; flat rows become zero rows."""
     norm = np.sum(np.abs(diffs), axis=-1, keepdims=True)
     flat = norm[..., 0] < _FLAT_SUM
@@ -175,15 +175,15 @@ def _normalize_derivatives(diffs: np.ndarray) -> np.ndarray:
     return diffs
 
 
-def profiles_1d_batch(
+def profile_derivatives(
     image: GrayImage, centers: np.ndarray, normals: np.ndarray, length: int
 ) -> np.ndarray:
-    """(..., length) normalized derivative profiles at unit spacing.
+    """(..., length) derivative profiles at unit spacing, not yet normalized.
 
     Samples length+1 points per row centered on each center, along the
-    matching normal, then differences and abs-sum-normalizes. centers is
-    (..., 2) and normals (..., 2) broadcasts against it, so one normal can
-    serve a landmark's whole (k, m, 2) grid of candidate centers.
+    matching normal, then differences them. centers is (..., 2) and normals
+    (..., 2) broadcasts against it, so one normal can serve a landmark's
+    whole (k, m, 2) grid of candidate centers.
     """
     check_odd_size("profile length", length)
     centers = np.asarray(centers, dtype=float)
@@ -191,8 +191,15 @@ def profiles_1d_batch(
     offsets = np.arange(length + 1) - length / 2.0
     xs = centers[..., 0:1] + offsets * normals[..., 0:1]
     ys = centers[..., 1:2] + offsets * normals[..., 1:2]
-    samples = sample_bilinear(image, xs, ys)
-    return _normalize_derivatives(np.diff(samples, axis=-1))
+    return np.diff(sample_bilinear(image, xs, ys), axis=-1)
+
+
+def profiles_1d_batch(
+    image: GrayImage, centers: np.ndarray, normals: np.ndarray, length: int
+) -> np.ndarray:
+    """(..., length) profile_derivatives, each row divided by its absolute sum
+    (normalize_derivatives)."""
+    return normalize_derivatives(profile_derivatives(image, centers, normals, length))
 
 
 def normalize_windows(flat: np.ndarray, mode: str, q: float = None,
@@ -217,6 +224,28 @@ def normalize_windows(flat: np.ndarray, mode: str, q: float = None,
         out[is_flat] = 1.0 / flat.shape[-1]
         return out
     raise ShapeArityError(f"unknown 2-D normalization {mode!r}")
+
+
+def homogeneous_rows(rows: np.ndarray, *, absolute: bool) -> tuple:
+    """(rows, sums) on which a linear score of the sum-normalized rows runs
+    without dividing any row.
+
+    Sum normalization divides a row g by its sum s (normalize_windows'
+    "sum") or, when absolute, by its absolute sum (normalize_derivatives).
+    For s > 0, w.(g / s) + b has the sign of w.g + b*s, so
+    svm.decision_values(model, rows, owner, sums) gates the raw rows, and
+    only the rows it keeps need the division. A flat row, |s| < _FLAT_SUM,
+    normalizes to a constant row instead: the uniform vector, or zeros when
+    absolute. It is scored as that row with s = 1, in a copy of rows; with
+    no flat row, rows itself is returned.
+    """
+    sums = (np.abs(rows) if absolute else rows).sum(axis=-1)
+    flat = np.abs(sums) < _FLAT_SUM
+    if flat.any():
+        rows = rows.copy()
+        rows[flat] = 0.0 if absolute else 1.0 / rows.shape[-1]
+        sums[flat] = 1.0
+    return rows, sums
 
 
 def windows_batch(values: np.ndarray, centers: np.ndarray, size: int) -> np.ndarray:

@@ -5,7 +5,8 @@ scans the integer grid within a Chebyshev radius of its current position,
 scores candidates with the mode's profile cost (SVM-gated in asm_svm, and
 edge-weighted there at every level but the finest), and the whole shape is
 then pulled back onto the constrained shape model. Levels hand off by
-doubling coordinates.
+doubling coordinates. The asm_svm gate runs first, on the raw gradient
+windows, so only the candidates that compete are sum-normalized and scored.
 """
 
 from __future__ import annotations
@@ -29,10 +30,12 @@ from .imaging import GrayImage, canny_edges, equalize_histogram, sobel_gradients
 from .imaging import sample_bilinear  # noqa: F401 (perfbench/tracing.py:WRAPS wraps this name)
 from .profiles import (
     ProfileStats,
+    homogeneous_rows,
     landmark_normals,
     mahalanobis_batch,
+    normalize_derivatives,
     normalize_windows,
-    profiles_1d_batch,
+    profile_derivatives,
     windows_batch,
 )
 from .shape_model import Shape, ShapeModel, fit_params
@@ -164,12 +167,20 @@ def _candidate_grid(points: np.ndarray, radius: int):
 
 def _candidate_features(ctx: LevelContext, shape: Shape, centers: np.ndarray,
                         owner: np.ndarray) -> np.ndarray:
-    """(n, d) normalized feature rows of n candidates; centers is (n, 2) and
-    owner (n,) holds the landmark each candidate belongs to."""
+    """(n, d) feature rows of n candidates, not yet normalized (see
+    _normalized); centers is (n, 2) and owner (n,) holds the landmark each
+    candidate belongs to."""
     if ctx.magnitude is None:
         normals = landmark_normals(shape, ctx.scheme)[owner]
-        return profiles_1d_batch(ctx.raw, centers, normals, ctx.size)
-    rows = windows_batch(ctx.magnitude, centers, ctx.size)
+        return profile_derivatives(ctx.raw, centers, normals, ctx.size)
+    return windows_batch(ctx.magnitude, centers, ctx.size)
+
+
+def _normalized(ctx: LevelContext, rows: np.ndarray) -> np.ndarray:
+    """_candidate_features rows normalized in place, as training normalized
+    them: a 1-D profile by its absolute sum, a 2-D window by its sum."""
+    if ctx.magnitude is None:
+        return normalize_derivatives(rows)
     return normalize_windows(rows, "sum", out=rows)
 
 
@@ -178,10 +189,13 @@ def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig):
 
     Candidates within the Chebyshev search radius compete; when the
     context holds SVMs, only candidates the landmark's classifier accepts
-    do, falling back to all of them if none pass. Only the competing
-    candidates are scored by the Mahalanobis profile cost, weighted down on
-    edge pixels when the context holds an edge map. Ties break toward the
-    smaller displacement, then row-major candidate order.
+    do, falling back to all of them if none pass. The classifiers were
+    trained on normalized rows, but gate the raw ones: a row g with
+    normalizer s > 0 is accepted when w.g + b*s >= 0, the sign of
+    w.(g / s) + b (profiles.homogeneous_rows). Only the competing
+    candidates are normalized and scored by the Mahalanobis profile cost,
+    weighted down on edge pixels when the context holds an edge map. Ties
+    break toward the smaller displacement, then row-major candidate order.
 
     Returns (new Shape, per-landmark winning costs).
     """
@@ -197,7 +211,8 @@ def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig):
     owner = np.nonzero(allowed)[0]
     rows = _candidate_features(ctx, shape, np.stack([cx[allowed], cy[allowed]], axis=1), owner)
     if ctx.svms is not None:
-        accepted = decision_values(ctx.svms, rows, owner) >= 0
+        gated, sums = homogeneous_rows(rows, absolute=ctx.magnitude is None)
+        accepted = decision_values(ctx.svms, gated, owner, sums) >= 0
         # A landmark none of whose candidates its classifier accepts keeps them all.
         passed = np.zeros(k, dtype=bool)
         passed[owner[accepted]] = True
@@ -205,6 +220,7 @@ def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig):
         allowed[allowed] = keep
         rows = rows[keep]
         owner = owner[keep]
+    rows = _normalized(ctx, rows)
 
     # Only the competing candidates are scored, each landmark against its own statistics.
     costs = np.full((k, m), np.inf)

@@ -252,7 +252,7 @@ def training_accuracy(model: LinearSvmModel, train_set: LandmarkTrainingSet) -> 
     return np.mean(np.where(decision >= 0, 1.0, -1.0) == train_set.labels, axis=1)
 
 
-def decision_values(model: LinearSvmModel, rows: np.ndarray, owner=None) -> np.ndarray:
+def decision_values(model: LinearSvmModel, rows: np.ndarray, owner=None, sums=None) -> np.ndarray:
     """Decision values of an (m, d) feature matrix, (m,).
 
     One landmark's classifier scores every row. A stacked model needs
@@ -261,12 +261,23 @@ def decision_values(model: LinearSvmModel, rows: np.ndarray, owner=None) -> np.n
     landmark's product runs on its own block of rows (profiles.owner_matmul)
     and the biases are added once over all rows, so every block has the
     bytes of its landmark's classifier alone.
+
+    sums, (m,) and positive, scores rows that are not yet normalized: row i
+    gets w.rows[i] + b*sums[i], which is sums[i] times the decision of
+    rows[i] / sums[i] and so has its sign (see profiles.homogeneous_rows).
     """
     rows = np.asarray(rows, dtype=float)
     checked = owner_bounds(rows, model.weights, owner)
+    bias = model.bias if checked is None else np.take(model.bias, checked[0])
+    if sums is not None:
+        sums = np.asarray(sums, dtype=float)
+        if sums.shape != rows.shape[:1]:
+            raise DimensionMismatchError(f"sums {sums.shape} for rows {rows.shape}; need one per row")
+        if not (sums > 0).all():
+            raise ShapeArityError("sums must be positive: a flat row is scored normalized, with sum 1")
+        bias = bias * sums
     if checked is None:
-        return rows @ model.weights + model.bias
-    owner, bounds = checked
-    out = owner_matmul(rows, model.weights, bounds)
-    out += np.take(model.bias, owner)
+        return rows @ model.weights + bias
+    out = owner_matmul(rows, model.weights, checked[1])
+    out += bias
     return out

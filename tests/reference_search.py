@@ -22,19 +22,35 @@ from reference_profiles import clamped_windows, landmark_stats, sum_normalized
 from reference_svm import landmark_svm
 
 
-def profiles_1d(ctx, shape, size, cx, cy):
-    """(k, m, size) derivative profiles of every candidate along its landmark's normal."""
+def derivatives_1d(ctx, shape, size, cx, cy):
+    """(k, m, size) derivative profiles of every candidate along its
+    landmark's normal, not yet normalized."""
     normals = landmark_normals(shape, ctx.scheme)
     offs = np.arange(size + 1) - size / 2.0
     sx = cx[:, :, None] + offs[None, None, :] * normals[:, 0, None, None]
     sy = cy[:, :, None] + offs[None, None, :] * normals[:, 1, None, None]
     samples = sample_bilinear(ctx.raw, sx, sy)
-    diffs = np.diff(samples, axis=2)
+    return np.diff(samples, axis=2)
+
+
+def profiles_1d(ctx, shape, size, cx, cy):
+    """derivatives_1d, each divided by its absolute sum; flat ones are zeros."""
+    diffs = derivatives_1d(ctx, shape, size, cx, cy)
     norm = np.sum(np.abs(diffs), axis=2, keepdims=True)
     flat = norm < 1e-12
     out = diffs / np.where(flat, 1.0, norm)
     out[np.broadcast_to(flat, out.shape)] = 0.0
     return out
+
+
+def raw_candidate_features(ctx, shape, size, cx, cy):
+    """(k, m, d) feature rows of every candidate before normalization: 1-D
+    derivative profiles, or 2-D windows read with the oracle gather."""
+    if ctx.magnitude is None:
+        return derivatives_1d(ctx, shape, size, cx, cy)
+    k, m = cx.shape
+    centers = np.stack([cx.ravel(), cy.ravel()], axis=1)
+    return clamped_windows(ctx.magnitude, centers, size).reshape(k, m, size * size)
 
 
 def candidate_features(ctx, shape, size, cx, cy):
@@ -45,14 +61,16 @@ def candidate_features(ctx, shape, size, cx, cy):
     """
     if ctx.magnitude is None:
         return profiles_1d(ctx, shape, size, cx, cy)
-    k, m = cx.shape
-    centers = np.stack([cx.ravel(), cy.ravel()], axis=1)
-    rows = sum_normalized(clamped_windows(ctx.magnitude, centers, size))
-    return rows.reshape(k, m, size * size)
+    return sum_normalized(raw_candidate_features(ctx, shape, size, cx, cy))
 
 
-def search_landmarks(ctx, shape, config):
-    """(new Shape, per-landmark winning costs) of one search pass."""
+def search_landmarks(ctx, shape, config, accepted=None):
+    """(new Shape, per-landmark winning costs) of one search pass.
+
+    accepted, a (k, m) mask over the candidate grid, stands in for the
+    classifiers' decisions where they are rounding noise (see
+    test_stacked_pass_equals_per_landmark_pass); the gate's fallback still
+    applies."""
     size = ctx.size
     pts = shape.points
     cx, cy, valid, cheb = _candidate_grid(pts, config.search_radius)
@@ -72,8 +90,11 @@ def search_landmarks(ctx, shape, config):
     allowed = valid.copy()
     if ctx.svms is not None:
         for j in range(k):
-            accepted = decision_values(landmark_svm(ctx.svms, j), feats[j]) >= 0
-            gated = allowed[j] & accepted
+            if accepted is None:
+                decided = decision_values(landmark_svm(ctx.svms, j), feats[j]) >= 0
+            else:
+                decided = accepted[j]
+            gated = allowed[j] & decided
             if gated.any():
                 allowed[j] = gated
 

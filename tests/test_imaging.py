@@ -373,6 +373,33 @@ def test_context_images_equal_oracles_on_face_pyramids(trained):
                 assert got.tobytes() == want.tobytes()
 
 
+# ------------------------------------------------------- arrays kept as built
+
+def test_equalized_and_pyramid_pixels_are_kept_without_a_copy(monkeypatch):
+    """equalize_histogram and build_pyramid freeze the arrays they build, so
+    GrayImage keeps each as it is: read-only, owning its data, and with the
+    oracles' bytes."""
+    image = GrayImage(np.random.default_rng(3).uniform(0.0, 255.0, (37, 50)))
+    kept, real = [], imaging.readonly
+
+    def spy(values, dtype=float):
+        out = real(values, dtype)
+        kept.append(out is values)
+        return out
+
+    monkeypatch.setattr(imaging, "readonly", spy)
+    equalized = equalize_histogram(image)
+    pyramid = build_pyramid(image, 3)
+    assert kept == [True, True, True]
+    assert pyramid[0] is image
+    for px in (equalized.pixels, pyramid[1].pixels, pyramid[2].pixels):
+        assert px.flags.owndata and not px.flags.writeable
+    assert equalized.pixels.tobytes() == reference_imaging.equalize(image.pixels).tobytes()
+    for level in (1, 2):
+        want = reference_imaging.pyramid_level(pyramid[level - 1].pixels)
+        assert pyramid[level].pixels.tobytes() == want.tobytes()
+
+
 # --------------------------------------------------------------- pyramid
 
 def test_pyramid_block_average():

@@ -23,6 +23,7 @@ from asmfit.imaging import (
 )
 from asmfit.profiles import (
     ProfileStats,
+    homogeneous_rows,
     mahalanobis_batch,
     normalize_windows,
     profiles_1d_batch,
@@ -337,16 +338,24 @@ def test_search_respects_radius_property():
         assert np.array_equal(moved.points, np.rint(moved.points))
 
 
-def oracle_context(rng, kind, size, k, hw=(40, 52), tie_image=False, gate=True, edges=True):
+def oracle_context(rng, kind, size, k, hw=(40, 52), tie_image=False, gate=True, edges=True,
+                   flat=False):
     """Context with per-landmark stats and gates of varied acceptance.
 
     Gate biases run from reject-all (the gate falls back) to accept-all.
     A tie image is constant in its left half, so many candidates there
     share one window and one cost. Its statistics are centred on that
     window, so the shared cost is exactly 0 on every BLAS kernel, wherever
-    a row sits in its call. A one_d context has no gradient magnitude;
-    without gate or edges it holds no SVMs or no edge map. Every array is
-    drawn either way, so the draws do not depend on the switches.
+    a row sits in its call. flat zeroes the magnitude and the intensities
+    of the bottom right quadrant, whose windows and profiles are then flat
+    (they sum to 0). It also sets landmark j's bias to -t_j * mean(w_j),
+    t_j from 0.5 to 1.5, so a flat row's decision depends on what it is
+    normalized to: the uniform vector's has the sign of (1 - t_j) * mean(w_j)
+    and the bias alone (a zero row's) the opposite one. Landmark 0 then
+    rejects every row and the last accepts every row. A one_d context has
+    no gradient magnitude; without gate or edges it holds no SVMs or no
+    edge map. Every array is drawn either way, so the draws do not depend
+    on the switches.
     """
     h, w = hw
     mag = rng.uniform(0.5, 9.0, hw)
@@ -354,11 +363,18 @@ def oracle_context(rng, kind, size, k, hw=(40, 52), tie_image=False, gate=True, 
     if tie_image:
         mag[:, : w // 2] = 3.0
         raw[:, : w // 2] = 90.0
+    if flat:
+        mag[h // 2:, w // 2:] = 0.0
+        raw[h // 2:, w // 2:] = 0.0
     d = size * size if kind == "two_d" else size
     # One row count for the stack: a level's landmarks share one rank.
     stats = stats_from_matrix(rng.uniform(0.0, 0.05 if kind == "two_d" else 0.3,
                                           (k, int(rng.integers(4, 40)), d)))
     svms = LinearSvmModel(rng.normal(0.0, 1.0, (k, d)) / np.sqrt(d), np.linspace(-1.5, 1.5, k))
+    if flat:
+        bias = -svms.weights.mean(axis=1) * np.linspace(0.5, 1.5, k)
+        bias[[0, -1]] = -1e9, 1e9
+        svms = LinearSvmModel(svms.weights, bias)
     edge_map = (rng.uniform(size=hw) < 0.3).astype(np.uint8)
     if tie_image:
         # A constant window sum-normalizes to 1/d in every dim (3/147 and
@@ -381,16 +397,24 @@ ORACLE_CASES = [
 
 
 # The ids keep the "sum" they had when the window rule was a parameter.
+# tie_image "flat" is the tie image with flat windows and profiles planted
+# (oracle_context's flat): the oracle normalizes them before its gate, the
+# search gates them in their normalized form.
 @pytest.mark.parametrize("seed,kind,gate,edges", ORACLE_CASES,
                          ids=[f"{s}-{k}-sum-{g}-{e}" for s, k, g, e in ORACLE_CASES])
-@pytest.mark.parametrize("tie_image", [False, True])
+@pytest.mark.parametrize("tie_image", [False, True, "flat"])
 def test_search_matches_score_gate_lexsort_oracle(seed, kind, gate, edges, tie_image):
-    """Winners equal the oracle's; costs agree to rtol 1e-12, gate fallbacks and ties included."""
-    rng = np.random.default_rng(seed + 10 * tie_image)
+    """Winners equal the oracle's; costs agree to rtol 1e-12, gate fallbacks,
+    ties and flat rows included. With "flat", points and costs under axis
+    statistics are also equal byte for byte."""
+    flat = tie_image == "flat"
+    rng = np.random.default_rng(seed + (20 if flat else 10 * tie_image))
     k, size = 12, 7
     cfg = FitConfig(levels=1, search_radius=3)
+    flat_rows = fallbacks = 0
     for trial in range(4):
-        ctx = oracle_context(rng, kind, size, k, tie_image=tie_image, gate=gate, edges=edges)
+        ctx = oracle_context(rng, kind, size, k, tie_image=bool(tie_image), gate=gate,
+                             edges=edges, flat=flat)
         # inside, fractional and integer, and across every border
         pts = rng.uniform((-4.0, -4.0), (56.0, 44.0), (k, 2))
         pts[::3] = np.rint(pts[::3])
@@ -399,6 +423,25 @@ def test_search_matches_score_gate_lexsort_oracle(seed, kind, gate, edges, tie_i
         want, want_costs = reference_search.search_landmarks(ctx, shape, cfg)
         assert np.array_equal(got.points, want.points)
         np.testing.assert_allclose(got_costs, want_costs, rtol=1e-12, atol=0)
+        if flat:
+            # With axis statistics every cost has the same bits on every BLAS kernel.
+            exact = dataclasses.replace(ctx, stats=axis_stats(ctx.stats))
+            got, got_costs = search_landmarks(exact, shape, cfg)
+            want, want_costs = reference_search.search_landmarks(exact, shape, cfg)
+            assert got.points.tobytes() == want.points.tobytes()
+            assert got_costs.tobytes() == want_costs.tobytes()
+            cx, cy, valid, _ = _candidate_grid(pts, 3)
+            raw = reference_search.raw_candidate_features(ctx, shape, size, cx, cy)
+            sums = (raw if kind == "two_d" else np.abs(raw)).sum(axis=2)
+            flat_rows += np.count_nonzero(valid & (sums == 0.0))
+            if gate:
+                feats = reference_search.candidate_features(ctx, shape, size, cx, cy)
+                fallbacks += sum(
+                    not (valid[j] & (decision_values(landmark_svm(ctx.svms, j), feats[j]) >= 0)).any()
+                    for j in range(k))
+    if flat:
+        assert flat_rows > 0
+        assert fallbacks > 0 or not gate
 
 
 def test_oracle_contexts_plant_fallbacks_and_ties():
@@ -416,8 +459,8 @@ def test_oracle_contexts_plant_fallbacks_and_ties():
 
 
 def in_radius_features(ctx, shape, radius=3):
-    """_candidate_features of every in-radius candidate, with the (k, m)
-    grid (cx, cy) and its in-radius mask."""
+    """_candidate_features of every in-radius candidate, not yet normalized,
+    with the (k, m) grid (cx, cy) and its in-radius mask."""
     cx, cy, valid, _ = _candidate_grid(shape.points, radius)
     centers = np.stack([cx[valid], cy[valid]], axis=1)
     return _candidate_features(ctx, shape, centers, np.nonzero(valid)[0]), cx, cy, valid
@@ -426,7 +469,8 @@ def in_radius_features(ctx, shape, radius=3):
 @pytest.mark.parametrize("size", [3, 7, 15])
 def test_one_d_candidate_features_match_inline_oracle(size):
     """The batched 1-D path equals the inline (k, m, size + 1) sampling exactly,
-    row for row at every in-radius grid position."""
+    row for row at every in-radius grid position, before and after the
+    abs-sum normalization."""
     rng = np.random.default_rng(40 + size)
     flat_rows = 0
     for trial in range(4):
@@ -439,15 +483,18 @@ def test_one_d_candidate_features_match_inline_oracle(size):
         want = reference_search.profiles_1d(ctx, shape, size, cx, cy)
         assert want.shape == (12, 49, size)
         assert got.shape == (np.count_nonzero(valid), size)
-        assert got.tobytes() == want[valid].tobytes()
+        raw = reference_search.derivatives_1d(ctx, shape, size, cx, cy)
+        assert got.tobytes() == raw[valid].tobytes()
+        assert search._normalized(ctx, got).tobytes() == want[valid].tobytes()
         flat_rows += np.count_nonzero(~want[valid].any(axis=1))
     assert flat_rows > 0
 
 
 @pytest.mark.parametrize("size", [3, 7, 15])
 def test_two_d_candidate_features_match_oracle_gather(size):
-    """2-D rows equal the clamped-gather, sum-normalized oracle exactly, row
-    for row at every in-radius grid position, flat windows included."""
+    """2-D rows equal the clamped-gather oracle exactly, row for row at every
+    in-radius grid position, before and after the sum normalization, flat
+    windows included."""
     rng = np.random.default_rng(50 + size)
     flat_rows = 0
     for trial in range(4):
@@ -459,7 +506,9 @@ def test_two_d_candidate_features_match_oracle_gather(size):
         got, cx, cy, valid = in_radius_features(ctx, shape)
         want = reference_search.candidate_features(ctx, shape, size, cx, cy)
         assert got.shape == (np.count_nonzero(valid), size * size)
-        assert got.tobytes() == want[valid].tobytes()
+        raw = reference_search.raw_candidate_features(ctx, shape, size, cx, cy)
+        assert got.tobytes() == raw[valid].tobytes()
+        assert search._normalized(ctx, got).tobytes() == want[valid].tobytes()
         flat_rows += np.count_nonzero((want[valid] == want[valid][:, :1]).all(axis=1))
     assert flat_rows > 0
 
@@ -478,20 +527,30 @@ def axis_stats(stats):
 
 @pytest.mark.parametrize("kind", ["two_d", "one_d"])
 def test_gate_sees_in_radius_rows_and_search_equals_oracle(kind, monkeypatch):
-    """decision_values gets each landmark's in-radius rows and nothing else,
-    in one owner-form call: 36 rows at a fractional position, 49 at an
-    integer one. Points and winning costs equal the oracle's byte for byte,
-    near the border too."""
-    calls = []
+    """decision_values gets each landmark's in-radius rows, not yet
+    normalized, with their sums (absolute sums for 1-D profiles) and nothing
+    else, in one owner-form call: 36 rows at a fractional position, 49 at an
+    integer one. mahalanobis_batch then gets, in one owner-form call, only
+    the rows that compete, normalized as the oracle normalizes them: a
+    landmark's accepted rows, or all of them when it accepts none. Points
+    and winning costs equal the oracle's byte for byte, near the border too."""
+    calls = {"gate": [], "cost": []}
 
-    def recording(model, rows, owner=None):
-        calls.append((owner, np.array(rows)))
-        return decision_values(model, rows, owner)
+    def gate(model, rows, owner=None, sums=None):
+        values = decision_values(model, rows, owner, sums)
+        calls["gate"].append((owner, np.array(rows), np.array(sums), values))
+        return values
 
-    monkeypatch.setattr(search, "decision_values", recording)
+    def cost(stats, rows, owner=None):
+        calls["cost"].append((owner, np.array(rows)))
+        return mahalanobis_batch(stats, rows, owner)
+
+    monkeypatch.setattr(search, "decision_values", gate)
+    monkeypatch.setattr(search, "mahalanobis_batch", cost)
     rng = np.random.default_rng(60)
     k, size = 12, 7
     cfg = FitConfig(levels=1, search_radius=3)
+    fallbacks = flat_rows = 0
     for trial in range(4):
         ctx = oracle_context(rng, kind, size, k)
         ctx = dataclasses.replace(ctx, stats=axis_stats(ctx.stats))
@@ -499,19 +558,38 @@ def test_gate_sees_in_radius_rows_and_search_equals_oracle(kind, monkeypatch):
         pts[::2] = np.rint(pts[::2])
         pts[1] = (0.5, 43.5)
         shape = Shape(pts)
-        calls.clear()
+        calls["gate"].clear()
+        calls["cost"].clear()
         got, got_costs = search_landmarks(ctx, shape, cfg)
         cx, cy, valid, _ = _candidate_grid(pts, 3)
+        raw_rows = reference_search.raw_candidate_features(ctx, shape, size, cx, cy)
         want_rows = reference_search.candidate_features(ctx, shape, size, cx, cy)
-        assert len(calls) == 1
-        owner, rows = calls[0]
+        assert len(calls["gate"]) == 1 and len(calls["cost"]) == 1
+        owner, rows, sums, values = calls["gate"][0]
+        cost_owner, cost_rows = calls["cost"][0]
         assert np.unique(owner).tolist() == list(range(k))
+        competing = []
         for j in range(k):
             assert np.count_nonzero(owner == j) == (49 if j % 2 == 0 else 36)
-            assert rows[owner == j].tobytes() == want_rows[j][valid[j]].tobytes()
+            # A flat row (clamped past the border) is scored as its normalized
+            # form, with sum 1.
+            raw_j, want_j = raw_rows[j][valid[j]], want_rows[j][valid[j]]
+            normalizer = (np.abs(raw_j) if kind == "one_d" else raw_j).sum(axis=1)
+            flat = np.abs(normalizer) < 1e-12
+            flat_rows += np.count_nonzero(flat)
+            assert rows[owner == j].tobytes() == np.where(flat[:, None], want_j, raw_j).tobytes()
+            assert sums[owner == j].tobytes() == np.where(flat, 1.0, normalizer).tobytes()
+            accepted = values[owner == j] >= 0
+            keep = accepted if accepted.any() else np.ones_like(accepted)
+            competing.append(np.count_nonzero(keep))
+            assert cost_rows[cost_owner == j].tobytes() == want_j[keep].tobytes()
+            fallbacks += not accepted.any()
+        assert cost_owner.tolist() == np.repeat(np.arange(k), competing).tolist()
         want, want_costs = reference_search.search_landmarks(ctx, shape, cfg)
         assert got.points.tobytes() == want.points.tobytes()
         assert got_costs.tobytes() == want_costs.tobytes()
+    assert 0 < fallbacks < 4 * k
+    assert (flat_rows > 0) == (kind == "one_d")
 
 
 def test_search_checks_stats_arity():
@@ -544,13 +622,13 @@ SCORERS = (("decision_values", "gate", decision_values, landmark_svm),
 
 
 def one_by_one(monkeypatch):
-    """The search's gate and cost scoring each landmark's block of rows with
-    its own unstacked model, one call per landmark: the pass computed
-    landmark by landmark."""
+    """The search's gate and cost scoring each landmark's block of rows (and
+    the gate's sums) with its own unstacked model, one call per landmark:
+    the pass computed landmark by landmark."""
     for name, _, fn, single in SCORERS:
-        def per_landmark(model, rows, owner, fn=fn, single=single):
+        def per_landmark(model, rows, owner, *sums, fn=fn, single=single):
             bounds = np.searchsorted(owner, np.arange(owner[-1] + 2))
-            return np.concatenate([fn(single(model, j), rows[a:b])
+            return np.concatenate([fn(single(model, j), rows[a:b], None, *(s[a:b] for s in sums))
                                    for j, (a, b) in enumerate(zip(bounds, bounds[1:]))])
         monkeypatch.setattr(search, name, per_landmark)
 
@@ -559,9 +637,9 @@ def recorded(monkeypatch):
     """Every gate and cost call's (owner as a tuple, rows shape), in call order."""
     calls = {"gate": [], "cost": []}
     for name, key, fn, _ in SCORERS:
-        def recording(model, rows, owner=None, key=key, fn=fn):
+        def recording(model, rows, owner=None, *sums, key=key, fn=fn):
             calls[key].append((None if owner is None else tuple(owner.tolist()), np.shape(rows)))
-            return fn(model, rows, owner)
+            return fn(model, rows, owner, *sums)
         monkeypatch.setattr(search, name, recording)
     return calls
 
@@ -611,9 +689,18 @@ def test_stacked_pass_equals_per_landmark_pass(kind, gate, edges, monkeypatch):
         equal = (tuple(np.repeat(np.arange(k), 36).tolist()), (k * 36, d))
         assert calls["gate"] == ([] if gate is None else [equal])
         if gate == "mixed":
-            rows, *_ = in_radius_features(ctx, shape)
-            accepted = decision_values(ctx.svms, rows, np.repeat(np.arange(k), 36)) >= 0
-            accepted = accepted.reshape(k, 36)
+            # The gate's own rule, on the raw rows. The centred weights score a
+            # constant window (the tie image, a clamped corner) by rounding
+            # noise alone; on every other row it agrees with the normalized
+            # rows' decisions.
+            rows, _, _, valid = in_radius_features(ctx, shape)
+            owner = np.repeat(np.arange(k), 36)
+            gated, sums = homogeneous_rows(rows, absolute=kind == "one_d")
+            values = decision_values(ctx.svms, gated, owner, sums)
+            normalized = decision_values(ctx.svms, search._normalized(ctx, rows), owner)
+            clear = np.abs(normalized) > 1e-9
+            assert np.array_equal(values[clear] >= 0, normalized[clear] >= 0)
+            accepted = (values >= 0).reshape(k, 36)
             owner = np.nonzero(accepted | ~accepted.any(axis=1, keepdims=True))[0]
             assert calls["cost"] == [(tuple(owner.tolist()), (len(owner), d))]
         else:
@@ -627,7 +714,12 @@ def test_stacked_pass_equals_per_landmark_pass(kind, gate, edges, monkeypatch):
         # gated in-radius ones; with axis statistics a row's cost has the same
         # bits on every BLAS kernel either way.
         exact = dataclasses.replace(ctx, stats=axis_stats(ctx.stats))
-        oracle, _ = reference_search.search_landmarks(exact, shape, cfg)
+        decided = None
+        if gate == "mixed":
+            # The oracle's noise decisions are no expectation: it takes the gate's.
+            decided = np.zeros(valid.shape, dtype=bool)
+            decided[valid] = accepted.ravel()
+        oracle, _ = reference_search.search_landmarks(exact, shape, cfg, decided)
         assert (search_landmarks(exact, shape, cfg)[0].points.tobytes()
                 == oracle.points.tobytes())
         if gate == "mixed":

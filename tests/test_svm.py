@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies
 
 from asmfit.errors import ClassBalanceError, DimensionMismatchError, ShapeArityError
-from asmfit.profiles import Profile, normalize_windows, windows_batch
+from asmfit.profiles import (Profile, homogeneous_rows, normalize_derivatives, normalize_windows,
+                             windows_batch)
 from asmfit.svm import (
     LandmarkTrainingSet,
     LinearSvmModel,
@@ -486,6 +487,56 @@ def test_owner_values_equal_each_block_by_its_own_classifier(equal, data):
     bounds = np.cumsum([0] + counts)
     for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
         assert got[a:b].tobytes() == decision_values(landmark_svm(model, j), rows[a:b]).tobytes()
+
+
+@PROPERTY
+@pytest.mark.parametrize("stacked", [True, False], ids=["owner-form", "single-model"])
+@pytest.mark.parametrize("absolute", [False, True], ids=["windows", "profiles"])
+@given(data=strategies.data())
+def test_raw_row_decisions_have_the_sign_of_normalized_ones(stacked, absolute, data):
+    """Raw rows scored with their sums (homogeneous_rows) decide as their
+    normalized rows do: gradient windows (non-negative, sum-normalized) and
+    derivative profiles (signed, abs-sum-normalized), in the owner form and
+    the single-model form. The signs agree wherever the normalized rows'
+    decision is clear of rounding, |value| > 1e-9; a flat row, zero or
+    summing to under 1e-12, gets its normalized row's decision (the uniform
+    vector's, or the bias for a profile) byte for byte."""
+    counts = data.draw(owner_counts(data.draw(strategies.booleans()))) if stacked else [
+        data.draw(strategies.integers(0, 40))]
+    d = data.draw(strategies.sampled_from([3, 7, 9, 15, 49, 225]))
+    rng = np.random.default_rng(data.draw(strategies.integers(0, 2**32 - 1)))
+    k, m = len(counts), sum(counts)
+    rows = rng.normal(0.0, 20.0, (m, d)) if absolute else rng.uniform(0.0, 9.0, (m, d))
+    kind = rng.integers(0, 5, m)  # 0: zero row, 1: sums to under 1e-12, 2-4: drawn
+    rows[kind == 0] = 0.0
+    rows[kind == 1] *= 1e-16 / d
+    weights, biases = rng.normal(0.0, 1.0, (k, d)) / np.sqrt(d), rng.normal(0.0, 0.2, k)
+    if stacked:
+        model, owner = LinearSvmModel(weights, biases), np.repeat(np.arange(k), counts)
+    else:
+        model, owner = LinearSvmModel(weights[0], float(biases[0])), None
+    normalized = (normalize_derivatives(rows.copy()) if absolute
+                  else normalize_windows(rows, "sum"))
+    want = decision_values(model, normalized, owner)
+    gated, sums = homogeneous_rows(rows, absolute=absolute)
+    got = decision_values(model, gated, owner, sums)
+    assert got.shape == want.shape == (m,)
+    clear = np.abs(want) > 1e-9
+    assert np.array_equal(got[clear] >= 0, want[clear] >= 0)
+    flat = kind < 2
+    assert got[flat].tobytes() == want[flat].tobytes()
+    assert (sums > 0).all() and np.array_equal(sums[flat], np.ones(np.count_nonzero(flat)))
+
+
+def test_decision_values_check_their_sums():
+    """sums must hold one positive value per row."""
+    model = LinearSvmModel(np.ones((2, 3)), np.zeros(2))
+    rows, owner = np.ones((4, 3)), np.array([0, 0, 1, 1])
+    with pytest.raises(DimensionMismatchError, match="one per row"):
+        decision_values(model, rows, owner, np.ones(3))
+    for sums in ([1.0, 0.0, 1.0, 1.0], [1.0, -2.0, 1.0, 1.0], [1.0, np.nan, 1.0, 1.0]):
+        with pytest.raises(ShapeArityError, match="sums must be positive"):
+            decision_values(model, rows, owner, np.array(sums))
 
 
 def test_objective_hand_case():
