@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatchError,
     PgmDecodeError,
     PointsParseError,
+    ShapeArityError,
     SplitError,
     check_odd_size,
 )
@@ -63,7 +64,10 @@ class AnnotatedSample:
 class LevelModel:
     """One pyramid level's models, each stacked over the landmarks: the 1-D
     profile statistics (classic), the 2-D window statistics (asm) and the
-    SVMs. The profile length and window side are the statistics' own sizes."""
+    SVMs. The profile length and window side are the statistics' own sizes.
+    The means lie where normalized rows do: a 1-D profile divided by its
+    absolute sum in [-1, 1], and a window of gradient magnitudes divided by
+    its sum in [0, 1]."""
 
     classic: ProfileStats
     asm: ProfileStats
@@ -80,6 +84,10 @@ class LevelModel:
                 f"1-D means {classic}, 2-D means {asm} and SVM weights "
                 f"{self.svms.weights.shape} do not stack one model per landmark"
             )
+        if not (np.abs(self.classic.mean) <= 1).all():
+            raise ShapeArityError("1-D profile means must lie in [-1, 1]")
+        if not ((self.asm.mean >= 0) & (self.asm.mean <= 1)).all():
+            raise ShapeArityError("2-D window means must lie in [0, 1]")
 
     @property
     def classic_length(self) -> int:

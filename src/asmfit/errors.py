@@ -122,6 +122,19 @@ def check_levels(levels) -> None:
         raise ShapeArityError(f"need at least 1 level, got {levels}")
 
 
+# Largest Chebyshev radius of a search or of a negative ring. A 68-landmark
+# level-2 pass of 15x15 windows gathers 68 * (2r + 1)^2 * 225 floats, about
+# 133 MB at 16, so a setting that would ask for terabytes is refused up front.
+MAX_RADIUS = 16
+
+
+def check_radius(name: str, radius) -> None:
+    """Raise ShapeArityError unless radius, a Chebyshev radius, is an integer in [1, MAX_RADIUS]."""
+    check_integer(name, radius)
+    if not 1 <= radius <= MAX_RADIUS:
+        raise ShapeArityError(f"{name} must be in [1, {MAX_RADIUS}], got {radius}")
+
+
 def check_seed(name: str, seed) -> None:
     """Raise ShapeArityError unless seed is an integer >= 0, as default_rng takes."""
     check_integer(name, seed)

@@ -1,16 +1,17 @@
 """Multi-resolution landmark search: candidate scoring, gating, fitting loop.
 
-Fitting walks the pyramid coarse to fine. At each level every landmark
-scans the integer grid within a Chebyshev radius of its current position,
-scores candidates with the mode's profile cost (SVM-gated in asm_svm, and
-edge-weighted there at every level but the finest), and the whole shape is
-then pulled back onto the constrained shape model. Levels hand off by
-doubling coordinates. The asm_svm gate runs first, on the raw gradient
-windows, so only the candidates that compete are sum-normalized and scored.
+Fitting walks the pyramid coarse to fine. At each level fit_level has every
+landmark scan the integer grid within a Chebyshev radius of its current
+position and score candidates with the mode's profile cost (SVM-gated in
+asm_svm, and edge-weighted there at every level but the finest), and pulls
+the whole shape back onto the constrained shape model; fit hands each level's
+shape to the next by doubling coordinates. The asm_svm gate runs first, on the raw
+gradient windows, so only the candidates that compete are sum-normalized and scored.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from .errors import (
     check_edge_weight,
     check_levels,
     check_numbers,
+    check_radius,
 )
 from .imaging import GrayImage, canny_edges, equalize_histogram, sobel_gradients
 from .imaging import sample_bilinear  # noqa: F401 (perfbench/tracing.py:WRAPS wraps this name)
@@ -67,12 +69,11 @@ class FitConfig:
 
     def __post_init__(self):
         check_levels(self.levels)
-        reals = check_numbers(vars(self), integers=("search_radius", "max_iters_per_level"),
+        check_radius("search_radius", self.search_radius)
+        reals = check_numbers(vars(self), integers=("max_iters_per_level",),
                               reals=("convergence", "c", "canny_low", "canny_high"))
         for name, value in reals.items():
             object.__setattr__(self, name, value)
-        if self.search_radius < 1:
-            raise ShapeArityError(f"search_radius must be >= 1, got {self.search_radius}")
         if self.max_iters_per_level < 0:
             raise ShapeArityError("max_iters_per_level must be >= 0")
         if not 0 < self.convergence <= 1:
@@ -85,12 +86,10 @@ class FitConfig:
 
 @dataclass(frozen=True, eq=False)
 class LevelContext:
-    """Per-level cache of models stacked over the landmarks and of images;
-    classic leaves magnitude (the Sobel gradient magnitude), edge_map and
-    svms None, and asm_svm leaves edge_map None at level 0. size is the
-    trained profile length or window side."""
+    """Per-level cache of images and of models stacked over the landmarks,
+    sized by the statistics' dimension; classic leaves magnitude (the Sobel
+    gradient magnitude), edge_map and svms None, and asm_svm leaves edge_map None at level 0."""
 
-    size: int
     raw: GrayImage
     magnitude: np.ndarray
     edge_map: np.ndarray
@@ -172,8 +171,8 @@ def _candidate_features(ctx: LevelContext, shape: Shape, centers: np.ndarray,
     candidate belongs to."""
     if ctx.magnitude is None:
         normals = landmark_normals(shape, ctx.scheme)[owner]
-        return profile_derivatives(ctx.raw, centers, normals, ctx.size)
-    return windows_batch(ctx.magnitude, centers, ctx.size)
+        return profile_derivatives(ctx.raw, centers, normals, ctx.stats.dim)
+    return windows_batch(ctx.magnitude, centers, math.isqrt(ctx.stats.dim))
 
 
 def _normalized(ctx: LevelContext, rows: np.ndarray) -> np.ndarray:
@@ -252,9 +251,8 @@ def build_level_context(bundle, level_image: GrayImage, level: int, config: FitC
     """
     asm = config.mode == "asm_svm"
     lv = bundle.levels[level]
-    ctx = LevelContext(size=lv.window_side if asm else lv.classic_length, raw=level_image,
-                       magnitude=None, edge_map=None, stats=lv.asm if asm else lv.classic,
-                       svms=None, scheme=bundle.scheme)
+    ctx = LevelContext(raw=level_image, magnitude=None, edge_map=None,
+                       stats=lv.asm if asm else lv.classic, svms=None, scheme=bundle.scheme)
     if not asm:
         return ctx
     image = equalize_histogram(level_image)
@@ -263,14 +261,28 @@ def build_level_context(bundle, level_image: GrayImage, level: int, config: FitC
                    svms=lv.svms)
 
 
+def fit_level(ctx: LevelContext, shape: Shape, model: ShapeModel, config: FitConfig):
+    """One pyramid level's search: regularize the shape, then search and regularize it
+    until config.convergence of the landmarks move under a pixel, for at most
+    max_iters_per_level passes. Returns (shape, last pass's costs or None, passes, converged)."""
+    shape = Shape(fit_params(model, shape).points)
+    costs = None
+    for passes in range(1, config.max_iters_per_level + 1):
+        searched, costs = search_landmarks(ctx, shape, config)
+        updated = Shape(fit_params(model, searched).points)
+        moved = np.linalg.norm(updated.points - shape.points, axis=1)
+        shape = updated
+        if np.mean(moved < 1.0) >= config.convergence:
+            return shape, costs, passes, True
+    return shape, costs, config.max_iters_per_level, False
+
+
 def fit(pyramid: tuple, bundle, init: Shape, config: FitConfig) -> FitResult:
     """Coarse-to-fine constrained fit of the bundle's model to one image,
-    given as build_pyramid's tuple of level images.
-
-    The init shape (level-0 pixels) is scaled down to the coarsest level
-    and regularized; each level then loops search + regularization until
-    the configured fraction of landmarks moves under a pixel, and hands
-    its shape up by doubling coordinates. Deterministic: no randomness.
+    given as build_pyramid's tuple of level images: the init shape (level-0
+    pixels) is scaled down to the coarsest level, and each level runs
+    fit_level, on a context built only when a pass may run, and hands its
+    shape up by doubling coordinates. Deterministic: no randomness.
 
     Raises DimensionMismatchError when the pyramid does not have the
     config's levels or the bundle has fewer, and InitializationError when
@@ -293,25 +305,13 @@ def fit(pyramid: tuple, bundle, init: Shape, config: FitConfig) -> FitResult:
             f"{base.width}x{base.height} image; at least {MIN_INIT_INSIDE:.0%} must lie inside"
         )
 
-    model = bundle.shape_model
-    top = config.levels - 1
-    shape = Shape(init.points / 2.0**top)
-    iterations = [0] * config.levels
-    converged = [False] * config.levels
-    costs = None
-    for level in range(top, -1, -1):
-        shape = Shape(fit_params(model, shape).points)
-        if config.max_iters_per_level:
-            ctx = build_level_context(bundle, pyramid[level], level, config)
-        for _ in range(config.max_iters_per_level):
-            iterations[level] += 1
-            searched, costs = search_landmarks(ctx, shape, config)
-            updated = Shape(fit_params(model, searched).points)
-            moved = np.linalg.norm(updated.points - shape.points, axis=1)
-            shape = updated
-            if np.mean(moved < 1.0) >= config.convergence:
-                converged[level] = True
-                break
+    shape = Shape(init.points / 2.0 ** (config.levels - 1))
+    iterations, converged = [0] * config.levels, [False] * config.levels
+    for level in range(config.levels - 1, -1, -1):
+        ctx = (build_level_context(bundle, pyramid[level], level, config)
+               if config.max_iters_per_level else None)
+        shape, costs, iterations[level], converged[level] = fit_level(
+            ctx, shape, bundle.shape_model, config)
         if level > 0:
             shape = Shape(shape.points * 2.0)
     return FitResult(shape, tuple(iterations), tuple(converged), costs)

@@ -14,8 +14,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import (ClassBalanceError, DimensionMismatchError, ShapeArityError, check_numbers,
-                     check_seed, readonly)
+from .errors import (ClassBalanceError, DimensionMismatchError, ShapeArityError, check_integer,
+                     check_numbers, check_radius, check_seed, readonly)
 from .profiles import normalize_windows, owner_bounds, owner_matmul, windows_batch
 
 
@@ -116,18 +116,18 @@ def _ring_offsets(d_min: int, d_max: int) -> np.ndarray:
 
 
 def negative_ring(offset_range, negatives_per_positive) -> np.ndarray:
-    """The ring offsets of offset_range, a pair of integers 1 <= d_min <= d_max,
-    that negative windows are drawn from; raises ShapeArityError unless the
-    pair and negatives_per_positive are integers and the ring holds that
-    many distinct offsets."""
+    """The ring offsets of offset_range, a pair of radii d_min <= d_max,
+    that negative windows are drawn from; raises ShapeArityError unless
+    check_radius accepts both radii, negatives_per_positive is an integer
+    and the ring holds that many distinct offsets."""
     if not (isinstance(offset_range, (tuple, list)) and len(offset_range) == 2):
         raise ShapeArityError(f"offset_range must be a pair of integers, got {offset_range!r}")
     d_min, d_max = offset_range
-    check_numbers({"offset_range[0]": d_min, "offset_range[1]": d_max,
-                   "negatives_per_positive": negatives_per_positive},
-                  integers=("offset_range[0]", "offset_range[1]", "negatives_per_positive"))
-    if d_min < 1 or d_max < d_min:
-        raise ShapeArityError(f"offset range must satisfy 1 <= d_min <= d_max, got {offset_range}")
+    check_radius("offset_range[0]", d_min)
+    check_radius("offset_range[1]", d_max)
+    check_integer("negatives_per_positive", negatives_per_positive)
+    if d_max < d_min:
+        raise ShapeArityError(f"offset range must satisfy d_min <= d_max, got {offset_range}")
     ring = _ring_offsets(d_min, d_max)
     if not 0 <= negatives_per_positive <= len(ring):
         raise ShapeArityError(

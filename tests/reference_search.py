@@ -11,6 +11,8 @@ cost, then the smallest Chebyshev distance, then the first candidate in
 row-major order.
 """
 
+import math
+
 import numpy as np
 
 from asmfit.imaging import sample_bilinear
@@ -71,7 +73,7 @@ def search_landmarks(ctx, shape, config, accepted=None):
     classifiers' decisions where they are rounding noise (see
     test_stacked_pass_equals_per_landmark_pass); the gate's fallback still
     applies."""
-    size = ctx.size
+    size = ctx.stats.dim if ctx.magnitude is None else math.isqrt(ctx.stats.dim)
     pts = shape.points
     cx, cy, valid, cheb = _candidate_grid(pts, config.search_radius)
     k, m = cx.shape

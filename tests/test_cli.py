@@ -20,7 +20,7 @@ from asmfit.cli import (
     truth_box,
 )
 from asmfit.dataset_io import BUNDLE_MAGIC, load_bundle, load_points_file, save_bundle
-from asmfit.errors import DatasetError, ShapeArityError
+from asmfit.errors import MAX_RADIUS, DatasetError, ShapeArityError
 from asmfit.imaging import GrayImage, build_pyramid
 from asmfit.scheme import DEFAULT_SCHEME, ContourGroup, LandmarkScheme
 from asmfit.search import FitConfig
@@ -350,7 +350,8 @@ def test_integral_real_settings_train_the_same_bundle(cli_env, tmp_path):
     {"seed": -1}, {"eps": -1}, {"eps": float("nan")}, {"variance_fraction": 2.0},
     {"variance_fraction": -1}, {"clamp_alpha": -3}, {"clamp_alpha": 0},
     {"c": float("inf")}, {"convergence": True}, {"svm": {"c_penalty": True}},
-    {"variance_fraction": True}, {"canny_low": False},
+    {"variance_fraction": True}, {"canny_low": False}, {"search_radius": MAX_RADIUS + 1},
+    {"offset_range": [1, MAX_RADIUS + 1]}, {"offset_range": [MAX_RADIUS + 1, MAX_RADIUS + 1]},
 ])
 def test_mistyped_train_setting_fails_before_training(cli_env, tmp_path, capsys, monkeypatch,
                                                       config):

@@ -221,7 +221,8 @@ def saved_bundle(trained, tmp_path_factory):
 
 def test_level_model_validation(saved_bundle):
     """A level's sizes are its statistics' dimensions: an odd profile length
-    and an odd window side, both >= 3, and a square window. Its statistics
+    and an odd window side, both >= 3, and a square window. Its means lie in
+    the ranges of the normalized rows they average. Its statistics
     and SVMs stack one model per landmark, and a bundle's levels cover the
     scheme's landmarks, one level per configured level. A size that is not
     an integer cannot arise in memory; a bundle header that stores one is
@@ -238,6 +239,22 @@ def test_level_model_validation(saved_bundle):
                                      (3, 16, "window side", 4), (3, 1, "window side", 1)):
         with pytest.raises(ShapeArityError, match=rf"^{name} must be odd and >= 3, got {size}$"):
             LevelModel(stats(classic), stats(asm), svms(asm))
+    # The means lie where the normalized rows do: 1-D in [-1, 1], 2-D in [0, 1].
+    def filled(dim, value):
+        base = stats(dim)
+        return ProfileStats(np.full(base.mean.shape, value), basis=base.basis, lam=base.lam,
+                            rho=base.rho)
+
+    for value in (-1.0, 1.0):
+        LevelModel(filled(5, value), stats(9), svms(9))
+    for value in (0.0, 1.0):
+        LevelModel(stats(5), filled(9, value), svms(9))
+    for value in (-1.5, 1.0000000000000002, 1e300):
+        with pytest.raises(ShapeArityError, match=r"^1-D profile means must lie in \[-1, 1\]$"):
+            LevelModel(filled(5, value), stats(9), svms(9))
+    for value in (-0.5, -5e-324, 1.5):
+        with pytest.raises(ShapeArityError, match=r"^2-D window means must lie in \[0, 1\]$"):
+            LevelModel(stats(5), filled(9, value), svms(9))
     for asm in (3, 8, 15):  # not a square window: 1-D statistics in the 2-D slot
         with pytest.raises(DimensionMismatchError,
                            match=rf"^window dimension {asm} is not a square$"):
@@ -685,22 +702,44 @@ NON_FINITE_SITES = {
 }
 
 
+def _planted_first(data, path, value) -> bytes:
+    """Bundle bytes with value, in the array's dtype, as the first entry of
+    the array the header refers to at path, resealed."""
+    ref = _header(data)
+    for key in path:
+        ref = ref[key]
+    [(kind, (offset, _))] = ref.items()
+    planted_value = np.array(value, dtype={"f64": "<f8", "f32": "<f4"}[kind]).tobytes()
+    body = bytearray(data[:-4])
+    start = _HEADER_START + _header_length(body) + offset
+    body[start:start + len(planted_value)] = planted_value
+    return reseal(body)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("site", NON_FINITE_SITES)
 def test_bundle_rejects_non_finite_model_values(small_bundle_bytes, tmp_path, site, value):
     """A NaN or inf as the first entry of a statistic or of the shape model,
     under a valid checksum, makes the bundle corrupt."""
-    ref = _header(small_bundle_bytes)
-    for key in NON_FINITE_SITES[site]:
-        ref = ref[key]
-    [(kind, (offset, _))] = ref.items()
-    planted_value = np.array(value, dtype={"f64": "<f8", "f32": "<f4"}[kind]).tobytes()
-    data = bytearray(small_bundle_bytes[:-4])
-    start = _HEADER_START + _header_length(data) + offset
-    data[start:start + len(planted_value)] = planted_value
     bad = tmp_path / "non_finite.asmb"
-    bad.write_bytes(reseal(data))
+    bad.write_bytes(_planted_first(small_bundle_bytes, NON_FINITE_SITES[site], value))
     with pytest.raises(BundleCorruptionError, match="finite"):
+        load_bundle(bad)
+
+
+@pytest.mark.parametrize("kind, value, dtype, message", [
+    ("classic", 1e300, "f64", r"1-D profile means must lie in \[-1, 1\]"),
+    ("asm", -0.5, "f32", r"2-D window means must lie in \[0, 1\]"),
+])
+def test_bundle_rejects_profile_means_no_normalized_row_has(small_bundle_bytes, tmp_path, kind,
+                                                            value, dtype, message):
+    """A finite profile mean outside the range of the normalized rows it
+    averages, under a valid checksum, makes the bundle corrupt: 1e300 in a
+    classic mean used to load, and a classic fit then returned non-finite costs."""
+    assert list(_header(small_bundle_bytes)["profiles"][kind]["means"][0]) == [dtype]
+    bad = tmp_path / "mean.asmb"
+    bad.write_bytes(_planted_first(small_bundle_bytes, ("profiles", kind, "means", 0), value))
+    with pytest.raises(BundleCorruptionError, match=message):
         load_bundle(bad)
 
 

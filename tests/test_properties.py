@@ -120,15 +120,25 @@ F32_FLOATS = st.one_of(
 )
 
 
+def mean_floats(low, dtype):
+    """Finite dtype values in [low, 1], as LevelModel admits profile means,
+    with signed zeros, the least subnormal and the bounds drawn often."""
+    tiny = float(np.finfo(dtype).smallest_subnormal)
+    edges = [-0.0, 0.0, tiny, low, 1.0] + ([-tiny] if low < 0 else [])
+    return st.one_of(st.floats(low, 1.0, width=np.finfo(dtype).bits), st.sampled_from(edges))
+
+
 def draw_profile_arrays(data, levels, kind):
     """Per level (means, bases, lams, rhos) of a drawn rank, shaped like the
     levels' `kind` statistics, classic or asm. The means and bases of 2-D
     (asm) statistics are float32, as training stores them, or float64, as
-    another writer may; lams and rhos are float64."""
+    another writer may; lams and rhos are float64. The means lie in [-1, 1]
+    (classic) or [0, 1] (asm), the ranges of the rows they average."""
     kept = np.float64
     if kind == "asm":
         kept = data.draw(st.sampled_from([np.float32, np.float64]))
     elements = F32_FLOATS if kept == np.float32 else SVM_FLOATS
+    means = mean_floats(-1.0 if kind == "classic" else 0.0, kept)
     drawn = []
     for lv in levels:
         k, d = getattr(lv, kind).mean.shape
@@ -137,7 +147,7 @@ def draw_profile_arrays(data, levels, kind):
         rhos = data.draw(arrays(np.float64, k, elements=NONNEGATIVE_FLOATS))
         # A zero ridge needs a full-rank, non-singular factor.
         rhos[(rhos == 0) & ~((r == d) & lams.all(axis=1))] = 5e-324
-        drawn.append((data.draw(arrays(kept, (k, d), elements=elements)),
+        drawn.append((data.draw(arrays(kept, (k, d), elements=means)),
                       data.draw(arrays(kept, (k, d, r), elements=elements)),
                       lams, rhos))
     return drawn

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies
 
-from asmfit.errors import ClassBalanceError, DimensionMismatchError, ShapeArityError
+from asmfit.errors import MAX_RADIUS, ClassBalanceError, DimensionMismatchError, ShapeArityError
 from asmfit.profiles import (Profile, homogeneous_rows, normalize_derivatives, normalize_windows,
                              windows_batch)
 from asmfit.svm import (
@@ -176,9 +176,18 @@ def test_training_set_ring_capacity():
                       negatives_per_positive=np.int32(4), size=np.int64(5))
     assert ts.features.shape == (1, 5, 25)
     for bad in (dict(negatives_per_positive=9, offset_range=(1, 1)),
-                dict(negatives_per_positive=-1), dict(offset_range=(0, 4))):
+                dict(negatives_per_positive=-1), dict(offset_range=(0, 4)),
+                dict(offset_range=(4, 2))):
         with pytest.raises(ShapeArityError):
             training_set([(mag, pts)], [0], 0, **bad)
+    # Both radii are in [1, MAX_RADIUS], so a ring that would fill memory is
+    # refused at construction, before it is built.
+    widest = TrainConfig(offset_range=(1, MAX_RADIUS), negatives_per_positive=4)
+    assert widest.offset_range == (1, MAX_RADIUS)
+    message = rf"^offset_range\[[01]\] must be in \[1, {MAX_RADIUS}\]"
+    for ring in ((0, 4), (1, MAX_RADIUS + 1), (MAX_RADIUS + 1, MAX_RADIUS + 1), (1, 1000000)):
+        with pytest.raises(ShapeArityError, match=message):
+            TrainConfig(offset_range=ring)
 
 
 @pytest.mark.parametrize("bad", [
