@@ -39,7 +39,7 @@ from .shape_model import Shape, ShapeModel
 from .svm import LinearSvmModel
 
 BUNDLE_MAGIC = b"ASMFITB1"
-BUNDLE_VERSION = 8
+BUNDLE_VERSION = 9
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,16 +278,9 @@ _PREFIX = len(BUNDLE_MAGIC) + 12
 _DTYPES = {"f64": np.dtype("<f8"), "f32": np.dtype("<f4")}
 
 
-def _profile_sizes(levels) -> dict:
-    """Each kind's size per level, as the header restates them beside the arrays."""
-    return {"classic": [lv.classic_length for lv in levels],
-            "asm": [lv.window_side for lv in levels]}
-
-
 def _profile_payload(levels, kind: str) -> dict:
     stats = [getattr(lv, kind) for lv in levels]
     return {
-        "sizes": _profile_sizes(levels)[kind],
         "means": [st.mean for st in stats],
         "bases": [st.basis for st in stats],
         "lams": [st.lam for st in stats],
@@ -454,11 +447,6 @@ def _bundle_from_payload(payload: dict, array) -> ModelBundle:
             for w, b in zip(svm_raw["weights"], svm_raw["biases"], strict=True)]
     stats = [_profile_stats_from_payload(profiles[kind], array) for kind in ("classic", "asm")]
     levels = tuple(LevelModel(*models) for models in zip(*stats, svms, strict=True))
-    for kind, sizes in _profile_sizes(levels).items():
-        stored = profiles[kind]["sizes"]
-        if not (isinstance(stored, list) and all(type(v) is int for v in stored)
-                and stored == sizes):
-            raise BundleCorruptionError(f"profiles.{kind}.sizes {stored!r:.80} are not {sizes}")
     return ModelBundle(
         scheme=scheme,
         shape_model=shape_model,

@@ -195,6 +195,10 @@ def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig):
     candidates are normalized and scored by the Mahalanobis profile cost,
     weighted down on edge pixels when the context holds an edge map. Ties
     break toward the smaller displacement, then row-major candidate order.
+    A tie is of computed costs: on BLAS kernels whose matmul rounding
+    depends on a row's position (OpenBLAS Haswell), two identical windows,
+    such as two clamped to the same border pixels, can cost one ulp apart,
+    and the cheaper one wins whatever its displacement.
 
     Returns (new Shape, per-landmark winning costs).
     """

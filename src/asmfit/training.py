@@ -225,9 +225,6 @@ def train_bundle(samples, scheme: LandmarkScheme, **settings):
             "negatives_per_positive": config.negatives_per_positive,
             "offset_min": int(config.offset_range[0]),
             "offset_max": int(config.offset_range[1]),
-            "classic_length": config.classic_length,
-            "variance_fraction": config.variance_fraction,
-            "clamp_alpha": config.clamp_alpha,
             "eps": config.eps,
         },
     )

@@ -19,7 +19,8 @@ from asmfit.cli import (
     render_overlay,
     truth_box,
 )
-from asmfit.dataset_io import BUNDLE_MAGIC, load_bundle, load_points_file, save_bundle
+from asmfit.dataset_io import (BUNDLE_MAGIC, BUNDLE_VERSION, load_bundle, load_points_file,
+                               save_bundle)
 from asmfit.errors import MAX_RADIUS, DatasetError, ShapeArityError
 from asmfit.imaging import GrayImage, build_pyramid
 from asmfit.scheme import DEFAULT_SCHEME, ContourGroup, LandmarkScheme
@@ -500,16 +501,17 @@ def _previous_version(body):
     return body
 
 
-def _version_7(body):
-    """The last version before the asm means and bases became float32."""
-    struct.pack_into("<I", body, len(BUNDLE_MAGIC), 7)
+def _version_before(body):
+    """The version before the current one, which this build no longer reads."""
+    struct.pack_into("<I", body, len(BUNDLE_MAGIC), BUNDLE_VERSION - 1)
     return body
 
 
 @pytest.mark.parametrize("damage, expect", [
     (_undecodable_key, "is not UTF-8"),
     (_previous_version, "bundle version 1"),
-    (_version_7, "bundle version 7, this build reads 8; retrain the model"),
+    (_version_before,
+     f"bundle version {BUNDLE_VERSION - 1}, this build reads {BUNDLE_VERSION}; retrain the model"),
 ])
 def test_fit_rejects_unreadable_bundle_in_one_line(cli_env, tmp_path, capsys, damage, expect):
     model = tmp_path / "damaged.asmb"

@@ -225,8 +225,7 @@ def test_level_model_validation(saved_bundle):
     the ranges of the normalized rows they average. Its statistics
     and SVMs stack one model per landmark, and a bundle's levels cover the
     scheme's landmarks, one level per configured level. A size that is not
-    an integer cannot arise in memory; a bundle header that stores one is
-    corruption (test_bundle_rejects_mistyped_profile_sizes)."""
+    an integer cannot arise in memory, and a bundle header stores no size."""
     def stats(dim, k=1):
         return stacked_stats([ProfileStats(np.zeros(dim), np.eye(dim), eps=1e-3)] * k)
 
@@ -453,7 +452,7 @@ def test_bundle_rejects_future_version(saved_bundle, tmp_path):
         load_bundle(bad)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("version", range(1, BUNDLE_VERSION))
 def test_bundle_rejects_previous_version(saved_bundle, tmp_path, version):
     _, path = saved_bundle
     data = bytearray(path.read_bytes()[:-4])
@@ -494,55 +493,20 @@ def test_bundle_rejects_mistyped_fit_defaults(saved_bundle, tmp_path, name, valu
         load_bundle(path)
 
 
-# Stored sizes no writer of the arrays above gives: floats, a str, bools,
-# other sizes, one level too few or too many, and no list at all.
-BAD_SIZES = [
-    ("asm", [3.0, 7.0, 15.0]), ("asm", [3, 7.0, 15]), ("classic", [15.0, 15.0, 15.0]),
-    ("asm", ["3", 7, 15]), ("asm", [True, 7, 15]), ("classic", [15, 15, True]),
-    ("asm", [3, 7, 13]), ("classic", [15, 15]), ("asm", [3, 7, 15, 31]), ("asm", "3 7 15"),
-    ("asm", None), ("classic", 15),
-]
-
-
-def test_bundle_rejects_mistyped_profile_sizes(saved_bundle, tmp_path):
-    """The header restates each level's profile length and window side, which
-    the arrays set; a stored size that is not an int (a float or a bool), or
-    sizes that disagree with the arrays, are corruption."""
-    _, source = saved_bundle
-    path = tmp_path / "mistyped.asmb"
-    for kind, sizes in BAD_SIZES:
-        path.write_bytes(_edited(source.read_bytes(),
-                                 lambda header: header["profiles"][kind].update(sizes=sizes)))
-        want = {"classic": [15, 15, 15], "asm": [3, 7, 15]}[kind]
-        with pytest.raises(BundleCorruptionError, match=re.escape(
-                f"mistyped.asmb: profiles.{kind}.sizes {sizes!r} are not {want}") + "$"):
-            load_bundle(path)
-
-
 def _swap_profiles(header):
     profiles = header["profiles"]
     profiles["classic"], profiles["asm"] = profiles["asm"], profiles["classic"]
 
 
-def _asm_arrays_as_classic(header):
-    profiles = header["profiles"]
-    profiles["classic"] = {**profiles["asm"], "sizes": profiles["classic"]["sizes"]}
-
-
 def test_bundle_rejects_two_d_statistics_in_classic_slot(saved_bundle, tmp_path):
-    """The slot fixes a statistic's kind: 2-D statistics stored as the
-    classic ones do not load, whether the two kinds trade places or the 2-D
-    arrays fill the classic slot under its own sizes."""
+    """The slot fixes a statistic's kind: when the two kinds trade places,
+    the classic statistics in the asm slot give no square window."""
     _, source = saved_bundle
     path = tmp_path / "swapped.asmb"
-    for edit, want in (
-        (_swap_profiles, "malformed bundle field: window dimension 15 is not a square$"),
-        (_asm_arrays_as_classic,
-         re.escape("profiles.classic.sizes [15, 15, 15] are not [9, 49, 225]") + "$"),
-    ):
-        path.write_bytes(_edited(source.read_bytes(), edit))
-        with pytest.raises(BundleCorruptionError, match=want):
-            load_bundle(path)
+    path.write_bytes(_edited(source.read_bytes(), _swap_profiles))
+    with pytest.raises(BundleCorruptionError,
+                       match="malformed bundle field: window dimension 15 is not a square$"):
+        load_bundle(path)
 
 
 def test_bundle_load_builds_one_stacked_model_per_level(saved_bundle, monkeypatch):
@@ -594,12 +558,20 @@ def test_bundle_rejects_mismatched_stacked_arrays(saved_bundle, tmp_path, defect
         load_bundle(path)
 
 
+# The keys train_bundle writes to train_meta, in order.
+TRAIN_META_KEYS = ["seed", "samples", "c_penalty", "epochs", "negatives_per_positive",
+                   "offset_min", "offset_max", "eps"]
+
+
 def test_format_doc_matches_bundle_version_and_fit_config():
-    """FORMAT.md names the current version and the stored fit config keys in order."""
+    """FORMAT.md names the current version, and the stored fit config and
+    train_meta keys in order."""
     text = (Path(__file__).resolve().parents[1] / "FORMAT.md").read_text(encoding="utf-8")
     assert [int(v) for v in re.findall(r"currently (\d+)", text)] == [BUNDLE_VERSION]
     keys = re.search(r"`fit_defaults\.config` is a dict .*? in\s+this\s+order:(.*?`)\.", text, re.S)
     assert re.findall(r"`(\w+)`", keys.group(1)) == [f.name for f in dataclasses.fields(FitConfig)]
+    keys = re.search(r"`train_meta` records,\s+in\s+this\s+order,(.*?`)\.", text, re.S)
+    assert re.findall(r"`(\w+)`", keys.group(1)) == TRAIN_META_KEYS
 
 
 def mouth_samples(faces):
@@ -807,6 +779,15 @@ def test_bundle_header_is_padded_to_align_the_block(small_bundle_bytes):
     assert (_HEADER_START + _header_length(small_bundle_bytes)) % 8 == 0
     header = _header(small_bundle_bytes)
     assert list(header) == ["scheme", "shape_model", "profiles", "svms", "fit_defaults"]
+
+
+def test_bundle_header_states_each_fact_once(small_bundle_bytes):
+    """A profile model holds only its arrays, whose dimensions are the sizes,
+    and train_meta only the settings no other field of the bundle holds."""
+    header = _header(small_bundle_bytes)
+    for kind in ("classic", "asm"):
+        assert list(header["profiles"][kind]) == ["means", "bases", "lams", "rhos"]
+    assert list(header["fit_defaults"]["train_meta"]) == TRAIN_META_KEYS
 
 
 @pytest.mark.parametrize("group", [["all", 12.0, "closed"], ["all", True, "closed"],

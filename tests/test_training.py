@@ -197,8 +197,8 @@ def test_train_meta_records_settings(trained):
     assert meta["samples"] == 6
     assert meta["epochs"] == 30
     assert meta["negatives_per_positive"] == 4
-    assert meta["variance_fraction"] == 0.975
-    assert meta["clamp_alpha"] == 3.0
+    assert bundle.shape_model.variance_fraction == 0.975
+    assert bundle.shape_model.clamp_alpha == 3.0
 
 
 def level_training_set(samples, landmark, level, seed, levels=3):
@@ -381,7 +381,7 @@ def test_profile_stats_equal_separate_pass_oracle(monkeypatch, width):
     faces = generate_face_dataset(12, size=96, seed=9)
     bundle, _ = train_bundle(faces, DEFAULT_SCHEME, svm_config=SvmTrainConfig(epochs=1), seed=1)
     assert [lv.asm.rank for lv in bundle.levels] == [7, 11, 11]
-    fraction = bundle.train_meta["variance_fraction"]
+    fraction = bundle.shape_model.variance_fraction
     for level, size in enumerate(lv.window_side for lv in bundle.levels):
         ref = level_window_stats(faces, level, size, eps=bundle.train_meta["eps"])
         ref = ProfileStats(**leading_subspace(ref, subspace_rank(ref, fraction)))
