@@ -29,6 +29,17 @@ def trained(faces96):
     return bundle, accuracy, faces96
 
 
+@pytest.fixture(scope="session")
+def trained_3_7_15(faces96):
+    """The shared bundle trained with window sides (3, 7, 15): each level's
+    statistics have another dimension, and level 0 keeps its 3x3 windows."""
+    bundle, accuracy = train_bundle(
+        faces96[:6], DEFAULT_SCHEME, svm_config=SvmTrainConfig(epochs=30),
+        profile_lengths=(3, 7, 15),
+    )
+    return bundle, accuracy, faces96
+
+
 # Scheme specs that are not a list of [name, count, topology] lists: the
 # whole spec, or its entry 1, has another form. Each names the scheme.
 MALFORMED_SCHEMES = {

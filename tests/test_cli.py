@@ -376,15 +376,15 @@ def test_mistyped_train_setting_fails_before_training(cli_env, tmp_path, capsys,
         main(args)
 
 
-def test_four_levels_without_profile_lengths_say_what_to_give(cli_env, tmp_path, capsys):
+def test_four_levels_without_profile_lengths_train_7x7_windows(cli_env, tmp_path, capsys):
     config = tmp_path / "levels.json"
-    config.write_text(json.dumps({"levels": 4}))
+    config.write_text(json.dumps({"levels": 4, "svm": {"epochs": 2}}))
+    out = tmp_path / "x.asmb"
     rc = main(["train", "--images", str(cli_env["images"]), "--points", str(cli_env["points"]),
-               "--config", str(config), "--out", str(tmp_path / "x.asmb")])
-    assert rc == 2
-    assert capsys.readouterr().err == (
-        f"asmfit train: {config}: bad training config value: the default profile_lengths "
-        "(3, 7, 15) covers 3 levels; give profile_lengths for 4\n")
+               "--config", str(config), "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert [lv.window_side for lv in load_bundle(out).levels] == [7, 7, 7, 7]
 
 
 def test_train_config_is_checked_before_any_image_is_read(cli_env, tmp_path, capsys):

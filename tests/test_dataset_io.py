@@ -49,7 +49,7 @@ from asmfit.search import FitConfig, config_for_mode, fit, init_shape_from_box
 from asmfit.shape_model import Shape
 from asmfit.svm import LinearSvmModel, SvmTrainConfig
 from asmfit.synthetic import generate_face_dataset
-from asmfit.training import train_bundle
+from asmfit.training import TrainConfig, train_bundle
 
 
 # -------------------------------------------------------------- points IO
@@ -383,11 +383,11 @@ def test_trained_bundle_fits_as_its_saved_and_loaded_copy(saved_bundle, faces96)
 
 @pytest.fixture(scope="module")
 def fit_256_bundle(tmp_path_factory):
-    """A bundle of the benchmark's fit-256 size, about 5 MB: 30 faces at
-    256x256 on the default scheme. One Newton iteration, as only the shapes
-    of the arrays matter here."""
+    """A bundle of the benchmark's fit-256 data with window sides (3, 7, 15),
+    about 2.7 MB: 30 faces at 256x256 on the default scheme. One Newton
+    iteration, as only the shapes of the arrays matter here."""
     bundle, _ = train_bundle(generate_face_dataset(30, size=256, seed=3), DEFAULT_SCHEME,
-                             svm_config=SvmTrainConfig(epochs=1))
+                             svm_config=SvmTrainConfig(epochs=1), profile_lengths=(3, 7, 15))
     path = tmp_path_factory.mktemp("fit256") / "model.asmb"
     save_bundle(bundle, path)
     return path
@@ -582,14 +582,16 @@ def mouth_samples(faces):
 
 def test_classic_fit_defaults_round_trip_and_give_each_mode(faces96, tmp_path):
     """A bundle may store either mode as its default; config_for_mode
-    gives each mode from it. Two levels train the first two default window
-    sides."""
+    gives each mode from it. Two levels train the default window sides of
+    two levels."""
     bundle, _ = train_bundle(
         mouth_samples(faces96), single_contour_scheme(12),
         fit_config=FitConfig(levels=2, mode="classic"),
         svm_config=SvmTrainConfig(epochs=2), classic_length=5,
     )
-    assert [(lv.classic_length, lv.window_side) for lv in bundle.levels] == [(5, 3), (5, 7)]
+    sides = TrainConfig(fit_config=FitConfig(levels=2)).profile_lengths
+    assert [(lv.classic_length, lv.window_side) for lv in bundle.levels] == [
+        (5, side) for side in sides]
     path = tmp_path / "classic.asmb"
     save_bundle(bundle, path)
     loaded = load_bundle(path)

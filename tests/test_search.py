@@ -999,11 +999,11 @@ def test_config_for_mode(trained):
 
 @pytest.mark.parametrize("mode, dims", [("asm_svm", [49, 9]), ("classic", [15, 15])],
                          ids=["asm_svm", "classic"])
-def test_fewer_levels_read_their_sizes_from_the_bundle(trained, monkeypatch, mode, dims):
+def test_fewer_levels_read_their_sizes_from_the_bundle(trained_3_7_15, monkeypatch, mode, dims):
     """A 2-level fit of the 3-level bundle searches its two finest levels,
     coarse to fine, each with the statistics, and so the profile length or
     window side, trained there."""
-    bundle, _, faces = trained
+    bundle, _, faces = trained_3_7_15
     sample = faces[6]
     seen = []
 
@@ -1044,11 +1044,11 @@ def test_classic_context_computes_no_equalization_sobel_or_canny(trained, monkey
         build_level_context(bundle, pyr[0], 0, config_for_mode(bundle, "asm_svm"))
 
 
-def test_asm_svm_context_holds_gradients_edges_and_svms(trained, monkeypatch):
+def test_asm_svm_context_holds_gradients_edges_and_svms(trained_3_7_15, monkeypatch):
     """Every asm_svm level holds the equalized image's Sobel magnitude and
     the level's SVMs; only levels >= 1 hold Canny edges. Level 0 never calls
     canny_edges, so a fit over L levels calls it L - 1 times."""
-    bundle, _, faces = trained
+    bundle, _, faces = trained_3_7_15
     cfg = config_for_mode(bundle, "asm_svm")
     pyr = build_pyramid(faces[6].image, cfg.levels)
     calls = []

@@ -52,7 +52,7 @@ def test_bundle_covers_every_level_and_landmark(trained):
     bundle, _, _ = trained
     n = DEFAULT_SCHEME.total
     levels = bundle.fit_defaults.levels
-    assert [lv.window_side for lv in bundle.levels] == [3, 7, 15]
+    assert [lv.window_side for lv in bundle.levels] == [7, 7, 7]
     assert [lv.classic_length for lv in bundle.levels] == [15, 15, 15]
     assert all(lv.asm.mean.shape[0] == lv.classic.mean.shape[0] == n for lv in bundle.levels)
     assert len(bundle.levels) == levels
@@ -83,8 +83,8 @@ def test_summary_window_accounting(trained):
         assert int((stack.labels == -1).sum()) == images * n * 4
 
 
-def test_stats_match_configured_dims(trained):
-    bundle, _, _ = trained
+def test_stats_match_configured_dims(trained_3_7_15):
+    bundle, _, _ = trained_3_7_15
     for level, size in enumerate((3, 7, 15)):
         assert bundle.levels[level].asm.dim == size * size
         assert bundle.levels[level].svms.weights.shape == (68, size * size)
@@ -129,25 +129,20 @@ PROFILE_LENGTH_CASES = {
     "bool": ((3, True, 15), r"^profile_lengths\[1\] must be an integer, got True$"),
     "even": ((3, 8, 15), r"^profile_lengths\[1\] must be odd and >= 3, got 8$"),
     "one-short": ((3, 7), "profile_lengths needs one entry per level, got 2 for 3"),
-    "default-short": (None, r"the default profile_lengths \(3, 7, 15\) covers 3 levels; "
-                            "give profile_lengths for 4"),
 }
 
 
 @pytest.mark.parametrize("case", PROFILE_LENGTH_CASES)
 def test_mistyped_profile_lengths_fail_before_training(faces96, monkeypatch, case):
-    """profile_lengths needs one odd integer >= 3 per level; the default
-    (3, 7, 15) covers at most three levels."""
+    """profile_lengths needs one odd integer >= 3 per level."""
     def started(*args, **kwargs):
         raise AssertionError("training started")
 
     monkeypatch.setattr("asmfit.training.gpa_align", started)
     monkeypatch.setattr("asmfit.training.build_pyramid", started)
     lengths, message = PROFILE_LENGTH_CASES[case]
-    levels = 4 if case == "default-short" else 3
     with pytest.raises(ShapeArityError, match=message):
-        train_bundle(faces96[:3], DEFAULT_SCHEME, fit_config=FitConfig(levels=levels),
-                     profile_lengths=lengths)
+        train_bundle(faces96[:3], DEFAULT_SCHEME, profile_lengths=lengths)
     # the patch is live: well-formed lengths reach it
     with pytest.raises(AssertionError, match="training started"):
         train_bundle(faces96[:3], DEFAULT_SCHEME, profile_lengths=(3, 5, 9))
@@ -171,6 +166,13 @@ def test_mismatched_scheme_fails_before_training(faces96, monkeypatch):
 def test_four_levels_build_with_four_profile_lengths():
     config = TrainConfig(fit_config=FitConfig(levels=4), profile_lengths=(3, 7, 15, 15))
     assert config.profile_lengths == (3, 7, 15, 15)
+
+
+def test_four_levels_without_profile_lengths_train_7x7_windows(faces96):
+    """Left out, profile_lengths gives each of any number of levels a 7x7 window."""
+    bundle, _ = train_bundle(faces96[:3], DEFAULT_SCHEME, fit_config=FitConfig(levels=4),
+                             svm_config=SvmTrainConfig(epochs=2))
+    assert [lv.window_side for lv in bundle.levels] == [7, 7, 7, 7]
 
 
 @pytest.mark.parametrize("settings", [
@@ -225,7 +227,7 @@ def test_border_landmark_trains_with_clamped_windows(faces96):
         if i < 2:
             pts[5, 0] = 95.0
         samples.append(AnnotatedSample(sample.name, sample.image, Shape(pts)))
-    bundle, _ = train_bundle(samples, DEFAULT_SCHEME, seed=2)
+    bundle, _ = train_bundle(samples, DEFAULT_SCHEME, profile_lengths=(3, 7, 15), seed=2)
     for level, landmark in [(1, 5), (1, 4), (2, 5), (0, 5)]:
         ts = level_training_set(samples, landmark, level, seed=2)
         assert ts.count == 20
@@ -250,7 +252,8 @@ def test_every_stack_trains_to_its_optimum(faces96, monkeypatch):
         return model
 
     monkeypatch.setattr(training, "train_linear_svm", recorded)
-    train_bundle(faces96, DEFAULT_SCHEME, svm_config=SvmTrainConfig(c_penalty=2.0))
+    train_bundle(faces96, DEFAULT_SCHEME, svm_config=SvmTrainConfig(c_penalty=2.0),
+                 profile_lengths=(3, 7, 15))
     assert [stack.level for stack, _, _ in trained] == [0] + [1] * 2 + [2] * 9
     for stack, model, c_penalty in trained:
         assert c_penalty == 2.0 and stack.count == 8 * 5
@@ -278,7 +281,8 @@ def test_one_training_set_call_per_stack_and_one_window_call_per_image(faces96, 
         module, attr = name.split(".")
         target = {"svm": svm, "training": training}[module]
         monkeypatch.setattr(target, attr, counted(name, getattr(target, attr)))
-    train_bundle(faces96[:3], DEFAULT_SCHEME, svm_config=SvmTrainConfig(epochs=1))
+    train_bundle(faces96[:3], DEFAULT_SCHEME, svm_config=SvmTrainConfig(epochs=1),
+                 profile_lengths=(3, 7, 15))
     # 68 landmarks of 3x3, 7x7 and 15x15 windows: 1 stack of 68, 2 of 34,
     # then 5 of 8 and 4 of 7
     assert [(level, len(run)) for level, run in runs] == (
@@ -302,7 +306,7 @@ def test_stack_plan_leaves_bundle_bytes_unchanged(faces96, monkeypatch, tmp_path
         monkeypatch.setattr(training, "_SVM_WIDTH", width)
         stack_counts[name] = [len(training._svm_stacks(DEFAULT_SCHEME.total, size))
                               for size in (3, 7, 15)]
-        bundle, _ = train_bundle(faces96[:6], DEFAULT_SCHEME,
+        bundle, _ = train_bundle(faces96[:6], DEFAULT_SCHEME, profile_lengths=(3, 7, 15),
                                  svm_config=SvmTrainConfig(epochs=3), seed=1)
         save_bundle(bundle, tmp_path / f"{name}.asmb")
     assert stack_counts == {"single": [68] * 3, "default": [1, 2, 9], "all": [1, 1, 1]}
@@ -379,7 +383,8 @@ def test_profile_stats_equal_separate_pass_oracle(monkeypatch, width):
     path, where some landmark needs all 11 pairs."""
     monkeypatch.setattr(training, "_SVM_WIDTH", width)
     faces = generate_face_dataset(12, size=96, seed=9)
-    bundle, _ = train_bundle(faces, DEFAULT_SCHEME, svm_config=SvmTrainConfig(epochs=1), seed=1)
+    bundle, _ = train_bundle(faces, DEFAULT_SCHEME, svm_config=SvmTrainConfig(epochs=1),
+                             profile_lengths=(3, 7, 15), seed=1)
     assert [lv.asm.rank for lv in bundle.levels] == [7, 11, 11]
     fraction = bundle.shape_model.variance_fraction
     for level, size in enumerate(lv.window_side for lv in bundle.levels):
@@ -392,11 +397,11 @@ def test_profile_stats_equal_separate_pass_oracle(monkeypatch, width):
             assert got.tobytes() == want.tobytes(), (level, name)
 
 
-def test_summary_accuracy_matches_per_landmark_oracle(trained):
+def test_summary_accuracy_matches_per_landmark_oracle(trained_3_7_15):
     """Training returns what it measured and the bundle does not hold: each
     landmark's SVM accuracy on its own training rows, per level, equal to
     the accuracy of its folded SVM on its raw rows."""
-    bundle, accuracy, faces = trained
+    bundle, accuracy, faces = trained_3_7_15
     assert accuracy.shape == (bundle.fit_defaults.levels, DEFAULT_SCHEME.total)
     for level in range(bundle.fit_defaults.levels):
         for landmark in range(DEFAULT_SCHEME.total):
@@ -427,7 +432,8 @@ def test_constant_window_dimension_gets_unit_std(faces96):
         for x, y in (pts[0] + np.vstack([(0, 0), picks]) - 1).astype(int):
             pixels[y - 1:y + 2, x - 1:x + 2] = 100.0
         samples.append(AnnotatedSample(sample.name, GrayImage(pixels), Shape(pts)))
-    bundle, _ = train_bundle(samples, DEFAULT_SCHEME, negatives_per_positive=8, seed=4)
+    bundle, _ = train_bundle(samples, DEFAULT_SCHEME, negatives_per_positive=8,
+                             profile_lengths=(3, 7, 15), seed=4)
     dataset = [(sobel_gradients(equalize_histogram(s.image)).magnitude, s.shape.points)
                for s in samples]
     ts = build_landmark_training_set_reference(dataset, 0, 0, negatives_per_positive=8,
@@ -460,7 +466,8 @@ def test_train_config_declares_settings_and_fills_in_defaults():
     config = TrainConfig(fit_config=FitConfig(levels=2), variance_fraction=1, clamp_alpha=3)
     assert vars(config) == {
         "fit_config": FitConfig(levels=2), "svm_config": SvmTrainConfig(),
-        "variance_fraction": 1.0, "clamp_alpha": 3.0, "profile_lengths": (3, 7),
+        "variance_fraction": 1.0, "clamp_alpha": 3.0,
+        "profile_lengths": (training._WINDOW_SIDE,) * 2,
         "classic_length": 15, "negatives_per_positive": 4, "offset_range": (2, 8),
         "eps": 1e-3, "seed": 0}
     assert type(config.variance_fraction) is float and type(config.clamp_alpha) is float
