@@ -142,6 +142,14 @@ def check_seed(name: str, seed) -> None:
         raise ShapeArityError(f"{name} must be non-negative, got {seed}")
 
 
+def check_index(name: str, index, count=None) -> None:
+    """Raise ShapeArityError unless index is an integer >= 0 and, when count is given, < count."""
+    check_integer(name, index)
+    if index < 0 or (count is not None and index >= count):
+        below = "" if count is None else f" and < {count}"
+        raise ShapeArityError(f"{name} must be >= 0{below}, got {index}")
+
+
 def check_edge_weight(c) -> None:
     """Raise ShapeArityError unless the edge weight constant is finite and exceeds 1."""
     check_numbers(locals(), reals=("c",))

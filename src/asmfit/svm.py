@@ -14,8 +14,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import (ClassBalanceError, DimensionMismatchError, ShapeArityError, check_integer,
-                     check_numbers, check_radius, check_seed, readonly)
+from .errors import (ClassBalanceError, DimensionMismatchError, ShapeArityError, check_index,
+                     check_integer, check_numbers, check_radius, check_seed, readonly)
 from .profiles import normalize_windows, owner_bounds, owner_matmul, windows_batch
 
 
@@ -143,6 +143,28 @@ def _seed_for(master: int, level: int, landmark: int) -> int:
     return int(master) * 1_000_003 + int(level) * 1_000 + int(landmark)
 
 
+def _negative_picks(rngs, images: int, ring_size: int, negatives: int) -> np.ndarray:
+    """(k, images, negatives) indices into a ring of ring_size offsets, one
+    draw from each of the k generators; each (k, image) row is a uniform set
+    of distinct indices.
+
+    Floyd's sampling without replacement (Bentley & Floyd, CACM 1987) for
+    every image at once: slot t draws from [0, tops[t]], where tops[t] is
+    ring_size - negatives + t, and keeps its draw unless an earlier slot of
+    its row holds it; then it takes tops[t], which no earlier slot can
+    hold. Each draw is row-major, so an image's row does not depend on the
+    images after it.
+    """
+    tops = np.arange(ring_size - negatives, ring_size)
+    picks = np.empty((len(rngs), images, negatives), dtype=np.int64)
+    for row, rng in zip(picks, rngs):
+        row[...] = rng.integers(0, tops + 1, size=(images, negatives))
+    for t in range(1, negatives):
+        taken = (picks[..., :t] == picks[..., t, None]).any(axis=-1)
+        picks[..., t] = np.where(taken, tops[t], picks[..., t])
+    return picks
+
+
 def build_landmark_training_set(
     dataset, landmarks, level: int, *, negatives_per_positive: int, offset_range, seed, size: int
 ) -> LandmarkTrainingSet:
@@ -152,26 +174,33 @@ def build_landmark_training_set(
     (n, 2) landmark positions) pairs. Each image contributes, per landmark,
     one positive window at the annotated point followed by
     negatives_per_positive windows at distinct random offsets whose
-    Chebyshev distance lies in offset_range. Landmark j draws its offsets
-    from its own generator, seeded _seed_for(seed, level, j), image after
-    image, whatever its stack. Windows that cross the border are clamped.
-    Returns one stack with (k, images * (1 + negatives_per_positive), d)
-    features. A seed that check_seed rejects, a non-integer size or a ring
-    that negative_ring rejects raises ShapeArityError.
+    Chebyshev distance lies in offset_range. Landmark j draws the offsets
+    of every image at once from its own generator, seeded _seed_for(seed,
+    level, j), whatever its stack (see _negative_picks). Windows that cross
+    the border are clamped. Returns one stack with (k, images * (1 +
+    negatives_per_positive), d) features. A landmark id that is not an
+    integer in [0, n), a level that is not an integer >= 0, a seed that
+    check_seed rejects, a non-integer size or a ring that negative_ring
+    rejects raises ShapeArityError.
     """
     check_numbers({"size": size}, integers=("size",))
     ring = negative_ring(offset_range, negatives_per_positive)
     check_seed("seed", seed)
+    check_index("level", level)
     landmarks = list(landmarks)
+    n = min((len(points) for _, points in dataset), default=None)
+    for i, j in enumerate(landmarks):
+        check_index(f"landmarks[{i}]", j, n)
     k = len(landmarks)
     rngs = [np.random.default_rng(_seed_for(seed, level, j)) for j in landmarks]
     per_image = 1 + negatives_per_positive
+    # (k, images, negatives, 2): each landmark's negative offsets in every image.
+    offsets = ring[_negative_picks(rngs, len(dataset), len(ring), negatives_per_positive)]
     rows = np.empty((k, len(dataset) * per_image, size * size))
     for i, (magnitude, points) in enumerate(dataset):
         # (k, per_image, 2): each landmark's point, then its negatives' centers.
         centers = np.repeat(np.asarray(points, dtype=float)[landmarks, None], per_image, axis=1)
-        for center, rng in zip(centers, rngs):
-            center[1:] += ring[rng.choice(len(ring), size=negatives_per_positive, replace=False)]
+        centers[:, 1:] += offsets[:, i]
         wins = windows_batch(magnitude, centers.reshape(k * per_image, 2), size)
         rows[:, i * per_image:(i + 1) * per_image] = wins.reshape(k, per_image, size * size)
     normalize_windows(rows, "sum", out=rows)

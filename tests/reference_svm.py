@@ -11,6 +11,9 @@ library's stacked trainer must reach the same weights to rounding.
 build_landmark_training_set_reference gathers one landmark's windows at a
 time, each image's positive and negatives with their own windows_batch
 call, as the library did before it gathered a whole stack image by image.
+negative_picks_reference gives its negatives: one (images, negatives) draw
+from the landmark's generator, then Floyd's rule image by image in plain
+Python, where the library runs it over every image and landmark at once.
 
 predict scores one profile at a time, the form the library's row-matrix
 decision_values replaces. svm_objective is the primal objective of one
@@ -78,18 +81,32 @@ def train_linear_svm_reference(train_set: LandmarkTrainingSet,
     return LinearSvmModel(w[..., :-1], w[..., -1])
 
 
+def negative_picks_reference(rng, images, ring_size, negatives):
+    """Per image, a list of distinct ring indices by Floyd's sampling: slot t
+    of one (images, negatives) draw lies in [0, top], top = ring_size -
+    negatives + t, and gives way to top when an earlier slot holds it."""
+    tops = np.arange(ring_size - negatives, ring_size)
+    picks = []
+    for row in rng.integers(0, tops + 1, size=(images, negatives)).tolist():
+        chosen = []
+        for top, value in zip(tops.tolist(), row):
+            chosen.append(top if value in chosen else value)
+        picks.append(chosen)
+    return picks
+
+
 def build_landmark_training_set_reference(dataset, landmark, level, negatives_per_positive=4,
                                           offset_range=(2, 8), seed=0, size=15):
     """One landmark's training set: per image, the positive window at the
     point, then negatives at distinct ring offsets drawn from one generator;
     windows crossing the border are clamped."""
     ring = _ring_offsets(*offset_range)
-    rng = np.random.default_rng(seed)
+    picks = negative_picks_reference(np.random.default_rng(seed), len(dataset), len(ring),
+                                     negatives_per_positive)
     rows = [np.empty((0, size * size))]
     labels = []
-    for magnitude, points in dataset:
+    for (magnitude, points), pick in zip(dataset, picks):
         center = np.asarray(points, dtype=float)[landmark]
-        pick = rng.choice(len(ring), size=negatives_per_positive, replace=False)
         centers = np.vstack([center[None, :], center[None, :] + ring[pick]])
         rows.append(normalize_windows(windows_batch(magnitude, centers, size), "sum"))
         labels.extend([1.0] + [-1.0] * negatives_per_positive)

@@ -13,9 +13,12 @@ from asmfit.svm import (
     LandmarkTrainingSet,
     LinearSvmModel,
     SvmTrainConfig,
+    _negative_picks,
+    _ring_offsets,
     _seed_for,
     build_landmark_training_set,
     decision_values,
+    negative_ring,
     train_linear_svm,
     training_accuracy,
 )
@@ -208,6 +211,10 @@ def test_training_set_rejects_non_integer_settings(bad):
 def test_training_set_empty_dataset():
     ts = training_set([], [0, 1], 0)
     assert ts.count == 0 and ts.features.shape == (2, 0, 25)
+    # Without images there are no points to index, so only an id's sign is checked.
+    assert training_set([], [7], 3).features.shape == (1, 0, 25)
+    with pytest.raises(ShapeArityError, match=r"^landmarks\[0\] must be >= 0, got -1"):
+        training_set([], [-1], 0)
     with pytest.raises(ClassBalanceError):
         train_linear_svm(ts, SvmTrainConfig())
 
@@ -278,6 +285,94 @@ def test_numpy_integer_seed_gives_the_windows_of_its_value(seed):
         want = training_set(dataset, [6, 1, 3], level, seed=seed)
         got = training_set(dataset, [6, 1, 3], level, seed=np.int64(seed))
         assert got.features.tobytes() == want.features.tobytes()
+
+
+@pytest.mark.parametrize("bad, match", [
+    (dict(landmarks=[5]), r"landmarks\[0\] must be >= 0 and < 2, got 5"),
+    (dict(landmarks=[1, 2]), r"landmarks\[1\] must be >= 0 and < 2, got 2"),
+    (dict(landmarks=[-1]), r"landmarks\[0\] must be >= 0 and < 2, got -1"),
+    (dict(landmarks=[0.5]), r"landmarks\[0\] must be an integer"),
+    (dict(landmarks=[True]), r"landmarks\[0\] must be an integer"),
+    (dict(level=-1), r"level must be >= 0, got -1"),
+    (dict(level=0.5), r"level must be an integer"),
+    (dict(level=True), r"level must be an integer"),
+], ids=["id-past-n", "second-id-past-n", "negative-id", "float-id", "bool-id", "negative-level",
+        "float-level", "bool-level"])
+def test_training_set_refuses_bad_landmark_ids_and_levels(bad, match):
+    """A landmark id outside [0, n) of the dataset's n points, or a level
+    below 0, raises ShapeArityError before any window is drawn: not a bare
+    IndexError from the gather, nor default_rng's ValueError on the
+    negative seed _seed_for would give it."""
+    dataset = [(grid_magnitude(), np.array([[20.0, 20.0], [10.0, 30.0]]))]
+    args = dict(landmarks=[0, 1], level=0) | bad
+    with pytest.raises(ShapeArityError, match=f"^{match}"):
+        training_set(dataset, args["landmarks"], args["level"])
+
+
+def negative_offsets(ts, dataset, landmark, ring, negatives, size):
+    """Per image, the ring offsets whose windows are the image's negative rows
+    of a one-landmark training set, each row matched byte for byte."""
+    per_image = 1 + negatives
+    found = []
+    for i, (magnitude, points) in enumerate(dataset):
+        centers = points[landmark] + ring
+        windows = normalize_windows(windows_batch(magnitude, centers, size), "sum")
+        where = {row.tobytes(): index for index, row in enumerate(windows)}
+        rows = ts.features[0, i * per_image + 1:(i + 1) * per_image]
+        found.append([where[row.tobytes()] for row in rows])
+    return found
+
+
+@pytest.mark.parametrize("negatives, ring", [(4, (2, 8)), (12, (1, 2)), (8, (1, 1))],
+                         ids=["default", "half-ring", "full-ring"])
+def test_each_image_gets_distinct_ring_offsets(negatives, ring):
+    """Each image's negative windows sit at distinct offsets of the ring;
+    the whole ring (8 of 8 at (1, 1)) gives each image a permutation of it."""
+    rng = np.random.default_rng(21)
+    dataset = [(rng.uniform(1.0, 9.0, (40, 40)), np.array([[20.0, 19.0], [15.0, 22.0]]))
+               for _ in range(12)]
+    offsets = _ring_offsets(*ring)
+    ts = training_set(dataset, [1], 0, negatives_per_positive=negatives, offset_range=ring,
+                      seed=3, size=3)
+    found = negative_offsets(ts, dataset, 1, offsets, negatives, 3)
+    for row in found:
+        assert len(set(row)) == negatives
+    if negatives == len(offsets):
+        assert all(sorted(row) == list(range(len(offsets))) for row in found)
+    picks = _negative_picks([np.random.default_rng(_seed_for(3, 0, 1))], 12, len(offsets),
+                            negatives)
+    assert picks.tolist() == [found]
+
+
+def test_adding_an_image_leaves_the_earlier_images_rows_equal():
+    """Each landmark's draw is row-major over the images, so an image's
+    negatives do not depend on the images after it."""
+    dataset = oracle_dataset()
+    landmarks = [6, 1, 4]
+    rows = 1 + TrainConfig.negatives_per_positive
+    whole = training_set(dataset, landmarks, 1, seed=2)
+    for images in (1, 2):
+        head = training_set(dataset[:images], landmarks, 1, seed=2)
+        assert head.features.tobytes() == whole.features[:, :images * rows].tobytes()
+    picks = _negative_picks([np.random.default_rng(s) for s in (4, 5)], 300, 280, 4)
+    assert np.array_equal(_negative_picks([np.random.default_rng(s) for s in (4, 5)], 299,
+                                          280, 4), picks[:, :299])
+
+
+def test_negative_offsets_are_uniform_over_the_ring():
+    """Over 20,000 images at TrainConfig's ring (280 offsets, 4 negatives)
+    each offset is drawn 20,000 * 4 / 280 times on average; the per-offset
+    counts' chi-square statistic (279 degrees of freedom) stays under 357.7,
+    its 0.999 quantile. Every slot's draw counts, so a rule that favoured
+    the slots' tops, or any other offset, would push it far above."""
+    ring = negative_ring(TrainConfig.offset_range, TrainConfig.negatives_per_positive)
+    negatives = TrainConfig.negatives_per_positive
+    picks = _negative_picks([np.random.default_rng(_seed_for(0, 0, 0))], 20_000, len(ring),
+                            negatives)[0]
+    assert all(len(set(row)) == negatives for row in picks.tolist())
+    counts = np.bincount(picks.ravel(), minlength=len(ring))
+    expected = picks.size / len(ring)
+    assert ((counts - expected) ** 2 / expected).sum() < 357.7
 
 
 # ---------------------------------------------------------------- trainer

@@ -30,6 +30,7 @@ from reference_svm import (
     build_landmark_training_set_reference,
     kkt_residual,
     landmark_svm,
+    negative_picks_reference,
     train_linear_svm_reference,
 )
 
@@ -416,18 +417,19 @@ def test_summary_accuracy_matches_per_landmark_oracle(trained_3_7_15):
 def test_constant_window_dimension_gets_unit_std(faces96):
     # Landmark 0 is moved onto its nearest pixel, so its level-0 3x3 windows
     # are centered on the point and on the ring offsets the training set
-    # draws (the same generator, replayed here). Every image gets a flat 3x3
-    # patch around the top-left pixel of each of those windows: the Sobel
-    # magnitude there is exactly zero, so the first dimension of every
-    # sum-normalized row is 0, while the image noise keeps the rest of each
-    # window nonzero and no window flat.
-    rng = np.random.default_rng(_seed_for(4, 0, 0))
+    # draws (the same generator and Floyd's rule, replayed here by the
+    # scalar oracle). Every image gets a flat 3x3 patch around the top-left
+    # pixel of each of those windows: the Sobel magnitude there is exactly
+    # zero, so the first dimension of every sum-normalized row is 0, while
+    # the image noise keeps the rest of each window nonzero and no window
+    # flat.
     ring = _ring_offsets(2, 8)
+    draws = negative_picks_reference(np.random.default_rng(_seed_for(4, 0, 0)), 6, len(ring), 8)
     samples = []
-    for sample in faces96[:6]:
+    for sample, draw in zip(faces96[:6], draws):
         pts = sample.shape.points.copy()
         pts[0] = np.rint(pts[0])
-        picks = ring[rng.choice(len(ring), size=8, replace=False)]
+        picks = ring[draw]
         pixels = sample.image.pixels.copy()
         for x, y in (pts[0] + np.vstack([(0, 0), picks]) - 1).astype(int):
             pixels[y - 1:y + 2, x - 1:x + 2] = 100.0
