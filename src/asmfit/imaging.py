@@ -299,12 +299,16 @@ def sample_bilinear(image: GrayImage, x, y):
 
 def segment_points(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Points along each segment a[i] -> b[i], segment by segment: a + t (b - a)
-    at max(2, ceil(2 |b - a|)) values of np.linspace(0, 1, steps)."""
+    at max(2, ceil(2 |b - a|)) values of np.linspace(0, 1, steps), spaced for
+    all segments at once with linspace's arithmetic: t = i * (1 / (steps - 1)),
+    and t = 1 at each segment's end."""
     delta = b - a
     # vecdot rounds like np.linalg.norm of one segment, so the counts match it.
     steps = np.maximum(2, np.ceil(np.sqrt(np.vecdot(delta, delta)) * 2)).astype(int)
-    t = np.concatenate([np.linspace(0.0, 1.0, n) for n in steps])
     seg = np.repeat(np.arange(len(a)), steps)
+    starts = np.cumsum(steps) - steps
+    t = (np.arange(len(seg)) - starts[seg]) * (1.0 / (steps - 1))[seg]
+    t[starts + steps - 1] = 1.0
     return a[seg] + t[:, None] * delta[seg]
 
 

@@ -1,12 +1,15 @@
 """Multi-resolution landmark search: candidate scoring, gating, fitting loop.
 
-Fitting walks the pyramid coarse to fine. At each level fit_level has every
-landmark scan the integer grid within a Chebyshev radius of its current
-position and score candidates with the mode's profile cost (SVM-gated in
-asm_svm, and edge-weighted there at every level but the finest), and pulls
-the whole shape back onto the constrained shape model; fit hands each level's
-shape to the next by doubling coordinates. The asm_svm gate runs first, on the raw
-gradient windows, so only the candidates that compete are sum-normalized and scored.
+Fitting walks the pyramid coarse to fine. fit pulls the init onto the
+constrained shape model once, at the coarsest level. At each level fit_level
+has every landmark scan the integer grid within a Chebyshev radius of its
+current position and score candidates with the mode's profile cost
+(SVM-gated in asm_svm, and edge-weighted there at every level but the
+finest), and pulls the whole shape back onto the model with
+_PASS_PROJECTIONS projections; fit hands each level's shape to the next by
+doubling coordinates, a similarity, so the next level starts from a model
+instance. The asm_svm gate runs first, on the raw gradient windows, so only
+the candidates that compete are sum-normalized and scored.
 """
 
 from __future__ import annotations
@@ -45,6 +48,10 @@ from .svm import LinearSvmModel, decision_values
 
 # Least fraction of init landmarks inside the level-0 image that fit accepts.
 MIN_INIT_INSIDE = 0.5
+# Projections of each search pass's regularization. Each one shrinks the
+# coefficient step about 3e-3 times, so two leave the shape within ~3e-5 px
+# of fit_params' converged fit, far below the one-pixel grid the search moves on.
+_PASS_PROJECTIONS = 2
 
 
 @dataclass(frozen=True)
@@ -266,14 +273,15 @@ def build_level_context(bundle, level_image: GrayImage, level: int, config: FitC
 
 
 def fit_level(ctx: LevelContext, shape: Shape, model: ShapeModel, config: FitConfig):
-    """One pyramid level's search: regularize the shape, then search and regularize it
-    until config.convergence of the landmarks move under a pixel, for at most
-    max_iters_per_level passes. Returns (shape, last pass's costs or None, passes, converged)."""
-    shape = Shape(fit_params(model, shape).points)
+    """One pyramid level's search from `shape`, a model instance: search and
+    regularize it (fit_params capped at _PASS_PROJECTIONS projections) until
+    config.convergence of the landmarks move under a pixel, for at most
+    max_iters_per_level passes. Returns (shape, last pass's costs or None,
+    passes, converged); with no pass, the shape is returned as given."""
     costs = None
     for passes in range(1, config.max_iters_per_level + 1):
         searched, costs = search_landmarks(ctx, shape, config)
-        updated = Shape(fit_params(model, searched).points)
+        updated = Shape(fit_params(model, searched, max_iters=_PASS_PROJECTIONS).points)
         moved = np.linalg.norm(updated.points - shape.points, axis=1)
         shape = updated
         if np.mean(moved < 1.0) >= config.convergence:
@@ -284,9 +292,10 @@ def fit_level(ctx: LevelContext, shape: Shape, model: ShapeModel, config: FitCon
 def fit(pyramid: tuple, bundle, init: Shape, config: FitConfig) -> FitResult:
     """Coarse-to-fine constrained fit of the bundle's model to one image,
     given as build_pyramid's tuple of level images: the init shape (level-0
-    pixels) is scaled down to the coarsest level, and each level runs
-    fit_level, on a context built only when a pass may run, and hands its
-    shape up by doubling coordinates. Deterministic: no randomness.
+    pixels) is scaled down to the coarsest level and fitted to the model
+    once, with fit_params' defaults; each level runs fit_level, on a context
+    built only when a pass may run, and hands its shape up by doubling
+    coordinates, which keeps it a model instance. Deterministic: no randomness.
 
     Raises DimensionMismatchError when the pyramid does not have the
     config's levels or the bundle has fewer, and InitializationError when
@@ -309,7 +318,8 @@ def fit(pyramid: tuple, bundle, init: Shape, config: FitConfig) -> FitResult:
             f"{base.width}x{base.height} image; at least {MIN_INIT_INSIDE:.0%} must lie inside"
         )
 
-    shape = Shape(init.points / 2.0 ** (config.levels - 1))
+    shape = Shape(fit_params(bundle.shape_model,
+                             Shape(init.points / 2.0 ** (config.levels - 1))).points)
     iterations, converged = [0] * config.levels, [False] * config.levels
     for level in range(config.levels - 1, -1, -1):
         ctx = (build_level_context(bundle, pyramid[level], level, config)

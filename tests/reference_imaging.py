@@ -18,6 +18,10 @@ The library gathers a sample's four neighbours from the raveled pixels at
 one flat index. This module keeps the form it replaces: both coordinates
 clipped twice, x1 = min(x0 + 1, w - 1) and y1 = min(y0 + 1, h - 1), and
 four 2-D fancy indexes. The arithmetic is the library's, in the same order.
+
+The library spaces every segment's samples with one arange scaled by each
+segment's 1 / (steps - 1), its last sample set to 1, as np.linspace does.
+`segment_points` keeps the form it replaces: one np.linspace per segment.
 """
 
 import numpy as np
@@ -85,3 +89,14 @@ def sample_bilinear(image, x, y):
     if np.isscalar(x):
         return float(val)
     return val
+
+
+def segment_points(a, b):
+    """Points along each segment a[i] -> b[i]: a + t (b - a) at
+    max(2, ceil(2 |b - a|)) values of np.linspace(0, 1, steps), one segment
+    after another."""
+    delta = b - a
+    steps = np.maximum(2, np.ceil(np.sqrt(np.vecdot(delta, delta)) * 2)).astype(int)
+    t = np.concatenate([np.linspace(0.0, 1.0, n) for n in steps])
+    seg = np.repeat(np.arange(len(a)), steps)
+    return a[seg] + t[:, None] * delta[seg]

@@ -122,8 +122,10 @@ def condition_images(test, condition: str) -> list:
 
 
 def fit_pipeline(contexts: list, bundle, init: Shape, config) -> Shape:
-    """search.fit's level loop on the given level contexts, finest first."""
-    shape = Shape(init.points / 2.0 ** (len(contexts) - 1))
+    """search.fit's level loop on the given level contexts, finest first,
+    from the init scaled to the coarsest level and fitted to the model once."""
+    shape = Shape(fit_params(bundle.shape_model,
+                             Shape(init.points / 2.0 ** (len(contexts) - 1))).points)
     for level in range(len(contexts) - 1, -1, -1):
         shape, *_ = search.fit_level(contexts[level], shape, bundle.shape_model, config)
         if level > 0:

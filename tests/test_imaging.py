@@ -553,3 +553,38 @@ def test_bilinear_reads_fortran_ordered_pixels_in_row_major_order():
     assert img.pixels.flags.c_contiguous
     xs, ys = np.meshgrid(np.arange(5.0), np.arange(4.0))
     assert sample_bilinear(img, xs, ys).tobytes() == px.tobytes(order="C")
+
+
+# --------------------------------------------------------------- segments
+
+@st.composite
+def segment_sets(draw):
+    """(a, b) of 1..12 segments at one scale of 0.1..1000 px, some of zero
+    length, with endpoints anywhere within ten scales of the origin."""
+    n = draw(st.integers(1, 12))
+    scale = draw(st.floats(0.1, 1000.0))
+    unit = st.floats(-1.0, 1.0)
+    a = draw(arrays(np.float64, (n, 2), elements=unit)) * (10.0 * scale)
+    b = a + draw(arrays(np.float64, (n, 2), elements=unit)) * scale
+    still = draw(arrays(np.bool_, n))
+    b[still] = a[still]
+    return a, b
+
+
+@PROPERTY
+@given(segments=segment_sets())
+@example(segments=(np.zeros((1, 2)), np.zeros((1, 2))))
+@example(segments=(np.array([[0.0, 0.0], [3.0, 4.0]]), np.array([[0.0, 0.1], [3.0, 4.0]])))
+@example(segments=(np.array([[5.0, 5.0]]), np.array([[1005.0, -995.0]])))
+def test_segment_points_equal_per_segment_linspace_oracle(segments):
+    """All segments spaced at once give the per-segment np.linspace points
+    byte for byte: zero-length segments get their two samples, and every
+    segment starts at a and ends at a + (b - a)."""
+    a, b = segments
+    got = imaging.segment_points(a, b)
+    assert got.tobytes() == reference_imaging.segment_points(a, b).tobytes()
+    steps = np.array([max(2, int(np.ceil(2 * np.linalg.norm(d)))) for d in b - a])
+    starts = np.cumsum(steps) - steps
+    assert got.shape == (steps.sum(), 2)
+    assert np.array_equal(got[starts], a)
+    assert np.array_equal(got[starts + steps - 1], a + (b - a))

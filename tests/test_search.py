@@ -858,8 +858,9 @@ def test_fit_zero_iterations_returns_regularized_init(trained, monkeypatch):
 @pytest.mark.parametrize("mode", ["asm_svm", "classic"])
 def test_fit_is_fit_level_per_level_with_a_doubling_hand_off(trained, monkeypatch, mode):
     """Driving fit_level by hand, on each level's build_level_context, from
-    the init scaled to the coarsest level and doubled between levels, gives
-    the full fit's shape, costs and pass count at every level, byte for byte.
+    the init scaled to the coarsest level and regularized once, and doubled
+    between levels, gives the full fit's shape, costs and pass count at every
+    level, byte for byte.
     The stored defaults converge after more than one pass somewhere; one
     pass per level leaves some level unconverged."""
     bundle, _, faces = trained
@@ -878,7 +879,7 @@ def test_fit_is_fit_level_per_level_with_a_doubling_hand_off(trained, monkeypatc
         runs.clear()
         result = fit(pyr, bundle, init, cfg)
         assert cfg.levels == len(runs) == 3
-        shape = Shape(init.points / 4.0)
+        shape = Shape(fit_params(bundle.shape_model, Shape(init.points / 4.0)).points)
         for level, (want_shape, want_costs, passes, converged) in zip((2, 1, 0), runs):
             ctx = build_level_context(bundle, pyr[level], level, cfg)
             got_shape, got_costs, got_passes, got_converged = fit_level(
@@ -894,6 +895,90 @@ def test_fit_is_fit_level_per_level_with_a_doubling_hand_off(trained, monkeypatc
             assert all(result.converged) and max(result.iterations) > 1
         else:
             assert not all(result.converged) and result.iterations == (1, 1, 1)
+
+
+def spied_fits(bundle, faces, mode, monkeypatch):
+    """(fit results, fit_params calls) of held-out faces fitted from boxes
+    inflated by 0.10 and 0.20; each call is (args, kwargs, returned ParamFit)."""
+    calls, results = [], []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs, fit_params(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(search, "fit_params", spy)
+    cfg = config_for_mode(bundle, mode)
+    for sample in faces[6:]:
+        pyr = build_pyramid(sample.image, cfg.levels)
+        for inflate in (0.10, 0.20):
+            init = init_shape_from_box(bundle.shape_model, truth_box(sample.shape, inflate))
+            start = len(calls)
+            results.append((fit(pyr, bundle, init, cfg), calls[start:]))
+    return results
+
+
+@pytest.mark.parametrize("mode", ["asm_svm", "classic"])
+def test_fit_regularizes_the_init_once_and_each_pass_with_two_projections(
+        trained, monkeypatch, mode):
+    """A fit calls fit_params once per pass plus once for the init: the
+    init's call takes fit_params' defaults, every pass's call caps it at two
+    projections, and the last call's points are the fitted shape."""
+    bundle, _, faces = trained
+    assert search._PASS_PROJECTIONS == 2
+    for result, calls in spied_fits(bundle, faces, mode, monkeypatch):
+        assert len(calls) == 1 + sum(result.iterations)
+        (model, _), kwargs, _ = calls[0]
+        assert model is bundle.shape_model and kwargs == {}
+        assert all(args[0] is bundle.shape_model and kwargs == {"max_iters": 2}
+                   for args, kwargs, _ in calls[1:])
+        assert calls[-1][2].points.tobytes() == result.shape.points.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["asm_svm", "classic"])
+def test_capped_pass_regularization_is_near_the_converged_fit(trained, monkeypatch, mode):
+    """Each pass's two-projection fit lands within 1e-4 px of fit_params
+    run to its default tolerance on the same searched shape, the slow
+    reference, and the capped fit still satisfies the model's clamp."""
+    bundle, _, faces = trained
+    model = bundle.shape_model
+    limits = model.mode_limits()
+    for _, calls in spied_fits(bundle, faces, mode, monkeypatch):
+        for (_, searched), _, capped in calls[1:]:
+            reference = fit_params(model, searched)
+            assert np.abs(capped.points - reference.points).max() <= 1e-4
+            assert (np.abs(capped.params) <= limits).all()
+
+
+@pytest.mark.parametrize("mode", ["asm_svm", "classic"])
+def test_a_doubled_fitted_shape_is_a_model_instance(trained, monkeypatch, mode):
+    """Doubling is a similarity, so twice any shape a fit returns, and twice
+    each level's shape that fit hands up, is a model instance: fit_params run
+    to a 1e-12 tolerance gives it back within 1e-12 px. With its defaults,
+    as the re-fit on a level's entry ran it, fit_params moves it by under
+    1e-8 px, what its 1e-6 stopping rule leaves (up to ~1.2e-9 px here); so
+    skipping that re-fit loses nothing."""
+    bundle, _, faces = trained
+    levels = []
+
+    def recording(*args):
+        run = fit_level(*args)
+        levels.append(run[0])
+        return run
+
+    monkeypatch.setattr(search, "fit_level", recording)
+    cfg = config_for_mode(bundle, mode)
+    for sample in faces[6:]:
+        pyr = build_pyramid(sample.image, cfg.levels)
+        init = init_shape_from_box(bundle.shape_model, truth_box(sample.shape, 0.10))
+        levels.clear()
+        result = fit(pyr, bundle, init, cfg)
+        assert levels[-1].points.tobytes() == result.shape.points.tobytes()
+        for shape in levels:
+            doubled = 2.0 * shape.points
+            exact = fit_params(bundle.shape_model, Shape(doubled), tolerance=1e-12).points
+            assert np.abs(exact - doubled).max() <= 1e-12
+            refit = fit_params(bundle.shape_model, Shape(doubled)).points
+            assert np.abs(refit - doubled).max() <= 1e-8
 
 
 def test_fit_result_satisfies_model_constraint(trained):
