@@ -37,6 +37,7 @@ from .scheme import DEFAULT_SCHEME, ContourGroup, LandmarkScheme
 from .search import (
     FitConfig,
     FitResult,
+    LevelFit,
     config_for_mode,
     fit,
     init_shape_from_box,

@@ -1,15 +1,16 @@
 """Multi-resolution landmark search: candidate scoring, gating, fitting loop.
 
-Fitting walks the pyramid coarse to fine. fit pulls the init onto the
-constrained shape model once, at the coarsest level. At each level fit_level
-has every landmark scan the integer grid within a Chebyshev radius of its
-current position and score candidates with the mode's profile cost
-(SVM-gated in asm_svm, and edge-weighted there at every level but the
+Fitting walks the pyramid coarse to fine in fit_contexts, which pulls the
+init onto the constrained shape model once, at the coarsest level. At each
+level fit_level has every landmark scan the integer grid within a Chebyshev
+radius of its current position and score candidates with the mode's profile
+cost (SVM-gated in asm_svm, and edge-weighted there at every level but the
 finest), and pulls the whole shape back onto the model with
-_PASS_PROJECTIONS projections; fit hands each level's shape to the next by
-doubling coordinates, a similarity, so the next level starts from a model
-instance. The asm_svm gate runs first, on the raw gradient windows, so only
-the candidates that compete are sum-normalized and scored.
+_PASS_PROJECTIONS projections; fit_contexts hands each level's shape to the
+next by doubling coordinates, a similarity, so the next level starts from a
+model instance. fit runs it on one image's level contexts. The asm_svm gate
+runs first, on the raw gradient windows, so only the candidates that
+compete are sum-normalized and scored.
 """
 
 from __future__ import annotations
@@ -106,19 +107,40 @@ class LevelContext:
 
 
 @dataclass(frozen=True, eq=False)
-class FitResult:
-    """Fitted shape plus the loop's bookkeeping.
-
-    The shape always satisfies the model constraint: it is T(mean + modes@b)
-    for the last regularization's similarity T and clamped b. iterations and
-    converged are indexed by pyramid level; landmark_costs holds the final
-    search pass's per-landmark costs (None when search never ran).
-    """
+class LevelFit:
+    """One pyramid level's search: its final shape, in that level's own
+    pixels, the last pass's per-landmark costs (None when no pass ran), the
+    passes run and whether the last one converged."""
 
     shape: Shape
-    iterations: tuple
-    converged: tuple
-    landmark_costs: np.ndarray
+    costs: np.ndarray
+    passes: int
+    converged: bool
+
+
+@dataclass(frozen=True, eq=False)
+class FitResult:
+    """One LevelFit per pyramid level, finest first.
+
+    shape is the finest level's, in level-0 pixels; it always satisfies the
+    model constraint: it is T(mean + modes@b) for the last regularization's
+    similarity T and clamped b. iterations and converged are indexed by
+    pyramid level.
+    """
+
+    levels: tuple
+
+    @property
+    def shape(self) -> Shape:
+        return self.levels[0].shape
+
+    @property
+    def iterations(self) -> tuple:
+        return tuple(lv.passes for lv in self.levels)
+
+    @property
+    def converged(self) -> tuple:
+        return tuple(lv.converged for lv in self.levels)
 
 
 def init_shape_from_box(model: ShapeModel, box) -> Shape:
@@ -272,12 +294,12 @@ def build_level_context(bundle, level_image: GrayImage, level: int, config: FitC
                    svms=lv.svms)
 
 
-def fit_level(ctx: LevelContext, shape: Shape, model: ShapeModel, config: FitConfig):
+def fit_level(ctx: LevelContext, shape: Shape, model: ShapeModel, config: FitConfig) -> LevelFit:
     """One pyramid level's search from `shape`, a model instance: search and
     regularize it (fit_params capped at _PASS_PROJECTIONS projections) until
     config.convergence of the landmarks move under a pixel, for at most
-    max_iters_per_level passes. Returns (shape, last pass's costs or None,
-    passes, converged); with no pass, the shape is returned as given."""
+    max_iters_per_level passes. With no pass, the LevelFit holds the shape
+    as given, no costs and 0 passes."""
     costs = None
     for passes in range(1, config.max_iters_per_level + 1):
         searched, costs = search_landmarks(ctx, shape, config)
@@ -285,17 +307,30 @@ def fit_level(ctx: LevelContext, shape: Shape, model: ShapeModel, config: FitCon
         moved = np.linalg.norm(updated.points - shape.points, axis=1)
         shape = updated
         if np.mean(moved < 1.0) >= config.convergence:
-            return shape, costs, passes, True
-    return shape, costs, config.max_iters_per_level, False
+            return LevelFit(shape, costs, passes, True)
+    return LevelFit(shape, costs, config.max_iters_per_level, False)
+
+
+def fit_contexts(contexts, model: ShapeModel, init: Shape, config: FitConfig) -> FitResult:
+    """The coarse-to-fine fit on level contexts indexed by level, finest
+    first: the init shape (level-0 pixels) is scaled down to the coarsest
+    level and fitted to the model once, with fit_params' defaults; each
+    level, coarse to fine, runs fit_level and hands its shape up by doubling
+    coordinates, which keeps it a model instance. A context may be None only
+    when max_iters_per_level is 0. Deterministic: no randomness."""
+    shape = Shape(fit_params(model, Shape(init.points / 2.0 ** (len(contexts) - 1))).points)
+    fits = []
+    for ctx in reversed(contexts):
+        if fits:
+            shape = Shape(fits[-1].shape.points * 2.0)
+        fits.append(fit_level(ctx, shape, model, config))
+    return FitResult(tuple(reversed(fits)))
 
 
 def fit(pyramid: tuple, bundle, init: Shape, config: FitConfig) -> FitResult:
-    """Coarse-to-fine constrained fit of the bundle's model to one image,
-    given as build_pyramid's tuple of level images: the init shape (level-0
-    pixels) is scaled down to the coarsest level and fitted to the model
-    once, with fit_params' defaults; each level runs fit_level, on a context
-    built only when a pass may run, and hands its shape up by doubling
-    coordinates, which keeps it a model instance. Deterministic: no randomness.
+    """fit_contexts on the bundle's model and the level contexts of one
+    image, given as build_pyramid's tuple of level images. The contexts are
+    built coarse to fine, and only when a pass may run.
 
     Raises DimensionMismatchError when the pyramid does not have the
     config's levels or the bundle has fewer, and InitializationError when
@@ -317,18 +352,10 @@ def fit(pyramid: tuple, bundle, init: Shape, config: FitConfig) -> FitResult:
             f"{np.count_nonzero(~inside)} of {len(inside)} init landmarks lie outside the "
             f"{base.width}x{base.height} image; at least {MIN_INIT_INSIDE:.0%} must lie inside"
         )
-
-    shape = Shape(fit_params(bundle.shape_model,
-                             Shape(init.points / 2.0 ** (config.levels - 1))).points)
-    iterations, converged = [0] * config.levels, [False] * config.levels
-    for level in range(config.levels - 1, -1, -1):
-        ctx = (build_level_context(bundle, pyramid[level], level, config)
-               if config.max_iters_per_level else None)
-        shape, costs, iterations[level], converged[level] = fit_level(
-            ctx, shape, bundle.shape_model, config)
-        if level > 0:
-            shape = Shape(shape.points * 2.0)
-    return FitResult(shape, tuple(iterations), tuple(converged), costs)
+    coarse_first = ([build_level_context(bundle, pyramid[level], level, config)
+                     for level in reversed(range(config.levels))]
+                    if config.max_iters_per_level else [None] * config.levels)
+    return fit_contexts(coarse_first[::-1], bundle.shape_model, init, config)
 
 
 def config_for_mode(bundle, mode: str) -> FitConfig:

@@ -9,8 +9,9 @@ ablations, and the choice between the two candidate default sides.
 
 The data is the 100-face split: generate_face_dataset(130, 256, seed=1),
 split 30/100 with seed 2. Every fit starts from the truth box inflated by
-0.10. A face fails when its mean landmark error exceeds 4 px. The
-ablations search the asm_svm level contexts with fields dropped: "no gate"
+0.10. A face fails when its mean landmark error exceeds 4 px. Every
+pipeline runs search.fit_contexts on its mode's level contexts; the
+ablations run it on the asm_svm contexts with fields dropped: "no gate"
 without the SVMs, "no Canny" without the edge maps, "neither" without
 both. The model floor is the E_ave of fit_params of the truth shapes, the
 grid floor that of the truth rounded to integers.
@@ -121,18 +122,6 @@ def condition_images(test, condition: str) -> list:
     return [GrayImage(px) for px in pixels]
 
 
-def fit_pipeline(contexts: list, bundle, init: Shape, config) -> Shape:
-    """search.fit's level loop on the given level contexts, finest first,
-    from the init scaled to the coarsest level and fitted to the model once."""
-    shape = Shape(fit_params(bundle.shape_model,
-                             Shape(init.points / 2.0 ** (len(contexts) - 1))).points)
-    for level in range(len(contexts) - 1, -1, -1):
-        shape, *_ = search.fit_level(contexts[level], shape, bundle.shape_model, config)
-        if level > 0:
-            shape = Shape(shape.points * 2.0)
-    return shape
-
-
 def fit_image(bundle, image: GrayImage, truth: Shape, pipelines) -> dict:
     """Pipeline name -> fitted shape of one image, each mode's level contexts
     built once and shared by its ablations."""
@@ -145,8 +134,8 @@ def fit_image(bundle, image: GrayImage, truth: Shape, pipelines) -> dict:
             configs[mode] = search.config_for_mode(bundle, mode)
             contexts[mode] = [search.build_level_context(bundle, level_image, level, configs[mode])
                               for level, level_image in enumerate(pyramid)]
-        fitted[name] = fit_pipeline([replace(ctx, **dropped) for ctx in contexts[mode]],
-                                    bundle, init, configs[mode])
+        fitted[name] = search.fit_contexts([replace(ctx, **dropped) for ctx in contexts[mode]],
+                                           bundle.shape_model, init, configs[mode]).shape
     return fitted
 
 

@@ -378,7 +378,7 @@ def test_trained_bundle_fits_as_its_saved_and_loaded_copy(saved_bundle, faces96)
             trained, reloaded = (fit(pyramid, model, init_shape_from_box(model.shape_model, box),
                                      config) for model in (bundle, loaded))
             assert trained.shape.points.tobytes() == reloaded.shape.points.tobytes()
-            assert trained.landmark_costs.tobytes() == reloaded.landmark_costs.tobytes()
+            assert trained.levels[0].costs.tobytes() == reloaded.levels[0].costs.tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -321,4 +321,5 @@ def test_fit_returns_finite_points_or_asmfit_error(trained, mode, image, height,
     except AsmFitError:
         return
     assert np.isfinite(result.shape.points).all()
-    assert result.landmark_costs is None or np.isfinite(result.landmark_costs).all()
+    costs = result.levels[0].costs
+    assert costs is None or np.isfinite(costs).all()

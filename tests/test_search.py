@@ -833,7 +833,9 @@ def test_fit_is_deterministic(trained):
 
 def test_fit_zero_iterations_returns_regularized_init(trained, monkeypatch):
     """With no pass to run, fit builds no level context (so it runs no Canny)
-    and returns the regularized init."""
+    and returns the regularized init. Every level's record holds no pass:
+    the coarsest holds the init regularized there, in that level's pixels,
+    and each finer one exactly twice the next coarser one's points."""
     bundle, _, faces = trained
     sample = faces[6]
     base = config_for_mode(bundle, "asm_svm")
@@ -848,7 +850,14 @@ def test_fit_zero_iterations_returns_regularized_init(trained, monkeypatch):
     res = fit(pyr, bundle, init, cfg)
     assert res.iterations == (0, 0, 0)
     assert res.converged == (False, False, False)
-    assert res.landmark_costs is None
+    assert len(res.levels) == cfg.levels
+    for record in res.levels:
+        assert (record.passes, record.converged, record.costs) == (0, False, None)
+    coarsest = fit_params(bundle.shape_model, Shape(init.points / 2.0 ** (cfg.levels - 1)))
+    assert res.levels[-1].shape.points.tobytes() == coarsest.points.tobytes()
+    for finer, coarser in zip(res.levels, res.levels[1:]):
+        assert finer.shape.points.tobytes() == (coarser.shape.points * 2).tobytes()
+    assert res.shape is res.levels[0].shape
     # still a legal model instance: refitting it leaves it in place
     pf = fit_params(bundle.shape_model, res.shape)
     assert pf.residual == pytest.approx(0.0, abs=1e-9)
@@ -856,41 +865,32 @@ def test_fit_zero_iterations_returns_regularized_init(trained, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["asm_svm", "classic"])
-def test_fit_is_fit_level_per_level_with_a_doubling_hand_off(trained, monkeypatch, mode):
+def test_fit_is_fit_level_per_level_with_a_doubling_hand_off(trained, mode):
     """Driving fit_level by hand, on each level's build_level_context, from
     the init scaled to the coarsest level and regularized once, and doubled
-    between levels, gives the full fit's shape, costs and pass count at every
-    level, byte for byte.
+    between levels, gives the full fit's record of every level, byte for
+    byte: its shape, costs, passes and convergence.
     The stored defaults converge after more than one pass somewhere; one
     pass per level leaves some level unconverged."""
     bundle, _, faces = trained
     sample = faces[7]
     pyr = build_pyramid(sample.image, 3)
     init = init_shape_from_box(bundle.shape_model, truth_box(sample.shape, 0.20))
-    runs = []
-
-    def recording(*args):
-        runs.append(fit_level(*args))
-        return runs[-1]
-
-    monkeypatch.setattr(search, "fit_level", recording)
     for max_iters in (bundle.fit_defaults.max_iters_per_level, 1):
         cfg = dataclasses.replace(config_for_mode(bundle, mode), max_iters_per_level=max_iters)
-        runs.clear()
         result = fit(pyr, bundle, init, cfg)
-        assert cfg.levels == len(runs) == 3
+        assert cfg.levels == len(result.levels) == 3
         shape = Shape(fit_params(bundle.shape_model, Shape(init.points / 4.0)).points)
-        for level, (want_shape, want_costs, passes, converged) in zip((2, 1, 0), runs):
+        for level in (2, 1, 0):
             ctx = build_level_context(bundle, pyr[level], level, cfg)
-            got_shape, got_costs, got_passes, got_converged = fit_level(
-                ctx, shape, bundle.shape_model, cfg)
-            assert got_shape.points.tobytes() == want_shape.points.tobytes()
-            assert got_costs.tobytes() == want_costs.tobytes()
-            assert (got_passes, got_converged) == (passes, converged)
-            assert (result.iterations[level], result.converged[level]) == (passes, converged)
-            shape = Shape(got_shape.points * 2.0)
-        assert got_shape.points.tobytes() == result.shape.points.tobytes()
-        assert got_costs.tobytes() == result.landmark_costs.tobytes()
+            got = fit_level(ctx, shape, bundle.shape_model, cfg)
+            want = result.levels[level]
+            assert got.shape.points.tobytes() == want.shape.points.tobytes()
+            assert got.costs.tobytes() == want.costs.tobytes()
+            assert (got.passes, got.converged) == (want.passes, want.converged)
+            assert (result.iterations[level], result.converged[level]) == (got.passes, got.converged)
+            shape = Shape(got.shape.points * 2.0)
+        assert got.shape.points.tobytes() == result.shape.points.tobytes()
         if max_iters > 1:
             assert all(result.converged) and max(result.iterations) > 1
         else:
@@ -950,7 +950,7 @@ def test_capped_pass_regularization_is_near_the_converged_fit(trained, monkeypat
 
 
 @pytest.mark.parametrize("mode", ["asm_svm", "classic"])
-def test_a_doubled_fitted_shape_is_a_model_instance(trained, monkeypatch, mode):
+def test_a_doubled_fitted_shape_is_a_model_instance(trained, mode):
     """Doubling is a similarity, so twice any shape a fit returns, and twice
     each level's shape that fit hands up, is a model instance: fit_params run
     to a 1e-12 tolerance gives it back within 1e-12 px. With its defaults,
@@ -958,23 +958,13 @@ def test_a_doubled_fitted_shape_is_a_model_instance(trained, monkeypatch, mode):
     1e-8 px, what its 1e-6 stopping rule leaves (up to ~1.2e-9 px here); so
     skipping that re-fit loses nothing."""
     bundle, _, faces = trained
-    levels = []
-
-    def recording(*args):
-        run = fit_level(*args)
-        levels.append(run[0])
-        return run
-
-    monkeypatch.setattr(search, "fit_level", recording)
     cfg = config_for_mode(bundle, mode)
     for sample in faces[6:]:
         pyr = build_pyramid(sample.image, cfg.levels)
         init = init_shape_from_box(bundle.shape_model, truth_box(sample.shape, 0.10))
-        levels.clear()
         result = fit(pyr, bundle, init, cfg)
-        assert levels[-1].points.tobytes() == result.shape.points.tobytes()
-        for shape in levels:
-            doubled = 2.0 * shape.points
+        for record in result.levels:
+            doubled = 2.0 * record.shape.points
             exact = fit_params(bundle.shape_model, Shape(doubled), tolerance=1e-12).points
             assert np.abs(exact - doubled).max() <= 1e-12
             refit = fit_params(bundle.shape_model, Shape(doubled)).points
@@ -991,7 +981,7 @@ def test_fit_result_satisfies_model_constraint(trained):
     pf = fit_params(bundle.shape_model, res.shape)
     assert pf.residual == pytest.approx(0.0, abs=1e-9)
     assert all(it <= cfg.max_iters_per_level for it in res.iterations)
-    assert res.landmark_costs.shape == (bundle.scheme.total,)
+    assert res.levels[0].costs.shape == (bundle.scheme.total,)
 
 
 def test_fit_rejects_outside_init_and_level_mismatch(trained):
