@@ -9,7 +9,6 @@ regularized Mahalanobis form, optionally weighted down on edge pixels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -266,6 +265,27 @@ def windows_batch(values: np.ndarray, centers: np.ndarray, size: int) -> np.ndar
     return view[cy + half, cx + half].reshape(len(centers), size * size)
 
 
+def grid_windows(values: np.ndarray, origins: np.ndarray, mask: np.ndarray,
+                 size: int) -> np.ndarray:
+    """(n, size*size) windows_batch rows centered on the n nodes that mask
+    picks from k square integer grids, in np.nonzero(mask) order.
+
+    Grid j is g x g nodes, row-major (y outer, x inner), whose first node
+    is the integer center origins[j] = (x, y); mask is (k, g, g). Each grid
+    reads its windows from one border-clamped patch of (g + size - 1)^2
+    pixels through a sliding-window view, so no array is padded, and every
+    row equals windows_batch's for the same center byte for byte.
+    """
+    check_odd_size("window size", size)
+    h, w = values.shape
+    k, g = mask.shape[:2]
+    span = np.arange(g + size - 1) - size // 2
+    xs = np.clip(origins[:, 0, None] + span, 0, w - 1).astype(np.intp)
+    ys = np.clip(origins[:, 1, None] + span, 0, h - 1).astype(np.intp)
+    patches = np.take(values, ys[:, :, None] * w + xs[:, None, :])
+    return sliding_window_view(patches, (size, size), axis=(1, 2))[mask].reshape(-1, size * size)
+
+
 def stats_from_matrix(rows: np.ndarray, eps: float = DEFAULT_EPS) -> ProfileStats:
     """ProfileStats from an (m, d) sample matrix (m >= 2), of rank min(m - 1, d).
 
@@ -349,6 +369,7 @@ def owner_bounds(rows: np.ndarray, params: np.ndarray, owner) -> tuple | None:
     a stacked one, which needs owner, one landmark index in [0, k) per row,
     as integers in ascending order. Anything else raises
     DimensionMismatchError. A landmark with no rows has an empty block.
+    The bounds are a (k + 1,) array.
     """
     stacked = params.ndim == 2
     if rows.ndim != 2 or rows.shape[1] != params.shape[-1] or stacked != (owner is not None):
@@ -365,31 +386,52 @@ def owner_bounds(rows: np.ndarray, params: np.ndarray, owner) -> tuple | None:
     if m and (owner[0] < 0 or owner[-1] >= k or (owner[1:] < owner[:-1]).any()):
         raise DimensionMismatchError(f"owner indices must be sorted and lie in [0, {k})")
     owner = owner.astype(np.intp, copy=False)  # an empty [] arrives as float
-    return owner, np.searchsorted(owner, np.arange(k + 1)).tolist()
+    return owner, np.searchsorted(owner, np.arange(k + 1))
 
 
-def owner_matmul(rows: np.ndarray, mats: np.ndarray, bounds: list) -> np.ndarray:
+def owner_blocks(rows: np.ndarray, bounds: np.ndarray) -> tuple:
+    """(blocks, at): the (m, a) rows as a (k, c, a) stack of the landmarks'
+    blocks (see owner_bounds), and where each row lies in the stack.
+
+    When every block holds the same count c, blocks is a view of rows and
+    at is None. Otherwise c is the largest count, every block is
+    zero-padded to it in one new stack, and at holds the flat (k * c)
+    position of each row. owner_rows reads the rows back.
+    """
+    counts = np.diff(bounds)
+    (m, a), k = rows.shape, len(counts)
+    c = counts.max(initial=0)
+    if k and counts.min() == c:
+        return rows.reshape(k, c, a), None
+    at = np.arange(m) + np.repeat(np.arange(k) * c - bounds[:-1], counts)
+    blocks = np.zeros((k * c, a), rows.dtype)
+    blocks[at] = rows
+    return blocks.reshape(k, c, a), at
+
+
+def owner_rows(stacked: np.ndarray, at) -> np.ndarray:
+    """The (m, ...) rows of a (k, c, ...) result computed on owner_blocks'
+    stack: all of them when at is None, else the ones at the flat positions at."""
+    flat = stacked.reshape((-1,) + stacked.shape[2:])
+    return flat if at is None else flat[at]
+
+
+def owner_matmul(rows: np.ndarray, mats: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Each landmark's block of (m, a) rows times its own matrix of a stack:
     (k, a, b) matrices give (m, b), (k, a) vectors (m,). Landmark j owns
     rows bounds[j]:bounds[j + 1] (see owner_bounds).
 
-    When every block holds the same count c, one stacked matmul runs over
-    the (k, c, a) view of the rows; otherwise one matmul per block writes
-    its slice of the result. Both make one BLAS call per block, so each
-    block gets the bytes of rows[a:b] @ mats[j]. The product has the
-    operands' common dtype, so float32 rows and matrices multiply in
-    float32 and neither is cast.
+    One stacked matmul runs over owner_blocks' (k, c, a) stack: a view of
+    the rows when every block holds c rows, otherwise every block
+    zero-padded to the largest count c. Either way it makes one BLAS call
+    per block, so each block gets the bytes of its rows, zero-padded to c,
+    times mats[j]. The product has the operands' common dtype, so float32
+    rows and matrices multiply in float32 and neither is cast.
     """
-    k, m = len(mats), len(rows)
-    counts = np.diff(bounds)
-    if counts.size and (counts == counts[0]).all():
-        stacked = np.matmul(rows.reshape(k, m // k, rows.shape[1]),
-                            mats[:, :, None] if mats.ndim == 2 else mats)
-        return stacked.reshape((m,) + mats.shape[2:])
-    out = np.empty((m,) + mats.shape[2:], np.result_type(rows, mats))
-    for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        np.matmul(rows[a:b], mats[j], out=out[a:b])
-    return out
+    blocks, at = owner_blocks(rows, bounds)
+    vector = mats.ndim == 2
+    product = np.matmul(blocks, mats[:, :, None] if vector else mats)
+    return owner_rows(product[..., 0] if vector else product, at)
 
 
 def mahalanobis_batch(stats: ProfileStats, rows: np.ndarray, owner=None) -> np.ndarray:
@@ -399,9 +441,13 @@ def mahalanobis_batch(stats: ProfileStats, rows: np.ndarray, owner=None) -> np.n
     span(U) over rho; the residual term is absent when U spans every dim.
     One landmark's statistics score every row. Stacked statistics need
     owner, an (m,) array of sorted landmark indices (see owner_bounds), and
-    score row i against landmark owner[i]: the elementwise terms run once
-    over all rows, and the matmuls on each landmark's block (owner_matmul),
-    so every block has the bytes of its landmark's statistics alone.
+    score row i against landmark owner[i]. The deltas are stacked once into
+    owner_blocks' (k, c, d) blocks, zero-padded to the largest block unless
+    every landmark owns c rows, and the projection, the weight product and
+    the residual run on that stack, one BLAS call per block and product.
+    So every block has the bytes that its landmark's statistics alone give
+    its rows zero-padded to c (a padded row's value does not reach the
+    others' bytes).
 
     The deltas are float64. The projection runs in the basis's dtype: a
     float32 basis projects the deltas rounded once to float32, and is
@@ -411,20 +457,22 @@ def mahalanobis_batch(stats: ProfileStats, rows: np.ndarray, owner=None) -> np.n
     rows = np.asarray(rows, dtype=float)
     checked = owner_bounds(rows, stats.mean, owner)
     mean = stats.mean.astype(float, copy=False)  # a float32 mean upcast, small beside the rows
-    if checked is None:
-        delta, rho, product = rows - mean, stats.rho, np.matmul
+    if checked is None:  # one landmark is a stack of one block
+        delta, at = (rows - mean)[None], None
+        basis, weights, rho = stats.basis[None], stats.weights[None, :, None], stats.rho
     else:
         owner, bounds = checked
-        delta, rho = np.take(mean, owner, axis=0), np.take(stats.rho, owner)
+        delta = np.take(mean, owner, axis=0)
         np.subtract(rows, delta, out=delta)  # one (m, d) temporary, not two
-        product = partial(owner_matmul, bounds=bounds)
-    proj = product(delta.astype(stats.basis.dtype, copy=False), stats.basis)
+        delta, at = owner_blocks(delta, bounds)
+        basis, weights, rho = stats.basis, stats.weights[:, :, None], stats.rho[:, None]
+    proj = np.matmul(delta.astype(basis.dtype, copy=False), basis)
     sq = proj.astype(float, copy=False)  # a float64 projection is squared in place
     np.multiply(sq, sq, out=sq)
-    cost = product(sq, stats.weights)
+    cost = np.matmul(sq, weights)[..., 0]
     if stats.rank < stats.dim:
         cost += (np.einsum("...d,...d->...", delta, delta) - sq.sum(axis=-1)) / rho
-    return cost
+    return owner_rows(cost, at)
 
 
 def edge_weighted_cost(stats: ProfileStats, g: Profile, on_edge: bool, c: float) -> float:

@@ -10,7 +10,11 @@ _PASS_PROJECTIONS projections; fit_contexts hands each level's shape to the
 next by doubling coordinates, a similarity, so the next level starts from a
 model instance. fit runs it on one image's level contexts. The asm_svm gate
 runs first, on the raw gradient windows, so only the candidates that
-compete are sum-normalized and scored.
+compete are sum-normalized and scored. A pass gathers each landmark's
+windows from one border-clamped patch around its candidate grid, and scores
+all landmarks in one stacked product per stage: when the landmarks hold
+unequal row counts, every landmark's block is zero-padded to the largest,
+so a cost has the bytes of its landmark's model on its block so padded.
 """
 
 from __future__ import annotations
@@ -36,14 +40,15 @@ from .imaging import GrayImage, canny_edges, equalize_histogram, sobel_gradients
 from .imaging import sample_bilinear  # noqa: F401 (perfbench/tracing.py:WRAPS wraps this name)
 from .profiles import (
     ProfileStats,
+    grid_windows,
     homogeneous_rows,
     landmark_normals,
     mahalanobis_batch,
     normalize_derivatives,
     normalize_windows,
     profile_derivatives,
-    windows_batch,
 )
+from .profiles import windows_batch  # noqa: F401 (perfbench/tracing.py:WRAPS wraps this name)
 from .shape_model import Shape, ShapeModel, fit_params
 from .svm import LinearSvmModel, decision_values
 
@@ -193,15 +198,21 @@ def _candidate_grid(points: np.ndarray, radius: int):
     return cx, cy, valid, cheb
 
 
-def _candidate_features(ctx: LevelContext, shape: Shape, centers: np.ndarray,
-                        owner: np.ndarray) -> np.ndarray:
-    """(n, d) feature rows of n candidates, not yet normalized (see
-    _normalized); centers is (n, 2) and owner (n,) holds the landmark each
-    candidate belongs to."""
+def _candidate_features(ctx: LevelContext, shape: Shape, cx: np.ndarray, cy: np.ndarray,
+                        allowed: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """(n, d) feature rows of the n candidates that allowed picks from the
+    (k, m) grid (cx, cy) of _candidate_grid, in np.nonzero(allowed) order,
+    not yet normalized (see _normalized); owner (n,) holds the landmark each
+    candidate belongs to. 2-D windows are gathered per landmark from one
+    border-clamped patch around its grid (profiles.grid_windows)."""
     if ctx.magnitude is None:
         normals = landmark_normals(shape, ctx.scheme)[owner]
+        centers = np.stack([cx[allowed], cy[allowed]], axis=1)
         return profile_derivatives(ctx.raw, centers, normals, ctx.stats.dim)
-    return windows_batch(ctx.magnitude, centers, math.isqrt(ctx.stats.dim))
+    k, m = cx.shape
+    g = math.isqrt(m)
+    return grid_windows(ctx.magnitude, np.stack([cx[:, 0], cy[:, 0]], axis=1),
+                        allowed.reshape(k, g, g), math.isqrt(ctx.stats.dim))
 
 
 def _normalized(ctx: LevelContext, rows: np.ndarray) -> np.ndarray:
@@ -222,9 +233,13 @@ def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig):
     normalizer s > 0 is accepted when w.g + b*s >= 0, the sign of
     w.(g / s) + b (profiles.homogeneous_rows). Only the competing
     candidates are normalized and scored by the Mahalanobis profile cost,
-    weighted down on edge pixels when the context holds an edge map. Ties
-    break toward the smaller displacement, then row-major candidate order.
-    A tie is of computed costs: on BLAS kernels whose matmul rounding
+    weighted down on edge pixels when the context holds an edge map. The
+    gate and the cost each score all landmarks in one stacked product; when
+    their row counts differ, each landmark's block is zero-padded to the
+    largest, so a value has the bytes of its landmark's model alone on its
+    block so padded, and can move in the last bits with its neighbours'
+    counts. Ties break toward the smaller displacement, then row-major
+    candidate order. A tie is of computed costs: on BLAS kernels whose matmul rounding
     depends on a row's position (OpenBLAS Haswell), two identical windows,
     such as two clamped to the same border pixels, can cost one ulp apart,
     and the cheaper one wins whatever its displacement.
@@ -241,7 +256,7 @@ def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig):
     # Features of the in-radius candidates only, landmark after landmark in
     # row-major order; row i belongs to landmark owner[i].
     owner = np.nonzero(allowed)[0]
-    rows = _candidate_features(ctx, shape, np.stack([cx[allowed], cy[allowed]], axis=1), owner)
+    rows = _candidate_features(ctx, shape, cx, cy, allowed, owner)
     if ctx.svms is not None:
         gated, sums = homogeneous_rows(rows, absolute=ctx.magnitude is None)
         accepted = decision_values(ctx.svms, gated, owner, sums) >= 0

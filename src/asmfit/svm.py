@@ -286,10 +286,11 @@ def decision_values(model: LinearSvmModel, rows: np.ndarray, owner=None, sums=No
 
     One landmark's classifier scores every row. A stacked model needs
     owner, an (m,) array of sorted landmark indices (see
-    profiles.owner_bounds), and scores row i by classifier owner[i]: each
-    landmark's product runs on its own block of rows (profiles.owner_matmul)
+    profiles.owner_bounds), and scores row i by classifier owner[i]: one
+    stacked product runs over the landmarks' blocks of rows, zero-padded to
+    the largest block unless all hold the same count (profiles.owner_matmul),
     and the biases are added once over all rows, so every block has the
-    bytes of its landmark's classifier alone.
+    bytes of its landmark's classifier alone on its rows so padded.
 
     sums, (m,) and positive, scores rows that are not yet normalized: row i
     gets w.rows[i] + b*sums[i], which is sums[i] times the decision of

@@ -57,9 +57,10 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 @strategies.composite
 def owner_counts(draw, equal: bool) -> list:
     """Row counts of k landmarks for an owner array. Equal counts are the
-    case a scorer runs as one stacked matmul, k = 1 and no rows at all
-    included; unequal ones the case it runs one matmul per block, with
-    landmarks that own no rows and one landmark that owns every row."""
+    case a scorer runs as one stacked matmul on a view of the rows, k = 1
+    and no rows at all included; unequal ones the case it runs one stacked
+    matmul on blocks zero-padded to the largest count, with landmarks that
+    own no rows and one landmark that owns every row."""
     if equal:
         return [draw(strategies.integers(0, 9))] * draw(strategies.integers(1, 6))
     k = draw(strategies.integers(2, 6))
@@ -76,8 +77,8 @@ def owner_counts(draw, equal: bool) -> list:
 @contextlib.contextmanager
 def matmul_operands():
     """Shapes of the first operand of every np.matmul call made in the block,
-    in call order: the stacked branch of owner_matmul makes one (k, c, a)
-    call per product, the block branch one (c_j, a) call per landmark."""
+    in call order: an owner-form scorer makes one (k, c, a) call per
+    product, c the largest block."""
     shapes, real = [], np.matmul
 
     def recording(a, *args, **kwargs):
@@ -93,11 +94,9 @@ def matmul_operands():
 
 def owner_products(counts, widths) -> list:
     """The matmul_operands an owner-form scorer call records for these
-    landmark row counts, one product per operand width: one stacked call
-    each when every count is equal, one call per block otherwise."""
-    if len(set(counts)) == 1:
-        return [(len(counts), counts[0], a) for a in widths]
-    return [(c, a) for a in widths for c in counts]
+    landmark row counts: one stacked (k, c, a) call per operand width a,
+    c the largest count (every block zero-padded to it when they differ)."""
+    return [(len(counts), max(counts), a) for a in widths]
 
 
 # Calls outside a scorer's two forms: a stacked model without an owner, one

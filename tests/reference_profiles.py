@@ -27,7 +27,14 @@ eigen-factor, evaluated row by row through its dense matrix.
 
 The library scores stacked statistics with one owner index per row;
 landmark_stats gives one landmark's statistics alone, to score its rows
-with the unstacked form.
+with the unstacked form. When the landmarks own unequal row counts the
+library scores every block zero-padded to the largest count, in one stack;
+padded_block_scores keeps the form that replaces: each landmark's block
+padded alone and scored by its own model alone, one call per landmark.
+
+The library gathers a search pass's windows from one border-clamped patch
+per landmark; grid_centers gives the centers of the grid nodes a mask picks,
+for windows_batch and clamped_windows to gather the same windows one by one.
 
 The library cuts each level's 2-D statistics to a leading subspace, as
 views of the eigen-factor, and folds the dropped variance into the ridge;
@@ -122,6 +129,31 @@ def landmark_stats(stats, j):
     one = ProfileStats(stats.mean[j], basis=stats.basis[j], lam=stats.lam[j], rho=stats.rho[j])
     object.__setattr__(one, "weights", stats.weights[j])
     return one
+
+
+def padded_block_scores(score, single, stack, rows, counts, *per_row):
+    """The (m,) scores of an owner-form call by the padded-block rule: the
+    block of landmark j, counts[j] rows, zero-padded to the largest count,
+    scored by score(single(stack, j), padded block, ...) alone, its pad
+    rows dropped. Arrays of one value per row (the gate's sums) are padded
+    with ones. With equal counts no block is padded."""
+    rows = np.asarray(rows, dtype=float)
+    c = max(counts, default=0)
+    bounds = np.cumsum([0] + list(counts))
+    out = [np.zeros(0)]
+    for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        block = np.zeros((c, rows.shape[1]))
+        block[:b - a] = rows[a:b]
+        padded = [np.concatenate([v[a:b], np.ones(c - (b - a))]) for v in per_row]
+        out.append(score(single(stack, j), block, None, *padded)[:b - a])
+    return np.concatenate(out)
+
+
+def grid_centers(origins, mask):
+    """(n, 2) centers of the nodes mask (k, g, g) picks from grids whose
+    node (a, b) of landmark j lies at origins[j] + (b, a), in np.nonzero order."""
+    j, a, b = np.nonzero(mask)
+    return np.asarray(origins, dtype=float)[j] + np.stack([b, a], axis=1)
 
 
 def clamped_windows(values, centers, size):

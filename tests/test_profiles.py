@@ -11,10 +11,12 @@ from asmfit.errors import (
     ShapeArityError,
 )
 from asmfit.imaging import GrayImage, sample_bilinear
+from asmfit import profiles
 from asmfit.profiles import (
     Profile,
     ProfileStats,
     edge_weighted_cost,
+    grid_windows,
     landmark_normals,
     leading_subspace,
     mahalanobis_batch,
@@ -26,7 +28,9 @@ from asmfit.profiles import (
     windows_batch,
 )
 from asmfit.scheme import DEFAULT_SCHEME, ContourGroup, LandmarkScheme
+from asmfit.search import _candidate_grid
 from asmfit.shape_model import Shape
+from asmfit.svm import LinearSvmModel, decision_values
 from conftest import (
     ARITY_CASES,
     PROPERTY,
@@ -36,12 +40,15 @@ from conftest import (
     owner_products,
     stacked_stats,
 )
+from reference_svm import landmark_svm
 from reference_profiles import (
     clamped_windows,
     dense_costs,
     factor_costs,
+    grid_centers,
     landmark_normal,
     landmark_stats,
+    padded_block_scores,
     sample_covariance,
     single_contour_scheme,
     subspace_dense_costs,
@@ -415,6 +422,46 @@ def test_normalize_windows_in_place(mode):
 def test_windows_batch_size_validation():
     with pytest.raises(ShapeArityError):
         windows_batch(np.zeros((5, 5)), np.zeros((1, 2)), 2)
+    with pytest.raises(ShapeArityError):
+        grid_windows(np.zeros((5, 5)), np.zeros((1, 2)), np.ones((1, 3, 3), bool), 4)
+
+
+@PROPERTY
+@given(data=strategies.data())
+def test_grid_windows_equal_windows_batch(data):
+    """The windows a search pass gathers from one border-clamped patch per
+    landmark, at the in-radius nodes of its candidate grid (or any subset
+    of them), equal windows_batch's and the clamped-gather oracle's at the
+    same centers, byte for byte and in the same order. Radii 1-4, odd sides
+    3-9; every coordinate lies inside the image, across a border, or at
+    least 20 px outside one, at fractional and integer positions."""
+    radius = data.draw(strategies.integers(1, 4), label="radius")
+    size = data.draw(strategies.sampled_from([3, 5, 7, 9]), label="size")
+    h, w = data.draw(strategies.integers(1, 40)), data.draw(strategies.integers(1, 40))
+    k = data.draw(strategies.integers(1, 8), label="landmarks")
+
+    def coordinate(n):
+        return data.draw(strategies.one_of(
+            strategies.floats(0.0, n - 1.0), strategies.floats(-size - 1.0, n + size),
+            strategies.floats(-200.0, -20.0), strategies.floats(n + 19.0, n + 200.0)))
+
+    pts = np.array([[coordinate(w), coordinate(h)] for _ in range(k)])
+    if data.draw(strategies.booleans(), label="integer"):
+        pts[::2] = np.rint(pts[::2])
+    rng = np.random.default_rng(data.draw(strategies.integers(0, 2**32 - 1)))
+    vals = rng.uniform(0.0, 50.0, (h, w))
+    cx, cy, allowed, _ = _candidate_grid(pts, radius)
+    if data.draw(strategies.booleans(), label="subset"):
+        allowed &= rng.uniform(size=allowed.shape) < 0.5
+    g = 2 * radius + 1
+    origins = np.stack([cx[:, 0], cy[:, 0]], axis=1)
+    mask = allowed.reshape(k, g, g)
+    centers = np.stack([cx[allowed], cy[allowed]], axis=1)
+    assert grid_centers(origins, mask).tobytes() == centers.tobytes()
+    got = grid_windows(vals, origins, mask, size)
+    assert got.shape == (len(centers), size * size)
+    assert got.tobytes() == windows_batch(vals, centers, size).tobytes()
+    assert got.tobytes() == clamped_windows(vals, centers, size).tobytes()
 
 
 # ------------------------------------------------------------- statistics
@@ -565,9 +612,10 @@ OWNER_COUNTS = [3, 49, 0, 1, 36, 17]
                          ids=["rank-below-d", "full-rank", "eigh-small"])
 def test_owner_mahalanobis_equals_indexed_calls(m, d):
     """Rows scored with sorted owner indices, in unequal counts, give each
-    landmark's costs from its statistics alone, concatenated, byte for byte. 30 samples of 225 dims give rank 29
-    with a residual term (fit-256's coarsest level); 240 give full rank
-    (train-240's)."""
+    landmark's costs from its statistics alone, its block zero-padded to the
+    largest (padded_block_scores), concatenated, byte for byte. 30 samples
+    of 225 dims give rank 29 with a residual term (fit-256's coarsest level
+    before the 7x7 default); 240 give full rank (train-240's)."""
     rng = np.random.default_rng(m + d)
     k = len(OWNER_COUNTS)
     st = stats_from_matrix(rng.uniform(0.0, 0.05, (k, m, d)))
@@ -575,9 +623,7 @@ def test_owner_mahalanobis_equals_indexed_calls(m, d):
     owner = np.repeat(np.arange(k), OWNER_COUNTS)
     rows = rng.uniform(0.0, 0.05, (len(owner), d))
     got = mahalanobis_batch(st, rows, owner)
-    bounds = np.cumsum([0] + OWNER_COUNTS)
-    want = np.concatenate([mahalanobis_batch(landmark_stats(st, j), rows[a:b])
-                           for j, (a, b) in enumerate(zip(bounds, bounds[1:]))])
+    want = padded_block_scores(mahalanobis_batch, landmark_stats, st, rows, OWNER_COUNTS)
     assert got.shape == (len(owner),)
     assert got.tobytes() == want.tobytes()
     assert mahalanobis_batch(st, rows[:0], owner[:0]).shape == (0,)
@@ -626,8 +672,10 @@ def test_mahalanobis_takes_only_its_two_forms(case):
 @given(data=strategies.data())
 def test_owner_costs_equal_each_block_by_its_own_statistics(equal, data):
     """Every landmark's block of an owner-form call costs, byte for byte,
-    what the landmark's statistics alone give its rows, through either
-    branch of owner_matmul, for statistics of rank below d and of rank d."""
+    what the landmark's statistics alone give its rows zero-padded to the
+    largest block (padded_block_scores; no padding when the counts are
+    equal), for statistics of rank below d and of rank d. Each product is
+    one stacked matmul."""
     counts = data.draw(owner_counts(equal))
     d = data.draw(strategies.integers(2, 12))
     full_rank = data.draw(strategies.booleans())
@@ -641,9 +689,8 @@ def test_owner_costs_equal_each_block_by_its_own_statistics(equal, data):
         got = mahalanobis_batch(stack, rows, np.repeat(np.arange(len(counts)), counts))
     assert products == owner_products(counts, (d, stack.rank))
     assert got.shape == (len(rows),)
-    bounds = np.cumsum([0] + counts)
-    for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        assert got[a:b].tobytes() == mahalanobis_batch(landmark_stats(stack, j), rows[a:b]).tobytes()
+    want = padded_block_scores(mahalanobis_batch, landmark_stats, stack, rows, counts)
+    assert got.tobytes() == want.tobytes()
 
 
 def float32_stats(stats, fraction=None):
@@ -696,10 +743,11 @@ def test_float32_costs_match_the_float64_factor_oracle(counts, m, d, fraction):
 @given(data=strategies.data())
 def test_float32_owner_costs_equal_each_block_alone_and_keep_the_basis(equal, data):
     """With a float32 mean and basis, every landmark's block of an
-    owner-form call costs, byte for byte, what its statistics alone give,
-    through either branch of owner_matmul. Each projection multiplies
-    float32 deltas by the stack's own float32 basis, or a view of it, so
-    the basis is never cast or copied; the costs are float64."""
+    owner-form call costs, byte for byte, what its statistics alone give
+    its rows zero-padded to the largest block (padded_block_scores). The
+    projection multiplies float32 deltas by the stack's own float32 basis,
+    or a view of it, so the basis is never cast or copied; the costs are
+    float64."""
     counts = data.draw(owner_counts(equal))
     d = data.draw(strategies.integers(2, 12))
     m = data.draw(strategies.integers(2, d + 4))
@@ -724,11 +772,44 @@ def test_float32_owner_costs_equal_each_block_alone_and_keep_the_basis(equal, da
     assert all(call[1:] == (f32, f32, True) for call in calls[:half])
     assert all(call[1:] == (f64, f64, False) for call in calls[half:])
     assert got.dtype == f64 and got.shape == (len(rows),)
-    bounds = np.cumsum([0] + counts)
-    for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
+    for j in range(len(counts)):
         alone = landmark_stats(stack, j)
         assert alone.basis.dtype == f32 and np.shares_memory(alone.basis, stack.basis)
-        assert got[a:b].tobytes() == mahalanobis_batch(alone, rows[a:b]).tobytes()
+    want = padded_block_scores(mahalanobis_batch, landmark_stats, stack, rows, counts)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scorer", ["mahalanobis_batch", "decision_values"])
+@pytest.mark.parametrize("counts", [[5, 5, 5, 5], [3, 5, 0, 5]], ids=["equal", "unequal"])
+def test_equal_counts_score_a_view_and_unequal_ones_one_padded_stack(scorer, counts, monkeypatch):
+    """An owner-form call stacks its rows once (owner_blocks) and makes one
+    (k, c, a) product per operand. With equal counts the stack is a view of
+    the rows it was given, with no padded copy; with unequal ones it is one
+    new stack, every block zero-padded to the largest count."""
+    rng = np.random.default_rng(17)
+    k, d = len(counts), 9
+    owner = np.repeat(np.arange(k), counts)
+    rows = rng.normal(0.3, 0.1, (len(owner), d))
+    stacks = []
+
+    def recording(given, bounds):
+        blocks, at = real(given, bounds)
+        stacks.append((np.shares_memory(blocks, given), at is None, blocks.shape))
+        return blocks, at
+
+    real = profiles.owner_blocks
+    monkeypatch.setattr(profiles, "owner_blocks", recording)
+    if scorer == "mahalanobis_batch":
+        model = stats_from_matrix(rng.normal(0.3, 0.1, (k, 6, d)))
+        score, widths = mahalanobis_batch, (d, model.rank)
+    else:
+        model = LinearSvmModel(rng.normal(0, 1, (k, d)), rng.normal(0, 1, k))
+        score, widths = decision_values, (d,)
+    with matmul_operands() as products:
+        score(model, rows, owner)
+    assert products == [(k, max(counts), a) for a in widths]
+    equal = len(set(counts)) == 1
+    assert stacks == [(equal, equal, (k, max(counts), d))]
 
 
 def test_edge_weighting_factors():

@@ -53,7 +53,7 @@ from conftest import (
     stacked_stats,
     stacked_svms,
 )
-from reference_profiles import landmark_stats, single_contour_scheme
+from reference_profiles import landmark_stats, padded_block_scores, single_contour_scheme
 from reference_svm import landmark_svm
 import reference_search
 
@@ -503,8 +503,7 @@ def in_radius_features(ctx, shape, radius=3):
     """_candidate_features of every in-radius candidate, not yet normalized,
     with the (k, m) grid (cx, cy) and its in-radius mask."""
     cx, cy, valid, _ = _candidate_grid(shape.points, radius)
-    centers = np.stack([cx[valid], cy[valid]], axis=1)
-    return _candidate_features(ctx, shape, centers, np.nonzero(valid)[0]), cx, cy, valid
+    return _candidate_features(ctx, shape, cx, cy, valid, np.nonzero(valid)[0]), cx, cy, valid
 
 
 @pytest.mark.parametrize("size", [3, 7, 15])
@@ -664,13 +663,12 @@ SCORERS = (("decision_values", "gate", decision_values, landmark_svm),
 
 def one_by_one(monkeypatch):
     """The search's gate and cost scoring each landmark's block of rows (and
-    the gate's sums) with its own unstacked model, one call per landmark:
+    the gate's sums) with its own unstacked model, one call per landmark,
+    every block zero-padded to the call's largest (padded_block_scores):
     the pass computed landmark by landmark."""
     for name, _, fn, single in SCORERS:
         def per_landmark(model, rows, owner, *sums, fn=fn, single=single):
-            bounds = np.searchsorted(owner, np.arange(owner[-1] + 2))
-            return np.concatenate([fn(single(model, j), rows[a:b], None, *(s[a:b] for s in sums))
-                                   for j, (a, b) in enumerate(zip(bounds, bounds[1:]))])
+            return padded_block_scores(fn, single, model, rows, np.bincount(owner).tolist(), *sums)
         monkeypatch.setattr(search, name, per_landmark)
 
 
@@ -694,8 +692,8 @@ def fractional_points(rng, k):
 
 # gate: None (no SVMs); "mixed" (centred weights accept part of the rows, and
 # landmark 0 is planted to reject all of them and fall back, so the costs'
-# counts differ and run one matmul per block); "all" (every row accepted, so
-# the costs' counts are equal too). The last trial of each case uses the tie
+# counts differ and their blocks are zero-padded to the largest); "all" (every
+# row accepted, so the costs' counts are equal too). The last trial of each case uses the tie
 # image.
 STACKED_CASES = [(kind, gate, edges) for kind in ("two_d", "one_d")
                  for gate in (None, "mixed", "all") for edges in (False, True)]
@@ -706,8 +704,9 @@ STACKED_CASES = [(kind, gate, edges) for kind in ("two_d", "one_d")
 def test_stacked_pass_equals_per_landmark_pass(kind, gate, edges, monkeypatch):
     """With every landmark at a fractional position the gate gets one
     owner array of equal counts; points and winning costs equal the same
-    pass computed landmark by landmark, each by its own unstacked model,
-    byte for byte, and with axis statistics the points equal the oracle's."""
+    pass computed landmark by landmark, each by its own unstacked model on
+    its block zero-padded to the call's largest, byte for byte, and with
+    axis statistics the points equal the oracle's."""
     rng = np.random.default_rng(70 + 10 * STACKED_CASES.index((kind, gate, edges)))
     k, size = 12, 7
     cfg = FitConfig(levels=1, search_radius=3)
@@ -770,10 +769,11 @@ def test_stacked_pass_equals_per_landmark_pass(kind, gate, edges, monkeypatch):
 
 def test_equal_counts_stack_and_mixed_counts_do_not(monkeypatch):
     """A pass makes one gate call and one cost call, each with (m, d) rows
-    and an owner array. In an equal-count pass, 36 rows per landmark, each
-    of the gate's product and the cost's two runs as one stacked matmul;
-    with some landmarks on the integer grid (49 candidates, not 36) the
-    counts differ, and each runs as one matmul per block."""
+    and an owner array, and each of the gate's product and the cost's two
+    runs as one stacked matmul. In an equal-count pass, 36 rows per
+    landmark, it runs on a (k, 36, a) view of the rows; with some landmarks
+    on the integer grid (49 candidates, not 36) the counts differ, and it
+    runs on a (k, 49, a) stack of blocks zero-padded to 49 rows."""
     rng = np.random.default_rng(90)
     k, size = 12, 7
     cfg = FitConfig(levels=1, search_radius=3)
@@ -796,6 +796,37 @@ def test_equal_counts_stack_and_mixed_counts_do_not(monkeypatch):
     one_pass((36,) * k)
     pts[::3] = np.rint(pts[::3])
     one_pass(tuple(49 if j % 3 == 0 else 36 for j in range(k)))
+
+
+@pytest.mark.parametrize("kind", ["two_d", "one_d"])
+def test_a_landmark_rejecting_every_candidate_falls_back_to_all(kind, monkeypatch):
+    """A landmark whose classifier is planted to reject every candidate
+    competes with all of its in-radius candidates, 49 at an integer
+    position and 36 at a fractional one, while the other landmarks keep
+    only the ones they accept. Its winner is the one a pass without a gate
+    picks, at the same cost."""
+    rng = np.random.default_rng(95)
+    k, size = 12, 7
+    cfg = FitConfig(levels=1, search_radius=3)
+    ctx = oracle_context(rng, kind, size, k)
+    w = ctx.svms.weights
+    bias = np.zeros(k)
+    bias[[4, 7]] = -1e9
+    ctx = dataclasses.replace(ctx, svms=LinearSvmModel(1e3 * (w - w.mean(axis=1, keepdims=True)),
+                                                       bias))
+    pts = fractional_points(rng, k)
+    pts[4] = np.rint(pts[4])
+    calls = recorded(monkeypatch)
+    got, got_costs = search_landmarks(ctx, Shape(pts), cfg)
+    (owner, _), = calls["cost"]
+    counts = np.bincount(owner, minlength=k)
+    assert counts[4] == 49 and counts[7] == 36
+    others = np.delete(np.arange(k), [4, 7])
+    assert (counts[others] < 36).any()
+    ungated, ungated_costs = search_landmarks(dataclasses.replace(ctx, svms=None), Shape(pts), cfg)
+    for j in (4, 7):
+        assert got.points[j].tobytes() == ungated.points[j].tobytes()
+        np.testing.assert_allclose(got_costs[j], ungated_costs[j], rtol=1e-12, atol=0)
 
 
 # ------------------------------------------------------------------- fit

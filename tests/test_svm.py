@@ -24,6 +24,7 @@ from asmfit.svm import (
 )
 from asmfit.training import TrainConfig
 from conftest import ARITY_CASES, PROPERTY, arity_call, matmul_operands, owner_counts, owner_products
+from reference_profiles import padded_block_scores
 from reference_svm import (
     build_landmark_training_set_reference,
     kkt_residual,
@@ -525,17 +526,16 @@ def test_stacked_decision_values_equal_indexed_calls(c):
 
 def test_owner_decision_values_equal_indexed_calls():
     """Rows scored with sorted owner indices, in unequal counts, give each
-    landmark's values from its classifier alone, concatenated, byte for
-    byte; counts run from none to a full 7x7 grid."""
+    landmark's values from its classifier alone, its block zero-padded to
+    the largest (padded_block_scores), concatenated, byte for byte; counts
+    run from none to a full 7x7 grid."""
     rng = np.random.default_rng(12)
     counts = [3, 49, 0, 1, 36, 17]
     k, d = len(counts), 49
     model = LinearSvmModel(rng.normal(0, 1, (k, d)), rng.normal(0, 1, k))
     owner = np.repeat(np.arange(k), counts)
     rows = rng.uniform(0.0, 0.05, (len(owner), d))
-    bounds = np.cumsum([0] + counts)
-    want = np.concatenate([decision_values(landmark_svm(model, j), rows[a:b])
-                           for j, (a, b) in enumerate(zip(bounds, bounds[1:]))])
+    want = padded_block_scores(decision_values, landmark_svm, model, rows, counts)
     got = decision_values(model, rows, owner)
     assert got.shape == (len(owner),)
     assert got.tobytes() == want.tobytes()
@@ -577,8 +577,9 @@ def test_decision_values_take_only_their_two_forms(case):
 @given(data=strategies.data())
 def test_owner_values_equal_each_block_by_its_own_classifier(equal, data):
     """Every landmark's block of an owner-form call gets, byte for byte, the
-    values the landmark's classifier alone gives its rows, through either
-    branch of owner_matmul."""
+    values the landmark's classifier alone gives its rows zero-padded to the
+    largest block (padded_block_scores; no padding when the counts are
+    equal), from one stacked matmul."""
     counts = data.draw(owner_counts(equal))
     d = data.draw(strategies.integers(1, 30))
     rng = np.random.default_rng(data.draw(strategies.integers(0, 2**32 - 1)))
@@ -588,9 +589,8 @@ def test_owner_values_equal_each_block_by_its_own_classifier(equal, data):
         got = decision_values(model, rows, np.repeat(np.arange(len(counts)), counts))
     assert products == owner_products(counts, (d,))
     assert got.shape == (len(rows),)
-    bounds = np.cumsum([0] + counts)
-    for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        assert got[a:b].tobytes() == decision_values(landmark_svm(model, j), rows[a:b]).tobytes()
+    want = padded_block_scores(decision_values, landmark_svm, model, rows, counts)
+    assert got.tobytes() == want.tobytes()
 
 
 @PROPERTY
