@@ -3,7 +3,10 @@ and the rasterizer that draws polylines and marks into a pixel array.
 
 Images are float64 (h, w) arrays with intensities in [0, 255]. All
 convolutions replicate the border pixel so gradients near face-boundary
-landmarks are not contaminated by a zero halo.
+landmarks are not contaminated by a zero halo. The 2-D window surface, the
+Sobel magnitude of the equalized image, is computed on the equalized levels
+as whole numbers (int16 taps, int32 squares), which gives the float Sobel's
+bytes with no float image in between.
 """
 
 from __future__ import annotations
@@ -68,27 +71,46 @@ class GradientField:
             raise ImageSizeError("gradient components must share one shape")
 
 
+def _equalization(pixels: np.ndarray):
+    """(bins, lut) of the 256-bin CDF remap: each pixel's rounded bin and
+    lut[v] = round(255 * (cdf(v) - cdf_min) / (N - cdf_min)), whole numbers
+    in [0, 255]. lut is None for a constant image (nothing to spread)."""
+    # GrayImage holds [0, 255], so every bin is in range; the LUT entries
+    # that can be read lie in [0, 255] too.
+    bins = np.rint(pixels).astype(np.intp)
+    hist = np.bincount(bins.ravel(), minlength=256)
+    cdf = np.cumsum(hist)
+    cdf_min = cdf[np.flatnonzero(hist)[0]]
+    total = pixels.size
+    if total == cdf_min:
+        return bins, None
+    return bins, np.rint(255.0 * (cdf - cdf_min) / (total - cdf_min))
+
+
 def equalize_histogram(image: GrayImage) -> GrayImage:
     """Spread intensities by the 256-bin CDF remap.
 
     out = round(255 * (cdf(v) - cdf_min) / (N - cdf_min)); a constant image
     is returned unchanged (nothing to spread).
     """
-    px = image.pixels
-    # GrayImage holds [0, 255], so every bin is in range; the LUT entries
-    # that can be read lie in [0, 255] too.
-    bins = np.rint(px).astype(np.intp)
-    hist = np.bincount(bins.ravel(), minlength=256)
-    cdf = np.cumsum(hist)
-    occupied = np.flatnonzero(hist)
-    cdf_min = cdf[occupied[0]]
-    total = px.size
-    if total == cdf_min:
+    bins, lut = _equalization(image.pixels)
+    if lut is None:
         return image
-    lut = np.rint(255.0 * (cdf - cdf_min) / (total - cdf_min))
     out = lut.take(bins)
     out.setflags(write=False)  # owned here, so GrayImage keeps it without a copy
     return GrayImage(out)
+
+
+def _edge_pad(pixels: np.ndarray) -> np.ndarray:
+    """np.pad(pixels, 1, mode="edge"), built by slice copies."""
+    h, w = pixels.shape
+    padded = np.empty((h + 2, w + 2), dtype=pixels.dtype)
+    padded[1:-1, 1:-1] = pixels
+    padded[0, 1:-1] = pixels[0]
+    padded[-1, 1:-1] = pixels[-1]
+    padded[:, 0] = padded[:, 1]
+    padded[:, -1] = padded[:, -2]
+    return padded
 
 
 def _sobel(pixels: np.ndarray):
@@ -103,13 +125,7 @@ def _sobel(pixels: np.ndarray):
     0.0 - p gives a zero the sign that 0.0 + p * -1 gives it.
     """
     h, w = pixels.shape
-    # np.pad(pixels, 1, mode="edge"), built by slice copies.
-    padded = np.empty((h + 2, w + 2))
-    padded[1:-1, 1:-1] = pixels
-    padded[0, 1:-1] = pixels[0]
-    padded[-1, 1:-1] = pixels[-1]
-    padded[:, 0] = padded[:, 1]
-    padded[:, -1] = padded[:, -2]
+    padded = _edge_pad(pixels)
 
     def tap(row, col):
         return padded[row:row + h, col:col + w]
@@ -137,14 +153,52 @@ def _sobel(pixels: np.ndarray):
     return gx, gy, np.sqrt(mag, out=mag)
 
 
-def sobel_gradients(image: GrayImage) -> GradientField:
-    """3x3 Sobel derivatives with replicated borders."""
+def _check_gradient_size(image: GrayImage) -> None:
     if image.width < 3 or image.height < 3:
         raise ImageSizeError(f"need at least 3x3 for gradients, got {image.width}x{image.height}")
+
+
+def sobel_gradients(image: GrayImage) -> GradientField:
+    """3x3 Sobel derivatives with replicated borders."""
+    _check_gradient_size(image)
     gradients = _sobel(image.pixels)
     for arr in gradients:  # fresh, so GradientField keeps them without a copy
         arr.setflags(write=False)
     return GradientField(*gradients)
+
+
+def equalized_magnitude(image: GrayImage) -> np.ndarray:
+    """The Sobel magnitude of the histogram-equalized image, read-only float64:
+    the bytes of sobel_gradients(equalize_histogram(image)).magnitude.
+
+    Equalization maps a non-constant image to whole numbers in [0, 255], on
+    which every partial sum of _sobel is an exact integer and so is
+    gx * gx + gy * gy (at most 2 * 1020**2). So the taps run on the LUT's
+    levels as int16 ([1 2 1] smoothing, then the [-1 0 1] difference, each
+    within +-1020), the squares add up in int32, and one correctly rounded
+    float64 sqrt gives _sobel's magnitude. A constant image is not remapped
+    and may hold a fraction, so it takes _sobel itself.
+    """
+    _check_gradient_size(image)
+    bins, lut = _equalization(image.pixels)
+    if lut is None:
+        mag = _sobel(image.pixels)[2]
+    else:
+        padded = _edge_pad(lut.astype(np.int16).take(bins))
+        # [1 2 1] down each column, (h, w + 2), and along each row, (h + 2, w).
+        column_sums = padded[1:-1] * np.int16(2)
+        column_sums += padded[:-2]
+        column_sums += padded[2:]
+        row_sums = padded[:, 1:-1] * np.int16(2)
+        row_sums += padded[:, :-2]
+        row_sums += padded[:, 2:]
+        gx = np.subtract(column_sums[:, 2:], column_sums[:, :-2], dtype=np.int32)
+        gy = np.subtract(row_sums[2:], row_sums[:-2], dtype=np.int32)
+        gx *= gx
+        gx += np.multiply(gy, gy, out=gy)
+        mag = np.sqrt(gx, dtype=np.float64)
+    mag.setflags(write=False)
+    return mag
 
 
 def _gaussian_kernel_5x5(sigma: float) -> np.ndarray:

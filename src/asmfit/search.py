@@ -36,8 +36,9 @@ from .errors import (
     check_numbers,
     check_radius,
 )
-from .imaging import GrayImage, canny_edges, equalize_histogram, sobel_gradients
+from .imaging import GrayImage, canny_edges, equalize_histogram, equalized_magnitude
 from .imaging import sample_bilinear  # noqa: F401 (perfbench/tracing.py:WRAPS wraps this name)
+from .imaging import sobel_gradients  # noqa: F401 (perfbench/tracing.py:WRAPS wraps this name)
 from .profiles import (
     ProfileStats,
     grid_windows,
@@ -101,7 +102,8 @@ class FitConfig:
 class LevelContext:
     """Per-level cache of images and of models stacked over the landmarks,
     sized by the statistics' dimension; classic leaves magnitude (the Sobel
-    gradient magnitude), edge_map and svms None, and asm_svm leaves edge_map None at level 0."""
+    gradient magnitude of the equalized image, imaging.equalized_magnitude),
+    edge_map and svms None, and asm_svm leaves edge_map None at level 0."""
 
     raw: GrayImage
     magnitude: np.ndarray
@@ -291,11 +293,13 @@ def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig):
 def build_level_context(bundle, level_image: GrayImage, level: int, config: FitConfig) -> LevelContext:
     """Everything one level's search needs: the one place a mode becomes a pipeline.
 
-    asm_svm adds Sobel gradients of the level image after histogram
-    equalization and the level's SVMs, and at levels >= 1 its Canny edges;
-    level 0 computes no edge map, so its search is not edge-weighted and a
-    one-level asm_svm fit runs no Canny at all. classic samples 1-D
-    profiles from raw. The level's profile size is the one it was trained with.
+    asm_svm adds the Sobel magnitude of the level image after histogram
+    equalization, computed in whole numbers from the raw level image, and the
+    level's SVMs, and at levels >= 1 the Canny edges of the equalized float
+    image; level 0 equalizes no float image and computes no edge map, so its
+    search is not edge-weighted and a one-level asm_svm fit runs no Canny at
+    all. classic samples 1-D profiles from raw. The level's profile size is
+    the one it was trained with.
     """
     asm = config.mode == "asm_svm"
     lv = bundle.levels[level]
@@ -303,10 +307,10 @@ def build_level_context(bundle, level_image: GrayImage, level: int, config: FitC
                        stats=lv.asm if asm else lv.classic, svms=None, scheme=bundle.scheme)
     if not asm:
         return ctx
-    image = equalize_histogram(level_image)
-    return replace(ctx, magnitude=sobel_gradients(image).magnitude,
-                   edge_map=canny_edges(image, config.canny_low, config.canny_high) if level else None,
-                   svms=lv.svms)
+    edge_map = None
+    if level:
+        edge_map = canny_edges(equalize_histogram(level_image), config.canny_low, config.canny_high)
+    return replace(ctx, magnitude=equalized_magnitude(level_image), edge_map=edge_map, svms=lv.svms)
 
 
 def fit_level(ctx: LevelContext, shape: Shape, model: ShapeModel, config: FitConfig) -> LevelFit:

@@ -20,7 +20,9 @@ import numpy as np
 from .dataset_io import LevelModel, ModelBundle
 from .errors import (InsufficientDataError, ShapeArityError, check_numbers, check_odd_size,
                      check_scheme_covers, check_seed, check_shape_limits, integer_sizes)
-from .imaging import build_pyramid, equalize_histogram, sobel_gradients
+from .imaging import build_pyramid, equalized_magnitude
+from .imaging import equalize_histogram  # noqa: F401 (perfbench/tracing.py:WRAPS wraps this name)
+from .imaging import sobel_gradients  # noqa: F401 (perfbench/tracing.py:WRAPS wraps this name)
 from .profiles import (
     DEFAULT_EPS,
     ProfileStats,
@@ -175,10 +177,11 @@ def train_bundle(samples, scheme: LandmarkScheme, **settings):
 
     n = scheme.total
     # Per sample and level: the raw image (1-D sampling surface) and its Sobel
-    # magnitude after histogram equalization (2-D window surface), kept to the
-    # end. Freed level by level they leave a smaller heap, and bundle loads in
-    # the same process then page-fault (30 faces at 256x256: ~30% slower).
-    surfaces = [[(raw, sobel_gradients(equalize_histogram(raw)).magnitude)
+    # magnitude after histogram equalization (2-D window surface, computed in
+    # whole numbers with no equalized float image), kept to the end. Freed
+    # level by level they leave a smaller heap, and bundle loads in the same
+    # process then page-fault (30 faces at 256x256: ~30% slower).
+    surfaces = [[(raw, equalized_magnitude(raw))
                  for raw in build_pyramid(sample.image, levels)] for sample in samples]
     level_models = []
     accuracy = np.empty((levels, n))

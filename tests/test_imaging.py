@@ -15,6 +15,7 @@ from asmfit.imaging import (
     build_pyramid,
     canny_edges,
     equalize_histogram,
+    equalized_magnitude,
     sample_bilinear,
     sobel_gradients,
 )
@@ -203,6 +204,86 @@ def test_sobel_gradients_equal_correlate_oracle(pixels):
         want = oracle(GrayImage(pixels).pixels)
         for name, arr in zip(("gx", "gy", "magnitude"), want):
             assert getattr(got, name).tobytes() == arr.tobytes(), (oracle.__name__, name)
+
+
+@st.composite
+def level_images(draw):
+    """A 3..40 pixel a side image for equalized_magnitude: whole-number or
+    fractional intensities, a whole or fractional constant, or 0/255 stripes
+    or checkerboards, whose edges reach |gx| or |gy| = 4 * 255 = 1020."""
+    shape = draw(st.tuples(st.integers(3, 40), st.integers(3, 40)))
+    kind = draw(st.sampled_from(["whole", "fractional", "constant", "stripes", "checkerboard"]))
+    if kind == "whole":
+        return draw(arrays(np.int16, shape, elements=st.integers(0, 255))).astype(float)
+    if kind == "fractional":
+        return draw(arrays(np.float64, shape, elements=INTENSITIES))
+    if kind == "constant":
+        return np.full(shape, draw(st.one_of(st.integers(0, 255).map(float), INTENSITIES)))
+    y, x = np.indices(shape)
+    cell = draw(st.integers(1, 6))
+    phase = draw(st.integers(0, 2 * cell - 1))
+    if kind == "stripes":
+        band = draw(st.sampled_from([x, y]))
+        return 255.0 * ((band + phase) // cell % 2)
+    return 255.0 * (((x + phase) // cell + y // cell) % 2)
+
+
+def _oracle_magnitude(pixels):
+    return sobel_gradients(equalize_histogram(GrayImage(pixels))).magnitude
+
+
+@PROPERTY
+@given(pixels=level_images())
+def test_equalized_magnitude_equals_float_sobel_of_equalized_oracle(pixels):
+    """The integer Sobel of the equalized levels gives the bytes of the float
+    Sobel of the equalized image, as a read-only float64 array, and those of
+    ndimage.correlate on the oracle's equalized image, which shares no
+    helper with the library."""
+    got = equalized_magnitude(GrayImage(pixels))
+    assert got.dtype == np.float64 and got.shape == pixels.shape
+    assert not got.flags.writeable
+    assert got.tobytes() == _oracle_magnitude(pixels).tobytes()
+    equalized = pixels if np.ptp(np.rint(pixels)) == 0 else reference_imaging.equalize(pixels)
+    assert got.tobytes() == reference_imaging.sobel(equalized)[2].tobytes()
+
+
+def test_equalized_magnitude_reaches_the_integer_range_edge():
+    """0/255 stripes two pixels wide give |gx| or |gy| = 1020, whose square
+    1,040,400 is the largest value the int16 taps and int32 squares hold; a
+    fractional constant is not remapped, and its float Sobel is not 0."""
+    stripes = 255.0 * (np.arange(12) // 2 % 2) * np.ones((7, 1))
+    for pixels in (stripes, stripes.T):
+        got = equalized_magnitude(GrayImage(pixels))
+        assert got.max() == 1020.0
+        assert got.tobytes() == _oracle_magnitude(pixels).tobytes()
+    constant = np.full((38, 35), np.random.default_rng(13).uniform(0.0, 255.0))
+    got = equalized_magnitude(GrayImage(constant))
+    assert got.any()
+    assert got.tobytes() == _oracle_magnitude(constant).tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_equalized_magnitude_equals_oracle_on_face_pyramids(seed):
+    """Every level of 256x256 synthetic-face pyramids, as fits and training
+    build them."""
+    for sample in generate_face_dataset(3, size=256, seed=seed):
+        for image in build_pyramid(sample.image, 3):
+            got = equalized_magnitude(image)
+            assert got.tobytes() == _oracle_magnitude(image.pixels).tobytes()
+            assert got.flags.owndata and not got.flags.writeable
+
+
+@pytest.mark.parametrize("hw", [(2, 5), (5, 2), (1, 1), (2, 40)])
+def test_equalized_magnitude_refuses_what_sobel_gradients_refuses(hw):
+    """A side under 3 pixels raises sobel_gradients' ImageSizeError, from the
+    one place both check it."""
+    image = GrayImage(np.arange(float(hw[0] * hw[1])).reshape(hw))
+    raised = []
+    for compute in (sobel_gradients, equalized_magnitude):
+        with pytest.raises(ImageSizeError, match=r"^need at least 3x3 for gradients, got ") as info:
+            compute(image)
+        raised.append((str(info.value), info.traceback[-1].frame.code.raw))
+    assert raised[0] == raised[1]
 
 
 # ----------------------------------------------------------------- canny
