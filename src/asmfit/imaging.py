@@ -93,7 +93,11 @@ def equalize_histogram(image: GrayImage) -> GrayImage:
     out = round(255 * (cdf(v) - cdf_min) / (N - cdf_min)); a constant image
     is returned unchanged (nothing to spread).
     """
-    bins, lut = _equalization(image.pixels)
+    return _remapped(image, *_equalization(image.pixels))
+
+
+def _remapped(image: GrayImage, bins: np.ndarray, lut) -> GrayImage:
+    """equalize_histogram's image from image's _equalization (bins, lut)."""
     if lut is None:
         return image
     out = lut.take(bins)
@@ -180,9 +184,21 @@ def equalized_magnitude(image: GrayImage) -> np.ndarray:
     and may hold a fraction, so it takes _sobel itself.
     """
     _check_gradient_size(image)
-    bins, lut = _equalization(image.pixels)
+    return _level_magnitude(image.pixels, *_equalization(image.pixels))
+
+
+def equalize_with_magnitude(image: GrayImage) -> tuple:
+    """(equalize_histogram(image), equalized_magnitude(image)), with the
+    bytes of each, from one equalization LUT."""
+    _check_gradient_size(image)
+    equalization = _equalization(image.pixels)
+    return _remapped(image, *equalization), _level_magnitude(image.pixels, *equalization)
+
+
+def _level_magnitude(pixels: np.ndarray, bins: np.ndarray, lut) -> np.ndarray:
+    """equalized_magnitude of the image of pixels, from their _equalization (bins, lut)."""
     if lut is None:
-        mag = _sobel(image.pixels)[2]
+        mag = _sobel(pixels)[2]
     else:
         padded = _edge_pad(lut.astype(np.int16).take(bins))
         # [1 2 1] down each column, (h, w + 2), and along each row, (h + 2, w).

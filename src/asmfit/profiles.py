@@ -233,7 +233,8 @@ def homogeneous_rows(rows: np.ndarray, *, absolute: bool) -> tuple:
     "sum") or, when absolute, by its absolute sum (normalize_derivatives).
     For s > 0, w.(g / s) + b has the sign of w.g + b*s, so
     svm.decision_values(model, rows, owner, sums) gates the raw rows, and
-    only the rows it keeps need the division. A flat row, |s| < _FLAT_SUM,
+    only the rows it keeps need the division; svm.grid_decisions applies
+    the same rule to every window of a candidate grid. A flat row, |s| < _FLAT_SUM,
     normalizes to a constant row instead: the uniform vector, or zeros when
     absolute. It is scored as that row with s = 1, in a copy of rows; with
     no flat row, rows itself is returned.
@@ -265,24 +266,26 @@ def windows_batch(values: np.ndarray, centers: np.ndarray, size: int) -> np.ndar
     return view[cy + half, cx + half].reshape(len(centers), size * size)
 
 
-def grid_windows(values: np.ndarray, origins: np.ndarray, mask: np.ndarray,
-                 size: int) -> np.ndarray:
-    """(n, size*size) windows_batch rows centered on the n nodes that mask
-    picks from k square integer grids, in np.nonzero(mask) order.
-
-    Grid j is g x g nodes, row-major (y outer, x inner), whose first node
-    is the integer center origins[j] = (x, y); mask is (k, g, g). Each grid
-    reads its windows from one border-clamped patch of (g + size - 1)^2
-    pixels through a sliding-window view, so no array is padded, and every
-    row equals windows_batch's for the same center byte for byte.
-    """
+def grid_patches(values: np.ndarray, origins: np.ndarray, g: int, size: int) -> np.ndarray:
+    """(k, P, P) border-clamped patches of values, P = g + size - 1: patch j
+    holds every pixel that the windows_batch windows of the g x g integer
+    grid whose first node is origins[j] = (x, y) read, so the window of node
+    (a, c), row-major (y outer, x inner), is patch[j, a:a + size, c:c + size]."""
     check_odd_size("window size", size)
     h, w = values.shape
-    k, g = mask.shape[:2]
     span = np.arange(g + size - 1) - size // 2
     xs = np.clip(origins[:, 0, None] + span, 0, w - 1).astype(np.intp)
     ys = np.clip(origins[:, 1, None] + span, 0, h - 1).astype(np.intp)
-    patches = np.take(values, ys[:, :, None] * w + xs[:, None, :])
+    return np.take(values, ys[:, :, None] * w + xs[:, None, :])
+
+
+def grid_windows(patches: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """(n, size*size) rows of the windows of grid_patches' (k, P, P) patches
+    at the n nodes that the (k, g, g) mask picks, in np.nonzero(mask) order;
+    size is P - g + 1. Each row is read through a sliding-window view, so no
+    array is padded and only the picked windows are copied, and it equals
+    windows_batch's row for the same center byte for byte."""
+    size = patches.shape[1] - mask.shape[1] + 1
     return sliding_window_view(patches, (size, size), axis=(1, 2))[mask].reshape(-1, size * size)
 
 

@@ -9,12 +9,15 @@ finest), and pulls the whole shape back onto the model with
 _PASS_PROJECTIONS projections; fit_contexts hands each level's shape to the
 next by doubling coordinates, a similarity, so the next level starts from a
 model instance. fit runs it on one image's level contexts. The asm_svm gate
-runs first, on the raw gradient windows, so only the candidates that
-compete are sum-normalized and scored. A pass gathers each landmark's
-windows from one border-clamped patch around its candidate grid, and scores
-all landmarks in one stacked product per stage: when the landmarks hold
-unequal row counts, every landmark's block is zero-padded to the largest,
-so a cost has the bytes of its landmark's model on its block so padded.
+runs first: a pass builds one border-clamped patch around each landmark's
+candidate grid, scores the whole grid from the patch in one banded product
+(svm.grid_decisions), and gathers, sum-normalizes and scores only the
+windows that compete. The gate's values differ from decision_values' on
+the same raw windows in their last bits; the rows, costs and points do
+not. The cost scores all landmarks in one stacked product per stage: when
+the landmarks hold unequal row counts, every landmark's block is
+zero-padded to the largest, so a cost has the bytes of its landmark's
+model on its block so padded.
 """
 
 from __future__ import annotations
@@ -36,11 +39,13 @@ from .errors import (
     check_numbers,
     check_radius,
 )
-from .imaging import GrayImage, canny_edges, equalize_histogram, equalized_magnitude
+from .imaging import GrayImage, canny_edges, equalize_with_magnitude, equalized_magnitude
+from .imaging import equalize_histogram  # noqa: F401 (perfbench/tracing.py:WRAPS wraps this name)
 from .imaging import sample_bilinear  # noqa: F401 (perfbench/tracing.py:WRAPS wraps this name)
 from .imaging import sobel_gradients  # noqa: F401 (perfbench/tracing.py:WRAPS wraps this name)
 from .profiles import (
     ProfileStats,
+    grid_patches,
     grid_windows,
     homogeneous_rows,
     landmark_normals,
@@ -51,7 +56,7 @@ from .profiles import (
 )
 from .profiles import windows_batch  # noqa: F401 (perfbench/tracing.py:WRAPS wraps this name)
 from .shape_model import Shape, ShapeModel, fit_params
-from .svm import LinearSvmModel, decision_values
+from .svm import LinearSvmModel, decision_values, grid_decisions
 
 # Least fraction of init landmarks inside the level-0 image that fit accepts.
 MIN_INIT_INSIDE = 0.5
@@ -200,21 +205,46 @@ def _candidate_grid(points: np.ndarray, radius: int):
     return cx, cy, valid, cheb
 
 
+def _gated(allowed: np.ndarray, accepted: np.ndarray) -> np.ndarray:
+    """The (k, m) candidates that compete: those of allowed that the
+    landmark's classifier accepts, or all of a landmark's allowed ones when
+    it accepts none of them."""
+    accepted = accepted & allowed
+    return np.where(accepted.any(axis=1, keepdims=True), accepted, allowed)
+
+
 def _candidate_features(ctx: LevelContext, shape: Shape, cx: np.ndarray, cy: np.ndarray,
-                        allowed: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """(n, d) feature rows of the n candidates that allowed picks from the
-    (k, m) grid (cx, cy) of _candidate_grid, in np.nonzero(allowed) order,
-    not yet normalized (see _normalized); owner (n,) holds the landmark each
-    candidate belongs to. 2-D windows are gathered per landmark from one
-    border-clamped patch around its grid (profiles.grid_windows)."""
+                        allowed: np.ndarray) -> tuple:
+    """(rows, competing): the (n, d) feature rows, not yet normalized (see
+    _normalized), of the n candidates of the (k, m) grid (cx, cy) of
+    _candidate_grid that compete, in np.nonzero(competing) order, and the
+    (k, m) mask competing that picks them.
+
+    Without SVMs every candidate that allowed picks competes; with them,
+    _gated's. A 1-D pass samples the profiles of all allowed candidates and
+    gates the rows by decision_values. A 2-D pass builds one border-clamped
+    patch per landmark (profiles.grid_patches), gates its whole grid from
+    the patch in one banded product (svm.grid_decisions), and gathers only
+    the competing windows (profiles.grid_windows)."""
     if ctx.magnitude is None:
+        owner = np.nonzero(allowed)[0]
         normals = landmark_normals(shape, ctx.scheme)[owner]
         centers = np.stack([cx[allowed], cy[allowed]], axis=1)
-        return profile_derivatives(ctx.raw, centers, normals, ctx.stats.dim)
+        rows = profile_derivatives(ctx.raw, centers, normals, ctx.stats.dim)
+        if ctx.svms is None:
+            return rows, allowed
+        gated, sums = homogeneous_rows(rows, absolute=True)
+        accepted = np.zeros_like(allowed)
+        accepted[allowed] = decision_values(ctx.svms, gated, owner, sums) >= 0
+        competing = _gated(allowed, accepted)
+        return rows[competing[allowed]], competing
     k, m = cx.shape
     g = math.isqrt(m)
-    return grid_windows(ctx.magnitude, np.stack([cx[:, 0], cy[:, 0]], axis=1),
-                        allowed.reshape(k, g, g), math.isqrt(ctx.stats.dim))
+    patches = grid_patches(ctx.magnitude, np.stack([cx[:, 0], cy[:, 0]], axis=1), g,
+                           math.isqrt(ctx.stats.dim))
+    competing = allowed if ctx.svms is None else _gated(
+        allowed, (grid_decisions(ctx.svms, patches) >= 0).reshape(k, m))
+    return grid_windows(patches, competing.reshape(k, g, g)), competing
 
 
 def _normalized(ctx: LevelContext, rows: np.ndarray) -> np.ndarray:
@@ -230,21 +260,27 @@ def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig):
 
     Candidates within the Chebyshev search radius compete; when the
     context holds SVMs, only candidates the landmark's classifier accepts
-    do, falling back to all of them if none pass. The classifiers were
-    trained on normalized rows, but gate the raw ones: a row g with
+    do, falling back to all of them if none pass (_gated). The classifiers
+    were trained on normalized rows, but gate the raw ones: a row g with
     normalizer s > 0 is accepted when w.g + b*s >= 0, the sign of
-    w.(g / s) + b (profiles.homogeneous_rows). Only the competing
+    w.(g / s) + b (profiles.homogeneous_rows). A 1-D gate scores the
+    in-radius profiles with decision_values. The 2-D gate scores the whole
+    candidate grid from each landmark's patch in one banded product
+    (svm.grid_decisions), and only the competing windows are gathered; its
+    values differ from decision_values' on the same windows in their last
+    bits, while the rows, costs and points do not. Only the competing
     candidates are normalized and scored by the Mahalanobis profile cost,
     weighted down on edge pixels when the context holds an edge map. The
-    gate and the cost each score all landmarks in one stacked product; when
-    their row counts differ, each landmark's block is zero-padded to the
-    largest, so a value has the bytes of its landmark's model alone on its
-    block so padded, and can move in the last bits with its neighbours'
-    counts. Ties break toward the smaller displacement, then row-major
-    candidate order. A tie is of computed costs: on BLAS kernels whose matmul rounding
-    depends on a row's position (OpenBLAS Haswell), two identical windows,
-    such as two clamped to the same border pixels, can cost one ulp apart,
-    and the cheaper one wins whatever its displacement.
+    cost, and the 1-D gate, score all landmarks in one stacked product;
+    when their row counts differ, each landmark's block is zero-padded to
+    the largest, so a value has the bytes of its landmark's model alone on
+    its block so padded, and can move in the last bits with its
+    neighbours' counts. Ties break toward the smaller displacement, then
+    row-major candidate order. A tie is of computed costs: on BLAS kernels
+    whose matmul rounding depends on a row's position (OpenBLAS Haswell),
+    two identical windows, such as two clamped to the same border pixels,
+    can cost one ulp apart, and the cheaper one wins whatever its
+    displacement.
 
     Returns (new Shape, per-landmark winning costs).
     """
@@ -255,30 +291,17 @@ def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig):
         raise DimensionMismatchError(f"statistics {ctx.stats.mean.shape} for {k} landmarks")
     if ctx.svms is not None and ctx.svms.weights.shape[:-1] != (k,):
         raise DimensionMismatchError(f"SVM stack {ctx.svms.weights.shape} for {k} landmarks")
-    # Features of the in-radius candidates only, landmark after landmark in
-    # row-major order; row i belongs to landmark owner[i].
-    owner = np.nonzero(allowed)[0]
-    rows = _candidate_features(ctx, shape, cx, cy, allowed, owner)
-    if ctx.svms is not None:
-        gated, sums = homogeneous_rows(rows, absolute=ctx.magnitude is None)
-        accepted = decision_values(ctx.svms, gated, owner, sums) >= 0
-        # A landmark none of whose candidates its classifier accepts keeps them all.
-        passed = np.zeros(k, dtype=bool)
-        passed[owner[accepted]] = True
-        keep = accepted | ~passed[owner]
-        allowed[allowed] = keep
-        rows = rows[keep]
-        owner = owner[keep]
+    rows, competing = _candidate_features(ctx, shape, cx, cy, allowed)
     rows = _normalized(ctx, rows)
 
     # Only the competing candidates are scored, each landmark against its own statistics.
     costs = np.full((k, m), np.inf)
-    costs[allowed] = mahalanobis_batch(ctx.stats, rows, owner)
+    costs[competing] = mahalanobis_batch(ctx.stats, rows, np.nonzero(competing)[0])
     if ctx.edge_map is not None:
         h, w = ctx.edge_map.shape
         ex = np.clip(cx.astype(int), 0, w - 1)
         ey = np.clip(cy.astype(int), 0, h - 1)
-        np.multiply(costs, config.c - ctx.edge_map[ey, ex], out=costs, where=allowed)
+        np.multiply(costs, config.c - ctx.edge_map[ey, ex], out=costs, where=competing)
 
     # Lowest cost, then smallest Chebyshev distance, then first in row-major
     # order. Candidates that do not compete cost inf and lose to any finite cost.
@@ -296,7 +319,8 @@ def build_level_context(bundle, level_image: GrayImage, level: int, config: FitC
     asm_svm adds the Sobel magnitude of the level image after histogram
     equalization, computed in whole numbers from the raw level image, and the
     level's SVMs, and at levels >= 1 the Canny edges of the equalized float
-    image; level 0 equalizes no float image and computes no edge map, so its
+    image, the two from one equalization LUT (imaging.equalize_with_magnitude);
+    level 0 equalizes no float image and computes no edge map, so its
     search is not edge-weighted and a one-level asm_svm fit runs no Canny at
     all. classic samples 1-D profiles from raw. The level's profile size is
     the one it was trained with.
@@ -307,10 +331,11 @@ def build_level_context(bundle, level_image: GrayImage, level: int, config: FitC
                        stats=lv.asm if asm else lv.classic, svms=None, scheme=bundle.scheme)
     if not asm:
         return ctx
-    edge_map = None
-    if level:
-        edge_map = canny_edges(equalize_histogram(level_image), config.canny_low, config.canny_high)
-    return replace(ctx, magnitude=equalized_magnitude(level_image), edge_map=edge_map, svms=lv.svms)
+    if not level:
+        return replace(ctx, magnitude=equalized_magnitude(level_image), svms=lv.svms)
+    equalized, magnitude = equalize_with_magnitude(level_image)
+    return replace(ctx, magnitude=magnitude, svms=lv.svms,
+                   edge_map=canny_edges(equalized, config.canny_low, config.canny_high))
 
 
 def fit_level(ctx: LevelContext, shape: Shape, model: ShapeModel, config: FitConfig) -> LevelFit:

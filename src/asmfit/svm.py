@@ -13,17 +13,18 @@ from dataclasses import InitVar, dataclass
 from typing import ClassVar
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ClassBalanceError, DimensionMismatchError, ShapeArityError, check_index,
                      check_integer, check_numbers, check_radius, check_seed, readonly)
-from .profiles import normalize_windows, owner_bounds, owner_matmul, windows_batch
+from .profiles import _FLAT_SUM, normalize_windows, owner_bounds, owner_matmul, windows_batch
 
 
 @dataclass(frozen=True, eq=False)
 class LinearSvmModel:
     """Hyperplane weights (d,) and bias of one landmark's classifier, or
     weights (k, d) and biases (k,) of k stacked landmarks; landmark j's
-    classifier is row j."""
+    classifier is row j. A stack memoizes its grid_bands per grid side."""
 
     weights: np.ndarray
     bias: float | np.ndarray
@@ -37,6 +38,33 @@ class LinearSvmModel:
             raise ShapeArityError("SVM parameters must be finite")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b if b.ndim else float(b))
+        object.__setattr__(self, "_bands", {})
+
+    def grid_bands(self, g: int) -> np.ndarray:
+        """(k, s*P, 2g) banded weights of a stack of s x s window classifiers
+        over g x g grids, P = g + s - 1, built once per g by one np.take.
+
+        Row u*P + c + v of column c holds w[u*s + v] + b, the landmark's
+        weight (u, v) plus its bias, and of column g + c holds 1, so rows a
+        to a + s - 1 of a patch, flattened, times the band give the value
+        w.x + b*sum(x) of the window x at grid node (a, c), then sum(x)
+        (see grid_decisions). Every other entry is 0.
+        """
+        bands = self._bands.get(g)
+        if bands is None:
+            k, d = self.weights.shape
+            s = math.isqrt(d)
+            p = g + s - 1
+            u, v, c = np.ogrid[:s, :s, :g]
+            index = np.full((s * p, 2 * g), d + 1)  # entry d of a row is 1, entry d + 1 is 0
+            index[u * p + c + v, c] = u * s + v
+            index[u * p + c + v, g + c] = d
+            ext = np.concatenate([self.weights + self.bias[:, None], np.ones((k, 1)),
+                                  np.zeros((k, 1))], axis=1)
+            bands = np.take(ext, index, axis=1)
+            bands.setflags(write=False)
+            self._bands[g] = bands
+        return bands
 
 
 @dataclass(frozen=True)
@@ -311,3 +339,31 @@ def decision_values(model: LinearSvmModel, rows: np.ndarray, owner=None, sums=No
     out = owner_matmul(rows, model.weights, checked[1])
     out += bias
     return out
+
+
+def grid_decisions(model: LinearSvmModel, patches: np.ndarray) -> np.ndarray:
+    """(k, g, g) gate values of every node of k square grids, from their
+    (k, P, P) border-clamped patches (profiles.grid_patches) and a stack of
+    k classifiers of s x s windows, g = P - s + 1.
+
+    Node (a, c) of landmark j, the window x = patches[j, a:a + s, c:c + s],
+    gets w_j.x + b_j * sum(x): the value decision_values gives x with its
+    sum (profiles.homogeneous_rows), whose sign is the decision on x / sum(x).
+    A flat window, |sum(x)| < _FLAT_SUM, gets the uniform window's value
+    with sum 1, as there. One batched matmul makes every value and sum: the
+    patch's g overlapping row bands, a (k, g, s*P) view with no copy, times
+    model.grid_bands(g). The values round otherwise than decision_values':
+    they may differ in their last bits, so a decision within rounding of 0
+    may differ too.
+    """
+    k, p = patches.shape[:2]
+    s = math.isqrt(model.weights.shape[-1])
+    g = p - s + 1
+    bands = sliding_window_view(patches.reshape(k, p * p), s * p, axis=1)[:, ::p]
+    product = np.matmul(bands, model.grid_bands(g))
+    values, sums = product[..., :g], product[..., g:]
+    # A magnitude's sums are never negative, so their least rules flat windows out at once.
+    if sums.min(initial=np.inf) < _FLAT_SUM:
+        flat = np.abs(sums) < _FLAT_SUM
+        values[flat] = (model.weights.mean(axis=1) + model.bias)[np.nonzero(flat)[0]]
+    return values

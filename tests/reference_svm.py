@@ -20,19 +20,42 @@ decision_values replaces. svm_objective is the primal objective of one
 landmark's model, and kkt_residual the size of its gradient at a trained
 model, one value per landmark. landmark_svm gives one landmark's classifier
 out of a stacked model, which the library scores with one owner index per
-row.
+row. row_gate is the row gate, decision_values on homogeneous_rows of raw
+windows, that svm.grid_decisions must agree with (assert_gate_agrees).
 """
 
 import numpy as np
 
 from asmfit.errors import DimensionMismatchError
-from asmfit.profiles import normalize_windows, windows_batch
+from asmfit.profiles import homogeneous_rows, normalize_windows, windows_batch
 from asmfit.svm import (
     LandmarkTrainingSet,
     LinearSvmModel,
     _ring_offsets,
     decision_values,
 )
+
+# Relative rounding bound of a banded gate value against the row gate's, on
+# the scale sum(|w| * |x|) + |b| * |sum(x)| of its window x: both add the
+# same products, in other orders, and the band adds b to each weight first.
+GATE_ROUNDING = 1e-12
+
+
+def row_gate(model: LinearSvmModel, windows: np.ndarray, owner: np.ndarray):
+    """The row gate's values of raw (m, d) 2-D windows owned by owner under
+    a stacked model, decision_values on homogeneous_rows, and each value's
+    rounding scale."""
+    rows, sums = homogeneous_rows(windows, absolute=False)
+    scale = np.abs(rows * model.weights[owner]).sum(axis=1) + np.abs(model.bias[owner] * sums)
+    return decision_values(model, rows, owner, sums), scale
+
+
+def assert_gate_agrees(values, oracle, scale) -> None:
+    """values equal the row gate's to GATE_ROUNDING of its scale, and decide
+    as it wherever it clears that bound."""
+    assert np.all(np.abs(values - oracle) <= GATE_ROUNDING * scale)
+    clear = np.abs(oracle) > GATE_ROUNDING * scale
+    assert np.array_equal(values[clear] >= 0, oracle[clear] >= 0)
 
 
 def landmark_svm(model: LinearSvmModel, j) -> LinearSvmModel:

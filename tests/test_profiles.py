@@ -16,6 +16,7 @@ from asmfit.profiles import (
     Profile,
     ProfileStats,
     edge_weighted_cost,
+    grid_patches,
     grid_windows,
     landmark_normals,
     leading_subspace,
@@ -423,15 +424,15 @@ def test_windows_batch_size_validation():
     with pytest.raises(ShapeArityError):
         windows_batch(np.zeros((5, 5)), np.zeros((1, 2)), 2)
     with pytest.raises(ShapeArityError):
-        grid_windows(np.zeros((5, 5)), np.zeros((1, 2)), np.ones((1, 3, 3), bool), 4)
+        grid_patches(np.zeros((5, 5)), np.zeros((1, 2)), 3, 4)
 
 
 @PROPERTY
 @given(data=strategies.data())
 def test_grid_windows_equal_windows_batch(data):
     """The windows a search pass gathers from one border-clamped patch per
-    landmark, at the in-radius nodes of its candidate grid (or any subset
-    of them), equal windows_batch's and the clamped-gather oracle's at the
+    landmark (grid_patches), at the in-radius nodes of its candidate grid
+    (or any subset of them), equal windows_batch's and the clamped-gather oracle's at the
     same centers, byte for byte and in the same order. Radii 1-4, odd sides
     3-9; every coordinate lies inside the image, across a border, or at
     least 20 px outside one, at fractional and integer positions."""
@@ -458,7 +459,9 @@ def test_grid_windows_equal_windows_batch(data):
     mask = allowed.reshape(k, g, g)
     centers = np.stack([cx[allowed], cy[allowed]], axis=1)
     assert grid_centers(origins, mask).tobytes() == centers.tobytes()
-    got = grid_windows(vals, origins, mask, size)
+    patches = grid_patches(vals, origins, g, size)
+    assert patches.shape == (k, g + size - 1, g + size - 1)
+    got = grid_windows(patches, mask)
     assert got.shape == (len(centers), size * size)
     assert got.tobytes() == windows_batch(vals, centers, size).tobytes()
     assert got.tobytes() == clamped_windows(vals, centers, size).tobytes()

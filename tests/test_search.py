@@ -1,9 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from asmfit import search
+from asmfit import imaging, search
 from asmfit.cli import truth_box
 from asmfit.dataset_io import AnnotatedSample
 from asmfit.errors import (
@@ -20,10 +21,13 @@ from asmfit.imaging import (
     build_pyramid,
     canny_edges,
     equalize_histogram,
+    equalized_magnitude,
     sobel_gradients,
 )
 from asmfit.profiles import (
     ProfileStats,
+    grid_patches,
+    grid_windows,
     homogeneous_rows,
     mahalanobis_batch,
     normalize_windows,
@@ -44,7 +48,7 @@ from asmfit.search import (
     search_landmarks,
 )
 from asmfit.shape_model import Shape, build_shape_model, fit_params
-from asmfit.svm import LinearSvmModel, SvmTrainConfig, decision_values
+from asmfit.svm import LinearSvmModel, SvmTrainConfig, decision_values, grid_decisions
 
 from conftest import (
     matmul_operands,
@@ -54,7 +58,7 @@ from conftest import (
     stacked_svms,
 )
 from reference_profiles import landmark_stats, padded_block_scores, single_contour_scheme
-from reference_svm import landmark_svm
+from reference_svm import assert_gate_agrees, landmark_svm, row_gate
 import reference_search
 
 
@@ -501,9 +505,11 @@ def test_oracle_contexts_plant_fallbacks_and_ties():
 
 def in_radius_features(ctx, shape, radius=3):
     """_candidate_features of every in-radius candidate, not yet normalized,
-    with the (k, m) grid (cx, cy) and its in-radius mask."""
+    ungated, with the (k, m) grid (cx, cy) and its in-radius mask."""
     cx, cy, valid, _ = _candidate_grid(shape.points, radius)
-    return _candidate_features(ctx, shape, cx, cy, valid, np.nonzero(valid)[0]), cx, cy, valid
+    rows, competing = _candidate_features(dataclasses.replace(ctx, svms=None), shape, cx, cy, valid)
+    assert competing is valid
+    return rows, cx, cy, valid
 
 
 @pytest.mark.parametrize("size", [3, 7, 15])
@@ -567,18 +573,28 @@ def axis_stats(stats):
 
 @pytest.mark.parametrize("kind", ["two_d", "one_d"])
 def test_gate_sees_in_radius_rows_and_search_equals_oracle(kind, monkeypatch):
-    """decision_values gets each landmark's in-radius rows, not yet
-    normalized, with their sums (absolute sums for 1-D profiles) and nothing
-    else, in one owner-form call: 36 rows at a fractional position, 49 at an
-    integer one. mahalanobis_batch then gets, in one owner-form call, only
-    the rows that compete, normalized as the oracle normalizes them: a
-    landmark's accepted rows, or all of them when it accepts none. Points
-    and winning costs equal the oracle's byte for byte, near the border too."""
-    calls = {"gate": [], "cost": []}
+    """The gate sees every landmark's in-radius candidates, not yet
+    normalized, in one call: 36 at a fractional position, 49 at an integer
+    one. A 1-D pass gives decision_values their rows with their absolute
+    sums, in owner form. A 2-D pass calls no decision_values: it gives
+    grid_decisions one border-clamped patch per landmark, whose windows at
+    the in-radius nodes are the oracle's rows byte for byte, and its values
+    there equal the row gate's (decision_values on homogeneous_rows) to
+    GATE_ROUNDING and decide alike. mahalanobis_batch then gets, in one
+    owner-form call, only the rows that compete, normalized as the oracle
+    normalizes them: a landmark's accepted rows, or all of them when it
+    accepts none. Points and winning costs equal the oracle's byte for
+    byte, near the border too."""
+    calls = {"gate": [], "grid": [], "cost": []}
 
     def gate(model, rows, owner=None, sums=None):
         values = decision_values(model, rows, owner, sums)
         calls["gate"].append((owner, np.array(rows), np.array(sums), values))
+        return values
+
+    def grid(model, patches):
+        values = grid_decisions(model, patches)
+        calls["grid"].append((np.array(patches), values))
         return values
 
     def cost(stats, rows, owner=None):
@@ -586,6 +602,7 @@ def test_gate_sees_in_radius_rows_and_search_equals_oracle(kind, monkeypatch):
         return mahalanobis_batch(stats, rows, owner)
 
     monkeypatch.setattr(search, "decision_values", gate)
+    monkeypatch.setattr(search, "grid_decisions", grid)
     monkeypatch.setattr(search, "mahalanobis_batch", cost)
     rng = np.random.default_rng(60)
     k, size = 12, 7
@@ -598,14 +615,25 @@ def test_gate_sees_in_radius_rows_and_search_equals_oracle(kind, monkeypatch):
         pts[::2] = np.rint(pts[::2])
         pts[1] = (0.5, 43.5)
         shape = Shape(pts)
-        calls["gate"].clear()
-        calls["cost"].clear()
+        for recorded_calls in calls.values():
+            recorded_calls.clear()
         got, got_costs = search_landmarks(ctx, shape, cfg)
         cx, cy, valid, _ = _candidate_grid(pts, 3)
         raw_rows = reference_search.raw_candidate_features(ctx, shape, size, cx, cy)
         want_rows = reference_search.candidate_features(ctx, shape, size, cx, cy)
-        assert len(calls["gate"]) == 1 and len(calls["cost"]) == 1
-        owner, rows, sums, values = calls["gate"][0]
+        assert len(calls["cost"]) == 1
+        if kind == "one_d":
+            assert len(calls["gate"]) == 1 and calls["grid"] == []
+            owner, rows, sums, values = calls["gate"][0]
+        else:
+            assert calls["gate"] == [] and len(calls["grid"]) == 1
+            patches, grid_values = calls["grid"][0]
+            assert patches.shape == (k, 7 + size - 1, 7 + size - 1)
+            owner = np.nonzero(valid)[0]
+            rows, sums = homogeneous_rows(grid_windows(patches, valid.reshape(k, 7, 7)),
+                                          absolute=False)
+            values = grid_values.reshape(k, 49)[valid]
+            assert_gate_agrees(values, *row_gate(ctx.svms, rows, owner))
         cost_owner, cost_rows = calls["cost"][0]
         assert np.unique(owner).tolist() == list(range(k))
         competing = []
@@ -661,25 +689,40 @@ SCORERS = (("decision_values", "gate", decision_values, landmark_svm),
            ("mahalanobis_batch", "cost", mahalanobis_batch, landmark_stats))
 
 
+def landmark_stack(model, j):
+    """Landmark j's classifier of a stacked model, as a stack of one."""
+    return LinearSvmModel(model.weights[j:j + 1], model.bias[j:j + 1])
+
+
 def one_by_one(monkeypatch):
-    """The search's gate and cost scoring each landmark's block of rows (and
-    the gate's sums) with its own unstacked model, one call per landmark,
-    every block zero-padded to the call's largest (padded_block_scores):
-    the pass computed landmark by landmark."""
+    """The search's gates and cost scoring each landmark's block of rows (and
+    the row gate's sums) with its own unstacked model, one call per landmark,
+    every block zero-padded to the call's largest (padded_block_scores), and
+    the grid gate each landmark's patch with its own classifier: the pass
+    computed landmark by landmark."""
     for name, _, fn, single in SCORERS:
         def per_landmark(model, rows, owner, *sums, fn=fn, single=single):
             return padded_block_scores(fn, single, model, rows, np.bincount(owner).tolist(), *sums)
         monkeypatch.setattr(search, name, per_landmark)
+    monkeypatch.setattr(search, "grid_decisions", lambda model, patches: np.concatenate(
+        [grid_decisions(landmark_stack(model, j), patches[j:j + 1]) for j in range(len(patches))]))
 
 
 def recorded(monkeypatch):
-    """Every gate and cost call's (owner as a tuple, rows shape), in call order."""
-    calls = {"gate": [], "cost": []}
+    """Every row gate and cost call's (owner as a tuple, rows shape), and
+    every grid gate call's patches shape, in call order."""
+    calls = {"gate": [], "grid": [], "cost": []}
     for name, key, fn, _ in SCORERS:
         def recording(model, rows, owner=None, *sums, key=key, fn=fn):
             calls[key].append((None if owner is None else tuple(owner.tolist()), np.shape(rows)))
             return fn(model, rows, owner, *sums)
         monkeypatch.setattr(search, name, recording)
+
+    def recording_grid(model, patches):
+        calls["grid"].append(np.shape(patches))
+        return grid_decisions(model, patches)
+
+    monkeypatch.setattr(search, "grid_decisions", recording_grid)
     return calls
 
 
@@ -702,11 +745,13 @@ STACKED_CASES = [(kind, gate, edges) for kind in ("two_d", "one_d")
 @pytest.mark.parametrize("kind,gate,edges", STACKED_CASES,
                          ids=[f"{k}-{g}-{e}" for k, g, e in STACKED_CASES])
 def test_stacked_pass_equals_per_landmark_pass(kind, gate, edges, monkeypatch):
-    """With every landmark at a fractional position the gate gets one
-    owner array of equal counts; points and winning costs equal the same
-    pass computed landmark by landmark, each by its own unstacked model on
-    its block zero-padded to the call's largest, byte for byte, and with
-    axis statistics the points equal the oracle's."""
+    """With every landmark at a fractional position the gate gets one call:
+    a 1-D row gate one owner array of equal counts, a 2-D grid gate one
+    (k, P, P) stack of patches. Points and winning costs equal the same pass
+    computed landmark by landmark, each by its own unstacked model on its
+    block zero-padded to the call's largest, or by its own classifier on its
+    own patch, byte for byte, and with axis statistics the points equal the
+    oracle's."""
     rng = np.random.default_rng(70 + 10 * STACKED_CASES.index((kind, gate, edges)))
     k, size = 12, 7
     cfg = FitConfig(levels=1, search_radius=3)
@@ -727,16 +772,26 @@ def test_stacked_pass_equals_per_landmark_pass(kind, gate, edges, monkeypatch):
             got, got_costs = search_landmarks(ctx, shape, cfg)
         d = size * size if kind == "two_d" else size
         equal = (tuple(np.repeat(np.arange(k), 36).tolist()), (k * 36, d))
-        assert calls["gate"] == ([] if gate is None else [equal])
+        gated = gate is not None
+        assert calls["gate"] == ([equal] if gated and kind == "one_d" else [])
+        assert calls["grid"] == ([(k, 7 + size - 1, 7 + size - 1)]
+                                 if gated and kind == "two_d" else [])
         if gate == "mixed":
-            # The gate's own rule, on the raw rows. The centred weights score a
-            # constant window (the tie image, a clamped corner) by rounding
-            # noise alone; on every other row it agrees with the normalized
-            # rows' decisions.
+            # The gate's own rule, on the raw rows or the patches. The centred
+            # weights score a constant window (the tie image, a clamped corner)
+            # by rounding noise alone; on every other row it agrees with the
+            # normalized rows' decisions.
             rows, _, _, valid = in_radius_features(ctx, shape)
             owner = np.repeat(np.arange(k), 36)
-            gated, sums = homogeneous_rows(rows, absolute=kind == "one_d")
-            values = decision_values(ctx.svms, gated, owner, sums)
+            if kind == "one_d":
+                gated_rows, sums = homogeneous_rows(rows, absolute=True)
+                values = decision_values(ctx.svms, gated_rows, owner, sums)
+            else:
+                cx, cy, _, _ = _candidate_grid(shape.points, 3)
+                patches = grid_patches(ctx.magnitude, np.stack([cx[:, 0], cy[:, 0]], axis=1),
+                                       7, size)
+                values = grid_decisions(ctx.svms, patches).reshape(k, 49)[valid]
+                assert_gate_agrees(values, *row_gate(ctx.svms, rows, owner))
             normalized = decision_values(ctx.svms, search._normalized(ctx, rows), owner)
             clear = np.abs(normalized) > 1e-9
             assert np.array_equal(values[clear] >= 0, normalized[clear] >= 0)
@@ -768,30 +823,33 @@ def test_stacked_pass_equals_per_landmark_pass(kind, gate, edges, monkeypatch):
 
 
 def test_equal_counts_stack_and_mixed_counts_do_not(monkeypatch):
-    """A pass makes one gate call and one cost call, each with (m, d) rows
-    and an owner array, and each of the gate's product and the cost's two
-    runs as one stacked matmul. In an equal-count pass, 36 rows per
-    landmark, it runs on a (k, 36, a) view of the rows; with some landmarks
-    on the integer grid (49 candidates, not 36) the counts differ, and it
-    runs on a (k, 49, a) stack of blocks zero-padded to 49 rows."""
+    """A 2-D pass makes one grid gate call, on a (k, P, P) stack of patches,
+    whose product runs as one stacked matmul on the patches' (k, g, s * P)
+    overlapping row bands, and one cost call with (m, d) rows and an owner
+    array, whose two products each run as one stacked matmul. In an
+    equal-count pass, 36 rows per landmark, those run on a (k, 36, a) view
+    of the rows; with some landmarks on the integer grid (49 candidates,
+    not 36) the counts differ, and they run on a (k, 49, a) stack of blocks
+    zero-padded to 49 rows. No row gate runs."""
     rng = np.random.default_rng(90)
     k, size = 12, 7
     cfg = FitConfig(levels=1, search_radius=3)
     ctx = oracle_context(rng, "two_d", size, k)
     ctx = dataclasses.replace(ctx, svms=LinearSvmModel(ctx.svms.weights, np.full(k, 1e9)))
-    widths = (size * size, size * size, ctx.stats.rank)  # the gate's product, then the cost's two
+    widths = (size * size, ctx.stats.rank)  # the cost's two products
+    p = 7 + size - 1
     pts = fractional_points(rng, k)
     calls = recorded(monkeypatch)
 
     def one_pass(counts):
-        calls["gate"].clear()
-        calls["cost"].clear()
+        for recorded_calls in calls.values():
+            recorded_calls.clear()
         with matmul_operands() as products:
             search_landmarks(ctx, Shape(pts), cfg)
         owner = np.repeat(np.arange(k), counts)
-        one_owner_call = [(tuple(owner.tolist()), (len(owner), size * size))]
-        assert calls == {"gate": one_owner_call, "cost": one_owner_call}
-        assert products == owner_products(counts, widths)
+        assert calls == {"gate": [], "grid": [(k, p, p)],
+                         "cost": [(tuple(owner.tolist()), (len(owner), size * size))]}
+        assert products == [(k, 7, size * p)] + owner_products(counts, widths)
 
     one_pass((36,) * k)
     pts[::3] = np.rint(pts[::3])
@@ -1135,7 +1193,8 @@ def test_classic_context_computes_no_equalization_sobel_or_canny(trained, monkey
     def refuse(*args, **kwargs):
         raise AssertionError("a classic fit computed an asm_svm image")
 
-    for name in ("equalize_histogram", "equalized_magnitude", "sobel_gradients", "canny_edges"):
+    for name in ("equalize_histogram", "equalized_magnitude", "equalize_with_magnitude",
+                 "sobel_gradients", "canny_edges"):
         monkeypatch.setattr(search, name, refuse)
     for level in range(cfg.levels):
         ctx = build_level_context(bundle, pyr[level], level, cfg)
@@ -1189,6 +1248,97 @@ def test_asm_svm_context_holds_gradients_edges_and_svms(trained_3_7_15, monkeypa
     assert cfg.levels == 3 and cfg.max_iters_per_level > 0
     assert np.isfinite(fit(pyr, bundle, init, cfg).shape.points).all()
     assert calls == [pyr[2].pixels.shape, pyr[1].pixels.shape]
+
+
+def test_asm_svm_context_equalizes_each_level_once(trained, monkeypatch):
+    """An asm_svm level context builds one equalization LUT (imaging._equalization),
+    which feeds both its magnitude and, at levels >= 1, its Canny edges;
+    both equal equalized_magnitude's and canny_edges of equalize_histogram's
+    byte for byte."""
+    bundle, _, faces = trained
+    cfg = config_for_mode(bundle, "asm_svm")
+    pyr = build_pyramid(faces[6].image, cfg.levels)
+    calls = []
+    real = imaging._equalization
+
+    def counted(pixels):
+        calls.append(pixels.shape)
+        return real(pixels)
+
+    for level in range(cfg.levels):
+        image = pyr[level]
+        with monkeypatch.context() as patch:
+            patch.setattr(imaging, "_equalization", counted)
+            ctx = build_level_context(bundle, image, level, cfg)
+        assert calls == [image.pixels.shape]
+        calls.clear()
+        assert ctx.magnitude.tobytes() == equalized_magnitude(image).tobytes()
+        if level:
+            edges = canny_edges(equalize_histogram(image), cfg.canny_low, cfg.canny_high)
+            assert ctx.edge_map.dtype == edges.dtype and ctx.edge_map.tobytes() == edges.tobytes()
+        else:
+            assert ctx.edge_map is None
+
+
+def test_two_d_fit_gates_each_pass_with_one_banded_product(trained, monkeypatch):
+    """Every pass of an asm_svm fit gates each landmark's whole grid from its
+    patch in one grid_decisions call, which makes one matmul, calls no
+    decision_values or homogeneous_rows and gathers only the competing
+    windows: grid_windows' mask picks exactly the rows mahalanobis_batch
+    gets, in np.nonzero order, fewer than the in-radius candidates in some
+    passes. The banded weights are built once per level's classifier stack
+    over two fits."""
+    bundle, _, faces = trained
+    cfg = config_for_mode(bundle, "asm_svm")
+    sample = faces[6]
+    init = init_shape_from_box(bundle.shape_model, truth_box(sample.shape, 0.10))
+    pyr = build_pyramid(sample.image, cfg.levels)
+    # Fresh copies of the stacks, so this test's fits build their banded weights.
+    bundle = dataclasses.replace(bundle, levels=tuple(
+        dataclasses.replace(lv, svms=LinearSvmModel(lv.svms.weights, lv.svms.bias))
+        for lv in bundle.levels))
+    passes = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 2-D pass called the row gate")
+
+    def grid(model, patches):
+        with matmul_operands() as products:
+            values = grid_decisions(model, patches)
+        passes.append({"model": model, "products": products})
+        return values
+
+    def gather(patches, mask):
+        passes[-1]["kept"] = np.nonzero(mask.reshape(len(mask), -1))
+        return grid_windows(patches, mask)
+
+    def cost(stats, rows, owner=None):
+        passes[-1]["cost"] = (len(rows), owner)
+        return mahalanobis_batch(stats, rows, owner)
+
+    monkeypatch.setattr(search, "decision_values", refuse)
+    monkeypatch.setattr(search, "homogeneous_rows", refuse)
+    monkeypatch.setattr(search, "grid_decisions", grid)
+    monkeypatch.setattr(search, "grid_windows", gather)
+    monkeypatch.setattr(search, "mahalanobis_batch", cost)
+    first = fit(pyr, bundle, init, cfg)
+    assert len(passes) == sum(first.iterations)
+    bands = [lv.svms.grid_bands(7) for lv in bundle.levels]
+    second = fit(pyr, bundle, init, cfg)
+    assert second.shape.points.tobytes() == first.shape.points.tobytes()
+    fewer = 0
+    for record in passes:
+        k, d = record["model"].weights.shape
+        side = math.isqrt(d)
+        assert record["products"] == [(k, 7, side * (7 + side - 1))]
+        kept_owner, _ = record["kept"]
+        count, owner = record["cost"]
+        assert count == len(kept_owner) and owner.tolist() == kept_owner.tolist()
+        fewer += count < 36 * k
+    assert fewer > 0
+    assert {id(record["model"]) for record in passes} <= {id(lv.svms) for lv in bundle.levels}
+    for lv, built in zip(bundle.levels, bands):
+        assert list(lv.svms._bands) == [7] and lv.svms.grid_bands(7) is built
 
 
 def test_gate_decision_convention():

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies
 
+from asmfit import search
 from asmfit.errors import MAX_RADIUS, ClassBalanceError, DimensionMismatchError, ShapeArityError
-from asmfit.profiles import (Profile, homogeneous_rows, normalize_derivatives, normalize_windows,
-                             windows_batch)
+from asmfit.profiles import (Profile, grid_patches, grid_windows, homogeneous_rows,
+                             normalize_derivatives, normalize_windows, windows_batch)
+from asmfit.search import _candidate_grid
 from asmfit.svm import (
     LandmarkTrainingSet,
     LinearSvmModel,
@@ -18,6 +20,7 @@ from asmfit.svm import (
     _seed_for,
     build_landmark_training_set,
     decision_values,
+    grid_decisions,
     negative_ring,
     train_linear_svm,
     training_accuracy,
@@ -26,10 +29,12 @@ from asmfit.training import TrainConfig
 from conftest import ARITY_CASES, PROPERTY, arity_call, matmul_operands, owner_counts, owner_products
 from reference_profiles import padded_block_scores
 from reference_svm import (
+    assert_gate_agrees,
     build_landmark_training_set_reference,
     kkt_residual,
     landmark_svm,
     predict,
+    row_gate,
     svm_objective,
     train_linear_svm_reference,
 )
@@ -630,6 +635,65 @@ def test_raw_row_decisions_have_the_sign_of_normalized_ones(stacked, absolute, d
     flat = kind < 2
     assert got[flat].tobytes() == want[flat].tobytes()
     assert (sums > 0).all() and np.array_equal(sums[flat], np.ones(np.count_nonzero(flat)))
+
+
+@PROPERTY
+@given(data=strategies.data())
+def test_banded_grid_gate_equals_the_row_gate(data):
+    """grid_decisions over the patches of k candidate grids (radius 1-4,
+    odd window sides 3-9) against the row gate, decision_values on
+    homogeneous_rows of windows_batch's windows at every grid node. Grid
+    positions lie inside the image, across a border or at least 20 px
+    outside one, at fractional and integer positions; the image may hold a
+    flat region (zeros, or values whose windows sum to under 1e-12); the
+    weights are drawn or centred. Values agree to GATE_ROUNDING of their
+    scale, decisions are equal wherever the row gate's value clears that
+    bound, and the windows the gate keeps (search._gated, with its
+    fallback) gather to windows_batch's rows byte for byte. The banded
+    weights are built once per stack and grid side."""
+    radius = data.draw(strategies.integers(1, 4), label="radius")
+    size = data.draw(strategies.sampled_from([3, 5, 7, 9]), label="size")
+    h, w = data.draw(strategies.integers(1, 40)), data.draw(strategies.integers(1, 40))
+    k = data.draw(strategies.integers(1, 8), label="landmarks")
+
+    def coordinate(n):
+        return data.draw(strategies.one_of(
+            strategies.floats(0.0, n - 1.0), strategies.floats(-size - 1.0, n + size),
+            strategies.floats(-200.0, -20.0), strategies.floats(n + 19.0, n + 200.0)))
+
+    pts = np.array([[coordinate(w), coordinate(h)] for _ in range(k)])
+    if data.draw(strategies.booleans(), label="integer"):
+        pts[::2] = np.rint(pts[::2])
+    rng = np.random.default_rng(data.draw(strategies.integers(0, 2**32 - 1)))
+    vals = rng.uniform(0.0, 50.0, (h, w))
+    flat = data.draw(strategies.sampled_from([None, "zero", "tiny"]), label="flat region")
+    if flat is not None:
+        y0, x0 = rng.integers(0, h), rng.integers(0, w)
+        region = vals[y0:y0 + rng.integers(1, 20), x0:x0 + rng.integers(1, 20)]
+        region *= 0.0 if flat == "zero" else 1e-16 / size**2
+    d = size * size
+    weights = rng.normal(0.0, 1.0, (k, d)) / size
+    if data.draw(strategies.booleans(), label="centred"):
+        weights -= weights.mean(axis=1, keepdims=True)
+    model = LinearSvmModel(weights, rng.normal(0.0, 1.0, k))
+    cx, cy, allowed, _ = _candidate_grid(pts, radius)
+    g = 2 * radius + 1
+    patches = grid_patches(vals, np.stack([cx[:, 0], cy[:, 0]], axis=1), g, size)
+    values = grid_decisions(model, patches)
+    assert values.shape == (k, g, g)
+    bands = model.grid_bands(g)
+    assert grid_decisions(model, patches).tobytes() == values.tobytes()
+    assert model.grid_bands(g) is bands and not bands.flags.writeable
+
+    centers = np.stack([cx.ravel(), cy.ravel()], axis=1)
+    owner = np.repeat(np.arange(k), g * g)
+    values = values.ravel()
+    assert_gate_agrees(values, *row_gate(model, windows_batch(vals, centers, size), owner))
+
+    keep = search._gated(allowed, values.reshape(k, g * g) >= 0)
+    assert not (keep & ~allowed).any() and (keep.any(axis=1) == allowed.any(axis=1)).all()
+    kept = grid_windows(patches, keep.reshape(k, g, g))
+    assert kept.tobytes() == windows_batch(vals, centers[keep.ravel()], size).tobytes()
 
 
 def test_decision_values_check_their_sums():
