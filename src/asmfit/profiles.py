@@ -225,29 +225,6 @@ def normalize_windows(flat: np.ndarray, mode: str, q: float = None,
     raise ShapeArityError(f"unknown 2-D normalization {mode!r}")
 
 
-def homogeneous_rows(rows: np.ndarray, *, absolute: bool) -> tuple:
-    """(rows, sums) on which a linear score of the sum-normalized rows runs
-    without dividing any row.
-
-    Sum normalization divides a row g by its sum s (normalize_windows'
-    "sum") or, when absolute, by its absolute sum (normalize_derivatives).
-    For s > 0, w.(g / s) + b has the sign of w.g + b*s, so
-    svm.decision_values(model, rows, owner, sums) gates the raw rows, and
-    only the rows it keeps need the division; svm.grid_decisions applies
-    the same rule to every window of a candidate grid. A flat row, |s| < _FLAT_SUM,
-    normalizes to a constant row instead: the uniform vector, or zeros when
-    absolute. It is scored as that row with s = 1, in a copy of rows; with
-    no flat row, rows itself is returned.
-    """
-    sums = (np.abs(rows) if absolute else rows).sum(axis=-1)
-    flat = np.abs(sums) < _FLAT_SUM
-    if flat.any():
-        rows = rows.copy()
-        rows[flat] = 0.0 if absolute else 1.0 / rows.shape[-1]
-        sums[flat] = 1.0
-    return rows, sums
-
-
 def windows_batch(values: np.ndarray, centers: np.ndarray, size: int) -> np.ndarray:
     """(k, size*size) row-major windows around rounded centers, border-clamped.
 
@@ -367,12 +344,13 @@ def owner_bounds(rows: np.ndarray, params: np.ndarray, owner) -> tuple | None:
     """The checked owner array of a scorer's call, as intp, and the row
     bounds of its blocks: landmark j owns rows bounds[j]:bounds[j + 1].
 
-    rows must be (m, d). params is the model's mean or weights: (d,) for
-    one landmark's model, which takes no owner and gets None, or (k, d) for
-    a stacked one, which needs owner, one landmark index in [0, k) per row,
+    rows must be (m, d). params is the statistics' mean: (d,) for one
+    landmark's statistics, which take no owner and get None, or (k, d) for
+    stacked ones, which need owner, one landmark index in [0, k) per row,
     as integers in ascending order. Anything else raises
-    DimensionMismatchError. A landmark with no rows has an empty block.
-    The bounds are a (k + 1,) array.
+    DimensionMismatchError, so svm.decision_values, which checks one
+    classifier's (d,) weights here with no owner, refuses a stack. A
+    landmark with no rows has an empty block. The bounds are a (k + 1,) array.
     """
     stacked = params.ndim == 2
     if rows.ndim != 2 or rows.shape[1] != params.shape[-1] or stacked != (owner is not None):
@@ -417,24 +395,6 @@ def owner_rows(stacked: np.ndarray, at) -> np.ndarray:
     stack: all of them when at is None, else the ones at the flat positions at."""
     flat = stacked.reshape((-1,) + stacked.shape[2:])
     return flat if at is None else flat[at]
-
-
-def owner_matmul(rows: np.ndarray, mats: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Each landmark's block of (m, a) rows times its own matrix of a stack:
-    (k, a, b) matrices give (m, b), (k, a) vectors (m,). Landmark j owns
-    rows bounds[j]:bounds[j + 1] (see owner_bounds).
-
-    One stacked matmul runs over owner_blocks' (k, c, a) stack: a view of
-    the rows when every block holds c rows, otherwise every block
-    zero-padded to the largest count c. Either way it makes one BLAS call
-    per block, so each block gets the bytes of its rows, zero-padded to c,
-    times mats[j]. The product has the operands' common dtype, so float32
-    rows and matrices multiply in float32 and neither is cast.
-    """
-    blocks, at = owner_blocks(rows, bounds)
-    vector = mats.ndim == 2
-    product = np.matmul(blocks, mats[:, :, None] if vector else mats)
-    return owner_rows(product[..., 0] if vector else product, at)
 
 
 def mahalanobis_batch(stats: ProfileStats, rows: np.ndarray, owner=None) -> np.ndarray:

@@ -8,13 +8,14 @@ cost (SVM-gated in asm_svm, and edge-weighted there at every level but the
 finest), and pulls the whole shape back onto the model with
 _PASS_PROJECTIONS projections; fit_contexts hands each level's shape to the
 next by doubling coordinates, a similarity, so the next level starts from a
-model instance. fit runs it on one image's level contexts. The asm_svm gate
-runs first: a pass builds one border-clamped patch around each landmark's
-candidate grid, scores the whole grid from the patch in one banded product
-(svm.grid_decisions), and gathers, sum-normalizes and scores only the
-windows that compete. The gate's values differ from decision_values' on
-the same raw windows in their last bits; the rows, costs and points do
-not. The cost scores all landmarks in one stacked product per stage: when
+model instance. fit runs it on one image's level contexts. The asm_svm gate,
+the only gate, runs first: a pass builds one border-clamped patch around
+each landmark's candidate grid, scores the whole grid from the patch in one
+banded product (svm.grid_decisions), and gathers, sum-normalizes and scores
+only the windows that compete. The gate's values may differ in their last
+bits from the same values computed window by window; the gathered rows,
+costs and points do not. The cost scores all landmarks in one stacked
+product per stage: when
 the landmarks hold unequal row counts, every landmark's block is
 zero-padded to the largest, so a cost has the bytes of its landmark's
 model on its block so padded.
@@ -47,7 +48,6 @@ from .profiles import (
     ProfileStats,
     grid_patches,
     grid_windows,
-    homogeneous_rows,
     landmark_normals,
     mahalanobis_batch,
     normalize_derivatives,
@@ -56,7 +56,8 @@ from .profiles import (
 )
 from .profiles import windows_batch  # noqa: F401 (perfbench/tracing.py:WRAPS wraps this name)
 from .shape_model import Shape, ShapeModel, fit_params
-from .svm import LinearSvmModel, decision_values, grid_decisions
+from .svm import LinearSvmModel, grid_decisions
+from .svm import decision_values  # noqa: F401 (perfbench/tracing.py:WRAPS wraps this name)
 
 # Least fraction of init landmarks inside the level-0 image that fit accepts.
 MIN_INIT_INSIDE = 0.5
@@ -108,7 +109,8 @@ class LevelContext:
     """Per-level cache of images and of models stacked over the landmarks,
     sized by the statistics' dimension; classic leaves magnitude (the Sobel
     gradient magnitude of the equalized image, imaging.equalized_magnitude),
-    edge_map and svms None, and asm_svm leaves edge_map None at level 0."""
+    edge_map and svms None, and asm_svm leaves edge_map None at level 0.
+    SVMs without a magnitude raise ShapeArityError: they gate its windows."""
 
     raw: GrayImage
     magnitude: np.ndarray
@@ -116,6 +118,11 @@ class LevelContext:
     stats: ProfileStats
     svms: LinearSvmModel
     scheme: object
+
+    def __post_init__(self):
+        if self.svms is not None and self.magnitude is None:
+            raise ShapeArityError("a level context with SVMs needs a gradient magnitude: "
+                                  "its SVMs gate 2-D windows, and 1-D profiles have no gate")
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,23 +228,15 @@ def _candidate_features(ctx: LevelContext, shape: Shape, cx: np.ndarray, cy: np.
     (k, m) mask competing that picks them.
 
     Without SVMs every candidate that allowed picks competes; with them,
-    _gated's. A 1-D pass samples the profiles of all allowed candidates and
-    gates the rows by decision_values. A 2-D pass builds one border-clamped
+    _gated's. A 1-D pass, which holds no SVMs (LevelContext), samples the
+    profiles of all allowed candidates. A 2-D pass builds one border-clamped
     patch per landmark (profiles.grid_patches), gates its whole grid from
-    the patch in one banded product (svm.grid_decisions), and gathers only
-    the competing windows (profiles.grid_windows)."""
+    the patch in one banded product (svm.grid_decisions) when it holds
+    SVMs, and gathers only the competing windows (profiles.grid_windows)."""
     if ctx.magnitude is None:
-        owner = np.nonzero(allowed)[0]
-        normals = landmark_normals(shape, ctx.scheme)[owner]
+        normals = landmark_normals(shape, ctx.scheme)[np.nonzero(allowed)[0]]
         centers = np.stack([cx[allowed], cy[allowed]], axis=1)
-        rows = profile_derivatives(ctx.raw, centers, normals, ctx.stats.dim)
-        if ctx.svms is None:
-            return rows, allowed
-        gated, sums = homogeneous_rows(rows, absolute=True)
-        accepted = np.zeros_like(allowed)
-        accepted[allowed] = decision_values(ctx.svms, gated, owner, sums) >= 0
-        competing = _gated(allowed, accepted)
-        return rows[competing[allowed]], competing
+        return profile_derivatives(ctx.raw, centers, normals, ctx.stats.dim), allowed
     k, m = cx.shape
     g = math.isqrt(m)
     patches = grid_patches(ctx.magnitude, np.stack([cx[:, 0], cy[:, 0]], axis=1), g,
@@ -261,26 +260,24 @@ def search_landmarks(ctx: LevelContext, shape: Shape, config: FitConfig):
     Candidates within the Chebyshev search radius compete; when the
     context holds SVMs, only candidates the landmark's classifier accepts
     do, falling back to all of them if none pass (_gated). The classifiers
-    were trained on normalized rows, but gate the raw ones: a row g with
-    normalizer s > 0 is accepted when w.g + b*s >= 0, the sign of
-    w.(g / s) + b (profiles.homogeneous_rows). A 1-D gate scores the
-    in-radius profiles with decision_values. The 2-D gate scores the whole
-    candidate grid from each landmark's patch in one banded product
-    (svm.grid_decisions), and only the competing windows are gathered; its
-    values differ from decision_values' on the same windows in their last
-    bits, while the rows, costs and points do not. Only the competing
-    candidates are normalized and scored by the Mahalanobis profile cost,
-    weighted down on edge pixels when the context holds an edge map. The
-    cost, and the 1-D gate, score all landmarks in one stacked product;
-    when their row counts differ, each landmark's block is zero-padded to
-    the largest, so a value has the bytes of its landmark's model alone on
-    its block so padded, and can move in the last bits with its
-    neighbours' counts. Ties break toward the smaller displacement, then
-    row-major candidate order. A tie is of computed costs: on BLAS kernels
-    whose matmul rounding depends on a row's position (OpenBLAS Haswell),
-    two identical windows, such as two clamped to the same border pixels,
-    can cost one ulp apart, and the cheaper one wins whatever its
-    displacement.
+    were trained on sum-normalized windows, but gate the raw ones: a window
+    g with sum s > 0 is accepted when w.g + b*s >= 0, the sign of
+    w.(g / s) + b. The gate scores the whole candidate grid from each
+    landmark's patch in one banded product (svm.grid_decisions), and only
+    the competing windows are gathered; its values may differ in their last
+    bits from the same values computed window by window, while the rows,
+    costs and points do not. Only the competing candidates are normalized
+    and scored by the Mahalanobis profile cost, weighted down on edge
+    pixels when the context holds an edge map. The cost scores all
+    landmarks in one stacked product; when their row counts differ, each
+    landmark's block is zero-padded to the largest, so a value has the
+    bytes of its landmark's model alone on its block so padded, and can
+    move in the last bits with its neighbours' counts. Ties break toward
+    the smaller displacement, then row-major candidate order. A tie is of
+    computed costs: on BLAS kernels whose matmul rounding depends on a
+    row's position (OpenBLAS Haswell), two identical windows, such as two
+    clamped to the same border pixels, can cost one ulp apart, and the
+    cheaper one wins whatever its displacement.
 
     Returns (new Shape, per-landmark winning costs).
     """

@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ClassBalanceError, DimensionMismatchError, ShapeArityError, check_index,
                      check_integer, check_numbers, check_radius, check_seed, readonly)
-from .profiles import _FLAT_SUM, normalize_windows, owner_bounds, owner_matmul, windows_batch
+from .profiles import _FLAT_SUM, normalize_windows, owner_bounds, windows_batch
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,42 +303,20 @@ def train_linear_svm(train_set: LandmarkTrainingSet, config: SvmTrainConfig):
 
 def training_accuracy(model: LinearSvmModel, train_set: LandmarkTrainingSet) -> np.ndarray:
     """Fraction of each landmark's training rows classified right, shape (k,),
-    for a stack and its stacked model; one stacked matmul, as in owner_matmul."""
+    for a stack and its stacked model, from one stacked matmul."""
     decision = np.matmul(train_set.features, model.weights[:, :, None])[:, :, 0]
     decision += model.bias[:, None]
     return np.mean(np.where(decision >= 0, 1.0, -1.0) == train_set.labels, axis=1)
 
 
-def decision_values(model: LinearSvmModel, rows: np.ndarray, owner=None, sums=None) -> np.ndarray:
-    """Decision values of an (m, d) feature matrix, (m,).
-
-    One landmark's classifier scores every row. A stacked model needs
-    owner, an (m,) array of sorted landmark indices (see
-    profiles.owner_bounds), and scores row i by classifier owner[i]: one
-    stacked product runs over the landmarks' blocks of rows, zero-padded to
-    the largest block unless all hold the same count (profiles.owner_matmul),
-    and the biases are added once over all rows, so every block has the
-    bytes of its landmark's classifier alone on its rows so padded.
-
-    sums, (m,) and positive, scores rows that are not yet normalized: row i
-    gets w.rows[i] + b*sums[i], which is sums[i] times the decision of
-    rows[i] / sums[i] and so has its sign (see profiles.homogeneous_rows).
-    """
+def decision_values(model: LinearSvmModel, rows: np.ndarray) -> np.ndarray:
+    """Decision values rows @ w + b of an (m, d) feature matrix under one
+    landmark's classifier, (m,). A stacked model, or rows of another shape,
+    raises DimensionMismatchError (profiles.owner_bounds' check). A fit
+    gates with grid_decisions instead."""
     rows = np.asarray(rows, dtype=float)
-    checked = owner_bounds(rows, model.weights, owner)
-    bias = model.bias if checked is None else np.take(model.bias, checked[0])
-    if sums is not None:
-        sums = np.asarray(sums, dtype=float)
-        if sums.shape != rows.shape[:1]:
-            raise DimensionMismatchError(f"sums {sums.shape} for rows {rows.shape}; need one per row")
-        if not (sums > 0).all():
-            raise ShapeArityError("sums must be positive: a flat row is scored normalized, with sum 1")
-        bias = bias * sums
-    if checked is None:
-        return rows @ model.weights + bias
-    out = owner_matmul(rows, model.weights, checked[1])
-    out += bias
-    return out
+    owner_bounds(rows, model.weights, None)
+    return rows @ model.weights + model.bias
 
 
 def grid_decisions(model: LinearSvmModel, patches: np.ndarray) -> np.ndarray:
@@ -347,14 +325,16 @@ def grid_decisions(model: LinearSvmModel, patches: np.ndarray) -> np.ndarray:
     k classifiers of s x s windows, g = P - s + 1.
 
     Node (a, c) of landmark j, the window x = patches[j, a:a + s, c:c + s],
-    gets w_j.x + b_j * sum(x): the value decision_values gives x with its
-    sum (profiles.homogeneous_rows), whose sign is the decision on x / sum(x).
-    A flat window, |sum(x)| < _FLAT_SUM, gets the uniform window's value
-    with sum 1, as there. One batched matmul makes every value and sum: the
-    patch's g overlapping row bands, a (k, g, s*P) view with no copy, times
-    model.grid_bands(g). The values round otherwise than decision_values':
-    they may differ in their last bits, so a decision within rounding of 0
-    may differ too.
+    gets w_j.x + b_j * sum(x), which is sum(x) times the decision on the
+    sum-normalized window x / sum(x) and so, for sum(x) > 0, has its sign:
+    the classifiers were trained on normalized windows, but no window is
+    divided. A flat window, |sum(x)| < _FLAT_SUM, which normalize_windows
+    maps to the uniform window, gets the uniform window's value with sum 1.
+    One batched matmul makes every value and sum: the patch's g overlapping
+    row bands, a (k, g, s*P) view with no copy, times model.grid_bands(g).
+    The values round otherwise than w_j.x + b_j * sum(x) computed window by
+    window: they may differ in their last bits, so a decision within
+    rounding of 0 may differ too.
     """
     k, p = patches.shape[:2]
     s = math.isqrt(model.weights.shape[-1])

@@ -131,12 +131,11 @@ def landmark_stats(stats, j):
     return one
 
 
-def padded_block_scores(score, single, stack, rows, counts, *per_row):
+def padded_block_scores(score, single, stack, rows, counts):
     """The (m,) scores of an owner-form call by the padded-block rule: the
     block of landmark j, counts[j] rows, zero-padded to the largest count,
-    scored by score(single(stack, j), padded block, ...) alone, its pad
-    rows dropped. Arrays of one value per row (the gate's sums) are padded
-    with ones. With equal counts no block is padded."""
+    scored by score(single(stack, j), padded block) alone, its pad rows
+    dropped. With equal counts no block is padded."""
     rows = np.asarray(rows, dtype=float)
     c = max(counts, default=0)
     bounds = np.cumsum([0] + list(counts))
@@ -144,8 +143,7 @@ def padded_block_scores(score, single, stack, rows, counts, *per_row):
     for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
         block = np.zeros((c, rows.shape[1]))
         block[:b - a] = rows[a:b]
-        padded = [np.concatenate([v[a:b], np.ones(c - (b - a))]) for v in per_row]
-        out.append(score(single(stack, j), block, None, *padded)[:b - a])
+        out.append(score(single(stack, j), block)[:b - a])
     return np.concatenate(out)
 
 

@@ -19,15 +19,16 @@ predict scores one profile at a time, the form the library's row-matrix
 decision_values replaces. svm_objective is the primal objective of one
 landmark's model, and kkt_residual the size of its gradient at a trained
 model, one value per landmark. landmark_svm gives one landmark's classifier
-out of a stacked model, which the library scores with one owner index per
-row. row_gate is the row gate, decision_values on homogeneous_rows of raw
-windows, that svm.grid_decisions must agree with (assert_gate_agrees).
+out of a stacked model. row_gate is the row gate, which svm.grid_decisions
+must agree with (assert_gate_agrees): each landmark's raw windows scored
+with their sums (homogeneous_rows) in a plain loop over the landmarks,
+sharing no code with the library's banded product.
 """
 
 import numpy as np
 
 from asmfit.errors import DimensionMismatchError
-from asmfit.profiles import homogeneous_rows, normalize_windows, windows_batch
+from asmfit.profiles import _FLAT_SUM, normalize_windows, windows_batch
 from asmfit.svm import (
     LandmarkTrainingSet,
     LinearSvmModel,
@@ -41,13 +42,37 @@ from asmfit.svm import (
 GATE_ROUNDING = 1e-12
 
 
+def homogeneous_rows(windows: np.ndarray) -> tuple:
+    """(rows, sums) on which a linear score of the sum-normalized (m, d)
+    windows runs without dividing any of them.
+
+    Sum normalization divides a window g by its sum s (normalize_windows'
+    "sum"), and for s > 0, w.(g / s) + b has the sign of w.g + b*s. A flat
+    window, |s| < _FLAT_SUM, normalizes to the uniform vector instead: it
+    is scored as that vector with s = 1, in a copy of windows; with no flat
+    window, windows itself is returned.
+    """
+    sums = windows.sum(axis=-1)
+    flat = np.abs(sums) < _FLAT_SUM
+    if flat.any():
+        windows = windows.copy()
+        windows[flat] = 1.0 / windows.shape[-1]
+        sums[flat] = 1.0
+    return windows, sums
+
+
 def row_gate(model: LinearSvmModel, windows: np.ndarray, owner: np.ndarray):
-    """The row gate's values of raw (m, d) 2-D windows owned by owner under
-    a stacked model, decision_values on homogeneous_rows, and each value's
-    rounding scale."""
-    rows, sums = homogeneous_rows(windows, absolute=False)
+    """The row gate's values of raw (m, d) 2-D windows owned by owner, an
+    (m,) array of landmark indices, under a stacked model, and each value's
+    rounding scale: landmark j's rows and sums of homogeneous_rows score
+    rows_j @ w_j + b_j * s_j, one landmark at a time."""
+    rows, sums = homogeneous_rows(windows)
+    values = np.empty(len(rows))
+    for j, (w, b) in enumerate(zip(model.weights, model.bias)):
+        mine = owner == j
+        values[mine] = rows[mine] @ w + b * sums[mine]
     scale = np.abs(rows * model.weights[owner]).sum(axis=1) + np.abs(model.bias[owner] * sums)
-    return decision_values(model, rows, owner, sums), scale
+    return values, scale
 
 
 def assert_gate_agrees(values, oracle, scale) -> None:

@@ -26,7 +26,8 @@ from asmfit.imaging import GrayImage, build_pyramid
 from asmfit.scheme import DEFAULT_SCHEME, ContourGroup, LandmarkScheme
 from asmfit.search import FitConfig
 from asmfit.shape_model import Shape
-from asmfit.svm import SvmTrainConfig
+from asmfit.profiles import normalize_windows, windows_batch
+from asmfit.svm import SvmTrainConfig, decision_values
 from asmfit.training import TrainConfig, train_bundle
 from asmfit.synthetic import write_dataset
 
@@ -281,8 +282,16 @@ def test_readme_bundle_sample_runs_on_a_trained_bundle(cli_env):
     level = bundle.levels[names["level"]]
     assert names["svm"] is level.svms and names["stats"] is level.asm
     assert names["accepted"].shape == names["costs"].shape == (1,)
-    assert np.array_equal(names["same"] >= 0, names["accepted"])
     assert names["some"].shape == (3,)
+    # The gate of landmark j's raw grid decides as its SVM on the normalized windows.
+    gate = names["gate"]
+    assert gate.shape == (len(level.svms.bias), 7, 7)
+    a, b = np.mgrid[:7, :7]
+    centers = np.stack([20 + b.ravel(), 30 + a.ravel()], axis=1)
+    windows = windows_batch(names["magnitude"], centers, level.window_side)
+    normalized = decision_values(names["one"], normalize_windows(windows, "sum"))
+    clear = np.abs(normalized) > 1e-9
+    assert clear.any() and np.array_equal(gate[names["j"]].ravel()[clear], normalized[clear] >= 0)
 
 
 def test_overflowing_c_penalty_fails_training_in_one_line(cli_env, tmp_path, capsys,

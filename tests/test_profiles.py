@@ -31,7 +31,6 @@ from asmfit.profiles import (
 from asmfit.scheme import DEFAULT_SCHEME, ContourGroup, LandmarkScheme
 from asmfit.search import _candidate_grid
 from asmfit.shape_model import Shape
-from asmfit.svm import LinearSvmModel, decision_values
 from conftest import (
     ARITY_CASES,
     PROPERTY,
@@ -782,13 +781,15 @@ def test_float32_owner_costs_equal_each_block_alone_and_keep_the_basis(equal, da
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("scorer", ["mahalanobis_batch", "decision_values"])
+# mahalanobis_batch is the library's one owner-form scorer; the ids keep its name.
+@pytest.mark.parametrize("scorer", ["mahalanobis_batch"])
 @pytest.mark.parametrize("counts", [[5, 5, 5, 5], [3, 5, 0, 5]], ids=["equal", "unequal"])
 def test_equal_counts_score_a_view_and_unequal_ones_one_padded_stack(scorer, counts, monkeypatch):
-    """An owner-form call stacks its rows once (owner_blocks) and makes one
-    (k, c, a) product per operand. With equal counts the stack is a view of
-    the rows it was given, with no padded copy; with unequal ones it is one
-    new stack, every block zero-padded to the largest count."""
+    """An owner-form call of mahalanobis_batch stacks its deltas once
+    (owner_blocks) and makes one (k, c, a) product per operand. With equal
+    counts the stack is a view of the deltas it was given, with no padded
+    copy; with unequal ones it is one new stack, every block zero-padded to
+    the largest count."""
     rng = np.random.default_rng(17)
     k, d = len(counts), 9
     owner = np.repeat(np.arange(k), counts)
@@ -802,14 +803,10 @@ def test_equal_counts_score_a_view_and_unequal_ones_one_padded_stack(scorer, cou
 
     real = profiles.owner_blocks
     monkeypatch.setattr(profiles, "owner_blocks", recording)
-    if scorer == "mahalanobis_batch":
-        model = stats_from_matrix(rng.normal(0.3, 0.1, (k, 6, d)))
-        score, widths = mahalanobis_batch, (d, model.rank)
-    else:
-        model = LinearSvmModel(rng.normal(0, 1, (k, d)), rng.normal(0, 1, k))
-        score, widths = decision_values, (d,)
+    model = stats_from_matrix(rng.normal(0.3, 0.1, (k, 6, d)))
+    widths = (d, model.rank)
     with matmul_operands() as products:
-        score(model, rows, owner)
+        mahalanobis_batch(model, rows, owner)
     assert products == [(k, max(counts), a) for a in widths]
     equal = len(set(counts)) == 1
     assert stacks == [(equal, equal, (k, max(counts), d))]

@@ -28,7 +28,6 @@ from asmfit.profiles import (
     ProfileStats,
     grid_patches,
     grid_windows,
-    homogeneous_rows,
     mahalanobis_batch,
     normalize_windows,
     profiles_1d_batch,
@@ -363,7 +362,8 @@ def oracle_context(rng, kind, size, k, hw=(40, 52), tie_image=False, gate=True, 
     normalized to: the uniform vector's has the sign of (1 - t_j) * mean(w_j)
     and the bias alone (a zero row's) the opposite one. Landmark 0 then
     rejects every row and the last accepts every row. A one_d context has
-    no gradient magnitude; without gate or edges it holds no SVMs or no
+    no gradient magnitude, so it takes gate=False (LevelContext refuses
+    SVMs without one); without gate or edges a context holds no SVMs or no
     edge map. Every array is drawn either way, so the draws do not depend
     on the switches.
     """
@@ -428,7 +428,6 @@ ORACLE_CASES = [
     (22, "two_d", False, True),
     (23, "two_d", True, False),
     (25, "one_d", False, False),
-    (26, "one_d", True, True),
 ]
 
 
@@ -571,26 +570,22 @@ def axis_stats(stats):
     return ProfileStats(stats.mean, basis=basis, lam=stats.lam[:, :1], rho=stats.rho)
 
 
-@pytest.mark.parametrize("kind", ["two_d", "one_d"])
+@pytest.mark.parametrize("kind", ["two_d"])
 def test_gate_sees_in_radius_rows_and_search_equals_oracle(kind, monkeypatch):
     """The gate sees every landmark's in-radius candidates, not yet
     normalized, in one call: 36 at a fractional position, 49 at an integer
-    one. A 1-D pass gives decision_values their rows with their absolute
-    sums, in owner form. A 2-D pass calls no decision_values: it gives
-    grid_decisions one border-clamped patch per landmark, whose windows at
-    the in-radius nodes are the oracle's rows byte for byte, and its values
-    there equal the row gate's (decision_values on homogeneous_rows) to
-    GATE_ROUNDING and decide alike. mahalanobis_batch then gets, in one
-    owner-form call, only the rows that compete, normalized as the oracle
-    normalizes them: a landmark's accepted rows, or all of them when it
-    accepts none. Points and winning costs equal the oracle's byte for
-    byte, near the border too."""
-    calls = {"gate": [], "grid": [], "cost": []}
+    one. A pass calls no decision_values: it gives grid_decisions one
+    border-clamped patch per landmark, whose windows at the in-radius nodes
+    are the oracle's raw rows byte for byte, and its values there equal the
+    row gate's to GATE_ROUNDING and decide alike. mahalanobis_batch then
+    gets, in one owner-form call, only the rows that compete, normalized as
+    the oracle normalizes them: a landmark's accepted rows, or all of them
+    when it accepts none. Points and winning costs equal the oracle's byte
+    for byte, near the border too."""
+    calls = {"grid": [], "cost": []}
 
-    def gate(model, rows, owner=None, sums=None):
-        values = decision_values(model, rows, owner, sums)
-        calls["gate"].append((owner, np.array(rows), np.array(sums), values))
-        return values
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pass called decision_values")
 
     def grid(model, patches):
         values = grid_decisions(model, patches)
@@ -601,13 +596,13 @@ def test_gate_sees_in_radius_rows_and_search_equals_oracle(kind, monkeypatch):
         calls["cost"].append((owner, np.array(rows)))
         return mahalanobis_batch(stats, rows, owner)
 
-    monkeypatch.setattr(search, "decision_values", gate)
+    monkeypatch.setattr(search, "decision_values", refuse)
     monkeypatch.setattr(search, "grid_decisions", grid)
     monkeypatch.setattr(search, "mahalanobis_batch", cost)
     rng = np.random.default_rng(60)
     k, size = 12, 7
     cfg = FitConfig(levels=1, search_radius=3)
-    fallbacks = flat_rows = 0
+    fallbacks = 0
     for trial in range(4):
         ctx = oracle_context(rng, kind, size, k)
         ctx = dataclasses.replace(ctx, stats=axis_stats(ctx.stats))
@@ -621,32 +616,20 @@ def test_gate_sees_in_radius_rows_and_search_equals_oracle(kind, monkeypatch):
         cx, cy, valid, _ = _candidate_grid(pts, 3)
         raw_rows = reference_search.raw_candidate_features(ctx, shape, size, cx, cy)
         want_rows = reference_search.candidate_features(ctx, shape, size, cx, cy)
-        assert len(calls["cost"]) == 1
-        if kind == "one_d":
-            assert len(calls["gate"]) == 1 and calls["grid"] == []
-            owner, rows, sums, values = calls["gate"][0]
-        else:
-            assert calls["gate"] == [] and len(calls["grid"]) == 1
-            patches, grid_values = calls["grid"][0]
-            assert patches.shape == (k, 7 + size - 1, 7 + size - 1)
-            owner = np.nonzero(valid)[0]
-            rows, sums = homogeneous_rows(grid_windows(patches, valid.reshape(k, 7, 7)),
-                                          absolute=False)
-            values = grid_values.reshape(k, 49)[valid]
-            assert_gate_agrees(values, *row_gate(ctx.svms, rows, owner))
+        assert len(calls["cost"]) == 1 and len(calls["grid"]) == 1
+        patches, grid_values = calls["grid"][0]
+        assert patches.shape == (k, 7 + size - 1, 7 + size - 1)
+        owner = np.nonzero(valid)[0]
+        rows = grid_windows(patches, valid.reshape(k, 7, 7))
+        values = grid_values.reshape(k, 49)[valid]
+        assert_gate_agrees(values, *row_gate(ctx.svms, rows, owner))
         cost_owner, cost_rows = calls["cost"][0]
         assert np.unique(owner).tolist() == list(range(k))
         competing = []
         for j in range(k):
             assert np.count_nonzero(owner == j) == (49 if j % 2 == 0 else 36)
-            # A flat row (clamped past the border) is scored as its normalized
-            # form, with sum 1.
             raw_j, want_j = raw_rows[j][valid[j]], want_rows[j][valid[j]]
-            normalizer = (np.abs(raw_j) if kind == "one_d" else raw_j).sum(axis=1)
-            flat = np.abs(normalizer) < 1e-12
-            flat_rows += np.count_nonzero(flat)
-            assert rows[owner == j].tobytes() == np.where(flat[:, None], want_j, raw_j).tobytes()
-            assert sums[owner == j].tobytes() == np.where(flat, 1.0, normalizer).tobytes()
+            assert rows[owner == j].tobytes() == raw_j.tobytes()
             accepted = values[owner == j] >= 0
             keep = accepted if accepted.any() else np.ones_like(accepted)
             competing.append(np.count_nonzero(keep))
@@ -657,7 +640,6 @@ def test_gate_sees_in_radius_rows_and_search_equals_oracle(kind, monkeypatch):
         assert got.points.tobytes() == want.points.tobytes()
         assert got_costs.tobytes() == want_costs.tobytes()
     assert 0 < fallbacks < 4 * k
-    assert (flat_rows > 0) == (kind == "one_d")
 
 
 def test_search_checks_stats_arity():
@@ -667,6 +649,29 @@ def test_search_checks_stats_arity():
     shape = Shape(np.array([[10.0, 7.0], [4.0, 4.0], [16.0, 18.0]]))
     with pytest.raises(DimensionMismatchError):
         search_landmarks(ctx, shape, two_d_config())
+
+
+def test_level_context_refuses_svms_without_a_magnitude():
+    """SVMs gate 2-D windows of the magnitude (grid_decisions), and 1-D
+    profiles have no gate, so a context that holds SVMs and no magnitude
+    raises ShapeArityError, built directly or through dataclasses.replace,
+    rather than search ungated. Without SVMs, or with a magnitude, the
+    same context is built."""
+    rng = np.random.default_rng(12)
+    k, size = 3, 5
+    one_d = oracle_context(rng, "one_d", size, k, gate=False)
+    two_d = oracle_context(rng, "two_d", size, k)
+    svms = LinearSvmModel(rng.normal(0.0, 1.0, (k, size)), np.zeros(k))
+    message = "^a level context with SVMs needs a gradient magnitude"
+    with pytest.raises(ShapeArityError, match=message):
+        LevelContext(raw=one_d.raw, magnitude=None, edge_map=None, stats=one_d.stats,
+                     svms=svms, scheme=one_d.scheme)
+    with pytest.raises(ShapeArityError, match=message):
+        dataclasses.replace(one_d, svms=svms)
+    with pytest.raises(ShapeArityError, match=message):
+        dataclasses.replace(two_d, magnitude=None)
+    assert dataclasses.replace(two_d, magnitude=None, svms=None).svms is None
+    assert dataclasses.replace(one_d, magnitude=two_d.magnitude, svms=svms).svms is svms
 
 
 @pytest.mark.parametrize("rows", [2, 4])
@@ -685,38 +690,32 @@ def test_search_checks_svm_stack_size(rows, monkeypatch):
     assert built == []
 
 
-SCORERS = (("decision_values", "gate", decision_values, landmark_svm),
-           ("mahalanobis_batch", "cost", mahalanobis_batch, landmark_stats))
-
-
 def landmark_stack(model, j):
     """Landmark j's classifier of a stacked model, as a stack of one."""
     return LinearSvmModel(model.weights[j:j + 1], model.bias[j:j + 1])
 
 
 def one_by_one(monkeypatch):
-    """The search's gates and cost scoring each landmark's block of rows (and
-    the row gate's sums) with its own unstacked model, one call per landmark,
-    every block zero-padded to the call's largest (padded_block_scores), and
-    the grid gate each landmark's patch with its own classifier: the pass
-    computed landmark by landmark."""
-    for name, _, fn, single in SCORERS:
-        def per_landmark(model, rows, owner, *sums, fn=fn, single=single):
-            return padded_block_scores(fn, single, model, rows, np.bincount(owner).tolist(), *sums)
-        monkeypatch.setattr(search, name, per_landmark)
+    """The search's cost scoring each landmark's block of rows with its own
+    unstacked statistics, one call per landmark, every block zero-padded to
+    the call's largest (padded_block_scores), and its gate each landmark's
+    patch with its own classifier: the pass computed landmark by landmark."""
+    monkeypatch.setattr(search, "mahalanobis_batch", lambda stats, rows, owner: padded_block_scores(
+        mahalanobis_batch, landmark_stats, stats, rows, np.bincount(owner).tolist()))
     monkeypatch.setattr(search, "grid_decisions", lambda model, patches: np.concatenate(
         [grid_decisions(landmark_stack(model, j), patches[j:j + 1]) for j in range(len(patches))]))
 
 
 def recorded(monkeypatch):
-    """Every row gate and cost call's (owner as a tuple, rows shape), and
-    every grid gate call's patches shape, in call order."""
-    calls = {"gate": [], "grid": [], "cost": []}
-    for name, key, fn, _ in SCORERS:
-        def recording(model, rows, owner=None, *sums, key=key, fn=fn):
-            calls[key].append((None if owner is None else tuple(owner.tolist()), np.shape(rows)))
-            return fn(model, rows, owner, *sums)
-        monkeypatch.setattr(search, name, recording)
+    """Every cost call's (owner as a tuple, rows shape), and every grid gate
+    call's patches shape, in call order."""
+    calls = {"grid": [], "cost": []}
+
+    def recording_cost(stats, rows, owner=None):
+        calls["cost"].append((None if owner is None else tuple(owner.tolist()), np.shape(rows)))
+        return mahalanobis_batch(stats, rows, owner)
+
+    monkeypatch.setattr(search, "mahalanobis_batch", recording_cost)
 
     def recording_grid(model, patches):
         calls["grid"].append(np.shape(patches))
@@ -736,22 +735,22 @@ def fractional_points(rng, k):
 # gate: None (no SVMs); "mixed" (centred weights accept part of the rows, and
 # landmark 0 is planted to reject all of them and fall back, so the costs'
 # counts differ and their blocks are zero-padded to the largest); "all" (every
-# row accepted, so the costs' counts are equal too). The last trial of each case uses the tie
-# image.
-STACKED_CASES = [(kind, gate, edges) for kind in ("two_d", "one_d")
-                 for gate in (None, "mixed", "all") for edges in (False, True)]
+# row accepted, so the costs' counts are equal too). A one_d context holds no
+# SVMs, so it runs ungated only. The last trial of each case uses the tie image.
+STACKED_CASES = ([("two_d", gate, edges) for gate in (None, "mixed", "all")
+                  for edges in (False, True)]
+                 + [("one_d", None, edges) for edges in (False, True)])
 
 
 @pytest.mark.parametrize("kind,gate,edges", STACKED_CASES,
                          ids=[f"{k}-{g}-{e}" for k, g, e in STACKED_CASES])
 def test_stacked_pass_equals_per_landmark_pass(kind, gate, edges, monkeypatch):
-    """With every landmark at a fractional position the gate gets one call:
-    a 1-D row gate one owner array of equal counts, a 2-D grid gate one
-    (k, P, P) stack of patches. Points and winning costs equal the same pass
-    computed landmark by landmark, each by its own unstacked model on its
-    block zero-padded to the call's largest, or by its own classifier on its
-    own patch, byte for byte, and with axis statistics the points equal the
-    oracle's."""
+    """With every landmark at a fractional position the gate gets one call,
+    on one (k, P, P) stack of patches. Points and winning costs equal the
+    same pass computed landmark by landmark, each cost by its own unstacked
+    statistics on its block zero-padded to the call's largest and each gate
+    by its own classifier on its own patch, byte for byte, and with axis
+    statistics the points equal the oracle's."""
     rng = np.random.default_rng(70 + 10 * STACKED_CASES.index((kind, gate, edges)))
     k, size = 12, 7
     cfg = FitConfig(levels=1, search_radius=3)
@@ -772,27 +771,20 @@ def test_stacked_pass_equals_per_landmark_pass(kind, gate, edges, monkeypatch):
             got, got_costs = search_landmarks(ctx, shape, cfg)
         d = size * size if kind == "two_d" else size
         equal = (tuple(np.repeat(np.arange(k), 36).tolist()), (k * 36, d))
-        gated = gate is not None
-        assert calls["gate"] == ([equal] if gated and kind == "one_d" else [])
-        assert calls["grid"] == ([(k, 7 + size - 1, 7 + size - 1)]
-                                 if gated and kind == "two_d" else [])
+        assert calls["grid"] == ([] if gate is None else [(k, 7 + size - 1, 7 + size - 1)])
         if gate == "mixed":
-            # The gate's own rule, on the raw rows or the patches. The centred
-            # weights score a constant window (the tie image, a clamped corner)
-            # by rounding noise alone; on every other row it agrees with the
-            # normalized rows' decisions.
-            rows, _, _, valid = in_radius_features(ctx, shape)
+            # The gate's own rule, on the patches. The centred weights score a
+            # constant window (the tie image, a clamped corner) by rounding
+            # noise alone; on every other row it agrees with the normalized
+            # rows' decisions.
+            rows, cx, cy, valid = in_radius_features(ctx, shape)
             owner = np.repeat(np.arange(k), 36)
-            if kind == "one_d":
-                gated_rows, sums = homogeneous_rows(rows, absolute=True)
-                values = decision_values(ctx.svms, gated_rows, owner, sums)
-            else:
-                cx, cy, _, _ = _candidate_grid(shape.points, 3)
-                patches = grid_patches(ctx.magnitude, np.stack([cx[:, 0], cy[:, 0]], axis=1),
-                                       7, size)
-                values = grid_decisions(ctx.svms, patches).reshape(k, 49)[valid]
-                assert_gate_agrees(values, *row_gate(ctx.svms, rows, owner))
-            normalized = decision_values(ctx.svms, search._normalized(ctx, rows), owner)
+            patches = grid_patches(ctx.magnitude, np.stack([cx[:, 0], cy[:, 0]], axis=1), 7, size)
+            values = grid_decisions(ctx.svms, patches).reshape(k, 49)[valid]
+            assert_gate_agrees(values, *row_gate(ctx.svms, rows, owner))
+            normalized = search._normalized(ctx, rows).reshape(k, 36, -1)
+            normalized = np.concatenate([decision_values(landmark_svm(ctx.svms, j), normalized[j])
+                                         for j in range(k)])
             clear = np.abs(normalized) > 1e-9
             assert np.array_equal(values[clear] >= 0, normalized[clear] >= 0)
             accepted = (values >= 0).reshape(k, 36)
@@ -830,7 +822,7 @@ def test_equal_counts_stack_and_mixed_counts_do_not(monkeypatch):
     equal-count pass, 36 rows per landmark, those run on a (k, 36, a) view
     of the rows; with some landmarks on the integer grid (49 candidates,
     not 36) the counts differ, and they run on a (k, 49, a) stack of blocks
-    zero-padded to 49 rows. No row gate runs."""
+    zero-padded to 49 rows."""
     rng = np.random.default_rng(90)
     k, size = 12, 7
     cfg = FitConfig(levels=1, search_radius=3)
@@ -847,7 +839,7 @@ def test_equal_counts_stack_and_mixed_counts_do_not(monkeypatch):
         with matmul_operands() as products:
             search_landmarks(ctx, Shape(pts), cfg)
         owner = np.repeat(np.arange(k), counts)
-        assert calls == {"gate": [], "grid": [(k, p, p)],
+        assert calls == {"grid": [(k, p, p)],
                          "cost": [(tuple(owner.tolist()), (len(owner), size * size))]}
         assert products == [(k, 7, size * p)] + owner_products(counts, widths)
 
@@ -856,7 +848,7 @@ def test_equal_counts_stack_and_mixed_counts_do_not(monkeypatch):
     one_pass(tuple(49 if j % 3 == 0 else 36 for j in range(k)))
 
 
-@pytest.mark.parametrize("kind", ["two_d", "one_d"])
+@pytest.mark.parametrize("kind", ["two_d"])
 def test_a_landmark_rejecting_every_candidate_falls_back_to_all(kind, monkeypatch):
     """A landmark whose classifier is planted to reject every candidate
     competes with all of its in-radius candidates, 49 at an integer
@@ -1283,7 +1275,7 @@ def test_asm_svm_context_equalizes_each_level_once(trained, monkeypatch):
 def test_two_d_fit_gates_each_pass_with_one_banded_product(trained, monkeypatch):
     """Every pass of an asm_svm fit gates each landmark's whole grid from its
     patch in one grid_decisions call, which makes one matmul, calls no
-    decision_values or homogeneous_rows and gathers only the competing
+    decision_values and gathers only the competing
     windows: grid_windows' mask picks exactly the rows mahalanobis_batch
     gets, in np.nonzero order, fewer than the in-radius candidates in some
     passes. The banded weights are built once per level's classifier stack
@@ -1300,7 +1292,7 @@ def test_two_d_fit_gates_each_pass_with_one_banded_product(trained, monkeypatch)
     passes = []
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a 2-D pass called the row gate")
+        raise AssertionError("a 2-D pass called decision_values")
 
     def grid(model, patches):
         with matmul_operands() as products:
@@ -1317,7 +1309,6 @@ def test_two_d_fit_gates_each_pass_with_one_banded_product(trained, monkeypatch)
         return mahalanobis_batch(stats, rows, owner)
 
     monkeypatch.setattr(search, "decision_values", refuse)
-    monkeypatch.setattr(search, "homogeneous_rows", refuse)
     monkeypatch.setattr(search, "grid_decisions", grid)
     monkeypatch.setattr(search, "grid_windows", gather)
     monkeypatch.setattr(search, "mahalanobis_batch", cost)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import warnings
 
@@ -8,8 +9,7 @@ from hypothesis import given, strategies
 
 from asmfit import search
 from asmfit.errors import MAX_RADIUS, ClassBalanceError, DimensionMismatchError, ShapeArityError
-from asmfit.profiles import (Profile, grid_patches, grid_windows, homogeneous_rows,
-                             normalize_derivatives, normalize_windows, windows_batch)
+from asmfit.profiles import Profile, grid_patches, grid_windows, normalize_windows, windows_batch
 from asmfit.search import _candidate_grid
 from asmfit.svm import (
     LandmarkTrainingSet,
@@ -26,11 +26,11 @@ from asmfit.svm import (
     training_accuracy,
 )
 from asmfit.training import TrainConfig
-from conftest import ARITY_CASES, PROPERTY, arity_call, matmul_operands, owner_counts, owner_products
-from reference_profiles import padded_block_scores
+from conftest import ARITY_CASES, PROPERTY, arity_call, owner_counts
 from reference_svm import (
     assert_gate_agrees,
     build_landmark_training_set_reference,
+    homogeneous_rows,
     kkt_residual,
     landmark_svm,
     predict,
@@ -77,17 +77,20 @@ def test_model_validation():
 
 
 def test_stacked_model_reads_landmark_rows():
-    """Landmark j of a stack decides exactly as a model of row j alone."""
+    """Landmark j of a stack gates its grid exactly as a stack of row j
+    alone (grid_decisions), and decision_values, which scores one
+    landmark's classifier, refuses the stack."""
     rng = np.random.default_rng(9)
-    weights, biases = rng.normal(0, 1, (3, 4)), rng.normal(0, 1, 3)
+    k, size, g = 3, 5, 7
+    weights, biases = rng.normal(0, 1, (k, size * size)), rng.normal(0, 1, k)
     stacked = LinearSvmModel(weights, biases)
-    rows = rng.normal(0, 1, (6, 4))
-    for j in range(3):
-        single = LinearSvmModel(weights[j], float(biases[j]))
-        assert (decision_values(stacked, rows, np.full(6, j)).tobytes()
-                == decision_values(single, rows).tobytes())
+    patches = rng.uniform(0.0, 9.0, (k, g + size - 1, g + size - 1))
+    values = grid_decisions(stacked, patches)
+    for j in range(k):
+        alone = LinearSvmModel(weights[j:j + 1], biases[j:j + 1])
+        assert values[j].tobytes() == grid_decisions(alone, patches[j:j + 1])[0].tobytes()
     with pytest.raises(DimensionMismatchError, match="owner"):
-        decision_values(stacked, rows)
+        decision_values(stacked, patches[0, :2, :size * size])
 
 
 def test_train_config_validation():
@@ -508,141 +511,64 @@ def test_decision_values_match_predict():
         decision_values(model, np.zeros((2, 5)))
 
 
-@pytest.mark.parametrize("c", [1, 2, 36, 49])
-def test_stacked_decision_values_equal_indexed_calls(c):
-    """Rows whose owner gives every landmark c of them, the stacked matmul's
-    case, get each landmark's values from its classifier alone byte for
-    byte."""
-    rng = np.random.default_rng(c)
-    k, d = 6, 25
-    model = LinearSvmModel(rng.normal(0, 1, (k, d)), rng.normal(0, 1, k))
-    rows = rng.normal(0, 1, (k * c, d))
-    owner = np.repeat(np.arange(k), c)
-    got = decision_values(model, rows, owner)
-    assert got.shape == (k * c,)
-    want = np.concatenate([decision_values(landmark_svm(model, j), rows[j * c:(j + 1) * c])
-                           for j in range(k)])
-    assert got.tobytes() == want.tobytes()
-    with pytest.raises(DimensionMismatchError):
-        decision_values(model, rows.reshape(k, c, d), owner)
-    with pytest.raises(DimensionMismatchError):
-        decision_values(model, np.zeros((k * c, d + 1)), owner)
-
-
-def test_owner_decision_values_equal_indexed_calls():
-    """Rows scored with sorted owner indices, in unequal counts, give each
-    landmark's values from its classifier alone, its block zero-padded to
-    the largest (padded_block_scores), concatenated, byte for byte; counts
-    run from none to a full 7x7 grid."""
-    rng = np.random.default_rng(12)
-    counts = [3, 49, 0, 1, 36, 17]
-    k, d = len(counts), 49
-    model = LinearSvmModel(rng.normal(0, 1, (k, d)), rng.normal(0, 1, k))
-    owner = np.repeat(np.arange(k), counts)
-    rows = rng.uniform(0.0, 0.05, (len(owner), d))
-    want = padded_block_scores(decision_values, landmark_svm, model, rows, counts)
-    got = decision_values(model, rows, owner)
-    assert got.shape == (len(owner),)
-    assert got.tobytes() == want.tobytes()
-    assert decision_values(model, rows[:0], owner[:0]).shape == (0,)
-
-
-@pytest.mark.parametrize("owner", [[0, 2, 1, 2], [0, 1, 1, 3], [-1, 0, 1, 2], [0, 1, 2],
-                                   [0, 0, 1, 1, 2], [0.0, 1.0, 1.0, 2.0]],
-                         ids=["unsorted", "past-k", "negative", "short", "long", "float"])
-def test_owner_decision_values_reject_bad_owners(owner):
-    model = LinearSvmModel(np.ones((3, 4)), np.zeros(3))
-    with pytest.raises(DimensionMismatchError, match="owner"):
-        decision_values(model, np.zeros((4, 4)), np.array(owner))
-    with pytest.raises(DimensionMismatchError, match="owner"):
-        decision_values(LinearSvmModel(np.ones(4), 0.0), np.zeros((4, 4)), np.array([0, 0, 0, 0]))
-
-
-@pytest.mark.parametrize("owner", [[], np.zeros(0), np.zeros(0, np.int32), np.zeros(0, bool)],
-                         ids=["list", "float", "int32", "bool"])
-def test_empty_owner_of_any_dtype_gets_no_values(owner):
-    model = LinearSvmModel(np.ones((3, 4)), np.zeros(3))
-    assert decision_values(model, np.zeros((0, 4)), owner).shape == (0,)
-
-
-@pytest.mark.parametrize("case", ARITY_CASES)
-def test_decision_values_take_only_their_two_forms(case):
-    """Only one landmark's classifier with (m, d) rows, or a stacked model
-    with (m, d) rows and an owner array, scores; every other call raises
-    DimensionMismatchError, never a bare numpy error."""
+@pytest.mark.parametrize("case", [case for case in ARITY_CASES if "with-owner" not in case])
+def test_decision_values_take_only_one_landmarks_rows(case):
+    """decision_values takes only (model, rows), and scores only one
+    landmark's classifier with (m, d) rows; a stacked model or rows of
+    another shape raise DimensionMismatchError, never a bare numpy error."""
+    assert list(inspect.signature(decision_values).parameters) == ["model", "rows"]
     rng = np.random.default_rng(7)
     stack = LinearSvmModel(rng.normal(0, 1, (3, 4)), rng.normal(0, 1, 3))
-    model, rows, owner = arity_call(case, stack, landmark_svm(stack, 1), 4)
+    model, rows, _ = arity_call(case, stack, landmark_svm(stack, 1), 4)
     with pytest.raises(DimensionMismatchError, match="owner indices for a stacked model only"):
-        decision_values(model, rows, owner)
+        decision_values(model, rows)
 
 
 @PROPERTY
-@pytest.mark.parametrize("equal", [True, False], ids=["stacked-matmul", "matmul-per-block"])
+@pytest.mark.parametrize("stacked", [True, False], ids=["windows-owner-form", "windows-single-model"])
 @given(data=strategies.data())
-def test_owner_values_equal_each_block_by_its_own_classifier(equal, data):
-    """Every landmark's block of an owner-form call gets, byte for byte, the
-    values the landmark's classifier alone gives its rows zero-padded to the
-    largest block (padded_block_scores; no padding when the counts are
-    equal), from one stacked matmul."""
-    counts = data.draw(owner_counts(equal))
-    d = data.draw(strategies.integers(1, 30))
-    rng = np.random.default_rng(data.draw(strategies.integers(0, 2**32 - 1)))
-    model = LinearSvmModel(rng.normal(0, 1, (len(counts), d)), rng.normal(0, 1, len(counts)))
-    rows = rng.normal(0, 1, (sum(counts), d))
-    with matmul_operands() as products:
-        got = decision_values(model, rows, np.repeat(np.arange(len(counts)), counts))
-    assert products == owner_products(counts, (d,))
-    assert got.shape == (len(rows),)
-    want = padded_block_scores(decision_values, landmark_svm, model, rows, counts)
-    assert got.tobytes() == want.tobytes()
-
-
-@PROPERTY
-@pytest.mark.parametrize("stacked", [True, False], ids=["owner-form", "single-model"])
-@pytest.mark.parametrize("absolute", [False, True], ids=["windows", "profiles"])
-@given(data=strategies.data())
-def test_raw_row_decisions_have_the_sign_of_normalized_ones(stacked, absolute, data):
-    """Raw rows scored with their sums (homogeneous_rows) decide as their
-    normalized rows do: gradient windows (non-negative, sum-normalized) and
-    derivative profiles (signed, abs-sum-normalized), in the owner form and
-    the single-model form. The signs agree wherever the normalized rows'
-    decision is clear of rounding, |value| > 1e-9; a flat row, zero or
-    summing to under 1e-12, gets its normalized row's decision (the uniform
-    vector's, or the bias for a profile) byte for byte."""
+def test_raw_row_decisions_have_the_sign_of_normalized_ones(stacked, data):
+    """The row gate (row_gate: raw windows scored with their sums by
+    homogeneous_rows, one landmark at a time), the oracle of grid_decisions,
+    decides as the sum-normalized windows do under decision_values, for a
+    stack of landmarks owning unequal or equal row counts and for one
+    landmark owning every row. The signs agree wherever the normalized
+    windows' decision is clear of rounding, |value| > 1e-9; a flat window,
+    zero or summing to under 1e-12, gets the uniform vector's decision
+    byte for byte."""
     counts = data.draw(owner_counts(data.draw(strategies.booleans()))) if stacked else [
         data.draw(strategies.integers(0, 40))]
     d = data.draw(strategies.sampled_from([3, 7, 9, 15, 49, 225]))
     rng = np.random.default_rng(data.draw(strategies.integers(0, 2**32 - 1)))
     k, m = len(counts), sum(counts)
-    rows = rng.normal(0.0, 20.0, (m, d)) if absolute else rng.uniform(0.0, 9.0, (m, d))
+    rows = rng.uniform(0.0, 9.0, (m, d))
     kind = rng.integers(0, 5, m)  # 0: zero row, 1: sums to under 1e-12, 2-4: drawn
     rows[kind == 0] = 0.0
     rows[kind == 1] *= 1e-16 / d
-    weights, biases = rng.normal(0.0, 1.0, (k, d)) / np.sqrt(d), rng.normal(0.0, 0.2, k)
-    if stacked:
-        model, owner = LinearSvmModel(weights, biases), np.repeat(np.arange(k), counts)
-    else:
-        model, owner = LinearSvmModel(weights[0], float(biases[0])), None
-    normalized = (normalize_derivatives(rows.copy()) if absolute
-                  else normalize_windows(rows, "sum"))
-    want = decision_values(model, normalized, owner)
-    gated, sums = homogeneous_rows(rows, absolute=absolute)
-    got = decision_values(model, gated, owner, sums)
+    model = LinearSvmModel(rng.normal(0.0, 1.0, (k, d)) / np.sqrt(d), rng.normal(0.0, 0.2, k))
+    owner = np.repeat(np.arange(k), counts)
+    normalized = normalize_windows(rows, "sum")
+    want = np.concatenate([np.zeros(0)] + [decision_values(landmark_svm(model, j),
+                                                           normalized[owner == j])
+                                           for j in range(k)])
+    got, _ = row_gate(model, rows, owner)
     assert got.shape == want.shape == (m,)
     clear = np.abs(want) > 1e-9
     assert np.array_equal(got[clear] >= 0, want[clear] >= 0)
     flat = kind < 2
     assert got[flat].tobytes() == want[flat].tobytes()
+    gated, sums = homogeneous_rows(rows)
     assert (sums > 0).all() and np.array_equal(sums[flat], np.ones(np.count_nonzero(flat)))
+    assert gated[flat].tobytes() == normalized[flat].tobytes()
 
 
 @PROPERTY
 @given(data=strategies.data())
 def test_banded_grid_gate_equals_the_row_gate(data):
     """grid_decisions over the patches of k candidate grids (radius 1-4,
-    odd window sides 3-9) against the row gate, decision_values on
-    homogeneous_rows of windows_batch's windows at every grid node. Grid
+    odd window sides 3-9) against the row gate (row_gate: each landmark's
+    windows_batch windows at every grid node scored with their sums, one
+    landmark at a time). Grid
     positions lie inside the image, across a border or at least 20 px
     outside one, at fractional and integer positions; the image may hold a
     flat region (zeros, or values whose windows sum to under 1e-12); the
@@ -694,17 +620,6 @@ def test_banded_grid_gate_equals_the_row_gate(data):
     assert not (keep & ~allowed).any() and (keep.any(axis=1) == allowed.any(axis=1)).all()
     kept = grid_windows(patches, keep.reshape(k, g, g))
     assert kept.tobytes() == windows_batch(vals, centers[keep.ravel()], size).tobytes()
-
-
-def test_decision_values_check_their_sums():
-    """sums must hold one positive value per row."""
-    model = LinearSvmModel(np.ones((2, 3)), np.zeros(2))
-    rows, owner = np.ones((4, 3)), np.array([0, 0, 1, 1])
-    with pytest.raises(DimensionMismatchError, match="one per row"):
-        decision_values(model, rows, owner, np.ones(3))
-    for sums in ([1.0, 0.0, 1.0, 1.0], [1.0, -2.0, 1.0, 1.0], [1.0, np.nan, 1.0, 1.0]):
-        with pytest.raises(ShapeArityError, match="sums must be positive"):
-            decision_values(model, rows, owner, np.array(sums))
 
 
 def test_objective_hand_case():
